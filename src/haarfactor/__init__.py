@@ -30,7 +30,7 @@ from .dyadic import (
     parse_interval,
     parse_omega,
 )
-from .errors import ReductionError, ResourceLimitError, SearchBudgetError
+from .errors import ReductionError, ResourceLimitError
 from .factorize import (
     FactorizationWitness,
     embedding_matrix,
@@ -144,5 +144,5 @@ __all__ = [
     # serialize
     "SchemaError", "document", "dumps", "load", "loads", "save", "undocument",
     # errors
-    "ReductionError", "ResourceLimitError", "SearchBudgetError",
+    "ReductionError", "ResourceLimitError",
 ]

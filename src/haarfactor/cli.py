@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import constants_report, dichotomy_constant, large_diagonal_constant
-from .errors import ReductionError, ResourceLimitError, SearchBudgetError
+from .errors import ReductionError, ResourceLimitError
 from .factorize import factor_large_diagonal, primary_dichotomy
 from .haarsys import BasisRegistry, realize
 from .operators import DiagonalOperator, OperatorMatrix, max_column_sum
@@ -73,10 +73,6 @@ def load_certificate(path) -> ReductionCertificate:
 
 def save_certificate(path, cert: ReductionCertificate) -> None:
     save(path, cert)
-
-
-def save_report(path, report: dict) -> None:
-    save(path, report, metadata=_stamp())
 
 
 @dataclass(frozen=True)
@@ -639,7 +635,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, status = args.func(args)
-    except (ReductionError, ResourceLimitError, SearchBudgetError) as exc:
+    except (ReductionError, ResourceLimitError) as exc:
         report = {
             "command": args.command,
             "verified_negative": {"type": type(exc).__name__, "message": str(exc)},

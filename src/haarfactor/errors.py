@@ -11,10 +11,6 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-class SearchBudgetError(RuntimeError):
-    """A sampled search exhausted its candidate budget without succeeding."""
-
-
 class ReductionError(RuntimeError):
     """A reduction run could not certify the requested error bound.
 

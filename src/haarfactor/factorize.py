@@ -49,6 +49,7 @@ from .operators import (
 from .reduction import (
     ReductionCertificate,
     _registry_of,
+    column_sum_bound,
     compose_certificates,
     identity_certificate,
     interaction_matrix,
@@ -91,19 +92,6 @@ def _multiplier_norm_bound(exponent, diag: np.ndarray) -> float:
     if np.all(diag == diag[0]):
         return abs(float(diag[0]))
     return diagonal_multiplier_bound(exponent, float(np.abs(diag).max()))
-
-
-def _defect_column_bound(target: BasisRegistry, defect: np.ndarray, p) -> float:
-    """Column-norm bound dominating ``||defect v||_p / ||v||_p``."""
-    norms = []
-    for t in range(defect.shape[1]):
-        col = defect[:, t]
-        if np.any(col != 0.0):
-            norms.append(lp_norm(realize(target, col), p))
-        else:
-            norms.append(0.0)
-    mu = target.measures()
-    return math.fsum(r * float(m) ** (-1.0 / p) for r, m in zip(norms, mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +288,7 @@ def factor_large_diagonal(
         )
 
     defect = A @ (T.entries @ B) - np.eye(A.shape[0])
-    residual = _defect_column_bound(target, defect, p.p)
+    _, residual = column_sum_bound(target, defect, p)
     return FactorizationWitness(
         exponent=p.p,
         kind="large-diagonal",
@@ -430,7 +418,7 @@ def primary_dichotomy(
         "embedding": 1.0,
     }
     defect = A @ (Tp @ B) - np.eye(A.shape[0])
-    residual = _defect_column_bound(target, defect, p.p)
+    _, residual = column_sum_bound(target, defect, p)
     metadata = {
         "lambda0": lam0,
         "branch_scalar": lam_branch,

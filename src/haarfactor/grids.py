@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +39,15 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 1 << 22
+
+# Compacting a run into a rank matrix costs about a dozen numpy calls, and
+# one call costs about as much as adding _CALL_CELLS cells.  A run is
+# compacted once its plain adds, ``summands * (cells + _CALL_CELLS)``, reach
+# _COMPACT_WORK.  Measured on a 2-core 2.1 GHz VM with numpy 2.4: compacting
+# the 127-summand run of single_copy(7) makes ``dense`` 2-3x faster, while
+# compacting the short runs of {1: 0, 2: 1, 3: 2} made it about 2x slower.
+_CALL_CELLS = 1 << 11
+_COMPACT_WORK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -158,14 +169,25 @@ class GridFunction:
         checked = []
         for coord, vec in summands:
             vec = np.asarray(vec)
-            expected = 2 ** grid.resolution_of(coord)
-            if vec.shape != (expected,):
-                raise ValueError(
-                    f"summand on coordinate {coord} must have {expected} cells, "
-                    f"got shape {vec.shape}"
-                )
+            _check_cells(grid, coord, vec.shape, vec.shape)
             checked.append((coord, vec))
         return cls(grid, summands=tuple(checked))
+
+    @classmethod
+    def from_blocks(
+        cls, grid: ProductGrid, blocks: Iterable[tuple[int, np.ndarray]]
+    ) -> "GridFunction":
+        """Factored function whose summands are the rows of each
+        ``(coordinate, matrix)`` block, block by block and row by row.
+
+        The cell-count check runs once per block, not once per row.
+        """
+        summands = []
+        for coord, block in blocks:
+            block = np.asarray(block)
+            _check_cells(grid, coord, block.shape[1:], block.shape)
+            summands.extend((coord, row) for row in block)
+        return cls(grid, summands=tuple(summands))
 
     @classmethod
     def constant(cls, grid: ProductGrid, value: float) -> "GridFunction":
@@ -183,16 +205,45 @@ class GridFunction:
 
     @property
     def dense(self) -> np.ndarray:
-        """Materialized cell values (factored functions are expanded)."""
+        """Materialized cell values (factored functions are expanded).
+
+        A factored function expands to the left fold ``((+0.0 + s_1) + s_2)
+        + ...`` of its summands, broadcast over the grid in summand order,
+        and the result equals that fold bit for bit.  Adding a zero leaves
+        a float unchanged, and a fold that starts at ``+0.0`` never holds
+        ``-0.0``, so every cell ends at the fold of its nonzero terms alone.
+        Each maximal run of summands on one coordinate is therefore
+        compacted into a rank matrix (:func:`_rank_rows`) and added one
+        broadcast row per rank: a run of Haar-type summands has rank at most
+        its number of levels, not its number of summands.  The accumulator
+        spans only the coordinates met so far and is broadcast to the full
+        grid once, at the end.  A run too short for compaction to pay
+        (:data:`_COMPACT_WORK`) is folded summand by summand, as written.
+        """
         if self._dense is not None:
             return self._dense
-        out = np.zeros(self.grid.shape)
-        for coord, vec in self._summands:
+        full = self.grid.shape
+        ndim = len(full)
+        acc = np.zeros((1,) * ndim)
+        for coord, run in groupby(self._summands, key=itemgetter(0)):
+            rows = [vec for _, vec in run]
             axis = self.grid.axis_of(coord)
-            shape = [1] * len(self.grid.shape)
-            shape[axis] = len(vec)
-            out = out + vec.reshape(shape)
-        return out
+            shape = [1] * ndim
+            shape[axis] = len(rows[0])
+            cells = acc.size * (len(rows[0]) if acc.shape[axis] == 1 else 1)
+            if len(rows) > 1 and len(rows) * (cells + _CALL_CELLS) >= _COMPACT_WORK:
+                block = np.array(rows)
+                rows = _rank_rows(block, np.result_type(acc, block))
+                if len(rows):
+                    acc = acc + rows[0].reshape(shape)
+                    for row in rows[1:]:  # one dtype: add in place
+                        acc += row.reshape(shape)
+            else:
+                for row in rows:
+                    acc = acc + row.reshape(shape)
+        if acc.shape != full:
+            acc = np.broadcast_to(acc, full).copy()
+        return acc
 
     def is_integer_valued(self) -> bool:
         if self._summands is not None:
@@ -212,6 +263,33 @@ class GridFunction:
         if self._summands is not None and other._summands is not None:
             return GridFunction(self.grid, summands=self._summands + other._summands)
         return GridFunction(self.grid, dense=self.dense + other.dense)
+
+
+def _check_cells(grid: ProductGrid, coord: int, row_shape: tuple, shape: tuple) -> None:
+    expected = 2 ** grid.resolution_of(coord)
+    if row_shape != (expected,):
+        raise ValueError(
+            f"summand on coordinate {coord} must have {expected} cells, "
+            f"got shape {shape}"
+        )
+
+
+def _rank_rows(block: np.ndarray, dtype) -> np.ndarray:
+    """Rank matrix of one run of same-coordinate summands (rows of ``block``).
+
+    Row ``j`` holds the ``j``-th nonzero term of every cell, in summand
+    order; cells with fewer terms are padded with ``+0.0``.  Adding the rows
+    in order therefore reproduces, in every cell, the fold of all the run's
+    terms (see :attr:`GridFunction.dense`).
+    """
+    m, n = block.shape
+    # nonzero positions in cell-major order: each cell's terms keep their order
+    pos = np.flatnonzero((block != 0).T)
+    cell = pos // m
+    rank = np.arange(pos.size) - np.searchsorted(cell, cell)
+    out = np.zeros((rank.max(initial=-1) + 1, n), dtype)
+    out[rank, cell] = block[pos - cell * m, cell]
+    return out
 
 
 def _require_same_grid(f: GridFunction, g: GridFunction) -> ProductGrid:

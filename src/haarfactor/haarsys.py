@@ -16,6 +16,12 @@ element, each an integer profile scaled by one float.  Every partial sum a
 pairing can form is then an integer multiple of that float, which IEEE
 arithmetic represents exactly — this is what makes ``project(realize(c))``
 reproduce ``c`` bit for bit, with no rational arithmetic in the hot path.
+Materializing a realized function (:attr:`GridFunction.dense`) adds the
+summands cell by cell in basis order, starting from ``+0.0``.  The kernel
+skips the terms that are zero in a cell, and the result is still that fold
+bit for bit, because adding a zero leaves a float that is not ``-0.0``
+unchanged and the fold never holds ``-0.0``.  Norms of realized functions
+therefore do not depend on how the kernel groups its broadcasts.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +46,8 @@ __all__ = [
     "block_project",
     "burkholder_check",
     "check_distributional_copy",
+    "expand_blocks",
+    "haar_blocks",
     "project",
     "realize",
 ]
@@ -71,7 +81,8 @@ class BasisRegistry:
                     )
                 res[copy] = r
         self.grid = ProductGrid.from_mapping(res, cell_cap)
-        self._profiles: dict[OmegaIndex, np.ndarray] = {}
+        self._blocks: tuple[tuple[int, slice, np.ndarray], ...] | None = None
+        self._profile_rows: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def standard(cls, copies: int, cell_cap: int = DEFAULT_CELL_CAP) -> "BasisRegistry":
@@ -100,18 +111,57 @@ class BasisRegistry:
     def resolution_of(self, copy: int) -> int:
         return self.grid.resolution_of(copy)
 
+    def profile_blocks(self) -> tuple[tuple[int, slice, np.ndarray], ...]:
+        """The registry's :func:`haar_blocks`, built on first use and cached."""
+        if self._blocks is None:
+            self._blocks = haar_blocks(self.indices, self.grid)
+            self._profile_rows = tuple(row for *_, block in self._blocks for row in block)
+        return self._blocks
+
     def haar_profile(self, t: OmegaIndex) -> np.ndarray:
-        """Integer cell profile of ``h_t`` on its own coordinate."""
-        if t not in self.index_of:
+        """Integer cell profile of ``h_t`` on its own coordinate (a row of
+        its copy's profile block)."""
+        i = self.index_of.get(t)
+        if i is None:
             raise ValueError(f"index {t} is not in this registry")
-        prof = self._profiles.get(t)
-        if prof is None:
-            prof = t.interval.haar_values(self.resolution_of(t.copy))
-            self._profiles[t] = prof
-        return prof
+        self.profile_blocks()
+        return self._profile_rows[i]
 
     def haar(self, t: OmegaIndex) -> GridFunction:
         return GridFunction.from_summands(self.grid, [(t.copy, self.haar_profile(t))])
+
+
+def haar_blocks(
+    indices: Sequence[OmegaIndex], grid: ProductGrid
+) -> tuple[tuple[int, slice, np.ndarray], ...]:
+    """Haar profiles of a copy-sorted index sequence, one block per copy.
+
+    Each block is ``(copy, rows, profiles)``: ``rows`` is the slice of
+    ``indices`` on that copy and ``profiles`` stacks their int8 cell
+    profiles on the copy's grid coordinate, one row per index.
+    """
+    blocks = []
+    start = 0
+    for copy, group in groupby(indices, key=attrgetter("copy")):
+        res = grid.resolution_of(copy)
+        profiles = np.stack([t.interval.haar_values(res) for t in group])
+        blocks.append((copy, slice(start, start + len(profiles)), profiles))
+        start += len(profiles)
+    return tuple(blocks)
+
+
+def expand_blocks(
+    grid: ProductGrid, blocks: Sequence[tuple[int, slice, np.ndarray]], coeffs
+) -> GridFunction:
+    """``sum_t c_t h_t`` over :func:`haar_blocks`, one summand per index.
+
+    Row ``i`` of ``coeffs[rows, None] * profiles`` is ``c_i`` times the
+    integer profile of index ``i``, the same floats as scaling each profile
+    on its own.
+    """
+    return GridFunction.from_blocks(
+        grid, [(copy, coeffs[rows, None] * profiles) for copy, rows, profiles in blocks]
+    )
 
 
 def realize(registry: BasisRegistry, coeffs) -> GridFunction:
@@ -123,11 +173,7 @@ def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (registry.dim,):
         raise ValueError(f"expected {registry.dim} coefficients, got {coeffs.shape}")
-    summands = [
-        (t.copy, coeffs[i] * registry.haar_profile(t))
-        for i, t in enumerate(registry.indices)
-    ]
-    return GridFunction.from_summands(registry.grid, summands)
+    return expand_blocks(registry.grid, registry.profile_blocks(), coeffs)
 
 
 def project(registry: BasisRegistry, f: GridFunction) -> np.ndarray:

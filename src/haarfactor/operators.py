@@ -23,6 +23,7 @@ import numpy as np
 from .constants import diagonal_multiplier_bound
 from .dyadic import OmegaIndex, compare_omega
 from .grids import DEFAULT_CELL_CAP, Exponent, ProductGrid, as_exponent
+from .haarsys import expand_blocks, haar_blocks
 
 __all__ = [
     "DiagonalAverageWitness",
@@ -300,25 +301,10 @@ class _Realizer:
             {c: d + 1 for c, d in depths.items()}, cell_cap
         )
         self.basis = tuple(basis)
-        # per coordinate: row positions into the basis and the Haar profiles
-        self.blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for coord in self.grid.coords:
-            rows = [i for i, t in enumerate(self.basis) if t.copy == coord]
-            res = self.grid.resolution_of(coord)
-            profiles = np.stack(
-                [self.basis[i].interval.haar_values(res) for i in rows]
-            ).astype(float)
-            self.blocks.append((coord, np.asarray(rows), profiles))
+        self.blocks = haar_blocks(self.basis, self.grid)
 
     def dense(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        for coord, rows, profiles in self.blocks:
-            axis = self.grid.axis_of(coord)
-            vec = coeffs[rows] @ profiles
-            shape = [1] * len(self.grid.shape)
-            shape[axis] = vec.shape[0]
-            out += vec.reshape(shape)
-        return out
+        return expand_blocks(self.grid, self.blocks, coeffs).dense
 
     def norm(self, coeffs: np.ndarray, p: float) -> float:
         f = self.dense(coeffs)

@@ -70,6 +70,7 @@ __all__ = [
     "pigeonhole_levels",
     "reduce_to_scalar_finite",
     "reduce_to_scalar_stitched",
+    "column_sum_bound",
     "compose_certificates",
     "identity_certificate",
     "interaction_matrix",
@@ -264,30 +265,43 @@ def _run_sign_search(
     return result, True
 
 
+def column_sum_bound(
+    registry: BasisRegistry, matrix: np.ndarray, p
+) -> tuple[tuple[float, ...], float]:
+    """Per-column residual norms of ``matrix`` and their weighted sum.
+
+    Column ``t`` contributes ``||sum_s M[s, t] h_s||_p * |I_t|^(-1/p)``,
+    which bounds ``||M v||_p / ||v||_p`` from above when summed over all
+    columns (``math.fsum``).  Zero columns contribute exactly ``0.0``
+    without being realized.  Columns are realized one at a time, so memory
+    stays at one grid function.
+    """
+    p = as_exponent(p).p
+    residuals = []
+    for t in range(matrix.shape[1]):
+        col = matrix[:, t]
+        if np.any(col != 0.0):
+            residuals.append(lp_norm(realize(registry, col), p))
+        else:
+            residuals.append(0.0)
+    mu = registry.measures()
+    total = math.fsum(r * float(m) ** (-1.0 / p) for r, m in zip(residuals, mu))
+    return tuple(residuals), total
+
+
 def _certify(source, family, T, target_registry, target_entries, scalar, exponent):
     """Residual columns, column-sum bound, and (for exactly diagonal
     residuals of scalar targets) the multiplier gap bound."""
     p = as_exponent(exponent)
     M = interaction_matrix(source, family, T)
     resid = M - np.diag(np.asarray(target_entries, dtype=float))
-    dim = resid.shape[0]
-    residuals = []
-    for t in range(dim):
-        col = resid[:, t]
-        if np.any(col != 0.0):
-            residuals.append(lp_norm(realize(target_registry, col), p.p))
-        else:
-            residuals.append(0.0)
-    mu = target_registry.measures()
-    column_sum = math.fsum(
-        r * float(m) ** (-1.0 / p.p) for r, m in zip(residuals, mu)
-    )
+    residuals, column_sum = column_sum_bound(target_registry, resid, p)
     off = resid - np.diag(np.diag(resid))
     gap = None
     if scalar is not None and not np.any(off != 0.0):
         gap = burkholder_constant(p) * float(np.abs(np.diag(resid)).max())
     certified = column_sum if gap is None else min(column_sum, gap)
-    return M, tuple(residuals), column_sum, gap, certified
+    return M, residuals, column_sum, gap, certified
 
 
 def _block_witnesses(T, assignments, order):

@@ -92,6 +92,113 @@ class TestGridFunction:
         h = (f + f.scaled(-1.0)).dense
         np.testing.assert_array_equal(h, np.zeros(4))
 
+    def test_block_shape_checks(self):
+        g = ProductGrid((1, 2), (1, 2))
+        with pytest.raises(ValueError):
+            GridFunction.from_blocks(g, [(2, np.zeros((3, 2)))])
+        with pytest.raises(ValueError):
+            GridFunction.from_blocks(g, [(1, np.zeros(2))])  # a row, not a block
+        f = GridFunction.from_blocks(g, [(1, np.ones((2, 2))), (2, np.ones((1, 4)))])
+        assert [c for c, _ in f.summands] == [1, 1, 2]
+
+
+def fold_reference(f):
+    """Summand-by-summand left fold from +0.0: the definition of ``dense``."""
+    grid = f.grid
+    out = np.zeros(grid.shape)
+    for coord, vec in f.summands:
+        shape = [1] * len(grid.shape)
+        shape[grid.axis_of(coord)] = len(vec)
+        out = out + vec.reshape(shape)
+    return out
+
+
+def assert_dense_is_fold(f):
+    got, want = f.dense, fold_reference(f)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.any((got == 0) & np.signbit(got)), "dense holds -0.0"
+
+
+def random_summand(rng, cells):
+    kind = rng.integers(5)
+    if kind == 0:
+        return rng.standard_normal(cells)
+    if kind == 1:  # sparse, with signed zeros where it vanishes
+        vec = rng.standard_normal(cells) * (rng.random(cells) < 0.3)
+        return np.where(vec == 0, rng.choice([0.0, -0.0], cells), vec)
+    if kind == 2:
+        return rng.integers(-2, 3, cells).astype(np.int8)
+    if kind == 3:
+        return np.full(cells, rng.choice([0.0, -0.0]))
+    # a power-of-two scale: cancellations land exactly on zero
+    return rng.choice([-1.0, 0.0, 1.0], cells) * 2.0 ** int(rng.integers(-3, 4))
+
+
+class TestDenseFold:
+    """``dense`` equals the summand-by-summand fold bit for bit.
+
+    Runs of 16 or more same-coordinate summands are compacted into rank
+    matrices; shorter runs are added as they stand.  Both are covered.
+    """
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        ncoords = int(rng.integers(1, 4))
+        resolutions = tuple(int(r) for r in rng.integers(0, 4, ncoords))
+        grid = ProductGrid(tuple(range(1, ncoords + 1)), resolutions)
+        summands = []
+        for _ in range(int(rng.integers(1, 5))):
+            coord = int(rng.integers(1, ncoords + 1))
+            cells = 2 ** grid.resolution_of(coord)
+            length = int(rng.choice([1, 2, 5, 16, 40]))
+            summands += [(coord, random_summand(rng, cells)) for _ in range(length)]
+        assert_dense_is_fold(GridFunction.from_summands(grid, summands))
+
+    def test_interleaved_coordinates_from_add(self):
+        rng = np.random.default_rng(3)
+        grid = ProductGrid((1, 2), (3, 2))
+        f = GridFunction.from_blocks(grid, [(1, rng.standard_normal((20, 8)))])
+        h = GridFunction.from_blocks(grid, [(2, rng.standard_normal((20, 4)))])
+        total = f + h + f.scaled(-0.5) + h
+        assert [c for c, _ in total.summands][::20] == [1, 2, 1, 2]
+        assert_dense_is_fold(total)
+
+    def test_overlapping_supports_on_one_coordinate(self):
+        grid = ProductGrid((1,), (4,))
+        rng = np.random.default_rng(5)
+        summands = []
+        for k in range(24):
+            vec = np.zeros(16)
+            start = int(rng.integers(0, 12))
+            vec[start : start + 1 + k % 5] = rng.standard_normal(1 + k % 5)
+            summands.append((1, vec))
+        assert_dense_is_fold(GridFunction.from_summands(grid, summands))
+
+    def test_int8_summands(self):
+        grid = ProductGrid((2, 3), (2, 3))
+        rng = np.random.default_rng(1)
+        summands = [(3, rng.integers(-1, 2, 8).astype(np.int8)) for _ in range(20)]
+        summands += [(2, np.array([1, -1, 0, 1], dtype=np.int8))]
+        assert_dense_is_fold(GridFunction.from_summands(grid, summands))
+
+    def test_all_zero_summands(self):
+        grid = ProductGrid((1, 2), (1, 2))
+        zeros = [(1, np.full(2, -0.0))] * 20 + [(2, np.zeros(4))] * 3
+        f = GridFunction.from_summands(grid, zeros)
+        assert_dense_is_fold(f)
+        assert not np.signbit(f.dense).any()
+
+    def test_coordinate_without_summand_and_single_summand(self):
+        grid = ProductGrid((1, 2, 3), (1, 2, 1))
+        one = GridFunction.from_summands(grid, [(2, np.array([0.5, -0.0, 3.0, -1.0]))])
+        assert_dense_is_fold(one)
+        np.testing.assert_array_equal(one.dense[1, :, 0], [0.5, 0.0, 3.0, -1.0])
+        empty = GridFunction(grid, summands=())
+        assert_dense_is_fold(empty)
+
 
 class TestLpNorm:
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])

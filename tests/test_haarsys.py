@@ -76,6 +76,20 @@ class TestRealizeProject:
         with pytest.raises(ValueError):
             realize(r, np.zeros(3))
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_acceptance_source_norm_matches_summand_fold(self, p):
+        # oracle: one summand per basis element, folded one broadcast at a time
+        r = BasisRegistry({5: 4, 6: 5, 7: 6})
+        c = np.random.default_rng(17).standard_normal(r.dim)
+        oracle = np.zeros(r.grid.shape)
+        for i, t in enumerate(r.indices):
+            shape = [1, 1, 1]
+            shape[r.grid.axis_of(t.copy)] = -1
+            profile = t.interval.haar_values(r.resolution_of(t.copy))
+            oracle = oracle + (c[i] * profile).reshape(shape)
+        want = float(np.mean(np.abs(oracle) ** p) ** (1.0 / p))
+        assert lp_norm(realize(r, c), p) == want
+
     @pytest.mark.parametrize("seed", range(5))
     def test_project_realize_identity_bitwise(self, seed):
         r = BasisRegistry.standard(3)
