@@ -499,7 +499,7 @@ def cmd_xpw_game(args) -> tuple[dict, int]:
         save(args.out, transcript)
     size = transcript.ambient_size()
     xs = [v.coeffs for v in transcript.block_vectors()]
-    ys = [np.eye(args.rounds)[i] for i in range(args.rounds)]
+    ys = list(np.eye(args.rounds))
 
     def norm_w(arr):
         return xpw_norm(XpwVector(arr, w))

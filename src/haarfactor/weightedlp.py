@@ -56,7 +56,9 @@ class WeightSequence:
     Two kinds: ``power`` (``w_n = n^{-a}``, ``a`` rational) and ``explicit``
     (a finite list).  ``budget(n)`` returns ``w_n^{2p/(p-2)}`` as an exact
     ``Fraction`` when the family supports it, which is what the game's
-    round audits require; ``weight(n)`` is the float value.
+    round audits require; ``weight(n)`` is the float value.  ``weights``
+    reads one read-only float table, grown on demand through ``weight`` so
+    that every entry is bitwise the per-index value.
     """
 
     def __init__(self, p, *, decay=None, values=None) -> None:
@@ -77,6 +79,8 @@ class WeightSequence:
             self.values = tuple(Fraction(v) for v in values)
             if any(v <= 0 for v in self.values):
                 raise ValueError("weights must be positive")
+        self._table = np.empty(0)
+        self._table.flags.writeable = False
 
     @classmethod
     def power(cls, p, decay) -> "WeightSequence":
@@ -103,7 +107,15 @@ class WeightSequence:
         return float(self.values[n - 1])
 
     def weights(self, count: int) -> np.ndarray:
-        return np.array([self.weight(n) for n in range(1, count + 1)])
+        """``w_1, ..., w_count`` as a read-only view of the cached table."""
+        if count < 0:
+            raise ValueError("weight count must be non-negative")
+        have = len(self._table)
+        if count > have:
+            fresh = np.array([self.weight(n) for n in range(have + 1, count + 1)])
+            self._table = np.concatenate([self._table, fresh])
+            self._table.flags.writeable = False
+        return self._table[:count]
 
     def budget(self, n: int) -> Fraction:
         """``w_n^{2p/(p-2)}`` exactly, or a ValueError when not rational."""
@@ -282,10 +294,11 @@ def block_data(E: Sequence[int], w: WeightSequence) -> Block:
     the float value is taken straight from the weight rather than through
     a power round trip.
     """
-    indices = tuple(sorted(set(int(n) for n in E)))
+    given = [int(n) for n in E]
+    indices = tuple(sorted(set(given)))
     if not indices:
         raise ValueError("a block needs at least one index")
-    if len(indices) != len(list(E)):
+    if len(indices) != len(given):
         raise ValueError("block indices must be distinct")
     if indices[0] < 1:
         raise ValueError("weight indices start at 1")
@@ -412,37 +425,55 @@ class GameTranscript:
         return [r.block.vector(size) for r in self.rounds]
 
     def verify(self) -> dict:
-        """Recheck every transcript invariant in exact arithmetic.
+        """Recheck every transcript invariant against the weights.
 
-        Ordering and disjointness are integer facts; the window
-        ``w_k <= beta_k <= sqrt(1+eps) w_k`` is decided on the rational
-        budgets (see the module docstring for the monotone equivalence);
-        biorthogonality is exact because off-diagonal pairs have disjoint
-        supports (no common term at all) and each diagonal pair's
-        normalizations cancel over one shared descriptor; the check
-        confirms the stored arrays are those derivations.
+        Ordering and disjointness are integer facts.  Each round's block is
+        re-derived from its indices and the weights with ``block_data``:
+        the stored coefficients and ``beta`` must equal the fresh ones
+        exactly (report key ``block_data``).  The window
+        ``w_k <= beta_k <= sqrt(1+eps) w_k`` is decided on the fresh
+        rational budget, which must also equal the stored one (see the
+        module docstring for the monotone equivalence).  Biorthogonality
+        is exact because off-diagonal pairs have disjoint supports (no
+        common term at all) and each diagonal pair's normalizations cancel
+        over one shared descriptor; the check confirms the stored arrays
+        are those derivations.  Indices that name no block (repeated,
+        below 1 or past an explicit family's end) fail ``block_data`` and
+        ``budget_window``.
         """
         w = self.weights
         q = w.p / (w.p - 2)
         cap_base = 1 + self.eps
         ordering = []
         windows = []
+        rederived = []
         derivations = []
         prev_max = 0
         for k, r in enumerate(self.rounds, start=1):
             ordering.append(min(r.indices) > r.move and min(r.indices) > prev_max)
             prev_max = max(r.indices)
-            S = sum(w.budget(n) for n in r.indices)
-            t_k = w.budget(k)
-            low = S >= t_k
-            high = (S / t_k) ** q.denominator <= cap_base**q.numerator
-            windows.append(S == r.block.budget and low and high)
             derivations.append(
                 np.array_equal(r.block.functional(),
                                r.block.functional_scale * r.block.coeffs)
                 and np.array_equal(r.block.normalized(),
                                    r.block.coeffs / r.block.p_norm)
             )
+            try:
+                fresh = block_data(r.indices, w)
+            except ValueError:
+                rederived.append(False)
+                windows.append(False)
+                continue
+            rederived.append(
+                fresh.indices == r.indices
+                and np.array_equal(fresh.coeffs, r.block.coeffs)
+                and fresh.beta == r.block.beta
+            )
+            S = fresh.budget
+            t_k = w.budget(k)
+            low = S >= t_k
+            high = (S / t_k) ** q.denominator <= cap_base**q.numerator
+            windows.append(S == r.block.budget and low and high)
         supports = [set(r.indices) for r in self.rounds]
         disjoint = all(
             not (supports[i] & supports[j])
@@ -452,6 +483,7 @@ class GameTranscript:
         report = {
             "ordering": all(ordering),
             "budget_window": all(windows),
+            "block_data": all(rederived),
             "disjoint_supports": disjoint,
             "biorthogonal": disjoint and all(derivations),
             "rounds": len(self.rounds),

@@ -17,7 +17,12 @@ from haarfactor.reduction import (
     reduce_to_scalar_finite,
     verify_certificate,
 )
-from haarfactor.weightedlp import FixedScheduleAdversary, WeightSequence, play_game
+from haarfactor.weightedlp import (
+    Block,
+    FixedScheduleAdversary,
+    WeightSequence,
+    play_game,
+)
 
 SMALL = BasisRegistry({3: 2})
 
@@ -155,6 +160,31 @@ class TestTranscriptRoundTrip:
         back = sz.loads(sz.dumps(play_game(FixedScheduleAdversary([1]), 1, w, 1)))
         assert back.weights.kind == "explicit"
         assert back.weights.values == w.values
+
+    @pytest.mark.parametrize("field", ["block_coeffs", "beta"])
+    def test_tampered_block_no_longer_verifies(self, field):
+        # Scaled coefficients come with a functional recomputed to match,
+        # so the document loads; only re-deriving the block exposes them.
+        w = WeightSequence.power(4, Fraction(1, 4))
+        t = play_game(FixedScheduleAdversary([1, 2]), 2, w, Fraction(1, 10))
+        doc = json.loads(sz.dumps(t))
+        item = doc["payload"]["rounds"][1]
+        if field == "beta":
+            item["beta"] = float(np.nextafter(item["beta"], 2.0))
+        else:
+            item["block_coeffs"] = [3 * c for c in item["block_coeffs"]]
+            forged = Block(
+                indices=tuple(item["indices"]),
+                coeffs=np.array(item["block_coeffs"]),
+                beta=item["beta"],
+                budget=Fraction(item["budget"]),
+                weights=w,
+            )
+            item["functional_coeffs"] = [float(c) for c in forged.functional()]
+        report = sz.loads(json.dumps(doc)).verify()
+        assert not report["block_data"]
+        assert not report["ok"]
+        assert report["budget_window"] and report["biorthogonal"]
 
     def test_tampered_functional_is_rejected(self):
         w = WeightSequence.power(4, Fraction(1, 4))

@@ -162,6 +162,69 @@ class TestWeightSequence:
             len(w)
 
 
+class TestWeightTable:
+    """``weights(count)`` reads a cached table that must stay bitwise equal
+    to the per-index ``weight(n)`` values, however the table was grown."""
+
+    @staticmethod
+    def per_index(w, count):
+        return np.array([w.weight(n) for n in range(1, count + 1)])
+
+    @pytest.mark.parametrize(
+        "decay", [Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(0)]
+    )
+    @pytest.mark.parametrize(
+        "counts", [(1, 2, 7, 30, 31, 100), (100, 31, 30, 7, 2, 1), (3, 5000, 17)]
+    )
+    def test_table_is_bitwise_the_per_index_weights(self, decay, counts):
+        w = WeightSequence.power(4, decay)
+        for count in counts:
+            got = w.weights(count)
+            assert got.dtype == np.float64 and got.shape == (count,)
+            assert got.tobytes() == self.per_index(w, count).tobytes()
+
+    def test_slice_is_read_only(self):
+        w = WeightSequence.power(4, Fraction(1, 4))
+        head = w.weights(4)
+        with pytest.raises(ValueError, match="read-only"):
+            head[0] = 2.0
+        w.weights(50)  # growing the table leaves the earlier slice intact
+        assert head.tobytes() == self.per_index(w, 4).tobytes()
+
+    def test_empty_and_negative_counts(self):
+        w = WeightSequence.power(4, Fraction(1, 4))
+        assert w.weights(0).shape == (0,)
+        w.weights(9)
+        assert w.weights(0).shape == (0,)
+        with pytest.raises(ValueError, match="non-negative"):
+            w.weights(-1)
+
+    def test_explicit_table_is_the_finite_list(self):
+        w = WeightSequence.explicit(4, [Fraction(1, 2), Fraction(1, 3), 2])
+        assert w.weights(2).tobytes() == np.array([0.5, 1 / 3]).tobytes()
+        assert w.weights(3).tobytes() == self.per_index(w, 3).tobytes()
+        with pytest.raises(ValueError, match="index 4 beyond the 3 explicit"):
+            w.weights(4)
+        with pytest.raises(ValueError, match="non-negative"):
+            w.weights(-2)
+
+    def test_norms_compute_each_weight_once(self, monkeypatch):
+        # Guard against a path that rebuilds the weights on every norm.
+        calls = [0]
+        original = WeightSequence.weight
+
+        def counted(self, n):
+            calls[0] += 1
+            return original(self, n)
+
+        monkeypatch.setattr(WeightSequence, "weight", counted)
+        w = WeightSequence.power(4, Fraction(1, 4))
+        x = XpwVector(np.random.default_rng(3).standard_normal(4096), w)
+        for _ in range(100):
+            xpw_norm(x)
+        assert calls[0] <= 4096
+
+
 class TestStarProperty:
     def test_quarter_decay_at_p_four_holds(self):
         report = star_property(WeightSequence.power(4, Fraction(1, 4)))
@@ -295,6 +358,14 @@ class TestBlockData:
             block_data([2, 2], w)
         with pytest.raises(ValueError, match="start at 1"):
             block_data([0, 1], w)
+
+    def test_one_shot_iterable_is_read_once(self):
+        w = WeightSequence.power(4, Fraction(1, 4))
+        b = block_data((n for n in [5, 6, 7]), w)
+        assert b.indices == (5, 6, 7)
+        assert np.array_equal(b.coeffs, block_data([5, 6, 7], w).coeffs)
+        with pytest.raises(ValueError, match="distinct"):
+            block_data((n for n in [5, 5]), w)
 
 
 class TestBlockSpanProject:
@@ -442,6 +513,7 @@ class TestPlayGame:
         assert report["ok"]
         assert report["ordering"]
         assert report["budget_window"]
+        assert report["block_data"]
         assert report["disjoint_supports"]
         assert report["biorthogonal"]
         assert report["rounds"] == 8
