@@ -312,7 +312,7 @@ def cmd_reduce_diagonal(args) -> tuple[dict, int]:
     if args.budget:
         kwargs["pattern_budget"] = args.budget
     cert = reduce_to_diagonal(T, target_depths, float(args.eps), **kwargs)
-    verdict = verify_certificate(cert, distribution="exact", seed=args.seed)
+    verdict = verify_certificate(cert)
     if args.out:
         save_certificate(args.out, cert)
     return _report(
@@ -354,7 +354,7 @@ def cmd_reduce_scalar(args) -> tuple[dict, int]:
         seed=args.seed,
         **({"pattern_budget": args.budget} if args.budget else {}),
     )
-    verdict = verify_certificate(cert, distribution="exact", seed=args.seed)
+    verdict = verify_certificate(cert)
     if args.out:
         save_certificate(args.out, cert)
     results = _certificate_results(cert)
@@ -376,7 +376,7 @@ def cmd_compose(args) -> tuple[dict, int]:
     first = load_certificate(args.inputs[0])
     second = load_certificate(args.inputs[1])
     composite = compose_certificates(first, second)
-    verdict = verify_certificate(composite, distribution="exact", seed=args.seed)
+    verdict = verify_certificate(composite)
     if args.out:
         save_certificate(args.out, composite)
     results = _certificate_results(composite)
@@ -544,8 +544,7 @@ def cmd_check_distribution(args) -> tuple[dict, int]:
     if not args.inputs:
         raise ValueError("check-distribution needs --in with a certificate file")
     cert = load_certificate(args.inputs[0])
-    mode = "exact" if args.search == "exhaustive" else "sampled"
-    verdict = verify_certificate(cert, distribution=mode, seed=args.seed)
+    verdict = verify_certificate(cert)
     results = {key: value for key, value in verdict.items()}
     return _report(
         args,

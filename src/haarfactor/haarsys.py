@@ -9,7 +9,9 @@ A :class:`BlockFamily` assigns to each index of a (smaller) target model a
 signed block of same-level Haar functions living on one host copy of a
 source model.  Families produced by the reduction machinery are
 *distributional copies* of the target basis; :func:`check_distributional_copy`
-verifies exactly that, cell by cell, in rational arithmetic.
+decides exactly that from the block structure alone (full truncation,
+members in the source, union measures, nesting, distinct hosts), in time
+linear in the total block size and with no grid cells enumerated.
 
 Exactness note: realized coefficient functions keep one summand per basis
 element, each an integer profile scaled by one float.  Every partial sum a
@@ -251,14 +253,15 @@ class BlockAssignment:
 class BlockFamily:
     """A block assignment for every index of a target model.
 
-    Construction validates what is intrinsic to one block: realized block
-    functions take values in ``{-1, 0, 1}`` (disjoint intervals) and all
-    targets of one copy share one host copy.  The finer structural
-    requirement — child blocks living exactly on the set where the parent
-    block has the matching sign — is verified by :meth:`verify_nesting`,
-    which the reduction machinery calls on every family it emits.  (It is a
-    separate step so that *defective* families can still be constructed and
-    then rejected by the distribution check.)
+    Block functions take values in ``{-1, 0, 1}``, since the distinct
+    same-level intervals of a :class:`BlockAssignment` are disjoint.
+    Construction validates that all targets of one copy share one host copy
+    and that distinct target copies use distinct hosts.  The finer
+    structural requirement — child blocks living exactly on the set where
+    the parent block has the matching sign — is verified by
+    :meth:`verify_nesting`, which the reduction machinery calls on every
+    family it emits.  (It is a separate step so that *defective* families
+    can still be constructed and then rejected by the distribution check.)
     """
 
     def __init__(self, assignments: Mapping[OmegaIndex, BlockAssignment]):
@@ -268,10 +271,6 @@ class BlockFamily:
         if not self.targets:
             raise ValueError("a block family needs at least one target")
         self._validate_hosts()
-        for t, a in self.assignments.items():
-            res = self._resolution_needed(t.copy)
-            if not np.isin(a.profile(res), (-1, 0, 1)).all():
-                raise ValueError(f"block of {t} has overlapping intervals")
 
     def _validate_hosts(self) -> None:
         hosts: dict[int, int] = {}
@@ -286,19 +285,16 @@ class BlockFamily:
             raise ValueError(f"host copies must be distinct per target copy: {hosts}")
         self.host_of: dict[int, int] = hosts
 
-    def _resolution_needed(self, copy: int) -> int:
-        return 1 + max(
-            a.level for t, a in self.assignments.items() if t.copy == copy
-        )
+    def _nesting_violation(self) -> tuple[OmegaIndex, str] | None:
+        """The first child block not carried by ``{b_parent = +-1}``, with a
+        message naming the pair; None if every pair nests.
 
-    def verify_nesting(self) -> None:
-        """Check ``supp b_{I+-} = {b_I = +-1}`` for every parent/child pair.
-
-        Raises ``ValueError`` naming the first violating pair.
+        ``{b_I = sign}`` is the union of the halves ``K.child(sign * s_K)`` of
+        the parent's members, one half per member.  The child's distinct
+        same-level members fill that union exactly when each lies in one of
+        the halves and there are as many as the halves hold at their level.
         """
         for t, a in self.assignments.items():
-            res = self._resolution_needed(t.copy)
-            parent_profile = a.profile(res)
             for sign in (1, -1):
                 try:
                     child = OmegaIndex(t.copy, t.interval.child(sign))
@@ -307,12 +303,27 @@ class BlockFamily:
                 ca = self.assignments.get(child)
                 if ca is None:
                     continue
-                child_profile = ca.profile(res)
-                if not np.array_equal(child_profile != 0, parent_profile == sign):
-                    raise ValueError(
+                halves = {K.child(sign * s) for K, s in zip(a.intervals, a.signs)}
+                below = ca.level - a.level - 1
+                if (
+                    below < 0
+                    or len(ca.intervals) != len(halves) << below
+                    or any(K.ancestor(a.level + 1) not in halves for K in ca.intervals)
+                ):
+                    return child, (
                         f"block of {child} is not carried by the set where the "
                         f"block of {t} equals {sign:+d}"
                     )
+        return None
+
+    def verify_nesting(self) -> None:
+        """Check ``supp b_{I+-} = {b_I = +-1}`` for every parent/child pair.
+
+        Raises ``ValueError`` naming the first violating pair.
+        """
+        violation = self._nesting_violation()
+        if violation is not None:
+            raise ValueError(violation[1])
 
     def assignment(self, t: OmegaIndex) -> BlockAssignment:
         return self.assignments[t]
@@ -373,142 +384,83 @@ def block_project(
 
 @dataclass(frozen=True)
 class DistributionCheckResult:
+    """Verdict of :func:`check_distributional_copy`.
+
+    ``mode`` is always ``"exact"``.  On failure ``detail`` names the first
+    violated condition (``"source_index"``, ``"union_measure"`` or
+    ``"nesting"``), its target and a message.
+    """
+
     ok: bool
-    mode: str  # "exact" | "sampled"
+    mode: str
     members: int
     detail: dict | None = None
 
 
-def _joint_patterns(
-    functions: Sequence[tuple[int, np.ndarray]], grid: ProductGrid
-) -> tuple[np.ndarray, int]:
-    """Stack member value patterns over all cells of ``grid`` (dense, int8)."""
-    ncells = grid.ncells
-    rows = []
-    for coord, profile in functions:
-        g = GridFunction.from_summands(grid, [(coord, profile)])
-        rows.append(np.asarray(g.dense, dtype=np.int8).reshape(-1))
-    return np.stack(rows), ncells
-
-
-def _pmf(patterns: np.ndarray, ncells: int) -> dict[tuple[int, ...], Fraction]:
-    uniq, counts = np.unique(patterns, axis=1, return_counts=True)
-    return {
-        tuple(int(v) for v in uniq[:, j]): Fraction(int(counts[j]), ncells)
-        for j in range(uniq.shape[1])
-    }
-
-
 def check_distributional_copy(
-    family,
-    source: BasisRegistry,
-    *,
-    exact_cap: int = 16,
-    samples: int = 8192,
-    seed: int = 0,
+    family: BlockFamily, source: BasisRegistry
 ) -> DistributionCheckResult:
-    """Verify the family has the same joint law as the target Haar basis.
+    """Decide whether the blocks have the joint law of the target Haar basis.
 
-    ``family`` is a :class:`BlockFamily` or, for candidates that are not
-    signed Haar blocks at all, a mapping ``OmegaIndex -> GridFunction`` of
-    integer-valued single-coordinate functions on the source grid.
+    The block functions ``b_t`` have exactly the joint law of the Haar
+    functions ``h_t`` of the target model if and only if
 
-    Up to ``exact_cap`` members the joint probability mass functions are
-    compared exactly (rational cell counts).  Larger families are compared
-    on seeded sample cells with a documented tolerance; only the exact mode
-    proves equality.  On failure the result carries the first distinguishing
-    value pattern with both probabilities.
+    1. the targets form a full truncation (else there is no target model
+       to compare with, and ``ValueError`` is raised);
+    2. every block member ``(host, K)`` is an index of ``source``;
+    3. every block's union measure equals ``|I_t|``, so a root block
+       covers its whole host copy;
+    4. the blocks nest: ``supp b_{I+-} = {b_I = +-1}``
+       (:meth:`BlockFamily.verify_nesting`);
+    5. distinct target copies sit on distinct host copies, which
+       :class:`BlockFamily` enforces at construction.
+
+    Sufficient: a block takes the values ``+-1`` on halves of its support,
+    because each member Haar function does.  Under 3 and 4 the supports
+    follow the dyadic tree of the targets, so the vector ``(b_t)`` at a
+    point is fixed by the path of signs down that tree, as ``(h_t)`` is, and
+    each path ends in a set of measure ``|I_leaf| / 2`` under both laws; by
+    5 the target copies are independent coordinates, as in the reference.  Necessary: if 3
+    fails, ``P(b_t != 0) != |I_t|`` already changes the law of ``b_t``; if 4
+    fails while 3 holds, the child's support differs from a set of equal
+    measure, so ``P(b_child != 0, b_parent != sign) > 0``, where the Haar
+    law gives 0.  Condition 2 keeps the candidate a function of the source
+    model.  These are the faithful Haar system conditions of Gamlen and
+    Gaudet (1973) and of Lechner, Motakis, Müller and Schlumprecht (2020).
+
+    The check is exact at any size and costs time linear in the total
+    block size: no grid cells are enumerated.
     """
-    if isinstance(family, BlockFamily):
-        targets = family.targets
-        raw_members = None
-    else:
-        targets = tuple(sorted(family, key=lambda t: t.sort_key()))
-        raw_members = {t: family[t] for t in targets}
-
-    target_depths: dict[int, int] = {}
+    targets = family.targets
+    depths: dict[int, int] = {}
     for t in targets:
-        target_depths[t.copy] = max(target_depths.get(t.copy, 0), t.interval.level)
-    reference = BasisRegistry(target_depths)
-    if reference.indices != targets:
+        depths[t.copy] = max(depths.get(t.copy, 0), t.interval.level)
+    if tuple(enumerate_truncated(depths)) != targets:
         raise ValueError(
             "family targets do not form a full truncation; cannot compare laws"
         )
 
-    cand_functions = []
-    host_res: dict[int, int] = {}
-    if raw_members is None:
-        for t in targets:
-            a = family.assignment(t)
-            host_res[a.host_copy] = source.resolution_of(a.host_copy)
-            cand_functions.append((a.host_copy, a.profile(host_res[a.host_copy])))
-    else:
-        for t in targets:
-            f = raw_members[t]
-            if not (f.is_factored and len(f.summands) == 1 and f.is_integer_valued()):
-                raise ValueError(
-                    f"member for {t} must be a single-coordinate integer function"
-                )
-            coord, profile = f.summands[0]
-            host_res[coord] = len(profile).bit_length() - 1
-            cand_functions.append((coord, profile))
-    host_grid = ProductGrid.from_mapping(host_res)
+    def failed(condition: str, t: OmegaIndex, message: str) -> DistributionCheckResult:
+        detail = {"condition": condition, "target": str(t), "message": message}
+        return DistributionCheckResult(False, "exact", len(targets), detail)
 
-    ref_functions = [(t.copy, reference.haar_profile(t)) for t in reference.indices]
-
-    if len(targets) <= exact_cap:
-        ref_patterns, ref_cells = _joint_patterns(ref_functions, reference.grid)
-        cand_patterns, cand_cells = _joint_patterns(cand_functions, host_grid)
-        ref_pmf = _pmf(ref_patterns, ref_cells)
-        cand_pmf = _pmf(cand_patterns, cand_cells)
-        if ref_pmf == cand_pmf:
-            return DistributionCheckResult(True, "exact", len(targets))
-        for pattern in sorted(set(ref_pmf) | set(cand_pmf)):
-            pr = ref_pmf.get(pattern, Fraction(0))
-            pc = cand_pmf.get(pattern, Fraction(0))
-            if pr != pc:
-                return DistributionCheckResult(
-                    False,
-                    "exact",
-                    len(targets),
-                    {
-                        "pattern": pattern,
-                        "reference_probability": str(pr),
-                        "candidate_probability": str(pc),
-                    },
-                )
-        raise AssertionError("pmf dicts differ but no differing pattern found")
-
-    # sampled variant: empirical joint frequencies on seeded cells
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ref_patterns, _ = _joint_patterns(ref_functions, reference.grid)
-    ref_pmf_f = {k: float(v) for k, v in _pmf(ref_patterns, ref_patterns.shape[1]).items()}
-    cells = rng.integers(0, host_grid.ncells, size=samples)
-    sampled = {}
-    cand_dense = [
-        np.asarray(GridFunction.from_summands(host_grid, [fc]).dense, dtype=np.int8).reshape(-1)
-        for fc in cand_functions
-    ]
-    for cell in cells:
-        pattern = tuple(int(row[cell]) for row in cand_dense)
-        sampled[pattern] = sampled.get(pattern, 0) + 1
-    tol = 5.0 / math.sqrt(samples)
-    for pattern in set(ref_pmf_f) | set(sampled):
-        emp = sampled.get(pattern, 0) / samples
-        ref = ref_pmf_f.get(pattern, 0.0)
-        if abs(emp - ref) > tol:
-            return DistributionCheckResult(
-                False,
-                "sampled",
-                len(targets),
-                {
-                    "pattern": pattern,
-                    "reference_probability": ref,
-                    "candidate_probability": emp,
-                    "tolerance": tol,
-                },
+    for t in targets:
+        a = family.assignment(t)
+        if a.level > source.depths.get(a.host_copy, -1):
+            return failed(
+                "source_index", t,
+                f"the source has no level-{a.level} Haar functions on copy {a.host_copy}",
             )
-    return DistributionCheckResult(True, "sampled", len(targets))
+    for t in targets:
+        got, want = family.assignment(t).union_measure, t.interval.measure
+        if got != want:
+            return failed(
+                "union_measure", t, f"block union measure {got} differs from {want}"
+            )
+    violation = family._nesting_violation()
+    if violation is not None:
+        return failed("nesting", *violation)
+    return DistributionCheckResult(True, "exact", len(targets))
 
 
 def burkholder_check(registry: BasisRegistry, coeffs, signs, p) -> float:

@@ -43,11 +43,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .constants import burkholder_constant, complementation_constant
+from .constants import (
+    burkholder_constant,
+    complementation_constant,
+    diagonal_multiplier_bound,
+)
 from .dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
 from .errors import ReductionError, ResourceLimitError
 from .grids import as_exponent, lp_norm
-from .haarsys import BasisRegistry, BlockAssignment, BlockFamily, realize
+from .haarsys import (
+    BasisRegistry,
+    BlockAssignment,
+    BlockFamily,
+    check_distributional_copy,
+    realize,
+)
 from .operators import (
     DiagonalAverageWitness,
     DiagonalOperator,
@@ -627,7 +637,7 @@ def lambda_pm_moments(
         raise ValueError("fine level must exceed the block level")
     p = as_exponent(exponent)
     if t_norm_upper is None:
-        t_norm_upper = (p.p_star - 1.0) ** 2 * float(np.abs(d_fine).max())
+        t_norm_upper = diagonal_multiplier_bound(p, float(np.abs(d_fine).max()))
 
     u, v = _half_means(d_fine, block, fine_level)
     r = len(block)
@@ -889,8 +899,8 @@ def _scalar_certificate(
     depth_count = len(d_levels)
     gamma = t_norm_upper
     if gamma is None:
-        gamma = (p.p_star - 1.0) ** 2 * max(
-            float(np.abs(d).max()) for d in d_levels.values()
+        gamma = diagonal_multiplier_bound(
+            p, max(float(np.abs(d).max()) for d in d_levels.values())
         )
         gamma = max(gamma, 1e-300)
     level_means = np.array(
@@ -1066,9 +1076,9 @@ def reduce_to_scalar_stitched(
         raise ValueError("stitched scalar reduction needs a diagonal operator")
     diag = T.diagonal_map()
     eps_copy = per_copy_eps if per_copy_eps is not None else eps / (
-        4.0 * (p.p_star - 1.0)
+        4.0 * burkholder_constant(p)
     )
-    win = window if window is not None else eps / (2.0 * (p.p_star - 1.0))
+    win = window if window is not None else eps / (2.0 * burkholder_constant(p))
 
     per_copy = {}
     copy_meta = []
@@ -1374,18 +1384,20 @@ def compose_certificates(
     )
 
 
-def verify_certificate(
-    cert: ReductionCertificate,
-    *,
-    distribution: str | None = "exact",
-    seed: int = 0,
-) -> dict:
+def verify_certificate(cert: ReductionCertificate) -> dict:
     """Recompute everything a certificate claims; returns a report dict.
 
-    Checks block nesting, the distributional-copy law (exact when the
-    target is small, sampled otherwise, skipped when ``distribution`` is
-    None), every diagonal-average witness, the exact residual columns, and
-    the recorded bounds.  ``ok`` is True only if every check passes.
+    Checks block nesting, the distributional-copy law, every
+    diagonal-average witness, the exact residual columns, and the recorded
+    bounds.  ``ok`` is True only if every check passes.
+
+    The law check (:func:`~haarfactor.haarsys.check_distributional_copy`)
+    is exact at every size: the blocks have the target Haar law if and only
+    if the targets form a full truncation, every block member is a source
+    index, every union measure equals ``|I_t|``, the blocks nest, and target
+    copies sit on distinct hosts (see that function for why these suffice
+    and are needed).  ``distribution_mode`` is therefore always
+    ``"exact"``; on failure ``distribution_error`` holds the check's detail.
 
     The certified bound is recomputed on every route the certificate
     records.  The direct route (column sum, or gap bound) is rederived from
@@ -1398,8 +1410,6 @@ def verify_certificate(
     key ``triangle_route``.  The certified bound must then equal the
     smaller of the two routes exactly.
     """
-    from .haarsys import check_distributional_copy
-
     source = cert.source_registry()
     target = cert.target_registry()
     report: dict = {}
@@ -1410,17 +1420,11 @@ def verify_certificate(
         report["nesting"] = False
         report["nesting_error"] = str(exc)
 
-    if distribution is not None:
-        mode = distribution
-        if mode == "exact" and len(cert.targets) > 16:
-            mode = "sampled"
-        result = check_distributional_copy(
-            cert.family, source,
-            exact_cap=(len(cert.targets) if mode == "exact" else 16),
-            seed=seed,
-        )
-        report["distribution"] = result.ok
-        report["distribution_mode"] = result.mode
+    result = check_distributional_copy(cert.family, source)
+    report["distribution"] = result.ok
+    report["distribution_mode"] = result.mode
+    if not result.ok:
+        report["distribution_error"] = result.detail
 
     report["witnesses"] = all(
         w.verify(cert.source) for w in cert.witnesses

@@ -475,6 +475,8 @@ def _transcript_payload(t: GameTranscript) -> dict:
 def _transcript_from(payload, where="transcript payload") -> GameTranscript:
     _expect_fields(payload, ("weights", "eps", "index_budget", "rounds"), (), where)
     w = _weights_from(payload["weights"], f"{where}.weights")
+    if not payload["rounds"]:
+        raise SchemaError(f"{where}.rounds: a game has at least one round")
     rounds = []
     for pos, item in enumerate(payload["rounds"]):
         spot = f"{where}.rounds[{pos}]"
@@ -485,6 +487,8 @@ def _transcript_from(payload, where="transcript payload") -> GameTranscript:
             (),
             spot,
         )
+        if not item["indices"]:
+            raise SchemaError(f"{spot}.indices: a block has at least one index")
         block = Block(
             indices=tuple(int(n) for n in item["indices"]),
             coeffs=np.array(item["block_coeffs"], dtype=float),

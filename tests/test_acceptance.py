@@ -175,7 +175,7 @@ def test_03_diagonal_compression_certifies_across_exponents():
         cert = diagonal_stage(p)
         assert cert.mode == "adaptive"
         assert cert.certified_bound < 0.25
-        report = verify_certificate(cert, distribution="exact")
+        report = verify_certificate(cert)
         assert report["ok"]
         assert report["distribution_mode"] == "exact"
         for witness in cert.witnesses:
@@ -201,7 +201,7 @@ def test_04_scalar_compression_pins_an_attained_average():
     assert cert.scalar == cert.scalar_witness.value
     assert max(cert.metadata["lambda_gaps"]) < 0.3
     assert cert.certified_bound <= (p_star - 1.0) * 0.3
-    assert verify_certificate(cert, distribution="exact")["ok"]
+    assert verify_certificate(cert)["ok"]
 
     # a constant diagonal compresses with no defect at all
     flat = BasisRegistry.single_copy(4)

@@ -103,7 +103,7 @@ class TestReduceDiagonalCommand:
         assert body["results"]["certified_bound"] < 0.25
         cert = sz.load(cert_path)
         assert isinstance(cert, ReductionCertificate)
-        assert verify_certificate(cert, distribution="exact")["ok"]
+        assert verify_certificate(cert)["ok"]
 
     def test_artifact_bytes_deterministic(self, arts, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -255,7 +255,9 @@ class TestCheckDistributionCommand:
                 capsys, "check-distribution", "--in", str(cert), *extra
             )
             assert code == OK
-            assert sz.loads(out)["checks"]["certificate_ok"] is True
+            body = sz.loads(out)
+            assert body["checks"]["certificate_ok"] is True
+            assert body["results"]["distribution_mode"] == "exact"
 
     def test_tampered_value_fails_verification(self, arts, capsys, tmp_path):
         cert = self.make_cert(arts, capsys, tmp_path)

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from haarfactor.constants import burkholder_constant, complementation_constant
-from haarfactor.dyadic import DyadicInterval, OmegaIndex, UNIT, intervals_at_level
-from haarfactor.grids import GridFunction, lp_norm, pairing
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from haarfactor.dyadic import (
+    DyadicInterval,
+    OmegaIndex,
+    UNIT,
+    enumerate_truncated,
+    intervals_at_level,
+)
+from haarfactor.grids import GridFunction, ProductGrid, lp_norm, pairing
 from haarfactor.haarsys import (
     BasisRegistry,
     BlockAssignment,
@@ -18,6 +26,7 @@ from haarfactor.haarsys import (
     project,
     realize,
 )
+from haarfactor.reduction import _members_within, _support_pieces
 
 L = DyadicInterval
 
@@ -166,6 +175,19 @@ class TestBlockFamily:
         with pytest.raises(ValueError, match="carried by the set"):
             fam.verify_nesting()
 
+    def test_child_covering_part_of_the_parent_set_detected(self):
+        # every member of the left child lies in {b_root = +1}, but only one
+        # of the two level-2 intervals that set holds is taken
+        fam = BlockFamily(
+            {
+                OmegaIndex(2, UNIT): BlockAssignment(4, (UNIT,), (1,)),
+                OmegaIndex(2, L(1, 1)): BlockAssignment(4, (L(2, 1),), (1,)),
+                OmegaIndex(2, L(1, 2)): BlockAssignment(4, (L(1, 2),), (1,)),
+            }
+        )
+        with pytest.raises(ValueError, match=r"block of 2/1:1 is not carried"):
+            fam.verify_nesting()
+
     def test_one_host_per_copy(self):
         with pytest.raises(ValueError, match="two host copies"):
             BlockFamily(
@@ -226,11 +248,126 @@ class TestBlockProject:
             block_project(source, bad, GridFunction.constant(source.grid, 0.0))
 
 
+# -- reference oracle: the joint law by cell enumeration ------------------------
+
+
+def _joint_patterns(functions, grid):
+    """Member value patterns over every cell of ``grid``, one int8 row each."""
+    return np.stack([
+        np.asarray(GridFunction.from_summands(grid, [fc]).dense, dtype=np.int8).reshape(-1)
+        for fc in functions
+    ])
+
+
+def _pmf(patterns):
+    uniq, counts = np.unique(patterns, axis=1, return_counts=True)
+    return {
+        tuple(int(v) for v in uniq[:, j]): Fraction(int(c), patterns.shape[1])
+        for j, c in enumerate(counts)
+    }
+
+
+def oracle_same_law(family, source):
+    """Compare the joint pmf of the members with the target Haar law, cell by
+    cell in rational arithmetic.
+
+    ``family`` is a BlockFamily or, for candidates that are not signed Haar
+    blocks, a mapping ``OmegaIndex -> GridFunction`` of integer-valued
+    single-coordinate functions on the source grid.  Returns ``(True, None)``
+    or ``(False, (pattern, reference probability, candidate probability))``
+    for the first distinguishing pattern.
+    """
+    if isinstance(family, BlockFamily):
+        targets = family.targets
+        members = []
+        for t in targets:
+            a = family.assignment(t)
+            members.append((a.host_copy, a.profile(source.resolution_of(a.host_copy))))
+    else:
+        targets = tuple(sorted(family, key=lambda t: t.sort_key()))
+        members = []
+        for t in targets:
+            f = family[t]
+            assert f.is_factored and len(f.summands) == 1 and f.is_integer_valued()
+            members.append(f.summands[0])
+    depths = {}
+    for t in targets:
+        depths[t.copy] = max(depths.get(t.copy, 0), t.interval.level)
+    reference = BasisRegistry(depths)
+    assert reference.indices == targets
+    host_grid = ProductGrid.from_mapping(
+        {coord: len(profile).bit_length() - 1 for coord, profile in members}
+    )
+    ref_pmf = _pmf(_joint_patterns(
+        [(t.copy, reference.haar_profile(t)) for t in targets], reference.grid
+    ))
+    cand_pmf = _pmf(_joint_patterns(members, host_grid))
+    for pattern in sorted(set(ref_pmf) | set(cand_pmf)):
+        pr = ref_pmf.get(pattern, Fraction(0))
+        pc = cand_pmf.get(pattern, Fraction(0))
+        if pr != pc:
+            return False, (pattern, pr, pc)
+    return True, None
+
+
+def carved_family(data, target_depths, source):
+    """A nested family carved as the reductions carve it: each block takes
+    every member of some level inside its support pieces, with random
+    signs; block levels leave room below for the target's deeper levels."""
+    hosts = data.draw(st.permutations(sorted(source.depths)))
+    assignments = {}
+    for t in enumerate_truncated(target_depths):
+        host = hosts[sorted(target_depths).index(t.copy)]
+        pieces = _support_pieces(t, assignments)
+        room = source.depths[host] - (target_depths[t.copy] - t.interval.level)
+        level = data.draw(st.integers(pieces[0].level, room))
+        block = _members_within(pieces, level)
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(block),
+                                   max_size=len(block)))
+        assignments[t] = BlockAssignment(host, block, tuple(signs))
+    return assignments
+
+
+def sibling(K):
+    return L(K.level, K.index + 1 if K.index % 2 else K.index - 1)
+
+
+def mutated(data, assignments, source):
+    """One of: unchanged, a member dropped, a member slid to its sibling, a
+    sign flipped, or the block refined one level deeper (random signs)."""
+    t = data.draw(st.sampled_from(sorted(assignments, key=lambda t: t.sort_key())))
+    a = assignments[t]
+    kind = data.draw(st.sampled_from(("none", "drop", "slide", "flip", "refine")))
+    members, signs = list(a.intervals), list(a.signs)
+    if kind == "drop":
+        assume(len(members) > 1)
+        i = data.draw(st.integers(0, len(members) - 1))
+        del members[i], signs[i]
+    elif kind == "slide":
+        free = [i for i, K in enumerate(members)
+                if K.level > 0 and sibling(K) not in members]
+        assume(free)
+        i = data.draw(st.sampled_from(free))
+        members[i] = sibling(members[i])
+    elif kind == "flip":
+        i = data.draw(st.integers(0, len(members) - 1))
+        signs[i] = -signs[i]
+    elif kind == "refine":
+        assume(a.level < source.depths[a.host_copy])
+        members = [half for K in members for half in K.children()]
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(members),
+                                   max_size=len(members)))
+    out = dict(assignments)
+    out[t] = BlockAssignment(a.host_copy, tuple(members), tuple(signs))
+    return BlockFamily(out)
+
+
 class TestDistributionCheck:
     def test_reference_family_passes(self):
         r = BasisRegistry.standard(2)
         res = check_distributional_copy(identity_family(r), r)
         assert res.ok and res.mode == "exact"
+        assert res.detail is None
 
     def test_carved_family_passes(self):
         source = BasisRegistry({4: 3})
@@ -238,14 +375,15 @@ class TestDistributionCheck:
         assert res.ok and res.mode == "exact"
 
     def test_flipped_root_with_tied_children_fails(self):
+        # oracle: the raw-members path for a candidate given as functions
         source = BasisRegistry({2: 1})
         members = {t: source.haar(t) for t in source.indices}
         root = OmegaIndex(2, UNIT)
         members[root] = GridFunction.from_summands(
             source.grid, [(2, -source.haar_profile(root))]
         )
-        res = check_distributional_copy(members, source)
-        assert not res.ok and res.mode == "exact"
+        ok, _ = oracle_same_law(members, source)
+        assert not ok
         # the pinned distinguishing probabilities: P(root=1, left=1) is 1/4
         # for the reference but 0 for the candidate
         root_v, left_v = members[root].dense.reshape(-1), source.haar(
@@ -256,14 +394,26 @@ class TestDistributionCheck:
         ref_root = source.haar(root).dense.reshape(-1)
         assert np.mean((ref_root == 1) & (left_v == 1)) == 0.25
 
+    def test_flipped_root_block_fails(self):
+        source = BasisRegistry({2: 1})
+        root = OmegaIndex(2, UNIT)
+        blocks = {t: BlockAssignment(2, (t.interval,), (1,)) for t in source.indices}
+        blocks[root] = BlockAssignment(2, (UNIT,), (-1,))
+        family = BlockFamily(blocks)
+        res = check_distributional_copy(family, source)
+        assert not res.ok and res.mode == "exact"
+        assert res.detail["condition"] == "nesting"
+        assert res.detail["target"] == "2/1:1"
+        assert not oracle_same_law(family, source)[0]
+
     def test_indicator_member_fails_on_marginal(self):
         source = BasisRegistry({2: 1})
         members = {t: source.haar(t) for t in source.indices}
         members[OmegaIndex(2, UNIT)] = GridFunction.from_summands(
             source.grid, [(2, L(1, 1).indicator_values(2))]
         )
-        res = check_distributional_copy(members, source)
-        assert not res.ok
+        ok, (_, pr, pc) = oracle_same_law(members, source)
+        assert not ok and pr != pc
 
     def test_partial_truncation_rejected(self):
         source = BasisRegistry({4: 3})
@@ -273,10 +423,56 @@ class TestDistributionCheck:
         with pytest.raises(ValueError, match="full truncation"):
             check_distributional_copy(fam, source)
 
-    def test_sampled_mode_on_large_family(self):
-        r = BasisRegistry.standard(4)  # 26 members > default cap
-        res = check_distributional_copy(identity_family(r), r, samples=2048)
-        assert res.mode == "sampled" and res.ok
+    def test_half_measure_root_names_its_target(self):
+        source = BasisRegistry({4: 3})
+        fam = BlockFamily({OmegaIndex(1, UNIT): BlockAssignment(4, (L(1, 1),), (1,))})
+        res = check_distributional_copy(fam, source)
+        assert not res.ok
+        assert res.detail["condition"] == "union_measure"
+        assert res.detail["target"] == "1/0:1"
+
+    def test_member_outside_the_source_fails(self):
+        source = BasisRegistry({4: 2})  # host copy 4 could carry level 3
+        fam = BlockFamily({OmegaIndex(1, UNIT): BlockAssignment(
+            4, tuple(intervals_at_level(3)), (1,) * 8
+        )})
+        res = check_distributional_copy(fam, source)
+        assert not res.ok and res.detail["condition"] == "source_index"
+        res = check_distributional_copy(fam, BasisRegistry({5: 4}))
+        assert not res.ok and res.detail["condition"] == "source_index"
+        assert check_distributional_copy(fam, BasisRegistry({4: 3})).ok
+
+    def test_large_family_is_checked_exactly(self):
+        r = BasisRegistry.standard(4)  # 26 members
+        res = check_distributional_copy(identity_family(r), r)
+        assert res.mode == "exact" and res.ok and res.members == 26
+
+    def test_tampered_large_family_fails(self):
+        r = BasisRegistry.standard(4)
+        blocks = dict(identity_family(r).assignments)
+        leaf = OmegaIndex(4, L(3, 5))
+        blocks[leaf] = BlockAssignment(4, (L(3, 6),), (1,))  # slid to its sibling
+        res = check_distributional_copy(BlockFamily(blocks), r)
+        assert res.mode == "exact" and not res.ok and res.members == 26
+        assert res.detail["condition"] == "nesting"
+        assert res.detail["target"] == str(leaf)
+
+    @pytest.mark.parametrize("target_depths", [{1: 0}, {3: 2}, {1: 0, 2: 1}, {2: 1, 3: 1}])
+    def test_structural_check_agrees_with_the_oracle(self, target_depths):
+        source = BasisRegistry({5: 4, 6: 5})
+        verdicts = set()
+
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(st.data())
+        def agree(data):
+            family = mutated(data, carved_family(data, target_depths, source), source)
+            res = check_distributional_copy(family, source)
+            assert res.ok == oracle_same_law(family, source)[0]
+            verdicts.add(res.ok)
+
+        agree()
+        assert verdicts == {True, False}
 
 
 class TestBurkholder:

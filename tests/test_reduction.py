@@ -789,6 +789,9 @@ class TestVerifyCertificate:
         )
         bad[child] = BlockAssignment(a.host_copy, siblings, a.signs)
         tampered = dataclasses.replace(cert, family=BlockFamily(bad))
-        report = verify_certificate(tampered, distribution=None)
+        report = verify_certificate(tampered)
         assert not report["nesting"]
+        assert not report["distribution"]
+        assert report["distribution_error"]["condition"] == "nesting"
+        assert report["distribution_error"]["target"] == str(child)
         assert not report["ok"]

@@ -90,7 +90,7 @@ class TestCertificateRoundTrip:
 
     def test_reloaded_certificate_still_verifies(self):
         back = sz.loads(sz.dumps(self.diagonal_cert()))
-        assert verify_certificate(back, distribution="exact")["ok"]
+        assert verify_certificate(back)["ok"]
 
     def test_bytes_are_canonical(self):
         cert = self.diagonal_cert()
@@ -193,6 +193,23 @@ class TestTranscriptRoundTrip:
         doc["payload"]["rounds"][0]["functional_coeffs"][0] *= 2
         with pytest.raises(sz.SchemaError, match="functional coefficients"):
             sz.undocument(doc)
+
+    def test_round_with_empty_indices_is_rejected(self):
+        w = WeightSequence.power(4, Fraction(1, 4))
+        t = play_game(FixedScheduleAdversary([1, 2]), 2, w, Fraction(1, 10))
+        doc = json.loads(sz.dumps(t))
+        item = doc["payload"]["rounds"][1]
+        item["indices"], item["block_coeffs"], item["functional_coeffs"] = [], [], []
+        with pytest.raises(sz.SchemaError, match=r"rounds\[1\]\.indices"):
+            sz.loads(json.dumps(doc))
+
+    def test_game_without_rounds_is_rejected(self):
+        w = WeightSequence.power(4, Fraction(1, 4))
+        t = play_game(FixedScheduleAdversary([1]), 1, w, Fraction(1, 10))
+        doc = json.loads(sz.dumps(t))
+        doc["payload"]["rounds"] = []
+        with pytest.raises(sz.SchemaError, match="at least one round"):
+            sz.loads(json.dumps(doc))
 
 
 class TestMomentAndReportDocuments:
