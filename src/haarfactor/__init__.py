@@ -70,9 +70,7 @@ from .randsigns import (
     SignSearchFailure,
     SignVector,
     condition_star,
-    eval_W,
-    eval_Y,
-    eval_Z,
+    eval_statistic,
     exact_moments,
     monte_carlo_moments,
     sign_search,
@@ -127,7 +125,7 @@ __all__ = [
     "large_diagonal_constant", "subspace_growth_constant",
     # randsigns
     "MomentReport", "RandomBlockSpec", "SignSearchFailure", "SignVector",
-    "condition_star", "eval_W", "eval_Y", "eval_Z", "exact_moments",
+    "condition_star", "eval_statistic", "exact_moments",
     "monte_carlo_moments", "sign_search",
     # reduction
     "ReductionCertificate", "compose_certificates", "identity_certificate",

@@ -71,10 +71,6 @@ def load_certificate(path) -> ReductionCertificate:
     return obj
 
 
-def save_certificate(path, cert: ReductionCertificate) -> None:
-    save(path, cert)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, pinned down completely.
@@ -314,7 +310,7 @@ def cmd_reduce_diagonal(args) -> tuple[dict, int]:
     cert = reduce_to_diagonal(T, target_depths, float(args.eps), **kwargs)
     verdict = verify_certificate(cert)
     if args.out:
-        save_certificate(args.out, cert)
+        save(args.out, cert)
     return _report(
         args,
         _certificate_results(cert),
@@ -356,7 +352,7 @@ def cmd_reduce_scalar(args) -> tuple[dict, int]:
     )
     verdict = verify_certificate(cert)
     if args.out:
-        save_certificate(args.out, cert)
+        save(args.out, cert)
     results = _certificate_results(cert)
     results["scalar_witness_positions"] = len(cert.scalar_witness.positions)
     return _report(
@@ -378,7 +374,7 @@ def cmd_compose(args) -> tuple[dict, int]:
     composite = compose_certificates(first, second)
     verdict = verify_certificate(composite)
     if args.out:
-        save_certificate(args.out, composite)
+        save(args.out, composite)
     results = _certificate_results(composite)
     results["triangle_bound"] = composite.metadata.get("triangle_bound")
     results["stage_certified"] = composite.metadata.get("stage_certified")

@@ -1,37 +1,45 @@
-"""Random sign-block vectors and their first two moments.
+"""Random sign-block vectors and one moment engine for their statistics.
 
 For a set ``B`` of dyadic intervals at a common level ``N`` and a host copy
 ``M``, a sign pattern ``theta in {-1,+1}^B`` defines the block vector
 
     b(theta) = sum_K theta_K h_K  on copy M.
 
-Three scalar random variables drive every construction downstream:
+Every random statistic the reductions control is a *sign form*: a
+coefficient vector ``c`` (the linear form ``theta . c``) or a square matrix
+``C`` (the off-diagonal quadratic form ``theta^T C theta - tr C``), plus an
+optional constant offset.  The block statistics are
 
-    Y(theta) = <f, b(theta)>                  (linear in theta),
-    W(theta) = <b(theta), x>                  (linear in theta),
-    Z(theta) = <b(theta), T b(theta)> - sum_K <h_K, T h_K>
-             = sum_{K != L} theta_K theta_L <h_K, T h_L>.
+    Y(theta) = <f, b(theta)>                   c_K  = <f, h_K>,
+    W(theta) = <b(theta), x>                   c_K  = <h_K, x>,
+    Z(theta) = <b, T b> - sum_K <h_K, T h_K>   C_KL = <h_K, T h_L>,
 
-All three are mean zero.  Their variances have closed forms --
+and the half-support averages of the scalar reduction
+(`reduction.lambda_pm_moments`) are an offset plus a vector.  A form
+without offset has mean zero and the proof-identity variance
+(`closed_variance`)
 
-    Var(Y) = sum_K <f, h_K>^2,
-    Var(Z) = sum_{K != L} <h_K,Th_L><h_L,Th_K> + sum_{K != L} <h_K,Th_L>^2
+    Var(theta . c)                = sum_K c_K^2,
+    Var(theta^T C theta - tr C)   = sum_{K != L} C_KL C_LK + C_KL^2.
 
--- and are dominated by norm bounds that decay in the block level:
+For the block statistics it is dominated by norm bounds that decay in the
+block level, with U B the union of the intervals:
 
     Var(Y) <= |f|_q^2  |U B|^{1/p} 2^{-N/p},
     Var(W) <= |x|_p^2  |U B|^{1/q} 2^{-N/q},
-    Var(Z) <= 2 |T|^2  |U B|^{1/p + 1} 2^{-N/q},
+    Var(Z) <= 2 |T|^2  |U B|^{1/p + 1} 2^{-N/q}.
 
-with U B the union of the intervals.  `exact_moments` enumerates all
-2^{|B|} patterns and cross-checks both the closed forms and the bounds;
-`monte_carlo_moments` estimates them when enumeration is out of reach.
+One engine serves every statistic: form -> rows -> report.  A form is
+evaluated on a matrix of sign rows by one evaluator; the rows are all
+``2^n`` patterns (`sign_matrix`) or seeded uniform draws (`drawn_signs`);
+`summarize_form` turns the values into a `MomentReport` (exact or
+monte-carlo).  `exact_moments`, `monte_carlo_moments`, `eval_statistic` and
+`reduction.lambda_pm_moments` only build forms and bounds.
 
-`sign_search` then looks for a single pattern driving several such
-variables below given tolerances at once.  Enumeration is vectorised over
-patterns; the winner is deterministic (smallest pattern index in exhaustive
-mode, earliest draw in sampled mode), so concurrent evaluation cannot
-change the result.
+`sign_search` evaluates several forms on the same rows and looks for one
+pattern driving all of them below their tolerances.  The winner is
+deterministic (smallest pattern index in exhaustive mode, earliest draw in
+sampled mode), so concurrent evaluation cannot change the result.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,9 +65,10 @@ __all__ = [
     "RandomBlockSpec",
     "MomentReport",
     "SignSearchFailure",
-    "eval_Y",
-    "eval_W",
-    "eval_Z",
+    "closed_variance",
+    "drawn_signs",
+    "summarize_form",
+    "eval_statistic",
     "exact_moments",
     "monte_carlo_moments",
     "condition_star",
@@ -179,23 +188,6 @@ class RandomBlockSpec:
         return T.entries[np.ix_(rows, rows)] * meas
 
 
-def eval_Y(spec: RandomBlockSpec, f: GridFunction, theta) -> float:
-    """``<f, b(theta)>``."""
-    return float(np.dot(spec.sign_array(theta).astype(float), spec.pairings(f)))
-
-
-def eval_W(spec: RandomBlockSpec, x: GridFunction, theta) -> float:
-    """``<b(theta), x>``."""
-    return float(np.dot(spec.sign_array(theta).astype(float), spec.pairings(x)))
-
-
-def eval_Z(spec: RandomBlockSpec, T: OperatorMatrix, theta) -> float:
-    """``<b, Tb> -`` its diagonal part, via the coefficient Gram."""
-    th = spec.sign_array(theta).astype(float)
-    C = spec.interaction_matrix(T)
-    return float(th @ C @ th - np.trace(C))
-
-
 @dataclass(frozen=True)
 class MomentReport:
     kind: str
@@ -222,11 +214,94 @@ class MomentReport:
         }
 
 
+# -- the moment engine: form -> rows -> report ---------------------------------
+
+
+def _target_values(rv: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Evaluate one sign form on every sign row of ``S``.
+
+    A vector ``c`` is the linear form ``theta . c``; a square matrix ``C``
+    is the off-diagonal quadratic form ``theta^T C theta - tr C``.
+    """
+    arr = np.asarray(rv, dtype=float)
+    Sf = S.astype(float)
+    if arr.ndim == 1:
+        return Sf @ arr
+    if arr.ndim == 2:
+        return np.einsum("ij,jk,ik->i", Sf, arr, Sf) - np.trace(arr)
+    raise ValueError("a sign form is a coefficient vector or a square matrix")
+
+
+def closed_variance(rv: np.ndarray) -> float:
+    """Variance of a sign form under uniform signs, by its proof identity:
+    ``sum_K c_K^2``, or ``sum_{K != L} C_KL C_LK + C_KL^2``."""
+    arr = np.asarray(rv, dtype=float)
+    if arr.ndim == 1:
+        return math.fsum(x * x for x in arr)
+    off = arr - np.diag(np.diag(arr))
+    return float(np.sum(off * off.T) + np.sum(off * off))
+
+
 def sign_matrix(n: int) -> np.ndarray:
     """All ``2^n`` sign rows; row ``i`` is ``SignVector.from_index(-, i)``."""
     idx = np.arange(2**n, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(n)) & 1
     return (1 - 2 * bits).astype(np.int8)
+
+
+def drawn_signs(count: int, n: int, seed: int) -> np.ndarray:
+    """``count`` i.i.d. uniform sign rows of length ``n`` from ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, n))
+
+
+def summarize_form(
+    kind: str,
+    rv: np.ndarray,
+    S: np.ndarray,
+    mode: str,
+    bound: float,
+    *,
+    offset: float | None = None,
+) -> MomentReport:
+    """Moments of ``offset + form`` over the sign rows ``S``.
+
+    ``"exact"`` mode takes ``S`` to be every pattern and reports the
+    population mean and variance (``fsum``, divided by the count).
+    ``"monte-carlo"`` mode takes ``S`` to be uniform draws and reports the
+    unbiased variance with its standard error, from the spread of the
+    squared deviations.  ``closed_form`` is `closed_variance` of the form.
+    """
+    v = _target_values(rv, S)
+    if offset is not None:
+        v = offset + v
+    count = len(v)
+    if mode == "exact":
+        mean = math.fsum(v) / count
+        variance = math.fsum((v - mean) ** 2) / count
+        stderr = None
+    elif mode == "monte-carlo":
+        if count < 2:
+            raise ValueError("need at least two samples")
+        mean = float(v.mean())
+        variance = float(v.var(ddof=1))
+        stderr = float(((v - mean) ** 2).std(ddof=1) / math.sqrt(count))
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected exact or monte-carlo")
+    return MomentReport(
+        kind=kind,
+        mode=mode,
+        mean=mean,
+        variance=variance,
+        closed_form=closed_variance(rv),
+        bound=bound,
+        bound_passed=variance <= bound,
+        count=count,
+        standard_error=stderr,
+    )
+
+
+# -- the block statistics Y, W, Z ----------------------------------------------
 
 
 def _norm_sq(f: GridFunction, r: float) -> float:
@@ -235,25 +310,28 @@ def _norm_sq(f: GridFunction, r: float) -> float:
     return float(np.mean(np.abs(np.asarray(f.dense, dtype=float)) ** r) ** (2.0 / r))
 
 
-def _values_and_bound(kind, spec, data, exponent, t_norm_upper):
-    """Per-pattern value computer, closed-form variance, and lemma bound."""
-    e = as_exponent(exponent)
-    union = float(spec.union_measure)
-    two_N = 2.0 ** (-spec.level)
+def _statistic_form(kind: str, spec: RandomBlockSpec, data) -> np.ndarray:
+    """The sign form of ``Y``/``W`` (pairings) or ``Z`` (interaction matrix)."""
     if kind in ("Y", "W"):
         if not isinstance(data, GridFunction):
             raise TypeError(f"{kind} pairs the block against a GridFunction")
-        c = spec.pairings(data)
-        closed = math.fsum(x * x for x in c)
-        if kind == "Y":
-            bound = _norm_sq(data, e.q) * union ** (1.0 / e.p) * two_N ** (1.0 / e.p)
-        else:
-            bound = _norm_sq(data, e.p) * union ** (1.0 / e.q) * two_N ** (1.0 / e.q)
-        return (lambda S: S.astype(float) @ c), closed, bound
+        return spec.pairings(data)
     if kind != "Z":
         raise ValueError(f"unknown kind {kind!r}; expected 'Y', 'W' or 'Z'")
     if not isinstance(data, OperatorMatrix):
         raise TypeError("Z pairs the block against an operator matrix")
+    return spec.interaction_matrix(data)
+
+
+def _statistic_bound(kind, spec, data, exponent, t_norm_upper) -> float:
+    """The lemma's norm bound on the variance of ``kind``."""
+    e = as_exponent(exponent)
+    union = float(spec.union_measure)
+    two_N = 2.0 ** (-spec.level)
+    if kind == "Y":
+        return _norm_sq(data, e.q) * union ** (1.0 / e.p) * two_N ** (1.0 / e.p)
+    if kind == "W":
+        return _norm_sq(data, e.p) * union ** (1.0 / e.q) * two_N ** (1.0 / e.q)
     if t_norm_upper is None:
         if data.is_diagonal():
             t_norm_upper = opnorm_upper_unconditional(data)
@@ -262,18 +340,13 @@ def _values_and_bound(kind, spec, data, exponent, t_norm_upper):
                 "Z bound needs a certified operator norm upper bound "
                 "(t_norm_upper) for a non-diagonal operator"
             )
-    C = spec.interaction_matrix(data)
-    off = C - np.diag(np.diag(C))
-    closed = float(np.sum(off * off.T) + np.sum(off * off))
-    bound = (
-        2.0 * t_norm_upper**2 * union ** (1.0 / e.p + 1.0) * two_N ** (1.0 / e.q)
-    )
+    return 2.0 * t_norm_upper**2 * union ** (1.0 / e.p + 1.0) * two_N ** (1.0 / e.q)
 
-    def values(S):
-        Sf = S.astype(float)
-        return np.einsum("ij,jk,ik->i", Sf, C, Sf) - np.trace(C)
 
-    return values, closed, bound
+def eval_statistic(kind: str, spec: RandomBlockSpec, data, theta) -> float:
+    """``Y``, ``W`` or ``Z`` at one sign pattern ``theta``."""
+    rows = spec.sign_array(theta)[None, :]
+    return float(_target_values(_statistic_form(kind, spec, data), rows)[0])
 
 
 def exact_moments(
@@ -297,21 +370,9 @@ def exact_moments(
             f"2^{spec.size} patterns exceed the enumeration cap 2^{cap}; "
             "use monte_carlo_moments"
         )
-    values, closed, bound = _values_and_bound(kind, spec, data, exponent, t_norm_upper)
-    v = np.asarray(values(sign_matrix(spec.size)), dtype=float)
-    n = len(v)
-    mean = math.fsum(v) / n
-    variance = math.fsum((x - mean) ** 2 for x in v) / n
-    return MomentReport(
-        kind=kind,
-        mode="exact",
-        mean=mean,
-        variance=variance,
-        closed_form=closed,
-        bound=bound,
-        bound_passed=variance <= bound,
-        count=n,
-    )
+    form = _statistic_form(kind, spec, data)
+    bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
+    return summarize_form(kind, form, sign_matrix(spec.size), "exact", bound)
 
 
 def monte_carlo_moments(
@@ -325,30 +386,10 @@ def monte_carlo_moments(
     t_norm_upper: float | None = None,
 ) -> MomentReport:
     """Estimate the moments from uniform sign draws (seeded)."""
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    values, closed, bound = _values_and_bound(kind, spec, data, exponent, t_norm_upper)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    S = rng.choice(np.array([-1, 1], dtype=np.int8), size=(samples, spec.size))
-    v = np.asarray(values(S), dtype=float)
-    mean = float(v.mean())
-    variance = float(v.var(ddof=1))
-    # spread of the squared deviations gives the variance estimate its own
-    # standard error
-    sq = (v - mean) ** 2
-    stderr = float(sq.std(ddof=1) / math.sqrt(samples))
-    return MomentReport(
-        kind=kind,
-        mode="monte-carlo",
-        mean=mean,
-        variance=variance,
-        closed_form=closed,
-        bound=bound,
-        bound_passed=variance <= bound,
-        count=samples,
-        standard_error=stderr,
-    )
-
+    form = _statistic_form(kind, spec, data)
+    bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
+    rows = drawn_signs(samples, spec.size, seed)
+    return summarize_form(kind, form, rows, "monte-carlo", bound)
 
 def condition_star(
     n: int,
@@ -393,44 +434,27 @@ class SignSearchFailure:
         return max(abs(v) / t for _, v, t in self.violations) if self.violations else 0.0
 
 
-TargetValue = np.ndarray | Callable
-
-
-def _target_values(rv: TargetValue, S: np.ndarray) -> np.ndarray:
-    """Evaluate one target on every sign row: linear, quadratic or callable."""
-    if callable(rv):
-        return np.array([float(rv(row)) for row in S])
-    arr = np.asarray(rv, dtype=float)
-    Sf = S.astype(float)
-    if arr.ndim == 1:
-        return Sf @ arr
-    if arr.ndim == 2:
-        return np.einsum("ij,jk,ik->i", Sf, arr, Sf) - np.trace(arr)
-    raise ValueError("target must be a vector, a matrix or a callable")
-
-
 def sign_search(
     spec: RandomBlockSpec,
-    targets: Sequence[tuple[TargetValue, float]],
+    targets: Sequence[tuple[np.ndarray, float]],
     mode: str = "exhaustive",
     *,
     budget: int | None = None,
     seed: int = 0,
-    fail_probability_bound: float | None = None,
 ) -> SignVector | SignSearchFailure:
     """Find one sign pattern with ``|value| < tol`` for every target.
 
-    Targets are pairs ``(rv, tol)`` where ``rv`` is a coefficient vector
-    (linear form ``theta . c``), a square matrix ``C`` (off-diagonal
-    quadratic form), or a callable on a sign row.  Exhaustive mode scans
-    pattern indices in order and returns the smallest satisfying index, so
-    it is complete: a `SignSearchFailure` means no pattern exists.  Sampled
-    mode draws i.i.d. uniform patterns from the seed and returns the first
-    hit; its default budget is 64 times the expected number of draws
-    implied by a caller-supplied Chebyshev failure probability.
+    Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
+    coefficient vector (linear form ``theta . c``) or a square matrix ``C``
+    (off-diagonal quadratic form).  Exhaustive mode scans pattern indices in
+    order and returns the smallest satisfying index, so it is complete: a
+    `SignSearchFailure` means no pattern exists.  Sampled mode draws i.i.d.
+    uniform patterns from the seed and returns the first hit.  Its default
+    budget comes from the Chebyshev failure probability
+    ``q = sum closed_variance / tol^2`` of the targets: 64 times the
+    expected number of draws ``1 / (1 - q)`` when ``q < 1``, else 4096.
     """
-    tols = [t for _, t in targets]
-    if any(t <= 0 for t in tols):
+    if any(tol <= 0 for _, tol in targets):
         raise ValueError("tolerances must be positive")
     n = spec.size
     if mode == "exhaustive":
@@ -442,13 +466,9 @@ def sign_search(
         S = sign_matrix(n)
     elif mode == "sampled":
         if budget is None:
-            if fail_probability_bound is not None and fail_probability_bound < 1:
-                expected = 1.0 / (1.0 - fail_probability_bound)
-                budget = 64 * math.ceil(expected)
-            else:
-                budget = 4096
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        S = rng.choice(np.array([-1, 1], dtype=np.int8), size=(budget, n))
+            q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
+            budget = 64 * math.ceil(1.0 / (1.0 - q)) if q < 1.0 else 4096
+        S = drawn_signs(budget, n, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected exhaustive or sampled")
 

@@ -65,12 +65,14 @@ from .operators import (
     diagonal_average,
 )
 from .randsigns import (
-    MomentReport,
+    ENUMERATION_CAP,
     RandomBlockSpec,
     SignSearchFailure,
     SignVector,
+    drawn_signs,
     sign_matrix,
     sign_search,
+    summarize_form,
 )
 
 __all__ = [
@@ -252,27 +254,14 @@ def _run_sign_search(
     """One step's search; empty target lists short-circuit to all +1."""
     if not targets:
         return SignVector.from_index(spec.intervals, 0), True
-    fail_bound = None
-    if search == "sampled":
-        q = 0.0
-        for rv, tol in targets:
-            if isinstance(rv, np.ndarray) and rv.ndim == 1:
-                var = float(np.dot(rv, rv))
-            else:
-                var = float(np.sum(rv * rv) + np.sum(rv * rv.T))
-            q += var / tol**2
-        fail_bound = q if q < 1.0 else None
     result = sign_search(
         spec,
         targets,
         mode=search,
         budget=pattern_budget if search == "exhaustive" else None,
         seed=seed,
-        fail_probability_bound=fail_bound,
     )
-    if isinstance(result, SignSearchFailure):
-        return result, False
-    return result, True
+    return result, not isinstance(result, SignSearchFailure)
 
 
 def column_sum_bound(
@@ -600,7 +589,7 @@ def lambda_pm_moments(
     *,
     exponent=2.0,
     t_norm_upper: float | None = None,
-    cap: int = 20,
+    cap: int = ENUMERATION_CAP,
     samples: int = 4096,
     seed: int = 0,
 ):
@@ -615,8 +604,10 @@ def lambda_pm_moments(
     variance is the coefficient square sum.
 
     Returns a pair of :class:`~haarfactor.randsigns.MomentReport` for the
-    ``+`` and ``-`` statistics.  Up to ``cap`` members the reports come from
-    exhaustive enumeration; larger blocks fall back to seeded sampling.
+    ``+`` and ``-`` statistics (the form ``coeffs`` and the form
+    ``-coeffs``, both with the offset).  Up to ``cap`` members the reports
+    come from exhaustive enumeration; larger blocks fall back to seeded
+    sampling, with the unbiased variance and its standard error.
     The recorded bound is ``2^-m / |union of the block| * (norm upper)^2``
     with ``m`` the block level and the norm upper defaulting to the sound
     diagonal multiplier bound of ``d_fine``.
@@ -643,47 +634,16 @@ def lambda_pm_moments(
     r = len(block)
     offset = math.fsum((u + v) / 2.0) / r
     coeffs = (u - v) / (2.0 * r)
-    union = float(len(block)) / (1 << level)
+    union = float(r) / (1 << level)
     bound = 2.0 ** (-level) / union * t_norm_upper**2
-    closed_form = math.fsum(float(c) ** 2 for c in coeffs)
-
-    n = len(block)
-    if n <= cap:
-        S = sign_matrix(n).astype(float)
-        mode = "exact"
-        count = len(S)
+    if r <= cap:
+        S, mode = sign_matrix(r), "exact"
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        S = rng.choice(np.array([-1.0, 1.0]), size=(samples, n))
-        mode = "monte-carlo"
-        count = samples
-
-    reports = []
-    for sign in (1.0, -1.0):
-        vals = offset + sign * (S @ coeffs)
-        mean = math.fsum(vals) / count
-        centered = vals - mean
-        if mode == "exact":
-            variance = math.fsum(centered**2) / count
-            stderr = None
-        else:
-            sq = centered**2
-            variance = math.fsum(sq) / (count - 1)
-            stderr = float(np.std(sq)) / math.sqrt(count)
-        reports.append(
-            MomentReport(
-                kind="lambda+" if sign > 0 else "lambda-",
-                mode=mode,
-                mean=mean,
-                variance=variance,
-                closed_form=closed_form,
-                bound=bound,
-                bound_passed=variance <= bound,
-                count=count,
-                standard_error=stderr,
-            )
-        )
-    return reports[0], reports[1]
+        S, mode = drawn_signs(samples, r, seed), "monte-carlo"
+    return tuple(
+        summarize_form(kind, form, S, mode, bound, offset=offset)
+        for kind, form in (("lambda+", coeffs), ("lambda-", -coeffs))
+    )
 
 
 # -- reduction to a scalar -----------------------------------------------------
@@ -873,12 +833,15 @@ def _single_copy_diag(T) -> tuple[int, dict[int, np.ndarray]]:
         )
     if isinstance(T, OperatorMatrix) and not T.is_diagonal():
         raise ValueError("scalar reduction needs a diagonal operator")
-    diag = T.diagonal_map()
-    d_levels = {
+    return copy, _level_diagonals(T.diagonal_map(), copy, depth)
+
+
+def _level_diagonals(diag, copy: int, depth: int) -> dict[int, np.ndarray]:
+    """The diagonal entries of ``copy``, level by level down to ``depth``."""
+    return {
         lev: np.array([diag[OmegaIndex(copy, K)] for K in intervals_at_level(lev)])
         for lev in range(depth + 1)
     }
-    return copy, d_levels
 
 
 def _scalar_certificate(
@@ -1084,10 +1047,7 @@ def reduce_to_scalar_stitched(
     copy_meta = []
     for n in sorted(source.depths):
         depth = source.depths[n]
-        d_levels = {
-            lev: np.array([diag[OmegaIndex(n, K)] for K in intervals_at_level(lev)])
-            for lev in range(depth + 1)
-        }
+        d_levels = _level_diagonals(diag, n, depth)
         run = None
         m_used = None
         for m_try in range(depth + 1, 0, -1):
@@ -1137,8 +1097,6 @@ def reduce_to_scalar_stitched(
     lambda0 = per_copy[best_ref]["lambda0"]
 
     stitched: dict[OmegaIndex, BlockAssignment] = {}
-    stitched_averages = []
-    stitched_witnesses = []
     target_depths = {}
     for k, n in enumerate(best_members, start=1):
         info = per_copy[n]
@@ -1146,23 +1104,13 @@ def reduce_to_scalar_stitched(
         target_depths[k] = depth_k
         abstract = BasisRegistry.single_copy(info["m"])
         for t in abstract.indices:
-            if t.interval.level > depth_k:
-                continue
-            a = info["run"]["assignments"][t]
-            stitched[OmegaIndex(k, t.interval)] = a
-            positions = tuple(OmegaIndex(n, K) for K in a.intervals)
-            value = diagonal_average(diag[q] for q in positions)
-            stitched_averages.append(value)
-            stitched_witnesses.append(
-                DiagonalAverageWitness(value=value, positions=positions)
-            )
+            if t.interval.level <= depth_k:
+                stitched[OmegaIndex(k, t.interval)] = info["run"]["assignments"][t]
 
     target_registry = BasisRegistry(target_depths)
     family = BlockFamily(stitched)
     family.verify_nesting()
-    # appended copy-major, which is the family's sorted target order
-    averages = tuple(stitched_averages)
-    witnesses = tuple(stitched_witnesses)
+    averages, witnesses = _block_witnesses(T, stitched, family.targets)
     entries = (lambda0,) * len(family.targets)
     _, residuals, column_sum, gap, certified = _certify(
         source, family, T, target_registry, entries, lambda0, p

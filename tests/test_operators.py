@@ -7,12 +7,10 @@ from haarfactor.dyadic import DyadicInterval, OmegaIndex, UNIT, enumerate_trunca
 from haarfactor.operators import (
     DiagonalAverageWitness,
     DiagonalOperator,
-    MatrixMap,
     OperatorMatrix,
     diagonal_average,
     max_column_sum,
     neumann_invert,
-    opnorm_lower,
     opnorm_upper_unconditional,
 )
 
@@ -75,40 +73,6 @@ class TestDiagonalOperator:
 
 
 class TestOpnorms:
-    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    def test_identity_is_exactly_one(self, p):
-        assert opnorm_lower(OperatorMatrix.identity(p, ELEVEN)) == 1.0
-
-    def test_zero_operator(self):
-        assert opnorm_lower(OperatorMatrix.zero(2, TWO)) == 0.0
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    def test_diagonal_two_minus_three(self, p):
-        T = OperatorMatrix.from_diagonal(p, TWO, [2.0, -3.0])
-        assert opnorm_lower(T) == 3.0
-
-    def test_deep_diagonal_shortcut(self):
-        big = tuple(enumerate_truncated({8: 7}))
-        D = DiagonalOperator(4, big, np.linspace(-2, 2, len(big)))
-        assert opnorm_lower(D) == 2.0
-
-    def test_ascent_close_to_spectral_norm_at_p2(self):
-        # p = 2 realization is a weighted l2 space: exact norm via SVD oracle
-        rng = np.random.default_rng(11)
-        T = OperatorMatrix(2, ELEVEN, 0.3 * rng.standard_normal((11, 11)))
-        w = np.sqrt(np.array([float(t.interval.measure) for t in ELEVEN]))
-        oracle = np.linalg.norm((T.entries * w[:, None] / w[None, :]).T @ np.eye(11), 2)
-        lower = opnorm_lower(T, restarts=6, iters=60, seed=5)
-        assert lower <= oracle + 1e-9
-        assert lower >= 0.9 * oracle
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    def test_lower_below_unconditional_upper(self, p):
-        rng = np.random.default_rng(2)
-        diag = rng.uniform(-2, 2, size=11)
-        T = OperatorMatrix.from_diagonal(p, ELEVEN, diag)
-        assert opnorm_lower(T) <= opnorm_upper_unconditional(T) + 1e-9
-
     def test_unconditional_upper_examples(self):
         lam = OperatorMatrix.from_diagonal(2, TWO, [0.7, 0.7])
         assert opnorm_upper_unconditional(lam) == pytest.approx(0.7)
@@ -173,19 +137,3 @@ class TestAverages:
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):
             DiagonalAverageWitness(0.0, ())
-
-
-class TestMatrixMap:
-    def test_rectangular_compose(self):
-        J = MatrixMap(2, ELEVEN, TWO, np.ones((11, 2)))
-        P = MatrixMap(2, TWO, ELEVEN, np.ones((2, 11)) / 11)
-        both = P @ J
-        assert both.entries.shape == (2, 2)
-        T = OperatorMatrix.identity(2, ELEVEN)
-        assert (P @ T).entries.shape == (2, 11)
-        assert (T @ J).entries.shape == (11, 2)
-
-    def test_inner_basis_mismatch(self):
-        J = MatrixMap(2, ELEVEN, TWO, np.ones((11, 2)))
-        with pytest.raises(ValueError):
-            J @ J

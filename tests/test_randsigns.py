@@ -9,17 +9,16 @@ import pytest
 from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.errors import ResourceLimitError
 from haarfactor.grids import pairing
-from haarfactor.haarsys import BasisRegistry
+from haarfactor.haarsys import BasisRegistry, realize
 from haarfactor.operators import OperatorMatrix
 from haarfactor.randsigns import (
     MomentReport,
     RandomBlockSpec,
     SignSearchFailure,
     SignVector,
+    closed_variance,
     condition_star,
-    eval_W,
-    eval_Y,
-    eval_Z,
+    eval_statistic,
     exact_moments,
     monte_carlo_moments,
     sign_matrix,
@@ -44,12 +43,31 @@ def shift_operator(reg):
     return OperatorMatrix(2.0, reg.indices, entries)
 
 
-def enumerate_oracle(spec, value):
-    """Mean and variance over all patterns, one `value(theta)` at a time."""
-    vals = [
-        value(SignVector(spec.intervals, signs))
-        for signs in itertools.product((-1, 1), repeat=spec.size)
-    ]
+def enumerate_oracle(spec, kind, data):
+    """Mean and variance over all patterns, each value computed on the grid.
+
+    ``Y``/``W`` pair ``data`` with the realized block; ``Z`` pairs the block
+    with the realized image ``T b`` and subtracts the member diagonal
+    pairings ``<h_K, T h_K>``.
+    """
+    reg = spec.registry
+    members = spec.omega_indices()
+    rows = [reg.index_of[t] for t in members]
+    if kind == "Z":
+        diagonal = math.fsum(
+            float(pairing(reg.haar(t), realize(reg, data.entries[:, i])))
+            for t, i in zip(members, rows)
+        )
+    vals = []
+    for signs in itertools.product((-1, 1), repeat=spec.size):
+        b = spec.block(signs)
+        if kind == "Z":
+            beta = np.zeros(reg.dim)
+            beta[rows] = signs
+            image = realize(reg, data.entries @ beta)
+            vals.append(float(pairing(b, image)) - diagonal)
+        else:
+            vals.append(float(pairing(data, b)))
     mean = math.fsum(vals) / len(vals)
     var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
     return mean, var
@@ -109,33 +127,41 @@ class TestEvaluations:
         f = reg.haar(OmegaIndex(2, L(1, 1)))
         for signs in itertools.product((-1, 1), repeat=2):
             theta = SignVector(spec.intervals, signs)
-            assert eval_Y(spec, f, theta) == theta[L(1, 1)] * 0.5
+            assert eval_statistic("Y", spec, f, theta) == theta[L(1, 1)] * 0.5
 
     def test_W_matches_Y_for_symmetric_pairing(self):
         reg, spec = level_one_spec()
         f = reg.haar(OmegaIndex(2, L(1, 2)))
         theta = SignVector(spec.intervals, (-1, 1))
-        assert eval_W(spec, f, theta) == eval_Y(spec, f, theta)
+        assert eval_statistic("W", spec, f, theta) == eval_statistic("Y", spec, f, theta)
 
     def test_Z_two_term_cross_sum(self):
         reg, spec = level_one_spec()
         T = shift_operator(reg)
         for signs in itertools.product((-1, 1), repeat=2):
             theta = SignVector(spec.intervals, signs)
-            assert eval_Z(spec, T, theta) == signs[0] * signs[1] * 0.5
+            assert eval_statistic("Z", spec, T, theta) == signs[0] * signs[1] * 0.5
 
     def test_Z_vanishes_on_singleton(self):
         reg = BasisRegistry({2: 1})
         spec = RandomBlockSpec(reg, 2, [L(1, 1)])
         T = shift_operator(reg)
-        assert eval_Z(spec, T, [1]) == 0.0
-        assert eval_Z(spec, T, [-1]) == 0.0
+        assert eval_statistic("Z", spec, T, [1]) == 0.0
+        assert eval_statistic("Z", spec, T, [-1]) == 0.0
 
     def test_Z_vanishes_for_diagonal(self):
         reg, spec = level_one_spec()
         T = OperatorMatrix.from_diagonal(4.0, reg.indices, np.arange(1.0, reg.dim + 1))
         for signs in itertools.product((-1, 1), repeat=2):
-            assert eval_Z(spec, T, list(signs)) == 0.0
+            assert eval_statistic("Z", spec, T, list(signs)) == 0.0
+
+    def test_kind_and_data_are_checked(self):
+        reg, spec = level_one_spec()
+        f = reg.haar(OmegaIndex(2, L(1, 1)))
+        with pytest.raises(ValueError, match="unknown kind"):
+            eval_statistic("V", spec, f, [1, 1])
+        with pytest.raises(TypeError):
+            eval_statistic("Z", spec, f, [1, 1])
 
 
 class TestExactMoments:
@@ -179,15 +205,11 @@ class TestExactMoments:
             T = OperatorMatrix(1.5, reg.indices, entries)
             data = T
             rep = exact_moments("Z", spec, T, exponent=1.5, t_norm_upper=20.0)
-            mean, var = enumerate_oracle(spec, lambda th: eval_Z(spec, T, th))
         else:
             coeffs = rng.standard_normal(reg.dim)
-            from haarfactor.haarsys import realize
-
             data = realize(reg, coeffs)
             rep = exact_moments(kind, spec, data, exponent=1.5)
-            fn = eval_Y if kind == "Y" else eval_W
-            mean, var = enumerate_oracle(spec, lambda th: fn(spec, data, th))
+        mean, var = enumerate_oracle(spec, kind, data)
         assert abs(rep.mean) <= 1e-12 and abs(mean) <= 1e-12
         assert rep.variance == pytest.approx(var, abs=1e-12)
         assert rep.variance == pytest.approx(rep.closed_form, abs=1e-10)
@@ -204,6 +226,16 @@ class TestExactMoments:
         reg, spec = level_one_spec()
         with pytest.raises(ValueError, match="norm upper bound"):
             exact_moments("Z", spec, shift_operator(reg))
+
+
+class TestClosedVariance:
+    def test_linear_form(self):
+        assert closed_variance(np.array([0.5, -0.5, 1.0])) == 1.5
+
+    def test_quadratic_form_ignores_the_diagonal(self):
+        C = np.array([[7.0, 1.0], [2.0, -3.0]])
+        # sum_{K != L} C_KL C_LK + C_KL^2 = 2 * (1 * 2) + (1 + 4)
+        assert closed_variance(C) == 9.0
 
 
 class TestMonteCarlo:
@@ -276,16 +308,21 @@ class TestSignSearch:
         assert idx == 0 and value == 0.5 and tol == 0.4
         assert got.worst_ratio == pytest.approx(1.25)
 
-    def test_linear_and_callable_targets(self):
+    def test_two_linear_targets(self):
         reg, spec = level_one_spec()
         got = sign_search(
             spec,
             [
                 (np.array([0.3, -0.3]), 0.1),  # forces equal signs
-                (lambda row: row[0] - 1, 0.5),  # forces row[0] = +1
+                (np.array([0.2, 0.2]), 0.5),  # |0.4| < 0.5 at equal signs
             ],
         )
         assert isinstance(got, SignVector) and got.signs == (1, 1)
+        # equal signs now violate the second target, so index 1 wins
+        got = sign_search(
+            spec, [(np.array([0.3, 0.3]), 0.1), (np.array([0.2, 0.2]), 0.5)]
+        )
+        assert isinstance(got, SignVector) and got.signs == (-1, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exhaustive_completeness(self, seed):
@@ -316,15 +353,22 @@ class TestSignSearch:
         assert isinstance(a, SignVector) and a == b
 
     def test_sampled_budget_from_chebyshev(self):
+        # q = 0.02 / 1.0^2 < 1: the budget is 64 * ceil(1 / (1 - q)) draws
         reg, spec = level_one_spec()
         got = sign_search(
-            spec,
-            [(np.array([0.1, 0.1]), 1.0)],
-            mode="sampled",
-            seed=1,
-            fail_probability_bound=0.04,
+            spec, [(np.array([0.1, 0.1]), 1.0)], mode="sampled", seed=1
         )
         assert isinstance(got, SignVector)
+
+    def test_sampled_budget_without_chebyshev_guarantee(self):
+        # |theta_1| = 1 never drops below 0.5, and q = 1 / 0.5^2 = 4 >= 1,
+        # so the search spends the fixed budget of 4096 draws
+        reg, spec = level_one_spec()
+        got = sign_search(
+            spec, [(np.array([1.0, 0.0]), 0.5)], mode="sampled", seed=1
+        )
+        assert isinstance(got, SignSearchFailure)
+        assert got.evaluated == 4096
 
     def test_bad_tolerance_rejected(self):
         reg, spec = level_one_spec()
