@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -48,7 +48,7 @@ from .weightedlp import (
     play_game,
     xpw_norm,
 )
-from .dyadic import DyadicInterval, OmegaIndex, intervals_at_level
+from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, intervals_at_level
 
 OK, NEGATIVE, ERROR = 0, 2, 1
 
@@ -75,10 +75,11 @@ def load_certificate(path) -> ReductionCertificate:
 class ExperimentConfig:
     """One experiment, pinned down completely.
 
-    Field defaults equal the command-line defaults, so a config built
-    from flag values reproduces that invocation.  Identical configs give
-    identical report bodies and artifact bytes; wall-clock time enters
-    only the ``metadata.created`` stamp of the printed report.
+    The command-line flags take their defaults from these fields, and
+    :func:`main` runs every invocation as the config of its flag values.
+    Identical configs give identical report bodies and artifact bytes;
+    wall-clock time enters only the ``metadata.created`` stamp of the
+    printed report.
     """
 
     command: str
@@ -116,7 +117,7 @@ def run(config: ExperimentConfig) -> dict:
         )
     handler = _HANDLERS[config.command]
     ns = argparse.Namespace(
-        command=config.command, func=handler, p=config.p,
+        command=config.command, p=config.p,
         copies=config.copies, depths=config.depths, eps=config.eps,
         delta=config.delta, seed=config.seed, mode=config.mode,
         search=config.search, budget=config.budget,
@@ -183,9 +184,7 @@ def _derive_reduction_plan(T) -> tuple[dict[int, int], dict[int, int]]:
     ``n``-th largest copy ``c`` with block depth ``k = c - n``, shrinking
     the target count until every host is deep enough.
     """
-    depths: dict[int, int] = {}
-    for ix in T.basis:
-        depths[ix.copy] = max(depths.get(ix.copy, -1), ix.interval.level)
+    depths = deepest_levels(T.basis)
     copies = sorted(depths)
     for m in range(min(3, len(copies)), 0, -1):
         hosts = copies[-m:]
@@ -209,7 +208,7 @@ def _report(args, results: dict, checks: dict, **extra) -> tuple[dict, int]:
         "config": {
             key: value
             for key, value in sorted(vars(args).items())
-            if key not in ("command", "func") and value is not None
+            if key != "command" and value is not None
         },
         "results": results,
         "checks": checks,
@@ -466,10 +465,7 @@ def cmd_dichotomy(args) -> tuple[dict, int]:
                 witness.norm_product_bound
                 <= dichotomy_constant(args.p, float(args.eps))
             ),
-            "scalar_witness_ok": witness.scalar_witness.verify(
-                witness.source if isinstance(witness.source, DiagonalOperator)
-                else witness.source
-            ),
+            "scalar_witness_ok": witness.scalar_witness.verify(witness.source),
             "sampled_within_residual": sampled <= witness.residual + 1e-9,
             "certificate_ok": bool(verify_certificate(witness.certificate)["ok"]),
         },
@@ -566,25 +562,26 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    d = {f.name: f.default for f in fields(ExperimentConfig)}
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=float, default=4.0, help="exponent p")
-    common.add_argument("--copies", type=_int_list, default=None,
+    common.add_argument("--p", type=float, default=d["p"], help="exponent p")
+    common.add_argument("--copies", type=_int_list, default=d["copies"],
                         help="comma list of copy labels, e.g. 5,6,7")
-    common.add_argument("--depths", type=_int_list, default=None,
+    common.add_argument("--depths", type=_int_list, default=d["depths"],
                         help="comma list of depths matching --copies")
-    common.add_argument("--eps", default="0.25",
+    common.add_argument("--eps", default=d["eps"],
                         help="tolerance (decimal or fraction string)")
-    common.add_argument("--delta", type=float, default=1.0,
+    common.add_argument("--delta", type=float, default=d["delta"],
                         help="diagonal lower bound for factorize")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--mode", choices=("paper", "adaptive"), default="adaptive")
+    common.add_argument("--seed", type=int, default=d["seed"])
+    common.add_argument("--mode", choices=("paper", "adaptive"), default=d["mode"])
     common.add_argument("--search", choices=("exhaustive", "sampled"),
-                        default="exhaustive")
-    common.add_argument("--budget", type=int, default=None,
+                        default=d["search"])
+    common.add_argument("--budget", type=int, default=d["budget"],
                         help="pattern/sample/index budget, command dependent")
     common.add_argument("--in", dest="inputs", action="append", default=None,
                         metavar="PATH", help="input artifact (repeatable)")
-    common.add_argument("--out", default=None, metavar="PATH",
+    common.add_argument("--out", default=d["out"], metavar="PATH",
                         help="artifact output path")
 
     parser = argparse.ArgumentParser(
@@ -593,46 +590,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(func=func)
-        return p
+    def add(name, **kwargs):
+        return sub.add_parser(name, parents=[common], **kwargs)
 
-    add("constants", cmd_constants, help="print the named constants at p")
-    add("verify-moments", cmd_verify_moments,
+    add("constants", help="print the named constants at p")
+    add("verify-moments",
         help="enumerate sign-pattern moments on seeded block populations")
-    add("reduce-diagonal", cmd_reduce_diagonal,
+    add("reduce-diagonal",
         help="compress an operator to a diagonal with a certified bound")
-    add("reduce-scalar", cmd_reduce_scalar,
-        help="compress a diagonal operator to a scalar multiple")
-    add("compose", cmd_compose, help="chain two reduction certificates")
-    add("factorize", cmd_factorize,
-        help="factor the identity through a large-diagonal operator")
-    add("dichotomy", cmd_dichotomy,
+    add("reduce-scalar", help="compress a diagonal operator to a scalar multiple")
+    add("compose", help="chain two reduction certificates")
+    add("factorize", help="factor the identity through a large-diagonal operator")
+    add("dichotomy",
         help="factor the identity through T or I-T, whichever is large")
-    game = add("xpw-game", cmd_xpw_game,
+    game = add("xpw-game",
                help="play the block-building game and check the transcript")
-    game.add_argument("--rounds", type=int, default=8)
-    game.add_argument("--decay", default="1/4",
+    game.add_argument("--rounds", type=int, default=d["rounds"])
+    game.add_argument("--decay", default=d["decay"],
                       help="weight decay exponent (fraction string)")
     game.add_argument("--adversary", choices=("fixed", "random", "greedy"),
-                      default="fixed")
-    game.add_argument("--moves", type=_int_list, default=None,
+                      default=d["adversary"])
+    game.add_argument("--moves", type=_int_list, default=d["moves"],
                       help="fixed adversary move list")
-    game.add_argument("--samples", type=int, default=1000)
-    add("check-distribution", cmd_check_distribution,
+    game.add_argument("--samples", type=int, default=d["samples"])
+    add("check-distribution",
         help="re-verify a certificate including its distributional law")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    args["inputs"] = tuple(args["inputs"] or ())
+    config = ExperimentConfig(**args)
     try:
-        report, status = args.func(args)
+        report = run(config)
+        status = report["status"]
     except (ReductionError, ResourceLimitError) as exc:
         report = {
-            "command": args.command,
+            "command": config.command,
             "verified_negative": {"type": type(exc).__name__, "message": str(exc)},
             "status": NEGATIVE,
         }
@@ -641,7 +637,7 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError, ArithmeticError, OSError) as exc:
         _emit(
             {
-                "command": args.command,
+                "command": config.command,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
                 "status": ERROR,
             },

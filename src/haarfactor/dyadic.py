@@ -30,6 +30,7 @@ __all__ = [
     "OmegaIndex",
     "UNIT",
     "compare_omega",
+    "deepest_levels",
     "enumerate_truncated",
     "intervals_at_level",
     "intervals_up_to_level",
@@ -212,6 +213,15 @@ def intervals_up_to_level(depth: int) -> list[DyadicInterval]:
 def truncation_size(depths: Mapping[int, int]) -> int:
     """Number of indices in the truncation with the given per-copy depths."""
     return sum(2 ** (d + 1) - 1 for d in depths.values())
+
+
+def deepest_levels(indices) -> dict[int, int]:
+    """Copy -> deepest level among ``indices``: the per-copy depths of the
+    truncation the indices would fill."""
+    depths: dict[int, int] = {}
+    for t in indices:
+        depths[t.copy] = max(depths.get(t.copy, 0), t.interval.level)
+    return depths
 
 
 def enumerate_truncated(

@@ -186,6 +186,40 @@ def _projection_norm_estimate(
     return worst
 
 
+def _build_witness(
+    kind, branch, T, cert, A, B, factors, constant, eps, delta, metadata,
+    *, scalar=None, scalar_witness=None,
+) -> FactorizationWitness:
+    """The one assembly path of every factorization witness.
+
+    Bounds the realized defect ``A T' B - I`` (``T'`` is ``T`` or ``I - T``
+    by ``branch``) by its column sum on the certificate's target model, and
+    records the product of the per-factor norm bounds.
+    """
+    p = as_exponent(T.exponent)
+    Tp = T.entries if branch == "T" else np.eye(T.dim) - T.entries
+    defect = A @ (Tp @ B) - np.eye(A.shape[0])
+    _, residual = column_sum_bound(cert.target_registry(), defect, p)
+    return FactorizationWitness(
+        exponent=p.p,
+        kind=kind,
+        branch=branch,
+        source=T,
+        certificate=cert,
+        scalar=scalar,
+        scalar_witness=scalar_witness,
+        A=A,
+        B=B,
+        residual=residual,
+        norm_factors=factors,
+        norm_product_bound=math.prod(factors.values()),
+        constant=constant,
+        eps=eps,
+        delta=delta,
+        metadata=metadata,
+    )
+
+
 def factor_large_diagonal(
     T: OperatorMatrix,
     delta: float,
@@ -232,7 +266,6 @@ def factor_large_diagonal(
     if np.array_equal(TS, np.eye(T.dim)):
         ones = DiagonalOperator(p, T.basis, np.ones(T.dim))
         cert = identity_certificate(ones)
-        target = source
         A = np.eye(T.dim)
         B = np.diag(s)
         factors = {
@@ -287,25 +320,9 @@ def factor_large_diagonal(
             source, target, cert.family, p.p, seed=seed + 1
         )
 
-    defect = A @ (T.entries @ B) - np.eye(A.shape[0])
-    _, residual = column_sum_bound(target, defect, p)
-    return FactorizationWitness(
-        exponent=p.p,
-        kind="large-diagonal",
-        branch="T",
-        source=T,
-        certificate=cert,
-        scalar=None,
-        scalar_witness=None,
-        A=A,
-        B=B,
-        residual=residual,
-        norm_factors=factors,
-        norm_product_bound=math.prod(factors.values()),
-        constant=large_diagonal_constant(p, delta, eps),
-        eps=eps,
-        delta=delta,
-        metadata=metadata,
+    return _build_witness(
+        "large-diagonal", "T", T, cert, A, B, factors,
+        large_diagonal_constant(p, delta, eps), eps, delta, metadata,
     )
 
 
@@ -393,12 +410,10 @@ def primary_dichotomy(
         branch = "T"
         lam_branch = lam0
         M_branch = M
-        Tp = T.entries
     else:
         branch = "I-T"
         lam_branch = 1.0 - lam0
         M_branch = np.eye(M.shape[0]) - M
-        Tp = np.eye(T.dim) - T.entries
 
     # ||M'/lam - I|| = ||M - lam0 I|| / |lam| <= certified / |lam| < 1
     ratio = comp.certified_bound / abs(lam_branch)
@@ -417,8 +432,6 @@ def primary_dichotomy(
         "projection": complementation_constant(p),
         "embedding": 1.0,
     }
-    defect = A @ (Tp @ B) - np.eye(A.shape[0])
-    _, residual = column_sum_bound(target, defect, p)
     metadata = {
         "lambda0": lam0,
         "branch_scalar": lam_branch,
@@ -430,21 +443,8 @@ def primary_dichotomy(
             source, target, comp.family, p.p, seed=seed + 2
         ),
     }
-    return FactorizationWitness(
-        exponent=p.p,
-        kind="dichotomy",
-        branch=branch,
-        source=T,
-        certificate=comp,
-        scalar=lam0,
-        scalar_witness=witness,
-        A=A,
-        B=B,
-        residual=residual,
-        norm_factors=factors,
-        norm_product_bound=math.prod(factors.values()),
-        constant=dichotomy_constant(p, eps),
-        eps=eps,
-        delta=None,
-        metadata=metadata,
+    return _build_witness(
+        "dichotomy", branch, T, comp, A, B, factors,
+        dichotomy_constant(p, eps), eps, None, metadata,
+        scalar=lam0, scalar_witness=witness,
     )

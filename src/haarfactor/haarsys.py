@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, OmegaIndex, enumerate_truncated
+from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, enumerate_truncated
 from .grids import DEFAULT_CELL_CAP, GridFunction, ProductGrid, as_exponent, lp_norm, pairing
 
 __all__ = [
@@ -432,10 +432,7 @@ def check_distributional_copy(
     block size: no grid cells are enumerated.
     """
     targets = family.targets
-    depths: dict[int, int] = {}
-    for t in targets:
-        depths[t.copy] = max(depths.get(t.copy, 0), t.interval.level)
-    if tuple(enumerate_truncated(depths)) != targets:
+    if tuple(enumerate_truncated(deepest_levels(targets))) != targets:
         raise ValueError(
             "family targets do not form a full truncation; cannot compare laws"
         )

@@ -133,6 +133,9 @@ class DiagonalOperator:
     def diagonal(self) -> np.ndarray:
         return self.diag.copy()
 
+    def is_diagonal(self) -> bool:
+        return True
+
     def diagonal_map(self) -> dict[OmegaIndex, float]:
         return {t: float(self.diag[i]) for i, t in enumerate(self.basis)}
 
@@ -156,7 +159,7 @@ class DiagonalAverageWitness:
             raise ValueError("a diagonal-average witness needs at least one position")
 
     def verify(self, source, tol: float = 1e-12) -> bool:
-        diag = source.diagonal_map() if hasattr(source, "diagonal_map") else dict(source)
+        diag = source.diagonal_map()
         try:
             mean = math.fsum(diag[t] for t in self.positions) / len(self.positions)
         except KeyError as exc:

@@ -453,11 +453,20 @@ def sign_search(
     budget comes from the Chebyshev failure probability
     ``q = sum closed_variance / tol^2`` of the targets: 64 times the
     expected number of draws ``1 / (1 - q)`` when ``q < 1``, else 4096.
+
+    Without an explicit ``budget`` neither mode builds more than
+    ``2^ENUMERATION_CAP`` sign rows: a search that would need more raises
+    :class:`ResourceLimitError`.
     """
     if any(tol <= 0 for _, tol in targets):
         raise ValueError("tolerances must be positive")
     n = spec.size
     if mode == "exhaustive":
+        if budget is None and n > ENUMERATION_CAP:
+            raise ResourceLimitError(
+                f"2^{n} patterns exceed the cap 2^{ENUMERATION_CAP}; "
+                "pass a budget or use sampled mode"
+            )
         if budget is not None and 2**n > budget:
             raise ResourceLimitError(
                 f"2^{n} patterns exceed the search budget {budget}; "
@@ -468,6 +477,11 @@ def sign_search(
         if budget is None:
             q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
             budget = 64 * math.ceil(1.0 / (1.0 - q)) if q < 1.0 else 4096
+            if budget > 2**ENUMERATION_CAP:
+                raise ResourceLimitError(
+                    f"the Chebyshev budget of {budget} draws exceeds the cap "
+                    f"2^{ENUMERATION_CAP}; pass an explicit budget"
+                )
         S = drawn_signs(budget, n, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected exhaustive or sampled")

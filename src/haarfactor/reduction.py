@@ -33,6 +33,13 @@ Two construction modes are supported and recorded on every certificate:
 Block supports nest by construction: the blocks of the two successor targets
 of ``t`` live exactly on ``{b_t = +1}`` and ``{b_t = -1}``.  Every emitted
 family passes the exact distributional-copy check.
+
+Every certificate — diagonal, scalar, stitched, identity and composite —
+comes from one builder (``_build_certificate``): the constructors only
+choose blocks, witnesses, target entries and their run data, and the
+builder checks the family, certifies the residuals and assembles the
+artifact.  Every sign step goes through one search helper
+(``_run_sign_search``), which also writes the relaxed-step records.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .constants import (
     complementation_constant,
     diagonal_multiplier_bound,
 )
-from .dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
+from .dyadic import UNIT, DyadicInterval, OmegaIndex, deepest_levels, intervals_at_level
 from .errors import ReductionError, ResourceLimitError
 from .grids import as_exponent, lp_norm
 from .haarsys import (
@@ -162,10 +169,7 @@ class ReductionCertificate:
 
 def _registry_of(T) -> BasisRegistry:
     """Reconstruct the (full-truncation) registry an operator acts on."""
-    depths: dict[int, int] = {}
-    for t in T.basis:
-        depths[t.copy] = max(depths.get(t.copy, -1), t.interval.level)
-    registry = BasisRegistry(depths)
+    registry = BasisRegistry(deepest_levels(T.basis))
     if registry.indices != T.basis:
         raise ValueError(
             "operator basis is not a full truncation ordered by the basis order"
@@ -246,22 +250,50 @@ def _quadratic_value(C: np.ndarray, signs: np.ndarray) -> float:
 def _run_sign_search(
     spec: RandomBlockSpec,
     targets: list,
+    target: OmegaIndex,
     *,
     search: str,
     pattern_budget: int,
     seed: int,
+    paper: bool = False,
 ):
-    """One step's search; empty target lists short-circuit to all +1."""
+    """One step's sign choice: ``(theta, relaxed record or None)``.
+
+    ``targets`` holds ``(form, tolerance, label)`` triples; empty lists
+    short-circuit to all +1.  A failed search raises
+    :class:`ReductionError` naming the worst violation when ``paper`` is
+    set; otherwise it keeps the least-bad pattern and returns the relaxed
+    step's record, each violation carrying its target's label.
+    """
     if not targets:
-        return SignVector.from_index(spec.intervals, 0), True
+        return SignVector.from_index(spec.intervals, 0), None
     result = sign_search(
         spec,
-        targets,
+        [(rv, tol) for rv, tol, _ in targets],
         mode=search,
         budget=pattern_budget if search == "exhaustive" else None,
         seed=seed,
     )
-    return result, not isinstance(result, SignSearchFailure)
+    if not isinstance(result, SignSearchFailure):
+        return result, None
+    if paper:
+        _, value, tol = max(result.violations, key=lambda v: v[1] / v[2])
+        raise ReductionError(
+            f"sign search failed at target {target}: "
+            f"best |value| {value:.3e} vs tolerance {tol:.3e}",
+            step=str(target),
+            achieved=value,
+            required=tol,
+        )
+    record = {
+        "target": str(target),
+        "violations": [
+            {**targets[k][2], "value": v, "tolerance": tol}
+            for k, v, tol in result.violations
+        ],
+        "evaluated": result.evaluated,
+    }
+    return result.best, record
 
 
 def column_sum_bound(
@@ -300,21 +332,63 @@ def _certify(source, family, T, target_registry, target_entries, scalar, exponen
     if scalar is not None and not np.any(off != 0.0):
         gap = burkholder_constant(p) * float(np.abs(np.diag(resid)).max())
     certified = column_sum if gap is None else min(column_sum, gap)
-    return M, residuals, column_sum, gap, certified
+    return residuals, column_sum, gap, certified
 
 
 def _block_witnesses(T, assignments, order):
-    """Per-target mean of the source diagonal over the block, with witness."""
+    """Per-target mean of the source diagonal over the block, as witnesses."""
     diag = T.diagonal_map()
-    averages = []
     witnesses = []
     for t in order:
         a = assignments[t]
         positions = tuple(OmegaIndex(a.host_copy, K) for K in a.intervals)
         value = diagonal_average(diag[q] for q in positions)
-        averages.append(value)
         witnesses.append(DiagonalAverageWitness(value=value, positions=positions))
-    return tuple(averages), tuple(witnesses)
+    return tuple(witnesses)
+
+
+def _build_certificate(
+    mode, T, source, target_registry, assignments, witnesses, target_entries,
+    eps, schedule, metadata, *, scalar=None, scalar_witness=None, triangle=None,
+) -> ReductionCertificate:
+    """The one assembly path of every reduction certificate.
+
+    Builds the block family and checks its nesting, certifies the exact
+    residual columns of ``T`` against ``target_entries`` and records the
+    witnesses' values as the block averages.  A composite passes its
+    ``triangle`` route: it is recorded next to the direct column sum, and
+    the certified bound is the smaller of the two.
+    """
+    family = BlockFamily(assignments)
+    family.verify_nesting()
+    residuals, column_sum, gap, certified = _certify(
+        source, family, T, target_registry, target_entries, scalar, T.exponent
+    )
+    if triangle is not None:
+        metadata = {
+            **metadata, "triangle_bound": triangle, "direct_column_sum": column_sum,
+        }
+        certified = min(certified, triangle)
+    return ReductionCertificate(
+        exponent=as_exponent(T.exponent).p,
+        mode=mode,
+        source=T,
+        source_depths=dict(source.depths),
+        target_depths=dict(target_registry.depths),
+        family=family,
+        block_averages=tuple(w.value for w in witnesses),
+        witnesses=tuple(witnesses),
+        target_entries=tuple(target_entries),
+        scalar=scalar,
+        scalar_witness=scalar_witness,
+        residuals=residuals,
+        column_sum_bound=column_sum,
+        diagonal_gap_bound=gap,
+        certified_bound=certified,
+        eps=eps,
+        schedule=schedule,
+        metadata=metadata,
+    )
 
 
 # -- reduction to a diagonal operator ----------------------------------------
@@ -386,7 +460,6 @@ def reduce_to_diagonal(
             )
 
     mu_t = target_registry.measures()
-    pos_of = {t: i for i, t in enumerate(targets)}
     rho = 0.9 * eps * mu_t ** (1.0 / p.p) / dim
 
     assignments: dict[OmegaIndex, BlockAssignment] = {}
@@ -407,7 +480,6 @@ def reduce_to_diagonal(
         rows = np.array([source.index_of[OmegaIndex(host, K)] for K in block])
 
         search_targets = []
-        labels = []
         achieved_zero = {}
 
         # self-interaction (off-diagonal part only; the diagonal is what the
@@ -424,8 +496,7 @@ def reduce_to_diagonal(
         else:
             tol_z = rho[i] / 4 * float(mu_t[i]) ** (1.0 / p.q)
         if C_off is not None:
-            search_targets.append((C_off, tol_z))
-            labels.append(("z", None, tol_z))
+            search_targets.append((C_off, tol_z, {"kind": "z", "against": None}))
         else:
             achieved_zero["z"] = 0.0
 
@@ -441,8 +512,7 @@ def reduce_to_diagonal(
             else:
                 tol_y = rho[i] / 4 * float(mu_t[j]) ** (1.0 / p.q) / n_past
             if np.any(y != 0.0):
-                search_targets.append((y, tol_y))
-                labels.append(("y", str(r), tol_y))
+                search_targets.append((y, tol_y, {"kind": "y", "against": str(r)}))
             w = source_mu[rows] * row_cache[r][rows]
             if mode == "paper":
                 m_past = r.copy
@@ -454,50 +524,29 @@ def reduce_to_diagonal(
                     rho[j] / 2 * float(mu_t[i]) ** (1.0 / p.q) / (dim - 1 - j)
                 )
             if np.any(w != 0.0):
-                search_targets.append((w, tol_w))
-                labels.append(("w", str(r), tol_w))
+                search_targets.append((w, tol_w, {"kind": "w", "against": str(r)}))
 
-        result, ok = _run_sign_search(
+        theta, record = _run_sign_search(
             spec,
             search_targets,
+            t,
             search=search,
             pattern_budget=pattern_budget,
             seed=seed + i,
+            paper=mode == "paper",
         )
-        if not ok:
-            if mode == "paper":
-                worst = max(result.violations, key=lambda v: v[1] / v[2])
-                raise ReductionError(
-                    f"sign search failed at target {t}: "
-                    f"best |value| {worst[1]:.3e} vs tolerance {worst[2]:.3e}",
-                    step=str(t),
-                    achieved=worst[1],
-                    required=worst[2],
-                )
-            relaxed.append(
-                {
-                    "target": str(t),
-                    "violations": [
-                        {"kind": labels[k][0], "against": labels[k][1],
-                         "value": v, "tolerance": tol}
-                        for k, v, tol in result.violations
-                    ],
-                    "evaluated": result.evaluated,
-                }
-            )
-            theta = result.best
-        else:
-            theta = result
+        if record is not None:
+            relaxed.append(record)
 
         signs = theta.as_array().astype(float)
         achieved = dict(achieved_zero)
-        for (kind, _, _), (rv, _) in zip(labels, search_targets):
+        for rv, _, label in search_targets:
             val = (
                 abs(_quadratic_value(rv, signs))
                 if rv.ndim == 2
                 else abs(float(rv @ signs))
             )
-            achieved[kind] = max(achieved.get(kind, 0.0), val)
+            achieved[label["kind"]] = max(achieved.get(label["kind"], 0.0), val)
 
         assignments[t] = BlockAssignment(host, block, theta.signs)
         beta = np.zeros(source.dim)
@@ -509,60 +558,41 @@ def reduce_to_diagonal(
                 "target": str(t),
                 "block_level": block_level,
                 "block_size": len(block),
-                "relaxed": not ok,
+                "relaxed": record is not None,
                 "achieved": {k: float(v) for k, v in sorted(achieved.items())},
             }
         )
 
-    family = BlockFamily(assignments)
-    family.verify_nesting()
-    averages, witnesses = _block_witnesses(T, assignments, targets)
-    _, residuals, column_sum, gap, certified = _certify(
-        source, family, T, target_registry, averages, None, p
-    )
-
+    witnesses = _block_witnesses(T, assignments, targets)
+    averages = tuple(w.value for w in witnesses)
     metadata = {
         "steps": steps,
         "relaxed_steps": relaxed,
         "search": search,
         "pattern_budget": pattern_budget,
     }
+    schedule = {
+        "block_depths": {int(n): int(kmap[n]) for n in copies},
+        "hosts": {int(n): int(hosts[n]) for n in copies},
+        "seed": seed,
+    }
+    cert = _build_certificate(
+        mode, T, source, target_registry, assignments, witnesses, averages,
+        eps, schedule, metadata,
+    )
     if mode == "paper":
         # per-column targets that the displayed tolerances are meant to
         # telescope to; verified numerically and reported, never assumed
         column_targets = [
             eps / 2.0 ** (2 * t.copy + 1 + t.copy / p.p) for t in targets
         ]
-        metadata["telescoping"] = {
+        residuals = cert.residuals
+        cert.metadata["telescoping"] = {
             "column_targets": column_targets,
             "within": [r < b for r, b in zip(residuals, column_targets)],
             "slack": min(b - r for r, b in zip(residuals, column_targets)),
         }
-    schedule = {
-        "block_depths": {int(n): int(kmap[n]) for n in copies},
-        "hosts": {int(n): int(hosts[n]) for n in copies},
-        "seed": seed,
-    }
-    return ReductionCertificate(
-        exponent=p.p,
-        mode=mode,
-        source=T,
-        source_depths=dict(source.depths),
-        target_depths=dict(target_registry.depths),
-        family=family,
-        block_averages=averages,
-        witnesses=witnesses,
-        target_entries=averages,
-        scalar=None,
-        scalar_witness=None,
-        residuals=residuals,
-        column_sum_bound=column_sum,
-        diagonal_gap_bound=gap,
-        certified_bound=certified,
-        eps=eps,
-        schedule=schedule,
-        metadata=metadata,
-    )
+    return cert
 
 
 # -- level stabilization statistics -------------------------------------------
@@ -753,33 +783,22 @@ def _scalar_induction(
             u, v = _half_means(d_levels[fine], block, fine)
             coeffs = (u - v) / (2.0 * len(block))
             if np.any(coeffs != 0.0):
-                search_targets.append((coeffs, tol))
+                search_targets.append((coeffs, tol, {}))
 
-        result, ok = _run_sign_search(
+        theta, record = _run_sign_search(
             spec,
             search_targets,
+            t,
             search=search,
             pattern_budget=pattern_budget,
             seed=seed + i,
         )
-        if not ok:
-            relaxed.append(
-                {
-                    "target": str(t),
-                    "violations": [
-                        {"value": v, "tolerance": tl}
-                        for _, v, tl in result.violations
-                    ],
-                    "evaluated": result.evaluated,
-                }
-            )
-            theta = result.best
-        else:
-            theta = result
+        if record is not None:
+            relaxed.append(record)
 
         signs_arr = theta.as_array().astype(float)
         achieved = max(
-            (abs(float(rv @ signs_arr)) for rv, _ in search_targets), default=0.0
+            (abs(float(rv @ signs_arr)) for rv, _, _ in search_targets), default=0.0
         )
         assignments[t] = BlockAssignment(host_copy, block, theta.signs)
         steps.append(
@@ -787,7 +806,7 @@ def _scalar_induction(
                 "target": str(t),
                 "block_level": block_level,
                 "block_size": len(block),
-                "relaxed": not ok,
+                "relaxed": record is not None,
                 "achieved": float(achieved),
                 "tolerance": tol,
             }
@@ -831,7 +850,7 @@ def _single_copy_diag(T) -> tuple[int, dict[int, np.ndarray]]:
         raise ValueError(
             f"operator must act on the full depth-{copy - 1} truncation of copy {copy}"
         )
-    if isinstance(T, OperatorMatrix) and not T.is_diagonal():
+    if not T.is_diagonal():
         raise ValueError("scalar reduction needs a diagonal operator")
     return copy, _level_diagonals(T.diagonal_map(), copy, depth)
 
@@ -946,7 +965,6 @@ def reduce_to_scalar_finite(
         raise ValueError("eps must be positive")
     if mode not in ("paper", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}; expected paper or adaptive")
-    p = as_exponent(T.exponent)
     source = _registry_of(T)
     host_copy, d_levels = _single_copy_diag(T)
     run = _scalar_certificate(
@@ -958,19 +976,14 @@ def reduce_to_scalar_finite(
     target_registry = BasisRegistry.single_copy(m)
     targets = target_registry.indices
     assignments = {t: run["assignments"][t] for t in targets}
-    family = BlockFamily(assignments)
-    family.verify_nesting()
-    averages, witnesses = _block_witnesses(T, assignments, targets)
+    witnesses = _block_witnesses(T, assignments, targets)
+    averages = [w.value for w in witnesses]
     lambda0 = averages[0]
-    entries = (lambda0,) * len(targets)
-    _, residuals, column_sum, gap, certified = _certify(
-        source, family, T, target_registry, entries, lambda0, p
-    )
     metadata = {
         "steps": run["steps"],
         "relaxed_steps": run["relaxed"],
         "chain": run["chain"],
-        "lambda_values": list(averages),
+        "lambda_values": averages,
         "lambda_gaps": [abs(a - lambda0) for a in averages],
         "level_means": [float(x) for x in run["level_means"]],
         "selection": run["selection"],
@@ -983,25 +996,10 @@ def reduce_to_scalar_finite(
         "host": int(host_copy),
         "seed": seed,
     }
-    return ReductionCertificate(
-        exponent=p.p,
-        mode=mode,
-        source=T,
-        source_depths=dict(source.depths),
-        target_depths=dict(target_registry.depths),
-        family=family,
-        block_averages=averages,
-        witnesses=witnesses,
-        target_entries=entries,
-        scalar=lambda0,
-        scalar_witness=witnesses[0],
-        residuals=residuals,
-        column_sum_bound=column_sum,
-        diagonal_gap_bound=gap,
-        certified_bound=certified,
-        eps=eps,
-        schedule=schedule,
-        metadata=metadata,
+    return _build_certificate(
+        mode, T, source, target_registry, assignments, witnesses,
+        (lambda0,) * len(targets), eps, schedule, metadata,
+        scalar=lambda0, scalar_witness=witnesses[0],
     )
 
 
@@ -1035,7 +1033,7 @@ def reduce_to_scalar_stitched(
         raise ValueError("eps must be positive")
     p = as_exponent(T.exponent)
     source = _registry_of(T)
-    if isinstance(T, OperatorMatrix) and not T.is_diagonal():
+    if not T.is_diagonal():
         raise ValueError("stitched scalar reduction needs a diagonal operator")
     diag = T.diagonal_map()
     eps_copy = per_copy_eps if per_copy_eps is not None else eps / (
@@ -1108,13 +1106,9 @@ def reduce_to_scalar_stitched(
                 stitched[OmegaIndex(k, t.interval)] = info["run"]["assignments"][t]
 
     target_registry = BasisRegistry(target_depths)
-    family = BlockFamily(stitched)
-    family.verify_nesting()
-    averages, witnesses = _block_witnesses(T, stitched, family.targets)
-    entries = (lambda0,) * len(family.targets)
-    _, residuals, column_sum, gap, certified = _certify(
-        source, family, T, target_registry, entries, lambda0, p
-    )
+    targets = target_registry.indices
+    witnesses = _block_witnesses(T, stitched, targets)
+    averages = [w.value for w in witnesses]
     ref_root = BasisRegistry.single_copy(per_copy[best_ref]["m"]).indices[0]
     ref_assignment = per_copy[best_ref]["run"]["assignments"][ref_root]
     scalar_witness = DiagonalAverageWitness(
@@ -1129,7 +1123,7 @@ def reduce_to_scalar_stitched(
             "window": win,
             "per_copy_eps": eps_copy,
         },
-        "lambda_values": list(averages),
+        "lambda_values": averages,
         "lambda_gaps": [abs(a - lambda0) for a in averages],
         "search": search,
         "pattern_budget": pattern_budget,
@@ -1138,25 +1132,10 @@ def reduce_to_scalar_stitched(
         "stitched_copies": {int(k): int(n) for k, n in enumerate(best_members, 1)},
         "seed": seed,
     }
-    return ReductionCertificate(
-        exponent=p.p,
-        mode="stitched",
-        source=T,
-        source_depths=dict(source.depths),
-        target_depths=target_depths,
-        family=family,
-        block_averages=averages,
-        witnesses=witnesses,
-        target_entries=entries,
-        scalar=lambda0,
-        scalar_witness=scalar_witness,
-        residuals=residuals,
-        column_sum_bound=column_sum,
-        diagonal_gap_bound=gap,
-        certified_bound=certified,
-        eps=eps,
-        schedule=schedule,
-        metadata=metadata,
+    return _build_certificate(
+        "stitched", T, source, target_registry, stitched, witnesses,
+        (lambda0,) * len(targets), eps, schedule, metadata,
+        scalar=lambda0, scalar_witness=scalar_witness,
     )
 
 
@@ -1166,37 +1145,17 @@ def reduce_to_scalar_stitched(
 def identity_certificate(S) -> ReductionCertificate:
     """The trivial certificate: a diagonal operator reduces to itself through
     the identity family, with residual exactly zero."""
-    p = as_exponent(S.exponent)
-    if isinstance(S, OperatorMatrix) and not S.is_diagonal():
+    if not S.is_diagonal():
         raise ValueError("identity certificates require a diagonal operator")
     registry = _registry_of(S)
     assignments = {
         t: BlockAssignment(t.copy, (t.interval,), (1,)) for t in registry.indices
     }
-    family = BlockFamily(assignments)
-    averages, witnesses = _block_witnesses(S, assignments, registry.indices)
-    _, residuals, column_sum, gap, certified = _certify(
-        registry, family, S, registry, averages, None, p
-    )
-    return ReductionCertificate(
-        exponent=p.p,
-        mode="identity",
-        source=S,
-        source_depths=dict(registry.depths),
-        target_depths=dict(registry.depths),
-        family=family,
-        block_averages=averages,
-        witnesses=witnesses,
-        target_entries=averages,
-        scalar=None,
-        scalar_witness=None,
-        residuals=residuals,
-        column_sum_bound=column_sum,
-        diagonal_gap_bound=gap,
-        certified_bound=certified,
-        eps=0.0,
-        schedule={},
-        metadata={"steps": [], "relaxed_steps": []},
+    witnesses = _block_witnesses(S, assignments, registry.indices)
+    return _build_certificate(
+        "identity", S, registry, registry, assignments, witnesses,
+        [w.value for w in witnesses], 0.0, {},
+        {"steps": [], "relaxed_steps": []},
     )
 
 
@@ -1244,7 +1203,7 @@ def compose_certificates(
             f"{c1.target_depths} vs {c2.source_depths}"
         )
     mid_diag = np.asarray(c2.source.diagonal())
-    if isinstance(c2.source, OperatorMatrix) and not c2.source.is_diagonal():
+    if not c2.source.is_diagonal():
         raise ValueError("the middle operator of a composition must be diagonal")
     gap = float(np.abs(mid_diag - np.asarray(c1.target_entries)).max())
     if gap > 1e-12:
@@ -1256,7 +1215,6 @@ def compose_certificates(
 
     composite: dict[OmegaIndex, BlockAssignment] = {}
     comp_witnesses = []
-    comp_averages = []
     diag_map = c1.source.diagonal_map()
     for t3 in c2.family.targets:
         a2 = c2.family.assignments[t3]
@@ -1278,20 +1236,7 @@ def compose_certificates(
             tuple(K for K, _ in pairs),
             tuple(s for _, s in pairs),
         )
-        witness = _composite_witness(diag_map, inner_witnesses)
-        comp_averages.append(witness.value)
-        comp_witnesses.append(witness)
-
-    family = BlockFamily(composite)
-    family.verify_nesting()
-    source_registry = c1.source_registry()
-    target_registry = c2.target_registry()
-    _, residuals, column_sum, gap_bound, direct = _certify(
-        source_registry, family, c1.source, target_registry,
-        c2.target_entries, c2.scalar, p,
-    )
-    triangle = D * c1.certified_bound + c2.certified_bound
-    certified = min(direct, triangle)
+        comp_witnesses.append(_composite_witness(diag_map, inner_witnesses))
 
     scalar_witness = None
     if c2.scalar is not None:
@@ -1303,32 +1248,17 @@ def compose_certificates(
         ) else None
 
     metadata = {
-        "triangle_bound": triangle,
-        "direct_column_sum": column_sum,
         "complementation_constant": D,
         "stage_modes": [c1.mode, c2.mode],
         "stage_eps": [c1.eps, c2.eps],
         "stage_certified": [c1.certified_bound, c2.certified_bound],
     }
-    return ReductionCertificate(
-        exponent=p.p,
-        mode="composite",
-        source=c1.source,
-        source_depths=dict(c1.source_depths),
-        target_depths=dict(c2.target_depths),
-        family=family,
-        block_averages=tuple(comp_averages),
-        witnesses=tuple(comp_witnesses),
-        target_entries=c2.target_entries,
-        scalar=c2.scalar,
-        scalar_witness=scalar_witness,
-        residuals=residuals,
-        column_sum_bound=column_sum,
-        diagonal_gap_bound=gap_bound,
-        certified_bound=certified,
-        eps=D * c1.eps + c2.eps,
-        schedule={"stages": [c1.mode, c2.mode]},
-        metadata=metadata,
+    return _build_certificate(
+        "composite", c1.source, c1.source_registry(), c2.target_registry(),
+        composite, comp_witnesses, c2.target_entries, D * c1.eps + c2.eps,
+        {"stages": [c1.mode, c2.mode]}, metadata,
+        scalar=c2.scalar, scalar_witness=scalar_witness,
+        triangle=D * c1.certified_bound + c2.certified_bound,
     )
 
 
@@ -1380,7 +1310,7 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     if cert.scalar_witness is not None:
         report["scalar_witness"] = cert.scalar_witness.verify(cert.source)
 
-    _, residuals, column_sum, gap, certified = _certify(
+    residuals, column_sum, gap, certified = _certify(
         source, cert.family, cert.source, target,
         cert.target_entries, cert.scalar, cert.exponent,
     )

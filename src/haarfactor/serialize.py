@@ -384,7 +384,7 @@ def _factorization_from(payload, where="witness payload") -> FactorizationWitnes
     source = _operator_from(payload["source"], f"{where}.source")
     cert = _certificate_from(payload["certificate"], f"{where}.certificate")
     target_dim = len(cert.target_entries)
-    source_dim = source.dim if hasattr(source, "dim") else len(source.basis)
+    source_dim = source.dim
     A = np.array(payload["left_factor"], dtype=float)
     B = np.array(payload["right_factor"], dtype=float)
     if A.shape != (target_dim, source_dim):

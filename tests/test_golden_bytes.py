@@ -1,0 +1,128 @@
+"""Golden bytes: pinned ``serialize.dumps`` digests for artifact kinds the
+benchmark never builds.
+
+Each case is a small seeded instance.  The digests were recorded with the
+numpy version in ``NUMPY``; float results may round differently under
+another numpy, so the comparison runs only when the versions match (the
+benchmark's reference digests follow the same rule).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from haarfactor import serialize
+from haarfactor.factorize import factor_large_diagonal
+from haarfactor.haarsys import BasisRegistry
+from haarfactor.operators import DiagonalOperator, OperatorMatrix
+from haarfactor.reduction import (
+    identity_certificate,
+    reduce_to_diagonal,
+    reduce_to_scalar_finite,
+    reduce_to_scalar_stitched,
+)
+
+NUMPY = "2.4.6"
+
+
+def _perturbed(registry, p, seed, diag, scale):
+    rng = np.random.default_rng(seed)
+    N = rng.standard_normal((registry.dim, registry.dim))
+    np.fill_diagonal(N, 0.0)
+    return OperatorMatrix(p, registry.indices, diag * np.eye(registry.dim) + scale * N)
+
+
+def identity():
+    registry = BasisRegistry({2: 1, 3: 2})
+    rng = np.random.default_rng(15)
+    S = DiagonalOperator(4.0, registry.indices, rng.uniform(-1, 1, registry.dim))
+    return identity_certificate(S)
+
+
+def stitched():
+    source = BasisRegistry({4: 3, 5: 4, 6: 5})
+    rng = np.random.default_rng(11)
+    d = 0.6 + rng.uniform(-0.01, 0.01, source.dim)
+    return reduce_to_scalar_stitched(DiagonalOperator(4.0, source.indices, d), 0.25)
+
+
+def diagonal_paper():
+    T = _perturbed(BasisRegistry({4: 3}), 2.0, 5, 0.5, 1e-9)
+    return reduce_to_diagonal(T, {1: 0}, 4096.0, mode="paper", t_norm_upper=1.0)
+
+
+def diagonal_relaxed():
+    T = _perturbed(BasisRegistry({4: 3}), 2.0, 5, 0.5, 0.3)
+    return reduce_to_diagonal(T, {1: 0}, 1e-12)
+
+
+def diagonal_sampled():
+    T = _perturbed(BasisRegistry({4: 3, 5: 4}), 4.0, 13, 1.0, 0.01)
+    return reduce_to_diagonal(T, {1: 0, 2: 1}, 0.5, search="sampled", seed=3)
+
+
+def scalar_paper():
+    source = BasisRegistry.single_copy(4)
+    d = 0.3 + np.random.default_rng(6).uniform(-0.01, 0.01, source.dim)
+    T = DiagonalOperator(2.0, source.indices, d)
+    return reduce_to_scalar_finite(T, 2, 32.0, mode="paper", t_norm_upper=1.0)
+
+
+def scalar_relaxed():
+    source = BasisRegistry.single_copy(6)
+    d = np.random.default_rng(1).uniform(-1, 1, source.dim)
+    return reduce_to_scalar_finite(DiagonalOperator(2.0, source.indices, d), 3, 1.0)
+
+
+def factorization_exact():
+    registry = BasisRegistry({2: 1, 3: 2})
+    d = np.random.default_rng(21).uniform(0.5, 2.0, registry.dim)
+    T = OperatorMatrix.from_diagonal(4.0, registry.indices, d)
+    return factor_large_diagonal(T, 0.5, 0.25)
+
+
+CASES = {
+    "identity": (
+        identity,
+        "a31a93df890465e9020b219cf655edae6081ddd6cd95bfda64806d87e9b57439",
+    ),
+    "stitched": (
+        stitched,
+        "5c5cec6fd626a480916312b0637e7d693bf43a069ad2e8c965ad60c23e6ed9b3",
+    ),
+    "diagonal_paper": (
+        diagonal_paper,
+        "3ddcaa7b40a8d536d171310e77c1796c16905e0b651306a9acbc9b6b3a61d4b0",
+    ),
+    "diagonal_relaxed": (
+        diagonal_relaxed,
+        "0d278b216a15c11246139e17b96de116ac56af1d58e0410d67f3d29bcab40e1c",
+    ),
+    "diagonal_sampled": (
+        diagonal_sampled,
+        "3ce5a543755edac94e99cf3536a7c59006781aa676ec711c29b145e16f70a01b",
+    ),
+    "scalar_paper": (
+        scalar_paper,
+        "b284b88e468e42dd471c9fcf14fc7baf9b2638cb7c6f6d9925797c90fc38d6ca",
+    ),
+    "scalar_relaxed": (
+        scalar_relaxed,
+        "5342487eef087823b076f664088ca9ab11232d791a667c90445ece477bdb96a5",
+    ),
+    "factorization_exact": (
+        factorization_exact,
+        "72aa4e17d0de9ee0d5371fba38e0cca037cdf906095af1edfd9a92321faea7cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_serialized_bytes_are_pinned(name):
+    build, digest = CASES[name]
+    obj = build()
+    text = serialize.dumps(obj)
+    assert serialize.dumps(serialize.loads(text)) == text
+    if np.__version__ == NUMPY:
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -345,6 +345,23 @@ class TestSignSearch:
         with pytest.raises(ResourceLimitError, match="sampled"):
             sign_search(spec, [(np.zeros(8), 1.0)], budget=64)
 
+    def test_exhaustive_without_budget_is_capped(self):
+        # 2^21 patterns exceed 2^ENUMERATION_CAP: refused before any row is built
+        reg = BasisRegistry({6: 5})
+        spec = RandomBlockSpec(reg, 6, intervals_at_level(5)[:21])
+        with pytest.raises(ResourceLimitError, match="cap 2\\^20"):
+            sign_search(spec, [])
+
+    def test_sampled_chebyshev_budget_is_capped(self):
+        # q = (255^2 + 22^2 + 5^2) / 256^2 = 1 - 2^-15 exactly, so the
+        # Chebyshev budget is 64 * 2^15 = 2^21 draws, over the 2^20 cap
+        reg = BasisRegistry({3: 2})
+        spec = RandomBlockSpec(reg, 3, intervals_at_level(2)[:3])
+        with pytest.raises(ResourceLimitError, match="2097152 draws"):
+            sign_search(
+                spec, [(np.array([255.0, 22.0, 5.0]), 256.0)], mode="sampled"
+            )
+
     def test_sampled_mode_finds_and_reproduces(self):
         reg, spec = level_one_spec()
         C = spec.interaction_matrix(shift_operator(reg))
