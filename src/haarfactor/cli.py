@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -32,6 +32,7 @@ from .operators import DiagonalOperator, OperatorMatrix, max_column_sum
 from .randsigns import RandomBlockSpec, exact_moments
 from .reduction import (
     ReductionCertificate,
+    column_sum_bound,
     compose_certificates,
     reduce_to_diagonal,
     reduce_to_scalar_finite,
@@ -244,7 +245,7 @@ def cmd_verify_moments(args) -> tuple[dict, int]:
     )
     ok = canonical.mean == 0.0 and canonical.variance == 0.25 and canonical.bound_passed
     all_ok = all_ok and ok
-    summaries.append({**canonical.summary(), "ok": ok, "canonical": True})
+    summaries.append({**asdict(canonical), "ok": ok, "canonical": True})
     for i in range(count):
         level = int(rng.integers(1, depth + 1))
         pool = intervals_at_level(level)
@@ -265,7 +266,7 @@ def cmd_verify_moments(args) -> tuple[dict, int]:
             and rep.bound_passed
         )
         all_ok = all_ok and ok
-        summaries.append({**rep.summary(), "ok": ok})
+        summaries.append({**asdict(rep), "ok": ok})
     results = {"reports": summaries, "draws": count}
     report, status = _report(
         args,
@@ -304,6 +305,13 @@ def cmd_reduce_diagonal(args) -> tuple[dict, int]:
     kwargs = {"mode": args.mode, "search": args.search, "seed": args.seed}
     if args.mode == "adaptive":
         kwargs["k_schedule"] = k_schedule
+    else:
+        # the paper's depth schedule needs an upper bound on ||T||_p; the
+        # column sum of T over its own registry is a sound one
+        dense = T.to_matrix() if isinstance(T, DiagonalOperator) else T
+        kwargs["t_norm_upper"] = column_sum_bound(
+            BasisRegistry(deepest_levels(T.basis)), dense.entries, T.exponent
+        )[1]
     if args.budget:
         kwargs["pattern_budget"] = args.budget
     cert = reduce_to_diagonal(T, target_depths, float(args.eps), **kwargs)

@@ -87,6 +87,10 @@ def projection_matrix(
     return (F.T * mu_s[None, :]) / mu_t[:, None]
 
 
+DICHOTOMY_TARGET_COPY = 3
+DICHOTOMY_SCALAR_STEPS = 2
+
+
 def _multiplier_norm_bound(exponent, diag: np.ndarray) -> float:
     """Sound norm bound for a diagonal multiplier; exact for constant ones."""
     if np.all(diag == diag[0]):
@@ -151,16 +155,6 @@ class FactorizationWitness:
             den = lp_norm(realize(target, v), self.exponent)
             worst = max(worst, num / den)
         return worst
-
-    def summary(self) -> str:
-        head = (
-            f"{self.kind} factorization through branch {self.branch}: "
-            f"residual {self.residual:.3e}, norm product "
-            f"{self.norm_product_bound:.6g} (formula constant {self.constant:.6g})"
-        )
-        if self.scalar is not None:
-            head += f", lambda0 = {self.scalar:.6g}"
-        return head
 
 
 def _projection_norm_estimate(
@@ -331,8 +325,6 @@ def primary_dichotomy(
     eps: float,
     *,
     seed: int = 0,
-    target_copy: int = 3,
-    scalar_steps: int = 2,
     k_schedule: dict[int, int] | None = None,
     search: str = "exhaustive",
 ) -> FactorizationWitness:
@@ -349,7 +341,8 @@ def primary_dichotomy(
     compressed matrix.  The boundary ``|lambda_0| = 1/2`` takes the first
     branch.
 
-    The scalar stage prefers ``scalar_steps`` stabilization levels and falls
+    The target is copy ``DICHOTOMY_TARGET_COPY`` at depth 2.  The scalar
+    stage prefers ``DICHOTOMY_SCALAR_STEPS`` stabilization levels and falls
     back one step at a time when the level pigeonhole finds no usable bin or
     the composite bound misses ``eps/2``; a single-level reduction is always
     structurally available, so the fallback only exhausts when no attempt
@@ -362,18 +355,19 @@ def primary_dichotomy(
     p = as_exponent(T.exponent)
     stage_eps = eps / 4.0
     if k_schedule is None:
-        k_schedule = {target_copy: 4}
+        k_schedule = {DICHOTOMY_TARGET_COPY: 4}
     c1 = reduce_to_diagonal(
-        T, {target_copy: target_copy - 1}, stage_eps,
+        T, {DICHOTOMY_TARGET_COPY: DICHOTOMY_TARGET_COPY - 1}, stage_eps,
         k_schedule=k_schedule, search=search, seed=seed,
     )
     mid = DiagonalOperator(
-        p, BasisRegistry.single_copy(target_copy).indices, c1.target_entries
+        p, BasisRegistry.single_copy(DICHOTOMY_TARGET_COPY).indices,
+        c1.target_entries,
     )
     comp = None
     attempts: list[dict] = []
     best_gap = math.inf
-    for steps in range(scalar_steps, 0, -1):
+    for steps in range(DICHOTOMY_SCALAR_STEPS, 0, -1):
         try:
             c2 = reduce_to_scalar_finite(
                 mid, steps, stage_eps, search=search, seed=seed + 1

@@ -313,16 +313,6 @@ def lp_norm(f: GridFunction, p) -> float:
     return float(np.mean(np.abs(values) ** exponent.p) ** (1.0 / exponent.p))
 
 
-def _coordinate_sums(f: GridFunction) -> tuple[list[tuple[int, int, object]], bool]:
-    """Per-summand (coordinate, ncells, sum) triples, and exactness flag."""
-    exact = f.is_integer_valued()
-    out = []
-    for coord, vec in f.summands:
-        total = int(vec.sum(dtype=np.int64)) if exact else float(vec.sum())
-        out.append((coord, len(vec), total))
-    return out, exact
-
-
 def pairing(f: GridFunction, g: GridFunction):
     """The integral of ``f * g`` with the uniform cell measure.
 

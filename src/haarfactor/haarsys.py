@@ -104,9 +104,6 @@ class BasisRegistry:
     def dim(self) -> int:
         return len(self.indices)
 
-    def measure(self, t: OmegaIndex) -> Fraction:
-        return t.interval.measure
-
     def measures(self) -> np.ndarray:
         return np.array([float(t.interval.measure) for t in self.indices])
 

@@ -200,19 +200,6 @@ class MomentReport:
     count: int  # enumerated patterns, or drawn samples
     standard_error: float | None = None
 
-    def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "mean": self.mean,
-            "variance": self.variance,
-            "closed_form": self.closed_form,
-            "bound": self.bound,
-            "bound_passed": self.bound_passed,
-            "count": self.count,
-            "standard_error": self.standard_error,
-        }
-
 
 # -- the moment engine: form -> rows -> report ---------------------------------
 

@@ -152,17 +152,6 @@ class ReductionCertificate:
             self.exponent, self.target_registry().indices, self.target_entries
         )
 
-    def summary(self) -> str:
-        kind = "scalar" if self.scalar is not None else "diagonal"
-        head = (
-            f"{kind} reduction ({self.mode}): dim {len(self.target_entries)} "
-            f"target, certified residual {self.certified_bound:.3e} "
-            f"(requested {self.eps:g})"
-        )
-        if self.scalar is not None:
-            head += f", lambda0 = {self.scalar:.6g}"
-        return head
-
 
 # -- shared machinery ---------------------------------------------------------
 
@@ -1174,7 +1163,6 @@ def _composite_witness(diag_map, inner: Sequence[DiagonalAverageWitness]):
 def compose_certificates(
     c1: ReductionCertificate,
     c2: ReductionCertificate,
-    D: float | None = None,
 ) -> ReductionCertificate:
     """Chain two reductions: source --c1--> middle --c2--> target.
 
@@ -1183,8 +1171,8 @@ def compose_certificates(
     every interval of its middle-model block with the corresponding inner
     block of ``c1`` — the two embeddings compose.  The guaranteed a-priori
     bound is ``D * eps1 + eps2`` with ``D`` the orthogonal-complementation
-    constant of the target's space (default the model constant for this
-    exponent); the exact residuals of the composite are recomputed directly,
+    constant of the target's space (the model constant for this exponent);
+    the exact residuals of the composite are recomputed directly,
     and the certified bound is the smaller of the two routes.
 
     Both routes are recorded in ``metadata``: ``direct_column_sum``, and
@@ -1210,8 +1198,7 @@ def compose_certificates(
         raise ValueError(
             f"middle operators disagree by {gap:.3e} (tolerance 1e-12)"
         )
-    if D is None:
-        D = complementation_constant(p)
+    D = complementation_constant(p)
 
     composite: dict[OmegaIndex, BlockAssignment] = {}
     comp_witnesses = []
@@ -1266,8 +1253,9 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     """Recompute everything a certificate claims; returns a report dict.
 
     Checks block nesting, the distributional-copy law, every
-    diagonal-average witness, the exact residual columns, and the recorded
-    bounds.  ``ok`` is True only if every check passes.
+    diagonal-average witness, that ``block_averages`` are exactly the
+    witness values, the exact residual columns, and the recorded bounds.
+    ``ok`` is True only if every check passes.
 
     The law check (:func:`~haarfactor.haarsys.check_distributional_copy`)
     is exact at every size: the blocks have the target Haar law if and only
@@ -1306,6 +1294,9 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
 
     report["witnesses"] = all(
         w.verify(cert.source) for w in cert.witnesses
+    )
+    report["block_averages"] = tuple(cert.block_averages) == tuple(
+        w.value for w in cert.witnesses
     )
     if cert.scalar_witness is not None:
         report["scalar_witness"] = cert.scalar_witness.verify(cert.source)

@@ -19,6 +19,12 @@ Rules that keep the artifacts trustworthy as records:
   copy/level/position order, and shape agreement between bases and
   entry matrices.  JSON syntax errors surface with line/column.
 
+Each kind declares its format once.  Certificates, factorization
+witnesses and moment reports are record tables of rows ``(payload key,
+attribute, write, read)``, written by one walker and read by another; the
+other kinds and pieces have hand-written codecs.  One map ``kind ->
+(class, write, read)`` drives :func:`document` and :func:`undocument`.
+
 Dictionaries inside free-form ``schedule``/``metadata`` trees may have
 integer keys (copy labels); they are encoded as ``{"~pairs": [[k, v],
 ...]}`` and restored exactly.  Tuples in those trees reload as lists.
@@ -27,6 +33,7 @@ integer keys (copy labels); they are encoded as ``{"~pairs": [[k, v],
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,7 +169,7 @@ def _floats(values, where) -> list[float]:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _operator_payload(op) -> dict:
+def _operator_payload(op, where) -> dict:
     if isinstance(op, DiagonalOperator):
         return {
             "kind": "diagonal-operator",
@@ -199,7 +206,22 @@ def _operator_from(payload, where):
     raise SchemaError(f"{where}: unknown operator kind {kind!r}")
 
 
-def _witness_payload(w: DiagonalAverageWitness) -> dict:
+def _operator_kind(cls, kind):
+    """``(class, write, read)`` of a top-level operator: the document, not
+    its payload, carries the kind."""
+
+    def write(op, where) -> dict:
+        payload = _operator_payload(op, where)
+        del payload["kind"]
+        return payload
+
+    def read(payload, where):
+        return _operator_from({**payload, "kind": kind}, where)
+
+    return cls, write, read
+
+
+def _witness_payload(w: DiagonalAverageWitness, where) -> dict:
     return {
         "value": float(w.value),
         "positions": [str(ix) for ix in w.positions],
@@ -215,7 +237,7 @@ def _witness_from(payload, where) -> DiagonalAverageWitness:
     return DiagonalAverageWitness(float(payload["value"]), positions)
 
 
-def _family_payload(family: BlockFamily) -> list[dict]:
+def _family_payload(family: BlockFamily, where) -> list[dict]:
     out = []
     for t in family.targets:
         a = family.assignments[t]
@@ -256,7 +278,7 @@ def _family_from(payload, where) -> BlockFamily:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _depths_payload(depths: dict) -> list[list[int]]:
+def _depths_payload(depths: dict, where) -> list[list[int]]:
     return [[int(c), int(d)] for c, d in sorted(depths.items())]
 
 
@@ -271,153 +293,159 @@ def _depths_from(payload, where) -> dict[int, int]:
     return out
 
 
-# -- certificate / witness payloads -------------------------------------------
+# -- codecs ----------------------------------------------------------------------
+#
+# A codec is a pair ``(write, read)``: ``write(value, where)`` gives the JSON
+# form and ``read(json, where)`` the value back; ``where`` names the spot for
+# error messages.
 
-_CERTIFICATE_FIELDS = (
-    "p", "mode", "source", "source_depths", "target_depths", "family",
-    "block_averages", "witnesses", "target_entries", "scalar",
-    "scalar_witness", "residuals", "column_sum_bound", "diagonal_gap_bound",
-    "certified_bound", "eps", "schedule", "run_data",
+
+def _same(convert):
+    """Codec for a JSON-native value converted alike in both directions."""
+
+    def code(value, where):
+        return convert(value)
+
+    return code, code
+
+
+def _optional(codec):
+    """``codec``, with ``None`` standing for itself."""
+    write, read = codec
+    return (
+        lambda value, where: None if value is None else write(value, where),
+        lambda value, where: None if value is None else read(value, where),
+    )
+
+
+_AS_IS = _same(lambda value: value)
+_FLOAT = _same(float)
+_FLOAT_MAP = _same(lambda values: {k: float(v) for k, v in values.items()})
+_FLOATS = (
+    lambda values, where: [float(v) for v in values],
+    lambda values, where: tuple(_floats(values, where)),
+)
+_MATRIX = (
+    lambda matrix, where: [[float(x) for x in row] for row in matrix],
+    lambda rows, where: np.array(rows, dtype=float),
+)
+_TREE = (_encode_tree, lambda value, where: _decode_tree(value))
+_OPERATOR = (_operator_payload, _operator_from)
+_DEPTHS = (_depths_payload, _depths_from)
+_FAMILY = (_family_payload, _family_from)
+_WITNESS = (_witness_payload, _witness_from)
+_WITNESSES = (
+    lambda ws, where: [_witness_payload(w, where) for w in ws],
+    lambda items, where: tuple(
+        _witness_from(w, f"{where}[{i}]") for i, w in enumerate(items)
+    ),
 )
 
 
-def _certificate_payload(cert: ReductionCertificate) -> dict:
-    return {
-        "p": float(cert.exponent),
-        "mode": cert.mode,
-        "source": _operator_payload(cert.source),
-        "source_depths": _depths_payload(cert.source_depths),
-        "target_depths": _depths_payload(cert.target_depths),
-        "family": _family_payload(cert.family),
-        "block_averages": [float(v) for v in cert.block_averages],
-        "witnesses": [_witness_payload(w) for w in cert.witnesses],
-        "target_entries": [float(v) for v in cert.target_entries],
-        "scalar": None if cert.scalar is None else float(cert.scalar),
-        "scalar_witness": (
-            None if cert.scalar_witness is None
-            else _witness_payload(cert.scalar_witness)
-        ),
-        "residuals": [float(v) for v in cert.residuals],
-        "column_sum_bound": float(cert.column_sum_bound),
-        "diagonal_gap_bound": (
-            None if cert.diagonal_gap_bound is None
-            else float(cert.diagonal_gap_bound)
-        ),
-        "certified_bound": float(cert.certified_bound),
-        "eps": float(cert.eps),
-        "schedule": _encode_tree(cert.schedule, "schedule"),
-        "run_data": _encode_tree(cert.metadata, "run_data"),
-    }
+# -- record kinds ------------------------------------------------------------------
 
 
-def _certificate_from(payload, where="certificate payload") -> ReductionCertificate:
-    _expect_fields(payload, _CERTIFICATE_FIELDS, (), where)
-    n = len(payload["target_entries"])
-    if len(payload["witnesses"]) != n or len(payload["block_averages"]) != n:
+def _record(cls, rows, check=lambda values, where: None):
+    """``(class, write, read)`` of a record kind declared by its table.
+
+    Each row is ``(payload key, attribute, write, read)``.  Reading checks
+    the exact field set, reads every field at ``where.key``, runs the
+    kind's cross-field ``check`` on the attribute values and builds ``cls``.
+    """
+    keys = tuple(key for key, _, _, _ in rows)
+
+    def write(obj, where) -> dict:
+        return {
+            key: put(getattr(obj, attr), f"{where}.{key}")
+            for key, attr, put, _ in rows
+        }
+
+    def read(payload, where):
+        _expect_fields(payload, keys, (), where)
+        values = {
+            attr: get(payload[key], f"{where}.{key}")
+            for key, attr, _, get in rows
+        }
+        check(values, where)
+        return cls(**values)
+
+    return cls, write, read
+
+
+def _check_certificate(values, where) -> None:
+    n = len(values["target_entries"])
+    if len(values["witnesses"]) != n or len(values["block_averages"]) != n:
         raise SchemaError(
             f"{where}: block_averages/witnesses/target_entries lengths disagree"
         )
-    return ReductionCertificate(
-        exponent=float(payload["p"]),
-        mode=payload["mode"],
-        source=_operator_from(payload["source"], f"{where}.source"),
-        source_depths=_depths_from(payload["source_depths"], f"{where}.source_depths"),
-        target_depths=_depths_from(payload["target_depths"], f"{where}.target_depths"),
-        family=_family_from(payload["family"], f"{where}.family"),
-        block_averages=tuple(_floats(payload["block_averages"], f"{where}.block_averages")),
-        witnesses=tuple(
-            _witness_from(w, f"{where}.witnesses[{i}]")
-            for i, w in enumerate(payload["witnesses"])
-        ),
-        target_entries=tuple(_floats(payload["target_entries"], f"{where}.target_entries")),
-        scalar=None if payload["scalar"] is None else float(payload["scalar"]),
-        scalar_witness=(
-            None if payload["scalar_witness"] is None
-            else _witness_from(payload["scalar_witness"], f"{where}.scalar_witness")
-        ),
-        residuals=tuple(_floats(payload["residuals"], f"{where}.residuals")),
-        column_sum_bound=float(payload["column_sum_bound"]),
-        diagonal_gap_bound=(
-            None if payload["diagonal_gap_bound"] is None
-            else float(payload["diagonal_gap_bound"])
-        ),
-        certified_bound=float(payload["certified_bound"]),
-        eps=float(payload["eps"]),
-        schedule=_decode_tree(payload["schedule"]),
-        metadata=_decode_tree(payload["run_data"]),
-    )
 
 
-_WITNESS_DOC_FIELDS = (
-    "p", "kind", "branch", "source", "certificate", "scalar",
-    "scalar_witness", "left_factor", "right_factor", "residual",
-    "norm_factors", "norm_product_bound", "constant", "eps", "delta",
-    "run_data",
-)
-
-
-def _factorization_payload(w: FactorizationWitness) -> dict:
-    return {
-        "p": float(w.exponent),
-        "kind": w.kind,
-        "branch": w.branch,
-        "source": _operator_payload(w.source),
-        "certificate": _certificate_payload(w.certificate),
-        "scalar": None if w.scalar is None else float(w.scalar),
-        "scalar_witness": (
-            None if w.scalar_witness is None else _witness_payload(w.scalar_witness)
-        ),
-        "left_factor": [[float(x) for x in row] for row in w.A],
-        "right_factor": [[float(x) for x in row] for row in w.B],
-        "residual": float(w.residual),
-        "norm_factors": {k: float(v) for k, v in w.norm_factors.items()},
-        "norm_product_bound": float(w.norm_product_bound),
-        "constant": float(w.constant),
-        "eps": float(w.eps),
-        "delta": None if w.delta is None else float(w.delta),
-        "run_data": _encode_tree(w.metadata, "run_data"),
-    }
-
-
-def _factorization_from(payload, where="witness payload") -> FactorizationWitness:
-    _expect_fields(payload, _WITNESS_DOC_FIELDS, (), where)
-    source = _operator_from(payload["source"], f"{where}.source")
-    cert = _certificate_from(payload["certificate"], f"{where}.certificate")
-    target_dim = len(cert.target_entries)
-    source_dim = source.dim
-    A = np.array(payload["left_factor"], dtype=float)
-    B = np.array(payload["right_factor"], dtype=float)
-    if A.shape != (target_dim, source_dim):
+def _check_witness(values, where) -> None:
+    target_dim = len(values["certificate"].target_entries)
+    source_dim = values["source"].dim
+    if values["A"].shape != (target_dim, source_dim):
         raise SchemaError(
-            f"{where}.left_factor: shape {A.shape} does not map the "
+            f"{where}.left_factor: shape {values['A'].shape} does not map the "
             f"{source_dim}-dim source onto the {target_dim}-dim target"
         )
-    if B.shape != (source_dim, target_dim):
+    if values["B"].shape != (source_dim, target_dim):
         raise SchemaError(
-            f"{where}.right_factor: shape {B.shape} does not map the "
+            f"{where}.right_factor: shape {values['B'].shape} does not map the "
             f"{target_dim}-dim target into the {source_dim}-dim source"
         )
-    return FactorizationWitness(
-        exponent=float(payload["p"]),
-        kind=payload["kind"],
-        branch=payload["branch"],
-        source=source,
-        certificate=cert,
-        scalar=None if payload["scalar"] is None else float(payload["scalar"]),
-        scalar_witness=(
-            None if payload["scalar_witness"] is None
-            else _witness_from(payload["scalar_witness"], f"{where}.scalar_witness")
-        ),
-        A=A,
-        B=B,
-        residual=float(payload["residual"]),
-        norm_factors={k: float(v) for k, v in payload["norm_factors"].items()},
-        norm_product_bound=float(payload["norm_product_bound"]),
-        constant=float(payload["constant"]),
-        eps=float(payload["eps"]),
-        delta=None if payload["delta"] is None else float(payload["delta"]),
-        metadata=_decode_tree(payload["run_data"]),
-    )
+
+
+_CERTIFICATE = _record(
+    ReductionCertificate,
+    (
+        ("p", "exponent", *_FLOAT),
+        ("mode", "mode", *_AS_IS),
+        ("source", "source", *_OPERATOR),
+        ("source_depths", "source_depths", *_DEPTHS),
+        ("target_depths", "target_depths", *_DEPTHS),
+        ("family", "family", *_FAMILY),
+        ("block_averages", "block_averages", *_FLOATS),
+        ("witnesses", "witnesses", *_WITNESSES),
+        ("target_entries", "target_entries", *_FLOATS),
+        ("scalar", "scalar", *_optional(_FLOAT)),
+        ("scalar_witness", "scalar_witness", *_optional(_WITNESS)),
+        ("residuals", "residuals", *_FLOATS),
+        ("column_sum_bound", "column_sum_bound", *_FLOAT),
+        ("diagonal_gap_bound", "diagonal_gap_bound", *_optional(_FLOAT)),
+        ("certified_bound", "certified_bound", *_FLOAT),
+        ("eps", "eps", *_FLOAT),
+        ("schedule", "schedule", *_TREE),
+        ("run_data", "metadata", *_TREE),
+    ),
+    _check_certificate,
+)
+
+_FACTORIZATION = _record(
+    FactorizationWitness,
+    (
+        ("p", "exponent", *_FLOAT),
+        ("kind", "kind", *_AS_IS),
+        ("branch", "branch", *_AS_IS),
+        ("source", "source", *_OPERATOR),
+        ("certificate", "certificate", *_CERTIFICATE[1:]),
+        ("scalar", "scalar", *_optional(_FLOAT)),
+        ("scalar_witness", "scalar_witness", *_optional(_WITNESS)),
+        ("left_factor", "A", *_MATRIX),
+        ("right_factor", "B", *_MATRIX),
+        ("residual", "residual", *_FLOAT),
+        ("norm_factors", "norm_factors", *_FLOAT_MAP),
+        ("norm_product_bound", "norm_product_bound", *_FLOAT),
+        ("constant", "constant", *_FLOAT),
+        ("eps", "eps", *_FLOAT),
+        ("delta", "delta", *_optional(_FLOAT)),
+        ("run_data", "metadata", *_TREE),
+    ),
+    _check_witness,
+)
+
+_MOMENT = _record(
+    MomentReport, tuple((f.name, f.name, *_AS_IS) for f in fields(MomentReport))
+)
 
 
 # -- game transcripts ----------------------------------------------------------
@@ -450,7 +478,7 @@ def _weights_from(payload, where) -> WeightSequence:
     raise SchemaError(f"{where}: unknown weight family {payload['family']!r}")
 
 
-def _transcript_payload(t: GameTranscript) -> dict:
+def _transcript_payload(t: GameTranscript, where) -> dict:
     rounds = []
     for r in t.rounds:
         rounds.append(
@@ -472,7 +500,7 @@ def _transcript_payload(t: GameTranscript) -> dict:
     }
 
 
-def _transcript_from(payload, where="transcript payload") -> GameTranscript:
+def _transcript_from(payload, where) -> GameTranscript:
     _expect_fields(payload, ("weights", "eps", "index_budget", "rounds"), (), where)
     w = _weights_from(payload["weights"], f"{where}.weights")
     if not payload["rounds"]:
@@ -501,17 +529,11 @@ def _transcript_from(payload, where="transcript payload") -> GameTranscript:
             raise SchemaError(
                 f"{spot}: functional coefficients do not match the block data"
             )
-        target = Fraction(item["budget_target"])
-        q = w.p / (w.p - 2)
-        cap_ok = (block.budget / target) ** q.denominator <= (
-            1 + Fraction(payload["eps"])
-        ) ** q.numerator
         rounds.append(
             GameRound(
                 move=int(item["move"]),
                 block=block,
-                budget_target=target,
-                budget_cap_ok=cap_ok,
+                budget_target=Fraction(item["budget_target"]),
             )
         )
     return GameTranscript(
@@ -522,45 +544,31 @@ def _transcript_from(payload, where="transcript payload") -> GameTranscript:
     )
 
 
-# -- moment reports -------------------------------------------------------------
-
-_MOMENT_FIELDS = (
-    "kind", "mode", "mean", "variance", "closed_form", "bound",
-    "bound_passed", "count", "standard_error",
-)
-
-
-def _moment_from(payload, where="moment payload") -> MomentReport:
-    _expect_fields(payload, _MOMENT_FIELDS, (), where)
-    return MomentReport(**payload)
-
-
 # -- documents -------------------------------------------------------------------
+
+# kind -> (class, write, read), for every top-level document
+_KINDS = {
+    "operator": _operator_kind(OperatorMatrix, "operator"),
+    "diagonal-operator": _operator_kind(DiagonalOperator, "diagonal-operator"),
+    "reduction-certificate": _CERTIFICATE,
+    "factorization-witness": _FACTORIZATION,
+    "game-transcript": (GameTranscript, _transcript_payload, _transcript_from),
+    "moment-report": _MOMENT,
+    "run-report": (dict, _encode_tree, lambda payload, where: _decode_tree(payload)),
+}
 
 
 def document(obj, *, metadata: dict | None = None) -> dict:
     """Wrap a package object into its self-describing document."""
-    if isinstance(obj, (OperatorMatrix, DiagonalOperator)):
-        payload = _operator_payload(obj)
-        kind = payload.pop("kind")
-    elif isinstance(obj, ReductionCertificate):
-        kind, payload = "reduction-certificate", _certificate_payload(obj)
-    elif isinstance(obj, FactorizationWitness):
-        kind, payload = "factorization-witness", _factorization_payload(obj)
-    elif isinstance(obj, GameTranscript):
-        kind, payload = "game-transcript", _transcript_payload(obj)
-    elif isinstance(obj, MomentReport):
-        kind, payload = "moment-report", obj.summary()
-    elif isinstance(obj, dict):
-        kind, payload = "run-report", _encode_tree(obj, "report")
-    else:
-        raise SchemaError(f"no document form for {type(obj).__name__}")
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "payload": payload,
-        "metadata": _encode_tree(metadata or {}, "metadata"),
-    }
+    for kind, (cls, write, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return {
+                "schema": SCHEMA_VERSION,
+                "kind": kind,
+                "payload": write(obj, f"{kind} payload"),
+                "metadata": _encode_tree(metadata or {}, "metadata"),
+            }
+    raise SchemaError(f"no document form for {type(obj).__name__}")
 
 
 def undocument(doc: dict):
@@ -571,20 +579,9 @@ def undocument(doc: dict):
             f"unsupported schema {doc['schema']!r} (expected {SCHEMA_VERSION!r})"
         )
     kind = doc["kind"]
-    payload = doc["payload"]
-    if kind in ("operator", "diagonal-operator"):
-        return _operator_from({**payload, "kind": kind}, f"{kind} payload")
-    if kind == "reduction-certificate":
-        return _certificate_from(payload)
-    if kind == "factorization-witness":
-        return _factorization_from(payload)
-    if kind == "game-transcript":
-        return _transcript_from(payload)
-    if kind == "moment-report":
-        return _moment_from(payload)
-    if kind == "run-report":
-        return _decode_tree(payload)
-    raise SchemaError(f"unknown document kind {kind!r}")
+    if kind not in _KINDS:
+        raise SchemaError(f"unknown document kind {kind!r}")
+    return _KINDS[kind][2](doc["payload"], f"{kind} payload")
 
 
 def dumps(obj, *, metadata: dict | None = None) -> str:

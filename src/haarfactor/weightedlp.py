@@ -393,7 +393,6 @@ class GameRound:
     move: int
     block: Block
     budget_target: Fraction
-    budget_cap_ok: bool
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -432,18 +431,18 @@ class GameTranscript:
         the stored coefficients and ``beta`` must equal the fresh ones
         exactly (report key ``block_data``).  The window
         ``w_k <= beta_k <= sqrt(1+eps) w_k`` is decided on the fresh
-        rational budget, which must also equal the stored one (see the
-        module docstring for the monotone equivalence).  Biorthogonality
-        is exact because off-diagonal pairs have disjoint supports (no
-        common term at all) and each diagonal pair's normalizations cancel
-        over one shared descriptor; the check confirms the stored arrays
-        are those derivations.  Indices that name no block (repeated,
+        rational budget, which must also equal the stored one, against
+        ``t_k = w.budget(k)``, which must equal the stored ``budget_target``
+        (see the module docstring for the monotone equivalence).
+        Biorthogonality is exact because off-diagonal pairs have disjoint
+        supports (no common term at all) and each diagonal pair's
+        normalizations cancel over one shared descriptor; the check
+        confirms the stored arrays are those derivations.  Indices that name no block (repeated,
         below 1 or past an explicit family's end) fail ``block_data`` and
         ``budget_window``.
         """
         w = self.weights
-        q = w.p / (w.p - 2)
-        cap_base = 1 + self.eps
+        under_cap = _window_cap(w, self.eps)
         ordering = []
         windows = []
         rederived = []
@@ -471,9 +470,10 @@ class GameTranscript:
             )
             S = fresh.budget
             t_k = w.budget(k)
-            low = S >= t_k
-            high = (S / t_k) ** q.denominator <= cap_base**q.numerator
-            windows.append(S == r.block.budget and low and high)
+            windows.append(
+                S == r.block.budget and r.budget_target == t_k
+                and S >= t_k and under_cap(S, t_k)
+            )
         supports = [set(r.indices) for r in self.rounds]
         disjoint = all(
             not (supports[i] & supports[j])
@@ -492,6 +492,21 @@ class GameTranscript:
             v for key, v in report.items() if isinstance(v, bool)
         )
         return report
+
+
+def _window_cap(w: WeightSequence, eps) -> Callable[[Fraction, Fraction], bool]:
+    """The exact upper edge of the round window, ``S <= (1+eps)^{p/(p-2)} t``.
+
+    With ``p/(p-2) = num/den`` in lowest terms it is decided as
+    ``(S/t)^den <= (1+eps)^num``, in rationals.
+    """
+    q = w.p / (w.p - 2)
+    cap = (1 + eps) ** q.numerator
+
+    def under_cap(S: Fraction, t: Fraction) -> bool:
+        return (S / t) ** q.denominator <= cap
+
+    return under_cap
 
 
 def play_game(
@@ -518,8 +533,7 @@ def play_game(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    q = w.p / (w.p - 2)
-    cap_base = 1 + eps
+    under_cap = _window_cap(w, eps)
     out: list[GameRound] = []
     frontier = 0
     for k in range(1, rounds + 1):
@@ -527,7 +541,6 @@ def play_game(
         if move < 1:
             raise ValueError(f"round {k}: adversary move must be positive")
         t_k = w.budget(k)
-        cap_num = cap_base**q.numerator  # compare (S/t)^den <= this, exactly
         chosen: list[int] = []
         S = Fraction(0)
         n = max(move, frontier) + 1
@@ -539,19 +552,13 @@ def play_game(
                     f"{max(move, frontier)} without filling the budget window"
                 )
             candidate = S + w.budget(n)
-            if (candidate / t_k) ** q.denominator <= cap_num:
+            if under_cap(candidate, t_k):
                 S = candidate
                 chosen.append(n)
             n += 1
             scanned += 1
         block = block_data(chosen, w)
-        within_cap = (S / t_k) ** q.denominator <= cap_num
-        out.append(
-            GameRound(
-                move=move, block=block, budget_target=t_k,
-                budget_cap_ok=within_cap,
-            )
-        )
+        out.append(GameRound(move=move, block=block, budget_target=t_k))
         frontier = max(block.indices)
     return GameTranscript(
         weights=w, eps=eps, rounds=tuple(out), index_budget=index_budget

@@ -17,7 +17,12 @@ from haarfactor.cli import (
 )
 from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix, max_column_sum
-from haarfactor.reduction import ReductionCertificate, verify_certificate
+from haarfactor.reduction import (
+    ReductionCertificate,
+    column_sum_bound,
+    paper_block_depth,
+    verify_certificate,
+)
 from haarfactor.weightedlp import GameTranscript
 
 
@@ -116,6 +121,43 @@ class TestReduceDiagonalCommand:
         _, out2, _ = invoke(capsys, "reduce-diagonal", "--in", arts["op"])
         assert sz.loads(out1) == sz.loads(out2)  # timestamps live in metadata
         assert json.loads(out1)["payload"] == json.loads(out2)["payload"]
+
+
+class TestReduceDiagonalPaperMode:
+    """Paper mode takes its norm bound from the column sum of the input."""
+
+    @pytest.fixture(params=["dense", "diagonal"])
+    def operator_path(self, request, tmp_path):
+        # the golden ``diagonal_paper`` operator: copy 4 at depth 3, p = 2
+        reg = BasisRegistry({4: 3})
+        noise = np.random.default_rng(5).standard_normal((reg.dim, reg.dim))
+        np.fill_diagonal(noise, 0.0)
+        T = OperatorMatrix(2.0, reg.indices, 0.5 * np.eye(reg.dim) + 1e-9 * noise)
+        assert column_sum_bound(reg, T.entries, 2.0)[1] == pytest.approx(7.5)
+        if request.param == "diagonal":
+            T = DiagonalOperator(2.0, reg.indices, T.diagonal())
+        path = tmp_path / "op.json"
+        sz.save(path, T)
+        return str(path)
+
+    def test_loose_eps_certifies(self, operator_path, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        code, out, _ = invoke(
+            capsys, "reduce-diagonal", "--in", operator_path, "--p", "2",
+            "--mode", "paper", "--eps", "30000", "--out", str(cert_path),
+        )
+        assert code == OK
+        assert sz.loads(out)["results"]["mode"] == "paper"
+        depth = paper_block_depth(1, 2.0, 7.5, 30000.0)
+        assert sz.load(cert_path).schedule["block_depths"] == {1: depth}
+
+    def test_tight_eps_needs_a_deeper_source(self, operator_path, capsys):
+        code, _, err = invoke(
+            capsys, "reduce-diagonal", "--in", operator_path, "--p", "2",
+            "--mode", "paper", "--eps", "0.25",
+        )
+        assert code == ERROR
+        assert "lacks copy 71" in sz.loads(err)["error"]["message"]
 
 
 class TestReduceScalarCommand:
@@ -321,6 +363,13 @@ class TestProgrammaticEntry:
 
 class TestSeededDefaults:
     """Commands run without --in on seeded inputs derived from the flags."""
+
+    def test_reduce_diagonal_seeded(self, capsys):
+        code, out, _ = invoke(
+            capsys, "reduce-diagonal", "--copies", "4,5", "--depths", "3,4"
+        )
+        assert code == OK
+        assert all(sz.loads(out)["checks"].values())
 
     def test_reduce_scalar_seeded(self, capsys):
         code, out, _ = invoke(capsys, "reduce-scalar", "--copies", "5", "--seed", "3")

@@ -1,5 +1,5 @@
-"""Golden bytes: pinned ``serialize.dumps`` digests for artifact kinds the
-benchmark never builds.
+"""Golden bytes: pinned ``serialize.dumps`` digests for artifacts the
+benchmark never builds, and for every top-level document kind.
 
 Each case is a small seeded instance.  The digests were recorded with the
 numpy version in ``NUMPY``; float results may round differently under
@@ -8,20 +8,24 @@ benchmark's reference digests follow the same rule).
 """
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from haarfactor import serialize
+from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.factorize import factor_large_diagonal
 from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix
+from haarfactor.randsigns import RandomBlockSpec, exact_moments
 from haarfactor.reduction import (
     identity_certificate,
     reduce_to_diagonal,
     reduce_to_scalar_finite,
     reduce_to_scalar_stitched,
 )
+from haarfactor.weightedlp import FixedScheduleAdversary, WeightSequence, play_game
 
 NUMPY = "2.4.6"
 
@@ -82,6 +86,40 @@ def factorization_exact():
     return factor_large_diagonal(T, 0.5, 0.25)
 
 
+def dense_operator():
+    return _perturbed(BasisRegistry({3: 2}), 4.0, 7, 1.0, 0.05)
+
+
+def diagonal_operator():
+    registry = BasisRegistry({2: 1, 3: 2})
+    d = np.random.default_rng(8).uniform(-1, 1, registry.dim)
+    return DiagonalOperator(4.0, registry.indices, d)
+
+
+def moment_report():
+    # the canonical ``verify-moments`` case: the level-1 pair population
+    # against its own first Haar function
+    registry = BasisRegistry({3: 2})
+    spec = RandomBlockSpec(registry, 3, intervals_at_level(1))
+    haar = registry.haar(OmegaIndex(3, DyadicInterval(1, 1)))
+    return exact_moments("Y", spec, haar, exponent=2.0)
+
+
+def game_explicit():
+    values = [Fraction(1)] * 2 + [Fraction(1, 2)] * 30
+    w = WeightSequence.explicit(4, values)
+    return play_game(FixedScheduleAdversary([1, 2, 3]), 3, w, Fraction(1, 10))
+
+
+def run_report():
+    return {
+        "command": "demo",
+        "depths": {1: 0, 2: 1},
+        "eps": Fraction(13, 12),
+        "values": [1, 2.5, None, True],
+    }
+
+
 CASES = {
     "identity": (
         identity,
@@ -114,6 +152,26 @@ CASES = {
     "factorization_exact": (
         factorization_exact,
         "72aa4e17d0de9ee0d5371fba38e0cca037cdf906095af1edfd9a92321faea7cc",
+    ),
+    "dense_operator": (
+        dense_operator,
+        "626f07441010b991ee91115d1d5c3066d351b05f21d9b969876877e24d474ea8",
+    ),
+    "diagonal_operator": (
+        diagonal_operator,
+        "95f014f6f5c5c9935d39b9ec311d477417a831d06c7389e607aec0fca40ec5a2",
+    ),
+    "moment_report": (
+        moment_report,
+        "120b507c1c62ea0e526b89a9d7768f328e947dca74e318b2f7bf152f1c4b697d",
+    ),
+    "game_explicit": (
+        game_explicit,
+        "dc3a3729a260950a53db499d26925bdd0b3062ae0480abb6512a18202d1a4a10",
+    ),
+    "run_report": (
+        run_report,
+        "b2462bbbf88a6678918874217d8417cfe94ea1bfb14d3fbe4be599399c62ee54",
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -743,6 +744,15 @@ class TestVerifyCertificate:
         reloaded = serialize.loads(text)
         assert serialize.dumps(reloaded) == text
         assert verify_certificate(reloaded)["ok"]
+
+    def test_detects_tampered_block_averages(self, triangle_route_composite):
+        assert verify_certificate(triangle_route_composite)["block_averages"]
+        doc = json.loads(serialize.dumps(triangle_route_composite))
+        doc["payload"]["block_averages"] = [9.0] * len(doc["payload"]["block_averages"])
+        report = verify_certificate(serialize.undocument(doc))
+        assert not report["block_averages"]
+        assert report["witnesses"] and report["residuals_match"]
+        assert not report["ok"]
 
     def test_detects_tampered_composite_bound(self, triangle_route_composite):
         tampered = dataclasses.replace(triangle_route_composite, certified_bound=1e-3)

@@ -186,6 +186,16 @@ class TestTranscriptRoundTrip:
         assert not report["ok"]
         assert report["budget_window"] and report["biorthogonal"]
 
+    def test_tampered_budget_target_no_longer_verifies(self):
+        w = WeightSequence.power(4, Fraction(1, 4))
+        t = play_game(FixedScheduleAdversary([1, 2, 3]), 3, w, Fraction(1, 10))
+        doc = json.loads(sz.dumps(t))
+        doc["payload"]["rounds"][1]["budget_target"] = "1/1000000"
+        report = sz.loads(json.dumps(doc)).verify()
+        assert not report["budget_window"]
+        assert not report["ok"]
+        assert report["block_data"] and report["biorthogonal"]
+
     def test_tampered_functional_is_rejected(self):
         w = WeightSequence.power(4, Fraction(1, 4))
         t = play_game(FixedScheduleAdversary([1]), 1, w, Fraction(1, 10))
