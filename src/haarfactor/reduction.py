@@ -38,8 +38,11 @@ Every certificate — diagonal, scalar, stitched, identity and composite —
 comes from one builder (``_build_certificate``): the constructors only
 choose blocks, witnesses, target entries and their run data, and the
 builder checks the family, certifies the residuals and assembles the
-artifact.  Every sign step goes through one search helper
-(``_run_sign_search``), which also writes the relaxed-step records.
+artifact.  Both reductions grow their blocks through one block induction
+(``_grow_blocks``): it carves each support, makes every sign choice and
+block assignment, and writes every step and relaxed-step record; the
+reductions supply only the host, the block level and the forms to keep
+small.
 """
 
 from __future__ import annotations
@@ -232,57 +235,85 @@ def _support_pieces(target: OmegaIndex, assignments) -> tuple[DyadicInterval, ..
     return tuple(K.child(side * s) for K, s in zip(pa.intervals, pa.signs))
 
 
-def _quadratic_value(C: np.ndarray, signs: np.ndarray) -> float:
-    return float(signs @ C @ signs)
-
-
-def _run_sign_search(
-    spec: RandomBlockSpec,
-    targets: list,
-    target: OmegaIndex,
+def _grow_blocks(
+    source: BasisRegistry,
+    targets: Sequence[OmegaIndex],
+    place: Callable,
+    constraints: Callable,
     *,
     search: str,
     pattern_budget: int,
     seed: int,
     paper: bool = False,
 ):
-    """One step's sign choice: ``(theta, relaxed record or None)``.
+    """The block induction: one signed block per target, in target order.
 
-    ``targets`` holds ``(form, tolerance, label)`` triples; empty lists
-    short-circuit to all +1.  A failed search raises
-    :class:`ReductionError` naming the worst violation when ``paper`` is
-    set; otherwise it keeps the least-bad pattern and returns the relaxed
-    step's record, each violation carrying its target's label.
+    ``place(t)`` gives target ``t``'s host copy and block level; the block
+    is every interval at that level inside the support that the parent's
+    signs leave for ``t`` (all of [0,1) for a root).  ``constraints(i, t,
+    spec, assignments)`` lists the step's ``(form, tolerance, label)``
+    triples, and the signs are searched (at ``seed + i``) to keep every
+    form within its tolerance; with no forms the signs are all +1.  A
+    failed search raises :class:`ReductionError` naming the worst violation
+    when ``paper`` is set; otherwise it keeps the least-bad pattern and
+    records a relaxed step, each violation carrying its form's label.
+
+    Returns ``(assignments, steps, relaxed)``, where ``steps[i]`` is target
+    ``i``'s base step record, its forms and their absolute values at the
+    chosen signs.
     """
-    if not targets:
-        return SignVector.from_index(spec.intervals, 0), None
-    result = sign_search(
-        spec,
-        [(rv, tol) for rv, tol, _ in targets],
-        mode=search,
-        budget=pattern_budget if search == "exhaustive" else None,
-        seed=seed,
-    )
-    if not isinstance(result, SignSearchFailure):
-        return result, None
-    if paper:
-        _, value, tol = max(result.violations, key=lambda v: v[1] / v[2])
-        raise ReductionError(
-            f"sign search failed at target {target}: "
-            f"best |value| {value:.3e} vs tolerance {tol:.3e}",
-            step=str(target),
-            achieved=value,
-            required=tol,
-        )
-    record = {
-        "target": str(target),
-        "violations": [
-            {**targets[k][2], "value": v, "tolerance": tol}
-            for k, v, tol in result.violations
-        ],
-        "evaluated": result.evaluated,
-    }
-    return result.best, record
+    assignments: dict[OmegaIndex, BlockAssignment] = {}
+    steps = []
+    relaxed = []
+    for i, t in enumerate(targets):
+        host, level = place(t)
+        pieces = _support_pieces(t, assignments)
+        spec = RandomBlockSpec(source, host, _members_within(pieces, level))
+        forms = constraints(i, t, spec, assignments)
+        theta = SignVector.from_index(spec.intervals, 0)
+        record = None
+        if forms:
+            theta = sign_search(
+                spec,
+                [(rv, tol) for rv, tol, _ in forms],
+                mode=search,
+                budget=pattern_budget if search == "exhaustive" else None,
+                seed=seed + i,
+            )
+        if isinstance(theta, SignSearchFailure):
+            if paper:
+                _, value, tol = max(theta.violations, key=lambda v: v[1] / v[2])
+                raise ReductionError(
+                    f"sign search failed at target {t}: "
+                    f"best |value| {value:.3e} vs tolerance {tol:.3e}",
+                    step=str(t),
+                    achieved=value,
+                    required=tol,
+                )
+            record = {
+                "target": str(t),
+                "violations": [
+                    {**forms[k][2], "value": v, "tolerance": tol}
+                    for k, v, tol in theta.violations
+                ],
+                "evaluated": theta.evaluated,
+            }
+            relaxed.append(record)
+            theta = theta.best
+        signs = theta.as_array().astype(float)
+        values = [
+            abs(float(signs @ rv @ signs if rv.ndim == 2 else rv @ signs))
+            for rv, _, _ in forms
+        ]
+        assignments[t] = BlockAssignment(host, spec.intervals, theta.signs)
+        base = {
+            "target": str(t),
+            "block_level": level,
+            "block_size": spec.size,
+            "relaxed": record is not None,
+        }
+        steps.append((base, forms, values))
+    return assignments, steps, relaxed
 
 
 def column_sum_bound(
@@ -430,7 +461,8 @@ def reduce_to_diagonal(
 
     # block depths k(n) and host copies N(n) = k(n) + n
     copies = sorted(target_registry.depths)
-    if mode == "paper":
+    paper = mode == "paper"
+    if paper:
         if t_norm_upper is None:
             raise ValueError("paper mode needs t_norm_upper for the depth schedule")
         kmap = {n: paper_block_depth(n, p, t_norm_upper, eps) for n in copies}
@@ -451,105 +483,67 @@ def reduce_to_diagonal(
     mu_t = target_registry.measures()
     rho = 0.9 * eps * mu_t ** (1.0 / p.p) / dim
 
-    assignments: dict[OmegaIndex, BlockAssignment] = {}
-    betas: dict[OmegaIndex, np.ndarray] = {}
-    row_cache: dict[OmegaIndex, np.ndarray] = {}
-    steps = []
-    relaxed = []
     source_mu = source.measures()
+    # per earlier block r: its coefficient vector beta_r and T beta_r
+    blocks: dict[OmegaIndex, tuple[np.ndarray, np.ndarray]] = {}
 
-    for i, t in enumerate(targets):
+    def rows_of(host, intervals):
+        return np.array([source.index_of[OmegaIndex(host, K)] for K in intervals])
+
+    def block_of(r, a: BlockAssignment):
+        if r not in blocks:
+            beta = np.zeros(source.dim)
+            beta[rows_of(a.host_copy, a.intervals)] = a.signs
+            blocks[r] = beta, _apply_columns(T, beta[:, None])[:, 0]
+        return blocks[r]
+
+    def constraints(i, t, spec, assignments):
         n = t.copy
-        host = hosts[n]
-        block_level = kmap[n] + t.interval.level
-        pieces = _support_pieces(t, assignments)
-        block = _members_within(pieces, block_level)
-        spec = RandomBlockSpec(source, host, block)
-        block = spec.intervals
-        rows = np.array([source.index_of[OmegaIndex(host, K)] for K in block])
-
-        search_targets = []
-        achieved_zero = {}
+        rows = rows_of(spec.host_copy, spec.intervals)
+        paper_zy = eps / 32.0 ** (5 * n + 2)
+        forms = []
 
         # self-interaction (off-diagonal part only; the diagonal is what the
         # emitted entry reproduces)
-        if isinstance(T, DiagonalOperator):
-            C_off = None
-        else:
+        if not isinstance(T, DiagonalOperator):
             C = spec.interaction_matrix(T)
             C_off = C - np.diag(np.diag(C))
-            if not np.any(C_off != 0.0):
-                C_off = None
-        if mode == "paper":
-            tol_z = eps / 32.0 ** (5 * n + 2)
-        else:
-            tol_z = rho[i] / 4 * float(mu_t[i]) ** (1.0 / p.q)
-        if C_off is not None:
-            search_targets.append((C_off, tol_z, {"kind": "z", "against": None}))
-        else:
-            achieved_zero["z"] = 0.0
+            if np.any(C_off != 0.0):
+                tol = paper_zy if paper else rho[i] / 4 * float(mu_t[i]) ** (1.0 / p.q)
+                forms.append((C_off, tol, {"kind": "z", "against": None}))
 
         # pairings against every earlier block, both directions
-        n_past = i
-        t_cols = _operator_columns(T, rows) if n_past else None
-        for j in range(i):
-            r = targets[j]
-            beta_r = betas[r]
+        t_cols = _operator_columns(T, rows) if i else None
+        for j, r in enumerate(targets[:i]):
+            beta_r, image_r = block_of(r, assignments[r])
             y = (source_mu * beta_r) @ t_cols
-            if mode == "paper":
-                tol_y = eps / 32.0 ** (5 * n + 2)
-            else:
-                tol_y = rho[i] / 4 * float(mu_t[j]) ** (1.0 / p.q) / n_past
             if np.any(y != 0.0):
-                search_targets.append((y, tol_y, {"kind": "y", "against": str(r)}))
-            w = source_mu[rows] * row_cache[r][rows]
-            if mode == "paper":
-                m_past = r.copy
-                tol_w = eps / 32.0 ** (
-                    2 * n + m_past + 3 + n / p.q + m_past / p.p
+                tol = paper_zy if paper else (
+                    rho[i] / 4 * float(mu_t[j]) ** (1.0 / p.q) / i
                 )
-            else:
-                tol_w = (
-                    rho[j] / 2 * float(mu_t[i]) ** (1.0 / p.q) / (dim - 1 - j)
-                )
+                forms.append((y, tol, {"kind": "y", "against": str(r)}))
+            w = source_mu[rows] * image_r[rows]
             if np.any(w != 0.0):
-                search_targets.append((w, tol_w, {"kind": "w", "against": str(r)}))
+                if paper:
+                    m = r.copy
+                    tol = eps / 32.0 ** (2 * n + m + 3 + n / p.q + m / p.p)
+                else:
+                    tol = rho[j] / 2 * float(mu_t[i]) ** (1.0 / p.q) / (dim - 1 - j)
+                forms.append((w, tol, {"kind": "w", "against": str(r)}))
+        return forms
 
-        theta, record = _run_sign_search(
-            spec,
-            search_targets,
-            t,
-            search=search,
-            pattern_budget=pattern_budget,
-            seed=seed + i,
-            paper=mode == "paper",
-        )
-        if record is not None:
-            relaxed.append(record)
-
-        signs = theta.as_array().astype(float)
-        achieved = dict(achieved_zero)
-        for rv, _, label in search_targets:
-            val = (
-                abs(_quadratic_value(rv, signs))
-                if rv.ndim == 2
-                else abs(float(rv @ signs))
-            )
-            achieved[label["kind"]] = max(achieved.get(label["kind"], 0.0), val)
-
-        assignments[t] = BlockAssignment(host, block, theta.signs)
-        beta = np.zeros(source.dim)
-        beta[rows] = signs
-        betas[t] = beta
-        row_cache[t] = _apply_columns(T, beta[:, None])[:, 0]
+    assignments, grown, relaxed = _grow_blocks(
+        source, targets,
+        lambda t: (hosts[t.copy], kmap[t.copy] + t.interval.level), constraints,
+        search=search, pattern_budget=pattern_budget, seed=seed, paper=paper,
+    )
+    steps = []
+    for base, forms, values in grown:
+        achieved = {"z": 0.0}
+        for (_, _, label), value in zip(forms, values):
+            achieved[label["kind"]] = max(achieved.get(label["kind"], 0.0), value)
         steps.append(
-            {
-                "target": str(t),
-                "block_level": block_level,
-                "block_size": len(block),
-                "relaxed": record is not None,
-                "achieved": {k: float(v) for k, v in sorted(achieved.items())},
-            }
+            {**base, "achieved": {k: float(v) for k, v in sorted(achieved.items())}}
         )
 
     witnesses = _block_witnesses(T, assignments, targets)
@@ -569,7 +563,7 @@ def reduce_to_diagonal(
         mode, T, source, target_registry, assignments, witnesses, averages,
         eps, schedule, metadata,
     )
-    if mode == "paper":
+    if paper:
         # per-column targets that the displayed tolerances are meant to
         # telescope to; verified numerically and reported, never assumed
         column_targets = [
@@ -753,53 +747,26 @@ def _scalar_induction(
     the two half-support averages of that level's diagonal entries within
     ``eps / (4 m)`` of the current support average.
     """
-    abstract = BasisRegistry.single_copy(m)
-    assignments: dict[OmegaIndex, BlockAssignment] = {}
-    steps = []
-    relaxed = []
     tol = eps / (4.0 * m)
-    for i, t in enumerate(abstract.indices):
-        ell = t.interval.level
-        block_level = levels[ell]
-        pieces = _support_pieces(t, assignments)
-        block = _members_within(pieces, block_level)
-        spec = RandomBlockSpec(source, host_copy, block)
-        block = spec.intervals
 
-        search_targets = []
-        for j in range(ell + 1, m):
-            fine = levels[j]
-            u, v = _half_means(d_levels[fine], block, fine)
-            coeffs = (u - v) / (2.0 * len(block))
+    def constraints(i, t, spec, assignments):
+        forms = []
+        for fine in levels[t.interval.level + 1:]:
+            u, v = _half_means(d_levels[fine], spec.intervals, fine)
+            coeffs = (u - v) / (2.0 * spec.size)
             if np.any(coeffs != 0.0):
-                search_targets.append((coeffs, tol, {}))
+                forms.append((coeffs, tol, {}))
+        return forms
 
-        theta, record = _run_sign_search(
-            spec,
-            search_targets,
-            t,
-            search=search,
-            pattern_budget=pattern_budget,
-            seed=seed + i,
-        )
-        if record is not None:
-            relaxed.append(record)
-
-        signs_arr = theta.as_array().astype(float)
-        achieved = max(
-            (abs(float(rv @ signs_arr)) for rv, _, _ in search_targets), default=0.0
-        )
-        assignments[t] = BlockAssignment(host_copy, block, theta.signs)
-        steps.append(
-            {
-                "target": str(t),
-                "block_level": block_level,
-                "block_size": len(block),
-                "relaxed": record is not None,
-                "achieved": float(achieved),
-                "tolerance": tol,
-            }
-        )
+    assignments, grown, relaxed = _grow_blocks(
+        source, BasisRegistry.single_copy(m).indices,
+        lambda t: (host_copy, levels[t.interval.level]), constraints,
+        search=search, pattern_budget=pattern_budget, seed=seed,
+    )
+    steps = [
+        {**base, "achieved": float(max(values, default=0.0)), "tolerance": tol}
+        for base, _, values in grown
+    ]
     return assignments, steps, relaxed
 
 
@@ -853,7 +820,7 @@ def _level_diagonals(diag, copy: int, depth: int) -> dict[int, np.ndarray]:
 
 
 def _scalar_certificate(
-    T,
+    exponent,
     source: BasisRegistry,
     host_copy: int,
     d_levels,
@@ -866,7 +833,7 @@ def _scalar_certificate(
     pattern_budget: int,
     t_norm_upper: float | None,
 ):
-    p = as_exponent(T.exponent)
+    p = as_exponent(exponent)
     depth_count = len(d_levels)
     gamma = t_norm_upper
     if gamma is None:
@@ -957,7 +924,7 @@ def reduce_to_scalar_finite(
     source = _registry_of(T)
     host_copy, d_levels = _single_copy_diag(T)
     run = _scalar_certificate(
-        T, source, host_copy, d_levels, m, eps, mode,
+        T.exponent, source, host_copy, d_levels, m, eps, mode,
         search=search, seed=seed, pattern_budget=pattern_budget,
         t_norm_upper=t_norm_upper,
     )
@@ -1040,7 +1007,7 @@ def reduce_to_scalar_stitched(
         for m_try in range(depth + 1, 0, -1):
             try:
                 run = _scalar_certificate(
-                    T, source, n, d_levels, m_try, eps_copy, "adaptive",
+                    T.exponent, source, n, d_levels, m_try, eps_copy, "adaptive",
                     search=search, seed=seed + 101 * n, pattern_budget=pattern_budget,
                     t_norm_upper=t_norm_upper,
                 )

@@ -157,7 +157,20 @@ def _matrix_from(rows, dim, where) -> np.ndarray:
                 f"{where}: row {pos} has {len(row) if isinstance(row, list) else 'no'}"
                 f" columns, expected {dim}"
             )
-    return np.array(rows, dtype=float)
+    return _rows_from(rows, where)
+
+
+def _rows_from(rows, where) -> np.ndarray:
+    """A matrix from a list of equally long rows of numbers."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SchemaError(f"{where} must be a list of rows")
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise SchemaError(f"{where}: ragged rows of lengths {widths}")
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _floats(values, where) -> list[float]:
@@ -301,10 +314,14 @@ def _depths_from(payload, where) -> dict[int, int]:
 
 
 def _same(convert):
-    """Codec for a JSON-native value converted alike in both directions."""
+    """Codec for a JSON-native value converted alike in both directions; a
+    value that does not convert is a :class:`SchemaError` at ``where``."""
 
     def code(value, where):
-        return convert(value)
+        try:
+            return convert(value)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
 
     return code, code
 
@@ -327,7 +344,7 @@ _FLOATS = (
 )
 _MATRIX = (
     lambda matrix, where: [[float(x) for x in row] for row in matrix],
-    lambda rows, where: np.array(rows, dtype=float),
+    _rows_from,
 )
 _TREE = (_encode_tree, lambda value, where: _decode_tree(value))
 _OPERATOR = (_operator_payload, _operator_from)

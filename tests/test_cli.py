@@ -15,11 +15,13 @@ from haarfactor.cli import (
     main,
     run,
 )
+from haarfactor.factorize import factor_large_diagonal
 from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix, max_column_sum
 from haarfactor.reduction import (
     ReductionCertificate,
     column_sum_bound,
+    identity_certificate,
     paper_block_depth,
     verify_certificate,
 )
@@ -323,12 +325,58 @@ class TestCheckDistributionCommand:
         assert body["error"]["type"] == "SchemaError"
         assert "surprise" in body["error"]["message"]
 
+    def test_witness_outside_the_source_is_a_false_verdict(self, capsys, tmp_path):
+        registry = BasisRegistry({2: 1, 3: 2})
+        S = DiagonalOperator(4.0, registry.indices, np.linspace(0.1, 0.9, registry.dim))
+        doc = json.loads(sz.dumps(identity_certificate(S)))
+        doc["payload"]["witnesses"][0]["positions"] = ["4/0:1"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, "check-distribution", "--in", str(bad))
+        assert code == NEGATIVE
+        assert sz.loads(out)["results"]["witnesses"] is False
+
     def test_missing_file_is_an_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "check-distribution", "--in", str(tmp_path / "nope.json")
         )
         assert code == ERROR
         assert sz.loads(err)["status"] == ERROR
+
+
+class TestMalformedWitness:
+    """A witness field of the wrong JSON type is an exit-1 error report
+    naming the field."""
+
+    @pytest.fixture(scope="class")
+    def witness_doc(self):
+        registry = BasisRegistry({2: 1, 3: 2})
+        d = np.random.default_rng(21).uniform(0.5, 2.0, registry.dim)
+        T = OperatorMatrix.from_diagonal(4.0, registry.indices, d)
+        return json.loads(sz.dumps(factor_large_diagonal(T, 0.5, 0.25)))
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("norm_factors", lambda payload: list(payload["norm_factors"].values())),
+            ("residual", lambda payload: [1.0]),
+            ("left_factor", lambda payload: [*payload["left_factor"][:-1], [1.0]]),
+            ("left_factor", lambda payload: [["x"]] * len(payload["left_factor"])),
+        ],
+        ids=["map-as-list", "float-as-list", "ragged-rows", "non-numeric-entries"],
+    )
+    def test_is_an_error_naming_the_field(
+        self, witness_doc, capsys, tmp_path, field, edit
+    ):
+        doc = json.loads(json.dumps(witness_doc))
+        doc["payload"][field] = edit(doc["payload"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, "reduce-scalar", "--in", str(bad))
+        assert code == ERROR
+        body = sz.loads(err)
+        assert body["error"]["type"] == "SchemaError"
+        assert field in body["error"]["message"]
 
 
 class TestProgrammaticEntry:

@@ -66,6 +66,14 @@ def diagonal_sampled():
     return reduce_to_diagonal(T, {1: 0, 2: 1}, 0.5, search="sampled", seed=3)
 
 
+def diagonal_of_diagonal():
+    # a diagonal source: no Z forms, and Y/W forms from diagonal columns
+    registry = BasisRegistry({4: 3, 5: 4})
+    d = np.random.default_rng(9).uniform(-1, 1, registry.dim)
+    T = DiagonalOperator(4.0, registry.indices, d)
+    return reduce_to_diagonal(T, {1: 0, 2: 1}, 0.5, k_schedule={1: 3, 2: 3})
+
+
 def scalar_paper():
     source = BasisRegistry.single_copy(4)
     d = 0.3 + np.random.default_rng(6).uniform(-0.01, 0.01, source.dim)
@@ -77,6 +85,14 @@ def scalar_relaxed():
     source = BasisRegistry.single_copy(6)
     d = np.random.default_rng(1).uniform(-1, 1, source.dim)
     return reduce_to_scalar_finite(DiagonalOperator(2.0, source.indices, d), 3, 1.0)
+
+
+def scalar_sampled():
+    # sampled sign search, with relaxed steps
+    source = BasisRegistry.single_copy(6)
+    d = np.random.default_rng(1).uniform(-1, 1, source.dim)
+    T = DiagonalOperator(2.0, source.indices, d)
+    return reduce_to_scalar_finite(T, 3, 1.0, search="sampled", seed=4)
 
 
 def factorization_exact():
@@ -141,6 +157,10 @@ CASES = {
         diagonal_sampled,
         "3ce5a543755edac94e99cf3536a7c59006781aa676ec711c29b145e16f70a01b",
     ),
+    "diagonal_of_diagonal": (
+        diagonal_of_diagonal,
+        "a591a6b2ed6eb57a2a3b29ca0d96658e6e3ec0df377234db9740acf5a60b4d71",
+    ),
     "scalar_paper": (
         scalar_paper,
         "b284b88e468e42dd471c9fcf14fc7baf9b2638cb7c6f6d9925797c90fc38d6ca",
@@ -148,6 +168,10 @@ CASES = {
     "scalar_relaxed": (
         scalar_relaxed,
         "5342487eef087823b076f664088ca9ab11232d791a667c90445ece477bdb96a5",
+    ),
+    "scalar_sampled": (
+        scalar_sampled,
+        "a111cc75e75cefda2fe72b3ca0aac7ac18cff6fd18c29000bd76be6ea4cf674b",
     ),
     "factorization_exact": (
         factorization_exact,

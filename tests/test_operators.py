@@ -131,8 +131,7 @@ class TestAverages:
     def test_unknown_position(self):
         T = OperatorMatrix.from_diagonal(2, TWO, [1.0, 2.0])
         w = DiagonalAverageWitness(1.0, (ELEVEN[5],))
-        with pytest.raises(ValueError):
-            w.verify(T)
+        assert w.verify(T) is False
 
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):
