@@ -36,10 +36,11 @@ evaluated on a matrix of sign rows by one evaluator; the rows are all
 monte-carlo).  `exact_moments`, `monte_carlo_moments`, `eval_statistic` and
 `reduction.lambda_pm_moments` only build forms and bounds.
 
-`sign_search` evaluates several forms on the same rows and looks for one
-pattern driving all of them below their tolerances.  The winner is
-deterministic (smallest pattern index in exhaustive mode, earliest draw in
-sampled mode), so concurrent evaluation cannot change the result.
+`sign_search` looks for one pattern driving several forms below their
+tolerances.  Its verdicts come from one fixed-order evaluator
+(`_ordered_values`); faster evaluations only shortlist patterns for it, so
+the winner (smallest pattern index in exhaustive mode, earliest draw in
+sampled mode) does not depend on how rows are batched.
 """
 
 from __future__ import annotations
@@ -204,19 +205,62 @@ class MomentReport:
 # -- the moment engine: form -> rows -> report ---------------------------------
 
 
+def _form(rv) -> np.ndarray:
+    """A sign form as a float array: a coefficient vector or a square matrix."""
+    arr = np.asarray(rv, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError("a sign form is a coefficient vector or a square matrix")
+    return arr
+
+
 def _target_values(rv: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Evaluate one sign form on every sign row of ``S``.
 
     A vector ``c`` is the linear form ``theta . c``; a square matrix ``C``
     is the off-diagonal quadratic form ``theta^T C theta - tr C``.
     """
-    arr = np.asarray(rv, dtype=float)
+    arr = _form(rv)
     Sf = S.astype(float)
     if arr.ndim == 1:
         return Sf @ arr
-    if arr.ndim == 2:
-        return np.einsum("ij,jk,ik->i", Sf, arr, Sf) - np.trace(arr)
-    raise ValueError("a sign form is a coefficient vector or a square matrix")
+    return np.einsum("ij,jk,ik->i", Sf, arr, Sf) - np.trace(arr)
+
+
+def _ordered_values(rv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The sign form on each row, its exact terms added left to right.
+
+    The terms are ``theta_j c_j`` for a vector and ``theta_j theta_k C_jk``
+    (``j != k``, row-major) for a matrix; each is exact, and the sum runs
+    in this one order for every row, without BLAS, so a row's value does
+    not depend on the other rows.  Negating a row negates every term and
+    every rounded partial sum, so ``|value|`` is exactly mirror-symmetric.
+    """
+    arr = _form(rv)
+    acc = np.zeros(len(rows))
+    if arr.ndim == 1:
+        for j, c in enumerate(arr):
+            acc += rows[:, j] * c
+    else:
+        for (j, k), c in np.ndenumerate(arr):
+            if j != k:
+                acc += rows[:, j] * rows[:, k] * c
+    return acc
+
+
+def _margin(rv: np.ndarray) -> float:
+    """``m = 2 gamma_{2N} A``: two evaluations of the form differ by less.
+
+    See `sign_search` for the derivation; ``N`` counts the terms and ``A``
+    is their absolute sum, both counted to cover `_target_values` too.
+    """
+    arr = _form(rv)
+    if arr.ndim == 1:
+        count, size = arr.size, math.fsum(np.abs(arr))
+    else:
+        count = arr.size + len(arr)
+        size = math.fsum(np.abs(arr).ravel()) + math.fsum(np.abs(np.diag(arr)))
+    ku = 2 * count * 2.0**-53
+    return 2.0 * ku / (1.0 - ku) * size
 
 
 def closed_variance(rv: np.ndarray) -> float:
@@ -229,11 +273,20 @@ def closed_variance(rv: np.ndarray) -> float:
     return float(np.sum(off * off.T) + np.sum(off * off))
 
 
+def _index_signs(index: np.ndarray, n: int) -> np.ndarray:
+    """The int8 sign rows of the pattern indices ``index`` (bit ``j`` set
+    flips sign ``j``), unpacked from the indices' little-endian bytes."""
+    octets = np.asarray(index, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(octets[:, : (n + 7) // 8], axis=1, bitorder="little")
+    signs = bits[:, :n].astype(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
+
+
 def sign_matrix(n: int) -> np.ndarray:
     """All ``2^n`` sign rows; row ``i`` is ``SignVector.from_index(-, i)``."""
-    idx = np.arange(2**n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    return _index_signs(np.arange(2**n, dtype=np.uint64), n)
 
 
 def drawn_signs(count: int, n: int, seed: int) -> np.ndarray:
@@ -421,6 +474,100 @@ class SignSearchFailure:
         return max(abs(v) / t for _, v, t in self.violations) if self.violations else 0.0
 
 
+# Scanned chunks start at `_FIRST` sign patterns and double up to `_BLOCK`:
+# an early hit stays cheap, and memory stays bounded for any ``n``.
+_FIRST, _BLOCK = 2**12, 2**16
+
+
+def _spans(total: int, first: int, largest: int):
+    """``[start, stop)`` spans covering ``range(total)`` in order: ``first``
+    rows, then doubling up to ``largest`` rows (each at least one)."""
+    largest = max(1, largest)
+    start, step = 0, max(1, min(first, largest))
+    while start < total:
+        stop = min(total, start + step)
+        yield start, stop
+        start, step = stop, min(2 * step, largest)
+
+
+def _split_chunks(forms: Sequence[np.ndarray], n: int):
+    """Shortlist values of every form on the patterns with ``theta_{n-1} = +1``.
+
+    With ``h = n // 2``, pattern ``i = lo + (hi << h)`` splits ``theta``
+    into its low ``h`` and high ``n - h`` signs.  A vector form is the sum
+    of a low and a high partial sum; a matrix form (diagonal dropped) adds
+    the two halves' own quadratic forms and the cross term
+    ``H (C_hl + C_lh^T) L^T``, one BLAS product.  The low halves are
+    tabulated once; blocks of high halves are walked in index order, and
+    each yields ``(indices, [values per form])`` in index order.
+    """
+    h = n // 2
+    low = sign_matrix(h).astype(float)
+    parts = []
+    for arr in forms:
+        if arr.ndim == 1:
+            parts.append((arr[h:], low @ arr[:h], None))
+        else:
+            off = arr - np.diag(np.diag(arr))
+            own = ((low @ off[:h, :h]) * low).sum(axis=1)
+            parts.append((off[h:, h:], own, (off[h:, :h] + off[:h, h:].T) @ low.T))
+    for start, stop in _spans(2 ** (n - h - 1), _FIRST >> h, _BLOCK >> h):
+        highs = np.arange(start, stop)
+        high = _index_signs(highs, n - h).astype(float)
+        values = []
+        for hh, low_part, cross in parts:
+            if cross is None:
+                v = (high @ hh)[:, None] + low_part
+            else:
+                v = ((high @ hh) * high).sum(axis=1)[:, None] + low_part + high @ cross
+            values.append(v.ravel())
+        yield ((highs[:, None] << h) + np.arange(2**h)).ravel(), values
+
+
+def _verdicts(count, values, limits, tols) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``count``: is every ``|value| < limit``, and ``max |value| / tol``."""
+    ok = np.ones(count, dtype=bool)
+    worst = np.zeros(count)
+    for v, limit, tol in zip(values, limits, tols):
+        a = np.abs(v)
+        ok &= a < limit
+        np.maximum(worst, a / tol, out=worst)
+    return ok, worst
+
+
+def _first_or_least_bad(chunks, forms, tols, rows_of) -> tuple[int, bool]:
+    """Scan shortlisted chunks in order and confirm with `_ordered_values`.
+
+    Returns ``(row, True)`` for the first row meeting every tolerance, or
+    ``(row, False)`` for the row of least worst ratio (first among ties).
+    """
+    margins = [_margin(arr) for arr in forms]
+    limits = [np.nextafter(tol + m, np.inf) for tol, m in zip(tols, margins)]
+    window = 2.0 * max((m / tol for tol, m in zip(tols, margins)), default=0.0)
+
+    def confirm(index):
+        rows = rows_of(index)
+        values = [_ordered_values(arr, rows) for arr in forms]
+        return _verdicts(len(rows), values, tols, tols)
+
+    floor, best, best_ratio = math.inf, 0, math.inf
+    for index, values in chunks:
+        ok, worst = _verdicts(len(index), values, limits, tols)
+        shortlist = index[ok]
+        for start, stop in _spans(len(shortlist), 1, _BLOCK):
+            hit, _ = confirm(shortlist[start:stop])
+            if hit.any():
+                return int(shortlist[start + np.argmax(hit)]), True
+        floor = min(floor, float(worst.min()))
+        near = index[worst <= floor + window]
+        if len(near):
+            _, ratios = confirm(near)
+            k = int(np.argmin(ratios))
+            if ratios[k] < best_ratio:
+                best, best_ratio = int(near[k]), ratios[k]
+    return best, False
+
+
 def sign_search(
     spec: RandomBlockSpec,
     targets: Sequence[tuple[np.ndarray, float]],
@@ -433,21 +580,62 @@ def sign_search(
 
     Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
     coefficient vector (linear form ``theta . c``) or a square matrix ``C``
-    (off-diagonal quadratic form).  Exhaustive mode scans pattern indices in
-    order and returns the smallest satisfying index, so it is complete: a
-    `SignSearchFailure` means no pattern exists.  Sampled mode draws i.i.d.
-    uniform patterns from the seed and returns the first hit.  Its default
+    (off-diagonal quadratic form).  Exhaustive mode returns the smallest
+    satisfying pattern index, so it is complete: a `SignSearchFailure`
+    means no pattern exists.  Sampled mode draws i.i.d. uniform patterns
+    from the seed and returns the first hit in draw order.  Its default
     budget comes from the Chebyshev failure probability
     ``q = sum closed_variance / tol^2`` of the targets: 64 times the
     expected number of draws ``1 / (1 - q)`` when ``q < 1``, else 4096.
+    A failure carries the pattern of least worst ratio ``max |value| /
+    tol`` (smallest index, or earliest draw, among ties), with violations
+    recorded from `_target_values` at that pattern.
 
-    Without an explicit ``budget`` neither mode builds more than
-    ``2^ENUMERATION_CAP`` sign rows: a search that would need more raises
+    *Decisions.*  Whether a pattern meets a tolerance, and its worst
+    ratio, come from one evaluator, `_ordered_values`: it adds the form's
+    exact terms ``+-c_j`` or ``+-C_jk`` in one fixed order per row.  BLAS
+    results change with how rows are batched, so they cannot decide a
+    single row reproducibly; here they only shortlist.
+
+    *Filter.*  Exhaustive mode shortlists from the split sums of
+    `_split_chunks` (low and high halves, Horowitz-Sahni), sampled mode
+    from `_target_values` on chunks of draws.  Both sum the same exact
+    terms in other orders.  Any order of summing ``N`` exact terms of
+    absolute sum ``A`` errs by at most ``gamma_{N-1} A``, with ``gamma_k =
+    k u / (1 - k u)`` and ``u = 2^-53`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, §3.1, applied along the summation tree).  So
+    the shortlist and decision values differ by at most ``2 gamma_{N-1}
+    A``.  `_margin` takes ``m = 2 gamma_{2N} A``, with ``N = n`` and ``A =
+    sum |c_j|`` for a vector, ``N = n^2 + n`` and ``A = sum |C_jk| + sum
+    |C_jj|`` for a matrix (this covers `_target_values`, which adds the
+    diagonal and subtracts the trace); the extra terms in ``gamma_{2N}``
+    pay for the roundings in forming ``m``, the ratios and the window
+    below.  A pattern meeting ``tol`` therefore has every shortlist value
+    below ``tol + m`` (taken one ulp up), and the least-bad pattern has a
+    shortlist worst ratio within ``2 max(m / tol)`` of the smallest one.
+
+    *Confirm.*  Chunks are scanned in order.  A chunk's shortlisted
+    patterns are confirmed with the decision evaluator and the first
+    confirmed one is returned.  Otherwise the chunk's patterns within the
+    window of the smallest shortlist ratio so far are confirmed, and the
+    least-bad pattern is kept.
+
+    *One sign class.*  A search form has no offset, so the decision
+    evaluator gives ``|form(-theta)| = |form(theta)|`` exactly.  Pattern
+    ``i`` and its mirror ``2^n - 1 - i`` share verdict and ratio, and the
+    smaller index has ``theta_{n-1} = +1``; exhaustive mode scans only
+    indices below ``2^(n-1)``.  Those settle all ``2^n`` patterns, which
+    is what ``evaluated`` reports.
+
+    Without an explicit ``budget`` neither mode covers more than
+    ``2^ENUMERATION_CAP`` patterns: a search that would need more raises
     :class:`ResourceLimitError`.
     """
     if any(tol <= 0 for _, tol in targets):
         raise ValueError("tolerances must be positive")
     n = spec.size
+    forms = [_form(rv) for rv, _ in targets]
+    tols = [tol for _, tol in targets]
     if mode == "exhaustive":
         if budget is None and n > ENUMERATION_CAP:
             raise ResourceLimitError(
@@ -459,7 +647,12 @@ def sign_search(
                 f"2^{n} patterns exceed the search budget {budget}; "
                 "use sampled mode"
             )
-        S = sign_matrix(n)
+        evaluated = 2**n
+        chunks = _split_chunks(forms, n)
+
+        def rows_of(index):
+            return _index_signs(index, n)
+
     elif mode == "sampled":
         if budget is None:
             q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
@@ -470,25 +663,23 @@ def sign_search(
                     f"2^{ENUMERATION_CAP}; pass an explicit budget"
                 )
         S = drawn_signs(budget, n, seed)
+        evaluated = len(S)
+        chunks = (
+            (np.arange(start, stop), [_target_values(arr, S[start:stop]) for arr in forms])
+            for start, stop in _spans(len(S), _FIRST, _BLOCK)
+        )
+        rows_of = S.__getitem__
     else:
         raise ValueError(f"unknown mode {mode!r}; expected exhaustive or sampled")
 
-    ok = np.ones(len(S), dtype=bool)
-    worst = np.zeros(len(S))
-    for rv, tol in targets:
-        vals = np.abs(_target_values(rv, S))
-        ok &= vals < tol
-        np.maximum(worst, vals / tol, out=worst)
-    hits = np.flatnonzero(ok)
-    if len(hits):
-        row = S[hits[0]]
-        return SignVector(spec.intervals, tuple(int(s) for s in row))
-    best_row = S[int(np.argmin(worst))]
-    best = SignVector(spec.intervals, tuple(int(s) for s in best_row))
+    row, hit = _first_or_least_bad(chunks, forms, tols, rows_of)
+    signs = rows_of(np.array([row]))[0]
+    theta = SignVector(spec.intervals, tuple(int(s) for s in signs))
+    if hit:
+        return theta
     violations = []
-    arr = best.as_array()[None, :]
-    for i, (rv, tol) in enumerate(targets):
-        val = float(_target_values(rv, arr)[0])
+    for i, (arr, tol) in enumerate(zip(forms, tols)):
+        val = float(_target_values(arr, signs[None, :])[0])
         if not abs(val) < tol:
             violations.append((i, abs(val), tol))
-    return SignSearchFailure(best, tuple(violations), evaluated=len(S))
+    return SignSearchFailure(theta, tuple(violations), evaluated=evaluated)

@@ -335,9 +335,26 @@ def _optional(codec):
     )
 
 
+def _number(value, where) -> float:
+    """A JSON number read as a float; a bool or string is a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _number_map(values, where) -> dict:
+    """A JSON object of numbers read as floats, each checked by `_number`."""
+    if not isinstance(values, dict):
+        raise SchemaError(f"{where} must be an object, got {type(values).__name__}")
+    return {k: _number(v, f"{where}.{k}") for k, v in values.items()}
+
+
 _AS_IS = _same(lambda value: value)
-_FLOAT = _same(float)
-_FLOAT_MAP = _same(lambda values: {k: float(v) for k, v in values.items()})
+_FLOAT = (_same(float)[0], _number)
+_FLOAT_MAP = (_same(lambda values: {k: float(v) for k, v in values.items()})[0], _number_map)
 _FLOATS = (
     lambda values, where: [float(v) for v in values],
     lambda values, where: tuple(_floats(values, where)),

@@ -362,8 +362,13 @@ class TestMalformedWitness:
             ("residual", lambda payload: [1.0]),
             ("left_factor", lambda payload: [*payload["left_factor"][:-1], [1.0]]),
             ("left_factor", lambda payload: [["x"]] * len(payload["left_factor"])),
+            ("residual", lambda payload: "1e-3"),
+            ("eps", lambda payload: True),
         ],
-        ids=["map-as-list", "float-as-list", "ragged-rows", "non-numeric-entries"],
+        ids=[
+            "map-as-list", "float-as-list", "ragged-rows", "non-numeric-entries",
+            "float-as-string", "float-as-bool",
+        ],
     )
     def test_is_an_error_naming_the_field(
         self, witness_doc, capsys, tmp_path, field, edit

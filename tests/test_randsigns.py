@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.errors import ResourceLimitError
@@ -12,12 +16,17 @@ from haarfactor.grids import pairing
 from haarfactor.haarsys import BasisRegistry, realize
 from haarfactor.operators import OperatorMatrix
 from haarfactor.randsigns import (
+    ENUMERATION_CAP,
     MomentReport,
     RandomBlockSpec,
     SignSearchFailure,
     SignVector,
+    _margin,
+    _ordered_values,
+    _target_values,
     closed_variance,
     condition_star,
+    drawn_signs,
     eval_statistic,
     exact_moments,
     monte_carlo_moments,
@@ -73,12 +82,95 @@ def enumerate_oracle(spec, kind, data):
     return mean, var
 
 
+# The full scan that `sign_search` replaced, kept verbatim as its oracle: it
+# builds all 2^n sign rows (or all draws), evaluates every target on every
+# row with BLAS, and takes the first hit or the first least-bad row.
+def oracle_sign_search(
+    spec: RandomBlockSpec,
+    targets: Sequence[tuple[np.ndarray, float]],
+    mode: str = "exhaustive",
+    *,
+    budget: int | None = None,
+    seed: int = 0,
+) -> SignVector | SignSearchFailure:
+    """Find one sign pattern with ``|value| < tol`` for every target.
+
+    Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
+    coefficient vector (linear form ``theta . c``) or a square matrix ``C``
+    (off-diagonal quadratic form).  Exhaustive mode scans pattern indices in
+    order and returns the smallest satisfying index, so it is complete: a
+    `SignSearchFailure` means no pattern exists.  Sampled mode draws i.i.d.
+    uniform patterns from the seed and returns the first hit.  Its default
+    budget comes from the Chebyshev failure probability
+    ``q = sum closed_variance / tol^2`` of the targets: 64 times the
+    expected number of draws ``1 / (1 - q)`` when ``q < 1``, else 4096.
+
+    Without an explicit ``budget`` neither mode builds more than
+    ``2^ENUMERATION_CAP`` sign rows: a search that would need more raises
+    :class:`ResourceLimitError`.
+    """
+    if any(tol <= 0 for _, tol in targets):
+        raise ValueError("tolerances must be positive")
+    n = spec.size
+    if mode == "exhaustive":
+        if budget is None and n > ENUMERATION_CAP:
+            raise ResourceLimitError(
+                f"2^{n} patterns exceed the cap 2^{ENUMERATION_CAP}; "
+                "pass a budget or use sampled mode"
+            )
+        if budget is not None and 2**n > budget:
+            raise ResourceLimitError(
+                f"2^{n} patterns exceed the search budget {budget}; "
+                "use sampled mode"
+            )
+        S = sign_matrix(n)
+    elif mode == "sampled":
+        if budget is None:
+            q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
+            budget = 64 * math.ceil(1.0 / (1.0 - q)) if q < 1.0 else 4096
+            if budget > 2**ENUMERATION_CAP:
+                raise ResourceLimitError(
+                    f"the Chebyshev budget of {budget} draws exceeds the cap "
+                    f"2^{ENUMERATION_CAP}; pass an explicit budget"
+                )
+        S = drawn_signs(budget, n, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected exhaustive or sampled")
+
+    ok = np.ones(len(S), dtype=bool)
+    worst = np.zeros(len(S))
+    for rv, tol in targets:
+        vals = np.abs(_target_values(rv, S))
+        ok &= vals < tol
+        np.maximum(worst, vals / tol, out=worst)
+    hits = np.flatnonzero(ok)
+    if len(hits):
+        row = S[hits[0]]
+        return SignVector(spec.intervals, tuple(int(s) for s in row))
+    best_row = S[int(np.argmin(worst))]
+    best = SignVector(spec.intervals, tuple(int(s) for s in best_row))
+    violations = []
+    arr = best.as_array()[None, :]
+    for i, (rv, tol) in enumerate(targets):
+        val = float(_target_values(rv, arr)[0])
+        if not abs(val) < tol:
+            violations.append((i, abs(val), tol))
+    return SignSearchFailure(best, tuple(violations), evaluated=len(S))
+
+
 class TestSignVector:
     def test_from_index_bit_convention(self):
         ks = tuple(intervals_at_level(1))
         assert SignVector.from_index(ks, 0).signs == (1, 1)
         assert SignVector.from_index(ks, 1).signs == (-1, 1)
         assert SignVector.from_index(ks, 2).signs == (1, -1)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matrix_agrees_with_the_shift_expression(self, n):
+        idx = np.arange(2**n, dtype=np.int64)
+        bits = (idx[:, None] >> np.arange(n)) & 1
+        assert np.array_equal(sign_matrix(n), (1 - 2 * bits).astype(np.int8))
+        assert sign_matrix(n).dtype == np.int8
 
     def test_matrix_agrees_with_from_index(self):
         ks = tuple(intervals_at_level(2))
@@ -391,3 +483,176 @@ class TestSignSearch:
         reg, spec = level_one_spec()
         with pytest.raises(ValueError):
             sign_search(spec, [(np.ones(2), 0.0)])
+
+
+# -- the split search against the full scan ------------------------------------
+
+SEARCH_REGISTRY = BasisRegistry({5: 4})
+
+
+def search_spec(n):
+    return RandomBlockSpec(SEARCH_REGISTRY, 5, intervals_at_level(4)[:n])
+
+
+def scanned_rows(n, mode, seed, budget):
+    return sign_matrix(n) if mode == "exhaustive" else drawn_signs(budget, n, seed)
+
+
+@st.composite
+def placed_targets(draw, max_n):
+    """``(n, targets, exact)``: one to three random forms on ``n`` signs,
+    each tolerance one to three margins (`_margin`) away from one attained
+    value, and farther than one margin from every exact value.
+    ``exact`` targets have small integer coefficients, so every evaluation
+    order gives the same value and ties between patterns are exact."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exact = draw(st.booleans())
+    rows = sign_matrix(n)
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = (n, n) if draw(st.booleans()) else (n,)
+        rv = rng.integers(-3, 4, shape).astype(float) if exact else rng.standard_normal(shape)
+        attained = np.sort(np.abs(_ordered_values(rv, rows)))
+        anchor = attained[draw(st.one_of(st.integers(0, 3), st.integers(0, 2**n - 1))) % 2**n]
+        m = _margin(rv)
+        tol = float(anchor + draw(st.sampled_from((-1, 1))) * draw(st.floats(1, 3)) * m)
+        # the decision evaluator is within m / 4 of the exact value
+        assume(tol > 0 and np.all(np.abs(attained - tol) > 1.25 * m))
+        targets.append((rv, tol))
+    return n, targets, exact
+
+
+def unique_least_bad(targets, rows):
+    """Is the least-bad row's pattern, up to a global sign flip, ahead of
+    every other pattern by more than the search's rounding window?"""
+    ratios = np.max(
+        [np.abs(_ordered_values(rv, rows)) / tol for rv, tol in targets], axis=0
+    )
+    n = rows.shape[1]
+    index = (rows < 0).astype(np.int64) @ (1 << np.arange(n))
+    pattern = np.minimum(index, 2**n - 1 - index)
+    window = 2 * max(_margin(rv) / tol for rv, tol in targets)
+    best = int(np.argmin(ratios))
+    others = ratios[pattern != pattern[best]]
+    return bool(np.all(others > ratios[best] + 4 * window))
+
+
+def exact_values(rv, rows):
+    """The form on each row in rational arithmetic."""
+    c = [[Fraction(x) for x in line] for line in np.atleast_2d(rv)]
+    out = []
+    for row in rows.tolist():
+        if rv.ndim == 1:
+            out.append(sum(s * x for s, x in zip(row, c[0])))
+        else:
+            out.append(sum(
+                row[j] * row[k] * c[j][k]
+                for j in range(len(row)) for k in range(len(row)) if j != k
+            ))
+    return out
+
+
+class TestSplitSearch:
+    def test_agrees_with_the_full_scan(self):
+        seen = set()
+
+        @settings(max_examples=250, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+        @given(placed_targets(12), st.sampled_from(["exhaustive", "sampled"]),
+               st.integers(0, 2**16))
+        def agree(case, mode, seed):
+            n, targets, exact = case
+            spec = search_spec(n)
+            budget = 512 if mode == "sampled" else None
+            want = oracle_sign_search(spec, targets, mode, budget=budget, seed=seed)
+            got = sign_search(spec, targets, mode, budget=budget, seed=seed)
+            failed = isinstance(want, SignSearchFailure)
+            if failed and not exact:
+                # rows tied in exact arithmetic may round either way in BLAS
+                assume(unique_least_bad(targets, scanned_rows(n, mode, seed, budget)))
+            assert got == want
+            seen.add((mode, failed))
+
+        agree()
+        assert seen == {(m, f) for m in ("exhaustive", "sampled") for f in (True, False)}
+
+    def test_decisions_follow_the_exact_values(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+        @given(placed_targets(7), st.sampled_from(["exhaustive", "sampled"]),
+               st.integers(0, 2**16))
+        def follow(case, mode, seed):
+            n, targets, _ = case
+            budget = 64 if mode == "sampled" else None
+            rows = scanned_rows(n, mode, seed, budget)
+            values = [exact_values(rv, rows) for rv, _ in targets]
+            assume(all(
+                abs(abs(v) - Fraction(tol)) > Fraction(_margin(rv))
+                for (rv, tol), vs in zip(targets, values) for v in vs
+            ))
+            meets = [
+                all(abs(vs[i]) < Fraction(tol) for (_, tol), vs in zip(targets, values))
+                for i in range(len(rows))
+            ]
+            got = sign_search(search_spec(n), targets, mode, budget=budget, seed=seed)
+            if any(meets):
+                assert isinstance(got, SignVector)
+                assert got.signs == tuple(rows[meets.index(True)])
+            else:
+                assert isinstance(got, SignSearchFailure)
+                if unique_least_bad(targets, rows):
+                    worst = [
+                        max(abs(vs[i]) / Fraction(tol) for (_, tol), vs in zip(targets, values))
+                        for i in range(len(rows))
+                    ]
+                    assert got.best.signs == tuple(rows[worst.index(min(worst))])
+            seen.add(any(meets))
+
+        follow()
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_no_targets_take_the_first_row(self, mode):
+        spec = search_spec(5)
+        got = sign_search(spec, [], mode, budget=64, seed=3)
+        assert got == oracle_sign_search(spec, [], mode, budget=64, seed=3)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_decision_evaluator_is_mirror_symmetric(self, n):
+        rng = np.random.default_rng(n)
+        rows = sign_matrix(n)
+        assert np.array_equal(rows[::-1], -rows)  # row 2^n - 1 - i is -row i
+        for rv in (rng.standard_normal(n) * 1e3, rng.standard_normal((n, n))):
+            values = _ordered_values(rv, rows)
+            assert np.array_equal(np.abs(values), np.abs(values[::-1]))
+
+    def test_margin_covers_the_blas_evaluation(self):
+        rng = np.random.default_rng(3)
+        rows = sign_matrix(12)
+        for rv in (rng.standard_normal(12), rng.standard_normal((12, 12))):
+            gap = np.abs(_target_values(rv, rows) - _ordered_values(rv, rows))
+            assert 0 < gap.max() < _margin(rv) / 2
+
+    def test_twenty_sign_parity_search_stays_small(self):
+        # the benchmark's parity target: one even and 19 odd integer
+        # coefficients, so every signed sum is odd and none is below 1
+        rng = np.random.default_rng(0)
+        c = (2 * rng.integers(0, 5, ENUMERATION_CAP) + 1).astype(float)
+        c[0] = 2.0 * rng.integers(1, 5)
+        c *= rng.choice((-1.0, 1.0), ENUMERATION_CAP)
+        spec = RandomBlockSpec(
+            BasisRegistry({6: 5}), 6, intervals_at_level(5)[:ENUMERATION_CAP]
+        )
+        tracemalloc.start()
+        try:
+            got = sign_search(spec, [(c, 1.0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(got, SignSearchFailure)
+        assert got.evaluated == 2**ENUMERATION_CAP
+        assert got.violations == ((0, 1.0, 1.0),)
+        assert peak < 64 * 2**20
