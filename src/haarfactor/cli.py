@@ -12,6 +12,11 @@ JSON; the only varying bytes across identical runs live in the report's
 Artifacts (operators, certificates, witnesses, transcripts) are written
 with ``--out`` and read back with ``--in``; every emitted verdict can be
 recomputed from the artifact alone.
+
+Every invocation is an :class:`ExperimentConfig`.  A command's handler
+takes that config and returns its report body (``results``, ``checks`` and
+any ``conventions``) and its artifact (or ``None``); :func:`run` alone saves
+the artifact to ``--out``, echoes the config and sets the status.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import constants_report, dichotomy_constant, large_diagonal_constant
+from .constants import constants_report
 from .errors import ReductionError, ResourceLimitError
-from .factorize import factor_large_diagonal, primary_dichotomy
+from .factorize import FactorizationWitness, factor_large_diagonal, primary_dichotomy
 from .haarsys import BasisRegistry, realize
 from .operators import DiagonalOperator, OperatorMatrix, max_column_sum
 from .randsigns import RandomBlockSpec, exact_moments
@@ -78,9 +83,11 @@ class ExperimentConfig:
 
     The command-line flags take their defaults from these fields, and
     :func:`main` runs every invocation as the config of its flag values.
-    Identical configs give identical report bodies and artifact bytes;
-    wall-clock time enters only the ``metadata.created`` stamp of the
-    printed report.
+    Each command's handler takes the config and returns its report body
+    and its artifact; :func:`run` alone saves the artifact to ``out`` and
+    sets the status.  Identical configs give identical report bodies and
+    artifact bytes; wall-clock time enters only the ``metadata.created``
+    stamp of the printed report.
     """
 
     command: str
@@ -106,33 +113,27 @@ class ExperimentConfig:
 def run(config: ExperimentConfig) -> dict:
     """Execute one configured experiment and return its run report.
 
-    The report carries ``status`` (the would-be exit code) and the same
-    ``config``/``results``/``checks`` body the command-line run prints;
-    artifacts go to ``config.out`` when set.  Unknown commands raise
-    ``ValueError`` naming the choices.
+    The report carries the command, the config's non-``None`` fields, the
+    handler's ``results``/``checks`` body (the one the command-line run
+    prints) and ``status``: :data:`OK` when every check holds, else
+    :data:`NEGATIVE`.  The artifact goes to ``config.out`` when both are
+    set.  Unknown commands raise ``ValueError`` naming the choices.
     """
     if config.command not in _HANDLERS:
         raise ValueError(
             f"unknown command {config.command!r}; choices: "
             + ", ".join(sorted(_HANDLERS))
         )
-    handler = _HANDLERS[config.command]
-    ns = argparse.Namespace(
-        command=config.command, p=config.p,
-        copies=config.copies, depths=config.depths, eps=config.eps,
-        delta=config.delta, seed=config.seed, mode=config.mode,
-        search=config.search, budget=config.budget,
-        inputs=list(config.inputs) or None, out=config.out,
-    )
-    if config.command == "xpw-game":
-        ns.rounds = config.rounds
-        ns.decay = config.decay
-        ns.adversary = config.adversary
-        ns.moves = config.moves
-        ns.samples = config.samples
-    report, status = handler(ns)
-    report["status"] = status
-    return report
+    body, artifact = _HANDLERS[config.command](config)
+    if config.out and artifact is not None:
+        save(config.out, artifact)
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {
+        "command": echo.pop("command"),
+        "config": {key: value for key, value in echo.items() if value is not None},
+        **body,
+        "status": OK if all(body["checks"].values()) else NEGATIVE,
+    }
 
 
 # -- plumbing ------------------------------------------------------------------
@@ -156,9 +157,9 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
-def _registry(args, fallback_copies=(5, 6, 7), fallback_depths=(4, 5, 6)) -> BasisRegistry:
-    copies = args.copies if args.copies is not None else fallback_copies
-    depths = args.depths if args.depths is not None else fallback_depths
+def _registry(config, fallback_copies=(5, 6, 7), fallback_depths=(4, 5, 6)) -> BasisRegistry:
+    copies = config.copies if config.copies is not None else fallback_copies
+    depths = config.depths if config.depths is not None else fallback_depths
     if len(copies) != len(depths):
         raise ValueError(
             f"--copies lists {len(copies)} copies but --depths lists "
@@ -203,39 +204,73 @@ def _derive_reduction_plan(T) -> tuple[dict[int, int], dict[int, int]]:
     )
 
 
-def _report(args, results: dict, checks: dict, **extra) -> tuple[dict, int]:
-    report = {
-        "command": args.command,
-        "config": {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key != "command" and value is not None
-        },
-        "results": results,
-        "checks": checks,
-        **extra,
+def _certificate_body(cert: ReductionCertificate, **checks) -> tuple[dict, dict]:
+    """The report body every certificate command shares, and the verdict.
+
+    The results summarize the certificate; the checks are ``checks`` plus
+    ``certificate_ok``, re-derived by :func:`verify_certificate`.
+    """
+    verdict = verify_certificate(cert)
+    results = {
+        "mode": cert.mode,
+        "certified_bound": cert.certified_bound,
+        "column_sum_bound": cert.column_sum_bound,
+        "diagonal_gap_bound": cert.diagonal_gap_bound,
+        "eps": cert.eps,
+        "targets": [str(t) for t in cert.targets],
+        "target_entries": list(cert.target_entries),
+        "scalar": cert.scalar,
     }
-    status = OK if all(checks.values()) else NEGATIVE
-    report["status"] = status
-    return report, status
+    checks["certificate_ok"] = bool(verdict["ok"])
+    return {"results": results, "checks": checks}, verdict
+
+
+def _witness_body(witness: FactorizationWitness, seed: int, **checks) -> dict:
+    """The report body every factorization command shares.
+
+    The checks are ``checks`` plus the witness's own claims: its norm
+    product within its own ``constant``, a seeded sample of ``A T' B - I``
+    within its ``residual``, and its certificate re-derived.
+    """
+    sampled = witness.sample_max_ratio(samples=100, seed=seed)
+    results = {
+        "kind": witness.kind,
+        "branch": witness.branch,
+        "scalar": witness.scalar,
+        "residual": witness.residual,
+        "norm_factors": dict(witness.norm_factors),
+        "norm_product_bound": witness.norm_product_bound,
+        "constant": witness.constant,
+        "certified_bound": witness.certificate.certified_bound,
+        "sampled_max_ratio": sampled,
+    }
+    checks.update(
+        product_below_constant=witness.norm_product_bound <= witness.constant,
+        sampled_within_residual=sampled <= witness.residual + 1e-9,
+        certificate_ok=bool(verify_certificate(witness.certificate)["ok"]),
+    )
+    return {"results": results, "checks": checks}
 
 
 # -- commands -------------------------------------------------------------------
+#
+# A command takes the config and returns ``(body, artifact)``: ``body`` holds
+# ``results``, ``checks`` and any ``conventions``; ``artifact`` is what
+# ``--out`` saves, or ``None``.
 
 
-def cmd_constants(args) -> tuple[dict, int]:
-    results = constants_report(args.p, delta=args.delta, eps=float(args.eps))
-    return _report(args, results, checks={})
+def cmd_constants(config):
+    results = constants_report(config.p, delta=config.delta, eps=float(config.eps))
+    return {"results": results, "checks": {}}, None
 
 
-def cmd_verify_moments(args) -> tuple[dict, int]:
-    depth = (args.depths or (2,))[0]
+def cmd_verify_moments(config):
+    depth = (config.depths or (2,))[0]
     copy = depth + 1
     registry = BasisRegistry({copy: depth})
-    count = args.budget or 6
-    rng = np.random.default_rng(args.seed)
+    count = config.budget or 6
+    rng = np.random.default_rng(config.seed)
     summaries = []
-    all_ok = True
     # canonical pinned case first: the level-1 pair population against its
     # own first Haar function has mean 0 and variance exactly 1/4
     pair_spec = RandomBlockSpec(registry, copy, intervals_at_level(1))
@@ -244,7 +279,6 @@ def cmd_verify_moments(args) -> tuple[dict, int]:
         exponent=2.0,
     )
     ok = canonical.mean == 0.0 and canonical.variance == 0.25 and canonical.bound_passed
-    all_ok = all_ok and ok
     summaries.append({**asdict(canonical), "ok": ok, "canonical": True})
     for i in range(count):
         level = int(rng.integers(1, depth + 1))
@@ -255,55 +289,39 @@ def cmd_verify_moments(args) -> tuple[dict, int]:
         kind = ("Y", "W", "Z")[i % 3]
         if kind == "Z":
             data = OperatorMatrix.from_diagonal(
-                args.p, registry.indices, rng.uniform(-1, 1, registry.dim)
+                config.p, registry.indices, rng.uniform(-1, 1, registry.dim)
             )
         else:
             data = realize(registry, rng.standard_normal(registry.dim))
-        rep = exact_moments(kind, spec, data, exponent=args.p)
+        rep = exact_moments(kind, spec, data, exponent=config.p)
         ok = (
             abs(rep.mean) <= 1e-12
             and abs(rep.variance - rep.closed_form) <= 1e-10
             and rep.bound_passed
         )
-        all_ok = all_ok and ok
         summaries.append({**asdict(rep), "ok": ok})
-    results = {"reports": summaries, "draws": count}
-    report, status = _report(
-        args,
-        results,
-        checks={
-            "means_vanish": all(abs(s["mean"]) <= 1e-12 for s in summaries),
-            "closed_forms_match": all(
-                abs(s["variance"] - s["closed_form"]) <= 1e-10 for s in summaries
-            ),
-            "bounds_hold": all(s["bound_passed"] for s in summaries),
-        },
-        conventions={"condition_star_log_base": 2},
-    )
-    return report, status
-
-
-def _certificate_results(cert: ReductionCertificate) -> dict:
-    return {
-        "mode": cert.mode,
-        "certified_bound": cert.certified_bound,
-        "column_sum_bound": cert.column_sum_bound,
-        "diagonal_gap_bound": cert.diagonal_gap_bound,
-        "eps": cert.eps,
-        "targets": [str(t) for t in cert.targets],
-        "target_entries": list(cert.target_entries),
-        "scalar": cert.scalar,
+    checks = {
+        "means_vanish": all(abs(s["mean"]) <= 1e-12 for s in summaries),
+        "closed_forms_match": all(
+            abs(s["variance"] - s["closed_form"]) <= 1e-10 for s in summaries
+        ),
+        "bounds_hold": all(s["bound_passed"] for s in summaries),
     }
+    return {
+        "results": {"reports": summaries, "draws": count},
+        "checks": checks,
+        "conventions": {"condition_star_log_base": 2},
+    }, None
 
 
-def cmd_reduce_diagonal(args) -> tuple[dict, int]:
-    if args.inputs:
-        T = load_operator(args.inputs[0])
+def cmd_reduce_diagonal(config):
+    if config.inputs:
+        T = load_operator(config.inputs[0])
     else:
-        T = _seeded_operator(_registry(args), args.p, args.seed)
+        T = _seeded_operator(_registry(config), config.p, config.seed)
     target_depths, k_schedule = _derive_reduction_plan(T)
-    kwargs = {"mode": args.mode, "search": args.search, "seed": args.seed}
-    if args.mode == "adaptive":
+    kwargs = {"mode": config.mode, "search": config.search, "seed": config.seed}
+    if config.mode == "adaptive":
         kwargs["k_schedule"] = k_schedule
     else:
         # the paper's depth schedule needs an upper bound on ||T||_p; the
@@ -312,25 +330,17 @@ def cmd_reduce_diagonal(args) -> tuple[dict, int]:
         kwargs["t_norm_upper"] = column_sum_bound(
             BasisRegistry(deepest_levels(T.basis)), dense.entries, T.exponent
         )[1]
-    if args.budget:
-        kwargs["pattern_budget"] = args.budget
-    cert = reduce_to_diagonal(T, target_depths, float(args.eps), **kwargs)
-    verdict = verify_certificate(cert)
-    if args.out:
-        save(args.out, cert)
-    return _report(
-        args,
-        _certificate_results(cert),
-        checks={
-            "certified_below_eps": cert.certified_bound < float(args.eps),
-            "certificate_ok": bool(verdict["ok"]),
-        },
-    )
+    if config.budget:
+        kwargs["pattern_budget"] = config.budget
+    eps = float(config.eps)
+    cert = reduce_to_diagonal(T, target_depths, eps, **kwargs)
+    body, _ = _certificate_body(cert, certified_below_eps=cert.certified_bound < eps)
+    return body, cert
 
 
-def cmd_reduce_scalar(args) -> tuple[dict, int]:
-    if args.inputs:
-        T = load(args.inputs[0])
+def cmd_reduce_scalar(config):
+    if config.inputs:
+        T = load(config.inputs[0])
         if isinstance(T, ReductionCertificate):
             T = T.target_operator()  # continue a diagonal-stage certificate
         if isinstance(T, OperatorMatrix):
@@ -339,116 +349,73 @@ def cmd_reduce_scalar(args) -> tuple[dict, int]:
             T = DiagonalOperator(T.exponent, T.basis, T.diagonal())
         if not isinstance(T, DiagonalOperator):
             raise SchemaError(
-                f"{args.inputs[0]}: expected an operator or certificate document"
+                f"{config.inputs[0]}: expected an operator or certificate document"
             )
     else:
-        copy = (args.copies or (7,))[0]
+        copy = (config.copies or (7,))[0]
         registry = BasisRegistry.single_copy(copy)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(config.seed)
         center = rng.uniform(0.2, 0.8)
         T = DiagonalOperator(
-            args.p,
+            config.p,
             registry.indices,
             center + 0.05 * rng.uniform(-1, 1, registry.dim),
         )
-    steps = (args.depths or (2,))[0]
+    steps = (config.depths or (2,))[0]
+    eps = float(config.eps)
     cert = reduce_to_scalar_finite(
-        T, steps, float(args.eps), mode=args.mode, search=args.search,
-        seed=args.seed,
-        **({"pattern_budget": args.budget} if args.budget else {}),
+        T, steps, eps, mode=config.mode, search=config.search,
+        seed=config.seed,
+        **({"pattern_budget": config.budget} if config.budget else {}),
     )
-    verdict = verify_certificate(cert)
-    if args.out:
-        save(args.out, cert)
-    results = _certificate_results(cert)
-    results["scalar_witness_positions"] = len(cert.scalar_witness.positions)
-    return _report(
-        args,
-        results,
-        checks={
-            "certified_below_eps": cert.certified_bound < float(args.eps),
-            "certificate_ok": bool(verdict["ok"]),
-            "scalar_witness_ok": cert.scalar_witness.verify(cert.source),
-        },
+    body, _ = _certificate_body(
+        cert,
+        certified_below_eps=cert.certified_bound < eps,
+        scalar_witness_ok=cert.scalar_witness.verify(cert.source),
     )
+    body["results"]["scalar_witness_positions"] = len(cert.scalar_witness.positions)
+    return body, cert
 
 
-def cmd_compose(args) -> tuple[dict, int]:
-    if not args.inputs or len(args.inputs) != 2:
+def cmd_compose(config):
+    if len(config.inputs) != 2:
         raise ValueError("compose needs exactly two --in certificates (stage order)")
-    first = load_certificate(args.inputs[0])
-    second = load_certificate(args.inputs[1])
+    first = load_certificate(config.inputs[0])
+    second = load_certificate(config.inputs[1])
     composite = compose_certificates(first, second)
-    verdict = verify_certificate(composite)
-    if args.out:
-        save(args.out, composite)
-    results = _certificate_results(composite)
-    results["triangle_bound"] = composite.metadata.get("triangle_bound")
-    results["stage_certified"] = composite.metadata.get("stage_certified")
-    return _report(
-        args,
-        results,
-        checks={
-            "certificate_ok": bool(verdict["ok"]),
-            "within_triangle_bound": (
-                composite.certified_bound
-                <= composite.metadata["triangle_bound"] + 1e-12
-            ),
-        },
+    body, _ = _certificate_body(
+        composite,
+        within_triangle_bound=(
+            composite.certified_bound <= composite.metadata["triangle_bound"] + 1e-12
+        ),
     )
+    body["results"]["triangle_bound"] = composite.metadata.get("triangle_bound")
+    body["results"]["stage_certified"] = composite.metadata.get("stage_certified")
+    return body, composite
 
 
-def _witness_results(w) -> dict:
-    return {
-        "kind": w.kind,
-        "branch": w.branch,
-        "scalar": w.scalar,
-        "residual": w.residual,
-        "norm_factors": dict(w.norm_factors),
-        "norm_product_bound": w.norm_product_bound,
-        "constant": w.constant,
-        "certified_bound": w.certificate.certified_bound,
-    }
-
-
-def cmd_factorize(args) -> tuple[dict, int]:
-    if args.inputs:
-        T = load_operator(args.inputs[0])
+def cmd_factorize(config):
+    if config.inputs:
+        T = load_operator(config.inputs[0])
     else:
-        T = _seeded_operator(_registry(args), args.p, args.seed)
+        T = _seeded_operator(_registry(config), config.p, config.seed)
     target_depths, k_schedule = _derive_reduction_plan(T)
     witness = factor_large_diagonal(
-        T, args.delta, float(args.eps), seed=args.seed, search=args.search,
+        T, config.delta, float(config.eps), seed=config.seed, search=config.search,
         target_depths=target_depths, k_schedule=k_schedule,
     )
-    if args.out:
-        save(args.out, witness)
-    sampled = witness.sample_max_ratio(samples=100, seed=args.seed)
-    results = _witness_results(witness)
-    results["sampled_max_ratio"] = sampled
-    return _report(
-        args,
-        results,
-        checks={
-            "product_below_constant": (
-                witness.norm_product_bound
-                <= large_diagonal_constant(args.p, args.delta, float(args.eps))
-            ),
-            "sampled_within_residual": sampled <= witness.residual + 1e-9,
-            "certificate_ok": bool(verify_certificate(witness.certificate)["ok"]),
-        },
-    )
+    return _witness_body(witness, config.seed), witness
 
 
-def cmd_dichotomy(args) -> tuple[dict, int]:
-    if args.inputs:
-        T = load_operator(args.inputs[0])
+def cmd_dichotomy(config):
+    if config.inputs:
+        T = load_operator(config.inputs[0])
     else:
-        copy = (args.copies or (7,))[0]
+        copy = (config.copies or (7,))[0]
         registry = BasisRegistry.single_copy(copy)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(config.seed)
         T = OperatorMatrix.from_diagonal(
-            args.p, registry.indices, rng.uniform(0, 1, registry.dim)
+            config.p, registry.indices, rng.uniform(0, 1, registry.dim)
         )
     top = max(ix.copy for ix in T.basis)
     if top < 4:
@@ -457,55 +424,39 @@ def cmd_dichotomy(args) -> tuple[dict, int]:
             f"tops out at copy {top}"
         )
     witness = primary_dichotomy(
-        T, float(args.eps), seed=args.seed, search=args.search,
+        T, float(config.eps), seed=config.seed, search=config.search,
         k_schedule={3: top - 3},
     )
-    if args.out:
-        save(args.out, witness)
-    sampled = witness.sample_max_ratio(samples=100, seed=args.seed)
-    results = _witness_results(witness)
-    results["sampled_max_ratio"] = sampled
-    return _report(
-        args,
-        results,
-        checks={
-            "product_below_constant": (
-                witness.norm_product_bound
-                <= dichotomy_constant(args.p, float(args.eps))
-            ),
-            "scalar_witness_ok": witness.scalar_witness.verify(witness.source),
-            "sampled_within_residual": sampled <= witness.residual + 1e-9,
-            "certificate_ok": bool(verify_certificate(witness.certificate)["ok"]),
-        },
+    body = _witness_body(
+        witness, config.seed,
+        scalar_witness_ok=witness.scalar_witness.verify(witness.source),
     )
+    return body, witness
 
 
-def cmd_xpw_game(args) -> tuple[dict, int]:
-    eps = Fraction(args.eps)
-    w = WeightSequence(Fraction(str(args.p)), decay=Fraction(args.decay))
-    if args.adversary == "fixed":
-        moves = args.moves or tuple(range(1, args.rounds + 1))
+def cmd_xpw_game(config):
+    eps = Fraction(config.eps)
+    w = WeightSequence(Fraction(str(config.p)), decay=Fraction(config.decay))
+    if config.adversary == "fixed":
+        moves = config.moves or tuple(range(1, config.rounds + 1))
         adversary = FixedScheduleAdversary(moves)
-    elif args.adversary == "random":
-        adversary = RandomAdversary(args.seed)
+    elif config.adversary == "random":
+        adversary = RandomAdversary(config.seed)
     else:
         adversary = GreedyMaxAdversary()
     transcript = play_game(
-        adversary, args.rounds, w, eps,
-        index_budget=args.budget or 100_000,
+        adversary, config.rounds, w, eps,
+        index_budget=config.budget or 100_000,
     )
     verdict = transcript.verify()
-    if args.out:
-        save(args.out, transcript)
-    size = transcript.ambient_size()
     xs = [v.coeffs for v in transcript.block_vectors()]
-    ys = list(np.eye(args.rounds))
+    ys = list(np.eye(config.rounds))
 
     def norm_w(arr):
         return xpw_norm(XpwVector(arr, w))
 
     estimate = impartial_equivalence(
-        xs, ys, norm_w, norm_w, samples=args.samples, seed=args.seed
+        xs, ys, norm_w, norm_w, samples=config.samples, seed=config.seed
     )
     limit = float(1 + eps) + 1e-9
     results = {
@@ -518,7 +469,7 @@ def cmd_xpw_game(args) -> tuple[dict, int]:
             }
             for r in transcript.rounds
         ],
-        "ambient_size": size,
+        "ambient_size": transcript.ambient_size(),
         "equivalence": {
             "constant": estimate.constant,
             "forward": estimate.forward,
@@ -527,30 +478,24 @@ def cmd_xpw_game(args) -> tuple[dict, int]:
         },
         "transcript_checks": verdict,
     }
-    return _report(
-        args,
-        results,
-        checks={
-            "transcript_ok": bool(verdict["ok"]),
-            "equivalence_within_eps": (
-                estimate.forward <= limit and estimate.backward <= limit
-            ),
-        },
-        conventions={"growth_constant_log_base": "e (stated without a base)"},
-    )
+    checks = {
+        "transcript_ok": bool(verdict["ok"]),
+        "equivalence_within_eps": (
+            estimate.forward <= limit and estimate.backward <= limit
+        ),
+    }
+    return {
+        "results": results,
+        "checks": checks,
+        "conventions": {"growth_constant_log_base": "e (stated without a base)"},
+    }, transcript
 
 
-def cmd_check_distribution(args) -> tuple[dict, int]:
-    if not args.inputs:
+def cmd_check_distribution(config):
+    if not config.inputs:
         raise ValueError("check-distribution needs --in with a certificate file")
-    cert = load_certificate(args.inputs[0])
-    verdict = verify_certificate(cert)
-    results = {key: value for key, value in verdict.items()}
-    return _report(
-        args,
-        results,
-        checks={"certificate_ok": bool(verdict["ok"])},
-    )
+    body, verdict = _certificate_body(load_certificate(config.inputs[0]))
+    return {**body, "results": dict(verdict)}, None
 
 
 # -- entry point ------------------------------------------------------------------

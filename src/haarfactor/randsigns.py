@@ -31,7 +31,8 @@ block level, with U B the union of the intervals:
 
 One engine serves every statistic: form -> rows -> report.  A form is
 evaluated on a matrix of sign rows by one evaluator; the rows are all
-``2^n`` patterns (`sign_matrix`) or seeded uniform draws (`drawn_signs`);
+``2^n`` patterns, streamed in index-ordered chunks so that no ``2^n``-row
+sign matrix is built, or seeded uniform draws (`drawn_signs`);
 `summarize_form` turns the values into a `MomentReport` (exact or
 monte-carlo).  `exact_moments`, `monte_carlo_moments`, `eval_statistic` and
 `reduction.lambda_pm_moments` only build forms and bounds.
@@ -295,39 +296,57 @@ def drawn_signs(count: int, n: int, seed: int) -> np.ndarray:
     return rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, n))
 
 
+def _enumerated_values(rv: np.ndarray, n: int) -> np.ndarray:
+    """The sign form on all ``2^n`` patterns, in index order.
+
+    The rows are built and evaluated `_BLOCK` patterns at a time, so only
+    the values, not a ``2^n``-row sign matrix, are ever held whole.  Each
+    chunk's values are those of `_target_values` on `sign_matrix`.
+    """
+    values = np.empty(2**n)
+    for start, stop in _spans(2**n, _BLOCK, _BLOCK):
+        rows = _index_signs(np.arange(start, stop, dtype=np.uint64), n)
+        values[start:stop] = _target_values(rv, rows)
+    return values
+
+
 def summarize_form(
     kind: str,
     rv: np.ndarray,
-    S: np.ndarray,
-    mode: str,
+    patterns: int | np.ndarray,
     bound: float,
     *,
     offset: float | None = None,
 ) -> MomentReport:
-    """Moments of ``offset + form`` over the sign rows ``S``.
+    """Moments of ``offset + form`` over sign patterns.
 
-    ``"exact"`` mode takes ``S`` to be every pattern and reports the
-    population mean and variance (``fsum``, divided by the count).
-    ``"monte-carlo"`` mode takes ``S`` to be uniform draws and reports the
-    unbiased variance with its standard error, from the spread of the
-    squared deviations.  ``closed_form`` is `closed_variance` of the form.
+    An int ``patterns = n`` means all ``2^n`` patterns (`_enumerated_values`),
+    and the report is ``"exact"``: the population mean and variance
+    (``fsum``, divided by the count, so the chunk order does not matter).
+    An array ``patterns`` holds uniform draws, one per row, and the report
+    is ``"monte-carlo"``: the unbiased variance with its standard error,
+    from the spread of the squared deviations.  ``closed_form`` is
+    `closed_variance` of the form.
     """
-    v = _target_values(rv, S)
+    exact = isinstance(patterns, int)
+    v = _enumerated_values(rv, patterns) if exact else _target_values(rv, patterns)
     if offset is not None:
         v = offset + v
     count = len(v)
-    if mode == "exact":
-        mean = math.fsum(v) / count
-        variance = math.fsum((v - mean) ** 2) / count
+    if exact:
+        # fsum reads a memoryview as plain floats, several times faster
+        # than iterating numpy scalars
+        mode = "exact"
+        mean = math.fsum(memoryview(v)) / count
+        variance = math.fsum(memoryview((v - mean) ** 2)) / count
         stderr = None
-    elif mode == "monte-carlo":
+    else:
         if count < 2:
             raise ValueError("need at least two samples")
+        mode = "monte-carlo"
         mean = float(v.mean())
         variance = float(v.var(ddof=1))
         stderr = float(((v - mean) ** 2).std(ddof=1) / math.sqrt(count))
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected exact or monte-carlo")
     return MomentReport(
         kind=kind,
         mode=mode,
@@ -412,7 +431,7 @@ def exact_moments(
         )
     form = _statistic_form(kind, spec, data)
     bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
-    return summarize_form(kind, form, sign_matrix(spec.size), "exact", bound)
+    return summarize_form(kind, form, spec.size, bound)
 
 
 def monte_carlo_moments(
@@ -428,8 +447,7 @@ def monte_carlo_moments(
     """Estimate the moments from uniform sign draws (seeded)."""
     form = _statistic_form(kind, spec, data)
     bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
-    rows = drawn_signs(samples, spec.size, seed)
-    return summarize_form(kind, form, rows, "monte-carlo", bound)
+    return summarize_form(kind, form, drawn_signs(samples, spec.size, seed), bound)
 
 def condition_star(
     n: int,

@@ -80,7 +80,6 @@ from .randsigns import (
     SignSearchFailure,
     SignVector,
     drawn_signs,
-    sign_matrix,
     sign_search,
     summarize_form,
 )
@@ -649,12 +648,9 @@ def lambda_pm_moments(
     coeffs = (u - v) / (2.0 * r)
     union = float(r) / (1 << level)
     bound = 2.0 ** (-level) / union * t_norm_upper**2
-    if r <= cap:
-        S, mode = sign_matrix(r), "exact"
-    else:
-        S, mode = drawn_signs(samples, r, seed), "monte-carlo"
+    patterns = r if r <= cap else drawn_signs(samples, r, seed)
     return tuple(
-        summarize_form(kind, form, S, mode, bound, offset=offset)
+        summarize_form(kind, form, patterns, bound, offset=offset)
         for kind, form in (("lambda+", coeffs), ("lambda-", -coeffs))
     )
 

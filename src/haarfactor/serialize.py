@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -161,25 +162,29 @@ def _matrix_from(rows, dim, where) -> np.ndarray:
 
 
 def _rows_from(rows, where) -> np.ndarray:
-    """A matrix from a list of equally long rows of numbers."""
+    """A matrix from a list of equally long rows of JSON numbers."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SchemaError(f"{where} must be a list of rows")
     widths = sorted({len(row) for row in rows})
     if len(widths) > 1:
         raise SchemaError(f"{where}: ragged rows of lengths {widths}")
+    # one pass over the entry types; only a failing matrix is walked entry
+    # by entry, so that the error names the first entry `_number` rejects
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        for i, row in enumerate(rows):
+            for j, value in enumerate(row):
+                _number(value, f"{where}[{i}][{j}]")
     try:
         return np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _floats(values, where) -> list[float]:
+    """A list of JSON numbers read as floats, each checked by `_number`."""
     if not isinstance(values, list):
         raise SchemaError(f"{where} must be a list")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return [_number(v, f"{where}[{pos}]") for pos, v in enumerate(values)]
 
 
 def _operator_payload(op, where) -> dict:

@@ -1,11 +1,13 @@
 """Command-line runner: exit codes, report contents, artifact determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from haarfactor import serialize as sz
+from haarfactor import cli
 from haarfactor.cli import (
     ERROR,
     NEGATIVE,
@@ -233,6 +235,28 @@ class TestFactorizeCommand:
         assert reloaded.norm_product_bound == body["results"]["norm_product_bound"]
 
 
+class TestConstantOfTheWitness:
+    """``product_below_constant`` compares a witness's norm product with
+    the witness's own constant, which follows the factored operator's
+    exponent; ``--p`` does not move it."""
+
+    @pytest.mark.parametrize("command, artifact", [("factorize", "op"), ("dichotomy", "diag")])
+    def test_p_flag_does_not_move_the_constant(
+        self, arts, capsys, tmp_path, command, artifact
+    ):
+        wit = tmp_path / "wit.json"
+        code, out, _ = invoke(
+            capsys, command, "--in", arts[artifact], "--p", "2", "--out", str(wit)
+        )
+        assert code == OK
+        body = sz.loads(out)
+        assert body["checks"]["product_below_constant"] is True
+        witness = sz.load(wit)
+        assert witness.exponent == 4.0
+        assert body["results"]["constant"] == witness.constant
+        assert witness.norm_product_bound <= witness.constant
+
+
 class TestDichotomyCommand:
     def test_uniform_diagonal_picks_a_branch(self, arts, capsys, tmp_path):
         code, out, _ = invoke(
@@ -364,10 +388,26 @@ class TestMalformedWitness:
             ("left_factor", lambda payload: [["x"]] * len(payload["left_factor"])),
             ("residual", lambda payload: "1e-3"),
             ("eps", lambda payload: True),
+            ("left_factor", lambda payload: [
+                [str(x) for x in row] for row in payload["left_factor"]
+            ]),
+            ("left_factor", lambda payload: [
+                [True, *row[1:]] for row in payload["left_factor"]
+            ]),
+            ("certificate", lambda payload: {
+                **payload["certificate"],
+                "residuals": ["0.5", *payload["certificate"]["residuals"][1:]],
+            }),
+            ("certificate", lambda payload: {
+                **payload["certificate"],
+                "residuals": [*payload["certificate"]["residuals"][:-1], False],
+            }),
         ],
         ids=[
             "map-as-list", "float-as-list", "ragged-rows", "non-numeric-entries",
-            "float-as-string", "float-as-bool",
+            "float-as-string", "float-as-bool", "matrix-entry-as-string",
+            "matrix-entry-as-bool", "float-list-entry-as-string",
+            "float-list-entry-as-bool",
         ],
     )
     def test_is_an_error_naming_the_field(
@@ -381,7 +421,7 @@ class TestMalformedWitness:
         assert code == ERROR
         body = sz.loads(err)
         assert body["error"]["type"] == "SchemaError"
-        assert field in body["error"]["message"]
+        assert f"payload.{field}" in body["error"]["message"]
 
 
 class TestProgrammaticEntry:
@@ -412,6 +452,59 @@ class TestProgrammaticEntry:
         invoke(capsys, "xpw-game", "--rounds", "1", "--out", str(game))
         with pytest.raises(sz.SchemaError, match="operator"):
             load_operator(game)
+
+
+@pytest.fixture(scope="module")
+def stages(arts):
+    """A diagonal-stage and a scalar-stage certificate, in stage order."""
+    s1, s2 = str(arts["root"] / "stage1.json"), str(arts["root"] / "stage2.json")
+    run(ExperimentConfig("reduce-diagonal", inputs=(arts["diag"],), out=s1))
+    run(ExperimentConfig("reduce-scalar", depths=(1,), inputs=(s1,), out=s2))
+    return s1, s2
+
+
+def command_cases(s1, s2) -> dict:
+    """Each command's flags and the same settings as config fields."""
+    return {
+        "constants": (["--p", "2"], {"p": 2.0}),
+        "verify-moments": (["--seed", "1"], {"seed": 1}),
+        "reduce-diagonal": (
+            ["--copies", "4,5", "--depths", "3,4"], {"copies": (4, 5), "depths": (3, 4)}
+        ),
+        "reduce-scalar": (["--copies", "5", "--seed", "3"], {"copies": (5,), "seed": 3}),
+        "compose": (["--in", s1, "--in", s2], {"inputs": (s1, s2)}),
+        "factorize": (
+            ["--copies", "3,4", "--depths", "2,3"], {"copies": (3, 4), "depths": (2, 3)}
+        ),
+        "dichotomy": (["--copies", "5", "--seed", "4"], {"copies": (5,), "seed": 4}),
+        "xpw-game": (["--rounds", "3", "--samples", "200"], {"rounds": 3, "samples": 200}),
+        "check-distribution": (["--in", s1], {"inputs": (s1,)}),
+    }
+
+
+class TestMainAgreesWithRun:
+    """``main(argv)`` prints the body ``run`` returns for the same config,
+    and the report's ``config`` is exactly the config's non-``None``
+    fields."""
+
+    def test_every_command_has_a_case(self):
+        assert set(command_cases("a", "b")) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(command_cases("a", "b")))
+    def test_same_body(self, stages, capsys, command):
+        argv, settings = command_cases(*stages)[command]
+        code, out, _ = invoke(capsys, command, *argv)
+        config = ExperimentConfig(command, **settings)
+        report = run(config)
+        assert code == report["status"] == OK
+        assert json.loads(out)["payload"] == json.loads(sz.dumps(report))["payload"]
+        echoed = {
+            f.name: getattr(config, f.name)
+            for f in fields(config)
+            if f.name != "command" and getattr(config, f.name) is not None
+        }
+        assert report["config"] == echoed
+        assert set(sz.loads(out)["config"]) == set(echoed)
 
 
 class TestSeededDefaults:

@@ -23,6 +23,7 @@ from haarfactor.randsigns import (
     SignVector,
     _margin,
     _ordered_values,
+    _enumerated_values,
     _target_values,
     closed_variance,
     condition_star,
@@ -32,6 +33,7 @@ from haarfactor.randsigns import (
     monte_carlo_moments,
     sign_matrix,
     sign_search,
+    summarize_form,
 )
 
 L = DyadicInterval
@@ -318,6 +320,43 @@ class TestExactMoments:
         reg, spec = level_one_spec()
         with pytest.raises(ValueError, match="norm upper bound"):
             exact_moments("Z", spec, shift_operator(reg))
+
+
+class TestStreamedEnumeration:
+    """Exact moments walk the patterns in index-ordered chunks; the full
+    sign matrix stays as the oracle."""
+
+    @pytest.mark.parametrize("n", [13, 16, 17, 18])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_chunks_match_the_full_matrix(self, n, ndim):
+        form = np.random.default_rng(n).standard_normal((n,) * ndim)
+        streamed = _enumerated_values(form, n)
+        assert streamed.tobytes() == _target_values(form, sign_matrix(n)).tobytes()
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_exact_report_matches_the_full_matrix_oracle(self, ndim):
+        n, offset = 17, 0.375
+        form = np.random.default_rng(ndim).standard_normal((n,) * ndim)
+        v = offset + _target_values(form, sign_matrix(n))
+        mean = math.fsum(v) / len(v)
+        variance = math.fsum((v - mean) ** 2) / len(v)
+        rep = summarize_form("lambda+", form, n, 1.0, offset=offset)
+        assert (rep.mode, rep.count) == ("exact", 2**n)
+        assert (rep.mean, rep.variance) == (mean, variance)
+
+    def test_twenty_signs_stay_small(self):
+        reg = BasisRegistry({6: 5})
+        spec = RandomBlockSpec(reg, 6, intervals_at_level(5)[:ENUMERATION_CAP])
+        f = realize(reg, np.random.default_rng(0).standard_normal(reg.dim))
+        tracemalloc.start()
+        try:
+            rep = exact_moments("Y", spec, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.count == 2**ENUMERATION_CAP
+        assert rep.variance == pytest.approx(rep.closed_form, rel=1e-9)
+        assert peak < 64 * 2**20
 
 
 class TestClosedVariance:
