@@ -116,8 +116,9 @@ def run(config: ExperimentConfig) -> dict:
     The report carries the command, the config's non-``None`` fields, the
     handler's ``results``/``checks`` body (the one the command-line run
     prints) and ``status``: :data:`OK` when every check holds, else
-    :data:`NEGATIVE`.  The artifact goes to ``config.out`` when both are
-    set.  Unknown commands raise ``ValueError`` naming the choices.
+    :data:`NEGATIVE`.  The artifact goes to ``config.out``; a command that
+    makes no artifact raises ``ValueError`` naming ``--out`` when it is set.
+    Unknown commands raise ``ValueError`` naming the choices.
     """
     if config.command not in _HANDLERS:
         raise ValueError(
@@ -125,7 +126,11 @@ def run(config: ExperimentConfig) -> dict:
             + ", ".join(sorted(_HANDLERS))
         )
     body, artifact = _HANDLERS[config.command](config)
-    if config.out and artifact is not None:
+    if config.out:
+        if artifact is None:
+            raise ValueError(
+                f"--out: {config.command} makes no artifact to save"
+            )
         save(config.out, artifact)
     echo = {f.name: getattr(config, f.name) for f in fields(config)}
     return {
@@ -326,9 +331,8 @@ def cmd_reduce_diagonal(config):
     else:
         # the paper's depth schedule needs an upper bound on ||T||_p; the
         # column sum of T over its own registry is a sound one
-        dense = T.to_matrix() if isinstance(T, DiagonalOperator) else T
         kwargs["t_norm_upper"] = column_sum_bound(
-            BasisRegistry(deepest_levels(T.basis)), dense.entries, T.exponent
+            BasisRegistry(deepest_levels(T.basis)), T.to_matrix().entries, T.exponent
         )[1]
     if config.budget:
         kwargs["pattern_budget"] = config.budget

@@ -3,10 +3,10 @@
 A *factorization witness* holds explicit coefficient matrices ``A`` and ``B``
 with ``A T' B`` close to the identity of a smaller model, where ``T'`` is
 either the input operator or its complement ``I - T``.  Both constructions
-route through a reduction certificate: ``B`` embeds the small model onto the
-certificate's signed blocks (composed with a diagonal correction when one is
-needed), and ``A`` projects back onto the blocks and applies the certified
-inverse of the compressed matrix.
+are one formula on a reduction certificate's block embedding ``j``, with
+``lambda`` the scalar the compressed matrix sits near and ``R`` a diagonal
+correction (or the identity): ``A = (j^{-1} E T' j / lambda)^{-1} j^{-1} E
+/ lambda`` and ``B = R j``.  ``_invert_through_blocks`` is that formula.
 
 The recorded residual is a column-norm bound on the realized defect
 ``A T' B - I``, so any sampled ratio ``||A T' B v - v||_p / ||v||_p`` stays
@@ -134,50 +134,57 @@ class FactorizationWitness:
         return self.certificate.target_registry()
 
     def factored_operator(self) -> OperatorMatrix:
-        if self.branch == "T":
-            return self.source
-        return OperatorMatrix(
-            self.exponent,
-            self.source.basis,
-            np.eye(self.source.dim) - self.source.entries,
-        )
+        return _factored(self.source, self.branch)
 
     def sample_max_ratio(self, samples: int = 100, seed: int = 0) -> float:
         """Largest sampled ``||A T' B v - v||_p / ||v||_p`` over random ``v``."""
-        target = self.target_registry()
         Tp = self.factored_operator().entries
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            v = rng.standard_normal(self.A.shape[0])
-            err = self.A @ (Tp @ (self.B @ v)) - v
-            num = lp_norm(realize(target, err), self.exponent)
-            den = lp_norm(realize(target, v), self.exponent)
-            worst = max(worst, num / den)
-        return worst
+        return _sampled_max_ratio(
+            self.target_registry(),
+            lambda v: self.A @ (Tp @ (self.B @ v)) - v,
+            self.exponent, samples, seed,
+        )
 
 
-def _projection_norm_estimate(
-    source: BasisRegistry,
-    target: BasisRegistry,
-    family: BlockFamily,
-    exponent,
-    *,
-    samples: int = 100,
-    seed: int = 0,
-) -> float:
-    """Sampled lower estimate of the block-span projection norm (info only)."""
-    PE = projection_matrix(source, target, family)
-    F = family.coefficient_columns(source)
+def _factored(T: OperatorMatrix, branch: str) -> OperatorMatrix:
+    """``T'``: the operator itself on branch ``T``, else ``I - T``."""
+    if branch == "T":
+        return T
+    return OperatorMatrix(T.exponent, T.basis, np.eye(T.dim) - T.entries)
+
+
+def _sampled_max_ratio(registry, apply, exponent, samples, seed) -> float:
+    """Largest sampled ``||apply(v)||_p / ||v||_p`` over Gaussian ``v``."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        g = rng.standard_normal(source.dim)
-        proj = F @ (PE @ g)
-        num = lp_norm(realize(source, proj), exponent)
-        den = lp_norm(realize(source, g), exponent)
+        v = rng.standard_normal(registry.dim)
+        num = lp_norm(realize(registry, apply(v)), exponent)
+        den = lp_norm(realize(registry, v), exponent)
         worst = max(worst, num / den)
     return worst
+
+
+def _invert_through_blocks(cert: ReductionCertificate, M, scale, seed):
+    """``A = (M / scale)^{-1} j^{-1} E / scale`` and ``j`` on ``cert``'s blocks.
+
+    ``M`` is the compressed matrix ``j^{-1} E T' j`` of the factored
+    operator and ``scale`` the scalar it sits near, so that
+    ``||M / scale - I|| <= certified / |scale| < 1`` bounds the inverse.
+    Returns ``(A, j, inverse, projection_norm_estimate)``; the estimate
+    samples ``||j j^{-1} E g||_p / ||g||_p`` with ``seed``.
+    """
+    source, target = cert.source_registry(), cert.target_registry()
+    inv = neumann_invert(
+        OperatorMatrix(cert.exponent, target.indices, M / scale),
+        cert.certified_bound / abs(scale),
+    )
+    PE = projection_matrix(source, target, cert.family)
+    F = embedding_matrix(source, cert.family)
+    estimate = _sampled_max_ratio(
+        source, lambda g: F @ (PE @ g), cert.exponent, 100, seed
+    )
+    return inv.operator.entries @ (PE / scale), F, inv, estimate
 
 
 def _build_witness(
@@ -191,8 +198,7 @@ def _build_witness(
     records the product of the per-factor norm bounds.
     """
     p = as_exponent(T.exponent)
-    Tp = T.entries if branch == "T" else np.eye(T.dim) - T.entries
-    defect = A @ (Tp @ B) - np.eye(A.shape[0])
+    defect = A @ (_factored(T, branch).entries @ B) - np.eye(A.shape[0])
     _, residual = column_sum_bound(cert.target_registry(), defect, p)
     return FactorizationWitness(
         exponent=p.p,
@@ -240,8 +246,7 @@ def factor_large_diagonal(
         raise ValueError("eps must lie strictly between 0 and 1")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if isinstance(T, DiagonalOperator):
-        T = T.to_matrix()
+    T = T.to_matrix()
     p = as_exponent(T.exponent)
     source = _registry_of(T)
     d = T.diagonal()
@@ -258,19 +263,11 @@ def factor_large_diagonal(
     metadata: dict = {"unit_diagonal_adjustment": adjustment}
 
     if np.array_equal(TS, np.eye(T.dim)):
-        ones = DiagonalOperator(p, T.basis, np.ones(T.dim))
-        cert = identity_certificate(ones)
+        cert = identity_certificate(DiagonalOperator(p, T.basis, np.ones(T.dim)))
         A = np.eye(T.dim)
         B = np.diag(s)
-        factors = {
-            "inverse": 1.0,
-            "j_inverse": 1.0,
-            "projection": 1.0,
-            "multiplier": _multiplier_norm_bound(p, s),
-            "embedding": 1.0,
-        }
-        metadata["exact"] = True
-        metadata["solve_residual"] = 0.0
+        inverse = projection = 1.0
+        metadata.update(exact=True, solve_residual=0.0)
     else:
         TS_op = OperatorMatrix(p, T.basis, TS)
         if target_depths is None:
@@ -292,28 +289,23 @@ def factor_large_diagonal(
             raise ArithmeticError(
                 "block averages of a unit diagonal must be exactly one"
             )
-        target = cert.target_registry()
-        M = interaction_matrix(source, cert.family, TS_op)
-        inv = neumann_invert(
-            OperatorMatrix(p, target.indices, M), cert.certified_bound
+        A, F, inv, estimate = _invert_through_blocks(
+            cert, interaction_matrix(source, cert.family, TS_op), 1.0, seed + 1
         )
-        PE = projection_matrix(source, target, cert.family)
-        F = embedding_matrix(source, cert.family)
-        A = inv.operator.entries @ PE
         B = s[:, None] * F
-        factors = {
-            "inverse": inv.norm_bound,
-            "j_inverse": 1.0,
-            "projection": complementation_constant(p),
-            "multiplier": _multiplier_norm_bound(p, s),
-            "embedding": 1.0,
-        }
-        metadata["exact"] = False
-        metadata["solve_residual"] = inv.residual
-        metadata["projection_norm_estimate"] = _projection_norm_estimate(
-            source, target, cert.family, p.p, seed=seed + 1
+        inverse, projection = inv.norm_bound, complementation_constant(p)
+        metadata.update(
+            exact=False, solve_residual=inv.residual,
+            projection_norm_estimate=estimate,
         )
 
+    factors = {
+        "inverse": inverse,
+        "j_inverse": 1.0,
+        "projection": projection,
+        "multiplier": _multiplier_norm_bound(p, s),
+        "embedding": 1.0,
+    }
     return _build_witness(
         "large-diagonal", "T", T, cert, A, B, factors,
         large_diagonal_constant(p, delta, eps), eps, delta, metadata,
@@ -350,8 +342,7 @@ def primary_dichotomy(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
-    if isinstance(T, DiagonalOperator):
-        T = T.to_matrix()
+    T = T.to_matrix()
     p = as_exponent(T.exponent)
     stage_eps = eps / 4.0
     if k_schedule is None:
@@ -397,28 +388,16 @@ def primary_dichotomy(
             "composite scalar witness drifted from the recorded scalar"
         )
 
-    source = comp.source_registry()
-    target = comp.target_registry()
-    M = interaction_matrix(source, comp.family, T)
+    M = interaction_matrix(comp.source_registry(), comp.family, T)
     if abs(lam0) >= 0.5:
-        branch = "T"
-        lam_branch = lam0
-        M_branch = M
+        branch, lam_branch, M_branch = "T", lam0, M
     else:
-        branch = "I-T"
-        lam_branch = 1.0 - lam0
-        M_branch = np.eye(M.shape[0]) - M
+        branch, lam_branch, M_branch = "I-T", 1.0 - lam0, np.eye(M.shape[0]) - M
 
     # ||M'/lam - I|| = ||M - lam0 I|| / |lam| <= certified / |lam| < 1
-    ratio = comp.certified_bound / abs(lam_branch)
-    inv = neumann_invert(
-        OperatorMatrix(p, target.indices, M_branch / lam_branch), ratio
+    A, B, inv, estimate = _invert_through_blocks(
+        comp, M_branch, lam_branch, seed + 2
     )
-    PE = projection_matrix(source, target, comp.family)
-    F = embedding_matrix(source, comp.family)
-    A = inv.operator.entries @ (PE / lam_branch)
-    B = F
-
     factors = {
         "inverse": inv.norm_bound,
         "scaling": 1.0 / abs(lam_branch),
@@ -433,9 +412,7 @@ def primary_dichotomy(
         "stage_certified": list(comp.metadata["stage_certified"]),
         "scalar_attempts": attempts,
         "solve_residual": inv.residual,
-        "projection_norm_estimate": _projection_norm_estimate(
-            source, target, comp.family, p.p, seed=seed + 2
-        ),
+        "projection_norm_estimate": estimate,
     }
     return _build_witness(
         "dichotomy", branch, T, comp, A, B, factors,

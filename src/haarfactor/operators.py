@@ -48,6 +48,15 @@ def _check_basis(basis: Sequence[OmegaIndex]) -> tuple[OmegaIndex, ...]:
     return basis
 
 
+def _coefficients(coeffs, dim: int) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != dim:
+        raise ValueError(
+            f"expected a coefficient vector or columns of length {dim}"
+        )
+    return coeffs
+
+
 class OperatorMatrix:
     """A square operator in basis coordinates, column convention."""
 
@@ -82,10 +91,15 @@ class OperatorMatrix:
         return cls(exponent, basis, np.diag(np.asarray(diag, dtype=float)))
 
     def apply(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim,):
-            raise ValueError(f"expected a coefficient vector of length {self.dim}")
-        return self.entries @ coeffs
+        """``T`` on a coefficient vector, or on each column of a matrix."""
+        return self.entries @ _coefficients(coeffs, self.dim)
+
+    def columns(self, rows: Sequence[int]) -> np.ndarray:
+        """The matrix columns ``T[:, rows]``."""
+        return self.entries[:, rows]
+
+    def to_matrix(self) -> "OperatorMatrix":
+        return self
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
@@ -125,10 +139,15 @@ class DiagonalOperator:
         return len(self.basis)
 
     def apply(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim,):
-            raise ValueError(f"expected a coefficient vector of length {self.dim}")
-        return self.diag * coeffs
+        """``T`` on a coefficient vector, or on each column of a matrix."""
+        coeffs = _coefficients(coeffs, self.dim)
+        return (self.diag if coeffs.ndim == 1 else self.diag[:, None]) * coeffs
+
+    def columns(self, rows: Sequence[int]) -> np.ndarray:
+        """The matrix columns ``T[:, rows]``, built from the diagonal."""
+        out = np.zeros((self.dim, len(rows)))
+        out[rows, np.arange(len(rows))] = self.diag[rows]
+        return out
 
     def diagonal(self) -> np.ndarray:
         return self.diag.copy()
@@ -220,12 +239,6 @@ def neumann_invert(op: OperatorMatrix, eps_bound: float) -> NeumannInverse:
 
 def opnorm_upper_unconditional(op) -> float:
     """Sound upper bound ``(p*-1)^2 max|d|`` for a *diagonal* operator."""
-    if isinstance(op, OperatorMatrix):
-        if not op.is_diagonal():
-            raise ValueError("unconditional upper bound only applies to diagonal operators")
-        diag = op.diagonal()
-    elif isinstance(op, DiagonalOperator):
-        diag = op.diag
-    else:
-        raise TypeError(f"unsupported operator type {type(op)!r}")
-    return diagonal_multiplier_bound(op.exponent, float(np.abs(diag).max()))
+    if not op.is_diagonal():
+        raise ValueError("unconditional upper bound only applies to diagonal operators")
+    return diagonal_multiplier_bound(op.exponent, float(np.abs(op.diagonal()).max()))

@@ -183,11 +183,11 @@ class RandomBlockSpec:
             ]
         )
 
-    def interaction_matrix(self, T: OperatorMatrix) -> np.ndarray:
+    def interaction_matrix(self, T) -> np.ndarray:
         """``C[a, b] = <h_{K_a}, T h_{K_b}>`` through the coefficient Gram."""
         rows = [self.registry.index_of[t] for t in self.omega_indices()]
         meas = float(self.intervals[0].measure)
-        return T.entries[np.ix_(rows, rows)] * meas
+        return T.columns(rows)[rows] * meas
 
 
 @dataclass(frozen=True)

@@ -168,21 +168,6 @@ def _registry_of(T) -> BasisRegistry:
     return registry
 
 
-def _apply_columns(T, F: np.ndarray) -> np.ndarray:
-    if isinstance(T, DiagonalOperator):
-        return T.diag[:, None] * F
-    return T.entries @ F
-
-
-def _operator_columns(T, rows: Sequence[int]) -> np.ndarray:
-    """The matrix columns ``T[:, rows]`` for either operator representation."""
-    if isinstance(T, DiagonalOperator):
-        out = np.zeros((T.dim, len(rows)))
-        out[rows, np.arange(len(rows))] = T.diag[rows]
-        return out
-    return T.entries[:, rows]
-
-
 def interaction_matrix(source: BasisRegistry, family: BlockFamily, T) -> np.ndarray:
     """Matrix of the compressed operator ``j^{-1} E T j`` on the target basis.
 
@@ -195,7 +180,7 @@ def interaction_matrix(source: BasisRegistry, family: BlockFamily, T) -> np.ndar
     if T.basis != source.indices:
         raise ValueError("operator basis does not match the source registry")
     F = family.coefficient_columns(source)
-    weighted = source.measures()[:, None] * _apply_columns(T, F)
+    weighted = source.measures()[:, None] * T.apply(F)
     dim = len(family.targets)
     M = np.empty((dim, dim))
     for a in range(dim):
@@ -493,7 +478,7 @@ def reduce_to_diagonal(
         if r not in blocks:
             beta = np.zeros(source.dim)
             beta[rows_of(a.host_copy, a.intervals)] = a.signs
-            blocks[r] = beta, _apply_columns(T, beta[:, None])[:, 0]
+            blocks[r] = beta, T.apply(beta[:, None])[:, 0]
         return blocks[r]
 
     def constraints(i, t, spec, assignments):
@@ -503,16 +488,15 @@ def reduce_to_diagonal(
         forms = []
 
         # self-interaction (off-diagonal part only; the diagonal is what the
-        # emitted entry reproduces)
-        if not isinstance(T, DiagonalOperator):
-            C = spec.interaction_matrix(T)
-            C_off = C - np.diag(np.diag(C))
-            if np.any(C_off != 0.0):
-                tol = paper_zy if paper else rho[i] / 4 * float(mu_t[i]) ** (1.0 / p.q)
-                forms.append((C_off, tol, {"kind": "z", "against": None}))
+        # emitted entry reproduces, so a diagonal source has no Z form)
+        C = spec.interaction_matrix(T)
+        C_off = C - np.diag(np.diag(C))
+        if np.any(C_off != 0.0):
+            tol = paper_zy if paper else rho[i] / 4 * float(mu_t[i]) ** (1.0 / p.q)
+            forms.append((C_off, tol, {"kind": "z", "against": None}))
 
         # pairings against every earlier block, both directions
-        t_cols = _operator_columns(T, rows) if i else None
+        t_cols = T.columns(rows) if i else None
         for j, r in enumerate(targets[:i]):
             beta_r, image_r = block_of(r, assignments[r])
             y = (source_mu * beta_r) @ t_cols

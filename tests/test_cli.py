@@ -507,6 +507,21 @@ class TestMainAgreesWithRun:
         assert set(sz.loads(out)["config"]) == set(echoed)
 
 
+class TestOutWithoutArtifact:
+    """``--out`` on a command that makes no artifact is an error."""
+
+    @pytest.mark.parametrize(
+        "command", ["constants", "verify-moments", "check-distribution"]
+    )
+    def test_is_an_error_naming_out(self, stages, capsys, tmp_path, command):
+        argv, _ = command_cases(*stages)[command]
+        path = tmp_path / "x.json"
+        code, _, err = invoke(capsys, command, *argv, "--out", str(path))
+        assert code == ERROR
+        assert "--out" in sz.loads(err)["error"]["message"]
+        assert not path.exists()
+
+
 class TestSeededDefaults:
     """Commands run without --in on seeded inputs derived from the flags."""
 

@@ -15,7 +15,7 @@ import pytest
 
 from haarfactor import serialize
 from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
-from haarfactor.factorize import factor_large_diagonal
+from haarfactor.factorize import factor_large_diagonal, primary_dichotomy
 from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix
 from haarfactor.randsigns import RandomBlockSpec, exact_moments
@@ -102,6 +102,28 @@ def factorization_exact():
     return factor_large_diagonal(T, 0.5, 0.25)
 
 
+def factorization_compressed():
+    T = _perturbed(BasisRegistry({4: 3, 5: 4}), 4.0, 17, 1.0, 0.01)
+    return factor_large_diagonal(
+        T, 0.5, 0.25, target_depths={1: 0, 2: 1}, k_schedule={1: 3, 2: 3}
+    )
+
+
+def _dichotomy(seed):
+    registry = BasisRegistry.single_copy(6)
+    d = np.random.default_rng(seed).uniform(0, 1, registry.dim)
+    T = OperatorMatrix.from_diagonal(4.0, registry.indices, d)
+    return primary_dichotomy(T, 0.25, seed=seed, k_schedule={3: 3})
+
+
+def dichotomy_of_t():
+    return _dichotomy(4)
+
+
+def dichotomy_of_complement():
+    return _dichotomy(7)
+
+
 def dense_operator():
     return _perturbed(BasisRegistry({3: 2}), 4.0, 7, 1.0, 0.05)
 
@@ -176,6 +198,18 @@ CASES = {
     "factorization_exact": (
         factorization_exact,
         "72aa4e17d0de9ee0d5371fba38e0cca037cdf906095af1edfd9a92321faea7cc",
+    ),
+    "factorization_compressed": (
+        factorization_compressed,
+        "0d0cd074f29e187db52e2cc169f30f32949b20bcdfc4b1bc907c734fa0c86722",
+    ),
+    "dichotomy_of_t": (
+        dichotomy_of_t,
+        "4a48c97c450a04cf4b163a6a5df1004a12b2ccbeb9368dac7686732520fa61ae",
+    ),
+    "dichotomy_of_complement": (
+        dichotomy_of_complement,
+        "7e4777a869b39cf30ff22772f433176460f77ad59b4b772276999df753f28440",
     ),
     "dense_operator": (
         dense_operator,

@@ -316,6 +316,28 @@ class TestReduceToDiagonal:
             vals = [diag_map[OmegaIndex(a.host_copy, K)] for K in a.intervals]
             assert entry == math.fsum(vals) / len(vals)
 
+    @pytest.mark.parametrize("search", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_diagonal_operator_and_its_matrix_reduce_alike(self, seed, search):
+        source = BasisRegistry({4: 3, 5: 4})
+        d = np.random.default_rng(seed).uniform(-1.0, 1.0, source.dim)
+        certs = [
+            reduce_to_diagonal(
+                S, {1: 0, 2: 1}, 0.5, k_schedule={1: 3, 2: 3},
+                search=search, seed=seed,
+            )
+            for S in (
+                DiagonalOperator(4.0, source.indices, d),
+                OperatorMatrix.from_diagonal(4.0, source.indices, d),
+            )
+        ]
+        a, b = certs
+        assert a.family.assignments == b.family.assignments
+        assert a.residuals == b.residuals
+        assert a.certified_bound == b.certified_bound
+        assert a.metadata == b.metadata
+        assert a.schedule == b.schedule
+
     def test_seeded_operator_meets_budget(self):
         source = BasisRegistry({5: 4, 6: 5, 7: 6})
         T = seeded_operator(source, 4.0, 42)
