@@ -8,9 +8,15 @@ game transcripts, moment reports and run reports:
 
 Rules that keep the artifacts trustworthy as records:
 
-* rendering is canonical (sorted keys, fixed indentation, ``\\n`` ends),
-  so identical objects produce identical bytes; anything time-dependent
-  (such as a created-at stamp) lives only in ``metadata``;
+* rendering is canonical: one renderer writes the format of
+  ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` byte for
+  byte (sorted keys, two-space indentation, ASCII escapes) plus a final
+  ``\\n``, and an oracle test against ``json.dumps`` pins this; identical
+  objects produce identical bytes, and anything time-dependent (such as a
+  created-at stamp) lives only in ``metadata``;
+* NaN and the infinities have no place in an artifact: rendering refuses
+  them with ``ValueError`` before any byte is written, and loading rejects
+  the ``NaN``/``Infinity``/``-Infinity`` tokens with :class:`SchemaError`;
 * floats render as shortest round-tripping decimals, so entries reload
   to the exact same binary values; exact rationals render as ``"13/12"``
   strings; basis lists reload to the exact same index tuples;
@@ -33,6 +39,7 @@ integer keys (copy labels); they are encoded as ``{"~pairs": [[k, v],
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction
 from itertools import chain
@@ -193,13 +200,13 @@ def _operator_payload(op, where) -> dict:
             "kind": "diagonal-operator",
             "p": float(op.exponent.p),
             "basis": _basis_payload(op.basis),
-            "diagonal": [float(d) for d in op.diag],
+            "diagonal": np.asarray(op.diag, dtype=float).tolist(),
         }
     return {
         "kind": "operator",
         "p": float(op.exponent.p),
         "basis": _basis_payload(op.basis),
-        "entries": [[float(x) for x in row] for row in op.entries],
+        "entries": np.asarray(op.entries, dtype=float).tolist(),
     }
 
 
@@ -361,11 +368,11 @@ _AS_IS = _same(lambda value: value)
 _FLOAT = (_same(float)[0], _number)
 _FLOAT_MAP = (_same(lambda values: {k: float(v) for k, v in values.items()})[0], _number_map)
 _FLOATS = (
-    lambda values, where: [float(v) for v in values],
+    lambda values, where: np.asarray(values, dtype=float).tolist(),
     lambda values, where: tuple(_floats(values, where)),
 )
 _MATRIX = (
-    lambda matrix, where: [[float(x) for x in row] for row in matrix],
+    lambda matrix, where: np.asarray(matrix, dtype=float).tolist(),
     _rows_from,
 )
 _TREE = (_encode_tree, lambda value, where: _decode_tree(value))
@@ -624,19 +631,101 @@ def undocument(doc: dict):
 
 
 def dumps(obj, *, metadata: dict | None = None) -> str:
-    """Canonical text of the object's document: byte-stable per object."""
+    """Canonical text of the object's document: byte-stable per object.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"`` byte for byte, written by :func:`_render`.
+    A NaN or infinite float raises ``ValueError``; a dict key that is not a
+    ``str`` and a value of any non-JSON type raise ``TypeError``.
+    """
     doc = obj if _is_document(obj) else document(obj, metadata=metadata)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out: list[str] = []
+    _render(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str):
+    """The object held by a document's text; the ``NaN``, ``Infinity`` and
+    ``-Infinity`` tokens, which :func:`dumps` never writes, are a
+    :class:`SchemaError`."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_non_finite_token)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     return undocument(doc)
+
+
+def _non_finite_token(token: str):
+    raise SchemaError(f"non-finite number {token} is not allowed in a document")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render(value, out: list[str], newline: str) -> None:
+    """Append the canonical text of a JSON tree to ``out``.
+
+    Types dispatch in ``json``'s own order (``str``; ``None``, ``True``,
+    ``False`` before ``int``; ``float`` and its subclasses through
+    ``float.__repr__``; list or tuple; dict), and ``newline`` is the line
+    break plus the indentation of the current depth.  A row of exact
+    floats, where nearly all of an artifact's bytes are, is one join.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_finite(float.__repr__(value), (value,)))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        if set(map(type, value)) == {float}:
+            out.append(_finite(("," + inner).join(map(float.__repr__, value)), value))
+        else:
+            for pos, item in enumerate(value):
+                if pos:
+                    out.append("," + inner)
+                _render(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        out.append("{" + inner)
+        for pos, key in enumerate(sorted(value)):
+            if pos:
+                out.append("," + inner)
+            out.append(_quote(key) + ": ")
+            _render(value[key], out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _finite(text: str, values) -> str:
+    """``text``, the joined reprs of ``values``, unless one is NaN or
+    infinite: no finite float's repr contains an ``n``."""
+    if "n" in text:
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return text
 
 
 def _is_document(obj) -> bool:

@@ -1,7 +1,7 @@
 """Command-line runner: exit codes, report contents, artifact determinism."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -541,3 +541,44 @@ class TestSeededDefaults:
         code, out, _ = invoke(capsys, "dichotomy", "--copies", "5", "--seed", "4")
         assert code == OK
         assert all(sz.loads(out)["checks"].values())
+
+
+class TestNonFiniteValues:
+    """NaN and the infinities never enter or leave an artifact file."""
+
+    @pytest.fixture()
+    def scalar_cert(self, tmp_path):
+        path = tmp_path / "scalar.json"
+        run(ExperimentConfig("reduce-scalar", copies=(5,), seed=0, out=str(path)))
+        return path
+
+    @pytest.mark.parametrize(
+        "value, token",
+        [(float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")],
+    )
+    def test_in_file_with_a_non_finite_token_is_an_error(
+        self, scalar_cert, capsys, tmp_path, value, token
+    ):
+        doc = json.loads(scalar_cert.read_text())
+        doc["payload"]["certified_bound"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert token in bad.read_text()
+        code, _, err = invoke(capsys, "check-distribution", "--in", str(bad))
+        assert code == ERROR
+        error = sz.loads(err)["error"]
+        assert error["type"] == "SchemaError"
+        assert f"non-finite number {token} " in error["message"]
+
+    def test_out_of_a_non_finite_artifact_writes_no_file(self, monkeypatch, tmp_path):
+        made = cli.reduce_to_scalar_finite
+
+        def with_nan(*args, **kwargs):
+            cert = made(*args, **kwargs)
+            return replace(cert, metadata={**cert.metadata, "probe": float("nan")})
+
+        monkeypatch.setattr(cli, "reduce_to_scalar_finite", with_nan)
+        path = tmp_path / "scalar.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run(ExperimentConfig("reduce-scalar", copies=(5,), seed=0, out=str(path)))
+        assert not path.exists()

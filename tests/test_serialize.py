@@ -1,12 +1,16 @@
 """Artifact documents: round trips, canonical bytes, schema rejection."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_golden_bytes import CASES as GOLDEN
 
 from haarfactor import serialize as sz
+from haarfactor.cli import ExperimentConfig, run
 from haarfactor.factorize import factor_large_diagonal, primary_dichotomy
 from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix, max_column_sum
@@ -325,3 +329,137 @@ class TestSchemaRejection:
         doc["payload"]["weights"] = {"family": "power", "p": "2", "decay": "1/4"}
         with pytest.raises(sz.SchemaError, match="p > 2"):
             sz.undocument(doc)
+
+
+# -- canonical rendering ------------------------------------------------------------
+
+
+def oracle(doc) -> str:
+    """The canonical format, as the standard library writes it."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# repr switches to an exponent below 1e-4 and from 1e16 on
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+    1e16, 9999999999999998.0, 1e-5, 1.0000000000000002e-5, 0.0001,
+    9.999999999999999e-05, 0.1, -2.5,
+]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    EDGE_FLOATS
+)
+integers = st.integers() | st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+texts = st.text() | st.sampled_from(["", "é", "\x00\x1f\x7f", " ", "😀", '"\\/'])
+scalars = st.one_of(
+    st.none(), st.booleans(), integers, finite_floats, texts,
+    finite_floats.map(np.float64),
+)
+rows = st.lists(finite_floats, min_size=1, max_size=300)
+trees = st.recursive(
+    scalars | rows | st.lists(integers | finite_floats),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(texts, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+documents = st.fixed_dictionaries(
+    {"schema": texts, "kind": texts, "payload": trees, "metadata": trees}
+)
+
+
+class TestCanonicalRendering:
+    """`dumps` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=2, allow_nan=False)`` plus a final newline."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(documents)
+    def test_matches_the_json_oracle(self, doc):
+        assert sz.dumps(doc) == oracle(doc)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_cases_match_the_oracle(self, name):
+        doc = sz.document(GOLDEN[name][0]())
+        assert sz.dumps(doc) == oracle(doc)
+
+    def test_seed0_factorize_witness_matches_the_oracle(self, tmp_path):
+        # the benchmark's `factorize` job: I + 0.05 N on the acceptance source
+        source = BasisRegistry({5: 4, 6: 5, 7: 6})
+        noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
+        np.fill_diagonal(noise, 0.0)
+        noise /= max_column_sum(noise)
+        op = tmp_path / "operator.json"
+        sz.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
+        out = tmp_path / "witness.json"
+        run(ExperimentConfig(
+            "factorize", p=4.0, delta=1.0, eps="0.25", seed=5,
+            inputs=(str(op),), out=str(out),
+        ))
+        doc = sz.document(sz.load(out))
+        assert out.read_text() == sz.dumps(doc) == oracle(doc)
+
+    def test_non_str_key_is_a_type_error(self):
+        # json.dumps would coerce 1 to "1"; documents carry int keys as
+        # ``~pairs``, so a bare one is refused instead
+        doc = {"schema": "s", "kind": "k", "payload": {1: 0.5}, "metadata": {}}
+        with pytest.raises(TypeError, match="keys must be str, not int"):
+            sz.dumps(doc)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), object()])
+    def test_non_json_value_is_a_type_error(self, value):
+        doc = {"schema": "s", "kind": "k", "payload": [1.0, value], "metadata": {}}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            sz.dumps(doc)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRefused:
+    """NaN and the infinities raise before any byte is written."""
+
+    def doc(self, payload):
+        return {"schema": sz.SCHEMA_VERSION, "kind": "k", "payload": payload, "metadata": {}}
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", [0, 110, 220])
+    def test_in_a_float_row(self, bad, where):
+        row = np.linspace(-1.0, 1.0, 221).tolist()
+        row[where] = bad
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sz.dumps(self.doc({"entries": [row]}))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_as_a_nested_scalar(self, bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sz.dumps(self.doc({"a": [1, {"b": bad}]}))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sz.dumps(self.doc({"a": np.float64(bad)}))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_in_run_data_and_no_file_is_saved(self, bad, tmp_path):
+        cert = TestCertificateRoundTrip().diagonal_cert()
+        cert = replace(cert, metadata={**cert.metadata, "probe": [0.5, bad]})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sz.dumps(cert)
+        path = tmp_path / "cert.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sz.save(path, cert)
+        assert not path.exists()
+
+
+class TestNonFiniteTokensRejected:
+    """`loads` refuses the NaN/Infinity tokens that `dumps` never writes."""
+
+    @pytest.mark.parametrize("bad, token", zip(NON_FINITE, ["NaN", "Infinity", "-Infinity"]))
+    def test_in_a_certified_bound(self, bad, token):
+        source = BasisRegistry.single_copy(5)
+        d = 0.4 + np.random.default_rng(0).uniform(-0.01, 0.01, source.dim)
+        cert = reduce_to_scalar_finite(DiagonalOperator(4.0, source.indices, d), 2, 0.2)
+        doc = json.loads(sz.dumps(cert))
+        doc["payload"]["certified_bound"] = bad
+        text = json.dumps(doc)  # the standard library writes the token
+        assert token in text
+        with pytest.raises(sz.SchemaError, match=f"non-finite number {token} "):
+            sz.loads(text)
