@@ -48,6 +48,7 @@ from .operators import (
 )
 from .reduction import (
     ReductionCertificate,
+    _COMPOSITE_SCALAR_DRIFT,
     _registry_of,
     column_sum_bound,
     compose_certificates,
@@ -383,7 +384,7 @@ def primary_dichotomy(
         )
     lam0 = comp.scalar
     witness = comp.scalar_witness
-    if witness is not None and abs(witness.value - lam0) > 1e-12:
+    if witness is not None and abs(witness.value - lam0) > _COMPOSITE_SCALAR_DRIFT:
         raise ArithmeticError(
             "composite scalar witness drifted from the recorded scalar"
         )

@@ -167,7 +167,8 @@ class DiagonalAverageWitness:
     """States that ``value`` is the mean of a source diagonal over ``positions``.
 
     ``positions`` is a multiset (repeats allowed).  ``verify`` recomputes the
-    mean from the claimed source and compares within ``tol``; a position the
+    mean from the claimed source as :func:`diagonal_average` does, so by
+    default it must equal ``value`` exactly (``tol=0.0``); a position the
     source diagonal lacks makes the claim false.
     """
 
@@ -178,7 +179,7 @@ class DiagonalAverageWitness:
         if not self.positions:
             raise ValueError("a diagonal-average witness needs at least one position")
 
-    def verify(self, source, tol: float = 1e-12) -> bool:
+    def verify(self, source, tol: float = 0.0) -> bool:
         diag = source.diagonal_map()
         if any(t not in diag for t in self.positions):
             return False

@@ -102,6 +102,8 @@ __all__ = [
 ]
 
 DEFAULT_PATTERN_BUDGET = 1 << 20
+# a composite's scalar witness, a mean of means, may round off its scalar by this
+_COMPOSITE_SCALAR_DRIFT = 1e-12
 
 
 # -- certificate -------------------------------------------------------------
@@ -1202,7 +1204,9 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     Checks block nesting, the distributional-copy law, every
     diagonal-average witness, that ``block_averages`` are exactly the
     witness values, the exact residual columns, and the recorded bounds.
-    ``ok`` is True only if every check passes.
+    A scalar witness must hold and its value must be ``scalar`` exactly, or
+    within ``_COMPOSITE_SCALAR_DRIFT`` for a composite (report key
+    ``scalar_witness_value``).  ``ok`` is True only if every check passes.
 
     The law check (:func:`~haarfactor.haarsys.check_distributional_copy`)
     is exact at every size: the blocks have the target Haar law if and only
@@ -1247,6 +1251,9 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     )
     if cert.scalar_witness is not None:
         report["scalar_witness"] = cert.scalar_witness.verify(cert.source)
+        drift = _COMPOSITE_SCALAR_DRIFT if cert.mode == "composite" else 0.0
+        gap = math.inf if cert.scalar is None else cert.scalar_witness.value - cert.scalar
+        report["scalar_witness_value"] = bool(abs(gap) <= drift)
 
     residuals, column_sum, gap, certified = _certify(
         source, cert.family, cert.source, target,

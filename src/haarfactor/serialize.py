@@ -21,33 +21,40 @@ Rules that keep the artifacts trustworthy as records:
   to the exact same binary values; exact rationals render as ``"13/12"``
   strings; basis lists reload to the exact same index tuples;
 * loading validates: the schema version, the exact field set of every
-  object (unknown or missing fields are named), basis lists in the
-  copy/level/position order, and shape agreement between bases and
-  entry matrices.  JSON syntax errors surface with line/column.
+  object (unknown or missing fields are named), the JSON type of every
+  field, basis lists in the copy/level/position order, and shape agreement
+  between bases and entry matrices.  JSON syntax errors surface with
+  line/column.
 
-Each kind declares its format once.  Certificates, factorization
-witnesses and moment reports are record tables of rows ``(payload key,
-attribute, write, read)``, written by one walker and read by another; the
-other kinds and pieces have hand-written codecs.  One map ``kind ->
-(class, write, read)`` drives :func:`document` and :func:`undocument`.
+Each kind declares its format once.  Every field is read by a typed leaf
+codec that accepts exactly one JSON type (a bool is no number) and names
+the field's path otherwise.  Every kind but the free-form run report, and
+every piece of one, is a record table of rows ``(payload key, attribute,
+write, read)``, written by one walker and read by another; the operator
+kinds and the weight families are tagged unions of such tables.  One map
+``kind -> (class, write, read)`` drives :func:`document` and
+:func:`undocument`.
 
 Dictionaries inside free-form ``schedule``/``metadata`` trees may have
 integer keys (copy labels); they are encoded as ``{"~pairs": [[k, v],
-...]}`` and restored exactly.  Tuples in those trees reload as lists.
+...]}`` and restored exactly, and a fraction as ``{"~fraction": "13/12"}``;
+a marker of any other shape is a :class:`SchemaError` naming its path.
+Tuples in those trees reload as lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .dyadic import DyadicInterval, OmegaIndex, compare_omega, parse_interval, parse_omega
+from .dyadic import compare_omega, parse_interval, parse_omega
 from .factorize import FactorizationWitness
 from .haarsys import BlockAssignment, BlockFamily
 from .operators import DiagonalAverageWitness, DiagonalOperator, OperatorMatrix
@@ -85,6 +92,164 @@ def _expect_fields(mapping, required, optional=(), where="document"):
     return mapping
 
 
+def _typed(value, json_types, name, where):
+    """``value``, if its JSON type is one of ``json_types`` (JSON values have
+    exact types, so a bool is no int); else a SchemaError at ``where``."""
+    if type(value) not in json_types:
+        raise SchemaError(f"{where}: expected {name}, got {type(value).__name__}")
+    return value
+
+
+def _build(make, where, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError or ArithmeticError it raises
+    becomes a SchemaError at ``where``, and a SchemaError passes through."""
+    try:
+        return make(*args, **kwargs)
+    except SchemaError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+# -- codecs ----------------------------------------------------------------------
+#
+# A codec is a pair ``(write, read)``: ``write(value, where)`` gives the JSON
+# form and ``read(json, where)`` the value back; ``where`` names the spot for
+# error messages.
+
+
+def _leaf(json_types, name, parse, write=None):
+    """Codec of a value stored as one JSON type: reading refuses every other
+    type and turns a ValueError or ArithmeticError of ``parse`` into a
+    SchemaError at ``where``; writing applies ``write`` (default ``parse``)."""
+    write = write or parse
+
+    def read(value, where):
+        return _build(parse, where, _typed(value, json_types, name, where))
+
+    return lambda value, where: write(value), read
+
+
+_NUMBER = _leaf((int, float), "a number", float)
+_INTEGER = _leaf((int,), "an integer", int)
+_BOOLEAN = _leaf((bool,), "a boolean", bool)
+_STRING = _leaf((str,), "a string", str)
+_FRACTION = _leaf((str,), "a fraction string", Fraction, str)
+_INDEX = _leaf((str,), "an index string", parse_omega, str)
+_INTERVAL = _leaf((str,), "an interval string", parse_interval, str)
+# an operator's exponent, stored as its ``p``
+_EXPONENT = (lambda exponent, where: float(exponent.p), _NUMBER[1])
+
+
+def _optional(codec):
+    """``codec``, with ``None`` standing for itself."""
+    write, read = codec
+    return (
+        lambda value, where: None if value is None else write(value, where),
+        lambda value, where: None if value is None else read(value, where),
+    )
+
+
+def _list(codec, empty=None):
+    """Codec of a list of ``codec`` values, read as a tuple; ``empty``, if
+    given, is the complaint about an empty list."""
+    put, get = codec
+
+    def write(values, where) -> list:
+        return [put(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+    def read(values, where) -> tuple:
+        if not _typed(values, (list,), "a list", where) and empty:
+            raise SchemaError(f"{where}: {empty}")
+        return tuple(get(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+    return write, read
+
+
+def _map(codec):
+    """Codec of a JSON object whose values are all ``codec`` values."""
+    put, get = codec
+
+    def write(mapping, where) -> dict:
+        return {k: put(v, f"{where}.{k}") for k, v in mapping.items()}
+
+    def read(mapping, where) -> dict:
+        _typed(mapping, (dict,), "an object", where)
+        return {k: get(v, f"{where}.{k}") for k, v in mapping.items()}
+
+    return write, read
+
+
+def _pairs(key, value):
+    """Codec of a dict stored as a list of ``[key, value]`` pairs in key order."""
+    (put_key, get_key), (put_value, get_value) = key, value
+
+    def write(mapping, where) -> list:
+        pairs = sorted(mapping.items())
+        return [[put_key(k, where), put_value(v, where)] for k, v in pairs]
+
+    def read(items, where) -> dict:
+        out = {}
+        for i, pair in enumerate(_typed(items, (list,), "a list of pairs", where)):
+            at = f"{where}[{i}]"
+            if type(pair) is not list or len(pair) != 2:
+                raise SchemaError(f"{at}: expected a [key, value] pair")
+            out[get_key(pair[0], f"{at}[0]")] = get_value(pair[1], f"{at}[1]")
+        return out
+
+    return write, read
+
+
+def _vector_from(values, where) -> np.ndarray:
+    """A float array from a list of JSON numbers."""
+    _typed(values, (list,), "a list of numbers", where)
+    # one pass over the entry types; only a failing list is walked entry by
+    # entry, so that the error names the first entry `_NUMBER` rejects
+    if not set(map(type, values)) <= {int, float}:
+        for j, value in enumerate(values):
+            _NUMBER[1](value, f"{where}[{j}]")
+    return _build(np.array, where, values, dtype=float)
+
+
+def _rows_from(rows, where) -> np.ndarray:
+    """A matrix from a list of equally long rows of JSON numbers."""
+    _typed(rows, (list,), "a list of rows", where)
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            raise SchemaError(f"{where}[{i}]: expected a row, got {type(row).__name__}")
+        if len(row) != len(rows[0]):
+            raise SchemaError(
+                f"{where}: row {i} has {len(row)} columns, expected {len(rows[0])}"
+            )
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        for i, row in enumerate(rows):
+            _vector_from(row, f"{where}[{i}]")
+    return _build(np.array, where, rows, dtype=float)
+
+
+def _basis_from(strings, where) -> tuple:
+    if type(strings) is not list or not strings:
+        raise SchemaError(f"{where}: basis must be a non-empty list")
+    out = [_INDEX[1](s, f"{where}: basis entry {pos}") for pos, s in enumerate(strings)]
+    for pos in range(1, len(out)):
+        if compare_omega(out[pos - 1], out[pos]) >= 0:
+            raise SchemaError(
+                f"{where}: basis out of order at position {pos}: "
+                f"{strings[pos]!r} after {strings[pos - 1]!r}"
+            )
+    return tuple(out)
+
+
+def _float_lists(array, where) -> list:
+    return np.asarray(array, dtype=float).tolist()
+
+
+_VECTOR = (_float_lists, _vector_from)
+_FLOATS = (_float_lists, lambda v, where: tuple(_vector_from(v, where).tolist()))
+_MATRIX = (_float_lists, _rows_from)
+_BASIS = (lambda basis, where: [str(ix) for ix in basis], _basis_from)
+
+
 # -- free-form trees (schedule / metadata) -----------------------------------
 
 
@@ -113,309 +278,107 @@ def _encode_tree(value, where):
     raise SchemaError(f"{where}: cannot encode {type(value).__name__} values")
 
 
-def _decode_tree(value):
-    if isinstance(value, list):
-        return [_decode_tree(v) for v in value]
-    if isinstance(value, dict):
-        if set(value) == {"~fraction"}:
-            return Fraction(value["~fraction"])
-        if set(value) == {"~pairs"}:
-            return {
-                _freeze(_decode_tree(k)): _decode_tree(v) for k, v in value["~pairs"]
-            }
-        return {k: _decode_tree(v) for k, v in value.items()}
+def _decode_tree(value, where):
+    """A tree back from its JSON form: a ``~fraction`` marker holds a
+    fraction string and a ``~pairs`` marker a list of ``[key, value]``
+    pairs with hashable keys; any other marker is a SchemaError there."""
+    if type(value) is list:
+        return [
+            _decode_tree(v, f"{where}[{i}]") if type(v) in (list, dict) else v
+            for i, v in enumerate(value)
+        ]
+    if type(value) is dict:
+        if len(value) == 1 and "~fraction" in value:
+            return _FRACTION[1](value["~fraction"], f"{where}.~fraction")
+        if len(value) == 1 and "~pairs" in value:
+            return _TREE_PAIRS[1](value["~pairs"], f"{where}.~pairs")
+        return {k: _decode_tree(v, f"{where}.{k}") for k, v in value.items()}
     return value
 
 
-def _freeze(key):
-    return tuple(key) if isinstance(key, list) else key
-
-
-# -- typed pieces -------------------------------------------------------------
-
-
-def _basis_payload(basis) -> list[str]:
-    return [str(ix) for ix in basis]
-
-
-def _basis_from(strings, where) -> tuple[OmegaIndex, ...]:
-    if not isinstance(strings, list) or not strings:
-        raise SchemaError(f"{where}: basis must be a non-empty list")
-    out = []
-    for pos, text in enumerate(strings):
-        try:
-            out.append(parse_omega(text))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"{where}: basis entry {pos}: {exc}") from exc
-    for pos in range(1, len(out)):
-        if compare_omega(out[pos - 1], out[pos]) >= 0:
-            raise SchemaError(
-                f"{where}: basis out of order at position {pos}: "
-                f"{strings[pos]!r} after {strings[pos - 1]!r}"
-            )
-    return tuple(out)
-
-
-def _matrix_from(rows, dim, where) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise SchemaError(f"{where}: expected {dim} rows")
-    for pos, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(
-                f"{where}: row {pos} has {len(row) if isinstance(row, list) else 'no'}"
-                f" columns, expected {dim}"
-            )
-    return _rows_from(rows, where)
-
-
-def _rows_from(rows, where) -> np.ndarray:
-    """A matrix from a list of equally long rows of JSON numbers."""
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise SchemaError(f"{where} must be a list of rows")
-    widths = sorted({len(row) for row in rows})
-    if len(widths) > 1:
-        raise SchemaError(f"{where}: ragged rows of lengths {widths}")
-    # one pass over the entry types; only a failing matrix is walked entry
-    # by entry, so that the error names the first entry `_number` rejects
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        for i, row in enumerate(rows):
-            for j, value in enumerate(row):
-                _number(value, f"{where}[{i}][{j}]")
+def _tree_key(value, where):
+    """A ``~pairs`` key: a decoded tree, a list frozen to a tuple."""
+    key = _decode_tree(value, where)
+    key = tuple(key) if type(key) is list else key
     try:
-        return np.array(rows, dtype=float)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        hash(key)
+    except TypeError as exc:
+        raise SchemaError(f"{where}: a key must be hashable: {exc}") from exc
+    return key
 
 
-def _floats(values, where) -> list[float]:
-    """A list of JSON numbers read as floats, each checked by `_number`."""
-    if not isinstance(values, list):
-        raise SchemaError(f"{where} must be a list")
-    return [_number(v, f"{where}[{pos}]") for pos, v in enumerate(values)]
+_TREE = (_encode_tree, _decode_tree)
+_TREE_PAIRS = _pairs((_encode_tree, _tree_key), _TREE)
 
 
-def _operator_payload(op, where) -> dict:
-    if isinstance(op, DiagonalOperator):
-        return {
-            "kind": "diagonal-operator",
-            "p": float(op.exponent.p),
-            "basis": _basis_payload(op.basis),
-            "diagonal": np.asarray(op.diag, dtype=float).tolist(),
-        }
-    return {
-        "kind": "operator",
-        "p": float(op.exponent.p),
-        "basis": _basis_payload(op.basis),
-        "entries": np.asarray(op.entries, dtype=float).tolist(),
-    }
+# -- records -----------------------------------------------------------------------
 
 
-def _operator_from(payload, where):
-    _expect_fields(payload, ("kind",), ("p", "basis", "entries", "diagonal"), where)
-    kind = payload["kind"]
-    if kind == "operator":
-        _expect_fields(payload, ("kind", "p", "basis", "entries"), (), where)
-        basis = _basis_from(payload["basis"], where)
-        entries = _matrix_from(payload["entries"], len(basis), f"{where}.entries")
-        return OperatorMatrix(payload["p"], basis, entries)
-    if kind == "diagonal-operator":
-        _expect_fields(payload, ("kind", "p", "basis", "diagonal"), (), where)
-        basis = _basis_from(payload["basis"], where)
-        diag = _floats(payload["diagonal"], f"{where}.diagonal")
-        if len(diag) != len(basis):
-            raise SchemaError(
-                f"{where}: diagonal length {len(diag)} does not match "
-                f"basis length {len(basis)}"
-            )
-        return DiagonalOperator(payload["p"], basis, diag)
-    raise SchemaError(f"{where}: unknown operator kind {kind!r}")
+def _record(build, rows, check=lambda values, where: None):
+    """Codec of a record declared by its table of rows ``(payload key,
+    attribute, write, read)``; an attribute ``a.b`` is ``b`` of ``a``.
 
-
-def _operator_kind(cls, kind):
-    """``(class, write, read)`` of a top-level operator: the document, not
-    its payload, carries the kind."""
-
-    def write(op, where) -> dict:
-        payload = _operator_payload(op, where)
-        del payload["kind"]
-        return payload
-
-    def read(payload, where):
-        return _operator_from({**payload, "kind": kind}, where)
-
-    return cls, write, read
-
-
-def _witness_payload(w: DiagonalAverageWitness, where) -> dict:
-    return {
-        "value": float(w.value),
-        "positions": [str(ix) for ix in w.positions],
-    }
-
-
-def _witness_from(payload, where) -> DiagonalAverageWitness:
-    _expect_fields(payload, ("value", "positions"), (), where)
-    try:
-        positions = tuple(parse_omega(s) for s in payload["positions"])
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{where}.positions: {exc}") from exc
-    return DiagonalAverageWitness(float(payload["value"]), positions)
-
-
-def _family_payload(family: BlockFamily, where) -> list[dict]:
-    out = []
-    for t in family.targets:
-        a = family.assignments[t]
-        out.append(
-            {
-                "target": str(t),
-                "host": a.host_copy,
-                "intervals": [str(K) for K in a.intervals],
-                "signs": list(a.signs),
-            }
-        )
-    return out
-
-
-def _family_from(payload, where) -> BlockFamily:
-    if not isinstance(payload, list) or not payload:
-        raise SchemaError(f"{where} must be a non-empty list of blocks")
-    assignments = {}
-    for pos, item in enumerate(payload):
-        spot = f"{where}[{pos}]"
-        _expect_fields(item, ("target", "host", "intervals", "signs"), (), spot)
-        try:
-            target = parse_omega(item["target"])
-            intervals = tuple(parse_interval(s) for s in item["intervals"])
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"{spot}: {exc}") from exc
-        try:
-            assignments[target] = BlockAssignment(
-                host_copy=int(item["host"]),
-                intervals=intervals,
-                signs=tuple(int(s) for s in item["signs"]),
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{spot}: {exc}") from exc
-    try:
-        return BlockFamily(assignments)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _depths_payload(depths: dict, where) -> list[list[int]]:
-    return [[int(c), int(d)] for c, d in sorted(depths.items())]
-
-
-def _depths_from(payload, where) -> dict[int, int]:
-    if not isinstance(payload, list):
-        raise SchemaError(f"{where} must be a list of [copy, depth] pairs")
-    out = {}
-    for pair in payload:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}: expected [copy, depth] pairs")
-        out[int(pair[0])] = int(pair[1])
-    return out
-
-
-# -- codecs ----------------------------------------------------------------------
-#
-# A codec is a pair ``(write, read)``: ``write(value, where)`` gives the JSON
-# form and ``read(json, where)`` the value back; ``where`` names the spot for
-# error messages.
-
-
-def _same(convert):
-    """Codec for a JSON-native value converted alike in both directions; a
-    value that does not convert is a :class:`SchemaError` at ``where``."""
-
-    def code(value, where):
-        try:
-            return convert(value)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-
-    return code, code
-
-
-def _optional(codec):
-    """``codec``, with ``None`` standing for itself."""
-    write, read = codec
-    return (
-        lambda value, where: None if value is None else write(value, where),
-        lambda value, where: None if value is None else read(value, where),
-    )
-
-
-def _number(value, where) -> float:
-    """A JSON number read as a float; a bool or string is a SchemaError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _number_map(values, where) -> dict:
-    """A JSON object of numbers read as floats, each checked by `_number`."""
-    if not isinstance(values, dict):
-        raise SchemaError(f"{where} must be an object, got {type(values).__name__}")
-    return {k: _number(v, f"{where}.{k}") for k, v in values.items()}
-
-
-_AS_IS = _same(lambda value: value)
-_FLOAT = (_same(float)[0], _number)
-_FLOAT_MAP = (_same(lambda values: {k: float(v) for k, v in values.items()})[0], _number_map)
-_FLOATS = (
-    lambda values, where: np.asarray(values, dtype=float).tolist(),
-    lambda values, where: tuple(_floats(values, where)),
-)
-_MATRIX = (
-    lambda matrix, where: np.asarray(matrix, dtype=float).tolist(),
-    _rows_from,
-)
-_TREE = (_encode_tree, lambda value, where: _decode_tree(value))
-_OPERATOR = (_operator_payload, _operator_from)
-_DEPTHS = (_depths_payload, _depths_from)
-_FAMILY = (_family_payload, _family_from)
-_WITNESS = (_witness_payload, _witness_from)
-_WITNESSES = (
-    lambda ws, where: [_witness_payload(w, where) for w in ws],
-    lambda items, where: tuple(
-        _witness_from(w, f"{where}[{i}]") for i, w in enumerate(items)
-    ),
-)
-
-
-# -- record kinds ------------------------------------------------------------------
-
-
-def _record(cls, rows, check=lambda values, where: None):
-    """``(class, write, read)`` of a record kind declared by its table.
-
-    Each row is ``(payload key, attribute, write, read)``.  Reading checks
-    the exact field set, reads every field at ``where.key``, runs the
-    kind's cross-field ``check`` on the attribute values and builds ``cls``.
+    Reading checks the exact field set, reads every field at ``where.key``,
+    runs the cross-field ``check`` on the attribute values and calls
+    ``build`` with them as keywords, those of ``a.b`` rows gathered into a
+    dict ``a``; an error of ``build`` is a SchemaError at ``where`` (`_build`).
     """
-    keys = tuple(key for key, _, _, _ in rows)
+    keys = tuple(row[0] for row in rows)
+    writers = tuple((key, attrgetter(attr), put) for key, attr, put, _ in rows)
+    readers = tuple((key, attr.partition("."), get) for key, attr, _, get in rows)
 
     def write(obj, where) -> dict:
-        return {
-            key: put(getattr(obj, attr), f"{where}.{key}")
-            for key, attr, put, _ in rows
-        }
+        return {key: put(get(obj), f"{where}.{key}") for key, get, put in writers}
 
     def read(payload, where):
         _expect_fields(payload, keys, (), where)
-        values = {
-            attr: get(payload[key], f"{where}.{key}")
-            for key, attr, _, get in rows
-        }
+        values = {}
+        for key, (outer, dot, inner), get in readers:
+            value = get(payload[key], f"{where}.{key}")
+            if dot:
+                values.setdefault(outer, {})[inner] = value
+            else:
+                values[outer] = value
         check(values, where)
-        return cls(**values)
+        return _build(build, where, **values)
 
-    return cls, write, read
+    return write, read
+
+
+def _tagged(tag, which, cases):
+    """Codec of a union of record tables told apart by the field ``tag``:
+    ``which(value)`` names the case of a value, ``cases`` maps each name to
+    its table, which reads the other fields."""
+
+    def write(value, where) -> dict:
+        name = which(value)
+        return {tag: name, **cases[name][0](value, where)}
+
+    def read(payload, where):
+        _expect_fields(payload, (tag,), payload, where)  # the case checks the rest
+        name = _STRING[1](payload[tag], f"{where}.{tag}")
+        if name not in cases:
+            raise SchemaError(f"{where}: unknown {tag} {name!r}")
+        return cases[name][1]({k: v for k, v in payload.items() if k != tag}, where)
+
+    return write, read
+
+
+def _check_square(values, where) -> None:
+    n = len(values["basis"])
+    if values["entries"].shape != (n, n):
+        raise SchemaError(
+            f"{where}.entries: expected {n} rows of {n} columns, "
+            f"got shape {values['entries'].shape}"
+        )
+
+
+def _check_diagonal(values, where) -> None:
+    if len(values["diag"]) != len(values["basis"]):
+        raise SchemaError(
+            f"{where}: diagonal length {len(values['diag'])} does not match "
+            f"basis length {len(values['basis'])}"
+        )
 
 
 def _check_certificate(values, where) -> None:
@@ -441,25 +404,67 @@ def _check_witness(values, where) -> None:
         )
 
 
+_OPERATOR_ROWS = (("p", "exponent", *_EXPONENT), ("basis", "basis", *_BASIS))
+_MATRIX_OPERATOR = _record(
+    OperatorMatrix, (*_OPERATOR_ROWS, ("entries", "entries", *_MATRIX)), _check_square
+)
+_DIAGONAL_OPERATOR = _record(
+    DiagonalOperator, (*_OPERATOR_ROWS, ("diagonal", "diag", *_VECTOR)), _check_diagonal
+)
+
+# an operator inside another payload carries its document kind
+_OPERATOR = _tagged(
+    "kind",
+    lambda op: "diagonal-operator" if isinstance(op, DiagonalOperator) else "operator",
+    {"operator": _MATRIX_OPERATOR, "diagonal-operator": _DIAGONAL_OPERATOR},
+)
+
+_WITNESS = _record(
+    DiagonalAverageWitness,
+    (("value", "value", *_NUMBER), ("positions", "positions", *_list(_INDEX))),
+)
+
+# one block of a family: its target and the target's assignment
+_Entry = namedtuple("_Entry", "target block")
+_ENTRIES = _list(
+    _record(
+        lambda target, block: _Entry(target, BlockAssignment(**block)),
+        (
+            ("target", "target", *_INDEX),
+            ("host", "block.host_copy", *_INTEGER),
+            ("intervals", "block.intervals", *_list(_INTERVAL)),
+            ("signs", "block.signs", *_list(_INTEGER)),
+        ),
+    )
+)
+_FAMILY = (
+    lambda family, where: _ENTRIES[0](
+        map(_Entry._make, family.assignments.items()), where
+    ),
+    lambda items, where: _build(BlockFamily, where, dict(_ENTRIES[1](items, where))),
+)
+
+_DEPTHS = _pairs(_INTEGER, _INTEGER)
+
 _CERTIFICATE = _record(
     ReductionCertificate,
     (
-        ("p", "exponent", *_FLOAT),
-        ("mode", "mode", *_AS_IS),
+        ("p", "exponent", *_NUMBER),
+        ("mode", "mode", *_STRING),
         ("source", "source", *_OPERATOR),
         ("source_depths", "source_depths", *_DEPTHS),
         ("target_depths", "target_depths", *_DEPTHS),
         ("family", "family", *_FAMILY),
         ("block_averages", "block_averages", *_FLOATS),
-        ("witnesses", "witnesses", *_WITNESSES),
+        ("witnesses", "witnesses", *_list(_WITNESS)),
         ("target_entries", "target_entries", *_FLOATS),
-        ("scalar", "scalar", *_optional(_FLOAT)),
+        ("scalar", "scalar", *_optional(_NUMBER)),
         ("scalar_witness", "scalar_witness", *_optional(_WITNESS)),
         ("residuals", "residuals", *_FLOATS),
-        ("column_sum_bound", "column_sum_bound", *_FLOAT),
-        ("diagonal_gap_bound", "diagonal_gap_bound", *_optional(_FLOAT)),
-        ("certified_bound", "certified_bound", *_FLOAT),
-        ("eps", "eps", *_FLOAT),
+        ("column_sum_bound", "column_sum_bound", *_NUMBER),
+        ("diagonal_gap_bound", "diagonal_gap_bound", *_optional(_NUMBER)),
+        ("certified_bound", "certified_bound", *_NUMBER),
+        ("eps", "eps", *_NUMBER),
         ("schedule", "schedule", *_TREE),
         ("run_data", "metadata", *_TREE),
     ),
@@ -469,138 +474,119 @@ _CERTIFICATE = _record(
 _FACTORIZATION = _record(
     FactorizationWitness,
     (
-        ("p", "exponent", *_FLOAT),
-        ("kind", "kind", *_AS_IS),
-        ("branch", "branch", *_AS_IS),
+        ("p", "exponent", *_NUMBER),
+        ("kind", "kind", *_STRING),
+        ("branch", "branch", *_STRING),
         ("source", "source", *_OPERATOR),
-        ("certificate", "certificate", *_CERTIFICATE[1:]),
-        ("scalar", "scalar", *_optional(_FLOAT)),
+        ("certificate", "certificate", *_CERTIFICATE),
+        ("scalar", "scalar", *_optional(_NUMBER)),
         ("scalar_witness", "scalar_witness", *_optional(_WITNESS)),
         ("left_factor", "A", *_MATRIX),
         ("right_factor", "B", *_MATRIX),
-        ("residual", "residual", *_FLOAT),
-        ("norm_factors", "norm_factors", *_FLOAT_MAP),
-        ("norm_product_bound", "norm_product_bound", *_FLOAT),
-        ("constant", "constant", *_FLOAT),
-        ("eps", "eps", *_FLOAT),
-        ("delta", "delta", *_optional(_FLOAT)),
+        ("residual", "residual", *_NUMBER),
+        ("norm_factors", "norm_factors", *_map(_NUMBER)),
+        ("norm_product_bound", "norm_product_bound", *_NUMBER),
+        ("constant", "constant", *_NUMBER),
+        ("eps", "eps", *_NUMBER),
+        ("delta", "delta", *_optional(_NUMBER)),
         ("run_data", "metadata", *_TREE),
     ),
     _check_witness,
 )
 
 _MOMENT = _record(
-    MomentReport, tuple((f.name, f.name, *_AS_IS) for f in fields(MomentReport))
+    MomentReport,
+    (
+        ("kind", "kind", *_STRING),
+        ("mode", "mode", *_STRING),
+        ("mean", "mean", *_NUMBER),
+        ("variance", "variance", *_NUMBER),
+        ("closed_form", "closed_form", *_optional(_NUMBER)),
+        ("bound", "bound", *_NUMBER),
+        ("bound_passed", "bound_passed", *_BOOLEAN),
+        ("count", "count", *_INTEGER),
+        ("standard_error", "standard_error", *_optional(_NUMBER)),
+    ),
 )
 
 
 # -- game transcripts ----------------------------------------------------------
 
+_WEIGHTS = _tagged(
+    "family",
+    attrgetter("kind"),
+    {
+        "power": _record(
+            WeightSequence, (("p", "p", *_FRACTION), ("decay", "decay", *_FRACTION))
+        ),
+        "explicit": _record(
+            WeightSequence,
+            (("p", "p", *_FRACTION), ("values", "values", *_list(_FRACTION))),
+        ),
+    },
+)
 
-def _weights_payload(w: WeightSequence) -> dict:
-    if w.kind == "power":
-        return {"family": "power", "p": str(w.p), "decay": str(w.decay)}
-    return {
-        "family": "explicit",
-        "p": str(w.p),
-        "values": [str(v) for v in w.values],
-    }
+# A stored round reads as a dict, since its block needs the transcript's
+# weights; ``block.functional``, a method, is written as its value.
+_ROUND = _record(
+    dict,
+    (
+        ("move", "move", *_INTEGER),
+        ("indices", "block.indices", *_list(_INTEGER, "a block has at least one index")),
+        ("beta", "block.beta", *_NUMBER),
+        ("budget", "block.budget", *_FRACTION),
+        ("budget_target", "budget_target", *_FRACTION),
+        ("block_coeffs", "block.coeffs", *_VECTOR),
+        ("functional_coeffs", "block.functional",
+         lambda functional, where: _float_lists(functional(), where), _vector_from),
+    ),
+)
 
 
-def _weights_from(payload, where) -> WeightSequence:
-    _expect_fields(payload, ("family", "p"), ("decay", "values"), where)
-    try:
-        if payload["family"] == "power":
-            _expect_fields(payload, ("family", "p", "decay"), (), where)
-            return WeightSequence(Fraction(payload["p"]), decay=Fraction(payload["decay"]))
-        if payload["family"] == "explicit":
-            _expect_fields(payload, ("family", "p", "values"), (), where)
-            return WeightSequence(
-                Fraction(payload["p"]),
-                values=[Fraction(v) for v in payload["values"]],
+def _transcript(weights, eps, index_budget, rounds) -> GameTranscript:
+    """A transcript from its stored rounds: each block gets the weights, and
+    its stored functional must be the rebuilt block's."""
+    built = []
+    for pos, stored in enumerate(rounds):
+        functional = stored["block"].pop("functional")
+        block = Block(**stored["block"], weights=weights)
+        if not np.array_equal(functional, block.functional()):
+            raise ValueError(
+                f"rounds[{pos}]: functional coefficients do not match the block data"
             )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}: unknown weight family {payload['family']!r}")
+        built.append(GameRound(stored["move"], block, stored["budget_target"]))
+    return GameTranscript(weights, eps, tuple(built), index_budget)
 
 
-def _transcript_payload(t: GameTranscript, where) -> dict:
-    rounds = []
-    for r in t.rounds:
-        rounds.append(
-            {
-                "move": int(r.move),
-                "indices": [int(n) for n in r.block.indices],
-                "beta": float(r.block.beta),
-                "budget": str(r.block.budget),
-                "budget_target": str(r.budget_target),
-                "block_coeffs": [float(c) for c in r.block.coeffs],
-                "functional_coeffs": [float(c) for c in r.block.functional()],
-            }
-        )
-    return {
-        "weights": _weights_payload(t.weights),
-        "eps": str(t.eps),
-        "index_budget": int(t.index_budget),
-        "rounds": rounds,
-    }
-
-
-def _transcript_from(payload, where) -> GameTranscript:
-    _expect_fields(payload, ("weights", "eps", "index_budget", "rounds"), (), where)
-    w = _weights_from(payload["weights"], f"{where}.weights")
-    if not payload["rounds"]:
-        raise SchemaError(f"{where}.rounds: a game has at least one round")
-    rounds = []
-    for pos, item in enumerate(payload["rounds"]):
-        spot = f"{where}.rounds[{pos}]"
-        _expect_fields(
-            item,
-            ("move", "indices", "beta", "budget", "budget_target",
-             "block_coeffs", "functional_coeffs"),
-            (),
-            spot,
-        )
-        if not item["indices"]:
-            raise SchemaError(f"{spot}.indices: a block has at least one index")
-        block = Block(
-            indices=tuple(int(n) for n in item["indices"]),
-            coeffs=np.array(item["block_coeffs"], dtype=float),
-            beta=float(item["beta"]),
-            budget=Fraction(item["budget"]),
-            weights=w,
-        )
-        stored = np.array(item["functional_coeffs"], dtype=float)
-        if not np.array_equal(stored, block.functional()):
-            raise SchemaError(
-                f"{spot}: functional coefficients do not match the block data"
-            )
-        rounds.append(
-            GameRound(
-                move=int(item["move"]),
-                block=block,
-                budget_target=Fraction(item["budget_target"]),
-            )
-        )
-    return GameTranscript(
-        weights=w,
-        eps=Fraction(payload["eps"]),
-        rounds=tuple(rounds),
-        index_budget=int(payload["index_budget"]),
-    )
+_TRANSCRIPT = _record(
+    _transcript,
+    (
+        ("weights", "weights", *_WEIGHTS),
+        ("eps", "eps", *_FRACTION),
+        ("index_budget", "index_budget", *_INTEGER),
+        ("rounds", "rounds", *_list(_ROUND, "a game has at least one round")),
+    ),
+)
 
 
 # -- documents -------------------------------------------------------------------
 
-# kind -> (class, write, read), for every top-level document
+
+def _report_from(payload, where) -> dict:
+    """A run report: a free-form tree with an object at its root."""
+    return _decode_tree(_typed(payload, (dict,), "an object", where), where)
+
+
+# kind -> (class, write, read), for every top-level document; an operator
+# document's kind is the document's own
 _KINDS = {
-    "operator": _operator_kind(OperatorMatrix, "operator"),
-    "diagonal-operator": _operator_kind(DiagonalOperator, "diagonal-operator"),
-    "reduction-certificate": _CERTIFICATE,
-    "factorization-witness": _FACTORIZATION,
-    "game-transcript": (GameTranscript, _transcript_payload, _transcript_from),
-    "moment-report": _MOMENT,
-    "run-report": (dict, _encode_tree, lambda payload, where: _decode_tree(payload)),
+    "operator": (OperatorMatrix, *_MATRIX_OPERATOR),
+    "diagonal-operator": (DiagonalOperator, *_DIAGONAL_OPERATOR),
+    "reduction-certificate": (ReductionCertificate, *_CERTIFICATE),
+    "factorization-witness": (FactorizationWitness, *_FACTORIZATION),
+    "game-transcript": (GameTranscript, *_TRANSCRIPT),
+    "moment-report": (MomentReport, *_MOMENT),
+    "run-report": (dict, _encode_tree, _report_from),
 }
 
 
@@ -624,7 +610,7 @@ def undocument(doc: dict):
         raise SchemaError(
             f"unsupported schema {doc['schema']!r} (expected {SCHEMA_VERSION!r})"
         )
-    kind = doc["kind"]
+    kind = _STRING[1](doc["kind"], "document kind")
     if kind not in _KINDS:
         raise SchemaError(f"unknown document kind {kind!r}")
     return _KINDS[kind][2](doc["payload"], f"{kind} payload")

@@ -424,6 +424,40 @@ class TestMalformedWitness:
         assert f"payload.{field}" in body["error"]["message"]
 
 
+class TestMalformedTreeMarker:
+    """A ``~pairs`` or ``~fraction`` marker of the wrong shape in a free-form
+    tree is an exit-1 error report naming the marker's path."""
+
+    @pytest.fixture(scope="class")
+    def scalar_doc(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("scalar") / "scalar.json"
+        run(ExperimentConfig("reduce-scalar", copies=(5,), seed=0, out=str(path)))
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "marker, where",
+        [
+            ({"~pairs": 5}, "chain.~pairs"),
+            ({"~pairs": [[{"a": 1}, 2]]}, "chain.~pairs[0][0]"),
+            ({"~pairs": [[1]]}, "chain.~pairs[0]"),
+            ({"~fraction": "x/y"}, "chain.~fraction"),
+        ],
+        ids=["pairs-not-a-list", "unhashable-key", "not-a-pair", "bad-fraction"],
+    )
+    def test_is_an_error_naming_the_marker(
+        self, scalar_doc, capsys, tmp_path, marker, where
+    ):
+        doc = json.loads(json.dumps(scalar_doc))
+        doc["payload"]["run_data"]["chain"] = marker
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = invoke(capsys, "check-distribution", "--in", str(bad))
+        assert code == ERROR
+        error = sz.loads(err)["error"]
+        assert error["type"] == "SchemaError"
+        assert f"payload.run_data.{where}:" in error["message"]
+
+
 class TestProgrammaticEntry:
     def test_run_matches_cli_body(self, capsys):
         report = run(ExperimentConfig(command="constants", p=4.0))

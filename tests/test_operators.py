@@ -128,6 +128,14 @@ class TestAverages:
         w = DiagonalAverageWitness(float(T.entries[4, 4]), (ELEVEN[4],))
         assert w.verify(T, tol=0.0)
 
+    def test_default_tolerance_is_exact(self):
+        # verify recomputes the mean as diagonal_average built it, bit for bit
+        T = OperatorMatrix.from_diagonal(2, ELEVEN, np.arange(11.0) * 0.1)
+        positions = (ELEVEN[1], ELEVEN[3], ELEVEN[7])
+        value = diagonal_average(T.entries[i, i] for i in (1, 3, 7))
+        assert DiagonalAverageWitness(value, positions).verify(T)
+        assert not DiagonalAverageWitness(value + 5e-13, positions).verify(T)
+
     def test_unknown_position(self):
         T = OperatorMatrix.from_diagonal(2, TWO, [1.0, 2.0])
         w = DiagonalAverageWitness(1.0, (ELEVEN[5],))

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from test_golden_bytes import dichotomy_of_t
 
 from haarfactor import serialize
+from haarfactor.cli import ExperimentConfig, run
 from haarfactor.dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.errors import ReductionError
 from haarfactor.factorize import primary_dichotomy
@@ -826,4 +828,47 @@ class TestVerifyCertificate:
         assert not report["distribution"]
         assert report["distribution_error"]["condition"] == "nesting"
         assert report["distribution_error"]["target"] == str(child)
+        assert not report["ok"]
+
+
+@pytest.fixture(scope="module")
+def scalar_doc(tmp_path_factory):
+    """The seed-0 ``reduce-scalar`` certificate as a JSON document."""
+    path = tmp_path_factory.mktemp("scalar") / "scalar.json"
+    run(ExperimentConfig("reduce-scalar", copies=(5,), seed=0, out=str(path)))
+    return json.loads(path.read_text())
+
+
+class TestWitnessValues:
+    """A witness must hold for the very value the certificate records."""
+
+    def test_scalar_certificate_verifies(self, scalar_doc):
+        report = verify_certificate(serialize.undocument(scalar_doc))
+        assert report["scalar_witness"] and report["scalar_witness_value"]
+        assert report["ok"]
+
+    def test_scalar_witness_of_another_block_is_refused(self, scalar_doc):
+        # the last block's witness holds on the source, for its own mean
+        doc = json.loads(json.dumps(scalar_doc))
+        doc["payload"]["scalar_witness"] = doc["payload"]["witnesses"][-1]
+        assert doc["payload"]["scalar_witness"]["value"] != doc["payload"]["scalar"]
+        report = verify_certificate(serialize.undocument(doc))
+        assert report["scalar_witness"]
+        assert not report["scalar_witness_value"]
+        assert not report["ok"]
+
+    def test_composite_scalar_witness_may_round(self):
+        # a mean of the stage means: 1.1e-16 from the scalar
+        cert = dichotomy_of_t().certificate
+        assert 0 < abs(cert.scalar_witness.value - cert.scalar) <= 1e-12
+        report = verify_certificate(cert)
+        assert report["scalar_witness_value"] and report["ok"]
+
+    def test_nudged_block_average_is_refused(self, scalar_doc):
+        doc = json.loads(json.dumps(scalar_doc))
+        doc["payload"]["witnesses"][1]["value"] += 5e-13
+        doc["payload"]["block_averages"][1] += 5e-13
+        report = verify_certificate(serialize.undocument(doc))
+        assert report["block_averages"]
+        assert not report["witnesses"]
         assert not report["ok"]

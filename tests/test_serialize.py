@@ -331,6 +331,103 @@ class TestSchemaRejection:
             sz.undocument(doc)
 
 
+@pytest.fixture(scope="module")
+def seed0_witness(tmp_path_factory):
+    """The benchmark's `factorize` job: I + 0.05 N on the acceptance source."""
+    root = tmp_path_factory.mktemp("factorize")
+    source = BasisRegistry({5: 4, 6: 5, 7: 6})
+    noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
+    np.fill_diagonal(noise, 0.0)
+    noise /= max_column_sum(noise)
+    op = root / "operator.json"
+    sz.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
+    out = root / "witness.json"
+    run(ExperimentConfig(
+        "factorize", p=4.0, delta=1.0, eps="0.25", seed=5,
+        inputs=(str(op),), out=str(out),
+    ))
+    return out
+
+
+# free-form trees, whose leaves may hold any JSON value
+FREE_FORM = {"schedule", "run_data", "metadata"}
+
+
+def leaf_paths(doc) -> list[tuple]:
+    """One path of keys and positions per field path of ``doc``'s leaves,
+    list positions collapsed; free-form trees and nulls are left out."""
+    first = {}
+
+    def walk(node, path, field):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key not in FREE_FORM:
+                    walk(value, (*path, key), (*field, key))
+        elif isinstance(node, list):
+            for pos, value in enumerate(node):
+                walk(value, (*path, pos), (*field, "[]"))
+        elif node is not None:
+            first.setdefault(field, path)
+
+    walk(doc, (), ())
+    return list(first.values())
+
+
+def swapped(value):
+    """The leaf in another JSON type: number -> string, int -> x + 0.5,
+    string -> int, bool -> string."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return value + 0.5
+    if isinstance(value, float):
+        return repr(value)
+    return 7
+
+
+def power_game():
+    w = WeightSequence.power(4, Fraction(1, 4))
+    return play_game(FixedScheduleAdversary([1, 2]), 2, w, Fraction(1, 10))
+
+
+class TestFieldTypes:
+    """Every leaf of every document kind is read by a codec that accepts one
+    JSON type: a leaf of another type is a SchemaError naming its field.
+    The swapped documents go to `undocument`, which `loads` runs on the
+    parsed text, so that a large document is not re-rendered per leaf."""
+
+    def refusals(self, doc) -> list[str]:
+        """The leaf paths whose swapped value loads, or fails without
+        naming the leaf's key."""
+        misses = []
+        for path in leaf_paths(doc):
+            node = doc
+            for step in path[:-1]:
+                node = node[step]
+            leaf = node[path[-1]]
+            node[path[-1]] = swapped(leaf)
+            key = next(step for step in reversed(path) if isinstance(step, str))
+            try:
+                sz.undocument(doc)
+                misses.append(f"{path}: loaded")
+            except sz.SchemaError as exc:
+                if key not in str(exc):
+                    misses.append(f"{path}: {exc}")
+            finally:
+                node[path[-1]] = leaf
+        return misses
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(GOLDEN) - {"run_report"}) + ["power_game"]
+    )
+    def test_golden_documents(self, name):
+        build = power_game if name == "power_game" else GOLDEN[name][0]
+        assert self.refusals(sz.document(build())) == []
+
+    def test_seed0_factorize_witness(self, seed0_witness):
+        assert self.refusals(json.loads(seed0_witness.read_text())) == []
+
+
 # -- canonical rendering ------------------------------------------------------------
 
 
@@ -383,21 +480,9 @@ class TestCanonicalRendering:
         doc = sz.document(GOLDEN[name][0]())
         assert sz.dumps(doc) == oracle(doc)
 
-    def test_seed0_factorize_witness_matches_the_oracle(self, tmp_path):
-        # the benchmark's `factorize` job: I + 0.05 N on the acceptance source
-        source = BasisRegistry({5: 4, 6: 5, 7: 6})
-        noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
-        np.fill_diagonal(noise, 0.0)
-        noise /= max_column_sum(noise)
-        op = tmp_path / "operator.json"
-        sz.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
-        out = tmp_path / "witness.json"
-        run(ExperimentConfig(
-            "factorize", p=4.0, delta=1.0, eps="0.25", seed=5,
-            inputs=(str(op),), out=str(out),
-        ))
-        doc = sz.document(sz.load(out))
-        assert out.read_text() == sz.dumps(doc) == oracle(doc)
+    def test_seed0_factorize_witness_matches_the_oracle(self, seed0_witness):
+        doc = sz.document(sz.load(seed0_witness))
+        assert seed0_witness.read_text() == sz.dumps(doc) == oracle(doc)
 
     def test_non_str_key_is_a_type_error(self):
         # json.dumps would coerce 1 to "1"; documents carry int keys as
