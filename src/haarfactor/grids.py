@@ -304,13 +304,18 @@ def _require_same_grid(f: GridFunction, g: GridFunction) -> ProductGrid:
 def lp_norm(f: GridFunction, p) -> float:
     """``(integral |f|^p)^(1/p)`` with the uniform cell measure.
 
-    Rejects non-finite values instead of propagating them.
+    Rejects non-finite values instead of propagating them.  ``|f|^p`` is
+    raised in one buffer; the mean is non-finite exactly when a value is or
+    when ``|f|^p`` overflows, so only then are the values scanned.
     """
     exponent = as_exponent(p)
     values = np.asarray(f.dense, dtype=float)
-    if not np.all(np.isfinite(values)):
+    powers = np.abs(values)
+    np.power(powers, exponent.p, out=powers)
+    mean = np.mean(powers)
+    if not np.isfinite(mean) and not np.all(np.isfinite(values)):
         raise ValueError("lp_norm of a function with non-finite values")
-    return float(np.mean(np.abs(values) ** exponent.p) ** (1.0 / exponent.p))
+    return float(mean ** (1.0 / exponent.p))
 
 
 def pairing(f: GridFunction, g: GridFunction):

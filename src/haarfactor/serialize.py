@@ -130,13 +130,34 @@ def _leaf(json_types, name, parse, write=None):
     return lambda value, where: write(value), read
 
 
-_NUMBER = _leaf((int, float), "a number", float)
+def _finite(value) -> float:
+    """``float(value)``, refusing the infinities of literals past the range."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {out!r}")
+    return out
+
+
+def _spelled(parse):
+    """``parse``, refusing every text but the one ``str`` writes for its value,
+    so that a loaded document re-dumps to its own bytes."""
+
+    def read(text):
+        value = parse(text)
+        if str(value) != text:
+            raise ValueError(f"{text!r} is not written as {str(value)!r}")
+        return value
+
+    return read
+
+
+_NUMBER = _leaf((int, float), "a number", _finite, float)
 _INTEGER = _leaf((int,), "an integer", int)
 _BOOLEAN = _leaf((bool,), "a boolean", bool)
 _STRING = _leaf((str,), "a string", str)
-_FRACTION = _leaf((str,), "a fraction string", Fraction, str)
-_INDEX = _leaf((str,), "an index string", parse_omega, str)
-_INTERVAL = _leaf((str,), "an interval string", parse_interval, str)
+_FRACTION = _leaf((str,), "a fraction string", _spelled(Fraction), str)
+_INDEX = _leaf((str,), "an index string", _spelled(parse_omega), str)
+_INTERVAL = _leaf((str,), "an interval string", _spelled(parse_interval), str)
 # an operator's exponent, stored as its ``p``
 _EXPONENT = (lambda exponent, where: float(exponent.p), _NUMBER[1])
 
@@ -200,19 +221,34 @@ def _pairs(key, value):
     return write, read
 
 
+def _finite_array(values, where) -> np.ndarray:
+    """A float array of JSON numbers already type-checked; one ``isfinite``
+    pass refuses the infinities of literals past the range, naming the
+    first such entry."""
+    out = _build(np.array, where, values, dtype=float)
+    finite = np.isfinite(out)
+    if not finite.all():
+        at = np.argwhere(~finite)[0]
+        raise SchemaError(
+            where + "".join(f"[{k}]" for k in at)
+            + f": expected a finite number, got {float(out[tuple(at)])!r}"
+        )
+    return out
+
+
 def _vector_from(values, where) -> np.ndarray:
-    """A float array from a list of JSON numbers."""
+    """A float array from a list of finite JSON numbers."""
     _typed(values, (list,), "a list of numbers", where)
     # one pass over the entry types; only a failing list is walked entry by
     # entry, so that the error names the first entry `_NUMBER` rejects
     if not set(map(type, values)) <= {int, float}:
         for j, value in enumerate(values):
             _NUMBER[1](value, f"{where}[{j}]")
-    return _build(np.array, where, values, dtype=float)
+    return _finite_array(values, where)
 
 
 def _rows_from(rows, where) -> np.ndarray:
-    """A matrix from a list of equally long rows of JSON numbers."""
+    """A matrix from a list of equally long rows of finite JSON numbers."""
     _typed(rows, (list,), "a list of rows", where)
     for i, row in enumerate(rows):
         if type(row) is not list:
@@ -224,7 +260,7 @@ def _rows_from(rows, where) -> np.ndarray:
     if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         for i, row in enumerate(rows):
             _vector_from(row, f"{where}[{i}]")
-    return _build(np.array, where, rows, dtype=float)
+    return _finite_array(rows, where)
 
 
 def _basis_from(strings, where) -> tuple:

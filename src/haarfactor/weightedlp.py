@@ -17,12 +17,21 @@ monotone map ``beta = S^{(p-2)/2p}``, to the rational-interval condition
 ``t_k <= S <= (1+eps)^{p/(p-2)} t_k`` with ``t_k`` the budget of the
 singleton ``{k}``.  All transcript invariants are decided in ``Fraction``
 arithmetic, never in floating point.
+
+Every derived constant is computed once, with one expression: a
+`WeightSequence` holds its float ``p`` and its power family's budget
+exponent, and a `Block` computes its norms, functional scale, normalized
+coefficients and zero-based positions on first use, over a read-only copy
+of its coefficients.  A block's constants therefore never go stale; a block
+with other data (say from `dataclasses.replace`) is a new block with
+constants of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -58,7 +67,9 @@ class WeightSequence:
     ``Fraction`` when the family supports it, which is what the game's
     round audits require; ``weight(n)`` is the float value.  ``weights``
     reads one read-only float table, grown on demand through ``weight`` so
-    that every entry is bitwise the per-index value.
+    that every entry is bitwise the per-index value.  ``p_float`` is
+    ``float(p)``, and a power family's ``series_exponent`` is
+    ``decay * 2p/(p-2)``, the exponent of its budget series.
     """
 
     def __init__(self, p, *, decay=None, values=None) -> None:
@@ -68,14 +79,17 @@ class WeightSequence:
         if (decay is None) == (values is None):
             raise ValueError("give exactly one of decay= or values=")
         self.p = p
+        self.p_float = float(p)
         self.budget_exponent = 2 * p / (p - 2)
         if decay is not None:
             self.kind = "power"
             self.decay = Fraction(decay)
+            self.series_exponent = self.decay * self.budget_exponent
             self.values = None
         else:
             self.kind = "explicit"
             self.decay = None
+            self.series_exponent = None
             self.values = tuple(Fraction(v) for v in values)
             if any(v <= 0 for v in self.values):
                 raise ValueError("weights must be positive")
@@ -122,7 +136,7 @@ class WeightSequence:
         if n < 1:
             raise ValueError("weight indices start at 1")
         if self.kind == "power":
-            e = self.decay * self.budget_exponent
+            e = self.series_exponent
             if e.denominator != 1:
                 raise ValueError(
                     "budget exponent "
@@ -173,7 +187,7 @@ def star_property(w: WeightSequence) -> StarReport:
     families get a three-valued answer with the partial sums reported.
     """
     if w.kind == "power":
-        series_exponent = w.decay * w.budget_exponent
+        series_exponent = w.series_exponent
         if w.decay <= 0:
             return StarReport(
                 holds=False,
@@ -231,9 +245,10 @@ def xpw_norm(x: XpwVector) -> float:
     c = x.coeffs
     if c.size == 0:
         return 0.0
-    p = float(x.weights.p)
-    lp = float(np.sum(np.abs(c) ** p)) ** (1.0 / p)
-    l2w = float(np.sqrt(np.sum((c * x.weights.weights(c.size)) ** 2)))
+    p = x.weights.p_float
+    # np.add.reduce is the reduction np.sum dispatches to, minus the dispatch
+    lp = float(np.add.reduce(np.abs(c) ** p)) ** (1.0 / p)
+    l2w = float(np.sqrt(np.add.reduce((c * x.weights.weights(c.size)) ** 2)))
     return max(lp, l2w)
 
 
@@ -246,6 +261,13 @@ class Block:
     ``(p-2)/2p`` power is ``beta``.  ``p_norm ** p == budget`` (the
     coefficient exponents collapse), so the normalization constants come
     from the same exact descriptor.
+
+    ``coeffs`` is stored as a read-only float copy.  ``p_norm``,
+    ``two_norm_sq``, ``functional_scale``, the normalized coefficients,
+    ``positions`` and ``top`` are computed once, on first use, from the
+    fields the block was built with; the fields cannot change afterwards,
+    so neither can these.  `dataclasses.replace` builds a new block, which
+    computes its own.
     """
 
     indices: tuple[int, ...]
@@ -254,22 +276,45 @@ class Block:
     budget: Fraction
     weights: WeightSequence
 
-    @property
-    def p_norm(self) -> float:
-        return float(self.budget) ** (1.0 / float(self.weights.p))
+    def __post_init__(self) -> None:
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @property
+    @cached_property
+    def p_norm(self) -> float:
+        return float(self.budget) ** (1.0 / self.weights.p_float)
+
+    @cached_property
     def two_norm_sq(self) -> float:
         return float(np.sum(self.coeffs**2))
 
-    @property
+    @cached_property
     def functional_scale(self) -> float:
         """``||b||_p / ||b||_2^2``, the projection functional's scale."""
         return self.p_norm / self.two_norm_sq
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The zero-based positions ``indices - 1``, read-only."""
+        out = np.array(self.indices, dtype=np.intp) - 1
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def top(self) -> int:
+        """The largest index (0 for no index)."""
+        return max(self.indices, default=0)
+
+    @cached_property
+    def _normalized(self) -> np.ndarray:
+        out = self.coeffs / self.p_norm
+        out.flags.writeable = False
+        return out
+
     def normalized(self) -> np.ndarray:
-        """Coefficients of ``b / ||b||_p`` over ``indices``."""
-        return self.coeffs / self.p_norm
+        """Coefficients of ``b / ||b||_p`` over ``indices``, read-only."""
+        return self._normalized
 
     def functional(self) -> np.ndarray:
         """Coefficients of the biorthogonal functional over ``indices``."""
@@ -283,7 +328,7 @@ class Block:
         if size < top:
             raise ValueError("size does not cover the block's support")
         out = np.zeros(size)
-        out[np.array(self.indices) - 1] = self.normalized()
+        out[self.positions] = self.normalized()
         return XpwVector(out, self.weights)
 
 
@@ -302,7 +347,7 @@ def block_data(E: Sequence[int], w: WeightSequence) -> Block:
         raise ValueError("block indices must be distinct")
     if indices[0] < 1:
         raise ValueError("weight indices start at 1")
-    p = float(w.p)
+    p = w.p_float
     coeffs = np.array([w.weight(n) ** (2.0 / (p - 2.0)) for n in indices])
     budget = sum(w.budget(n) for n in indices)
     if len(indices) == 1:
@@ -319,27 +364,42 @@ def block_span_project(x: XpwVector, blocks: Sequence[Block]) -> XpwVector:
 
     ``P(x) = sum_k <||b_k||_p ||b_k||_2^{-2} b_k, x> (b_k / ||b_k||_p)``;
     requires pairwise disjoint supports (that is what makes it a norm-one
-    projection).
+    projection), and a block that repeats an index overlaps itself.
     """
+    _require_disjoint(blocks)
+    size = len(x.coeffs)
+    out = np.zeros(size)
+    for b in blocks:
+        pos = b.positions
+        if b.top <= size:  # the whole support lies in x
+            inside, pad = pos, x.coeffs[pos]
+        else:
+            inside = pos[pos < size]
+            pad = np.zeros(pos.size)
+            pad[: inside.size] = x.coeffs[inside]  # indices are sorted ascending
+        if inside.size == 0:
+            continue
+        weight = b.functional_scale * float(np.dot(b.coeffs, pad))
+        out[inside] += weight * b.normalized()[: inside.size]
+    return XpwVector(out, x.weights)
+
+
+def _require_disjoint(blocks: Sequence[Block]) -> None:
+    """Raise ``blocks i and j overlap at index n`` for the first repeated
+    index met walking the blocks in order (``i == j`` for a block that
+    repeats one).  One sort of all positions decides whether any index
+    repeats; only then are the blocks walked, to name it."""
+    if not blocks:
+        return
+    pos = np.sort(np.concatenate([b.positions for b in blocks]))
+    if not np.any(pos[1:] == pos[:-1]):
+        return
     seen: dict[int, int] = {}
     for j, b in enumerate(blocks):
         for n in b.indices:
             if n in seen:
-                raise ValueError(
-                    f"blocks {seen[n]} and {j} overlap at index {n}"
-                )
+                raise ValueError(f"blocks {seen[n]} and {j} overlap at index {n}")
             seen[n] = j
-    out = np.zeros(len(x.coeffs))
-    for b in blocks:
-        pos = np.array(b.indices) - 1
-        inside = pos[pos < len(x.coeffs)]
-        if inside.size == 0:
-            continue
-        pad = np.zeros(len(b.indices))
-        pad[: inside.size] = x.coeffs[inside]  # indices are sorted ascending
-        weight = b.functional_scale * float(np.dot(b.coeffs, pad))
-        out[inside] += weight * b.normalized()[: inside.size]
-    return XpwVector(out, x.weights)
 
 
 # -- the block-building game ------------------------------------------------

@@ -222,6 +222,22 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_nonfinite_rejected_for_each_value_and_exponent(self, bad, p):
+        g = ProductGrid((1,), (1,))
+        f = GridFunction.from_dense(g, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            lp_norm(f, p)
+
+    def test_finite_overflow_is_infinite(self):
+        # |f|^p overflows although every value is finite: no error, inf
+        g = ProductGrid((1,), (1,))
+        f = GridFunction.from_dense(g, np.array([1e200, -1.0]))
+        with np.errstate(over="ignore"):
+            assert lp_norm(f, 4) == math.inf
+        assert lp_norm(f, 1.5) == pytest.approx(1e200 / 2 ** (1 / 1.5), rel=1e-12)
+
     @given(st.integers(0, 2**12))
     @settings(max_examples=25, deadline=None)
     def test_triangle_and_homogeneity(self, seed):

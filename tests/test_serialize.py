@@ -548,3 +548,68 @@ class TestNonFiniteTokensRejected:
         assert token in text
         with pytest.raises(sz.SchemaError, match=f"non-finite number {token} "):
             sz.loads(text)
+
+
+SENTINEL = 123456.789  # a number written only to be swapped for a literal
+
+
+def edited_text(doc, edit, literal="1e400") -> str:
+    """``doc`` after ``edit``, as text, with the sentinel spelled ``literal``."""
+    edit(doc)
+    return json.dumps(doc).replace(repr(SENTINEL), literal)
+
+
+class TestLeavesReDumpToTheirOwnBytes:
+    """A loaded leaf re-dumps to its own bytes: a string leaf must be the
+    spelling `dumps` writes, and a number literal past the float range,
+    which JSON parsing turns into an infinity, is refused, both naming the
+    field."""
+
+    @staticmethod
+    def set_at(*path, value):
+        def edit(doc):
+            node = doc
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+        return edit
+
+    @pytest.mark.parametrize(
+        "build, path, value, where",
+        [
+            (power_game, ("eps",), "0.1", r"payload\.eps: '0\.1' is not written as '1/10'"),
+            (power_game, ("rounds", 1, "budget_target"), lambda t: " " + t,
+             r"rounds\[1\]\.budget_target: ' 1/2' is not written as '1/2'"),
+            (GOLDEN["scalar_paper"][0], ("family", 0, "target"),
+             lambda t: t.replace(":", ":0"),
+             r"family\[0\]\.target: '2/0:01' is not written as '2/0:1'"),
+            (GOLDEN["scalar_paper"][0], ("family", 0, "intervals", 0),
+             lambda t: "0" + t,
+             r"family\[0\]\.intervals\[0\]: '02:1' is not written as '2:1'"),
+        ],
+    )
+    def test_string_leaf_in_another_spelling(self, build, path, value, where):
+        doc = json.loads(sz.dumps(build()))
+        text = edited_text(doc, self.set_at("payload", *path, value=value))
+        with pytest.raises(sz.SchemaError, match=where):
+            sz.loads(text)
+
+    @pytest.mark.parametrize(
+        "build, path, literal, where",
+        [
+            (GOLDEN["scalar_paper"][0], ("eps",), "1e400",
+             r"payload\.eps: expected a finite number, got inf"),
+            (GOLDEN["dense_operator"][0], ("entries", 2, 1), "-1e400",
+             r"payload\.entries\[2\]\[1\]: expected a finite number, got -inf"),
+            (GOLDEN["scalar_paper"][0], ("residuals", 0), "1e999",
+             r"payload\.residuals\[0\]: expected a finite number, got inf"),
+            (power_game, ("rounds", 1, "beta"), "1e400",
+             r"rounds\[1\]\.beta: expected a finite number, got inf"),
+        ],
+    )
+    def test_number_literal_past_the_float_range(self, build, path, literal, where):
+        doc = json.loads(sz.dumps(build()))
+        text = edited_text(doc, self.set_at("payload", *path, value=SENTINEL), literal)
+        assert literal in text
+        with pytest.raises(sz.SchemaError, match=where):
+            sz.loads(text)

@@ -1,5 +1,6 @@
 """Weighted two-norm sequence space: norms, blocks, the building game."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarfactor.cli import ExperimentConfig, run
 from haarfactor.errors import ResourceLimitError
 from haarfactor.weightedlp import (
     Block,
@@ -658,3 +660,172 @@ class TestImpartialEquivalence:
             impartial_equivalence(xs, xs * 2, self.norm, self.norm)
         with pytest.raises(ValueError, match="non-empty"):
             impartial_equivalence([], [], self.norm, self.norm)
+
+
+# ------------------------------------------------------ cached block geometry
+# The formulas below are the ones the norm, the projection and the block
+# constants used before each block computed its constants once; the cached
+# versions must give the same bits.
+
+
+def uncached_xpw_norm(x):
+    c = x.coeffs
+    if c.size == 0:
+        return 0.0
+    p = float(x.weights.p)
+    lp = float(np.sum(np.abs(c) ** p)) ** (1.0 / p)
+    l2w = float(np.sqrt(np.sum((c * x.weights.weights(c.size)) ** 2)))
+    return max(lp, l2w)
+
+
+def uncached_constants(b):
+    """``(p_norm, two_norm_sq, functional_scale, normalized)`` of a block."""
+    p_norm = float(b.budget) ** (1.0 / float(b.weights.p))
+    two_norm_sq = float(np.sum(b.coeffs**2))
+    return p_norm, two_norm_sq, p_norm / two_norm_sq, b.coeffs / p_norm
+
+
+def uncached_project(x, blocks):
+    seen = {}
+    for j, b in enumerate(blocks):
+        for n in b.indices:
+            if n in seen:
+                raise ValueError(f"blocks {seen[n]} and {j} overlap at index {n}")
+            seen[n] = j
+    out = np.zeros(len(x.coeffs))
+    for b in blocks:
+        pos = np.array(b.indices) - 1
+        inside = pos[pos < len(x.coeffs)]
+        if inside.size == 0:
+            continue
+        _, _, scale, normalized = uncached_constants(b)
+        pad = np.zeros(len(b.indices))
+        pad[: inside.size] = x.coeffs[inside]
+        weight = scale * float(np.dot(b.coeffs, pad))
+        out[inside] += weight * normalized[: inside.size]
+    return out
+
+
+def assert_same_constants(b):
+    p_norm, two_norm_sq, scale, normalized = uncached_constants(b)
+    assert (b.p_norm, b.two_norm_sq, b.functional_scale) == (p_norm, two_norm_sq, scale)
+    assert b.normalized().tobytes() == normalized.tobytes()
+    assert b.functional().tobytes() == (scale * b.coeffs).tobytes()
+
+
+ACCEPTANCE_GAMES = {
+    "fixed": lambda: FixedScheduleAdversary(list(range(1, 9))),
+    "random": lambda: RandomAdversary(5),
+    "greedy": lambda: GreedyMaxAdversary(),
+}
+
+
+class TestCachedGeometryIsBitIdentical:
+    W = WeightSequence.power(4, Fraction(1, 4))
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTANCE_GAMES))
+    def test_acceptance_games(self, name):
+        t = play_game(ACCEPTANCE_GAMES[name](), 8, self.W, Fraction(1, 10))
+        blocks, size = t.blocks(), t.ambient_size()
+        for b in blocks:
+            assert_same_constants(b)
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            x = XpwVector(rng.standard_normal(size), self.W)
+            projected = block_span_project(x, blocks)
+            assert projected.coeffs.tobytes() == uncached_project(x, blocks).tobytes()
+            for v in (x, projected):
+                assert xpw_norm(v).hex() == uncached_xpw_norm(v).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_drawn_disjoint_blocks_and_short_vectors(self, data):
+        indices = data.draw(
+            st.lists(st.integers(1, 60), min_size=1, max_size=20, unique=True)
+        )
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(indices)), max_size=4)))
+        pieces = [indices[a:b] for a, b in zip([0, *cuts], [*cuts, len(indices)])]
+        blocks = [block_data(piece, self.W) for piece in pieces if piece]
+        # shorter than some block's support, or longer than all of them
+        size = data.draw(st.integers(0, max(indices) + 3))
+        x = XpwVector(
+            np.random.default_rng(data.draw(st.integers(0, 2**16))).standard_normal(size),
+            self.W,
+        )
+        for b in blocks:
+            assert_same_constants(b)
+        projected = block_span_project(x, blocks)
+        assert projected.coeffs.tobytes() == uncached_project(x, blocks).tobytes()
+        assert xpw_norm(x).hex() == uncached_xpw_norm(x).hex()
+        assert xpw_norm(projected).hex() == uncached_xpw_norm(projected).hex()
+
+    # The report's equivalence values before the block constants were cached.
+    EQUIVALENCE = {
+        "fixed": ("0x1.09adc8943d514p+0", "0x1.0000000000004p+0"),
+        "random": ("0x1.02b10a0310186p+0", "0x1.0000000000002p+0"),
+        "greedy": ("0x1.0b13728f3cf55p+0", "0x1.0000000000002p+0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE))
+    def test_xpw_game_report_equivalence(self, name):
+        config = ExperimentConfig(
+            "xpw-game", p=4.0, eps="1/10", decay="1/4", rounds=8,
+            adversary=name, samples=1000, seed=5,
+        )
+        eq = run(config)["results"]["equivalence"]
+        forward, backward = self.EQUIVALENCE[name]
+        assert (eq["forward"].hex(), eq["backward"].hex()) == (forward, backward)
+        assert eq["constant"].hex() == max(forward, backward, key=float.fromhex)
+
+
+class TestBlockCacheContract:
+    W = WeightSequence.power(4, Fraction(1, 4))
+
+    def hand_block(self, indices):
+        return Block(
+            indices=tuple(indices), coeffs=np.ones(len(indices)), beta=1.0,
+            budget=Fraction(len(indices)), weights=self.W,
+        )
+
+    @pytest.mark.parametrize(
+        "index_sets, message",
+        [
+            # one block that repeats an index overlaps itself
+            ([(3, 4, 3)], "blocks 0 and 0 overlap at index 3"),
+            ([(1, 2), (5, 6), (2, 7)], "blocks 0 and 2 overlap at index 2"),
+            # the walk's first repeat (9), not the smallest repeated index (1)
+            ([(5, 9), (9, 12), (1,), (1,)], "blocks 0 and 1 overlap at index 9"),
+        ],
+    )
+    def test_overlap_message_names_the_first_repeat_met(self, index_sets, message):
+        blocks = [self.hand_block(E) for E in index_sets]
+        x = XpwVector(np.ones(12), self.W)
+        with pytest.raises(ValueError) as old:
+            uncached_project(x, blocks)
+        with pytest.raises(ValueError) as new:
+            block_span_project(x, blocks)
+        assert str(new.value) == str(old.value) == message
+
+    def test_coeffs_are_a_read_only_copy(self):
+        given_coeffs = np.array([1.0, 0.5, 0.25])
+        b = Block((1, 2, 3), given_coeffs, 1.0, Fraction(3), self.W)
+        with pytest.raises(ValueError, match="read-only"):
+            b.coeffs[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            b.normalized()[0] = 2.0
+        given_coeffs[0] = 7.0  # the caller's array stays the caller's
+        assert b.coeffs[0] == 1.0
+        assert_same_constants(b)
+
+    def test_replace_recomputes_the_constants(self):
+        b = block_data([3, 4, 5], self.W)
+        assert_same_constants(b)  # fills b's caches
+        for changes in (
+            {"coeffs": 2.0 * b.coeffs},
+            {"budget": 3 * b.budget},
+            {"indices": (6, 7, 8)},
+        ):
+            fresh = dataclasses.replace(b, **changes)
+            assert_same_constants(fresh)
+            assert fresh.positions.tolist() == [n - 1 for n in fresh.indices]
+        assert dataclasses.replace(b, coeffs=2.0 * b.coeffs).two_norm_sq == 4 * b.two_norm_sq
