@@ -22,6 +22,16 @@ the identity no projection is needed and that factor is exactly one.
 
 Per-instance sampled estimates of the projection norm are reported in the
 metadata for information; they never replace the accounted bounds.
+
+Both sampled ratios (that estimate and
+:meth:`FactorizationWitness.sample_max_ratio`) draw all their Gaussian
+samples first, apply the sampled map to each one by one matrix-vector
+product (a matrix product over all samples would round differently), and
+measure all images, then all inputs, in one batched pass
+(:func:`haarsys.realized_lp_norms`).  That pass folds every sample's terms
+into one C-ordered accumulator and takes each row's root on its own, so
+every norm, and hence every recorded estimate, is bit for bit what one
+``lp_norm(realize(...))`` per sample gives.
 """
 
 from __future__ import annotations
@@ -38,8 +48,8 @@ from .constants import (
     large_diagonal_constant,
 )
 from .errors import ReductionError
-from .grids import as_exponent, lp_norm
-from .haarsys import BasisRegistry, BlockFamily, realize
+from .grids import as_exponent
+from .haarsys import BasisRegistry, BlockFamily, realized_lp_norms
 from .operators import (
     DiagonalAverageWitness,
     DiagonalOperator,
@@ -155,13 +165,23 @@ def _factored(T: OperatorMatrix, branch: str) -> OperatorMatrix:
 
 
 def _sampled_max_ratio(registry, apply, exponent, samples, seed) -> float:
-    """Largest sampled ``||apply(v)||_p / ||v||_p`` over Gaussian ``v``."""
+    """Largest sampled ``||apply(v)||_p / ||v||_p`` over Gaussian ``v``.
+
+    Draws every ``v`` first, one ``standard_normal`` per sample, applies
+    ``apply`` to each on its own (one matrix-vector product, as a matrix
+    product would round differently), then measures all images and all
+    inputs in one batched pass each; see the module note.
+    """
     rng = np.random.default_rng(seed)
+    shape = (samples, registry.dim)
+    inputs = np.array([rng.standard_normal(registry.dim) for _ in range(samples)])
+    inputs = inputs.reshape(shape)
+    images = np.array([apply(v) for v in inputs]).reshape(shape)
     worst = 0.0
-    for _ in range(samples):
-        v = rng.standard_normal(registry.dim)
-        num = lp_norm(realize(registry, apply(v)), exponent)
-        den = lp_norm(realize(registry, v), exponent)
+    for num, den in zip(
+        realized_lp_norms(registry, images, exponent),
+        realized_lp_norms(registry, inputs, exponent),
+    ):
         worst = max(worst, num / den)
     return worst
 

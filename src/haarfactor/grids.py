@@ -304,18 +304,33 @@ def _require_same_grid(f: GridFunction, g: GridFunction) -> ProductGrid:
 def lp_norm(f: GridFunction, p) -> float:
     """``(integral |f|^p)^(1/p)`` with the uniform cell measure.
 
-    Rejects non-finite values instead of propagating them.  ``|f|^p`` is
-    raised in one buffer; the mean is non-finite exactly when a value is or
-    when ``|f|^p`` overflows, so only then are the values scanned.
+    Rejects non-finite values instead of propagating them; see
+    :func:`_row_norms`, which this is with one row.
     """
-    exponent = as_exponent(p)
     values = np.asarray(f.dense, dtype=float)
+    # one row in memory order, the order np.mean(values) sums a contiguous array in
+    return _row_norms(np.ravel(values, order="K")[None, :], as_exponent(p))[0]
+
+
+def _row_norms(values: np.ndarray, exponent: Exponent) -> list[float]:
+    """``(mean |v|^p)^(1/p)`` of each row ``v`` of a 2-D float array.
+
+    ``|v|^p`` is raised in one buffer and averaged along the last axis, so
+    a C-ordered array sums each row exactly as ``np.mean`` sums that row on
+    its own.  A row's mean is non-finite exactly when one of its values is
+    or when ``|v|^p`` overflows, so only then are the values scanned, and a
+    non-finite value raises ``ValueError`` while an overflow gives ``inf``.
+    The root is taken row by row as ``np.float64 ** float``: numpy's
+    vectorized power may round differently.
+    """
     powers = np.abs(values)
     np.power(powers, exponent.p, out=powers)
-    mean = np.mean(powers)
-    if not np.isfinite(mean) and not np.all(np.isfinite(values)):
+    means = np.mean(powers, axis=-1)
+    bad = ~np.isfinite(means)
+    if bad.any() and not np.all(np.isfinite(values[bad])):
         raise ValueError("lp_norm of a function with non-finite values")
-    return float(mean ** (1.0 / exponent.p))
+    root = 1.0 / exponent.p
+    return [float(mean ** root) for mean in means]
 
 
 def pairing(f: GridFunction, g: GridFunction):

@@ -24,6 +24,14 @@ skips the terms that are zero in a cell, and the result is still that fold
 bit for bit, because adding a zero leaves a float that is not ``-0.0``
 unchanged and the fold never holds ``-0.0``.  Norms of realized functions
 therefore do not depend on how the kernel groups its broadcasts.
+:func:`realized_lp_norms` measures many coefficient rows at once by the
+same fold: each copy's rank plan adds one rank of terms for every row of
+a batch, into one accumulator kept in C order so that each row's mean sums
+its cells in the order ``lp_norm`` sums them, and the root is taken row by
+row, as ``lp_norm`` takes it.  Its norms equal one ``lp_norm(realize(c))``
+per row bit for bit; callers apply their matrices to one row at a time
+(a matrix-vector product each), since one matrix product over the batch
+would round differently.
 """
 
 from __future__ import annotations
@@ -38,7 +46,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, enumerate_truncated
-from .grids import DEFAULT_CELL_CAP, GridFunction, ProductGrid, as_exponent, lp_norm, pairing
+from .grids import (
+    DEFAULT_CELL_CAP,
+    GridFunction,
+    ProductGrid,
+    _rank_rows,
+    _row_norms,
+    as_exponent,
+    lp_norm,
+    pairing,
+)
 
 __all__ = [
     "BasisRegistry",
@@ -52,7 +69,14 @@ __all__ = [
     "haar_blocks",
     "project",
     "realize",
+    "realized_lp_norms",
 ]
+
+# Cells of one batch of realized rows in :func:`realized_lp_norms`: 100
+# samples on single_copy(7)'s 128 cells make one batch, while a 2^18-cell
+# grid takes one row at a time (larger batches there were slower and cost
+# 2 MB of peak memory per extra row).
+_BATCH_CELLS = 1 << 16
 
 
 class BasisRegistry:
@@ -85,6 +109,7 @@ class BasisRegistry:
         self.grid = ProductGrid.from_mapping(res, cell_cap)
         self._blocks: tuple[tuple[int, slice, np.ndarray], ...] | None = None
         self._profile_rows: tuple[np.ndarray, ...] = ()
+        self._plans: tuple[tuple[slice, np.ndarray, np.ndarray], ...] | None = None
 
     @classmethod
     def standard(cls, copies: int, cell_cap: int = DEFAULT_CELL_CAP) -> "BasisRegistry":
@@ -116,6 +141,28 @@ class BasisRegistry:
             self._blocks = haar_blocks(self.indices, self.grid)
             self._profile_rows = tuple(row for *_, block in self._blocks for row in block)
         return self._blocks
+
+    def rank_plans(self) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
+        """One ``(rows, index, value)`` rank plan per profile block, built on
+        first use and cached.
+
+        Entry ``[j, cell]`` of ``index`` and ``value`` names the ``j``-th
+        index of the block (counted within ``rows``) whose profile is
+        nonzero on ``cell``, in basis order, and that profile value (``+-1``);
+        cells with fewer such indices are padded with index 0 and value 0.
+        The plan is :func:`grids._rank_rows` of the profiles, so realizing
+        by ranks adds each cell's nonzero terms in the order
+        :attr:`GridFunction.dense` does.
+        """
+        if self._plans is None:
+            plans = []
+            for _, rows, profiles in self.profile_blocks():
+                codes = (profiles != 0) * np.arange(1, len(profiles) + 1)[:, None]
+                index = _rank_rows(codes, np.intp)
+                value = _rank_rows(profiles, float)
+                plans.append((rows, np.maximum(index - 1, 0), value))
+            self._plans = tuple(plans)
+        return self._plans
 
     def haar_profile(self, t: OmegaIndex) -> np.ndarray:
         """Integer cell profile of ``h_t`` on its own coordinate (a row of
@@ -173,6 +220,50 @@ def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     if coeffs.shape != (registry.dim,):
         raise ValueError(f"expected {registry.dim} coefficients, got {coeffs.shape}")
     return expand_blocks(registry.grid, registry.profile_blocks(), coeffs)
+
+
+def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
+    """``[lp_norm(realize(registry, c), p) for c in coeffs]``, bit for bit.
+
+    ``coeffs`` holds one coefficient vector per row.  Rows are realized in
+    batches of about :data:`_BATCH_CELLS` cells: each copy's
+    :meth:`BasisRegistry.rank_plans` gathers its terms for the whole batch
+    at once, and the ranks are added in order into one C-ordered
+    accumulator, which grows one copy axis at a time as in
+    :attr:`GridFunction.dense`.  Every cell is then the same fold of the
+    same nonzero terms (padding adds a zero, which changes nothing), and
+    each C-ordered row is averaged as ``lp_norm`` averages the materialized
+    function (:func:`grids._row_norms`).
+    """
+    exponent = as_exponent(p)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[1] != registry.dim:
+        raise ValueError(
+            f"expected rows of {registry.dim} coefficients, got shape {coeffs.shape}"
+        )
+    plans = registry.rank_plans()
+    shape = registry.grid.shape
+    batch = max(1, _BATCH_CELLS // registry.grid.ncells)
+    norms: list[float] = []
+    for start in range(0, len(coeffs), batch):
+        chunk = coeffs[start:start + batch]
+        acc = np.zeros((len(chunk),) + (1,) * len(shape))
+        # block k sits on grid axis k (after the row axis): the grid's
+        # coordinates are the registry's copies, sorted as the blocks are
+        for axis, (rows, index, value) in enumerate(plans, start=1):
+            terms = np.take(chunk[:, rows], index, axis=1) * value
+            view = [len(chunk)] + [1] * len(shape)
+            view[axis] = value.shape[1]
+            for rank in range(len(value)):
+                term = terms[:, rank].reshape(view)
+                if acc.shape[axis] == 1:
+                    # C order whatever the terms' layout: an F-ordered
+                    # accumulator would average its rows in another order
+                    acc = np.add(acc, term, order="C")
+                else:
+                    acc += term
+        norms += _row_norms(acc.reshape(len(chunk), -1), exponent)
+    return norms
 
 
 def project(registry: BasisRegistry, f: GridFunction) -> np.ndarray:

@@ -1218,7 +1218,9 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
 
     The certified bound is recomputed on every route the certificate
     records.  The direct route (column sum, or gap bound) is rederived from
-    the family and the source.  A composite also records the triangle route
+    the family and the source, and each must equal its recorded value
+    (``column_sum_match``, ``gap_match``; no gap bound recomputes as
+    ``None``).  A composite also records the triangle route
     ``D * c1 + c2`` (see :func:`compose_certificates`); it is recomputed
     from ``metadata`` and must equal ``triangle_bound``, and
     ``direct_column_sum`` must equal the recomputed column sum.  The stage
@@ -1261,6 +1263,7 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     )
     report["residuals_match"] = residuals == cert.residuals
     report["column_sum_match"] = column_sum == cert.column_sum_bound
+    report["gap_match"] = bool(gap == cert.diagonal_gap_bound)
     if cert.mode == "composite":
         meta = cert.metadata
         try:

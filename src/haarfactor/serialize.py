@@ -317,10 +317,13 @@ def _encode_tree(value, where):
 def _decode_tree(value, where):
     """A tree back from its JSON form: a ``~fraction`` marker holds a
     fraction string and a ``~pairs`` marker a list of ``[key, value]``
-    pairs with hashable keys; any other marker is a SchemaError there."""
+    pairs with hashable keys; any other marker, and a float literal past
+    the float range, is a SchemaError there."""
+    if type(value) is float:
+        return _NUMBER[1](value, where)
     if type(value) is list:
         return [
-            _decode_tree(v, f"{where}[{i}]") if type(v) in (list, dict) else v
+            _decode_tree(v, f"{where}[{i}]") if type(v) in (list, dict, float) else v
             for i, v in enumerate(value)
         ]
     if type(value) is dict:
@@ -707,7 +710,7 @@ def _render(value, out: list[str], newline: str) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(_finite(float.__repr__(value), (value,)))
+        out.append(_finite_text(float.__repr__(value), (value,)))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -715,7 +718,7 @@ def _render(value, out: list[str], newline: str) -> None:
         inner = newline + "  "
         out.append("[" + inner)
         if set(map(type, value)) == {float}:
-            out.append(_finite(("," + inner).join(map(float.__repr__, value)), value))
+            out.append(_finite_text(("," + inner).join(map(float.__repr__, value)), value))
         else:
             for pos, item in enumerate(value):
                 if pos:
@@ -741,7 +744,7 @@ def _render(value, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _finite(text: str, values) -> str:
+def _finite_text(text: str, values) -> str:
     """``text``, the joined reprs of ``values``, unless one is NaN or
     infinite: no finite float's repr contains an ``n``."""
     if "n" in text:

@@ -11,6 +11,8 @@ from haarfactor.constants import (
     dichotomy_constant,
     large_diagonal_constant,
 )
+from haarfactor import serialize
+from haarfactor.cli import ExperimentConfig, run
 from haarfactor.errors import ReductionError
 from haarfactor.factorize import (
     FactorizationWitness,
@@ -309,3 +311,80 @@ class TestDichotomyComposition:
         assert w.branch == "I-T"
         assert w.scalar == 0.25
         assert w.residual == 0.0
+
+
+# -- sampled estimates ------------------------------------------------------------
+
+
+def sampled_ratio_loop(registry, apply, exponent, samples, seed):
+    """The oracle: one realized function and one ``lp_norm`` per norm, in a
+    loop over the samples."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        v = rng.standard_normal(registry.dim)
+        num = lp_norm(realize(registry, apply(v)), exponent)
+        den = lp_norm(realize(registry, v), exponent)
+        worst = max(worst, num / den)
+    return worst
+
+
+def projection_estimate_loop(witness, seed):
+    """``projection_norm_estimate`` by :func:`sampled_ratio_loop`."""
+    cert = witness.certificate
+    source = cert.source_registry()
+    PE = projection_matrix(source, cert.target_registry(), cert.family)
+    F = embedding_matrix(source, cert.family)
+    return sampled_ratio_loop(source, lambda g: F @ (PE @ g), cert.exponent, 100, seed)
+
+
+# (projection_norm_estimate, report sampled_max_ratio) by float.hex, as the
+# per-sample loop computed them: the benchmark's `certify` dichotomies
+# (single_copy(7), p = 4, eps 0.25, seed k) ...
+DICHOTOMY_PINS = {
+    0: ("0x1.422e809f4695ap-3", "0x1.2549030e3ae0cp-52"),
+    1: ("0x1.ca28e6044141dp-3", "0x1.4fa3c88cc67ccp-52"),
+    2: ("0x1.dbd9b247b9698p-4", "0x1.790070dd68f35p-51"),
+    3: ("0x1.c02dbcbd9ea83p-3", "0x1.5412cc7a72f51p-52"),
+    4: ("0x1.bbb223b536ebep-3", "0x1.9d765167c6dc4p-52"),
+    5: ("0x1.4810131944a78p-2", "0x1.70b4321192107p-52"),
+    6: ("0x1.dc69b49d498fcp-3", "0x1.f5a5790fbd002p-53"),
+    7: ("0x1.5ee0422a7fbb6p-3", "0x1.fe443d09bbd8fp-52"),
+    8: ("0x1.1ef5b9d856878p-2", "0x1.44485e5658732p-52"),
+    9: ("0x1.4b2e232e5d11ap-3", "0x1.ff28aba6957adp-53"),
+}
+# ... and its seed-0 `factorize` job (I + 0.05 N on the acceptance source)
+FACTORIZE_PIN = ("0x1.c10af8b131fc8p-3", "0x1.2ed684f776342p-51")
+
+
+def _run_witness(tmp_path, config):
+    out = tmp_path / "witness.json"
+    report = run(ExperimentConfig(**config, out=str(out)))
+    return serialize.load(out), report["results"]["sampled_max_ratio"]
+
+
+class TestSampledValuesPinned:
+    @pytest.mark.parametrize("seed", sorted(DICHOTOMY_PINS))
+    def test_certify_dichotomy(self, tmp_path, seed):
+        witness, sampled = _run_witness(
+            tmp_path, dict(command="dichotomy", p=4.0, eps="0.25", seed=seed)
+        )
+        estimate = witness.metadata["projection_norm_estimate"]
+        assert (estimate.hex(), sampled.hex()) == DICHOTOMY_PINS[seed]
+        # the pins are the loop's values on the loaded witness too
+        assert estimate == projection_estimate_loop(witness, seed + 2)
+        assert sampled == apply_chain_oracle(witness, 100, seed)
+
+    def test_factorize_seed0(self, tmp_path):
+        source = BasisRegistry({5: 4, 6: 5, 7: 6})
+        noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
+        np.fill_diagonal(noise, 0.0)
+        noise /= np.abs(noise).sum(axis=0).max()
+        op = tmp_path / "operator.json"
+        serialize.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
+        witness, sampled = _run_witness(tmp_path, dict(
+            command="factorize", p=4.0, delta=1.0, eps="0.25", seed=5, inputs=(str(op),),
+        ))
+        estimate = witness.metadata["projection_norm_estimate"]
+        assert (estimate.hex(), sampled.hex()) == FACTORIZE_PIN
+        assert sampled == apply_chain_oracle(witness, 100, 5)

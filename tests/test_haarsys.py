@@ -1,5 +1,6 @@
 """Registry, block families, distributional-copy and Burkholder checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from haarfactor.dyadic import (
     enumerate_truncated,
     intervals_at_level,
 )
+from haarfactor import haarsys
 from haarfactor.grids import GridFunction, ProductGrid, lp_norm, pairing
 from haarfactor.haarsys import (
     BasisRegistry,
@@ -25,6 +27,7 @@ from haarfactor.haarsys import (
     check_distributional_copy,
     project,
     realize,
+    realized_lp_norms,
 )
 from haarfactor.reduction import _members_within, _support_pieces
 
@@ -122,6 +125,132 @@ class TestRealizeProject:
             f = GridFunction.from_dense(r.grid, rng.standard_normal(r.grid.shape))
             g = realize(r, project(r, f))
             assert lp_norm(g, p) <= bound * lp_norm(f, p) + 1e-10
+
+
+# -- batched norms ------------------------------------------------------------
+
+
+def scalar_lp_norm(f, p):
+    """``lp_norm`` as one whole-array mean and one scalar root, independent
+    of the row helper that ``lp_norm`` and the batched pass share."""
+    values = np.asarray(f.dense, dtype=float)
+    powers = np.abs(values)
+    np.power(powers, p, out=powers)
+    mean = np.mean(powers)
+    if not np.isfinite(mean) and not np.all(np.isfinite(values)):
+        raise ValueError("non-finite values")
+    return float(mean ** (1.0 / p))
+
+
+def loop_norms(registry, rows, p):
+    """The oracle: one realized function and one norm per row."""
+    norms = [scalar_lp_norm(realize(registry, c), p) for c in rows]
+    assert hexes(norms) == hexes(lp_norm(realize(registry, c), p) for c in rows)
+    return norms
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def signed_zero_rows(registry, count, seed):
+    """Gaussian rows, with ``+0.0`` and ``-0.0`` coefficients and zero rows."""
+    rows = np.random.default_rng(seed).standard_normal((count, registry.dim))
+    rows[0, ::2] = 0.0
+    rows[1, 1::2] = -0.0
+    rows[2] = 0.0
+    rows[3] = -0.0
+    rows[4, :-1] = -0.0  # one term left: every other cell folds only zeros
+    rows[5] *= 1e-300
+    return rows
+
+
+NORM_REGISTRIES = {
+    "single_copy(7)": ({7: 6}, 100),
+    "three copies": ({1: 0, 2: 1, 3: 2}, 40),
+    "two copies": ({4: 3, 5: 2}, 40),
+    "acceptance source": ({5: 4, 6: 5, 7: 6}, 7),
+}
+
+
+class TestRealizedLpNorms:
+    """The batched pass against one ``lp_norm(realize(...))`` per row, by
+    ``float.hex``."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("name", NORM_REGISTRIES)
+    def test_matches_the_loop_bitwise(self, name, p):
+        depths, count = NORM_REGISTRIES[name]
+        r = BasisRegistry(depths)
+        rows = signed_zero_rows(r, count, seed=len(name))
+        assert hexes(realized_lp_norms(r, rows, p)) == hexes(loop_norms(r, rows, p))
+
+    @pytest.mark.parametrize("cells", [1, 3 * 64, 7 * 64 + 5])
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_partial_last_batch(self, monkeypatch, cells, p):
+        # 64 cells per row: batches of 1, 3 and 7 rows, 20 rows in all
+        monkeypatch.setattr(haarsys, "_BATCH_CELLS", cells)
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        rows = signed_zero_rows(r, 20, seed=cells)
+        assert hexes(realized_lp_norms(r, rows, p)) == hexes(loop_norms(r, rows, p))
+
+    def test_rows_past_one_batch(self):
+        r = BasisRegistry.single_copy(7)
+        batch = haarsys._BATCH_CELLS // r.grid.ncells
+        rows = signed_zero_rows(r, batch + batch // 3, seed=3)
+        assert len(rows) % batch
+        assert hexes(realized_lp_norms(r, rows, 4.0)) == hexes(loop_norms(r, rows, 4.0))
+
+    def test_accumulator_in_c_order(self):
+        # One batch of 100 rows of 128 cells.  Averaging an F-ordered copy of
+        # the same powers rounds differently in some rows, so a kernel that
+        # lets its accumulator turn F-ordered fails the comparison.
+        r = BasisRegistry.single_copy(7)
+        rows = np.random.default_rng(11).standard_normal((100, r.dim))
+        powers = np.array([realize(r, c).dense for c in rows]) ** 4.0
+        c_order = np.mean(powers, axis=1)
+        f_order = np.mean(np.asfortranarray(powers), axis=1)
+        assert not np.array_equal(c_order, f_order)
+        assert hexes(realized_lp_norms(r, rows, 4.0)) == hexes(loop_norms(r, rows, 4.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_nonfinite_row_raises(self, bad, p):
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        rows = np.ones((5, r.dim))
+        rows[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            loop_norms(r, rows, p)
+        with pytest.raises(ValueError, match="non-finite"):
+            realized_lp_norms(r, rows, p)
+
+    def test_finite_overflow_is_infinite(self):
+        r = BasisRegistry.single_copy(3)
+        rows = np.ones((3, r.dim))
+        rows[1] *= 1e100
+        with np.errstate(over="ignore"):
+            norms = realized_lp_norms(r, rows, 4.0)
+            assert hexes(norms) == hexes(loop_norms(r, rows, 4.0))
+        assert norms[1] == math.inf and math.isfinite(norms[0])
+
+    def test_no_rows(self):
+        r = BasisRegistry.single_copy(3)
+        assert realized_lp_norms(r, np.empty((0, r.dim)), 2.0) == []
+
+    def test_shape_mismatch(self):
+        r = BasisRegistry.single_copy(3)
+        with pytest.raises(ValueError, match="rows of 7 coefficients"):
+            realized_lp_norms(r, np.zeros(r.dim), 2.0)
+        with pytest.raises(ValueError, match="rows of 7 coefficients"):
+            realized_lp_norms(r, np.zeros((2, r.dim + 1)), 2.0)
+
+    def test_rank_plans_are_cached_and_lazy(self):
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        assert r._plans is None
+        plans = r.rank_plans()
+        assert r.rank_plans() is plans
+        # one rank per level: each cell lies in one interval per level
+        assert [len(value) for _, _, value in plans] == [1, 2, 3]
 
 
 def identity_family(registry):

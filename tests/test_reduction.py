@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from test_golden_bytes import CASES as GOLDEN
 from test_golden_bytes import dichotomy_of_t
 
 from haarfactor import serialize
@@ -871,4 +872,48 @@ class TestWitnessValues:
         report = verify_certificate(serialize.undocument(doc))
         assert report["block_averages"]
         assert not report["witnesses"]
+        assert not report["ok"]
+
+
+# golden cases that are certificates or carry one
+CERTIFIED_CASES = (
+    "identity", "stitched", "diagonal_paper", "diagonal_relaxed",
+    "diagonal_sampled", "diagonal_of_diagonal", "scalar_paper",
+    "scalar_relaxed", "scalar_sampled", "factorization_exact",
+    "factorization_compressed", "dichotomy_of_t", "dichotomy_of_complement",
+)
+
+
+def _certificate_of(doc):
+    obj = serialize.undocument(doc)
+    return obj if isinstance(obj, ReductionCertificate) else obj.certificate
+
+
+class TestGapBound:
+    """The recorded diagonal gap bound is re-derived, not taken as read."""
+
+    @pytest.mark.parametrize("name", CERTIFIED_CASES)
+    def test_golden_certificate_verifies_from_its_bytes(self, name):
+        doc = json.loads(serialize.dumps(GOLDEN[name][0]()))
+        report = verify_certificate(_certificate_of(doc))
+        assert report["gap_match"]
+        assert report["ok"]
+
+    @pytest.mark.parametrize("name", ["scalar_paper", "scalar_relaxed", "stitched"])
+    def test_zeroed_gap_bound_is_refused(self, name):
+        doc = json.loads(serialize.dumps(GOLDEN[name][0]()))
+        assert doc["payload"]["diagonal_gap_bound"] > 0.0
+        doc["payload"]["diagonal_gap_bound"] = 0.0
+        report = verify_certificate(_certificate_of(doc))
+        # the certified bound is rederived from the recomputed gap, so it still matches
+        assert report["certified_match"] and report["column_sum_match"]
+        assert not report["gap_match"]
+        assert not report["ok"]
+
+    def test_gap_bound_where_none_applies_is_refused(self):
+        doc = json.loads(serialize.dumps(GOLDEN["diagonal_relaxed"][0]()))
+        assert doc["payload"]["diagonal_gap_bound"] is None
+        doc["payload"]["diagonal_gap_bound"] = 1.0
+        report = verify_certificate(_certificate_of(doc))
+        assert not report["gap_match"]
         assert not report["ok"]

@@ -613,3 +613,28 @@ class TestLeavesReDumpToTheirOwnBytes:
         assert literal in text
         with pytest.raises(sz.SchemaError, match=where):
             sz.loads(text)
+
+    @pytest.mark.parametrize(
+        "probe, literal, where",
+        [
+            (SENTINEL, "1e400", r"run_data\.probe: expected a finite number, got inf"),
+            ([0.5, [2, SENTINEL]], "-1e400",
+             r"run_data\.probe\[1\]\[1\]: expected a finite number, got -inf"),
+            ({"~pairs": [[1, SENTINEL]]}, "1e999",
+             r"run_data\.probe\.~pairs\[0\]\[1\]: expected a finite number, got inf"),
+        ],
+    )
+    def test_number_literal_past_the_float_range_in_a_tree(self, probe, literal, where):
+        doc = json.loads(sz.dumps(GOLDEN["scalar_paper"][0]()))
+        text = edited_text(doc, self.set_at("payload", "run_data", "probe", value=probe), literal)
+        assert literal in text
+        with pytest.raises(sz.SchemaError, match=where):
+            sz.loads(text)
+
+    def test_finite_tree_floats_load_and_redump(self):
+        doc = json.loads(sz.dumps(GOLDEN["scalar_paper"][0]()))
+        doc["payload"]["run_data"]["probe"] = [1e300, -0.0, 5e-324, [2, 0.1]]
+        text = sz.dumps(doc)
+        loaded = sz.loads(text)
+        assert loaded.metadata["probe"] == [1e300, -0.0, 5e-324, [2, 0.1]]
+        assert sz.dumps(loaded) == text
