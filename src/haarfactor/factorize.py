@@ -28,9 +28,9 @@ Both sampled ratios (that estimate and
 samples first, apply the sampled map to each one by one matrix-vector
 product (a matrix product over all samples would round differently), and
 measure all images, then all inputs, in one batched pass
-(:func:`haarsys.realized_lp_norms`).  That pass folds every sample's terms
-into one C-ordered accumulator and takes each row's root on its own, so
-every norm, and hence every recorded estimate, is bit for bit what one
+(:func:`haarsys.realized_lp_norms`).  That pass adds the samples' terms by
+the same fold as :attr:`grids.GridFunction.dense` (:func:`grids._fold`),
+so every norm, and hence every recorded estimate, is bit for bit what one
 ``lp_norm(realize(...))`` per sample gives.
 """
 
@@ -170,8 +170,11 @@ def _sampled_max_ratio(registry, apply, exponent, samples, seed) -> float:
     Draws every ``v`` first, one ``standard_normal`` per sample, applies
     ``apply`` to each on its own (one matrix-vector product, as a matrix
     product would round differently), then measures all images and all
-    inputs in one batched pass each; see the module note.
+    inputs in one batched pass each, by :func:`grids._fold`; see the module
+    note.  Raises ``ValueError`` for fewer than one sample.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     shape = (samples, registry.dim)
     inputs = np.array([rng.standard_normal(registry.dim) for _ in range(samples)])

@@ -13,6 +13,11 @@ Functions come in two layouts:
   factored, which keeps pairings exact and cheap: integrals of factored
   integer functions are computed coordinate-wise in rational arithmetic,
   never on the full product.
+
+Every dense cell value a factored function takes is a left fold of its
+summands, and :func:`_fold` is the one place that forms it: from
+:attr:`GridFunction.dense`, one row at a time, and from
+:func:`haarsys.realized_lp_norms`, many rows at once.
 """
 
 from __future__ import annotations
@@ -39,15 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 1 << 22
-
-# Compacting a run into a rank matrix costs about a dozen numpy calls, and
-# one call costs about as much as adding _CALL_CELLS cells.  A run is
-# compacted once its plain adds, ``summands * (cells + _CALL_CELLS)``, reach
-# _COMPACT_WORK.  Measured on a 2-core 2.1 GHz VM with numpy 2.4: compacting
-# the 127-summand run of single_copy(7) makes ``dense`` 2-3x faster, while
-# compacting the short runs of {1: 0, 2: 1, 3: 2} made it about 2x slower.
-_CALL_CELLS = 1 << 11
-_COMPACT_WORK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -209,41 +205,19 @@ class GridFunction:
 
         A factored function expands to the left fold ``((+0.0 + s_1) + s_2)
         + ...`` of its summands, broadcast over the grid in summand order,
-        and the result equals that fold bit for bit.  Adding a zero leaves
-        a float unchanged, and a fold that starts at ``+0.0`` never holds
-        ``-0.0``, so every cell ends at the fold of its nonzero terms alone.
-        Each maximal run of summands on one coordinate is therefore
-        compacted into a rank matrix (:func:`_rank_rows`) and added one
-        broadcast row per rank: a run of Haar-type summands has rank at most
-        its number of levels, not its number of summands.  The accumulator
-        spans only the coordinates met so far and is broadcast to the full
-        grid once, at the end.  A run too short for compaction to pay
-        (:data:`_COMPACT_WORK`) is folded summand by summand, as written.
+        bit for bit: each maximal run of summands on one coordinate is
+        compacted into its :func:`_rank_plan` values and added by
+        :func:`_fold`, whose note says why that is the same fold.  A run of
+        Haar-type summands has rank at most its number of levels, not its
+        number of summands.
         """
         if self._dense is not None:
             return self._dense
-        full = self.grid.shape
-        ndim = len(full)
-        acc = np.zeros((1,) * ndim)
+        runs = []
         for coord, run in groupby(self._summands, key=itemgetter(0)):
-            rows = [vec for _, vec in run]
-            axis = self.grid.axis_of(coord)
-            shape = [1] * ndim
-            shape[axis] = len(rows[0])
-            cells = acc.size * (len(rows[0]) if acc.shape[axis] == 1 else 1)
-            if len(rows) > 1 and len(rows) * (cells + _CALL_CELLS) >= _COMPACT_WORK:
-                block = np.array(rows)
-                rows = _rank_rows(block, np.result_type(acc, block))
-                if len(rows):
-                    acc = acc + rows[0].reshape(shape)
-                    for row in rows[1:]:  # one dtype: add in place
-                        acc += row.reshape(shape)
-            else:
-                for row in rows:
-                    acc = acc + row.reshape(shape)
-        if acc.shape != full:
-            acc = np.broadcast_to(acc, full).copy()
-        return acc
+            _, value = _rank_plan(np.array([vec for _, vec in run]))
+            runs.append((self.grid.axis_of(coord), value[None]))
+        return _fold(self.grid.shape, runs, 1)[0]
 
     def is_integer_valued(self) -> bool:
         if self._summands is not None:
@@ -274,22 +248,60 @@ def _check_cells(grid: ProductGrid, coord: int, row_shape: tuple, shape: tuple) 
         )
 
 
-def _rank_rows(block: np.ndarray, dtype) -> np.ndarray:
-    """Rank matrix of one run of same-coordinate summands (rows of ``block``).
+def _rank_plan(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, value)`` rank plan of one run of same-coordinate terms, the
+    rows of ``block``.
 
-    Row ``j`` holds the ``j``-th nonzero term of every cell, in summand
-    order; cells with fewer terms are padded with ``+0.0``.  Adding the rows
-    in order therefore reproduces, in every cell, the fold of all the run's
-    terms (see :attr:`GridFunction.dense`).
+    Entry ``[j, cell]`` of ``index`` names the row of the ``j``-th nonzero
+    term of ``cell``, in row order, and ``value`` gives that term; cells
+    with fewer terms are padded with row 0 and value 0.
     """
     m, n = block.shape
     # nonzero positions in cell-major order: each cell's terms keep their order
     pos = np.flatnonzero((block != 0).T)
     cell = pos // m
+    row = pos - cell * m
     rank = np.arange(pos.size) - np.searchsorted(cell, cell)
-    out = np.zeros((rank.max(initial=-1) + 1, n), dtype)
-    out[rank, cell] = block[pos - cell * m, cell]
-    return out
+    ranks = rank.max(initial=-1) + 1
+    index = np.zeros((ranks, n), np.intp)
+    value = np.zeros((ranks, n), block.dtype)
+    index[rank, cell] = row
+    value[rank, cell] = block[row, cell]
+    return index, value
+
+
+def _fold(shape: tuple[int, ...], runs, count: int) -> np.ndarray:
+    """Left fold from ``+0.0`` of ``count`` rows of terms on a grid of
+    ``shape``, as an array of shape ``(count, *shape)``.
+
+    ``runs`` yields ``(axis, terms)``: ``terms[r, j]`` is the ``j``-th rank
+    of row ``r`` on grid axis ``axis``, one term per cell of that axis, as
+    :func:`_rank_plan` lays a run out.  The ranks are added in order, and
+    the accumulator spans only the axes met so far: it grows one axis at a
+    time by a C-ordered ``np.add``, takes the other ranks in place, and is
+    broadcast to the full grid once, at the end.
+
+    This is every cell's summand-by-summand fold bit for bit.  Adding a
+    zero leaves a float that is not ``-0.0`` unchanged, and a fold that
+    starts at ``+0.0`` never holds ``-0.0`` (a sum of two floats is ``-0.0``
+    only when both are), so the zero terms a plan skips or pads with change
+    nothing and each cell ends at the fold of its nonzero terms alone.  The
+    accumulator stays in C order whatever the terms' layout, so each row of
+    it, raveled, is averaged by :func:`_row_norms` as ``np.mean`` averages
+    that row on its own.
+    """
+    acc = np.zeros((count,) + (1,) * len(shape))
+    for axis, terms in runs:
+        view = [count] + [1] * len(shape)
+        view[axis + 1] = terms.shape[-1]
+        for rank in range(terms.shape[1]):
+            term = terms[:, rank].reshape(view)
+            if acc.shape[axis + 1] == 1:
+                acc = np.add(acc, term, order="C")
+            else:
+                acc += term
+    full = (count, *shape)
+    return acc if acc.shape == full else np.broadcast_to(acc, full).copy()
 
 
 def _require_same_grid(f: GridFunction, g: GridFunction) -> ProductGrid:

@@ -18,19 +18,13 @@ element, each an integer profile scaled by one float.  Every partial sum a
 pairing can form is then an integer multiple of that float, which IEEE
 arithmetic represents exactly — this is what makes ``project(realize(c))``
 reproduce ``c`` bit for bit, with no rational arithmetic in the hot path.
-Materializing a realized function (:attr:`GridFunction.dense`) adds the
-summands cell by cell in basis order, starting from ``+0.0``.  The kernel
-skips the terms that are zero in a cell, and the result is still that fold
-bit for bit, because adding a zero leaves a float that is not ``-0.0``
-unchanged and the fold never holds ``-0.0``.  Norms of realized functions
-therefore do not depend on how the kernel groups its broadcasts.
-:func:`realized_lp_norms` measures many coefficient rows at once by the
-same fold: each copy's rank plan adds one rank of terms for every row of
-a batch, into one accumulator kept in C order so that each row's mean sums
-its cells in the order ``lp_norm`` sums them, and the root is taken row by
-row, as ``lp_norm`` takes it.  Its norms equal one ``lp_norm(realize(c))``
-per row bit for bit; callers apply their matrices to one row at a time
-(a matrix-vector product each), since one matrix product over the batch
+Materializing a realized function (:attr:`GridFunction.dense`) and
+:func:`realized_lp_norms`, which measures many coefficient rows at once,
+differ only in how they gather each copy's terms: both add them by
+:func:`grids._fold`, which says why the result is the summand fold bit for
+bit.  So the batched norms equal one ``lp_norm(realize(c))`` per row bit
+for bit; callers apply their matrices to one row at a time (a
+matrix-vector product each), since one matrix product over the batch
 would round differently.
 """
 
@@ -41,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -50,10 +44,10 @@ from .grids import (
     DEFAULT_CELL_CAP,
     GridFunction,
     ProductGrid,
-    _rank_rows,
+    _fold,
+    _rank_plan,
     _row_norms,
     as_exponent,
-    lp_norm,
     pairing,
 )
 
@@ -65,8 +59,6 @@ __all__ = [
     "block_project",
     "burkholder_check",
     "check_distributional_copy",
-    "expand_blocks",
-    "haar_blocks",
     "project",
     "realize",
     "realized_lp_norms",
@@ -136,9 +128,22 @@ class BasisRegistry:
         return self.grid.resolution_of(copy)
 
     def profile_blocks(self) -> tuple[tuple[int, slice, np.ndarray], ...]:
-        """The registry's :func:`haar_blocks`, built on first use and cached."""
+        """Haar profiles of the registry's indices, one block per copy, built
+        on first use and cached.
+
+        Each block is ``(copy, rows, profiles)``: ``rows`` is the slice of
+        :attr:`indices` on that copy and ``profiles`` stacks their int8 cell
+        profiles on the copy's grid coordinate, one row per index.
+        """
         if self._blocks is None:
-            self._blocks = haar_blocks(self.indices, self.grid)
+            blocks = []
+            start = 0
+            for copy, group in groupby(self.indices, key=attrgetter("copy")):
+                res = self.grid.resolution_of(copy)
+                profiles = np.stack([t.interval.haar_values(res) for t in group])
+                blocks.append((copy, slice(start, start + len(profiles)), profiles))
+                start += len(profiles)
+            self._blocks = tuple(blocks)
             self._profile_rows = tuple(row for *_, block in self._blocks for row in block)
         return self._blocks
 
@@ -146,22 +151,15 @@ class BasisRegistry:
         """One ``(rows, index, value)`` rank plan per profile block, built on
         first use and cached.
 
-        Entry ``[j, cell]`` of ``index`` and ``value`` names the ``j``-th
-        index of the block (counted within ``rows``) whose profile is
-        nonzero on ``cell``, in basis order, and that profile value (``+-1``);
-        cells with fewer such indices are padded with index 0 and value 0.
-        The plan is :func:`grids._rank_rows` of the profiles, so realizing
-        by ranks adds each cell's nonzero terms in the order
-        :attr:`GridFunction.dense` does.
+        ``(index, value)`` is :func:`grids._rank_plan` of the block's
+        profiles: ``index`` counts within ``rows`` and ``value`` is a profile
+        value, ``+-1`` or the padding 0.  Scaling each entry by its index's
+        coefficient gives the terms :func:`grids._fold` adds.
         """
         if self._plans is None:
-            plans = []
-            for _, rows, profiles in self.profile_blocks():
-                codes = (profiles != 0) * np.arange(1, len(profiles) + 1)[:, None]
-                index = _rank_rows(codes, np.intp)
-                value = _rank_rows(profiles, float)
-                plans.append((rows, np.maximum(index - 1, 0), value))
-            self._plans = tuple(plans)
+            self._plans = tuple(
+                (rows, *_rank_plan(profiles)) for _, rows, profiles in self.profile_blocks()
+            )
         return self._plans
 
     def haar_profile(self, t: OmegaIndex) -> np.ndarray:
@@ -177,39 +175,6 @@ class BasisRegistry:
         return GridFunction.from_summands(self.grid, [(t.copy, self.haar_profile(t))])
 
 
-def haar_blocks(
-    indices: Sequence[OmegaIndex], grid: ProductGrid
-) -> tuple[tuple[int, slice, np.ndarray], ...]:
-    """Haar profiles of a copy-sorted index sequence, one block per copy.
-
-    Each block is ``(copy, rows, profiles)``: ``rows`` is the slice of
-    ``indices`` on that copy and ``profiles`` stacks their int8 cell
-    profiles on the copy's grid coordinate, one row per index.
-    """
-    blocks = []
-    start = 0
-    for copy, group in groupby(indices, key=attrgetter("copy")):
-        res = grid.resolution_of(copy)
-        profiles = np.stack([t.interval.haar_values(res) for t in group])
-        blocks.append((copy, slice(start, start + len(profiles)), profiles))
-        start += len(profiles)
-    return tuple(blocks)
-
-
-def expand_blocks(
-    grid: ProductGrid, blocks: Sequence[tuple[int, slice, np.ndarray]], coeffs
-) -> GridFunction:
-    """``sum_t c_t h_t`` over :func:`haar_blocks`, one summand per index.
-
-    Row ``i`` of ``coeffs[rows, None] * profiles`` is ``c_i`` times the
-    integer profile of index ``i``, the same floats as scaling each profile
-    on its own.
-    """
-    return GridFunction.from_blocks(
-        grid, [(copy, coeffs[rows, None] * profiles) for copy, rows, profiles in blocks]
-    )
-
-
 def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     """The function ``sum_t c_t h_t`` as a factored grid function.
 
@@ -219,7 +184,13 @@ def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (registry.dim,):
         raise ValueError(f"expected {registry.dim} coefficients, got {coeffs.shape}")
-    return expand_blocks(registry.grid, registry.profile_blocks(), coeffs)
+    # row i of coeffs[rows, None] * profiles is c_i times the integer profile
+    # of index i, the same floats as scaling each profile on its own
+    return GridFunction.from_blocks(
+        registry.grid,
+        [(copy, coeffs[rows, None] * profiles)
+         for copy, rows, profiles in registry.profile_blocks()],
+    )
 
 
 def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
@@ -228,12 +199,10 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     ``coeffs`` holds one coefficient vector per row.  Rows are realized in
     batches of about :data:`_BATCH_CELLS` cells: each copy's
     :meth:`BasisRegistry.rank_plans` gathers its terms for the whole batch
-    at once, and the ranks are added in order into one C-ordered
-    accumulator, which grows one copy axis at a time as in
-    :attr:`GridFunction.dense`.  Every cell is then the same fold of the
-    same nonzero terms (padding adds a zero, which changes nothing), and
-    each C-ordered row is averaged as ``lp_norm`` averages the materialized
-    function (:func:`grids._row_norms`).
+    at once, and :func:`grids._fold` adds them, as it adds the terms of
+    :attr:`GridFunction.dense`; each row of the fold is then averaged as
+    ``lp_norm`` averages the materialized function
+    (:func:`grids._row_norms`).
     """
     exponent = as_exponent(p)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -247,21 +216,13 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     norms: list[float] = []
     for start in range(0, len(coeffs), batch):
         chunk = coeffs[start:start + batch]
-        acc = np.zeros((len(chunk),) + (1,) * len(shape))
-        # block k sits on grid axis k (after the row axis): the grid's
-        # coordinates are the registry's copies, sorted as the blocks are
-        for axis, (rows, index, value) in enumerate(plans, start=1):
-            terms = np.take(chunk[:, rows], index, axis=1) * value
-            view = [len(chunk)] + [1] * len(shape)
-            view[axis] = value.shape[1]
-            for rank in range(len(value)):
-                term = terms[:, rank].reshape(view)
-                if acc.shape[axis] == 1:
-                    # C order whatever the terms' layout: an F-ordered
-                    # accumulator would average its rows in another order
-                    acc = np.add(acc, term, order="C")
-                else:
-                    acc += term
+        # block k sits on grid axis k: the grid's coordinates are the
+        # registry's copies, sorted as the blocks are
+        runs = (
+            (axis, np.take(chunk[:, rows], index, axis=1) * value)
+            for axis, (rows, index, value) in enumerate(plans)
+        )
+        acc = _fold(shape, runs, len(chunk))
         norms += _row_norms(acc.reshape(len(chunk), -1), exponent)
     return norms
 
@@ -569,6 +530,5 @@ def burkholder_check(registry: BasisRegistry, coeffs, signs, p) -> float:
         base = math.fsum((coeffs**2 * weights).tolist())
         flipped = math.fsum(((signs * coeffs) ** 2 * weights).tolist())
         return 1.0 if base == flipped else math.sqrt(flipped / base)
-    base = lp_norm(realize(registry, coeffs), exponent)
-    flipped = lp_norm(realize(registry, signs * coeffs), exponent)
+    base, flipped = realized_lp_norms(registry, [coeffs, signs * coeffs], exponent)
     return flipped / base

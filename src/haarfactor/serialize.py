@@ -426,9 +426,19 @@ def _check_certificate(values, where) -> None:
         raise SchemaError(
             f"{where}: block_averages/witnesses/target_entries lengths disagree"
         )
+    _check_exponent(values["source"].exponent.p, values["exponent"], f"{where}.source.p")
+
+
+def _check_exponent(got: float, want: float, where: str) -> None:
+    if got != want:
+        raise SchemaError(f"{where}: exponent {got!r} differs from p {want!r}")
 
 
 def _check_witness(values, where) -> None:
+    _check_exponent(values["source"].exponent.p, values["exponent"], f"{where}.source.p")
+    _check_exponent(
+        values["certificate"].exponent, values["exponent"], f"{where}.certificate.p"
+    )
     target_dim = len(values["certificate"].target_entries)
     source_dim = values["source"].dim
     if values["A"].shape != (target_dim, source_dim):

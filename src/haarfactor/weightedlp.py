@@ -648,11 +648,14 @@ def impartial_equivalence(
     samples: int = 1000,
     seed: int = 0,
 ) -> ImpartialEstimate:
-    """Estimate the two-sided equivalence constant of two finite families."""
+    """Estimate the two-sided equivalence constant of two finite families
+    from ``samples >= 1`` Gaussian combinations."""
     if len(xs) != len(ys):
         raise ValueError("families must have equal length")
     if not xs:
         raise ValueError("families must be non-empty")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     X = np.column_stack([np.asarray(x, dtype=float) for x in xs])
     Y = np.column_stack([np.asarray(y, dtype=float) for y in ys])
     rng = np.random.default_rng(seed)

@@ -301,6 +301,16 @@ class TestXpwGameCommand:
         assert body["verified_negative"]["type"] == "ResourceLimitError"
         assert "round 1" in body["verified_negative"]["message"]
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_is_an_error(self, capsys, samples):
+        code, out, err = invoke(
+            capsys, "xpw-game", "--rounds", "2", "--eps", "0.1", "--samples", samples
+        )
+        assert code == ERROR and not out
+        error = sz.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "at least one sample" in error["message"]
+
     def test_greedy_adversary(self, capsys):
         code, out, _ = invoke(
             capsys, "xpw-game", "--rounds", "3", "--adversary", "greedy",

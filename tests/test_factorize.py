@@ -79,6 +79,13 @@ class TestLargeDiagonalTrivial:
         assert w.constant == large_diagonal_constant(4.0, 1.0, 0.25)
         assert w.certificate.mode == "identity"
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_refused(self, samples):
+        # a maximum over no sample read 0.0, as if the factorization were exact
+        w = factor_large_diagonal(OperatorMatrix.identity(4.0, SMALL.indices), 1.0, 0.25)
+        with pytest.raises(ValueError, match="at least one sample, got"):
+            w.sample_max_ratio(samples)
+
     def test_scaled_identity_compensates(self):
         T = OperatorMatrix(4.0, SMALL.indices, 2.0 * np.eye(SMALL.dim))
         w = factor_large_diagonal(T, 2.0, 0.25)

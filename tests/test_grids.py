@@ -13,6 +13,7 @@ from haarfactor.grids import (
     Exponent,
     GridFunction,
     ProductGrid,
+    _fold,
     conditional_expectation,
     lp_norm,
     pairing,
@@ -138,8 +139,8 @@ def random_summand(rng, cells):
 class TestDenseFold:
     """``dense`` equals the summand-by-summand fold bit for bit.
 
-    Runs of 16 or more same-coordinate summands are compacted into rank
-    matrices; shorter runs are added as they stand.  Both are covered.
+    Every run of same-coordinate summands is compacted into its rank plan;
+    runs of 1 to 40 summands, with signed zeros and int8 terms, are covered.
     """
 
     @given(st.integers(0, 2**32 - 1))
@@ -198,6 +199,37 @@ class TestDenseFold:
         np.testing.assert_array_equal(one.dense[1, :, 0], [0.5, 0.0, 3.0, -1.0])
         empty = GridFunction(grid, summands=())
         assert_dense_is_fold(empty)
+
+
+class TestFoldRows:
+    """``_fold`` over ``count`` rows is ``count`` one-row folds, bit for bit,
+    on arbitrary terms: not Haar profiles, and with signed zeros and int8."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_fold_on_their_own(self, seed):
+        rng = np.random.default_rng(seed)
+        ndim = int(rng.integers(1, 4))
+        shape = tuple(2 ** int(r) for r in rng.integers(0, 4, ndim))
+        count = int(rng.integers(2, 6))
+        runs = []
+        for _ in range(int(rng.integers(0, 5))):
+            axis = int(rng.integers(ndim))
+            ranks = int(rng.integers(0, 4))
+            if rng.random() < 0.3:
+                terms = rng.integers(-2, 3, (count, ranks, shape[axis])).astype(np.int8)
+            else:
+                terms = np.array([
+                    [random_summand(rng, shape[axis]) for _ in range(ranks)]
+                    for _ in range(count)
+                ]).reshape(count, ranks, shape[axis])
+            runs.append((axis, terms))
+        rows = _fold(shape, runs, count)
+        assert rows.shape == (count, *shape) and rows.flags.c_contiguous
+        assert not np.any((rows == 0) & np.signbit(rows)), "the fold holds -0.0"
+        for r in range(count):
+            alone = _fold(shape, [(axis, terms[r:r + 1]) for axis, terms in runs], 1)
+            assert rows[r].tobytes() == alone[0].tobytes()
 
 
 class TestLpNorm:

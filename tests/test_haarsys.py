@@ -632,6 +632,20 @@ class TestBurkholder:
             s = rng.choice([-1, 1], size=r.dim)
             assert burkholder_check(r, c, s, p) <= bound + 1e-9
 
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    @pytest.mark.parametrize(
+        "depths", [{1: 0, 2: 1, 3: 2}, {4: 3, 5: 2}, {6: 5}],
+        ids=["standard(3)", "two copies", "single_copy(6)"],
+    )
+    def test_is_the_ratio_of_two_norms_bitwise(self, depths, p):
+        registry = BasisRegistry(depths)
+        rng = np.random.default_rng(int(4 * p) + registry.dim)
+        for _ in range(10):
+            c = rng.standard_normal(registry.dim)
+            s = rng.choice([-1.0, 1.0], size=registry.dim)
+            want = lp_norm(realize(registry, s * c), p) / lp_norm(realize(registry, c), p)
+            assert burkholder_check(registry, c, s, p).hex() == want.hex()
+
     def test_zero_function_rejected(self):
         r = BasisRegistry.standard(2)
         with pytest.raises(ValueError):

@@ -638,3 +638,55 @@ class TestLeavesReDumpToTheirOwnBytes:
         loaded = sz.loads(text)
         assert loaded.metadata["probe"] == [1e300, -0.0, 5e-324, [2, 0.1]]
         assert sz.dumps(loaded) == text
+
+
+CERTIFICATES = [
+    "identity", "stitched", "diagonal_paper", "diagonal_relaxed", "diagonal_sampled",
+    "diagonal_of_diagonal", "scalar_paper", "scalar_relaxed", "scalar_sampled",
+]
+WITNESSES = [
+    "factorization_exact", "factorization_compressed", "dichotomy_of_t",
+    "dichotomy_of_complement",
+]
+
+
+class TestExponentsAgree:
+    """A certificate or witness whose exponents disagree is refused on load,
+    naming the field: its bounds hold for one exponent only, and the
+    verifier would otherwise re-derive them under the other."""
+
+    @staticmethod
+    def loaded(name, *paths):
+        """Golden ``name`` loaded after setting each ``payload`` path to 1.5."""
+        doc = json.loads(sz.dumps(GOLDEN[name][0]()))
+        for path in paths:
+            node = doc["payload"]
+            for step in path[:-1]:
+                node = node[step]
+            assert node[path[-1]] != 1.5
+            node[path[-1]] = 1.5
+        return sz.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", CERTIFICATES + WITNESSES)
+    def test_source_exponent(self, name):
+        with pytest.raises(sz.SchemaError, match=r" payload\.source\.p: exponent 1\.5 differs"):
+            self.loaded(name, ("source", "p"))
+
+    @pytest.mark.parametrize("name", WITNESSES)
+    def test_witness_exponent(self, name):
+        with pytest.raises(
+            sz.SchemaError, match=r" payload\.source\.p: exponent 4\.0 differs from p 1\.5"
+        ):
+            self.loaded(name, ("p",))
+
+    @pytest.mark.parametrize("name", WITNESSES)
+    def test_witness_certificate_exponent(self, name):
+        with pytest.raises(
+            sz.SchemaError, match=r" payload\.certificate\.source\.p: exponent 4\.0 differs"
+        ):
+            self.loaded(name, ("certificate", "p"))
+        # a certificate that agrees with itself must still agree with its witness
+        with pytest.raises(
+            sz.SchemaError, match=r" payload\.certificate\.p: exponent 1\.5 differs from p 4\.0"
+        ):
+            self.loaded(name, ("certificate", "p"), ("certificate", "source", "p"))

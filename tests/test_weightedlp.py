@@ -654,6 +654,13 @@ class TestImpartialEquivalence:
             r = self.norm(X @ a) / self.norm(a)
             assert low <= r <= high
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_refused(self, samples):
+        # an equivalence constant is at least 1; with no sample it read 0.0
+        xs = [np.eye(2)[i] for i in range(2)]
+        with pytest.raises(ValueError, match="at least one sample, got"):
+            impartial_equivalence(xs, xs, self.norm, self.norm, samples=samples)
+
     def test_validation(self):
         xs = [np.ones(2)]
         with pytest.raises(ValueError, match="equal length"):
