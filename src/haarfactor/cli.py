@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import constants_report
+from .constants import CLOSED_FORM_TOL, ROUNDOFF_TOL, SAMPLED_SLACK, constants_report
 from .errors import ReductionError, ResourceLimitError
 from .factorize import FactorizationWitness, factor_large_diagonal, primary_dichotomy
 from .haarsys import BasisRegistry, realize
@@ -251,7 +251,7 @@ def _witness_body(witness: FactorizationWitness, seed: int, **checks) -> dict:
     }
     checks.update(
         product_below_constant=witness.norm_product_bound <= witness.constant,
-        sampled_within_residual=sampled <= witness.residual + 1e-9,
+        sampled_within_residual=sampled <= witness.residual + SAMPLED_SLACK,
         certificate_ok=bool(verify_certificate(witness.certificate)["ok"]),
     )
     return {"results": results, "checks": checks}
@@ -300,15 +300,16 @@ def cmd_verify_moments(config):
             data = realize(registry, rng.standard_normal(registry.dim))
         rep = exact_moments(kind, spec, data, exponent=config.p)
         ok = (
-            abs(rep.mean) <= 1e-12
-            and abs(rep.variance - rep.closed_form) <= 1e-10
+            abs(rep.mean) <= ROUNDOFF_TOL
+            and abs(rep.variance - rep.closed_form) <= CLOSED_FORM_TOL
             and rep.bound_passed
         )
         summaries.append({**asdict(rep), "ok": ok})
     checks = {
-        "means_vanish": all(abs(s["mean"]) <= 1e-12 for s in summaries),
+        "means_vanish": all(abs(s["mean"]) <= ROUNDOFF_TOL for s in summaries),
         "closed_forms_match": all(
-            abs(s["variance"] - s["closed_form"]) <= 1e-10 for s in summaries
+            abs(s["variance"] - s["closed_form"]) <= CLOSED_FORM_TOL
+            for s in summaries
         ),
         "bounds_hold": all(s["bound_passed"] for s in summaries),
     }
@@ -390,7 +391,8 @@ def cmd_compose(config):
     body, _ = _certificate_body(
         composite,
         within_triangle_bound=(
-            composite.certified_bound <= composite.metadata["triangle_bound"] + 1e-12
+            composite.certified_bound
+            <= composite.metadata["triangle_bound"] + ROUNDOFF_TOL
         ),
     )
     body["results"]["triangle_bound"] = composite.metadata.get("triangle_bound")
@@ -462,7 +464,7 @@ def cmd_xpw_game(config):
     estimate = impartial_equivalence(
         xs, ys, norm_w, norm_w, samples=config.samples, seed=config.seed
     )
-    limit = float(1 + eps) + 1e-9
+    limit = float(1 + eps) + SAMPLED_SLACK
     results = {
         "rounds": [
             {

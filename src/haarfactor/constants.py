@@ -3,6 +3,28 @@
 All of these are increasing in ``p* = max(p, p/(p-1))`` and equal their
 minimal value at ``p = 2``.  They are *sound upper bounds* used by
 certificates; nothing here is estimated numerically.
+
+The module also names the round-off tolerances of the program's checks.
+Each check holds exactly in real arithmetic, so its tolerance only absorbs
+rounding; none enters a certified bound or an artifact:
+
+* ``SAMPLED_SLACK`` (``1e-9``): the CLI's ``sampled_within_residual``, a
+  sampled ratio of realized norms against the witness's column-sum
+  residual, and the ``xpw-game`` limit ``1 + eps`` on the sampled
+  equivalence constant.  Both sides are sums over realized grids.
+* ``CLOSED_FORM_TOL`` (``1e-10``): the CLI's ``closed_forms_match``, an
+  enumerated sign-pattern variance against its closed form.
+* ``ROUNDOFF_TOL`` (``1e-12``): the CLI's ``means_vanish`` (an enumerated
+  mean that is zero in exact arithmetic) and ``within_triangle_bound`` (a
+  composite's certified bound, a minimum that includes the triangle route).
+* ``MIDDLE_OPERATOR_TOL`` (``1e-12``): ``compose_certificates`` chains two
+  stages only if the second stage's source diagonal is within it of the
+  first stage's target entries (the same numbers when the second stage
+  starts from the first stage's target operator).
+* ``NEUMANN_RESIDUAL_TOL`` (``1e-8``): ``neumann_invert`` refuses an
+  inverse whose column-sum residual ``||op @ inverse - I||`` exceeds it; a
+  solve within a certified contraction bound below one stays far inside
+  it, so a larger residual means the bound was wrong.
 """
 
 from __future__ import annotations
@@ -20,6 +42,12 @@ __all__ = [
     "subspace_growth_constant",
     "constants_report",
 ]
+
+SAMPLED_SLACK = 1e-9
+CLOSED_FORM_TOL = 1e-10
+ROUNDOFF_TOL = 1e-12
+MIDDLE_OPERATOR_TOL = 1e-12
+NEUMANN_RESIDUAL_TOL = 1e-8
 
 
 def burkholder_constant(p) -> float:

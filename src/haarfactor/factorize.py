@@ -375,10 +375,7 @@ def primary_dichotomy(
         T, {DICHOTOMY_TARGET_COPY: DICHOTOMY_TARGET_COPY - 1}, stage_eps,
         k_schedule=k_schedule, search=search, seed=seed,
     )
-    mid = DiagonalOperator(
-        p, BasisRegistry.single_copy(DICHOTOMY_TARGET_COPY).indices,
-        c1.target_entries,
-    )
+    mid = c1.target_operator()
     comp = None
     attempts: list[dict] = []
     best_gap = math.inf

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .constants import diagonal_multiplier_bound
+from .constants import NEUMANN_RESIDUAL_TOL, diagonal_multiplier_bound
 from .dyadic import OmegaIndex, compare_omega
 from .grids import Exponent, as_exponent
 
@@ -167,9 +167,11 @@ class DiagonalAverageWitness:
     """States that ``value`` is the mean of a source diagonal over ``positions``.
 
     ``positions`` is a multiset (repeats allowed).  ``verify`` recomputes the
-    mean from the claimed source as :func:`diagonal_average` does, so by
-    default it must equal ``value`` exactly (``tol=0.0``); a position the
-    source diagonal lacks makes the claim false.
+    mean from the claimed source by :func:`diagonal_average`, so by default
+    it must equal ``value`` exactly (``tol=0.0``); a position the source
+    diagonal lacks makes the claim false.  ``_holds_in`` checks the same
+    claim against a diagonal map already built, so that many witnesses of
+    one source share one map.
     """
 
     value: float
@@ -180,10 +182,12 @@ class DiagonalAverageWitness:
             raise ValueError("a diagonal-average witness needs at least one position")
 
     def verify(self, source, tol: float = 0.0) -> bool:
-        diag = source.diagonal_map()
+        return self._holds_in(source.diagonal_map(), tol)
+
+    def _holds_in(self, diag: Mapping[OmegaIndex, float], tol: float = 0.0) -> bool:
         if any(t not in diag for t in self.positions):
             return False
-        mean = math.fsum(diag[t] for t in self.positions) / len(self.positions)
+        mean = diagonal_average(diag[t] for t in self.positions)
         return abs(mean - self.value) <= tol
 
 
@@ -226,7 +230,7 @@ def neumann_invert(op: OperatorMatrix, eps_bound: float) -> NeumannInverse:
     dim = op.dim
     inverse = np.linalg.solve(op.entries, np.eye(dim))
     residual = max_column_sum(op.entries @ inverse - np.eye(dim))
-    if residual > 1e-8:
+    if residual > NEUMANN_RESIDUAL_TOL:
         raise ArithmeticError(
             f"inversion residual {residual:.3e} is too large for a certified inverse"
         )

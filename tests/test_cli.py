@@ -126,6 +126,23 @@ class TestReduceDiagonalCommand:
         assert sz.loads(out1) == sz.loads(out2)  # timestamps live in metadata
         assert json.loads(out1)["payload"] == json.loads(out2)["payload"]
 
+    def test_default_budget_changes_no_byte(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert invoke(capsys, "reduce-diagonal", "--out", str(a))[0] == OK
+        code, _, _ = invoke(
+            capsys, "reduce-diagonal", "--budget", "1048576", "--out", str(b)
+        )
+        assert code == OK
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_budget_below_the_search_is_a_verified_negative(self, capsys):
+        # the seeded source's first sign search has 16 signs
+        code, out, _ = invoke(capsys, "reduce-diagonal", "--budget", "2")
+        assert code == NEGATIVE
+        negative = sz.loads(out)["verified_negative"]
+        assert negative["type"] == "ResourceLimitError"
+        assert "2^16 patterns exceed the search budget 2" in negative["message"]
+
 
 class TestReduceDiagonalPaperMode:
     """Paper mode takes its norm bound from the column sum of the input."""
@@ -171,6 +188,28 @@ class TestReduceScalarCommand:
         body = sz.loads(out)
         assert body["checks"]["scalar_witness_ok"] is True
         assert body["results"]["scalar"] is not None
+
+    def test_diagonal_matrix_input_matches_the_diagonal_operator(
+        self, capsys, tmp_path
+    ):
+        reg = BasisRegistry.single_copy(7)
+        d = np.random.default_rng(3).uniform(0.2, 0.8, reg.dim)
+        sources = {
+            "operator": OperatorMatrix.from_diagonal(4.0, reg.indices, d),
+            "diagonal-operator": DiagonalOperator(4.0, reg.indices, d),
+        }
+        certs = {}
+        for kind, op in sources.items():
+            path, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}-cert.json"
+            sz.save(path, op)
+            assert json.loads(path.read_text())["kind"] == kind
+            code, _, _ = invoke(
+                capsys, "reduce-scalar", "--in", str(path), "--depths", "3",
+                "--eps", "0.3", "--out", str(out),
+            )
+            assert code == OK
+            certs[kind] = out.read_bytes()
+        assert certs["operator"] == certs["diagonal-operator"]
 
     def test_dense_nondiagonal_input_is_an_error(self, arts, capsys, tmp_path):
         reg = BasisRegistry({3: 2})

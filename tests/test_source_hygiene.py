@@ -1,0 +1,97 @@
+"""Source hygiene: no unused import and no unreferenced private function.
+
+Every module of ``src/haarfactor`` is parsed with :mod:`ast`.  An import
+must be used by code in its module (a name listed in ``__all__`` counts as
+used; ``__init__.py`` re-exports and is exempt).  A module-level function
+whose name starts with ``_`` must be referenced somewhere in ``src/``
+besides its own definition, so that a deletion leaves no dead helper.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "haarfactor"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _bound_imports(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, reads as attributes, or imports."""
+    names = _loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = _loaded_names(tree) | _exported(tree)
+    unused = {
+        name: line for name, line in _bound_imports(tree).items() if name not in used
+    }
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert not dead, f"private functions nothing references: {dead}"
+
+
+def test_the_checks_see_a_dead_helper_and_an_unused_import():
+    tree = ast.parse(
+        "import os\nfrom math import fsum\n\n"
+        "def _dead():\n    return fsum([])\n\n"
+        "def _alive():\n    return 1\n\nVALUE = _alive()\n"
+    )
+    assert set(_bound_imports(tree)) - _loaded_names(tree) == {"os"}
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert defined - _references(tree) == {"_dead"}
