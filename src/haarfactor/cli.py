@@ -230,12 +230,14 @@ def _certificate_body(cert: ReductionCertificate, **checks) -> tuple[dict, dict]
     return {"results": results, "checks": checks}, verdict
 
 
-def _witness_body(witness: FactorizationWitness, seed: int, **checks) -> dict:
-    """The report body every factorization command shares.
+def _witness_body(witness: FactorizationWitness, seed: int) -> tuple[dict, dict]:
+    """The report body every factorization command shares, and the
+    certificate's verdict.
 
-    The checks are ``checks`` plus the witness's own claims: its norm
-    product within its own ``constant``, a seeded sample of ``A T' B - I``
-    within its ``residual``, and its certificate re-derived.
+    The checks are the witness's own claims: its norm product within its
+    own ``constant``, a seeded sample of ``A T' B - I`` within its
+    ``residual``, and its certificate re-derived by
+    :func:`verify_certificate`.
     """
     sampled = witness.sample_max_ratio(samples=100, seed=seed)
     results = {
@@ -249,12 +251,13 @@ def _witness_body(witness: FactorizationWitness, seed: int, **checks) -> dict:
         "certified_bound": witness.certificate.certified_bound,
         "sampled_max_ratio": sampled,
     }
-    checks.update(
-        product_below_constant=witness.norm_product_bound <= witness.constant,
-        sampled_within_residual=sampled <= witness.residual + SAMPLED_SLACK,
-        certificate_ok=bool(verify_certificate(witness.certificate)["ok"]),
-    )
-    return {"results": results, "checks": checks}
+    verdict = verify_certificate(witness.certificate)
+    checks = {
+        "product_below_constant": witness.norm_product_bound <= witness.constant,
+        "sampled_within_residual": sampled <= witness.residual + SAMPLED_SLACK,
+        "certificate_ok": bool(verdict["ok"]),
+    }
+    return {"results": results, "checks": checks}, verdict
 
 
 # -- commands -------------------------------------------------------------------
@@ -333,7 +336,7 @@ def cmd_reduce_diagonal(config):
         # the paper's depth schedule needs an upper bound on ||T||_p; the
         # column sum of T over its own registry is a sound one
         kwargs["t_norm_upper"] = column_sum_bound(
-            BasisRegistry(deepest_levels(T.basis)), T.to_matrix().entries, T.exponent
+            T.registry, T.to_matrix().entries, T.exponent
         )[1]
     if config.budget:
         kwargs["pattern_budget"] = config.budget
@@ -373,11 +376,10 @@ def cmd_reduce_scalar(config):
         seed=config.seed,
         **({"pattern_budget": config.budget} if config.budget else {}),
     )
-    body, _ = _certificate_body(
-        cert,
-        certified_below_eps=cert.certified_bound < eps,
-        scalar_witness_ok=cert.scalar_witness.verify(cert.source),
+    body, verdict = _certificate_body(
+        cert, certified_below_eps=cert.certified_bound < eps
     )
+    body["checks"]["scalar_witness_ok"] = verdict["scalar_witness"]
     body["results"]["scalar_witness_positions"] = len(cert.scalar_witness.positions)
     return body, cert
 
@@ -410,7 +412,7 @@ def cmd_factorize(config):
         T, config.delta, float(config.eps), seed=config.seed, search=config.search,
         target_depths=target_depths, k_schedule=k_schedule,
     )
-    return _witness_body(witness, config.seed), witness
+    return _witness_body(witness, config.seed)[0], witness
 
 
 def cmd_dichotomy(config):
@@ -433,10 +435,9 @@ def cmd_dichotomy(config):
         T, float(config.eps), seed=config.seed, search=config.search,
         k_schedule={3: top - 3},
     )
-    body = _witness_body(
-        witness, config.seed,
-        scalar_witness_ok=witness.scalar_witness.verify(witness.source),
-    )
+    body, verdict = _witness_body(witness, config.seed)
+    # the witness records its certificate's scalar witness, over the same source
+    body["checks"]["scalar_witness_ok"] = verdict["scalar_witness"]
     return body, witness
 
 

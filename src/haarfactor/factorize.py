@@ -59,7 +59,6 @@ from .operators import (
 from .reduction import (
     ReductionCertificate,
     _COMPOSITE_SCALAR_DRIFT,
-    _registry_of,
     column_sum_bound,
     compose_certificates,
     identity_certificate,
@@ -272,7 +271,6 @@ def factor_large_diagonal(
         raise ValueError("delta must be positive")
     T = T.to_matrix()
     p = as_exponent(T.exponent)
-    source = _registry_of(T)
     d = T.diagonal()
     if np.any(np.abs(d) < delta):
         raise ValueError(
@@ -313,9 +311,8 @@ def factor_large_diagonal(
             raise ArithmeticError(
                 "block averages of a unit diagonal must be exactly one"
             )
-        A, F, inv, estimate = _invert_through_blocks(
-            cert, interaction_matrix(source, cert.family, TS_op), 1.0, seed + 1
-        )
+        M = interaction_matrix(TS_op.registry, cert.family, TS_op)
+        A, F, inv, estimate = _invert_through_blocks(cert, M, 1.0, seed + 1)
         B = s[:, None] * F
         inverse, projection = inv.norm_bound, complementation_constant(p)
         metadata.update(

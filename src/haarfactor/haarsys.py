@@ -332,7 +332,6 @@ class BlockFamily:
         # distinct hosts keep the target coordinates independent
         if len(set(hosts.values())) != len(hosts):
             raise ValueError(f"host copies must be distinct per target copy: {hosts}")
-        self.host_of: dict[int, int] = hosts
 
     def _nesting_violation(self) -> tuple[OmegaIndex, str] | None:
         """The first child block not carried by ``{b_parent = +-1}``, with a

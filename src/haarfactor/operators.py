@@ -4,6 +4,8 @@ An :class:`OperatorMatrix` stores the action of an operator on the Haar-type
 basis of a truncated model in *column* convention: column ``t`` holds the
 basis coefficients of the image of basis vector ``t``.  The basis is a
 tuple of :class:`~haarfactor.dyadic.OmegaIndex` in the canonical order.
+Each operator owns the model its basis spans (``registry``, built once on
+first use), and every reduction and factorization stage reads that one.
 
 Norms are the operator norms induced by the Lp norm of realized functions;
 ``opnorm_upper_unconditional`` gives a sound upper bound for diagonal
@@ -15,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .constants import NEUMANN_RESIDUAL_TOL, diagonal_multiplier_bound
-from .dyadic import OmegaIndex, compare_omega
+from .dyadic import OmegaIndex, compare_omega, deepest_levels
 from .grids import Exponent, as_exponent
+from .haarsys import BasisRegistry
 
 __all__ = [
     "DiagonalAverageWitness",
@@ -57,14 +61,43 @@ def _coefficients(coeffs, dim: int) -> np.ndarray:
     return coeffs
 
 
-class OperatorMatrix:
+class _TruncatedOperator:
+    """What both operator kinds share: the exponent, the basis in the
+    canonical order, and the truncated model the basis spans.
+
+    ``registry`` is the model, built on first use and kept, so that every
+    stage that reads it reads the same one.
+    """
+
+    def __init__(self, exponent, basis: Sequence[OmegaIndex]) -> None:
+        self.exponent: Exponent = as_exponent(exponent)
+        self.basis = _check_basis(basis)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def diagonal_map(self) -> dict[OmegaIndex, float]:
+        return dict(zip(self.basis, self.diagonal().tolist()))
+
+    @cached_property
+    def registry(self) -> BasisRegistry:
+        """The full truncation the basis enumerates, as a registry."""
+        registry = BasisRegistry(deepest_levels(self.basis))
+        if registry.indices != self.basis:
+            raise ValueError(
+                "operator basis is not a full truncation ordered by the basis order"
+            )
+        return registry
+
+
+class OperatorMatrix(_TruncatedOperator):
     """A square operator in basis coordinates, column convention."""
 
     def __init__(self, exponent, basis: Sequence[OmegaIndex], entries) -> None:
-        self.exponent: Exponent = as_exponent(exponent)
-        self.basis = _check_basis(basis)
+        super().__init__(exponent, basis)
         entries = np.array(entries, dtype=float)
-        dim = len(self.basis)
+        dim = self.dim
         if entries.shape != (dim, dim):
             raise ValueError(
                 f"entries must be {dim}x{dim} for this basis, got {entries.shape}"
@@ -72,11 +105,6 @@ class OperatorMatrix:
         if not np.all(np.isfinite(entries)):
             raise ValueError("operator entries must be finite")
         self.entries = entries
-        self.index_of = {t: i for i, t in enumerate(self.basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     @classmethod
     def identity(cls, exponent, basis) -> "OperatorMatrix":
@@ -111,32 +139,23 @@ class OperatorMatrix:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries).copy()
 
-    def diagonal_map(self) -> dict[OmegaIndex, float]:
-        return {t: float(self.entries[i, i]) for i, t in enumerate(self.basis)}
-
     def is_diagonal(self) -> bool:
         return bool(np.all(self.entries == np.diag(np.diag(self.entries))))
 
 
-class DiagonalOperator:
+class DiagonalOperator(_TruncatedOperator):
     """A diagonal operator stored as its diagonal only (any dimension)."""
 
     def __init__(self, exponent, basis: Sequence[OmegaIndex], diag) -> None:
-        self.exponent = as_exponent(exponent)
-        self.basis = _check_basis(basis)
+        super().__init__(exponent, basis)
         diag = np.array(diag, dtype=float)
-        if diag.shape != (len(self.basis),):
+        if diag.shape != (self.dim,):
             raise ValueError(
-                f"diagonal must have {len(self.basis)} entries, got {diag.shape}"
+                f"diagonal must have {self.dim} entries, got {diag.shape}"
             )
         if not np.all(np.isfinite(diag)):
             raise ValueError("diagonal entries must be finite")
         self.diag = diag
-        self.index_of = {t: i for i, t in enumerate(self.basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def apply(self, coeffs) -> np.ndarray:
         """``T`` on a coefficient vector, or on each column of a matrix."""
@@ -154,9 +173,6 @@ class DiagonalOperator:
 
     def is_diagonal(self) -> bool:
         return True
-
-    def diagonal_map(self) -> dict[OmegaIndex, float]:
-        return {t: float(self.diag[i]) for i, t in enumerate(self.basis)}
 
     def to_matrix(self) -> OperatorMatrix:
         return OperatorMatrix.from_diagonal(self.exponent, self.basis, self.diag)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,7 +62,7 @@ from .constants import (
     complementation_constant,
     diagonal_multiplier_bound,
 )
-from .dyadic import UNIT, DyadicInterval, OmegaIndex, deepest_levels, intervals_at_level
+from .dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
 from .errors import ReductionError, ResourceLimitError
 from .grids import as_exponent, lp_norm
 from .haarsys import (
@@ -123,6 +124,11 @@ class ReductionCertificate:
     ``certified_bound`` is the minimum of the recorded bounds and dominates
     ``||(j^{-1} E T j - R) f||_p / ||f||_p`` for every coefficient vector.
     Treat instances (including ``schedule`` and ``metadata``) as immutable.
+
+    ``source_registry()`` is the source operator's own model, and
+    ``target_registry()`` the target model, built once per certificate.
+    Loading refuses recorded depths that the source basis or the family's
+    targets do not fill.
     """
 
     exponent: float
@@ -149,9 +155,13 @@ class ReductionCertificate:
         return self.family.targets
 
     def source_registry(self) -> BasisRegistry:
-        return BasisRegistry(dict(self.source_depths))
+        return self.source.registry
 
     def target_registry(self) -> BasisRegistry:
+        return self._target_model
+
+    @cached_property
+    def _target_model(self) -> BasisRegistry:
         return BasisRegistry(dict(self.target_depths))
 
     def target_operator(self) -> DiagonalOperator:
@@ -161,16 +171,6 @@ class ReductionCertificate:
 
 
 # -- shared machinery ---------------------------------------------------------
-
-
-def _registry_of(T) -> BasisRegistry:
-    """Reconstruct the (full-truncation) registry an operator acts on."""
-    registry = BasisRegistry(deepest_levels(T.basis))
-    if registry.indices != T.basis:
-        raise ValueError(
-            "operator basis is not a full truncation ordered by the basis order"
-        )
-    return registry
 
 
 def interaction_matrix(source: BasisRegistry, family: BlockFamily, T) -> np.ndarray:
@@ -329,11 +329,11 @@ def column_sum_bound(
     return tuple(residuals), total
 
 
-def _certify(source, family, T, target_registry, target_entries, scalar, exponent):
+def _certify(family, T, target_registry, target_entries, scalar, exponent):
     """Residual columns, column-sum bound, and (for exactly diagonal
     residuals of scalar targets) the multiplier gap bound."""
     p = as_exponent(exponent)
-    M = interaction_matrix(source, family, T)
+    M = interaction_matrix(T.registry, family, T)
     resid = M - np.diag(np.asarray(target_entries, dtype=float))
     residuals, column_sum = column_sum_bound(target_registry, resid, p)
     off = resid - np.diag(np.diag(resid))
@@ -357,7 +357,7 @@ def _block_witnesses(diag, assignments, order):
 
 
 def _build_certificate(
-    mode, T, source, target_registry, assignments, witnesses, target_entries,
+    mode, T, target_registry, assignments, witnesses, target_entries,
     eps, schedule, metadata, *, scalar=None, scalar_witness=None, triangle=None,
 ) -> ReductionCertificate:
     """The one assembly path of every reduction certificate.
@@ -371,7 +371,7 @@ def _build_certificate(
     family = BlockFamily(assignments)
     family.verify_nesting()
     residuals, column_sum, gap, certified = _certify(
-        source, family, T, target_registry, target_entries, scalar, T.exponent
+        family, T, target_registry, target_entries, scalar, T.exponent
     )
     if triangle is not None:
         metadata = {
@@ -382,7 +382,7 @@ def _build_certificate(
         exponent=as_exponent(T.exponent).p,
         mode=mode,
         source=T,
-        source_depths=dict(source.depths),
+        source_depths=dict(T.registry.depths),
         target_depths=dict(target_registry.depths),
         family=family,
         block_averages=tuple(w.value for w in witnesses),
@@ -447,7 +447,7 @@ def reduce_to_diagonal(
     if mode not in ("paper", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}; expected paper or adaptive")
     p = as_exponent(T.exponent)
-    source = _registry_of(T)
+    source = T.registry
     target_registry = BasisRegistry(dict(target_depths))
     targets = target_registry.indices
     dim = len(targets)
@@ -552,7 +552,7 @@ def reduce_to_diagonal(
         "seed": seed,
     }
     cert = _build_certificate(
-        mode, T, source, target_registry, assignments, witnesses, averages,
+        mode, T, target_registry, assignments, witnesses, averages,
         eps, schedule, metadata,
     )
     if paper:
@@ -792,14 +792,15 @@ def _chain_records(d_levels, levels, assignments, level_means):
     return records
 
 
-def _single_copy_diag(T, source: BasisRegistry):
-    """Validate a diagonal operator on one full copy of its registry
-    ``source``; return ``(copy, diagonal map, level diagonals)``."""
-    if len(source.depths) != 1:
+def _single_copy_diag(T):
+    """Validate a diagonal operator on one full copy of its model; return
+    ``(copy, diagonal map, level diagonals)``."""
+    depths = T.registry.depths
+    if len(depths) != 1:
         raise ValueError(
-            f"expected a single-copy operator, got copies {sorted(source.depths)}"
+            f"expected a single-copy operator, got copies {sorted(depths)}"
         )
-    ((copy, depth),) = source.depths.items()
+    ((copy, depth),) = depths.items()
     if depth != copy - 1:
         raise ValueError(
             f"operator must act on the full depth-{copy - 1} truncation of copy {copy}"
@@ -935,10 +936,9 @@ def reduce_to_scalar_finite(
         raise ValueError("eps must be positive")
     if mode not in ("paper", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}; expected paper or adaptive")
-    source = _registry_of(T)
-    host_copy, diag, d_levels = _single_copy_diag(T, source)
+    host_copy, diag, d_levels = _single_copy_diag(T)
     target, assignments, witnesses, levels, run_data = _stabilized_run(
-        T.exponent, source, host_copy, diag, d_levels, m, eps, mode,
+        T.exponent, T.registry, host_copy, diag, d_levels, m, eps, mode,
         search=search, seed=seed, pattern_budget=pattern_budget,
         t_norm_upper=t_norm_upper,
     )
@@ -957,7 +957,7 @@ def reduce_to_scalar_finite(
         "seed": seed,
     }
     return _build_certificate(
-        mode, T, source, target, assignments, witnesses,
+        mode, T, target, assignments, witnesses,
         (lambda0,) * len(witnesses), eps, schedule, metadata,
         scalar=lambda0, scalar_witness=witnesses[0],
     )
@@ -992,7 +992,7 @@ def reduce_to_scalar_stitched(
     if eps <= 0:
         raise ValueError("eps must be positive")
     p = as_exponent(T.exponent)
-    source = _registry_of(T)
+    source = T.registry
     if not T.is_diagonal():
         raise ValueError("stitched scalar reduction needs a diagonal operator")
     diag = T.diagonal_map()
@@ -1083,7 +1083,7 @@ def reduce_to_scalar_stitched(
         "seed": seed,
     }
     return _build_certificate(
-        "stitched", T, source, target_registry, stitched, witnesses,
+        "stitched", T, target_registry, stitched, witnesses,
         (lambda0,) * len(witnesses), eps, schedule, metadata,
         scalar=lambda0, scalar_witness=scalar_witness,
     )
@@ -1097,13 +1097,13 @@ def identity_certificate(S) -> ReductionCertificate:
     the identity family, with residual exactly zero."""
     if not S.is_diagonal():
         raise ValueError("identity certificates require a diagonal operator")
-    registry = _registry_of(S)
+    registry = S.registry
     assignments = {
         t: BlockAssignment(t.copy, (t.interval,), (1,)) for t in registry.indices
     }
     witnesses = _block_witnesses(S.diagonal_map(), assignments, registry.indices)
     return _build_certificate(
-        "identity", S, registry, registry, assignments, witnesses,
+        "identity", S, registry, assignments, witnesses,
         [w.value for w in witnesses], 0.0, {},
         {"steps": [], "relaxed_steps": []},
     )
@@ -1203,7 +1203,7 @@ def compose_certificates(
         "stage_certified": [c1.certified_bound, c2.certified_bound],
     }
     return _build_certificate(
-        "composite", c1.source, c1.source_registry(), c2.target_registry(),
+        "composite", c1.source, c2.target_registry(),
         composite, comp_witnesses, c2.target_entries, D * c1.eps + c2.eps,
         {"stages": [c1.mode, c2.mode]}, metadata,
         scalar=c2.scalar, scalar_witness=scalar_witness,
@@ -1242,8 +1242,6 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     key ``triangle_route``.  The certified bound must then equal the
     smaller of the two routes exactly.
     """
-    source = cert.source_registry()
-    target = cert.target_registry()
     report: dict = {}
     try:
         cert.family.verify_nesting()
@@ -1252,7 +1250,7 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
         report["nesting"] = False
         report["nesting_error"] = str(exc)
 
-    result = check_distributional_copy(cert.family, source)
+    result = check_distributional_copy(cert.family, cert.source_registry())
     report["distribution"] = result.ok
     report["distribution_mode"] = result.mode
     if not result.ok:
@@ -1271,7 +1269,7 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
         report["scalar_witness_value"] = bool(abs(gap) <= drift)
 
     residuals, column_sum, gap, certified = _certify(
-        source, cert.family, cert.source, target,
+        cert.family, cert.source, cert.target_registry(),
         cert.target_entries, cert.scalar, cert.exponent,
     )
     report["residuals_match"] = residuals == cert.residuals

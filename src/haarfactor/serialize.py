@@ -54,7 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import compare_omega, parse_interval, parse_omega
+from .dyadic import (
+    compare_omega, deepest_levels, parse_interval, parse_omega, truncation_size,
+)
 from .factorize import FactorizationWitness
 from .haarsys import BlockAssignment, BlockFamily
 from .operators import DiagonalAverageWitness, DiagonalOperator, OperatorMatrix
@@ -427,6 +429,15 @@ def _check_certificate(values, where) -> None:
             f"{where}: block_averages/witnesses/target_entries lengths disagree"
         )
     _check_exponent(values["source"].exponent.p, values["exponent"], f"{where}.source.p")
+    # The verifier reads the source model from the source basis and the
+    # target model from the family's targets.  Sorted distinct indices
+    # enumerate the truncation of their deepest levels exactly when there
+    # are as many of them as it has.
+    source_basis, targets = values["source"].basis, values["family"].targets
+    for field, basis in (("source_depths", source_basis), ("target_depths", targets)):
+        depths = values[field]
+        if depths != deepest_levels(basis) or truncation_size(depths) != len(basis):
+            raise SchemaError(f"{where}.{field}: the indices do not fill these depths")
 
 
 def _check_exponent(got: float, want: float, where: str) -> None:

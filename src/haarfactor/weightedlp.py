@@ -384,22 +384,31 @@ def block_span_project(x: XpwVector, blocks: Sequence[Block]) -> XpwVector:
     return XpwVector(out, x.weights)
 
 
-def _require_disjoint(blocks: Sequence[Block]) -> None:
-    """Raise ``blocks i and j overlap at index n`` for the first repeated
-    index met walking the blocks in order (``i == j`` for a block that
-    repeats one).  One sort of all positions decides whether any index
-    repeats; only then are the blocks walked, to name it."""
+def _first_overlap(blocks: Sequence[Block]) -> tuple[int, int, int] | None:
+    """The first repeated index met walking the blocks in order, as
+    ``(i, j, n)``: blocks ``i`` and ``j`` share index ``n`` (``i == j`` for
+    a block that repeats one); None if no index repeats.  One sort of all
+    positions decides whether any index repeats; only then are the blocks
+    walked, to name it."""
     if not blocks:
-        return
+        return None
     pos = np.sort(np.concatenate([b.positions for b in blocks]))
     if not np.any(pos[1:] == pos[:-1]):
-        return
+        return None
     seen: dict[int, int] = {}
     for j, b in enumerate(blocks):
         for n in b.indices:
             if n in seen:
-                raise ValueError(f"blocks {seen[n]} and {j} overlap at index {n}")
+                return seen[n], j, n
             seen[n] = j
+
+
+def _require_disjoint(blocks: Sequence[Block]) -> None:
+    """Raise ``blocks i and j overlap at index n`` for the first repeat
+    :func:`_first_overlap` finds."""
+    overlap = _first_overlap(blocks)
+    if overlap is not None:
+        raise ValueError("blocks {} and {} overlap at index {}".format(*overlap))
 
 
 # -- the block-building game ------------------------------------------------
@@ -501,7 +510,9 @@ class GameTranscript:
         ``disjoint_supports``; whether the coefficients are the right ones
         is ``block_data``.  Indices that name no block (repeated, below 1
         or past an explicit family's end) fail ``block_data`` and
-        ``budget_window``.
+        ``budget_window``.  Disjointness is decided by the rule of
+        :func:`block_span_project`, so a round that repeats an index
+        overlaps itself and fails ``disjoint_supports`` too.
         """
         w = self.weights
         under_cap = _window_cap(w, self.eps)
@@ -529,12 +540,7 @@ class GameTranscript:
                 S == r.block.budget and r.budget_target == t_k
                 and S >= t_k and under_cap(S, t_k)
             )
-        supports = [set(r.indices) for r in self.rounds]
-        disjoint = all(
-            not (supports[i] & supports[j])
-            for i in range(len(supports))
-            for j in range(i + 1, len(supports))
-        )
+        disjoint = _first_overlap(self.blocks()) is None
         report = {
             "ordering": all(ordering),
             "budget_window": all(windows),

@@ -19,7 +19,12 @@ from haarfactor.cli import (
 )
 from haarfactor.factorize import factor_large_diagonal
 from haarfactor.haarsys import BasisRegistry
-from haarfactor.operators import DiagonalOperator, OperatorMatrix, max_column_sum
+from haarfactor.operators import (
+    DiagonalAverageWitness,
+    DiagonalOperator,
+    OperatorMatrix,
+    max_column_sum,
+)
 from haarfactor.reduction import (
     ReductionCertificate,
     column_sum_bound,
@@ -221,6 +226,33 @@ class TestReduceScalarCommand:
         assert code == ERROR
         assert "diagonal operator" in sz.loads(err)["error"]["message"]
 
+    def test_game_transcript_input_is_an_error(self, capsys, tmp_path):
+        game = tmp_path / "game.json"
+        code, _, _ = invoke(
+            capsys, "xpw-game", "--rounds", "2", "--eps", "0.1", "--out", str(game)
+        )
+        assert code == OK
+        code, out, err = invoke(capsys, "reduce-scalar", "--in", str(game))
+        assert code == ERROR and not out
+        error = sz.loads(err)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"] == f"{game}: expected an operator or certificate document"
+
+
+class TestScalarWitnessOkIsTheVerdict:
+    """``scalar_witness_ok`` is the verifier's ``scalar_witness`` check of the
+    same certificate, so no command re-checks the witness on its own."""
+
+    @pytest.mark.parametrize("command", ["reduce-scalar", "dichotomy"])
+    def test_reads_the_verifier(self, command, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness is re-checked outside the verifier")
+
+        monkeypatch.setattr(DiagonalAverageWitness, "verify", refuse)
+        report = run(ExperimentConfig(command, seed=1))
+        assert report["checks"]["scalar_witness_ok"] is True
+        assert report["status"] == OK
+
 
 class TestComposeChain:
     def test_three_stage_chain(self, arts, capsys, tmp_path):
@@ -415,6 +447,13 @@ class TestCheckDistributionCommand:
         )
         assert code == ERROR
         assert sz.loads(err)["status"] == ERROR
+
+    def test_no_input_is_an_error(self, capsys):
+        code, out, err = invoke(capsys, "check-distribution")
+        assert code == ERROR and not out
+        error = sz.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == "check-distribution needs --in with a certificate file"
 
 
 class TestMalformedWitness:

@@ -302,6 +302,15 @@ class TestPairing:
         h = haar_on(g, 2, DyadicInterval(1, 2))
         assert pairing(f, h) == Fraction(0)
 
+    def test_dense_integer_functions_pair_exactly(self):
+        g = ProductGrid((1,), (2,))
+        f = GridFunction.from_dense(g, np.array([1, -2, 3, 0]))
+        h = GridFunction.from_dense(g, np.array([2, 1, 1, 5]))
+        assert not f.is_factored and f.is_integer_valued()
+        value = pairing(f, h)
+        assert type(value) is Fraction
+        assert value == Fraction(3, 4)
+
     def test_grid_mismatch_rejected(self):
         f = haar_on(ProductGrid((1,), (1,)), 1, UNIT)
         h = haar_on(ProductGrid((1,), (2,)), 1, UNIT)

@@ -72,6 +72,39 @@ class TestDiagonalOperator:
             DiagonalOperator(4, TWO, [1.0, np.nan])
 
 
+class TestTruncatedModel:
+    """Each operator owns the truncated model its basis enumerates."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: OperatorMatrix.identity(2, ELEVEN),
+            lambda: DiagonalOperator(4, ELEVEN, np.linspace(0.5, 1.5, len(ELEVEN))),
+        ],
+        ids=["matrix", "diagonal"],
+    )
+    def test_registry_is_built_once_and_spans_the_basis(self, make):
+        T = make()
+        assert T.registry is T.registry
+        assert T.registry.indices == T.basis == ELEVEN
+        assert T.registry.depths == {1: 0, 2: 1, 3: 2}
+        assert T.dim == len(ELEVEN)
+        assert not hasattr(T, "index_of")
+
+    @pytest.mark.parametrize("cls", [OperatorMatrix.from_diagonal, DiagonalOperator])
+    def test_a_partial_truncation_has_no_model(self, cls):
+        # copy 2 lacks its second level-1 interval
+        T = cls(4, ELEVEN[:2] + ELEVEN[3:], np.ones(len(ELEVEN) - 1))
+        with pytest.raises(ValueError, match="not a full truncation"):
+            T.registry
+
+    def test_diagonal_map_holds_the_diagonal(self):
+        d = np.linspace(-1.0, 1.0, len(ELEVEN)) / 3.0
+        for T in (OperatorMatrix.from_diagonal(2, ELEVEN, d), DiagonalOperator(2, ELEVEN, d)):
+            assert list(T.diagonal_map()) == list(ELEVEN)
+            assert list(T.diagonal_map().values()) == d.tolist()
+
+
 class TestOpnorms:
     def test_unconditional_upper_examples(self):
         lam = OperatorMatrix.from_diagonal(2, TWO, [0.7, 0.7])

@@ -742,6 +742,27 @@ class TestComposeCertificates:
             compose_certificates(c1, c2_bad)
 
 
+class TestCertificateModels:
+    """A certificate reads its source model from its operator and builds its
+    target model once."""
+
+    @pytest.mark.parametrize("name", ["identity", "stitched", "diagonal_relaxed", "scalar_paper"])
+    def test_models_are_shared(self, name):
+        cert = GOLDEN[name][0]()
+        assert cert.source_registry() is cert.source.registry
+        assert cert.target_registry() is cert.target_registry()
+        assert cert.source_registry().depths == cert.source_depths
+        assert cert.target_registry().depths == cert.target_depths
+        assert cert.target_registry().indices == cert.targets
+
+    def test_a_loaded_certificate_builds_its_models_from_the_document(self):
+        cert = GOLDEN["scalar_relaxed"][0]()
+        back = serialize.loads(serialize.dumps(cert))
+        assert back.source_registry() is back.source.registry
+        assert back.source_registry().indices == cert.source.basis
+        assert verify_certificate(back)["ok"]
+
+
 @pytest.fixture(scope="module")
 def triangle_route_composite():
     """A composite whose stored bound came from the triangle route: the

@@ -690,3 +690,82 @@ class TestExponentsAgree:
             sz.SchemaError, match=r" payload\.certificate\.p: exponent 1\.5 differs from p 4\.0"
         ):
             self.loaded(name, ("certificate", "p"), ("certificate", "source", "p"))
+
+
+def _deeper_copy(pairs):
+    pairs.append([pairs[-1][0] + 1, 0])
+
+
+def _shallower(pairs):
+    pairs[-1][1] -= 1
+
+
+class TestDepthsEnumerateTheirModels:
+    """A certificate whose recorded depths are not the models it acts on is
+    refused on load, naming the field: the verifier reads the source model
+    from the source basis and the target model from the family's targets,
+    so edited depths would otherwise load and be ignored or crash it."""
+
+    @staticmethod
+    def loaded(name, path, edit):
+        """Golden ``name`` loaded after ``edit`` of the depth pairs at
+        ``payload`` path ``path``."""
+        doc = json.loads(sz.dumps(GOLDEN[name][0]()))
+        node = doc["payload"]
+        for step in path:
+            node = node[step]
+        edit(node)
+        return sz.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", [_deeper_copy, _shallower])
+    @pytest.mark.parametrize("field", ["source_depths", "target_depths"])
+    @pytest.mark.parametrize("name", CERTIFICATES)
+    def test_certificate(self, name, field, edit):
+        with pytest.raises(
+            sz.SchemaError, match=rf" payload\.{field}: the indices do not fill"
+        ):
+            self.loaded(name, (field,), edit)
+
+    @pytest.mark.parametrize("field", ["source_depths", "target_depths"])
+    @pytest.mark.parametrize("name", WITNESSES)
+    def test_witness_certificate(self, name, field):
+        with pytest.raises(
+            sz.SchemaError, match=rf" payload\.certificate\.{field}: the indices do not fill"
+        ):
+            self.loaded(name, ("certificate", field), _deeper_copy)
+
+    @staticmethod
+    def scalar_document():
+        """A scalar certificate over ``single_copy(5)``, target ``{2: 1}``."""
+        registry = BasisRegistry.single_copy(5)
+        rng = np.random.default_rng(0)
+        T = DiagonalOperator(
+            4.0, registry.indices, 0.5 + 0.05 * rng.uniform(-1, 1, registry.dim)
+        )
+        cert = reduce_to_scalar_finite(T, 2, 0.3)
+        assert cert.target_depths == {2: 1}
+        return json.loads(sz.dumps(cert))
+
+    @pytest.mark.parametrize("depths", [[[3, 1]], [[2, 0]], [[2, 1], [3, 0]], []])
+    def test_target_depths_of_another_model(self, depths):
+        doc = self.scalar_document()
+        doc["payload"]["target_depths"] = depths
+        with pytest.raises(sz.SchemaError, match=r" payload\.target_depths: "):
+            sz.loads(json.dumps(doc))
+
+    def test_family_relabelled_onto_another_copy(self):
+        doc = self.scalar_document()
+        for entry in doc["payload"]["family"]:
+            entry["target"] = entry["target"].replace("2/", "3/", 1)
+        with pytest.raises(sz.SchemaError, match=r" payload\.target_depths: "):
+            sz.loads(json.dumps(doc))
+
+    def test_source_depths_of_another_model(self):
+        doc = self.scalar_document()
+        doc["payload"]["source_depths"] = [[5, 3]]
+        with pytest.raises(sz.SchemaError, match=r" payload\.source_depths: "):
+            sz.loads(json.dumps(doc))
+
+    def test_the_unedited_document_loads_and_verifies(self):
+        cert = sz.loads(json.dumps(self.scalar_document()))
+        assert verify_certificate(cert)["ok"]

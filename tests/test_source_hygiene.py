@@ -1,10 +1,15 @@
-"""Source hygiene: no unused import and no unreferenced private function.
+"""Source hygiene: no unused import, no unreferenced private function and
+no write-only attribute.
 
 Every module of ``src/haarfactor`` is parsed with :mod:`ast`.  An import
 must be used by code in its module (a name listed in ``__all__`` counts as
 used; ``__init__.py`` re-exports and is exempt).  A module-level function
 whose name starts with ``_`` must be referenced somewhere in ``src/``
-besides its own definition, so that a deletion leaves no dead helper.
+besides its own definition, so that a deletion leaves no dead helper.  An
+attribute that ``src/`` assigns as ``self.<name>`` must be read as
+``.<name>`` somewhere in ``src/``, ``tests/`` or ``bench/``, or be named in
+a record row of ``serialize.py`` (which reads it by name), so that no
+state is kept that nothing reads.
 """
 
 import ast
@@ -12,8 +17,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "haarfactor"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "haarfactor"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = [
+    path
+    for pattern in ("src/haarfactor", "tests", "bench", "bench/tests")
+    for path in sorted((ROOT / pattern).glob("*.py"))
+]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -60,6 +71,35 @@ def _references(tree: ast.Module) -> set[str]:
     return names
 
 
+def _self_assigned(tree: ast.Module) -> dict[str, int]:
+    """Each attribute a module assigns as ``self.<name>``, with its line."""
+    return {
+        node.attr: node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _record_attributes(tree: ast.Module) -> set[str]:
+    """Attributes named in record rows ``(payload key, attribute, ...)``;
+    ``a.b`` names both ``a`` and ``b``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str)
+            for e in node.elts[:2]
+        ):
+            names.update(node.elts[1].value.split("."))
+    return names
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -95,3 +135,30 @@ def test_the_checks_see_a_dead_helper_and_an_unused_import():
     assert set(_bound_imports(tree)) - _loaded_names(tree) == {"os"}
     defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert defined - _references(tree) == {"_dead"}
+
+
+def test_every_assigned_attribute_is_read():
+    read = set().union(*(_attributes_read(_tree(path)) for path in READERS))
+    read |= _record_attributes(_tree(SRC / "serialize.py"))
+    unread = [
+        f"{path.name}:{line} self.{name}"
+        for path in MODULES
+        for name, line in _self_assigned(_tree(path)).items()
+        if name not in read
+    ]
+    assert not unread, f"attributes nothing reads: {unread}"
+
+
+def test_the_attribute_check_sees_write_only_state():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, items):\n"
+        "        self.items = items\n"
+        "        self.count, self.spare = len(items), None\n\n"
+        "    def size(self):\n"
+        "        return self.count\n\n"
+        "ROWS = ((\"items\", \"items.first\", None),)\n"
+    )
+    assigned = set(_self_assigned(tree))
+    assert assigned == {"items", "count", "spare"}
+    assert assigned - _attributes_read(tree) - _record_attributes(tree) == {"spare"}

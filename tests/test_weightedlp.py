@@ -578,6 +578,36 @@ class TestPlayGame:
         assert not report["ordering"]
         assert not report["disjoint_supports"]
 
+    @staticmethod
+    def with_first_round_indices(t, indices):
+        """``t`` with its first round's block relabelled onto ``indices``."""
+        first = dataclasses.replace(
+            t.rounds[0], block=dataclasses.replace(t.rounds[0].block, indices=indices)
+        )
+        return dataclasses.replace(t, rounds=(first, *t.rounds[1:]))
+
+    def test_a_round_that_repeats_an_index_overlaps_itself(self):
+        t = play_game(FixedScheduleAdversary([1, 2]), 2, self.W, self.EPS)
+        assert t.rounds[0].indices == (2, 3, 4)
+        repeated = self.with_first_round_indices(t, (2, 3, 3))
+        report = repeated.verify()
+        assert not report["disjoint_supports"]
+        assert not report["biorthogonal"]
+        assert not report["block_data"]
+        assert not report["ok"]
+        # the same rule as block_span_project, which refuses such a block
+        x = XpwVector(np.ones(4), self.W)
+        with pytest.raises(ValueError, match="blocks 0 and 0 overlap at index 3"):
+            block_span_project(x, repeated.blocks())
+
+    def test_a_round_below_index_one_fails_without_raising(self):
+        t = play_game(FixedScheduleAdversary([1, 2]), 2, self.W, self.EPS)
+        report = self.with_first_round_indices(t, (0, 3, 4)).verify()
+        assert not report["block_data"]
+        assert not report["budget_window"]
+        assert not report["ok"]
+        assert report["disjoint_supports"]
+
     def test_block_vectors_share_one_ambient(self):
         t = play_game(FixedScheduleAdversary([1, 2]), 2, self.W, self.EPS)
         vs = t.block_vectors()
