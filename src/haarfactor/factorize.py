@@ -27,11 +27,11 @@ Both sampled ratios (that estimate and
 :meth:`FactorizationWitness.sample_max_ratio`) draw all their Gaussian
 samples first, apply the sampled map to each one by one matrix-vector
 product (a matrix product over all samples would round differently), and
-measure all images, then all inputs, in one batched pass
-(:func:`haarsys.realized_lp_norms`).  That pass adds the samples' terms by
-the same fold as :attr:`grids.GridFunction.dense` (:func:`grids._fold`),
-so every norm, and hence every recorded estimate, is bit for bit what one
-``lp_norm(realize(...))`` per sample gives.
+measure all images, then all inputs, in one batched pass per ratio
+(:func:`haarsys.realized_lp_norms`, on every usable core).  That pass adds
+the samples' terms by the same fold as :attr:`grids.GridFunction.dense`
+(:func:`grids._fold`), so every norm, and hence every recorded estimate,
+is bit for bit what one ``lp_norm(realize(...))`` per sample gives.
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ def _sampled_max_ratio(registry, apply, exponent, samples, seed) -> float:
 
     Draws every ``v`` first, one ``standard_normal`` per sample, applies
     ``apply`` to each on its own (one matrix-vector product, as a matrix
-    product would round differently), then measures all images and all
-    inputs in one batched pass each, by :func:`grids._fold`; see the module
-    note.  Raises ``ValueError`` for fewer than one sample.
+    product would round differently), then measures the images and the
+    inputs, stacked in that order, in one batched pass by
+    :func:`grids._fold`; see the module note.  Raises ``ValueError`` for
+    fewer than one sample.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -179,11 +180,9 @@ def _sampled_max_ratio(registry, apply, exponent, samples, seed) -> float:
     inputs = np.array([rng.standard_normal(registry.dim) for _ in range(samples)])
     inputs = inputs.reshape(shape)
     images = np.array([apply(v) for v in inputs]).reshape(shape)
+    norms = realized_lp_norms(registry, np.concatenate([images, inputs]), exponent)
     worst = 0.0
-    for num, den in zip(
-        realized_lp_norms(registry, images, exponent),
-        realized_lp_norms(registry, inputs, exponent),
-    ):
+    for num, den in zip(norms[:samples], norms[samples:]):
         worst = max(worst, num / den)
     return worst
 

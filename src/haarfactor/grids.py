@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -270,26 +270,30 @@ def _rank_plan(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, value
 
 
-def _fold(shape: tuple[int, ...], runs, count: int) -> np.ndarray:
+def _fold(shape: tuple[int, ...], runs, count: int, out=None) -> np.ndarray:
     """Left fold from ``+0.0`` of ``count`` rows of terms on a grid of
-    ``shape``, as an array of shape ``(count, *shape)``.
+    ``shape``, as an array of shape ``(count, *shape)``: ``out`` if given,
+    which must be C-ordered, else a new one.
 
     ``runs`` yields ``(axis, terms)``: ``terms[r, j]`` is the ``j``-th rank
     of row ``r`` on grid axis ``axis``, one term per cell of that axis, as
     :func:`_rank_plan` lays a run out.  The ranks are added in order, and
     the accumulator spans only the axes met so far: it grows one axis at a
-    time by a C-ordered ``np.add``, takes the other ranks in place, and is
-    broadcast to the full grid once, at the end.
+    time by a C-ordered ``np.add``, takes the other ranks in place, and
+    reaches the full grid in the result array: the add that spans the last
+    axis writes there, and an accumulator that never spans every axis is
+    broadcast into it at the end.
 
     This is every cell's summand-by-summand fold bit for bit.  Adding a
     zero leaves a float that is not ``-0.0`` unchanged, and a fold that
     starts at ``+0.0`` never holds ``-0.0`` (a sum of two floats is ``-0.0``
     only when both are), so the zero terms a plan skips or pads with change
-    nothing and each cell ends at the fold of its nonzero terms alone.  The
-    accumulator stays in C order whatever the terms' layout, so each row of
-    it, raveled, is averaged by :func:`_row_norms` as ``np.mean`` averages
-    that row on its own.
+    nothing and each cell ends at the fold of its nonzero terms alone.
+    The result is in C order, so each row of it, raveled, is averaged by
+    :func:`_row_norms` as ``np.mean`` averages that row on its own.
     """
+    if out is None:
+        out = np.empty((count, *shape))
     acc = np.zeros((count,) + (1,) * len(shape))
     for axis, terms in runs:
         view = [count] + [1] * len(shape)
@@ -297,11 +301,13 @@ def _fold(shape: tuple[int, ...], runs, count: int) -> np.ndarray:
         for rank in range(terms.shape[1]):
             term = terms[:, rank].reshape(view)
             if acc.shape[axis + 1] == 1:
-                acc = np.add(acc, term, order="C")
+                spans = np.broadcast_shapes(acc.shape, term.shape) == out.shape
+                acc = np.add(acc, term, out=out if spans else None, order="C")
             else:
                 acc += term
-    full = (count, *shape)
-    return acc if acc.shape == full else np.broadcast_to(acc, full).copy()
+    if acc is not out:
+        np.copyto(out, acc)
+    return out
 
 
 def _require_same_grid(f: GridFunction, g: GridFunction) -> ProductGrid:
@@ -324,23 +330,33 @@ def lp_norm(f: GridFunction, p) -> float:
     return _row_norms(np.ravel(values, order="K")[None, :], as_exponent(p))[0]
 
 
-def _row_norms(values: np.ndarray, exponent: Exponent) -> list[float]:
+def _row_norms(
+    values: np.ndarray,
+    exponent: Exponent,
+    rederive: Callable[[], np.ndarray] | None = None,
+) -> list[float]:
     """``(mean |v|^p)^(1/p)`` of each row ``v`` of a 2-D float array.
 
     ``|v|^p`` is raised in one buffer and averaged along the last axis, so
     a C-ordered array sums each row exactly as ``np.mean`` sums that row on
-    its own.  A row's mean is non-finite exactly when one of its values is
-    or when ``|v|^p`` overflows, so only then are the values scanned, and a
-    non-finite value raises ``ValueError`` while an overflow gives ``inf``.
-    The root is taken row by row as ``np.float64 ** float``: numpy's
-    vectorized power may round differently.
+    its own.  The buffer is a new array, and ``values`` is left as it is,
+    unless the caller owns ``values`` and passes ``rederive``: then
+    ``|v|^p`` is raised in ``values`` itself, and ``rederive()`` returns
+    the rows' values again.  A row's mean is non-finite exactly when one of
+    its values is or when ``|v|^p`` overflows, so only then are the values
+    scanned (and re-derived), and a non-finite value raises ``ValueError``
+    while an overflow gives ``inf``.  The root is taken row by row as
+    ``np.float64 ** float``: numpy's vectorized power may round
+    differently.
     """
-    powers = np.abs(values)
+    powers = np.abs(values, out=None if rederive is None else values)
     np.power(powers, exponent.p, out=powers)
     means = np.mean(powers, axis=-1)
     bad = ~np.isfinite(means)
-    if bad.any() and not np.all(np.isfinite(values[bad])):
-        raise ValueError("lp_norm of a function with non-finite values")
+    if bad.any():
+        original = values if rederive is None else rederive()
+        if not np.all(np.isfinite(original[bad])):
+            raise ValueError("lp_norm of a function with non-finite values")
     root = 1.0 / exponent.p
     return [float(mean ** root) for mean in means]
 

@@ -25,17 +25,23 @@ differ only in how they gather each copy's terms: both add them by
 bit.  So the batched norms equal one ``lp_norm(realize(c))`` per row bit
 for bit; callers apply their matrices to one row at a time (a
 matrix-vector product each), since one matrix product over the batch
-would round differently.
+would round differently.  The batches are spread over the usable cores,
+each worker folding and raising ``|v|^p`` in a buffer of its own, which
+changes no cell's arithmetic and so no norm; :func:`_striped` is the
+package's one threaded helper.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +73,7 @@ __all__ = [
 # Cells of one batch of realized rows in :func:`realized_lp_norms`: 100
 # samples on single_copy(7)'s 128 cells make one batch, while a 2^18-cell
 # grid takes one row at a time (larger batches there were slower and cost
-# 2 MB of peak memory per extra row).
+# each worker 2 MB of peak memory per extra row).
 _BATCH_CELLS = 1 << 16
 
 
@@ -200,9 +206,13 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     batches of about :data:`_BATCH_CELLS` cells: each copy's
     :meth:`BasisRegistry.rank_plans` gathers its terms for the whole batch
     at once, and :func:`grids._fold` adds them, as it adds the terms of
-    :attr:`GridFunction.dense`; each row of the fold is then averaged as
-    ``lp_norm`` averages the materialized function
-    (:func:`grids._row_norms`).
+    :attr:`GridFunction.dense`, into a buffer of the pass's own; each row
+    of the fold is then averaged over the whole row, as ``lp_norm``
+    averages the materialized function, with ``|v|^p`` raised in that
+    buffer (:func:`grids._row_norms`).  The batches are measured on every
+    usable core by :func:`_striped`, each worker in its own buffer; the
+    per-cell arithmetic is the same on any number of workers, and so is
+    every norm and every exception.
     """
     exponent = as_exponent(p)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -211,10 +221,10 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
             f"expected rows of {registry.dim} coefficients, got shape {coeffs.shape}"
         )
     plans = registry.rank_plans()
-    shape = registry.grid.shape
-    batch = max(1, _BATCH_CELLS // registry.grid.ncells)
-    norms: list[float] = []
-    for start in range(0, len(coeffs), batch):
+    shape, ncells = registry.grid.shape, registry.grid.ncells
+    batch = max(1, _BATCH_CELLS // ncells)
+
+    def fold(start: int, buffer: np.ndarray) -> np.ndarray:
         chunk = coeffs[start:start + batch]
         # block k sits on grid axis k: the grid's coordinates are the
         # registry's copies, sorted as the blocks are
@@ -222,9 +232,81 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
             (axis, np.take(chunk[:, rows], index, axis=1) * value)
             for axis, (rows, index, value) in enumerate(plans)
         )
-        acc = _fold(shape, runs, len(chunk))
-        norms += _row_norms(acc.reshape(len(chunk), -1), exponent)
-    return norms
+        values = buffer[:len(chunk)]
+        _fold(shape, runs, len(chunk), values.reshape(len(chunk), *shape))
+        return values
+
+    def measure(starts: Sequence[int], buffer: np.ndarray) -> list[float]:
+        norms: list[float] = []
+        for start in starts:
+            values = fold(start, buffer)
+            norms += _row_norms(
+                values, exponent, lambda: fold(start, np.empty_like(values))
+            )
+        return norms
+
+    return _striped(
+        measure,
+        range(0, len(coeffs), batch),
+        lambda: np.empty((min(batch, len(coeffs)), ncells)),
+    )
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _striped(
+    work: Callable[[Sequence, np.ndarray], list],
+    items: Sequence,
+    scratch: Callable[[], np.ndarray],
+) -> list:
+    """``work(stripe, buffer)`` on every contiguous stripe of ``items``, one
+    stripe per usable core but no more stripes than items; the lists the
+    stripes return, concatenated in order.
+
+    The calling thread allocates each stripe's ``buffer`` by ``scratch()``
+    and runs the first stripe; one helper thread runs each other stripe, in
+    a copy of the caller's context, so the caller's ``np.errstate`` holds
+    there too.  Every helper is joined, also when a stripe raises, and the
+    exception of the first stripe that raised is raised here: as each
+    stripe takes its items in order and stops at its first failure, that is
+    the exception a loop over ``items`` would meet first.  A single stripe
+    starts no thread.
+    """
+    count = min(_usable_cores(), len(items))
+    if count <= 1:
+        return work(items, scratch())
+    stripes = [
+        (items[len(items) * k // count:len(items) * (k + 1) // count], scratch())
+        for k in range(count)
+    ]
+    results: list = [None] * count
+    errors: dict[int, BaseException] = {}
+
+    def run(k: int) -> None:
+        try:
+            results[k] = work(*stripes[k])
+        except BaseException as exc:
+            errors[k] = exc
+
+    helpers = []
+    try:
+        for k in range(1, count):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return [x for result in results for x in result]
 
 
 def project(registry: BasisRegistry, f: GridFunction) -> np.ndarray:

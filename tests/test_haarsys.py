@@ -1,6 +1,8 @@
 """Registry, block families, distributional-copy and Burkholder checks."""
 
 import math
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +253,157 @@ class TestRealizedLpNorms:
         assert r.rank_plans() is plans
         # one rank per level: each cell lies in one interval per level
         assert [len(value) for _, _, value in plans] == [1, 2, 3]
+
+
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """A list that every helper thread started from now on appends to."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def with_workers(monkeypatch, workers):
+    monkeypatch.setattr(haarsys, "_usable_cores", lambda: workers)
+
+
+class TestThreadedNorms:
+    """The batched pass on 2 and 3 workers, whatever the machine's cores:
+    the same bits, the same exceptions, and no thread left running."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("name", NORM_REGISTRIES)
+    def test_matches_the_loop_bitwise(self, monkeypatch, helpers_started, name, p, workers):
+        depths, count = NORM_REGISTRIES[name]
+        r = BasisRegistry(depths)
+        # batches of 3 rows, so every case has several and a partial last one
+        monkeypatch.setattr(haarsys, "_BATCH_CELLS", 3 * r.grid.ncells)
+        with_workers(monkeypatch, workers)
+        rows = signed_zero_rows(r, count, seed=len(name))
+        before = rows.copy()
+        norms = realized_lp_norms(r, rows, p)
+        assert len(helpers_started) == min(workers, -(-count // 3)) - 1
+        assert hexes(norms) == hexes(loop_norms(r, rows, p))
+        assert rows.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("cells", [1, 3 * 64, 7 * 64 + 5])
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_partial_last_batch(self, monkeypatch, helpers_started, cells, p, workers):
+        monkeypatch.setattr(haarsys, "_BATCH_CELLS", cells)
+        with_workers(monkeypatch, workers)
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        rows = signed_zero_rows(r, 20, seed=cells)
+        assert hexes(realized_lp_norms(r, rows, p)) == hexes(loop_norms(r, rows, p))
+        assert helpers_started
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_acceptance_source_rows(self, monkeypatch, helpers_started, workers):
+        # one 2^18-cell row per batch, as the factorize workload measures them
+        with_workers(monkeypatch, workers)
+        r = BasisRegistry({5: 4, 6: 5, 7: 6})
+        rows = signed_zero_rows(r, 7, seed=workers)
+        assert hexes(realized_lp_norms(r, rows, 4.0)) == hexes(loop_norms(r, rows, 4.0))
+        assert len(helpers_started) == workers - 1
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_lp_norm_leaves_dense_data_alone(self, monkeypatch, p):
+        with_workers(monkeypatch, 2)
+        g = ProductGrid((1, 2), (3, 2))
+        values = np.random.default_rng(5).standard_normal(g.shape)
+        values[0, 0] = -0.0
+        f = GridFunction.from_dense(g, values)
+        before = f.dense.tobytes()
+        lp_norm(f, p)
+        assert f.dense is values and values.tobytes() == before
+
+    def test_one_batch_starts_no_thread(self, monkeypatch, helpers_started):
+        with_workers(monkeypatch, 2)
+        r = BasisRegistry.single_copy(7)
+        rows = np.random.default_rng(2).standard_normal((200, r.dim))
+        assert hexes(realized_lp_norms(r, rows, 4.0)) == hexes(loop_norms(r, rows, 4.0))
+        burkholder_check(r, rows[0], np.sign(rows[1]), 4.0)
+        assert helpers_started == []
+
+
+class TestThreadedErrors:
+    """Rows 0-1 go to the calling thread and rows 2-4 to the helper: one
+    row per batch on two workers."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch, helpers_started):
+        monkeypatch.setattr(haarsys, "_BATCH_CELLS", 64)
+        with_workers(monkeypatch, 2)
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        assert r.grid.ncells == 64
+        yield r
+        assert len(helpers_started) == 1
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_row_in_the_helper_raises(self, registry, bad):
+        rows = np.ones((5, registry.dim))
+        rows[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            realized_lp_norms(registry, rows, 4.0)
+
+    def test_overflow_is_infinite(self, registry):
+        rows = np.ones((5, registry.dim))
+        rows[3] *= 1e100
+        with np.errstate(over="ignore"):
+            norms = realized_lp_norms(registry, rows, 4.0)
+            assert hexes(norms) == hexes(loop_norms(registry, rows, 4.0))
+        assert norms[3] == math.inf
+
+    def test_overflow_raises_under_the_callers_errstate(self, registry):
+        rows = np.ones((5, registry.dim))
+        rows[3] *= 1e100
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                loop_norms(registry, rows, 4.0)
+            with pytest.raises(FloatingPointError):
+                realized_lp_norms(registry, rows, 4.0)
+
+    def test_overflow_warning_raised_as_error(self, registry):
+        rows = np.ones((5, registry.dim))
+        rows[3] *= 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                realized_lp_norms(registry, rows, 4.0)
+
+    @pytest.mark.parametrize("first, second, error", [
+        ("nan", "big", ValueError),
+        ("big", "nan", FloatingPointError),
+    ])
+    def test_the_loops_first_error_wins(self, registry, first, second, error):
+        rows = np.ones((5, registry.dim))
+        for row, kind in ((1, first), (3, second)):
+            if kind == "nan":
+                rows[row, 0] = np.nan
+            else:
+                rows[row] *= 1e100
+        with np.errstate(over="raise"):
+            with pytest.raises(error):
+                loop_norms(registry, rows, 4.0)
+            with pytest.raises(error):
+                realized_lp_norms(registry, rows, 4.0)
+
+    def test_a_returning_call_leaves_no_thread(self, registry):
+        rows = np.ones((5, registry.dim))
+        assert realized_lp_norms(registry, rows, 4.0) == loop_norms(registry, rows, 4.0)
 
 
 def identity_family(registry):

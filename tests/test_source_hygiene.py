@@ -162,3 +162,31 @@ def test_the_attribute_check_sees_write_only_state():
     assigned = set(_self_assigned(tree))
     assert assigned == {"items", "count", "spare"}
     assert assigned - _attributes_read(tree) - _record_attributes(tree) == {"spare"}
+
+
+THREADED = {"threading", "concurrent", "multiprocessing"}
+
+
+def _threaded_imports(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found & THREADED
+
+
+def test_one_module_starts_threads():
+    importers = [path.name for path in MODULES if _threaded_imports(_tree(path))]
+    assert importers == ["haarsys.py"], (
+        "threads start only from haarsys._striped; reuse it instead of a second pool"
+    )
+
+
+def test_the_thread_check_sees_every_spelling():
+    tree = ast.parse(
+        "import threading\nimport concurrent.futures as cf\n"
+        "from multiprocessing import Pool\nimport os\nfrom . import grids\n"
+    )
+    assert _threaded_imports(tree) == THREADED
