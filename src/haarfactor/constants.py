@@ -25,6 +25,18 @@ rounding; none enters a certified bound or an artifact:
   inverse whose column-sum residual ``||op @ inverse - I||`` exceeds it; a
   solve within a certified contraction bound below one stays far inside
   it, so a larger residual means the bound was wrong.
+
+It also names one resource bound, which no result depends on:
+
+* ``MAX_STRIPES`` (``8``): the most workers ``haarsys._striped`` runs,
+  whatever the host's core count; each is one thread (the caller's among
+  them) with one scratch buffer of one batch, 2 MiB per row of the
+  2^18-cell acceptance grid.  At 8 a pass holds at most 7 helper threads
+  and 16 MiB of such buffers.  The stripes fold and raise ``|v|^p`` over
+  whole 2 MiB rows, work that streams memory, so beyond a handful of cores
+  more workers mostly add buffers, and a 200-row pass still gives each
+  of 8 stripes 25 rows.  Only 2 cores were measured (the pass went from
+  1.25 s to about 0.7 s), where the cap does not bind.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ CLOSED_FORM_TOL = 1e-10
 ROUNDOFF_TOL = 1e-12
 MIDDLE_OPERATOR_TOL = 1e-12
 NEUMANN_RESIDUAL_TOL = 1e-8
+MAX_STRIPES = 8
 
 
 def burkholder_constant(p) -> float:

@@ -45,6 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .constants import MAX_STRIPES
 from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, enumerate_truncated
 from .grids import (
     DEFAULT_CELL_CAP,
@@ -210,9 +211,9 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     of the fold is then averaged over the whole row, as ``lp_norm``
     averages the materialized function, with ``|v|^p`` raised in that
     buffer (:func:`grids._row_norms`).  The batches are measured on every
-    usable core by :func:`_striped`, each worker in its own buffer; the
-    per-cell arithmetic is the same on any number of workers, and so is
-    every norm and every exception.
+    usable core, at most :data:`constants.MAX_STRIPES`, by :func:`_striped`,
+    each worker in its own buffer; the per-cell arithmetic is the same on
+    any number of workers, and so is every norm and every exception.
     """
     exponent = as_exponent(p)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -266,8 +267,9 @@ def _striped(
     scratch: Callable[[], np.ndarray],
 ) -> list:
     """``work(stripe, buffer)`` on every contiguous stripe of ``items``, one
-    stripe per usable core but no more stripes than items; the lists the
-    stripes return, concatenated in order.
+    stripe per usable core but no more stripes than items, nor than
+    :data:`constants.MAX_STRIPES`; the lists the stripes return,
+    concatenated in order.
 
     The calling thread allocates each stripe's ``buffer`` by ``scratch()``
     and runs the first stripe; one helper thread runs each other stripe, in
@@ -278,7 +280,7 @@ def _striped(
     the exception a loop over ``items`` would meet first.  A single stripe
     starts no thread.
     """
-    count = min(_usable_cores(), len(items))
+    count = min(_usable_cores(), MAX_STRIPES, len(items))
     if count <= 1:
         return work(items, scratch())
     stripes = [

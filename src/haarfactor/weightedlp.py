@@ -25,6 +25,14 @@ coefficients and zero-based positions on first use, over a read-only copy
 of its coefficients.  A block's constants therefore never go stale; a block
 with other data (say from `dataclasses.replace`) is a new block with
 constants of its own.
+
+A family of blocks is decided once, too.  `block_span_project` runs on an
+immutable family (a tuple of blocks) that holds whether two of its blocks
+overlap, and the layout the projection reads: every position and every
+normalized coefficient in one array each, each block's slice of them, and
+the largest index.  `GameTranscript.blocks` returns its transcript's
+family, built on first use; any other sequence or iterable of blocks is
+read once into a family of its own, and so checked, on each call.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +66,12 @@ __all__ = [
     "ImpartialEstimate",
     "impartial_equivalence",
 ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, flagged read-only: the module's cached arrays are shared."""
+    a.flags.writeable = False
+    return a
 
 
 class WeightSequence:
@@ -93,8 +108,7 @@ class WeightSequence:
             self.values = tuple(Fraction(v) for v in values)
             if any(v <= 0 for v in self.values):
                 raise ValueError("weights must be positive")
-        self._table = np.empty(0)
-        self._table.flags.writeable = False
+        self._table = _read_only(np.empty(0))
 
     @classmethod
     def power(cls, p, decay) -> "WeightSequence":
@@ -127,8 +141,7 @@ class WeightSequence:
         have = len(self._table)
         if count > have:
             fresh = np.array([self.weight(n) for n in range(have + 1, count + 1)])
-            self._table = np.concatenate([self._table, fresh])
-            self._table.flags.writeable = False
+            self._table = _read_only(np.concatenate([self._table, fresh]))
         return self._table[:count]
 
     def budget(self, n: int) -> Fraction:
@@ -277,9 +290,7 @@ class Block:
     weights: WeightSequence
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=float)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _read_only(np.array(self.coeffs, dtype=float)))
 
     @cached_property
     def p_norm(self) -> float:
@@ -297,9 +308,7 @@ class Block:
     @cached_property
     def positions(self) -> np.ndarray:
         """The zero-based positions ``indices - 1``, read-only."""
-        out = np.array(self.indices, dtype=np.intp) - 1
-        out.flags.writeable = False
-        return out
+        return _read_only(np.array(self.indices, dtype=np.intp) - 1)
 
     @cached_property
     def top(self) -> int:
@@ -308,9 +317,7 @@ class Block:
 
     @cached_property
     def _normalized(self) -> np.ndarray:
-        out = self.coeffs / self.p_norm
-        out.flags.writeable = False
-        return out
+        return _read_only(self.coeffs / self.p_norm)
 
     def normalized(self) -> np.ndarray:
         """Coefficients of ``b / ||b||_p`` over ``indices``, read-only."""
@@ -322,10 +329,9 @@ class Block:
 
     def vector(self, size: int | None = None) -> XpwVector:
         """The normalized block as a dense vector of the given size."""
-        top = max(self.indices)
         if size is None:
-            size = top
-        if size < top:
+            size = self.top
+        if size < self.top:
             raise ValueError("size does not cover the block's support")
         out = np.zeros(size)
         out[self.positions] = self.normalized()
@@ -359,56 +365,86 @@ def block_data(E: Sequence[int], w: WeightSequence) -> Block:
     )
 
 
-def block_span_project(x: XpwVector, blocks: Sequence[Block]) -> XpwVector:
+class _BlockFamily(tuple):
+    """Blocks read once into a tuple, with what every projection onto
+    their span needs decided at that one time.
+
+    ``overlap`` is :func:`_first_overlap`'s verdict (None for disjoint
+    supports).  ``positions`` holds every block's zero-based positions,
+    block after block; block ``k`` owns ``spans[k]`` of it and ``counts[k]``
+    entries, and ``normalized`` (built on first use) holds the normalized
+    coefficients in the same places.  ``top`` is the largest index (0 for
+    none).  The blocks are immutable, the arrays read-only and nothing is
+    reassigned after it is built, so nothing here goes stale.
+    """
+
+    def __init__(self, blocks: Iterable[Block]) -> None:
+        # tuple.__new__ has read ``blocks`` into self already
+        counts = [b.positions.size for b in self]
+        self.spans = tuple(
+            slice(stop - count, stop) for stop, count in zip(accumulate(counts), counts)
+        )
+        self.counts = _read_only(np.array(counts, dtype=np.intp))
+        self.positions = _read_only(
+            np.concatenate([b.positions for b in self]) if self else np.empty(0, np.intp)
+        )
+        self.top = max((b.top for b in self), default=0)
+        self.overlap = _first_overlap(self)
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        return _read_only(
+            np.concatenate([b.normalized() for b in self]) if self else np.empty(0)
+        )
+
+
+def block_span_project(x: XpwVector, blocks: Iterable[Block]) -> XpwVector:
     """Project onto the span of the normalized blocks.
 
     ``P(x) = sum_k <||b_k||_p ||b_k||_2^{-2} b_k, x> (b_k / ||b_k||_p)``;
     requires pairwise disjoint supports (that is what makes it a norm-one
     projection), and a block that repeats an index overlaps itself.
+
+    A family from `GameTranscript.blocks` was checked when it was built;
+    any other sequence or iterable of blocks is read once into a family
+    and checked on this call.  ``x`` is gathered at every position of the
+    family at once (with zeros past its end), each block pairs its slice of
+    that with its coefficients, and the weighted normalized blocks are
+    added into zeros in one scatter, within ``x``'s length.
     """
-    _require_disjoint(blocks)
+    family = blocks if isinstance(blocks, _BlockFamily) else _BlockFamily(blocks)
+    if family.overlap is not None:
+        raise ValueError("blocks {} and {} overlap at index {}".format(*family.overlap))
     size = len(x.coeffs)
-    out = np.zeros(size)
-    for b in blocks:
-        pos = b.positions
-        if b.top <= size:  # the whole support lies in x
-            inside, pad = pos, x.coeffs[pos]
-        else:
-            inside = pos[pos < size]
-            pad = np.zeros(pos.size)
-            pad[: inside.size] = x.coeffs[inside]  # indices are sorted ascending
-        if inside.size == 0:
-            continue
-        weight = b.functional_scale * float(np.dot(b.coeffs, pad))
-        out[inside] += weight * b.normalized()[: inside.size]
-    return XpwVector(out, x.weights)
+    padded = x.coeffs
+    if family.top > size:  # part of the support lies past x
+        padded = np.zeros(family.top)
+        padded[:size] = x.coeffs
+    gathered = padded[family.positions]
+    weights = [
+        b.functional_scale * float(np.dot(b.coeffs, gathered[span]))
+        for b, span in zip(family, family.spans)
+    ]
+    out = np.zeros(max(size, family.top))
+    out[family.positions] += np.repeat(weights, family.counts) * family.normalized
+    return XpwVector(out[:size], x.weights)
 
 
-def _first_overlap(blocks: Sequence[Block]) -> tuple[int, int, int] | None:
+def _first_overlap(family: _BlockFamily) -> tuple[int, int, int] | None:
     """The first repeated index met walking the blocks in order, as
     ``(i, j, n)``: blocks ``i`` and ``j`` share index ``n`` (``i == j`` for
     a block that repeats one); None if no index repeats.  One sort of all
     positions decides whether any index repeats; only then are the blocks
     walked, to name it."""
-    if not blocks:
-        return None
-    pos = np.sort(np.concatenate([b.positions for b in blocks]))
+    pos = np.sort(family.positions)
     if not np.any(pos[1:] == pos[:-1]):
         return None
     seen: dict[int, int] = {}
-    for j, b in enumerate(blocks):
+    for j, b in enumerate(family):
         for n in b.indices:
             if n in seen:
                 return seen[n], j, n
             seen[n] = j
-
-
-def _require_disjoint(blocks: Sequence[Block]) -> None:
-    """Raise ``blocks i and j overlap at index n`` for the first repeat
-    :func:`_first_overlap` finds."""
-    overlap = _first_overlap(blocks)
-    if overlap is not None:
-        raise ValueError("blocks {} and {} overlap at index {}".format(*overlap))
 
 
 # -- the block-building game ------------------------------------------------
@@ -481,11 +517,19 @@ class GameTranscript:
     rounds: tuple[GameRound, ...]
     index_budget: int
 
-    def blocks(self) -> list[Block]:
-        return [r.block for r in self.rounds]
+    @cached_property
+    def _family(self) -> _BlockFamily:
+        return _BlockFamily(r.block for r in self.rounds)
+
+    def blocks(self) -> _BlockFamily:
+        """The rounds' blocks as one immutable family (a tuple), built and
+        checked for overlaps on first use and kept, as a `Block` keeps its
+        constants: `block_span_project` on it decides nothing again, and
+        `verify` and `ambient_size` read the same verdict and ``top``."""
+        return self._family
 
     def ambient_size(self) -> int:
-        return max(max(r.indices) for r in self.rounds)
+        return self._family.top
 
     def block_vectors(self, size: int | None = None) -> list[XpwVector]:
         if size is None:
@@ -510,9 +554,10 @@ class GameTranscript:
         ``disjoint_supports``; whether the coefficients are the right ones
         is ``block_data``.  Indices that name no block (repeated, below 1
         or past an explicit family's end) fail ``block_data`` and
-        ``budget_window``.  Disjointness is decided by the rule of
-        :func:`block_span_project`, so a round that repeats an index
-        overlaps itself and fails ``disjoint_supports`` too.
+        ``budget_window``.  Disjointness is the overlap verdict of the
+        family `blocks` returns, the one :func:`block_span_project` reads,
+        so a round that repeats an index overlaps itself and fails
+        ``disjoint_supports`` too.
         """
         w = self.weights
         under_cap = _window_cap(w, self.eps)
@@ -540,7 +585,7 @@ class GameTranscript:
                 S == r.block.budget and r.budget_target == t_k
                 and S >= t_k and under_cap(S, t_k)
             )
-        disjoint = _first_overlap(self.blocks()) is None
+        disjoint = self._family.overlap is None
         report = {
             "ordering": all(ordering),
             "budget_window": all(windows),

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from haarfactor.constants import burkholder_constant, complementation_constant
+from haarfactor.constants import MAX_STRIPES, burkholder_constant, complementation_constant
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from haarfactor.dyadic import (
@@ -404,6 +404,56 @@ class TestThreadedErrors:
     def test_a_returning_call_leaves_no_thread(self, registry):
         rows = np.ones((5, registry.dim))
         assert realized_lp_norms(registry, rows, 4.0) == loop_norms(registry, rows, 4.0)
+
+
+class TestStripeCap:
+    """However many cores the host reports, ``_striped`` runs at most
+    ``MAX_STRIPES`` workers (``TestThreadedNorms`` runs 2 and 3 uncapped).
+    The helpers here run inline when started, so a cap that failed to bind
+    would still start no operating-system thread."""
+
+    @pytest.fixture
+    def inline_helpers(self, monkeypatch):
+        started = []
+
+        class Inline:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                started.append(self)
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(threading, "Thread", Inline)
+        return started
+
+    @pytest.mark.parametrize("cores", [MAX_STRIPES + 1, 10**6])
+    def test_a_huge_host_gets_the_capped_workers(self, monkeypatch, inline_helpers, cores):
+        with_workers(monkeypatch, cores)
+        buffers = []
+
+        def scratch():
+            buffers.append(np.empty(1))
+            return buffers[-1]
+
+        items = range(10 * MAX_STRIPES + 3)
+        seen = {}  # first item of a stripe -> (its length, its buffer's id)
+
+        def work(stripe, buffer):
+            seen[stripe[0]] = (len(stripe), id(buffer))
+            return list(stripe)
+
+        assert haarsys._striped(work, items, scratch) == list(items)
+        assert len(buffers) == MAX_STRIPES
+        assert len(inline_helpers) == MAX_STRIPES - 1
+        # one buffer per stripe, and stripes of 10 or 11 items
+        assert {buffer for _, buffer in seen.values()} == {id(b) for b in buffers}
+        assert sorted(length for length, _ in seen.values()) == (
+            [10] * (MAX_STRIPES - 3) + [11] * 3
+        )
 
 
 def identity_family(registry):

@@ -10,6 +10,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarfactor import serialize, weightedlp
 from haarfactor.cli import ExperimentConfig, run
 from haarfactor.errors import ResourceLimitError
 from haarfactor.weightedlp import (
@@ -866,3 +867,91 @@ class TestBlockCacheContract:
             assert_same_constants(fresh)
             assert fresh.positions.tolist() == [n - 1 for n in fresh.indices]
         assert dataclasses.replace(b, coeffs=2.0 * b.coeffs).two_norm_sq == 4 * b.two_norm_sq
+
+
+class TestDecidedFamily:
+    """A transcript's block family is decided once and projects as the
+    per-block formula does, bit for bit, whatever sequence holds the blocks."""
+
+    W = WeightSequence.power(4, Fraction(1, 4))
+
+    @staticmethod
+    def loaded(name):
+        """An acceptance game's transcript after a round trip through its
+        document, as the benchmark's contraction checks read it."""
+        t = play_game(ACCEPTANCE_GAMES[name](), 8, TestDecidedFamily.W, Fraction(1, 10))
+        return serialize.loads(serialize.dumps(t))
+
+    def samples(self, size, seed):
+        """Gaussian vectors of the ambient size with ``-0.0`` entries, and
+        some shorter than the support."""
+        rng = np.random.default_rng(seed)
+        for length in (size, size, size - 1, size // 2, 1, 0):
+            c = rng.standard_normal(length)
+            c[::3] = -0.0
+            yield XpwVector(c, self.W)
+
+    @pytest.mark.parametrize("holder", ["family", "list", "tuple"])
+    @pytest.mark.parametrize("name", sorted(ACCEPTANCE_GAMES))
+    def test_loaded_transcripts_match_the_oracle(self, name, holder):
+        t = self.loaded(name)
+        family = t.blocks()
+        blocks = {"family": family, "list": list(family), "tuple": tuple(family)}[holder]
+        for x in self.samples(t.ambient_size(), seed=len(name)):
+            projected = block_span_project(x, blocks)
+            want = uncached_project(x, list(family))
+            assert projected.coeffs.tobytes() == want.tobytes()
+            assert projected.coeffs.shape == x.coeffs.shape
+
+    def test_overlaps_are_decided_once_per_transcript(self, monkeypatch):
+        calls = []
+        decide = weightedlp._first_overlap
+
+        def counted(family):
+            calls.append(len(family))
+            return decide(family)
+
+        monkeypatch.setattr(weightedlp, "_first_overlap", counted)
+        t = self.loaded("greedy")
+        assert t.verify()["ok"]
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            x = XpwVector(rng.standard_normal(t.ambient_size()), self.W)
+            block_span_project(x, t.blocks())
+        assert calls == [8]
+        # a plain list is decided again on each call
+        block_span_project(x, list(t.blocks()))
+        assert calls == [8, 8]
+
+    def test_the_family_is_kept_and_read_only(self):
+        t = self.loaded("random")
+        family = t.blocks()
+        assert t.blocks() is family
+        assert isinstance(family, tuple)
+        assert [b for b in family] == [r.block for r in t.rounds]
+        assert family.top == t.ambient_size() == max(max(r.indices) for r in t.rounds)
+        for array in (family.positions, family.counts, family.normalized):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_a_generator_gives_the_lists_bytes(self):
+        blocks = [block_data([2, 3, 5], self.W), block_data([7, 8], self.W)]
+        x = XpwVector(np.random.default_rng(3).standard_normal(9), self.W)
+        want = block_span_project(x, blocks).coeffs
+        got = block_span_project(x, (b for b in blocks)).coeffs
+        assert got.tobytes() == want.tobytes()
+        assert np.any(got != 0.0)
+
+    def test_an_overlapping_generator_raises_the_lists_message(self):
+        blocks = [block_data([2, 3, 5], self.W), block_data([5, 8], self.W)]
+        x = XpwVector(np.ones(9), self.W)
+        with pytest.raises(ValueError) as from_list:
+            block_span_project(x, blocks)
+        with pytest.raises(ValueError) as from_generator:
+            block_span_project(x, (b for b in blocks))
+        assert str(from_generator.value) == str(from_list.value)
+        assert str(from_list.value) == "blocks 0 and 1 overlap at index 5"
+
+    def test_no_blocks_project_to_zero(self):
+        x = XpwVector(np.array([1.0, -2.0]), self.W)
+        assert block_span_project(x, []).coeffs.tobytes() == np.zeros(2).tobytes()
