@@ -72,7 +72,6 @@ from .randsigns import (
     condition_star,
     eval_statistic,
     exact_moments,
-    monte_carlo_moments,
     sign_search,
 )
 from .reduction import (
@@ -82,7 +81,6 @@ from .reduction import (
     interaction_matrix,
     reduce_to_diagonal,
     reduce_to_scalar_finite,
-    reduce_to_scalar_stitched,
     verify_certificate,
 )
 from .serialize import SchemaError, document, dumps, load, loads, save, undocument
@@ -125,12 +123,11 @@ __all__ = [
     "large_diagonal_constant", "subspace_growth_constant",
     # randsigns
     "MomentReport", "RandomBlockSpec", "SignSearchFailure", "SignVector",
-    "condition_star", "eval_statistic", "exact_moments",
-    "monte_carlo_moments", "sign_search",
+    "condition_star", "eval_statistic", "exact_moments", "sign_search",
     # reduction
     "ReductionCertificate", "compose_certificates", "identity_certificate",
     "interaction_matrix", "reduce_to_diagonal", "reduce_to_scalar_finite",
-    "reduce_to_scalar_stitched", "verify_certificate",
+    "verify_certificate",
     # factorize
     "FactorizationWitness", "embedding_matrix", "factor_large_diagonal",
     "primary_dichotomy", "projection_matrix",

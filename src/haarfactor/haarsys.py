@@ -63,7 +63,6 @@ __all__ = [
     "BlockAssignment",
     "BlockFamily",
     "DistributionCheckResult",
-    "block_project",
     "burkholder_check",
     "check_distributional_copy",
     "project",
@@ -475,40 +474,6 @@ class BlockFamily:
             for K, s in zip(a.intervals, a.signs):
                 cols[source.index_of[OmegaIndex(a.host_copy, K)], j] = s
         return cols
-
-
-def block_project(
-    source: BasisRegistry, family: BlockFamily, f: GridFunction
-) -> np.ndarray:
-    """Coefficients ``|I_t|^-1 <b_t, f>`` of the block-span projection.
-
-    Verifies the preconditions first — the blocks must be pairwise
-    orthogonal with ``<b_t, b_t> = |I_t|`` exactly — and raises otherwise.
-    """
-    profiles: dict[OmegaIndex, tuple[int, np.ndarray]] = {}
-    for t in family.targets:
-        a = family.assignment(t)
-        res = source.resolution_of(a.host_copy)
-        profiles[t] = (a.host_copy, a.profile(res))
-        got = a.union_measure
-        want = t.interval.measure
-        if got != want:
-            raise ValueError(
-                f"<b, b> must equal the target measure for {t}: got {got}, need {want}"
-            )
-    for i, s in enumerate(family.targets):
-        hs, ps = profiles[s]
-        for t in family.targets[i + 1 :]:
-            ht, pt = profiles[t]
-            if hs != ht:
-                continue  # different coordinates: orthogonal via zero means
-            if ps.astype(np.int64) @ pt.astype(np.int64) != 0:
-                raise ValueError(f"blocks of {s} and {t} are not orthogonal")
-    out = np.empty(len(family.targets))
-    for j, t in enumerate(family.targets):
-        inner = pairing(family.realized(source, t), f)
-        out[j] = float(inner) / float(t.interval.measure)
-    return out
 
 
 # -- distributional-copy verification --------------------------------------

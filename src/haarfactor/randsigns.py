@@ -34,7 +34,7 @@ evaluated on a matrix of sign rows by one evaluator; the rows are all
 ``2^n`` patterns, streamed in index-ordered chunks so that no ``2^n``-row
 sign matrix is built, or seeded uniform draws (`drawn_signs`);
 `summarize_form` turns the values into a `MomentReport` (exact or
-monte-carlo).  `exact_moments`, `monte_carlo_moments`, `eval_statistic` and
+monte-carlo).  `exact_moments`, `eval_statistic` and
 `reduction.lambda_pm_moments` only build forms and bounds.
 
 `sign_search` looks for one pattern driving several forms below their
@@ -72,7 +72,6 @@ __all__ = [
     "summarize_form",
     "eval_statistic",
     "exact_moments",
-    "monte_carlo_moments",
     "condition_star",
     "sign_search",
 ]
@@ -426,28 +425,12 @@ def exact_moments(
     """
     if spec.size > cap:
         raise ResourceLimitError(
-            f"2^{spec.size} patterns exceed the enumeration cap 2^{cap}; "
-            "use monte_carlo_moments"
+            f"2^{spec.size} patterns exceed the enumeration cap 2^{cap}"
         )
     form = _statistic_form(kind, spec, data)
     bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
     return summarize_form(kind, form, spec.size, bound)
 
-
-def monte_carlo_moments(
-    kind: str,
-    spec: RandomBlockSpec,
-    data,
-    *,
-    samples: int = 4096,
-    seed: int = 0,
-    exponent=2.0,
-    t_norm_upper: float | None = None,
-) -> MomentReport:
-    """Estimate the moments from uniform sign draws (seeded)."""
-    form = _statistic_form(kind, spec, data)
-    bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
-    return summarize_form(kind, form, drawn_signs(samples, spec.size, seed), bound)
 
 def condition_star(
     n: int,

@@ -34,17 +34,17 @@ Block supports nest by construction: the blocks of the two successor targets
 of ``t`` live exactly on ``{b_t = +1}`` and ``{b_t = -1}``.  Every emitted
 family passes the exact distributional-copy check.
 
-Every certificate — diagonal, scalar, stitched, identity and composite —
-comes from one builder (``_build_certificate``): the constructors only
-choose blocks, witnesses, target entries and their run data, and the
-builder checks the family, certifies the residuals and assembles the
-artifact.  Both reductions grow their blocks through one block induction
-(``_grow_blocks``): it carves each support, makes every sign choice and
-block assignment, and writes every step and relaxed-step record; the
-reductions supply only the host, the block level and the forms to keep
-small.  Each scalar reduction assembles from one stabilized run per copy
-(``_stabilized_run``), which builds the run's target model, blocks, block
-witnesses and recorded run data once.
+Every certificate — diagonal, scalar, identity and composite — comes from
+one builder (``_build_certificate``): the constructors only choose blocks,
+witnesses, target entries and their run data, and the builder checks the
+family, certifies the residuals and assembles the artifact.  Both
+reductions grow their blocks through one block induction (``_grow_blocks``):
+it carves each support, makes every sign choice and block assignment, and
+writes every step and relaxed-step record; the reductions supply only the
+host, the block level and the forms to keep small.  The scalar stage takes
+a single-copy diagonal; a multi-copy diagonal reaches a scalar through the
+chain ``reduce_to_diagonal`` onto one copy, ``reduce_to_scalar_finite`` and
+``compose_certificates``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .constants import (
     diagonal_multiplier_bound,
 )
 from .dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
-from .errors import ReductionError, ResourceLimitError
+from .errors import ReductionError
 from .grids import as_exponent, lp_norm
 from .haarsys import (
     BasisRegistry,
@@ -94,7 +94,6 @@ __all__ = [
     "lambda_pm_moments",
     "pigeonhole_levels",
     "reduce_to_scalar_finite",
-    "reduce_to_scalar_stitched",
     "column_sum_bound",
     "compose_certificates",
     "identity_certificate",
@@ -794,7 +793,8 @@ def _chain_records(d_levels, levels, assignments, level_means):
 
 def _single_copy_diag(T):
     """Validate a diagonal operator on one full copy of its model; return
-    ``(copy, diagonal map, level diagonals)``."""
+    ``(copy, diagonal map, level diagonals)``, the last holding the copy's
+    diagonal entries level by level down to its depth."""
     depths = T.registry.depths
     if len(depths) != 1:
         raise ValueError(
@@ -808,93 +808,11 @@ def _single_copy_diag(T):
     if not T.is_diagonal():
         raise ValueError("scalar reduction needs a diagonal operator")
     diag = T.diagonal_map()
-    return copy, diag, _level_diagonals(diag, copy, depth)
-
-
-def _level_diagonals(diag, copy: int, depth: int) -> dict[int, np.ndarray]:
-    """The diagonal entries of ``copy``, level by level down to ``depth``."""
-    return {
+    d_levels = {
         lev: np.array([diag[OmegaIndex(copy, K)] for K in intervals_at_level(lev)])
         for lev in range(depth + 1)
     }
-
-
-def _stabilized_run(
-    exponent,
-    source: BasisRegistry,
-    host_copy: int,
-    diag,
-    d_levels,
-    m: int,
-    eps: float,
-    mode: str,
-    *,
-    search: str,
-    seed: int,
-    pattern_budget: int,
-    t_norm_upper: float | None,
-):
-    """One copy's stabilized run: select ``m`` levels, grow their blocks.
-
-    Returns ``(target, assignments, witnesses, levels, run_data)``: the
-    depth-``m - 1`` target registry, the blocks on ``host_copy`` in target
-    order, their witnesses over the source diagonal map ``diag``, the
-    selected levels, and the run's record under the certificate's metadata
-    keys (``steps``, ``relaxed_steps``, ``chain``, ``level_means``,
-    ``selection``, ``norm_upper``).
-    """
-    p = as_exponent(exponent)
-    depth_count = len(d_levels)
-    gamma = t_norm_upper
-    if gamma is None:
-        gamma = diagonal_multiplier_bound(
-            p, max(float(np.abs(d).max()) for d in d_levels.values())
-        )
-        gamma = max(gamma, 1e-300)
-    level_means = [
-        math.fsum(d_levels[lev]) / len(d_levels[lev]) for lev in range(depth_count)
-    ]
-    min_level = 0
-    if mode == "paper":
-        need = scalar_depth_hypothesis(m, eps, gamma)
-        if depth_count <= need:
-            raise ReductionError(
-                f"paper mode needs more than {need:.2f} source levels for "
-                f"m={m}, eps={eps}, norm bound {gamma}; have {depth_count}",
-                required=need,
-                achieved=depth_count,
-            )
-        min_level = scalar_level_floor(m, eps, gamma)
-        if min_level >= depth_count:
-            raise ReductionError(
-                f"paper-mode level floor {min_level} exceeds available depth "
-                f"{depth_count - 1}",
-                required=min_level,
-            )
-    max_block = max(int(math.log2(pattern_budget)), 1)
-
-    def feasible(choice: tuple[int, ...]) -> bool:
-        return all(lev - j <= max_block for j, lev in enumerate(choice))
-
-    levels, selection = pigeonhole_levels(
-        level_means, m, eps, gamma,
-        min_level=min_level, feasible=feasible,
-    )
-    target = BasisRegistry.single_copy(m)
-    assignments, steps, relaxed = _scalar_induction(
-        source, target, host_copy, d_levels, levels, eps,
-        search=search, seed=seed, pattern_budget=pattern_budget,
-    )
-    witnesses = _block_witnesses(diag, assignments, target.indices)
-    run_data = {
-        "steps": steps,
-        "relaxed_steps": relaxed,
-        "chain": _chain_records(d_levels, levels, assignments, level_means),
-        "level_means": level_means,
-        "selection": selection,
-        "norm_upper": gamma,
-    }
-    return target, assignments, witnesses, levels, run_data
+    return copy, diag, d_levels
 
 
 def reduce_to_scalar_finite(
@@ -937,15 +855,58 @@ def reduce_to_scalar_finite(
     if mode not in ("paper", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}; expected paper or adaptive")
     host_copy, diag, d_levels = _single_copy_diag(T)
-    target, assignments, witnesses, levels, run_data = _stabilized_run(
-        T.exponent, T.registry, host_copy, diag, d_levels, m, eps, mode,
-        search=search, seed=seed, pattern_budget=pattern_budget,
-        t_norm_upper=t_norm_upper,
+    p = as_exponent(T.exponent)
+    depth_count = len(d_levels)
+    gamma = t_norm_upper
+    if gamma is None:
+        gamma = diagonal_multiplier_bound(
+            p, max(float(np.abs(d).max()) for d in d_levels.values())
+        )
+        gamma = max(gamma, 1e-300)
+    level_means = [
+        math.fsum(d_levels[lev]) / len(d_levels[lev]) for lev in range(depth_count)
+    ]
+    min_level = 0
+    if mode == "paper":
+        need = scalar_depth_hypothesis(m, eps, gamma)
+        if depth_count <= need:
+            raise ReductionError(
+                f"paper mode needs more than {need:.2f} source levels for "
+                f"m={m}, eps={eps}, norm bound {gamma}; have {depth_count}",
+                required=need,
+                achieved=depth_count,
+            )
+        min_level = scalar_level_floor(m, eps, gamma)
+        if min_level >= depth_count:
+            raise ReductionError(
+                f"paper-mode level floor {min_level} exceeds available depth "
+                f"{depth_count - 1}",
+                required=min_level,
+            )
+    max_block = max(int(math.log2(pattern_budget)), 1)
+
+    def feasible(choice: tuple[int, ...]) -> bool:
+        return all(lev - j <= max_block for j, lev in enumerate(choice))
+
+    levels, selection = pigeonhole_levels(
+        level_means, m, eps, gamma,
+        min_level=min_level, feasible=feasible,
     )
+    target = BasisRegistry.single_copy(m)
+    assignments, steps, relaxed = _scalar_induction(
+        T.registry, target, host_copy, d_levels, levels, eps,
+        search=search, seed=seed, pattern_budget=pattern_budget,
+    )
+    witnesses = _block_witnesses(diag, assignments, target.indices)
     averages = [w.value for w in witnesses]
     lambda0 = averages[0]
     metadata = {
-        **run_data,
+        "steps": steps,
+        "relaxed_steps": relaxed,
+        "chain": _chain_records(d_levels, levels, assignments, level_means),
+        "level_means": level_means,
+        "selection": selection,
+        "norm_upper": gamma,
         "lambda_values": averages,
         "lambda_gaps": [abs(a - lambda0) for a in averages],
         "search": search,
@@ -960,132 +921,6 @@ def reduce_to_scalar_finite(
         mode, T, target, assignments, witnesses,
         (lambda0,) * len(witnesses), eps, schedule, metadata,
         scalar=lambda0, scalar_witness=witnesses[0],
-    )
-
-
-def reduce_to_scalar_stitched(
-    T,
-    eps: float,
-    *,
-    search: str = "exhaustive",
-    seed: int = 0,
-    t_norm_upper: float | None = None,
-    pattern_budget: int = 1 << 16,
-    per_copy_eps: float | None = None,
-    window: float | None = None,
-) -> ReductionCertificate:
-    """Compress a multi-copy diagonal operator to a scalar on a stitched model.
-
-    Each source copy is reduced on its own at its deepest workable target
-    depth (falling back toward depth one level by level on failure; depth
-    one always succeeds with residual exactly zero).  The per-copy scalars
-    are then clustered: the window center covering the most copies wins
-    (ties to the smallest copy), ``lambda_0`` is the winner's own scalar,
-    and the member copies are stitched — member ``k`` (in copy order)
-    realizes target copy ``k``, truncated to the depth it actually reached
-    (at most ``k - 1``).
-
-    Per-copy runs use ``eps / (4 (p*-1))`` and the cluster window has radius
-    ``eps / (2 (p*-1))`` so that the multiplier bound lands strictly below
-    ``eps``; both can be overridden.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = as_exponent(T.exponent)
-    source = T.registry
-    if not T.is_diagonal():
-        raise ValueError("stitched scalar reduction needs a diagonal operator")
-    diag = T.diagonal_map()
-    eps_copy = per_copy_eps if per_copy_eps is not None else eps / (
-        4.0 * burkholder_constant(p)
-    )
-    win = window if window is not None else eps / (2.0 * burkholder_constant(p))
-
-    # per copy: the run at its deepest workable target depth, and its
-    # root witness, whose value is the copy's scalar
-    runs = {}
-    roots = {}
-    copy_meta = []
-    for n in sorted(source.depths):
-        depth = source.depths[n]
-        d_levels = _level_diagonals(diag, n, depth)
-        for m_try in range(depth + 1, 0, -1):
-            try:
-                run = _stabilized_run(
-                    T.exponent, source, n, diag, d_levels, m_try, eps_copy,
-                    "adaptive", search=search, seed=seed + 101 * n,
-                    pattern_budget=pattern_budget, t_norm_upper=t_norm_upper,
-                )
-            except (ReductionError, ResourceLimitError):
-                continue
-            _, _, run_witnesses, levels, run_data = run
-            if not run_data["relaxed_steps"]:
-                break
-        else:
-            # depth one never needs stabilization, so this cannot happen;
-            # keep a hard error rather than a silent skip
-            raise ReductionError(f"no workable target depth for copy {n}")
-        runs[n] = run
-        roots[n] = run_witnesses[0]
-        copy_meta.append(
-            {
-                "copy": n,
-                "m": len(levels),
-                "lambda0": roots[n].value,
-                "selected_levels": [int(x) for x in levels],
-            }
-        )
-
-    # largest cluster of per-copy scalars within the window
-    copies = sorted(runs)
-    best_ref = None
-    best_members: list[int] = []
-    for ref in copies:
-        center = roots[ref].value
-        members = [n for n in copies if abs(roots[n].value - center) < win]
-        if len(members) > len(best_members):
-            best_ref = ref
-            best_members = members
-    scalar_witness = roots[best_ref]
-    lambda0 = scalar_witness.value
-
-    # member k keeps its run's blocks and witnesses up to depth k - 1,
-    # relabelled onto target copy k (copy-major, so in target order)
-    stitched: dict[OmegaIndex, BlockAssignment] = {}
-    witnesses = []
-    target_depths = {}
-    for k, n in enumerate(best_members, start=1):
-        target, assignments, run_witnesses, levels, _ = runs[n]
-        depth_k = min(len(levels) - 1, k - 1)
-        target_depths[k] = depth_k
-        for t, w in zip(target.indices, run_witnesses):
-            if t.interval.level <= depth_k:
-                stitched[OmegaIndex(k, t.interval)] = assignments[t]
-                witnesses.append(w)
-
-    target_registry = BasisRegistry(target_depths)
-    averages = [w.value for w in witnesses]
-    metadata = {
-        "per_copy": copy_meta,
-        "cluster": {
-            "reference_copy": int(best_ref),
-            "members": [int(n) for n in best_members],
-            "window": win,
-            "per_copy_eps": eps_copy,
-        },
-        "lambda_values": averages,
-        "lambda_gaps": [abs(a - lambda0) for a in averages],
-        "search": search,
-        "pattern_budget": pattern_budget,
-    }
-    schedule = {
-        "stitched_copies": {int(k): int(n) for k, n in enumerate(best_members, 1)},
-        "seed": seed,
-    }
-    return _build_certificate(
-        "stitched", T, target_registry, stitched, witnesses,
-        (lambda0,) * len(witnesses), eps, schedule, metadata,
-        scalar=lambda0, scalar_witness=scalar_witness,
     )
 
 

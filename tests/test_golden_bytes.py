@@ -20,10 +20,10 @@ from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix
 from haarfactor.randsigns import RandomBlockSpec, exact_moments
 from haarfactor.reduction import (
+    compose_certificates,
     identity_certificate,
     reduce_to_diagonal,
     reduce_to_scalar_finite,
-    reduce_to_scalar_stitched,
 )
 from haarfactor.weightedlp import FixedScheduleAdversary, WeightSequence, play_game
 
@@ -44,11 +44,13 @@ def identity():
     return identity_certificate(S)
 
 
-def stitched():
+def composite():
+    # a multi-copy diagonal to a scalar: onto one copy, then compressed
     source = BasisRegistry({4: 3, 5: 4, 6: 5})
     rng = np.random.default_rng(11)
     d = 0.6 + rng.uniform(-0.01, 0.01, source.dim)
-    return reduce_to_scalar_stitched(DiagonalOperator(4.0, source.indices, d), 0.25)
+    c1 = reduce_to_diagonal(DiagonalOperator(4.0, source.indices, d), {3: 2}, 0.25)
+    return compose_certificates(c1, reduce_to_scalar_finite(c1.target_operator(), 2, 0.25))
 
 
 def diagonal_paper():
@@ -163,9 +165,9 @@ CASES = {
         identity,
         "a31a93df890465e9020b219cf655edae6081ddd6cd95bfda64806d87e9b57439",
     ),
-    "stitched": (
-        stitched,
-        "5c5cec6fd626a480916312b0637e7d693bf43a069ad2e8c965ad60c23e6ed9b3",
+    "composite": (
+        composite,
+        "b802b9473a1ac40d343ed0f2a9184576f8c4dde8fa89ee38eff2aacefddaa8de",
     ),
     "diagonal_paper": (
         diagonal_paper,

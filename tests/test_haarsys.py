@@ -19,12 +19,12 @@ from haarfactor.dyadic import (
     intervals_at_level,
 )
 from haarfactor import haarsys
+from haarfactor.factorize import projection_matrix
 from haarfactor.grids import GridFunction, ProductGrid, lp_norm, pairing
 from haarfactor.haarsys import (
     BasisRegistry,
     BlockAssignment,
     BlockFamily,
-    block_project,
     burkholder_check,
     check_distributional_copy,
     project,
@@ -547,37 +547,45 @@ class TestBlockProject:
         cols = fam.coefficient_columns(source)
         coeffs = np.array([0.3, -1.2, 0.7])
         f = realize(source, cols @ coeffs)
-        got = block_project(source, fam, f)
+        E = projection_matrix(source, BasisRegistry({2: 1}), fam)
+        got = E @ project(source, f)
         assert np.allclose(got, coeffs, atol=1e-14)
 
+    # ``projection_matrix`` is the block-span projection only for a
+    # distributional copy; a family that fails the check does not round-trip
+
     def test_orthogonality_precondition(self):
-        source = BasisRegistry({4: 3})
+        source = BasisRegistry({4: 3, 5: 4})
         overlapping = BlockFamily(
             {
                 OmegaIndex(1, UNIT): BlockAssignment(4, (L(1, 1),), (1,)),
                 OmegaIndex(2, UNIT): BlockAssignment(5, (L(1, 1),), (1,)),
             }
         )
-        # fails earlier: block measure 1/2 != target measure 1
-        with pytest.raises(ValueError, match="measure"):
-            block_project(
-                source, overlapping, GridFunction.constant(source.grid, 0.0)
-            )
+        res = check_distributional_copy(overlapping, source)
+        assert not res.ok and res.detail["condition"] == "union_measure"
+        # block measure 1/2 against target measure 1 halves every coefficient
+        F = overlapping.coefficient_columns(source)
+        E = projection_matrix(source, BasisRegistry({1: 0, 2: 0}), overlapping)
+        np.testing.assert_array_equal(E @ F, 0.5 * np.eye(2))
 
     def test_non_orthogonal_blocks_rejected(self):
         source = BasisRegistry({4: 3, 5: 4})
+        # both children of copy 2 sit on the same block, so their blocks
+        # are not orthogonal and the second is not under {b_parent = -1}
         bad = BlockFamily(
             {
                 OmegaIndex(1, UNIT): BlockAssignment(4, (UNIT,), (1,)),
-                OmegaIndex(2, UNIT): BlockAssignment(
-                    5, tuple(intervals_at_level(0)), (1,)
-                ),
-                OmegaIndex(2, L(1, 1)): BlockAssignment(5, (UNIT,), (1,)),
-                OmegaIndex(2, L(1, 2)): BlockAssignment(5, (UNIT,), (1,)),
+                OmegaIndex(2, UNIT): BlockAssignment(5, (UNIT,), (1,)),
+                OmegaIndex(2, L(1, 1)): BlockAssignment(5, (L(1, 1),), (1,)),
+                OmegaIndex(2, L(1, 2)): BlockAssignment(5, (L(1, 1),), (1,)),
             }
         )
-        with pytest.raises(ValueError):
-            block_project(source, bad, GridFunction.constant(source.grid, 0.0))
+        res = check_distributional_copy(bad, source)
+        assert not res.ok and res.detail["condition"] == "nesting"
+        F = bad.coefficient_columns(source)
+        E = projection_matrix(source, BasisRegistry({1: 0, 2: 1}), bad)
+        assert not np.array_equal(E @ F, np.eye(4))
 
 
 # -- reference oracle: the joint law by cell enumeration ------------------------

@@ -30,7 +30,6 @@ from haarfactor.randsigns import (
     drawn_signs,
     eval_statistic,
     exact_moments,
-    monte_carlo_moments,
     sign_matrix,
     sign_search,
     summarize_form,
@@ -309,11 +308,11 @@ class TestExactMoments:
         assert rep.variance == pytest.approx(rep.closed_form, abs=1e-10)
         assert rep.variance <= rep.bound
 
-    def test_cap_redirects_to_sampling(self):
+    def test_enumeration_beyond_the_cap_is_refused(self):
         reg = BasisRegistry({6: 5})
         spec = RandomBlockSpec(reg, 6, intervals_at_level(5))
         f = reg.haar(OmegaIndex(6, L(1, 1)))
-        with pytest.raises(ResourceLimitError, match="monte_carlo"):
+        with pytest.raises(ResourceLimitError, match="enumeration cap"):
             exact_moments("Y", spec, f, cap=20)
 
     def test_non_diagonal_Z_needs_norm_bound(self):
@@ -370,19 +369,22 @@ class TestClosedVariance:
 
 
 class TestMonteCarlo:
+    """Sampled moments: ``summarize_form`` over ``drawn_signs`` rows."""
+
     def test_matches_exact_within_three_stderr(self):
         reg, spec = level_one_spec(depth=2)
         f = reg.haar(OmegaIndex(3, L(2, 1)))
         exact = exact_moments("Y", spec, f)
-        mc = monte_carlo_moments("Y", spec, f, samples=4096, seed=7)
+        rows = drawn_signs(4096, spec.size, 7)
+        mc = summarize_form("Y", spec.pairings(f), rows, exact.bound)
         assert mc.mode == "monte-carlo" and mc.count == 4096
         assert abs(mc.variance - exact.variance) <= 3 * mc.standard_error
 
     def test_seeded_reproducibility(self):
         reg, spec = level_one_spec()
-        T = shift_operator(reg)
-        a = monte_carlo_moments("Z", spec, T, samples=512, seed=3, t_norm_upper=1.0)
-        b = monte_carlo_moments("Z", spec, T, samples=512, seed=3, t_norm_upper=1.0)
+        C = spec.interaction_matrix(shift_operator(reg))
+        a = summarize_form("Z", C, drawn_signs(512, spec.size, 3), 1.0)
+        b = summarize_form("Z", C, drawn_signs(512, spec.size, 3), 1.0)
         assert a == b
 
 

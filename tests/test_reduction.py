@@ -29,7 +29,6 @@ from haarfactor.reduction import (
     pigeonhole_levels,
     reduce_to_diagonal,
     reduce_to_scalar_finite,
-    reduce_to_scalar_stitched,
     scalar_depth_hypothesis,
     scalar_level_floor,
     verify_certificate,
@@ -547,6 +546,40 @@ class TestReduceToScalarFinite:
         with pytest.raises(ValueError, match="diagonal"):
             reduce_to_scalar_finite(off, 1, 0.5)
 
+    def test_oscillating_diagonal_is_certified_honestly(self):
+        # +-1 striping at every level defeats every half-support
+        # stabilization: each step is recorded as relaxed and the recomputed
+        # bound shows the miss, while a single level is exact
+        source = BasisRegistry.single_copy(5)
+        d = [
+            0.0 if t.interval.level == 0 else (1.0 if t.interval.index % 2 else -1.0)
+            for t in source.indices
+        ]
+        T = DiagonalOperator(2.0, source.indices, d)
+        root = reduce_to_scalar_finite(T, 1, 0.1)
+        assert root.scalar == 0.0 and root.certified_bound == 0.0
+        cert = reduce_to_scalar_finite(T, 3, 0.1)
+        relaxed = [step["target"] for step in cert.metadata["relaxed_steps"]]
+        assert relaxed == ["3/0:1", "3/1:1", "3/1:2"]
+        assert cert.certified_bound > 0.1
+        assert verify_certificate(cert)["ok"]
+
+    def test_pattern_budget_bounds_the_level_selection(self):
+        # only levels 1, 4, 5, 6 share a bin, so the selection needs
+        # 8-member blocks: 2^8 sign patterns per step
+        source = BasisRegistry.single_copy(7)
+        means = [5.0, 0.6, -3.0, -3.0, 0.6, 0.6, 0.6]
+        rng = np.random.default_rng(77)
+        d = np.array([means[t.interval.level] for t in source.indices])
+        d += rng.uniform(-0.01, 0.01, source.dim)
+        T = DiagonalOperator(4.0, source.indices, d)
+        cert = reduce_to_scalar_finite(T, 3, 0.3, pattern_budget=1 << 8)
+        assert cert.schedule["selected_levels"] == [1, 4, 5]
+        assert cert.metadata["pattern_budget"] == 1 << 8
+        assert verify_certificate(cert)["ok"]
+        with pytest.raises(ReductionError, match="no bin"):
+            reduce_to_scalar_finite(T, 3, 0.3, pattern_budget=4)
+
 
 class TestReduceToScalarPaperMode:
     def test_level_floor_formula(self):
@@ -585,59 +618,26 @@ class TestReduceToScalarPaperMode:
             reduce_to_scalar_finite(T, 3, 0.1, mode="paper", t_norm_upper=1.0)
 
 
-class TestReduceToScalarStitched:
-    def test_near_constant_multi_copy(self):
-        source = BasisRegistry({4: 3, 5: 4, 6: 5})
-        rng = np.random.default_rng(11)
-        d = 0.6 + rng.uniform(-0.01, 0.01, source.dim)
-        T = DiagonalOperator(4.0, source.indices, d)
-        cert = reduce_to_scalar_stitched(T, 0.25)
-        assert cert.mode == "stitched"
-        assert cert.metadata["cluster"]["members"] == [4, 5, 6]
-        assert cert.certified_bound < 0.25
-        for k, depth in cert.target_depths.items():
-            assert depth <= k - 1
-        assert verify_certificate(cert)["ok"]
-
-    def test_outlier_copy_is_dropped(self):
-        source = BasisRegistry({4: 3, 5: 4, 6: 5})
-        rng = np.random.default_rng(14)
-        d = np.concatenate(
-            [
-                -0.5 + rng.uniform(-0.01, 0.01, 15),
-                0.6 + rng.uniform(-0.01, 0.01, 31),
-                0.6 + rng.uniform(-0.01, 0.01, 63),
-            ]
-        )
-        T = DiagonalOperator(4.0, source.indices, d)
-        cert = reduce_to_scalar_stitched(T, 0.25)
-        cluster = cert.metadata["cluster"]
-        assert cluster["members"] == [5, 6]
-        assert cluster["reference_copy"] == 5
-        assert abs(cert.scalar - 0.6) < 0.02
-        assert 4 not in cert.schedule["stitched_copies"].values()
-
-    def test_oscillating_diagonal_falls_back_to_roots(self):
-        # +-1 striping at every level defeats any half-support stabilization,
-        # so every copy lands at the depth-zero fallback, which is exact
-        source = BasisRegistry({4: 3, 5: 4})
-        d = np.zeros(source.dim)
-        for i, t in enumerate(source.indices):
-            if t.interval.level > 0:
-                d[i] = 1.0 if t.interval.index % 2 else -1.0
-        T = DiagonalOperator(2.0, source.indices, d)
-        cert = reduce_to_scalar_stitched(T, 0.1)
-        assert all(info["m"] == 1 for info in cert.metadata["per_copy"])
-        assert cert.target_depths == {1: 0, 2: 0}
-        assert cert.scalar == 0.0
-        assert cert.certified_bound == 0.0
-
-    def test_window_and_budget_are_overridable(self):
-        source = BasisRegistry({4: 3})
-        T = DiagonalOperator(4.0, source.indices, [0.2] * source.dim)
-        cert = reduce_to_scalar_stitched(T, 0.25, per_copy_eps=0.01, window=0.05)
-        assert cert.metadata["cluster"]["window"] == 0.05
-        assert cert.metadata["cluster"]["per_copy_eps"] == 0.01
+@pytest.mark.parametrize(
+    "seed, copy_4_center", [(11, 0.6), (14, -0.5)], ids=["near_constant", "outlier_copy"]
+)
+def test_a_multi_copy_diagonal_reaches_a_scalar_through_the_chain(seed, copy_4_center):
+    """A diagonal on ``{4: 3, 5: 4, 6: 5}`` near 0.6, with copy 4 near
+    ``copy_4_center``, reaches a scalar near 0.6 by ``reduce_to_diagonal``
+    onto one copy, then ``reduce_to_scalar_finite``, then composition."""
+    source = BasisRegistry({4: 3, 5: 4, 6: 5})
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([
+        center + rng.uniform(-0.01, 0.01, 2**copy - 1)
+        for copy, center in ((4, copy_4_center), (5, 0.6), (6, 0.6))
+    ])
+    T = DiagonalOperator(4.0, source.indices, d)
+    c1 = reduce_to_diagonal(T, {3: 2}, 0.25)
+    c2 = reduce_to_scalar_finite(c1.target_operator(), 2, 0.25)
+    composite = compose_certificates(c1, c2)
+    assert composite.certified_bound < 0.25
+    assert abs(composite.scalar - 0.6) < 0.02
+    assert verify_certificate(composite)["ok"]
 
 
 # -- identity, composition, verification ---------------------------------------
@@ -746,7 +746,7 @@ class TestCertificateModels:
     """A certificate reads its source model from its operator and builds its
     target model once."""
 
-    @pytest.mark.parametrize("name", ["identity", "stitched", "diagonal_relaxed", "scalar_paper"])
+    @pytest.mark.parametrize("name", ["identity", "composite", "diagonal_relaxed", "scalar_paper"])
     def test_models_are_shared(self, name):
         cert = GOLDEN[name][0]()
         assert cert.source_registry() is cert.source.registry
@@ -898,7 +898,7 @@ class TestWitnessValues:
 
 # golden cases that are certificates or carry one
 CERTIFIED_CASES = (
-    "identity", "stitched", "diagonal_paper", "diagonal_relaxed",
+    "identity", "composite", "diagonal_paper", "diagonal_relaxed",
     "diagonal_sampled", "diagonal_of_diagonal", "scalar_paper",
     "scalar_relaxed", "scalar_sampled", "factorization_exact",
     "factorization_compressed", "dichotomy_of_t", "dichotomy_of_complement",
@@ -920,7 +920,7 @@ class TestGapBound:
         assert report["gap_match"]
         assert report["ok"]
 
-    @pytest.mark.parametrize("name", ["scalar_paper", "scalar_relaxed", "stitched"])
+    @pytest.mark.parametrize("name", ["scalar_paper", "scalar_relaxed", "composite"])
     def test_zeroed_gap_bound_is_refused(self, name):
         doc = json.loads(serialize.dumps(GOLDEN[name][0]()))
         assert doc["payload"]["diagonal_gap_bound"] > 0.0

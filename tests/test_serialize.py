@@ -641,8 +641,9 @@ class TestLeavesReDumpToTheirOwnBytes:
 
 
 CERTIFICATES = [
-    "identity", "stitched", "diagonal_paper", "diagonal_relaxed", "diagonal_sampled",
-    "diagonal_of_diagonal", "scalar_paper", "scalar_relaxed", "scalar_sampled",
+    "identity", "composite", "diagonal_paper", "diagonal_relaxed",
+    "diagonal_sampled", "diagonal_of_diagonal", "scalar_paper", "scalar_relaxed",
+    "scalar_sampled",
 ]
 WITNESSES = [
     "factorization_exact", "factorization_compressed", "dichotomy_of_t",

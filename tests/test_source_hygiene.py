@@ -1,11 +1,12 @@
-"""Source hygiene: no unused import, no unreferenced private function and
-no write-only attribute.
+"""Source hygiene: no unused import, no unreached definition and no
+write-only attribute.
 
 Every module of ``src/haarfactor`` is parsed with :mod:`ast`.  An import
 must be used by code in its module (a name listed in ``__all__`` counts as
-used; ``__init__.py`` re-exports and is exempt).  A module-level function
-whose name starts with ``_`` must be referenced somewhere in ``src/``
-besides its own definition, so that a deletion leaves no dead helper.  An
+used; ``__init__.py`` re-exports and is exempt).  Every module-level
+function and class, public or private, must be reached from ``cli.main``,
+from a module's top-level statements or from a paper object listed in
+``PAPER_OBJECTS``, so that no surface is kept that nothing uses.  An
 attribute that ``src/`` assigns as ``self.<name>`` must be read as
 ``.<name>`` somewhere in ``src/``, ``tests/`` or ``bench/``, or be named in
 a record row of ``serialize.py`` (which reads it by name), so that no
@@ -31,11 +32,15 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _is_all(node):
             return set(ast.literal_eval(node.value))
     return set()
 
@@ -60,15 +65,62 @@ def _loaded_names(tree: ast.Module) -> set[str]:
     }
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names a module reads, reads as attributes, or imports."""
-    names = _loaded_names(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Public names that no command reaches, each kept because it realizes a
+# statement of the paper, or a classical fact, that the named test checks.
+PAPER_OBJECTS = {
+    "lambda_pm_moments": "moments of the half-support averages lambda+- (acceptance test_02)",
+    "conditional_expectation": "Haar functions are martingale differences (acceptance test_09)",
+    "project": "analysis inverts synthesis: project(realize(c)) == c (acceptance test_09)",
+    "burkholder_check": "sign flips cost at most p* - 1, Burkholder (acceptance test_09)",
+    "block_span_project": "the block-span projection of X_{p,w} has norm one (acceptance test_08)",
+    "star_property": "condition (*) on the weights of X_{p,w} (TestStarProperty)",
+    "condition_star": "the block level that makes the Chebyshev failures improbable (TestConditionStar)",
+    "eval_statistic": "the block statistics Y, W and Z at one sign pattern (TestEvaluations)",
+}
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name and attribute name that occurs in ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
     return names
+
+
+def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, str]:
+    """Each module-level definition that nothing reaches, with its
+    ``module:line``.
+
+    Reaching goes by name: a root, or a name or attribute used anywhere in a
+    module's top-level statements other than definitions and ``__all__``,
+    reaches every definition of that name in any module, and a reached
+    definition reaches every name its whole node uses.  This over-approximates
+    what runs, so a definition reported here is reached from no root."""
+    defined: dict[str, list[tuple[str, ast.stmt]]] = {}
+    frontier = set(roots)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defined.setdefault(node.name, []).append((module, node))
+            elif not _is_all(node):
+                frontier |= _names_used(node)
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name in defined and name not in reached:
+            reached.add(name)
+            for _, node in defined[name]:
+                frontier |= _names_used(node)
+    return {
+        name: f"{module}:{node.lineno}"
+        for name, nodes in defined.items() if name not in reached
+        for module, node in nodes
+    }
 
 
 def _self_assigned(tree: ast.Module) -> dict[str, int]:
@@ -112,18 +164,14 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
 
 
-def test_every_private_function_is_referenced():
-    trees = {path.name: _tree(path) for path in MODULES}
-    referenced = set().union(*(_references(tree) for tree in trees.values()))
-    dead = [
-        f"{name}:{node.lineno} {node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and node.name not in referenced
-    ]
-    assert not dead, f"private functions nothing references: {dead}"
+def test_every_definition_is_reached():
+    trees = {path.name: _tree(path) for path in MODULES if path.name != "__init__.py"}
+    dead = _unreached(trees, {"main", *PAPER_OBJECTS})
+    assert not dead, (
+        f"definitions that neither cli.main nor a paper object reaches: {dead}"
+    )
+    # the table lists only what the command line does not reach
+    assert set(PAPER_OBJECTS) <= set(_unreached(trees, {"main"}))
 
 
 def test_the_checks_see_a_dead_helper_and_an_unused_import():
@@ -133,8 +181,21 @@ def test_the_checks_see_a_dead_helper_and_an_unused_import():
         "def _alive():\n    return 1\n\nVALUE = _alive()\n"
     )
     assert set(_bound_imports(tree)) - _loaded_names(tree) == {"os"}
-    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert defined - _references(tree) == {"_dead"}
+    assert set(_unreached({"toy.py": tree}, set())) == {"_dead"}
+
+
+def test_the_reach_check_sees_dead_public_and_private_definitions():
+    tree = ast.parse(
+        "import helpers\n\n"
+        "def main():\n    return helpers._through_attribute()\n\n"
+        "def _through_attribute():\n    return 1\n\n"
+        "def dead_public():\n    return _dead_private()\n\n"
+        "def _dead_private():\n    return 2\n\n"
+        "__all__ = ['main', 'dead_public']\n"
+    )
+    assert _unreached({"toy.py": tree}, {"main"}) == {
+        "dead_public": "toy.py:9", "_dead_private": "toy.py:12",
+    }
 
 
 def test_every_assigned_attribute_is_read():
