@@ -49,10 +49,9 @@ from .weightedlp import (
     GreedyMaxAdversary,
     RandomAdversary,
     WeightSequence,
-    XpwVector,
     impartial_equivalence,
     play_game,
-    xpw_norm,
+    xpw_norms,
 )
 from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, intervals_at_level
 
@@ -459,8 +458,8 @@ def cmd_xpw_game(config):
     xs = [v.coeffs for v in transcript.block_vectors()]
     ys = list(np.eye(config.rounds))
 
-    def norm_w(arr):
-        return xpw_norm(XpwVector(arr, w))
+    def norm_w(rows):
+        return xpw_norms(rows, w)
 
     estimate = impartial_equivalence(
         xs, ys, norm_w, norm_w, samples=config.samples, seed=config.seed

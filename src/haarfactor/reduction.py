@@ -843,10 +843,15 @@ def reduce_to_scalar_finite(
     because the compressed matrix is exactly diagonal here, the multiplier
     bound ``(p*-1) max |lambda_t - lambda_0|``.
 
-    ``pattern_budget`` keeps the level selection to blocks of at most
-    ``log2(pattern_budget)`` members in either search mode, and caps
-    exhaustive sign searches; sampled searches record it in ``metadata``
-    without using it.
+    ``pattern_budget`` bounds the level selection in either search mode:
+    level ``lev`` selected for target depth ``j`` makes blocks of
+    ``2^(lev - j)`` members, and the gap ``lev - j`` is kept at most
+    ``log2(pattern_budget)`` (at least 1), so a block has up to
+    ``pattern_budget`` members, not ``log2(pattern_budget)``.  It also caps
+    exhaustive sign searches, which need ``2^members`` patterns, so a
+    selection that passes the bound can still raise `ResourceLimitError`
+    there (budget 16 admits 8-member blocks, which need 2^8 patterns).
+    Sampled searches record it in ``metadata`` without using it.
     """
     if m < 1:
         raise ValueError("target depth count m must be at least 1")

@@ -33,6 +33,21 @@ normalized coefficient in one array each, each block's slice of them, and
 the largest index.  `GameTranscript.blocks` returns its transcript's
 family, built on first use; any other sequence or iterable of blocks is
 read once into a family of its own, and so checked, on each call.
+
+The equivalence samples are measured in batches, and each value is the
+one the per-sample loop (one draw, one ``X @ a`` and one `xpw_norm` per
+sample) gives, bit for bit.  `impartial_equivalence` draws every
+coefficient vector at once, the same stream as one draw per sample, and
+forms the images a chunk of rows at a time: where each row of a family
+holds at most one nonzero, as the game's block vectors and the unit
+vectors do, an image entry is that one product, which is what the
+matrix product sums to exactly.  `xpw_norms` measures a chunk of rows at
+once; each row of a C-ordered array is reduced exactly as the
+one-dimensional reduce reduces it, and its root is taken as `xpw_norm`
+takes it.  Both norms raise ``|c|^p`` only where ``c != 0`` on large
+arrays that are at least a quarter zeros: ``0.0 ** p`` is ``+0.0``, and
+numpy's vectorized ``pow`` is slow on zeros, which fill three quarters of
+the greedy game's vectors.
 """
 
 from __future__ import annotations
@@ -84,7 +99,9 @@ class WeightSequence:
     reads one read-only float table, grown on demand through ``weight`` so
     that every entry is bitwise the per-index value.  ``p_float`` is
     ``float(p)``, and a power family's ``series_exponent`` is
-    ``decay * 2p/(p-2)``, the exponent of its budget series.
+    ``decay * 2p/(p-2)``, the exponent of its budget series.  A power
+    family converts its exponent ``-decay`` to a float once, here, rather
+    than on every ``weight`` call.
     """
 
     def __init__(self, p, *, decay=None, values=None) -> None:
@@ -100,11 +117,13 @@ class WeightSequence:
             self.kind = "power"
             self.decay = Fraction(decay)
             self.series_exponent = self.decay * self.budget_exponent
+            self._weight_exponent = -float(self.decay)
             self.values = None
         else:
             self.kind = "explicit"
             self.decay = None
             self.series_exponent = None
+            self._weight_exponent = None
             self.values = tuple(Fraction(v) for v in values)
             if any(v <= 0 for v in self.values):
                 raise ValueError("weights must be positive")
@@ -127,7 +146,7 @@ class WeightSequence:
         if n < 1:
             raise ValueError("weight indices start at 1")
         if self.kind == "power":
-            return float(n) ** (-float(self.decay))
+            return float(n) ** self._weight_exponent
         if n > len(self.values):
             raise ValueError(
                 f"index {n} beyond the {len(self.values)} explicit weights"
@@ -246,11 +265,40 @@ class XpwVector:
         return xpw_norm(self)
 
     def padded(self, size: int) -> "XpwVector":
+        """The vector with zeros appended up to ``size`` entries."""
         if size < len(self.coeffs):
             raise ValueError("cannot pad to a smaller size")
         out = np.zeros(size)
         out[: len(self.coeffs)] = self.coeffs
         return XpwVector(out, self.weights)
+
+
+# Cells in one temporary of the batched norms: 2^14 floats (128 KiB),
+# however many rows come, so memory does not grow with the sample count.
+_CHUNK_CELLS = 1 << 14
+
+# The masked power pays for its mask only on arrays this large.
+_MASKED_POWER_MIN = 1024
+
+
+def _abs_power(c: np.ndarray, p: float) -> np.ndarray:
+    """``np.abs(c) ** p``, bit for bit, raising only the nonzero entries
+    when at least a quarter of 1,024 or more entries are zero.
+
+    numpy's vectorized ``pow`` takes several times as long on a zero as on
+    a nonzero entry.  ``|c|`` is raised in place; masked, ``pow`` runs its
+    same elementwise loop on each run of nonzero entries, and the zeros
+    stay the ``+0.0`` that ``0.0 ** p`` is for ``p > 2``.  Small or mostly
+    nonzero arrays would pay more for the mask than it saves, so they are
+    raised whole.
+    """
+    a = np.abs(c)
+    where = True
+    if a.size >= _MASKED_POWER_MIN:
+        nonzero = a != 0
+        if 4 * np.count_nonzero(nonzero) <= 3 * a.size:
+            where = nonzero
+    return np.power(a, p, out=a, where=where)
 
 
 def xpw_norm(x: XpwVector) -> float:
@@ -260,9 +308,37 @@ def xpw_norm(x: XpwVector) -> float:
         return 0.0
     p = x.weights.p_float
     # np.add.reduce is the reduction np.sum dispatches to, minus the dispatch
-    lp = float(np.add.reduce(np.abs(c) ** p)) ** (1.0 / p)
+    lp = float(np.add.reduce(_abs_power(c, p))) ** (1.0 / p)
     l2w = float(np.sqrt(np.add.reduce((c * x.weights.weights(c.size)) ** 2)))
     return max(lp, l2w)
+
+
+def xpw_norms(rows: np.ndarray, w: WeightSequence) -> np.ndarray:
+    """`xpw_norm` of each row of a 2-D array, bit for bit, as one float per row.
+
+    The rows are measured a chunk of at most ``_CHUNK_CELLS`` cells at a
+    time.  ``|c|^p`` and ``(c w)^2`` are raised for the whole chunk and
+    reduced along its rows: each row of a C-ordered array sums exactly as
+    the one-dimensional reduce sums it, and the root is taken row by row as
+    a Python ``float ** (1/p)``, as `xpw_norm` takes it.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must form a two-dimensional array")
+    count, size = rows.shape
+    p = w.p_float
+    root = 1.0 / p
+    weights = w.weights(size)
+    out = np.empty(count)
+    step = max(1, _CHUNK_CELLS // max(size, 1))
+    for start in range(0, count, step):
+        part = rows[start : start + step]
+        lp = np.add.reduce(_abs_power(part, p), axis=1).tolist()
+        squares = np.multiply(part, weights)
+        np.square(squares, out=squares)
+        l2w = np.sqrt(np.add.reduce(squares, axis=1)).tolist()
+        out[start : start + step] = [max(s**root, t) for s, t in zip(lp, l2w)]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,11 +492,9 @@ def block_span_project(x: XpwVector, blocks: Iterable[Block]) -> XpwVector:
     if family.overlap is not None:
         raise ValueError("blocks {} and {} overlap at index {}".format(*family.overlap))
     size = len(x.coeffs)
-    padded = x.coeffs
-    if family.top > size:  # part of the support lies past x
-        padded = np.zeros(family.top)
-        padded[:size] = x.coeffs
-    gathered = padded[family.positions]
+    # zeros past x's end where part of the support lies past it
+    padded = x if family.top <= size else x.padded(family.top)
+    gathered = padded.coeffs[family.positions]
     weights = [
         b.functional_scale * float(np.dot(b.coeffs, gathered[span]))
         for b, span in zip(family, family.spans)
@@ -560,7 +634,6 @@ class GameTranscript:
         ``disjoint_supports`` too.
         """
         w = self.weights
-        under_cap = _window_cap(w, self.eps)
         ordering = []
         windows = []
         rederived = []
@@ -583,7 +656,7 @@ class GameTranscript:
             t_k = w.budget(k)
             windows.append(
                 S == r.block.budget and r.budget_target == t_k
-                and S >= t_k and under_cap(S, t_k)
+                and S >= t_k and _window_cap(w, self.eps, t_k)(S)
             )
         disjoint = self._family.overlap is None
         report = {
@@ -600,19 +673,21 @@ class GameTranscript:
         return report
 
 
-def _window_cap(w: WeightSequence, eps) -> Callable[[Fraction, Fraction], bool]:
-    """The exact upper edge of the round window, ``S <= (1+eps)^{p/(p-2)} t``.
+def _window_cap(w: WeightSequence, eps, t: Fraction) -> Callable[[Fraction], bool]:
+    """The exact upper edge of the round window with target ``t > 0``:
+    whether ``S <= (1+eps)^{p/(p-2)} t``.
 
-    With ``p/(p-2) = num/den`` in lowest terms it is decided as
-    ``(S/t)^den <= (1+eps)^num``, in rationals.
+    With ``p/(p-2) = num/den`` in lowest terms that is
+    ``(S/t)^den <= (1+eps)^num``, decided in rationals as
+    ``S^den <= (1+eps)^num t^den`` with the right side computed once per
+    round.  When ``p/(p-2)`` is an integer (``p = 4`` gives 2) it is
+    ``S <= cap * t``: one Fraction comparison per index scanned.
     """
     q = w.p / (w.p - 2)
-    cap = (1 + eps) ** q.numerator
-
-    def under_cap(S: Fraction, t: Fraction) -> bool:
-        return (S / t) ** q.denominator <= cap
-
-    return under_cap
+    limit = (1 + eps) ** q.numerator * t**q.denominator
+    if q.denominator == 1:
+        return lambda S: S <= limit
+    return lambda S: S**q.denominator <= limit
 
 
 def play_game(
@@ -639,7 +714,6 @@ def play_game(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    under_cap = _window_cap(w, eps)
     out: list[GameRound] = []
     frontier = 0
     for k in range(1, rounds + 1):
@@ -647,6 +721,7 @@ def play_game(
         if move < 1:
             raise ValueError(f"round {k}: adversary move must be positive")
         t_k = w.budget(k)
+        under_cap = _window_cap(w, eps, t_k)
         chosen: list[int] = []
         S = Fraction(0)
         n = max(move, frontier) + 1
@@ -658,7 +733,7 @@ def play_game(
                     f"{max(move, frontier)} without filling the budget window"
                 )
             candidate = S + w.budget(n)
-            if under_cap(candidate, t_k):
+            if under_cap(candidate):
                 S = candidate
                 chosen.append(n)
             n += 1
@@ -693,14 +768,19 @@ class ImpartialEstimate:
 def impartial_equivalence(
     xs: Sequence[np.ndarray],
     ys: Sequence[np.ndarray],
-    norm_x: Callable[[np.ndarray], float],
-    norm_y: Callable[[np.ndarray], float],
+    norm_x: Callable[[np.ndarray], Sequence[float]],
+    norm_y: Callable[[np.ndarray], Sequence[float]],
     *,
     samples: int = 1000,
     seed: int = 0,
 ) -> ImpartialEstimate:
     """Estimate the two-sided equivalence constant of two finite families
-    from ``samples >= 1`` Gaussian combinations."""
+    from ``samples >= 1`` Gaussian combinations.
+
+    ``norm_x`` and ``norm_y`` map a 2-D array, one vector per row, to one
+    float per row (`xpw_norms` with its weights, say).  All coefficient
+    vectors are drawn at once, the same stream as one draw per sample, and
+    each family's combinations are measured by :func:`_sampled_norms`."""
     if len(xs) != len(ys):
         raise ValueError("families must have equal length")
     if not xs:
@@ -709,12 +789,14 @@ def impartial_equivalence(
         raise ValueError(f"need at least one sample, got {samples}")
     X = np.column_stack([np.asarray(x, dtype=float) for x in xs])
     Y = np.column_stack([np.asarray(y, dtype=float) for y in ys])
-    rng = np.random.default_rng(seed)
+    coefficients = np.random.default_rng(seed).standard_normal((samples, len(xs)))
     hi = 0.0
     lo = math.inf
-    for _ in range(samples):
-        a = rng.standard_normal(len(xs))
-        r = norm_x(X @ a) / norm_y(Y @ a)
+    for nx, ny in zip(
+        _sampled_norms(X, coefficients, norm_x).tolist(),
+        _sampled_norms(Y, coefficients, norm_y).tolist(),
+    ):
+        r = nx / ny
         hi = max(hi, r)
         lo = min(lo, r)
     return ImpartialEstimate(
@@ -723,3 +805,37 @@ def impartial_equivalence(
         backward=(1.0 / lo) ** 2,
         samples=samples,
     )
+
+
+def _sampled_norms(
+    F: np.ndarray,
+    coefficients: np.ndarray,
+    norm: Callable[[np.ndarray], Sequence[float]],
+) -> np.ndarray:
+    """``norm`` of ``F @ a`` for each row ``a`` of ``coefficients``, with
+    the images formed a chunk of at most ``_CHUNK_CELLS`` cells at a time.
+
+    Where every row of ``F`` holds at most one nonzero (blocks of disjoint
+    supports, unit vectors), an image is ``np.take(a, cols) * vals``, the
+    floats ``F @ a`` gives: its sum is that one product plus ``±0`` terms,
+    exact in any order, with or without a fused multiply-add.  An empty row
+    may come out ``-0.0`` where the product gives ``+0.0``; no norm term
+    tells the two apart.  Any other family keeps one ``F @ a`` per sample,
+    because a matrix product may round differently.
+    """
+    size = F.shape[0]
+    single = bool(np.all(np.count_nonzero(F, axis=1) <= 1))
+    if single:
+        cols = np.argmax(F != 0, axis=1)
+        vals = F[np.arange(size), cols]
+    out = np.empty(len(coefficients))
+    step = max(1, _CHUNK_CELLS // max(size, 1))
+    for start in range(0, len(coefficients), step):
+        part = coefficients[start : start + step]
+        if single:
+            images = np.take(part, cols, axis=1)
+            images *= vals
+        else:
+            images = np.array([F @ a for a in part])
+        out[start : start + step] = norm(images)
+    return out

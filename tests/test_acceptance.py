@@ -48,6 +48,7 @@ from haarfactor.weightedlp import (
     impartial_equivalence,
     play_game,
     xpw_norm,
+    xpw_norms,
 )
 
 
@@ -335,13 +336,13 @@ def test_08_game_blocks_are_impartial_and_contractively_projected():
         size = transcript.ambient_size()
         X = np.column_stack([v.coeffs for v in transcript.block_vectors()])
 
-        def norm(arr):
-            return xpw_norm(XpwVector(arr, GAME_WEIGHTS))
+        def norms(rows):
+            return xpw_norms(rows, GAME_WEIGHTS)
 
         est = impartial_equivalence(
             [X[:, k] for k in range(8)],
             [np.eye(8)[k] for k in range(8)],
-            norm, norm, samples=1000, seed=11,
+            norms, norms, samples=1000, seed=11,
         )
         assert est.samples == 1000
         assert est.forward <= 1.1 + 1e-9, name

@@ -27,6 +27,7 @@ from haarfactor.weightedlp import (
     play_game,
     star_property,
     xpw_norm,
+    xpw_norms,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -116,6 +117,16 @@ class TestWeightSequence:
         assert w.budget_exponent == 4
         assert w.budget(3) == Fraction(1, 3)
         assert w.budget(10) == Fraction(1, 10)
+
+    @pytest.mark.parametrize(
+        "decay", [Fraction(1, 4), Fraction(1, 3), Fraction(-1, 4), Fraction(0)]
+    )
+    def test_power_weight_is_the_per_call_conversion(self, decay):
+        # the exponent is converted once; each weight keeps the bits of
+        # converting the Fraction on every call
+        w = WeightSequence.power(4, decay)
+        for n in (1, 2, 3, 17, 7859, 10**6):
+            assert w.weight(n).hex() == (float(n) ** (-float(decay))).hex()
 
     def test_growing_power_budget(self):
         w = WeightSequence.power(4, Fraction(-1, 4))
@@ -560,6 +571,23 @@ class TestPlayGame:
         assert r.block.budget == Fraction(1)
         assert t.verify()["ok"]
 
+    @pytest.mark.parametrize(
+        "p", [3, 4, 6, Fraction(5, 2), Fraction(10, 3), 5]
+    )
+    def test_window_cap_is_the_quotient_inequality(self, p):
+        # S <= cap * t, and S^den <= cap * t^den, decide what
+        # (S/t)^den <= (1+eps)^num decides, for every target t > 0
+        w = WeightSequence.power(p, Fraction(1, 4))
+        q = w.p / (w.p - 2)
+        for eps in (Fraction(1, 10), Fraction(1, 3), Fraction(2)):
+            cap = (1 + eps) ** q.numerator
+            for t in (Fraction(1), Fraction(1, 7), Fraction(13, 12), Fraction(5)):
+                under_cap = weightedlp._window_cap(w, eps, t)
+                edge = t * Fraction(float(1 + eps) ** float(q))  # near the edge
+                for S in (t, edge * Fraction(99, 100), edge, edge * Fraction(101, 100),
+                          t * cap, t * cap + Fraction(1, 10**9), 3 * t):
+                    assert under_cap(S) == ((S / t) ** q.denominator <= cap)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="at least one round"):
             play_game(FixedScheduleAdversary([1]), 0, self.W, self.EPS)
@@ -645,9 +673,12 @@ class TestImpartialEquivalence:
     def norm(self, arr):
         return xpw_norm(XpwVector(arr, self.W))
 
+    def norms(self, rows):
+        return [self.norm(row) for row in rows]
+
     def test_identical_families_give_exactly_one(self):
         xs = [np.eye(3)[i] for i in range(3)]
-        est = impartial_equivalence(xs, xs, self.norm, self.norm, samples=50)
+        est = impartial_equivalence(xs, xs, self.norms, self.norms, samples=50)
         assert est.constant == 1.0
         assert est.forward == 1.0
         assert est.backward == 1.0
@@ -655,7 +686,7 @@ class TestImpartialEquivalence:
     def test_doubling_gives_four(self):
         xs = [np.eye(3)[i] for i in range(3)]
         ys = [2.0 * x for x in xs]
-        est = impartial_equivalence(xs, ys, self.norm, self.norm, samples=50)
+        est = impartial_equivalence(xs, ys, self.norms, self.norms, samples=50)
         assert est.constant == pytest.approx(4.0, rel=1e-12)
         assert est.backward == pytest.approx(4.0, rel=1e-12)
         assert est.forward == pytest.approx(0.25, rel=1e-12)
@@ -667,7 +698,7 @@ class TestImpartialEquivalence:
         xs = [v.coeffs for v in t.block_vectors()]
         ys = [np.eye(8)[i] for i in range(8)]
         est = impartial_equivalence(
-            xs, ys, self.norm, self.norm, samples=200, seed=4
+            xs, ys, self.norms, self.norms, samples=200, seed=4
         )
         assert est.constant <= 1.1 + 1e-9
         assert est.forward <= 1.1 + 1e-9
@@ -690,14 +721,14 @@ class TestImpartialEquivalence:
         # an equivalence constant is at least 1; with no sample it read 0.0
         xs = [np.eye(2)[i] for i in range(2)]
         with pytest.raises(ValueError, match="at least one sample, got"):
-            impartial_equivalence(xs, xs, self.norm, self.norm, samples=samples)
+            impartial_equivalence(xs, xs, self.norms, self.norms, samples=samples)
 
     def test_validation(self):
         xs = [np.ones(2)]
         with pytest.raises(ValueError, match="equal length"):
-            impartial_equivalence(xs, xs * 2, self.norm, self.norm)
+            impartial_equivalence(xs, xs * 2, self.norms, self.norms)
         with pytest.raises(ValueError, match="non-empty"):
-            impartial_equivalence([], [], self.norm, self.norm)
+            impartial_equivalence([], [], self.norms, self.norms)
 
 
 # ------------------------------------------------------ cached block geometry
@@ -814,6 +845,109 @@ class TestCachedGeometryIsBitIdentical:
         forward, backward = self.EQUIVALENCE[name]
         assert (eq["forward"].hex(), eq["backward"].hex()) == (forward, backward)
         assert eq["constant"].hex() == max(forward, backward, key=float.fromhex)
+
+
+def per_sample_equivalence(xs, ys, norm, *, samples, seed):
+    """``(constant, forward, backward)`` from one draw, one ``X @ a`` and
+    one norm call per sample, as the estimator measured before it batched
+    its samples."""
+    X = np.column_stack([np.asarray(x, dtype=float) for x in xs])
+    Y = np.column_stack([np.asarray(y, dtype=float) for y in ys])
+    rng = np.random.default_rng(seed)
+    hi = 0.0
+    lo = math.inf
+    for _ in range(samples):
+        a = rng.standard_normal(len(xs))
+        r = norm(X @ a) / norm(Y @ a)
+        hi = max(hi, r)
+        lo = min(lo, r)
+    return max(hi, 1.0 / lo) ** 2, hi**2, (1.0 / lo) ** 2
+
+
+class TestBatchedNormsAreBitIdentical:
+    """`xpw_norms` gives each row the bits of the per-vector norm, and the
+    batched estimator gives the bits of the per-sample loop."""
+
+    W = WeightSequence.power(4, Fraction(1, 4))
+
+    @staticmethod
+    def rows_with_zero_runs(size, seed):
+        """Seven rows on both sides of the masked power's gate: dense, a
+        quarter zero (on the gate when ``size`` is a multiple of four, just
+        under it otherwise), three quarters zero in one run, zero runs of
+        several lengths, ``-0.0`` in every third entry, underflowing
+        powers, and all zero."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((7, size))
+        rows[1, : size // 4] = 0.0
+        rows[2, size // 8 : size - size // 8] = 0.0
+        for start in range(0, size, 40):
+            rows[3, start : start + start % 37] = 0.0
+        rows[4, ::3] = -0.0
+        rows[5] *= 1e-90
+        rows[5, size // 2 :] = 0.0
+        rows[6] = 0.0
+        return rows
+
+    @pytest.mark.parametrize("p", [3, 4, 6])
+    @pytest.mark.parametrize("size", [25, 219, 1024, 7859])
+    def test_row_norms_match_the_per_vector_norm(self, size, p):
+        w = WeightSequence.power(p, Fraction(1, 4))
+        rows = self.rows_with_zero_runs(size, seed=size + p)
+        batched = xpw_norms(rows, w)
+        assert batched.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            x = XpwVector(row, w)
+            want = uncached_xpw_norm(x).hex()
+            assert float(batched[i]).hex() == want
+            assert float(xpw_norms(rows[i : i + 1], w)[0]).hex() == want
+            assert xpw_norm(x).hex() == want
+            power = weightedlp._abs_power(row, w.p_float)
+            assert power.tobytes() == (np.abs(row) ** w.p_float).tobytes()
+
+    def test_row_norm_edges(self):
+        assert xpw_norms(np.zeros((3, 0)), self.W).tolist() == [0.0, 0.0, 0.0]
+        assert xpw_norms(np.zeros((0, 5)), self.W).shape == (0,)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            xpw_norms(np.ones(4), self.W)
+
+    def assert_matches_the_loop(self, xs, *, samples, seed):
+        """The batched estimate of ``xs`` against the unit vectors, with
+        `xpw_norms`, has the per-sample loop's bits."""
+        ys = list(np.eye(len(xs)))
+
+        def norms(rows):
+            return xpw_norms(rows, self.W)
+
+        est = impartial_equivalence(xs, ys, norms, norms, samples=samples, seed=seed)
+        want = per_sample_equivalence(
+            xs, ys, lambda c: uncached_xpw_norm(XpwVector(c, self.W)),
+            samples=samples, seed=seed,
+        )
+        assert est.samples == samples
+        assert [est.constant.hex(), est.forward.hex(), est.backward.hex()] == [
+            v.hex() for v in want
+        ]
+
+    @pytest.mark.parametrize("samples", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("name", sorted(ACCEPTANCE_GAMES))
+    def test_estimator_matches_the_per_sample_loop(self, name, seed, samples):
+        t = play_game(ACCEPTANCE_GAMES[name](), 8, self.W, Fraction(1, 10))
+        xs = [v.coeffs for v in t.block_vectors()]
+        self.assert_matches_the_loop(xs, samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("family", ["shared row", "dense"])
+    def test_rows_with_two_nonzeros_take_one_product_per_sample(self, family):
+        t = play_game(ACCEPTANCE_GAMES["fixed"](), 8, self.W, Fraction(1, 10))
+        xs = [v.coeffs.copy() for v in t.block_vectors()]
+        if family == "shared row":
+            # block 1's vector also holds an entry where block 0 lives
+            xs[1][t.rounds[0].block.positions[0]] = 0.3
+        else:
+            xs = list(np.random.default_rng(2).standard_normal((8, 30)))
+        assert np.count_nonzero(np.column_stack(xs), axis=1).max() >= 2
+        self.assert_matches_the_loop(xs, samples=300, seed=3)
 
 
 class TestBlockCacheContract:
