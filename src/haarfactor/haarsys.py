@@ -39,6 +39,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
@@ -76,6 +77,10 @@ __all__ = [
 # each worker 2 MB of peak memory per extra row).
 _BATCH_CELLS = 1 << 16
 
+# Models :meth:`BasisRegistry.of` keeps: each of the benchmark's workloads
+# reads 7 depth maps.
+_SHARED_MODELS = 64
+
 
 class BasisRegistry:
     """The truncated model: per-copy depths, coordinates, and Haar profiles.
@@ -105,6 +110,7 @@ class BasisRegistry:
                     )
                 res[copy] = r
         self.grid = ProductGrid.from_mapping(res, cell_cap)
+        self._measures: np.ndarray | None = None
         self._blocks: tuple[tuple[int, slice, np.ndarray], ...] | None = None
         self._profile_rows: tuple[np.ndarray, ...] = ()
         self._plans: tuple[tuple[slice, np.ndarray, np.ndarray], ...] | None = None
@@ -123,12 +129,25 @@ class BasisRegistry:
             depth = copy - 1
         return cls({copy: depth}, cell_cap)
 
+    @staticmethod
+    def of(depths: Mapping[int, int]) -> "BasisRegistry":
+        """The model of ``depths``, at the default cell cap, shared by every
+        caller in the process, so that its cached profile blocks, rank plans
+        and measures are built once; treat it as read-only."""
+        return _shared_model(tuple(sorted(depths.items())))
+
     @property
     def dim(self) -> int:
         return len(self.indices)
 
     def measures(self) -> np.ndarray:
-        return np.array([float(t.interval.measure) for t in self.indices])
+        """``|I_t|`` per index, as a read-only float array built on first
+        use; each is exact, since ``|I_t|`` is a power of two."""
+        if self._measures is None:
+            measures = np.array([float(t.interval.measure) for t in self.indices])
+            measures.flags.writeable = False
+            self._measures = measures
+        return self._measures
 
     def resolution_of(self, copy: int) -> int:
         return self.grid.resolution_of(copy)
@@ -179,6 +198,11 @@ class BasisRegistry:
 
     def haar(self, t: OmegaIndex) -> GridFunction:
         return GridFunction.from_summands(self.grid, [(t.copy, self.haar_profile(t))])
+
+
+@lru_cache(maxsize=_SHARED_MODELS)
+def _shared_model(depths: tuple[tuple[int, int], ...]) -> BasisRegistry:
+    return BasisRegistry(dict(depths))
 
 
 def realize(registry: BasisRegistry, coeffs) -> GridFunction:

@@ -4,8 +4,9 @@ An :class:`OperatorMatrix` stores the action of an operator on the Haar-type
 basis of a truncated model in *column* convention: column ``t`` holds the
 basis coefficients of the image of basis vector ``t``.  The basis is a
 tuple of :class:`~haarfactor.dyadic.OmegaIndex` in the canonical order.
-Each operator owns the model its basis spans (``registry``, built once on
-first use), and every reduction and factorization stage reads that one.
+Each operator reads the model its basis spans (``registry``, looked up once
+on first use and shared by every operator on the same basis), and every
+reduction and factorization stage reads that one.
 
 Norms are the operator norms induced by the Lp norm of realized functions;
 ``opnorm_upper_unconditional`` gives a sound upper bound for diagonal
@@ -65,8 +66,9 @@ class _TruncatedOperator:
     """What both operator kinds share: the exponent, the basis in the
     canonical order, and the truncated model the basis spans.
 
-    ``registry`` is the model, built on first use and kept, so that every
-    stage that reads it reads the same one.
+    ``registry`` is the model, looked up on first use by
+    :meth:`BasisRegistry.of` and kept, so that every stage, and every
+    operator on the same basis, reads the same one.
     """
 
     def __init__(self, exponent, basis: Sequence[OmegaIndex]) -> None:
@@ -83,7 +85,7 @@ class _TruncatedOperator:
     @cached_property
     def registry(self) -> BasisRegistry:
         """The full truncation the basis enumerates, as a registry."""
-        registry = BasisRegistry(deepest_levels(self.basis))
+        registry = BasisRegistry.of(deepest_levels(self.basis))
         if registry.indices != self.basis:
             raise ValueError(
                 "operator basis is not a full truncation ordered by the basis order"

@@ -125,7 +125,9 @@ class ReductionCertificate:
     Treat instances (including ``schedule`` and ``metadata``) as immutable.
 
     ``source_registry()`` is the source operator's own model, and
-    ``target_registry()`` the target model, built once per certificate.
+    ``target_registry()`` the target model, the one :meth:`BasisRegistry.of`
+    shares with the reduction that made it and with every other
+    certificate of the same target depths.
     Loading refuses recorded depths that the source basis or the family's
     targets do not fill.
     """
@@ -161,7 +163,7 @@ class ReductionCertificate:
 
     @cached_property
     def _target_model(self) -> BasisRegistry:
-        return BasisRegistry(dict(self.target_depths))
+        return BasisRegistry.of(self.target_depths)
 
     def target_operator(self) -> DiagonalOperator:
         return DiagonalOperator(
@@ -447,7 +449,7 @@ def reduce_to_diagonal(
         raise ValueError(f"unknown mode {mode!r}; expected paper or adaptive")
     p = as_exponent(T.exponent)
     source = T.registry
-    target_registry = BasisRegistry(dict(target_depths))
+    target_registry = BasisRegistry.of(target_depths)
     targets = target_registry.indices
     dim = len(targets)
 
@@ -897,7 +899,7 @@ def reduce_to_scalar_finite(
         level_means, m, eps, gamma,
         min_level=min_level, feasible=feasible,
     )
-    target = BasisRegistry.single_copy(m)
+    target = BasisRegistry.of({m: m - 1})
     assignments, steps, relaxed = _scalar_induction(
         T.registry, target, host_copy, d_levels, levels, eps,
         search=search, seed=seed, pattern_budget=pattern_budget,

@@ -18,7 +18,13 @@ Rules that keep the artifacts trustworthy as records:
   them with ``ValueError`` before any byte is written, and loading rejects
   the ``NaN``/``Infinity``/``-Infinity`` tokens with :class:`SchemaError`;
 * floats render as shortest round-tripping decimals, so entries reload
-  to the exact same binary values; exact rationals render as ``"13/12"``
+  to the exact same binary values.  Float vectors and matrices go to the
+  renderer as float64 arrays, row by row: an entry whose bits are all zero
+  is ``+0.0``, whose repr is always ``"0.0"``, so a row with many of them
+  starts as a list of ``"0.0"`` and only its other entries (``-0.0``
+  among them) go through ``float.__repr__``.  Each entry's text is still
+  its repr, so the bytes are those ``json.dumps`` writes for the same
+  lists; exact rationals render as ``"13/12"``
   strings; basis lists reload to the exact same index tuples;
 * loading validates: the schema version, the exact field set of every
   object (unknown or missing fields are named), the JSON type of every
@@ -48,6 +54,7 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -140,10 +147,22 @@ def _finite(value) -> float:
     return out
 
 
+# Distinct texts each string leaf keeps parsed: an artifact repeats its
+# indices, intervals and fractions (a basis, then a family over it), and the
+# benchmark's workloads read 247 distinct index texts, 127 interval texts
+# and 34 fraction texts.
+_PARSED_TEXTS = 1 << 12
+
+
 def _spelled(parse):
     """``parse``, refusing every text but the one ``str`` writes for its value,
-    so that a loaded document re-dumps to its own bytes."""
+    so that a loaded document re-dumps to its own bytes.
 
+    Each distinct text is parsed once: the values are frozen, so sharing
+    them is safe, and a refused text raises again on every read, since
+    ``lru_cache`` keeps no exception."""
+
+    @lru_cache(maxsize=_PARSED_TEXTS)
     def read(text):
         value = parse(text)
         if str(value) != text:
@@ -278,13 +297,14 @@ def _basis_from(strings, where) -> tuple:
     return tuple(out)
 
 
-def _float_lists(array, where) -> list:
-    return np.asarray(array, dtype=float).tolist()
+def _float_array(values, where) -> np.ndarray:
+    """The float64 array `_render` writes as the list its ``tolist()`` is."""
+    return np.asarray(values, dtype=float)
 
 
-_VECTOR = (_float_lists, _vector_from)
-_FLOATS = (_float_lists, lambda v, where: tuple(_vector_from(v, where).tolist()))
-_MATRIX = (_float_lists, _rows_from)
+_VECTOR = (_float_array, _vector_from)
+_FLOATS = (_float_array, lambda v, where: tuple(_vector_from(v, where).tolist()))
+_MATRIX = (_float_array, _rows_from)
 _BASIS = (lambda basis, where: [str(ix) for ix in basis], _basis_from)
 
 
@@ -598,7 +618,7 @@ _ROUND = _record(
         ("budget_target", "budget_target", *_FRACTION),
         ("block_coeffs", "block.coeffs", *_VECTOR),
         ("functional_coeffs", "block.functional",
-         lambda functional, where: _float_lists(functional(), where), _vector_from),
+         lambda functional, where: _float_array(functional(), where), _vector_from),
     ),
 )
 
@@ -651,7 +671,14 @@ _KINDS = {
 
 
 def document(obj, *, metadata: dict | None = None) -> dict:
-    """Wrap a package object into its self-describing document."""
+    """Wrap a package object into its self-describing document, a tree of
+    JSON types only."""
+    return _json_types(_document(obj, metadata))
+
+
+def _document(obj, metadata: dict | None) -> dict:
+    """The document of ``obj``, with its float vectors and matrices left as
+    float64 arrays for `_render`."""
     for kind, (cls, write, _) in _KINDS.items():
         if isinstance(obj, cls):
             return {
@@ -661,6 +688,17 @@ def document(obj, *, metadata: dict | None = None) -> dict:
                 "metadata": _encode_tree(metadata or {}, "metadata"),
             }
     raise SchemaError(f"no document form for {type(obj).__name__}")
+
+
+def _json_types(tree):
+    """``tree`` with each array replaced by its ``tolist()``, in one walk."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if type(tree) is dict:
+        return {key: _json_types(value) for key, value in tree.items()}
+    if type(tree) is list:
+        return [_json_types(value) for value in tree]
+    return tree
 
 
 def undocument(doc: dict):
@@ -684,7 +722,7 @@ def dumps(obj, *, metadata: dict | None = None) -> str:
     A NaN or infinite float raises ``ValueError``; a dict key that is not a
     ``str`` and a value of any non-JSON type raise ``TypeError``.
     """
-    doc = obj if _is_document(obj) else document(obj, metadata=metadata)
+    doc = obj if _is_document(obj) else _document(obj, metadata)
     out: list[str] = []
     _render(doc, out, "\n")
     out.append("\n")
@@ -710,6 +748,11 @@ def _non_finite_token(token: str):
 
 _quote = json.encoder.encode_basestring_ascii
 
+# A float row of which at least one entry in this many is +0.0 starts as a
+# list of "0.0" and only its other entries go through `float.__repr__`; a
+# row with fewer zeros is joined whole, which is cheaper there.
+_ZERO_ROW_SHARE = 4
+
 
 def _render(value, out: list[str], newline: str) -> None:
     """Append the canonical text of a JSON tree to ``out``.
@@ -717,8 +760,10 @@ def _render(value, out: list[str], newline: str) -> None:
     Types dispatch in ``json``'s own order (``str``; ``None``, ``True``,
     ``False`` before ``int``; ``float`` and its subclasses through
     ``float.__repr__``; list or tuple; dict), and ``newline`` is the line
-    break plus the indentation of the current depth.  A row of exact
-    floats, where nearly all of an artifact's bytes are, is one join.
+    break plus the indentation of the current depth.  A float64 array of
+    one or two dimensions is written as the list its ``tolist()`` is, and
+    so is a list of exact floats, by `_float_rows`, where nearly all of an
+    artifact's bytes are.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -731,21 +776,22 @@ def _render(value, out: list[str], newline: str) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(_finite_text(float.__repr__(value), (value,)))
+        if not math.isfinite(value):
+            raise _out_of_range(value)
+        out.append(float.__repr__(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-            return
-        inner = newline + "  "
-        out.append("[" + inner)
-        if set(map(type, value)) == {float}:
-            out.append(_finite_text(("," + inner).join(map(float.__repr__, value)), value))
+        elif set(map(type, value)) == {float}:
+            _float_rows(np.array(value), out, newline)
         else:
+            inner = newline + "  "
+            out.append("[" + inner)
             for pos, item in enumerate(value):
                 if pos:
                     out.append("," + inner)
                 _render(item, out, inner)
-        out.append(newline + "]")
+            out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -761,17 +807,69 @@ def _render(value, out: list[str], newline: str) -> None:
             out.append(_quote(key) + ": ")
             _render(value[key], out, inner)
         out.append(newline + "}")
+    elif (
+        isinstance(value, np.ndarray) and value.dtype == np.float64
+        and value.ndim in (1, 2)
+    ):
+        _float_rows(value, out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _finite_text(text: str, values) -> str:
-    """``text``, the joined reprs of ``values``, unless one is NaN or
-    infinite: no finite float's repr contains an ``n``."""
-    if "n" in text:
-        bad = next(v for v in values if not math.isfinite(v))
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    return text
+def _out_of_range(value) -> ValueError:
+    """``json``'s complaint about a NaN or infinite float, naming it as a
+    Python float."""
+    return ValueError(f"Out of range float values are not JSON compliant: {float(value)!r}")
+
+
+def _float_rows(array: np.ndarray, out: list[str], newline: str) -> None:
+    """Append the canonical text of ``array.tolist()``, for a float64 array
+    of one or two dimensions, one row at a time.
+
+    One ``isfinite`` pass refuses a NaN or an infinity, naming the first.
+    One pass over the bits finds the entries that are not ``+0.0``, the
+    only float whose bits are all zero (so ``-0.0`` is written ``-0.0``).
+    A row of which at least one entry in :data:`_ZERO_ROW_SHARE` is
+    ``+0.0`` is a list of ``"0.0"``, the repr of ``+0.0``, with the other
+    entries' reprs put in their places; any other row is the reprs of all
+    its entries.  Either way a row's text is one join, the one ``json``
+    makes of the same floats.
+    """
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise _out_of_range(array[~finite][0])
+    if not len(array):
+        out.append("[]")
+        return
+    rows = array if array.ndim == 2 else array[None]
+    length = rows.shape[1]
+    row_newline = newline + "  " if array.ndim == 2 else newline
+    inner = row_newline + "  "
+    sep = "," + inner
+    nonzero = rows.view(np.uint64) != 0
+    kept = np.count_nonzero(nonzero, axis=1)
+    sparse = (length - kept) * _ZERO_ROW_SHARE >= length
+    at, places = np.nonzero(nonzero & sparse[:, None])
+    entries = zip(places.tolist(), rows[at, places].tolist())
+    if array.ndim == 2:
+        out.append("[" + row_newline)
+    for i, (row_kept, row_sparse) in enumerate(zip(kept.tolist(), sparse.tolist())):
+        if i:
+            out.append("," + row_newline)
+        if not length:
+            out.append("[]")
+            continue
+        if row_sparse:
+            texts = ["0.0"] * length
+            for _, (place, entry) in zip(range(row_kept), entries):
+                texts[place] = float.__repr__(entry)
+        else:
+            texts = map(float.__repr__, rows[i].tolist())
+        out.append("[" + inner)
+        out.append(sep.join(texts))
+        out.append(row_newline + "]")
+    if array.ndim == 2:
+        out.append(newline + "]")
 
 
 def _is_document(obj) -> bool:

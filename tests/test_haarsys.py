@@ -67,6 +67,25 @@ class TestRegistry:
         with pytest.raises(ValueError):
             BasisRegistry({3: 2}, resolutions={4: 5})
 
+    def test_one_shared_model_per_depth_map(self):
+        depths = {3: 2, 1: 0, 2: 1}
+        shared = BasisRegistry.of(depths)
+        assert shared is BasisRegistry.of(dict(depths))
+        assert shared is BasisRegistry.of(dict(sorted(depths.items())))
+        assert shared is not BasisRegistry.of({1: 0, 2: 1})
+        fresh = BasisRegistry(depths)
+        assert shared.depths == fresh.depths and shared.indices == fresh.indices
+        assert shared.grid == fresh.grid
+
+    def test_measures_are_read_only_and_exact(self):
+        r = BasisRegistry.standard(4)
+        measures = r.measures()
+        old = np.array([float(t.interval.measure) for t in r.indices])
+        assert measures.dtype == old.dtype and measures.tobytes() == old.tobytes()
+        assert r.measures() is measures
+        with pytest.raises(ValueError, match="read-only"):
+            measures[0] = 1.0
+
 
 class TestRealizeProject:
     def test_unit_coefficient(self):

@@ -73,7 +73,8 @@ class TestDiagonalOperator:
 
 
 class TestTruncatedModel:
-    """Each operator owns the truncated model its basis enumerates."""
+    """Each operator reads the truncated model its basis enumerates, one
+    shared model per basis."""
 
     @pytest.mark.parametrize(
         "make",
@@ -90,6 +91,12 @@ class TestTruncatedModel:
         assert T.registry.depths == {1: 0, 2: 1, 3: 2}
         assert T.dim == len(ELEVEN)
         assert not hasattr(T, "index_of")
+
+    def test_operators_on_one_basis_share_one_model(self):
+        d = np.linspace(0.5, 1.5, len(ELEVEN))
+        first, second = OperatorMatrix.identity(2, ELEVEN), DiagonalOperator(4, ELEVEN, d)
+        assert first.registry is second.registry
+        assert first.registry is not OperatorMatrix.identity(2, ELEVEN[:1]).registry
 
     @pytest.mark.parametrize("cls", [OperatorMatrix.from_diagonal, DiagonalOperator])
     def test_a_partial_truncation_has_no_model(self, cls):

@@ -304,6 +304,18 @@ class TestReduceToDiagonal:
             assert all(v == 0.0 for v in step["achieved"].values())
             assert not step["relaxed"]
 
+    def test_a_loaded_certificate_reads_the_models_it_was_made_with(self):
+        source = BasisRegistry({4: 3, 5: 4})
+        d = np.random.default_rng(8).uniform(-1.0, 1.0, source.dim)
+        cert = reduce_to_diagonal(DiagonalOperator(4.0, source.indices, d), {2: 1}, 0.5)
+        loaded = serialize.loads(serialize.dumps(cert))
+        assert loaded.target_registry() is cert.target_registry()
+        assert loaded.source_registry() is cert.source_registry()
+        assert cert.target_operator().registry is cert.target_registry()
+        scalar = reduce_to_scalar_finite(cert.target_operator(), 1, 0.5)
+        assert scalar.source_registry() is cert.target_registry()
+        assert scalar.target_registry() is BasisRegistry.of({1: 0})
+
     def test_diagonal_source_entries_are_block_means(self):
         source = BasisRegistry({4: 3, 5: 4})
         rng = np.random.default_rng(8)

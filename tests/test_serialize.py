@@ -436,6 +436,14 @@ def oracle(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def json_types_only(tree) -> bool:
+    if type(tree) is dict:
+        return all(type(k) is str and json_types_only(v) for k, v in tree.items())
+    if type(tree) is list:
+        return all(json_types_only(v) for v in tree)
+    return type(tree) in (str, int, float, bool, type(None))
+
+
 # repr switches to an exponent below 1e-4 and from 1e16 on
 EDGE_FLOATS = [
     -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -475,14 +483,20 @@ class TestCanonicalRendering:
     def test_matches_the_json_oracle(self, doc):
         assert sz.dumps(doc) == oracle(doc)
 
+    # `dumps` of an object renders its float vectors and matrices as arrays,
+    # while `document` gives JSON types only
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_cases_match_the_oracle(self, name):
-        doc = sz.document(GOLDEN[name][0]())
-        assert sz.dumps(doc) == oracle(doc)
+        obj = GOLDEN[name][0]()
+        doc = sz.document(obj)
+        assert json_types_only(doc)
+        assert sz.dumps(obj) == sz.dumps(doc) == oracle(doc)
 
     def test_seed0_factorize_witness_matches_the_oracle(self, seed0_witness):
-        doc = sz.document(sz.load(seed0_witness))
-        assert seed0_witness.read_text() == sz.dumps(doc) == oracle(doc)
+        obj = sz.load(seed0_witness)
+        doc = sz.document(obj)
+        assert json_types_only(doc)
+        assert seed0_witness.read_text() == sz.dumps(obj) == sz.dumps(doc) == oracle(doc)
 
     def test_non_str_key_is_a_type_error(self):
         # json.dumps would coerce 1 to "1"; documents carry int keys as
@@ -491,7 +505,13 @@ class TestCanonicalRendering:
         with pytest.raises(TypeError, match="keys must be str, not int"):
             sz.dumps(doc)
 
-    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), object()])
+    # only a float64 array of one or two dimensions stands for a list
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(3), np.bool_(True), object(), np.zeros(3, np.float32),
+         np.zeros((2, 2), np.int64), np.zeros(2, object), np.zeros((2, 2, 2)),
+         np.array(1.0)],
+    )
     def test_non_json_value_is_a_type_error(self, value):
         doc = {"schema": "s", "kind": "k", "payload": [1.0, value], "metadata": {}}
         with pytest.raises(TypeError, match="not JSON serializable"):
@@ -499,6 +519,88 @@ class TestCanonicalRendering:
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def float_arrays(draw):
+    """A float64 array of one of the shapes ``(0,)``, ``(n,)``, ``(m, 0)``,
+    ``(0, n)`` and ``(m, n)``, whose rows hold any share of ``+0.0``, on
+    either side of the renderer's quarter-zeros gate, as a contiguous array
+    or as a transposed or strided view."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(0,), (n,), (m, 0), (0, n), (m, n)]))
+    rows = []
+    for _ in range(shape[0] if len(shape) == 2 else 1):
+        width = shape[-1]
+        row = draw(st.lists(finite_floats, min_size=width, max_size=width))
+        zeros = draw(st.integers(0, width))
+        for j in draw(st.permutations(range(width)))[:zeros]:
+            row[j] = 0.0
+        rows.append(row)
+    array = np.array(rows, dtype=float).reshape(shape)
+    view = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    if view == "transposed":
+        array = np.ascontiguousarray(array.T).T
+    elif view == "strided":
+        wide = np.full(tuple(2 * k for k in shape), 7.5)
+        wide[tuple(slice(None, None, 2) for _ in shape)] = array
+        array = wide[tuple(slice(None, None, 2) for _ in shape)]
+    return array
+
+
+class TestArrayRendering:
+    """Float64 arrays in a document render as the lists their ``tolist()``
+    gives, through the same renderer as `dumps` of a package object."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(float_arrays(), float_arrays())
+    def test_matches_the_json_oracle_of_the_lists(self, first, second):
+        def doc(a, b):
+            return {"schema": "s", "kind": "k", "metadata": {},
+                    "payload": {"a": a, "rows": [a, 1, b], "b": b}}
+
+        assert sz.dumps(doc(first, second)) == oracle(doc(first.tolist(), second.tolist()))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("shape, at", [((5,), (3,)), ((3, 4), (2, 1)), ((4, 3), (0, 0))])
+    def test_a_non_finite_entry_is_named(self, bad, shape, at):
+        array = np.zeros(shape)
+        array[at] = bad
+        array.flat[-1] = np.nan if np.isinf(bad) else np.inf  # a later one
+        doc = {"schema": "s", "kind": "k", "payload": {"a": array}, "metadata": {}}
+        with pytest.raises(ValueError) as raised:
+            sz.dumps(doc)
+        assert str(raised.value) == (
+            f"Out of range float values are not JSON compliant: {float(bad)!r}"
+        )
+
+
+class TestParseOnce:
+    """Each distinct index, interval and fraction text is parsed once per
+    process; a refused text is refused on every load."""
+
+    def test_a_malformed_index_is_refused_on_every_load(self):
+        doc = json.loads(sz.dumps(seeded_matrix()))
+        doc["payload"]["basis"][2] = "3/1:02"
+        text = json.dumps(doc)
+        for _ in range(3):
+            with pytest.raises(sz.SchemaError, match="basis entry 2"):
+                sz.loads(text)
+
+    @pytest.mark.parametrize("name", ["composite", "diagonal_sampled", "game_explicit"])
+    def test_two_loads_give_equal_objects(self, name):
+        text = sz.dumps(GOLDEN[name][0]())
+        first, second = sz.loads(text), sz.loads(text)
+        assert sz.dumps(first) == sz.dumps(second) == text
+        if name == "game_explicit":
+            assert first.weights.values == second.weights.values
+            assert first.eps == second.eps
+            assert [r.block.budget for r in first.rounds] == [
+                r.block.budget for r in second.rounds
+            ]
+        else:
+            assert first.source.basis == second.source.basis
+            assert first.family.assignments == second.family.assignments
 
 
 class TestNonFiniteRefused:

@@ -251,3 +251,99 @@ def test_the_thread_check_sees_every_spelling():
         "from multiprocessing import Pool\nimport os\nfrom . import grids\n"
     )
     assert _threaded_imports(tree) == THREADED
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def _constant(tree: ast.Module, node: ast.expr):
+    """The value of an expression of number literals, operators and
+    module-level names bound to such expressions; None for anything else."""
+    allowed = (ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
+               ast.operator, ast.unaryop)
+    if not all(isinstance(sub, allowed) for sub in ast.walk(node)):
+        return None
+    scope = {}
+    for name in {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}:
+        bound = [
+            stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == name for t in stmt.targets)
+        ]
+        scope[name] = _constant(tree, bound[-1]) if bound else None
+    try:
+        return eval(compile(ast.Expression(node), "<constant>", "eval"),
+                    {"__builtins__": {}}, scope)
+    except TypeError:  # an operator applied to None
+        return None
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """The lines that use a functools cache other than an ``lru_cache``
+    whose ``maxsize`` is given as a fixed positive integer: every
+    ``cache``, a bare ``lru_cache`` decorator, ``lru_cache()`` with the
+    default size, and a ``maxsize`` of ``None`` or of no fixed value, under
+    any import spelling."""
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in CACHES:
+                    names[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "functools":
+                    modules.add(alias.asname or alias.name)
+
+    def cache_kind(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr in CACHES
+        ):
+            return node.attr
+        return None
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        kind = cache_kind(node)
+        if kind is None:
+            continue
+        call = calls.get(id(node))
+        if kind == "lru_cache" and call is not None:
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = _constant(tree, sizes[0]) if sizes else None
+            if type(size) is int and size > 0:
+                continue
+        lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_cache_has_a_fixed_size():
+    unbounded = {
+        path.name: lines for path in MODULES if (lines := _unbounded_caches(_tree(path)))
+    }
+    assert not unbounded, (
+        f"functools caches without a fixed integer maxsize (module: lines) {unbounded}"
+    )
+
+
+def test_the_cache_check_sees_every_spelling():
+    tree = ast.parse(
+        "import functools\nimport functools as ft\n"
+        "from functools import cache, lru_cache\nfrom functools import cache as memo\n"
+        "SIZE = 1 << 4\nNONE = None\n"
+        "@functools.cache\ndef a(): pass\n"          # 7
+        "@cache\ndef b(): pass\n"                    # 9
+        "@memo\ndef c(): pass\n"                     # 11
+        "@lru_cache\ndef d(): pass\n"                # 13
+        "@lru_cache()\ndef e(): pass\n"              # 15
+        "@ft.lru_cache(maxsize=None)\ndef f(): pass\n"  # 17
+        "@lru_cache(NONE)\ndef g(): pass\n"          # 19
+        "h = lru_cache(maxsize=len('ab'))(a)\n"      # 21
+        "@lru_cache(maxsize=64)\ndef ok1(): pass\n"
+        "@functools.lru_cache(SIZE, typed=True)\ndef ok2(): pass\n"
+        "ok3 = ft.lru_cache(maxsize=SIZE * 2)(a)\n"
+    )
+    assert _unbounded_caches(tree) == [7, 9, 11, 13, 15, 17, 19, 21]
