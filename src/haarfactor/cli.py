@@ -49,9 +49,7 @@ from .weightedlp import (
     GreedyMaxAdversary,
     RandomAdversary,
     WeightSequence,
-    impartial_equivalence,
     play_game,
-    xpw_norms,
 )
 from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, intervals_at_level
 
@@ -455,16 +453,8 @@ def cmd_xpw_game(config):
         index_budget=config.budget or 100_000,
     )
     verdict = transcript.verify()
-    xs = [v.coeffs for v in transcript.block_vectors()]
-    ys = list(np.eye(config.rounds))
-
-    def norm_w(rows):
-        return xpw_norms(rows, w)
-
-    estimate = impartial_equivalence(
-        xs, ys, norm_w, norm_w, samples=config.samples, seed=config.seed
-    )
-    limit = float(1 + eps) + SAMPLED_SLACK
+    equivalence = transcript.equivalence(config.samples, config.seed)
+    estimate = equivalence.sampled
     results = {
         "rounds": [
             {
@@ -481,14 +471,13 @@ def cmd_xpw_game(config):
             "forward": estimate.forward,
             "backward": estimate.backward,
             "samples": estimate.samples,
+            "forward_bound": equivalence.forward_bound,
         },
         "transcript_checks": verdict,
     }
     checks = {
         "transcript_ok": bool(verdict["ok"]),
-        "equivalence_within_eps": (
-            estimate.forward <= limit and estimate.backward <= limit
-        ),
+        "equivalence_within_eps": bool(verdict["ok"]) and equivalence.within_eps,
     }
     return {
         "results": results,

@@ -10,8 +10,8 @@ rounding; none enters a certified bound or an artifact:
 
 * ``SAMPLED_SLACK`` (``1e-9``): the CLI's ``sampled_within_residual``, a
   sampled ratio of realized norms against the witness's column-sum
-  residual, and the ``xpw-game`` limit ``1 + eps`` on the sampled
-  equivalence constant.  Both sides are sums over realized grids.
+  residual.  Both sides are sums over realized grids.  (The ``xpw-game``
+  equivalence check no longer reads a sample: it is decided exactly.)
 * ``CLOSED_FORM_TOL`` (``1e-10``): the CLI's ``closed_forms_match``, an
   enumerated sign-pattern variance against its closed form.
 * ``ROUNDOFF_TOL`` (``1e-12``): the CLI's ``means_vanish`` (an enumerated

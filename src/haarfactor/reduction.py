@@ -1083,6 +1083,10 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
     carry the stage certificates; the report says so under the non-boolean
     key ``triangle_route``.  The certified bound must then equal the
     smaller of the two routes exactly.
+
+    ``certified_below_eps`` re-derives "meets eps" from the recomputed
+    bound and the certificate's ``eps``; it is computed after ``ok`` and
+    does not enter it.
     """
     report: dict = {}
     try:
@@ -1137,4 +1141,7 @@ def verify_certificate(cert: ReductionCertificate) -> dict:
         v for k, v in report.items()
         if isinstance(v, bool)
     )
+    # reported beside ``ok``, not in it: a certificate whose bound does not
+    # reach its eps is still a correct certificate of that bound
+    report["certified_below_eps"] = bool(certified < cert.eps)
     return report

@@ -18,6 +18,23 @@ monotone map ``beta = S^{(p-2)/2p}``, to the rational-interval condition
 singleton ``{k}``.  All transcript invariants are decided in ``Fraction``
 arithmetic, never in floating point.
 
+A block's budget is one exact sum: `WeightSequence.budget_pair` gives each
+term as an integer pair, `_balanced_sum` adds the pairs by binary splitting
+and normalizes once, and the result is the `Fraction` that adding the terms
+one at a time gives.  `play_game` decides each comparison of its index scan
+with a floating-point filter, a float running sum and a derived bound on
+its error, and forms the exact sum only where the bound cannot separate the
+two sides, so it chooses the indices the exact scan chooses.
+
+A game's equivalence with the unit vectors is decided exactly, from the
+transcript.  The normalized blocks have p-norm 1 and weighted two-norms
+``beta_k`` on disjoint supports, so a combination of them has the norm of
+its coefficients in the space weighted by the ``beta_k`` (Rosenthal): the
+forward constant is at most ``max_k (S_k/t_k)^{(p-2)/p}`` and the backward
+one at most 1.  `GameTranscript.equivalence` decides whether that bound is
+within ``1 + eps``, reports it rounded up, and samples the constant by the
+same formula over the round coefficients.
+
 Every derived constant is computed once, with one expression: a
 `WeightSequence` holds its float ``p`` and its power family's budget
 exponent, and a `Block` computes its norms, functional scale, normalized
@@ -34,13 +51,14 @@ the largest index.  `GameTranscript.blocks` returns its transcript's
 family, built on first use; any other sequence or iterable of blocks is
 read once into a family of its own, and so checked, on each call.
 
-The equivalence samples are measured in batches, and each value is the
-one the per-sample loop (one draw, one ``X @ a`` and one `xpw_norm` per
-sample) gives, bit for bit.  `impartial_equivalence` draws every
-coefficient vector at once, the same stream as one draw per sample, and
-forms the images a chunk of rows at a time: where each row of a family
-holds at most one nonzero, as the game's block vectors and the unit
-vectors do, an image entry is that one product, which is what the
+The ambient estimate, `impartial_equivalence` on the block vectors
+themselves, is kept as the oracle of the coefficient-space one.  Its
+samples are measured in batches, and each value is the one the per-sample
+loop (one draw, one ``X @ a`` and one `xpw_norm` per sample) gives, bit for
+bit.  It draws every coefficient vector at once, the same stream as one
+draw per sample, and forms the images a chunk of rows at a time: where each
+row of a family holds at most one nonzero, as the game's block vectors and
+the unit vectors do, an image entry is that one product, which is what the
 matrix product sums to exactly.  `xpw_norms` measures a chunk of rows at
 once; each row of a C-ordered array is reduced exactly as the
 one-dimensional reduce reduces it, and its root is taken as `xpw_norm`
@@ -87,6 +105,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """``a``, flagged read-only: the module's cached arrays are shared."""
     a.flags.writeable = False
     return a
+
+
+def _balanced_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """The exact sum of the fractions ``a/b`` given as integer pairs with
+    ``b > 0``, normalized once.
+
+    Neighbouring pairs are added as ``(a d + c b, b d)``, level by level,
+    so the operands of each product stay of balanced size (binary
+    splitting); only the final `Fraction` takes a gcd.  The value, and so
+    its `str`, is that of the sequential `Fraction` sum.
+    """
+    while len(terms) > 1:
+        paired = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return Fraction(*terms[0]) if terms else Fraction(0)
 
 
 class WeightSequence:
@@ -165,6 +200,14 @@ class WeightSequence:
 
     def budget(self, n: int) -> Fraction:
         """``w_n^{2p/(p-2)}`` exactly, or a ValueError when not rational."""
+        return Fraction(*self.budget_pair(n))
+
+    def budget_pair(self, n: int) -> tuple[int, int]:
+        """`budget` as integers ``(numerator, denominator)``, with
+        ``denominator > 0`` and not necessarily in lowest terms: ``(1,
+        n^e)`` or ``(n^{-e}, 1)`` for a power family with integral series
+        exponent ``e``, and the ``2p/(p-2)`` powers of an explicit weight's
+        numerator and denominator.  No `Fraction` is built."""
         if n < 1:
             raise ValueError("weight indices start at 1")
         if self.kind == "power":
@@ -175,9 +218,8 @@ class WeightSequence:
                     f"{e} is not an integer; exact round audits need "
                     "decay * 2p/(p-2) integral"
                 )
-            if e >= 0:
-                return Fraction(1, n ** e.numerator)
-            return Fraction(n ** (-e.numerator))
+            e = e.numerator
+            return (1, n**e) if e >= 0 else (n**-e, 1)
         q = self.budget_exponent
         if q.denominator != 1:
             raise ValueError(
@@ -188,7 +230,13 @@ class WeightSequence:
             raise ValueError(
                 f"index {n} beyond the {len(self.values)} explicit weights"
             )
-        return self.values[n - 1] ** q.numerator
+        v = self.values[n - 1]
+        return v.numerator**q.numerator, v.denominator**q.numerator
+
+    def budget_sum(self, indices: Iterable[int]) -> Fraction:
+        """``sum_{n in indices} w_n^{2p/(p-2)}`` exactly: the `budget_pair`
+        terms are added by `_balanced_sum` and normalized once."""
+        return _balanced_sum([self.budget_pair(n) for n in indices])
 
     def __repr__(self) -> str:
         if self.kind == "power":
@@ -316,19 +364,27 @@ def xpw_norm(x: XpwVector) -> float:
 def xpw_norms(rows: np.ndarray, w: WeightSequence) -> np.ndarray:
     """`xpw_norm` of each row of a 2-D array, bit for bit, as one float per row.
 
+    The rows are measured by `_row_norms` with the weights ``w_1, ...,
+    w_size``.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must form a two-dimensional array")
+    return _row_norms(rows, w.p_float, w.weights(rows.shape[1]))
+
+
+def _row_norms(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
+    """``max(||c||_p, ||(c_n weights_n)||_2)`` of each row ``c`` of a
+    C-ordered 2-D float array, as `xpw_norm` computes it for those weights.
+
     The rows are measured a chunk of at most ``_CHUNK_CELLS`` cells at a
     time.  ``|c|^p`` and ``(c w)^2`` are raised for the whole chunk and
     reduced along its rows: each row of a C-ordered array sums exactly as
     the one-dimensional reduce sums it, and the root is taken row by row as
     a Python ``float ** (1/p)``, as `xpw_norm` takes it.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must form a two-dimensional array")
     count, size = rows.shape
-    p = w.p_float
     root = 1.0 / p
-    weights = w.weights(size)
     out = np.empty(count)
     step = max(1, _CHUNK_CELLS // max(size, 1))
     for start in range(0, count, step):
@@ -431,7 +487,7 @@ def block_data(E: Sequence[int], w: WeightSequence) -> Block:
         raise ValueError("weight indices start at 1")
     p = w.p_float
     coeffs = np.array([w.weight(n) ** (2.0 / (p - 2.0)) for n in indices])
-    budget = sum(w.budget(n) for n in indices)
+    budget = w.budget_sum(indices)
     if len(indices) == 1:
         beta = w.weight(indices[0])
     else:
@@ -672,22 +728,102 @@ class GameTranscript:
         )
         return report
 
+    def equivalence(self, samples: int = 1000, seed: int = 0) -> GameEquivalence:
+        """The normalized blocks ``x_k`` against the unit vectors ``e_k``.
+
+        ``x_k`` has p-norm 1 and weighted two-norm ``beta_k``; ``e_k`` has 1
+        and ``w_k``.  The supports are disjoint, so for every coefficient
+        vector ``a``
+
+            ||sum a_k x_k|| = max(||a||_p, ||(a_k beta_k)||_2),
+            ||sum a_k e_k|| = max(||a||_p, ||(a_k w_k)||_2):
+
+        the blocks span a copy of the space weighted by the ``beta_k``
+        (Rosenthal, *Israel J. Math.* 8, 1970).  The ratio of the two norms
+        is therefore at most ``max(1, max_k beta_k / w_k)``, and at least 1
+        when every ``beta_k >= w_k``, as in a transcript that verifies: the
+        backward constant is then at most 1, and the forward one is at most
+        ``max(1, r)^{(p-2)/p}`` with ``r = max_k S_k / t_k``, the stored
+        budgets over the targets ``t_k = w.budget(k)``.  ``within_eps``
+        decides ``max(1, r) <= (1+eps)^{p/(p-2)}`` with `_window_cap`;
+        ``forward_bound`` is the least float at or above that power
+        (`_root_bracket`).  Both read the stored budgets, never a sample,
+        and speak of the blocks when the transcript verifies.
+
+        ``sampled`` is measured by the formula above over the round
+        coefficients, with the stored ``beta_k``, from the draws
+        `impartial_equivalence` takes on the ambient block vectors; the two
+        differ only by rounding.
+        """
+        w = self.weights
+        ratio = max(
+            [Fraction(1)]
+            + [r.block.budget / w.budget(k) for k, r in enumerate(self.rounds, start=1)]
+        )
+        q = w.p / (w.p - 2)
+        p = w.p_float
+        betas = np.array([r.beta for r in self.rounds])
+        units = w.weights(len(self.rounds))
+        return GameEquivalence(
+            sampled=_sampled_bracket(
+                lambda a: _row_norms(a, p, betas),
+                lambda a: _row_norms(a, p, units),
+                len(self.rounds), samples, seed,
+            ),
+            forward_bound=_root_bracket(ratio**q.denominator, q.numerator)[1],
+            within_eps=_window_cap(w, self.eps, Fraction(1))(ratio),
+        )
+
+
+def _window_limit(w: WeightSequence, eps, t: Fraction) -> tuple[Fraction, int]:
+    """``(limit, den)`` such that ``S <= (1+eps)^{p/(p-2)} t`` exactly when
+    ``S^den <= limit``, for ``S >= 0`` and a target ``t > 0``.
+
+    With ``p/(p-2) = num/den`` in lowest terms the edge is
+    ``(S/t)^den <= (1+eps)^num``, so ``limit = (1+eps)^num t^den``.
+    """
+    q = w.p / (w.p - 2)
+    return (1 + eps) ** q.numerator * t**q.denominator, q.denominator
+
 
 def _window_cap(w: WeightSequence, eps, t: Fraction) -> Callable[[Fraction], bool]:
     """The exact upper edge of the round window with target ``t > 0``:
-    whether ``S <= (1+eps)^{p/(p-2)} t``.
-
-    With ``p/(p-2) = num/den`` in lowest terms that is
-    ``(S/t)^den <= (1+eps)^num``, decided in rationals as
-    ``S^den <= (1+eps)^num t^den`` with the right side computed once per
-    round.  When ``p/(p-2)`` is an integer (``p = 4`` gives 2) it is
-    ``S <= cap * t``: one Fraction comparison per index scanned.
+    whether ``S <= (1+eps)^{p/(p-2)} t``, decided in rationals as
+    ``S^den <= limit`` (`_window_limit`) with the right side computed once
+    per round.  When ``p/(p-2)`` is an integer (``p = 4`` gives 2) it is
+    ``S <= limit``: one Fraction comparison.
     """
-    q = w.p / (w.p - 2)
-    limit = (1 + eps) ** q.numerator * t**q.denominator
-    if q.denominator == 1:
+    limit, den = _window_limit(w, eps, t)
+    if den == 1:
         return lambda S: S <= limit
-    return lambda S: S**q.denominator <= limit
+    return lambda S: S**den <= limit
+
+
+def _root_bracket(x: Fraction, k: int) -> tuple[float, float]:
+    """The floats next to ``x^{1/k}`` for a rational ``x > 0``: the largest
+    ``lo`` with ``lo^k <= x`` and the smallest ``hi`` with ``hi^k >= x``
+    (``lo == hi`` exactly when the root is a float).
+
+    A float first guess is stepped with `math.nextafter` until
+    ``Fraction(hi)^k >= x`` holds, and fails one step below, in exact
+    arithmetic.  A root out of the float range gets ``(0.0, inf)``, which
+    brackets every positive number.
+    """
+    try:
+        hi = float(x) ** (1.0 / k)
+        while Fraction(hi) ** k < x:
+            hi = math.nextafter(hi, math.inf)  # Fraction(inf) overflows
+        while Fraction(below := math.nextafter(hi, 0.0)) ** k >= x:
+            hi = below
+    except OverflowError:
+        return 0.0, math.inf
+    return (hi if Fraction(hi) ** k == x else math.nextafter(hi, 0.0)), hi
+
+
+# ``2E / m`` for the float sum of ``m`` budget terms (see `play_game`):
+# ``8u`` relative and ``4 eta`` absolute, for ``u = 2^-53``, ``eta = 2^-1074``.
+_GAP_PER_TERM = 2.0**-50
+_GAP_FLOOR_PER_TERM = 2.0**-1072
 
 
 def play_game(
@@ -708,6 +844,25 @@ def play_game(
     the strategy total rather than existence-only.  Exhausting
     ``index_budget`` indices without filling the window is an explicit
     per-round failure.
+
+    Each comparison, ``S < t_k`` and the cap on ``S`` plus a term, is
+    decided by a floating-point filter (Shewchuk, *Discrete Comput. Geom.*
+    18, 1997) and falls back to exact arithmetic where the filter cannot
+    decide, so every decision is the exact one.  The chosen terms are
+    added in floats.  A term ``a/b`` of `WeightSequence.budget_pair` is an
+    integer quotient, correctly rounded, so it errs by at most ``u b +
+    eta/2`` (``u = 2^-53``, ``eta = 2^-1074``), and recursive summation of
+    ``m`` nonnegative floats errs by at most ``gamma_{m-1}`` times their
+    sum, with ``gamma_m = m u / (1 - m u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 4).  So the float sum ``s`` of
+    ``m`` terms is within ``E = m (4 u s + 2 eta)`` of the exact sum, for
+    any scan shorter than ``2^51`` indices.  ``t_k`` and the cap
+    ``limit^{1/den}`` (`_window_limit`) are bracketed by floats once per
+    round (`_root_bracket`).  A comparison is decided in floats when the
+    float gap exceeds ``2E``, the factor two covering the roundings of the
+    gap and of ``2E``; otherwise the exact sum of the indices chosen so far
+    is formed by `WeightSequence.budget_sum` and compared as a `Fraction`.
+    A term past the float range is infinite and always falls back.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -722,20 +877,40 @@ def play_game(
             raise ValueError(f"round {k}: adversary move must be positive")
         t_k = w.budget(k)
         under_cap = _window_cap(w, eps, t_k)
+        t_lo, t_hi = _root_bracket(t_k, 1)
+        cap_lo, cap_hi = _root_bracket(*_window_limit(w, eps, t_k))
         chosen: list[int] = []
-        S = Fraction(0)
+        s = 0.0
         n = max(move, frontier) + 1
         scanned = 0
-        while S < t_k:
+        below_target = True  # the empty sum is below t_k > 0
+        while below_target:
             if scanned >= index_budget:
                 raise ResourceLimitError(
                     f"round {k}: scanned {index_budget} indices past "
                     f"{max(move, frontier)} without filling the budget window"
                 )
-            candidate = S + w.budget(n)
-            if under_cap(candidate):
-                S = candidate
+            a, b = w.budget_pair(n)
+            try:
+                candidate = s + a / b
+            except OverflowError:
+                candidate = math.inf
+            gap = (len(chosen) + 1) * (candidate * _GAP_PER_TERM + _GAP_FLOOR_PER_TERM)
+            if cap_lo - candidate > gap:
+                take = True
+            elif candidate - cap_hi > gap:
+                take = False
+            else:
+                take = under_cap(w.budget_sum(chosen) + Fraction(a, b))
+            if take:
+                s = candidate
                 chosen.append(n)
+                if t_lo - s > gap:
+                    below_target = True
+                elif s - t_hi > gap:
+                    below_target = False
+                else:
+                    below_target = w.budget_sum(chosen) < t_k
             n += 1
             scanned += 1
         block = block_data(chosen, w)
@@ -756,13 +931,31 @@ class ImpartialEstimate:
     ``forward`` is ``(max ratio)^2`` and ``backward`` ``(1 / min ratio)^2``
     over sampled coefficient vectors, with ratio ``norm_x / norm_y``; the
     constant is their maximum.  Being sampled, it can only falsify a
-    claimed constant, never certify one.
+    claimed constant, never certify one; a game reports it next to the
+    exact bound of `GameEquivalence`.
     """
 
     constant: float
     forward: float
     backward: float
     samples: int
+
+
+@dataclass(frozen=True)
+class GameEquivalence:
+    """A game's blocks against the unit vectors: sampled below, exact above.
+
+    ``sampled`` is the coefficient-space `ImpartialEstimate`.
+    ``forward_bound`` is a float upper bound on every forward ratio, the
+    true one included, shown in exact arithmetic; the backward constant is
+    at most 1.  ``within_eps`` is whether the exact forward bound is at
+    most ``1 + eps``, decided in `Fraction` arithmetic.  See
+    `GameTranscript.equivalence`.
+    """
+
+    sampled: ImpartialEstimate
+    forward_bound: float
+    within_eps: bool
 
 
 def impartial_equivalence(
@@ -779,22 +972,40 @@ def impartial_equivalence(
 
     ``norm_x`` and ``norm_y`` map a 2-D array, one vector per row, to one
     float per row (`xpw_norms` with its weights, say).  All coefficient
-    vectors are drawn at once, the same stream as one draw per sample, and
-    each family's combinations are measured by :func:`_sampled_norms`."""
+    vectors are drawn at once by `_sampled_bracket`, the same stream as one
+    draw per sample, and each family's combinations are measured by
+    :func:`_sampled_norms`."""
     if len(xs) != len(ys):
         raise ValueError("families must have equal length")
     if not xs:
         raise ValueError("families must be non-empty")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     X = np.column_stack([np.asarray(x, dtype=float) for x in xs])
     Y = np.column_stack([np.asarray(y, dtype=float) for y in ys])
-    coefficients = np.random.default_rng(seed).standard_normal((samples, len(xs)))
+    return _sampled_bracket(
+        lambda a: _sampled_norms(X, a, norm_x),
+        lambda a: _sampled_norms(Y, a, norm_y),
+        len(xs), samples, seed,
+    )
+
+
+def _sampled_bracket(
+    measure_x: Callable[[np.ndarray], np.ndarray],
+    measure_y: Callable[[np.ndarray], np.ndarray],
+    count: int,
+    samples: int,
+    seed: int,
+) -> ImpartialEstimate:
+    """The `ImpartialEstimate` of the ratios ``measure_x / measure_y`` over
+    ``samples >= 1`` coefficient vectors of length ``count``, drawn at once
+    as ``default_rng(seed).standard_normal((samples, count))``; each
+    measure maps that array to one float per row."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    coefficients = np.random.default_rng(seed).standard_normal((samples, count))
     hi = 0.0
     lo = math.inf
     for nx, ny in zip(
-        _sampled_norms(X, coefficients, norm_x).tolist(),
-        _sampled_norms(Y, coefficients, norm_y).tolist(),
+        measure_x(coefficients).tolist(), measure_y(coefficients).tolist()
     ):
         r = nx / ny
         hi = max(hi, r)

@@ -864,6 +864,18 @@ class TestVerifyCertificate:
         assert report["distribution_error"]["target"] == str(child)
         assert not report["ok"]
 
+    @pytest.mark.parametrize("name", ["scalar_paper", "diagonal_sampled"])
+    def test_eps_below_the_bound_is_reported_after_a_load(self, name):
+        cert = GOLDEN[name][0]()
+        report = verify_certificate(cert)
+        assert report["certified_below_eps"] is True and report["ok"]
+        doc = json.loads(serialize.dumps(cert))
+        doc["payload"]["eps"] = cert.certified_bound / 2
+        report = verify_certificate(serialize.undocument(doc))
+        assert report["certified_below_eps"] is False
+        # a bound that misses its eps is still a correct certificate of itself
+        assert report["ok"]
+
 
 @pytest.fixture(scope="module")
 def scalar_doc(tmp_path_factory):

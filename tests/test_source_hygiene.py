@@ -75,6 +75,11 @@ PAPER_OBJECTS = {
     "project": "analysis inverts synthesis: project(realize(c)) == c (acceptance test_09)",
     "burkholder_check": "sign flips cost at most p* - 1, Burkholder (acceptance test_09)",
     "block_span_project": "the block-span projection of X_{p,w} has norm one (acceptance test_08)",
+    "impartial_equivalence": (
+        "game blocks are impartially equivalent to the unit vectors, sampled on the "
+        "ambient vectors (acceptance test_08)"
+    ),
+    "xpw_norms": "the X_{p,w} norm of each sampled ambient combination (acceptance test_08)",
     "star_property": "condition (*) on the weights of X_{p,w} (TestStarProperty)",
     "condition_star": "the block level that makes the Chebyshev failures improbable (TestConditionStar)",
     "eval_statistic": "the block statistics Y, W and Z at one sign pattern (TestEvaluations)",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from haarfactor.errors import ResourceLimitError
 from haarfactor.weightedlp import (
     Block,
     FixedScheduleAdversary,
+    GameRound,
     GameTranscript,
     GreedyMaxAdversary,
     RandomAdversary,
@@ -828,23 +830,49 @@ class TestCachedGeometryIsBitIdentical:
         assert xpw_norm(x).hex() == uncached_xpw_norm(x).hex()
         assert xpw_norm(projected).hex() == uncached_xpw_norm(projected).hex()
 
-    # The report's equivalence values before the block constants were cached.
+    # The ambient estimate's values before the block constants were cached,
+    # which the xpw-game report gave until it moved to coefficient space.
     EQUIVALENCE = {
         "fixed": ("0x1.09adc8943d514p+0", "0x1.0000000000004p+0"),
         "random": ("0x1.02b10a0310186p+0", "0x1.0000000000002p+0"),
         "greedy": ("0x1.0b13728f3cf55p+0", "0x1.0000000000002p+0"),
     }
+    # The report's coefficient-space values: forward, backward, forward_bound.
+    REPORT = {
+        "fixed": ("0x1.09adc8943d514p+0", "0x1.0000000000000p+0", "0x1.0a74080e737b2p+0"),
+        "random": ("0x1.02b10a0310184p+0", "0x1.0000000000000p+0", "0x1.03c23d07d1c40p+0"),
+        "greedy": ("0x1.0b13728f3cf55p+0", "0x1.0000000000000p+0", "0x1.0bf639006c5b4p+0"),
+    }
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE))
-    def test_xpw_game_report_equivalence(self, name):
+    def test_xpw_game_report_equivalence(self, name, tmp_path):
+        path = tmp_path / "game.json"
         config = ExperimentConfig(
             "xpw-game", p=4.0, eps="1/10", decay="1/4", rounds=8,
-            adversary=name, samples=1000, seed=5,
+            adversary=name, samples=1000, seed=5, out=str(path),
         )
         eq = run(config)["results"]["equivalence"]
+        transcript = serialize.load(path)
+        w = transcript.weights
+
+        def norms(rows):
+            return xpw_norms(rows, w)
+
+        ambient = impartial_equivalence(
+            [v.coeffs for v in transcript.block_vectors()], list(np.eye(8)),
+            norms, norms, samples=1000, seed=5,
+        )
         forward, backward = self.EQUIVALENCE[name]
+        assert (ambient.forward.hex(), ambient.backward.hex()) == (forward, backward)
+        assert ambient.constant.hex() == max(forward, backward, key=float.fromhex)
+
+        forward, backward, bound = self.REPORT[name]
         assert (eq["forward"].hex(), eq["backward"].hex()) == (forward, backward)
         assert eq["constant"].hex() == max(forward, backward, key=float.fromhex)
+        assert eq["forward_bound"].hex() == bound
+        for key in ("forward", "backward", "constant"):
+            assert abs(eq[key] - getattr(ambient, key)) <= 4 * math.ulp(eq[key]), key
+        assert eq["forward"] <= eq["forward_bound"]
 
 
 def per_sample_equivalence(xs, ys, norm, *, samples, seed):
@@ -1089,3 +1117,285 @@ class TestDecidedFamily:
     def test_no_blocks_project_to_zero(self):
         x = XpwVector(np.array([1.0, -2.0]), self.W)
         assert block_span_project(x, []).coeffs.tobytes() == np.zeros(2).tobytes()
+
+
+# ------------------------------------------------------ exact game arithmetic
+
+
+def sequential_scan(adversary, rounds, w, eps, *, index_budget=100_000):
+    """The block game as `play_game` played it before its filtered scan:
+    each term added to a `Fraction` one at a time, and every comparison,
+    ``S < t_k`` and ``(S + b_n)^den <= limit``, made on that sum."""
+    eps = Fraction(eps)
+    q = w.p / (w.p - 2)
+    out = []
+    frontier = 0
+    for k in range(1, rounds + 1):
+        move = int(adversary(k, frontier))
+        t_k = w.budget(k)
+        limit = (1 + eps) ** q.numerator * t_k**q.denominator
+        chosen, S = [], Fraction(0)
+        n = max(move, frontier) + 1
+        scanned = 0
+        while S < t_k:
+            if scanned >= index_budget:
+                raise ResourceLimitError(
+                    f"round {k}: scanned {index_budget} indices past "
+                    f"{max(move, frontier)} without filling the budget window"
+                )
+            candidate = S + w.budget(n)
+            if candidate**q.denominator <= limit:
+                S = candidate
+                chosen.append(n)
+            n += 1
+            scanned += 1
+        block = block_data(chosen, w)
+        assert block.budget == S
+        out.append(GameRound(move=move, block=block, budget_target=t_k))
+        frontier = max(block.indices)
+    return GameTranscript(weights=w, eps=eps, rounds=tuple(out), index_budget=index_budget)
+
+
+def outcome(play, make_adversary, rounds, w, eps, **kwargs):
+    """A game's transcript bytes, or its error's type and message."""
+    try:
+        return serialize.dumps(play(make_adversary(), rounds, w, eps, **kwargs))
+    except (ResourceLimitError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+GAME_P = [3, 4, 6, Fraction(10, 3)]
+
+
+def weight_families(p, *, game=False):
+    """Power families whose series exponent ``decay * 2p/(p-2)`` is an
+    integer of either sign, and explicit families of small rationals.  For
+    a game, the divergent exponent 1 is drawn most often, and explicit
+    weights are longer lists that do not increase, so that many games
+    finish some rounds."""
+    q = 2 * Fraction(p) / (Fraction(p) - 2)
+    exponents = [-1, 0, 1, 1, 1, 2] if game else [-2, -1, 0, 1, 2, 3]
+    power = st.sampled_from(exponents).map(lambda e: WeightSequence.power(p, Fraction(e) / q))
+    if game:
+        values = st.lists(
+            st.fractions(Fraction(3, 4), 1, max_denominator=16), min_size=1, max_size=300
+        ).map(lambda vs: sorted(vs, reverse=True))
+    else:
+        values = st.lists(
+            st.fractions(Fraction(1, 8), 2, max_denominator=9).filter(lambda v: v > 0),
+            min_size=1, max_size=40,
+        )
+    return st.one_of(power, values.map(lambda vs: WeightSequence.explicit(p, vs)))
+
+
+def adversaries():
+    """Factories, so that the scan and its oracle each meet a fresh one."""
+    fixed = st.lists(st.integers(1, 30), min_size=1, max_size=4).map(
+        lambda moves: lambda: FixedScheduleAdversary(moves)
+    )
+    rand = st.tuples(st.integers(0, 2**16), st.integers(1, 20)).map(
+        lambda a: lambda: RandomAdversary(*a)
+    )
+    greedy = st.tuples(st.integers(1, 3), st.integers(0, 3)).map(
+        lambda a: lambda: GreedyMaxAdversary(*a)
+    )
+    return st.one_of(fixed, rand, greedy)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The index lists whose exact budget `play_game` itself asks for:
+    one per comparison its float filter left to exact arithmetic."""
+    calls = []
+    budget_sum = WeightSequence.budget_sum
+
+    def spy(self, indices):
+        if sys._getframe(1).f_code.co_name == "play_game":
+            calls.append(list(indices))
+        return budget_sum(self, indices)
+
+    monkeypatch.setattr(WeightSequence, "budget_sum", spy)
+    return calls
+
+
+def exact_forward_bound(t: GameTranscript) -> tuple[Fraction, int, int]:
+    """``(max(1, max_k S_k/t_k), num, den)`` with ``p/(p-2) = num/den``."""
+    w = t.weights
+    ratio = max(
+        [Fraction(1)]
+        + [r.block.budget / w.budget(k) for k, r in enumerate(t.rounds, start=1)]
+    )
+    q = w.p / (w.p - 2)
+    return ratio, q.numerator, q.denominator
+
+
+class TestExactBudgetSum:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_block_budget_is_the_sequential_sum(self, data):
+        p = data.draw(st.sampled_from(GAME_P))
+        w = data.draw(weight_families(p))
+        top = len(w) if w.kind == "explicit" else 400
+        indices = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=60, unique=True))
+        want = sum((w.budget(n) for n in sorted(indices)), Fraction(0))
+        got = block_data(indices, w).budget
+        assert got == want and str(got) == str(want)
+        assert w.budget_sum(indices) == want
+
+    def test_pairs_are_the_budgets(self):
+        for w, n in [
+            (WeightSequence.power(4, Fraction(1, 4)), 7),
+            (WeightSequence.power(4, Fraction(-1, 2)), 7),
+            (WeightSequence.explicit(3, [Fraction(2, 3), Fraction(5, 4)]), 2),
+        ]:
+            a, b = w.budget_pair(n)
+            assert b > 0 and Fraction(a, b) == w.budget(n)
+        assert WeightSequence.power(4, Fraction(1, 4)).budget_sum([]) == 0
+
+    def test_pairs_keep_the_budget_errors(self):
+        with pytest.raises(ValueError, match="start at 1"):
+            WeightSequence.power(4, Fraction(1, 4)).budget_pair(0)
+        with pytest.raises(ValueError, match="not an integer"):
+            WeightSequence.power(4, Fraction(1, 3)).budget_sum([1, 2])
+        with pytest.raises(ValueError, match="beyond the 2 explicit weights"):
+            WeightSequence.explicit(4, [1, 2]).budget_sum([1, 3])
+
+
+class TestFilteredScan:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_decision_is_the_sequential_scans(self, data):
+        p = data.draw(st.sampled_from(GAME_P), label="p")
+        w = data.draw(weight_families(p, game=True), label="weights")
+        eps = data.draw(st.fractions(Fraction(1, 100), 3, max_denominator=100), label="eps")
+        make = data.draw(adversaries(), label="adversary")
+        rounds = data.draw(st.integers(1, 8), label="rounds")
+        budget = data.draw(st.integers(20, 1500), label="index_budget")
+        got = outcome(play_game, make, rounds, w, eps, index_budget=budget)
+        assert got == outcome(sequential_scan, make, rounds, w, eps, index_budget=budget)
+        if got.startswith("{"):
+            self.check_the_bracket(serialize.loads(got))
+
+    @staticmethod
+    def check_the_bracket(t):
+        """The ambient sampled forward constant is at most the exact bound,
+        up to the rounding of the sample itself, and the bound is the least
+        float at or above ``max(1, r)^{(p-2)/p}``."""
+        eq = t.equivalence(samples=32, seed=1)
+        assert eq.within_eps
+        ratio, num, den = exact_forward_bound(t)
+        bound = eq.forward_bound
+        assert Fraction(bound) ** num >= ratio**den
+        assert Fraction(math.nextafter(bound, 0.0)) ** num < ratio**den
+        w = t.weights
+
+        def norms(rows):
+            return xpw_norms(rows, w)
+
+        units = list(np.eye(len(t.rounds)))
+        ambient = impartial_equivalence(
+            [v.coeffs for v in t.block_vectors()], units, norms, norms, samples=32, seed=1
+        )
+        assert ambient.forward <= bound + 16 * math.ulp(bound)
+        assert ambient.backward <= 1.0 + 16 * math.ulp(1.0)
+
+    # (p, eps, weights, indices): each game's one round lands exactly on an edge
+    ON_THE_EDGE = [
+        # (3/2)^4 = 81/16 = (1 + 5/4)^2 * 1: the cap itself, p/(p-2) = 2
+        (4, Fraction(5, 4), [1, Fraction(3, 2)], (2,)),
+        # (11/10)^3 = 1331/1000 and (1331/1000)^2 = (121/100)^3: p/(p-2) = 3/2
+        (6, Fraction(21, 100), [1, Fraction(11, 10)], (2,)),
+        # a hair past the cap is skipped; sixteen terms 1/16 then land on t = 1
+        (4, Fraction(5, 4), [1, Fraction(3, 2) + Fraction(1, 10**30)] + [Fraction(1, 2)] * 16,
+         tuple(range(3, 19))),
+        # sixteen terms 1/16 land exactly on the target t = 1
+        (4, Fraction(1, 10), [1] + [Fraction(1, 2)] * 16, tuple(range(2, 18))),
+        # twenty-seven terms 1/27 land on t = 1, but their float sum is
+        # 1 - 7e-16: only the error bound keeps the float from deciding
+        (6, Fraction(1, 10), [1] + [Fraction(1, 3)] * 28, tuple(range(2, 29))),
+    ]
+
+    @pytest.mark.parametrize("p, eps, values, indices", ON_THE_EDGE)
+    def test_ties_fall_back_to_exact_arithmetic(self, fallbacks, p, eps, values, indices):
+        w = WeightSequence.explicit(p, values)
+        t = play_game(FixedScheduleAdversary([1]), 1, w, eps)
+        assert fallbacks, "a tie was decided in floats"
+        assert t.rounds[0].indices == indices
+        assert t.verify()["ok"]
+        assert serialize.dumps(t) == serialize.dumps(
+            sequential_scan(FixedScheduleAdversary([1]), 1, w, eps)
+        )
+
+    def test_clear_decisions_stay_in_floats(self, fallbacks):
+        t = play_game(FixedScheduleAdversary([1]), 1, WeightSequence.power(4, Fraction(1, 4)),
+                      Fraction(1, 10))
+        assert t.rounds[0].indices == (2, 3, 4)
+        assert fallbacks == []
+
+
+class TestRootBracket:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**12).filter(lambda x: x > 0),
+        st.sampled_from([1, 2, 3, 5]),
+    )
+    def test_the_floats_next_to_the_root(self, x, k):
+        lo, hi = weightedlp._root_bracket(x, k)
+        assert Fraction(lo) ** k <= x <= Fraction(hi) ** k
+        # adjacent, or equal when the root is a float
+        assert hi == lo or math.nextafter(lo, math.inf) == hi
+        assert (hi == lo) == (Fraction(hi) ** k == x)
+
+    def test_out_of_range_roots_get_the_trivial_bracket(self):
+        assert weightedlp._root_bracket(Fraction(10**400), 1) == (0.0, math.inf)
+        assert weightedlp._root_bracket(Fraction(2), 1) == (2.0, 2.0)
+        lo, hi = weightedlp._root_bracket(Fraction(1, 10**400), 1)
+        assert lo == 0.0 and hi == 5e-324
+
+
+class TestExactEquivalence:
+    W = WeightSequence.power(4, Fraction(1, 4))
+    EPS = Fraction(1, 10)
+
+    def game(self):
+        return play_game(FixedScheduleAdversary(list(range(1, 9))), 8, self.W, self.EPS)
+
+    def test_the_verdict_reads_no_sample(self):
+        t = self.game()
+        verdicts = {
+            (samples, seed): t.equivalence(samples, seed)
+            for samples in (1, 7, 1000) for seed in (0, 5)
+        }
+        assert all(eq.within_eps for eq in verdicts.values())
+        assert len({eq.forward_bound for eq in verdicts.values()}) == 1
+        for eq in verdicts.values():
+            assert eq.sampled.backward <= 1.0
+            assert eq.sampled.forward <= eq.forward_bound < 1.1
+
+    def test_the_bound_is_the_least_float_above(self):
+        t = self.game()
+        ratio, num, den = exact_forward_bound(t)
+        bound = t.equivalence(samples=1).forward_bound
+        # p = 4: bound^2 >= max S_k/t_k > (bound - ulp)^2
+        assert (num, den) == (2, 1)
+        assert Fraction(bound) ** 2 >= ratio > Fraction(math.nextafter(bound, 0.0)) ** 2
+
+    def test_a_budget_past_its_window_fails_both_checks(self):
+        t = self.game()
+        k = 3
+        r = t.rounds[k - 1]
+        cap = (1 + self.EPS) ** 2 * r.budget_target
+        past = dataclasses.replace(
+            r, block=dataclasses.replace(r.block, budget=cap + Fraction(1, 10**6))
+        )
+        tampered = dataclasses.replace(t, rounds=(*t.rounds[: k - 1], past, *t.rounds[k:]))
+        report = tampered.verify()
+        assert not report["budget_window"] and not report["ok"]
+        eq = tampered.equivalence(samples=10)
+        assert not eq.within_eps
+        assert eq.forward_bound > float(1 + self.EPS)
+        assert t.equivalence(samples=10).within_eps
+
+    def test_no_samples_is_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            self.game().equivalence(samples=0)
