@@ -789,13 +789,9 @@ def _window_limit(w: WeightSequence, eps, t: Fraction) -> tuple[Fraction, int]:
 def _window_cap(w: WeightSequence, eps, t: Fraction) -> Callable[[Fraction], bool]:
     """The exact upper edge of the round window with target ``t > 0``:
     whether ``S <= (1+eps)^{p/(p-2)} t``, decided in rationals as
-    ``S^den <= limit`` (`_window_limit`) with the right side computed once
-    per round.  When ``p/(p-2)`` is an integer (``p = 4`` gives 2) it is
-    ``S <= limit``: one Fraction comparison.
+    ``S^den <= limit`` (`_window_limit`) with the right side computed once.
     """
     limit, den = _window_limit(w, eps, t)
-    if den == 1:
-        return lambda S: S <= limit
     return lambda S: S**den <= limit
 
 
