@@ -1123,9 +1123,10 @@ class TestDecidedFamily:
 
 
 def sequential_scan(adversary, rounds, w, eps, *, index_budget=100_000):
-    """The block game as `play_game` played it before its filtered scan:
-    each term added to a `Fraction` one at a time, and every comparison,
-    ``S < t_k`` and ``(S + b_n)^den <= limit``, made on that sum."""
+    """The block game in `Fraction` arithmetic alone, the oracle of
+    `play_game`'s filtered scan: each term added to a `Fraction` one at a
+    time, and every comparison, ``S < t_k`` and ``(S + b_n)^den <=
+    limit``, made on that sum."""
     eps = Fraction(eps)
     q = w.p / (w.p - 2)
     out = []
