@@ -17,7 +17,8 @@ Functions come in two layouts:
 Every dense cell value a factored function takes is a left fold of its
 summands, and :func:`_fold` is the one place that forms it: from
 :attr:`GridFunction.dense`, one row at a time, and from
-:func:`haarsys.realized_lp_norms`, many rows at once.
+:func:`haarsys.realized_lp_norms`, many rows at once, or one row a block
+of slabs at a time, or on the grid of its distinct term columns.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 1 << 22
+
+# Longest run numpy's pairwise summation adds in one unrolled block (its
+# PW_BLOCKSIZE); :func:`_slab_mean` needs slabs of at least this many cells.
+_PAIRWISE_BLOCK = 128
+
+# Row length of :func:`_fold`'s tiled adds: on a 2^18-cell grid an in-place
+# add took about 110 µs with rows of 8,192 cells (64 KiB of tiles), against
+# 150-210 µs with rows of 2,048 or 4,096 cells and 180-210 µs broadcast
+# over the 128-cell last axis.
+_TILE_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -140,14 +151,15 @@ class GridFunction:
     exact.
     """
 
-    __slots__ = ("grid", "_dense", "_summands")
+    __slots__ = ("grid", "_dense", "_summands", "_runs")
 
-    def __init__(self, grid: ProductGrid, dense=None, summands=None):
+    def __init__(self, grid: ProductGrid, dense=None, summands=None, runs=None):
         if (dense is None) == (summands is None):
             raise ValueError("exactly one of dense/summands must be given")
         self.grid = grid
         self._dense = dense
         self._summands = summands
+        self._runs = runs
 
     @classmethod
     def from_dense(cls, grid: ProductGrid, values: np.ndarray) -> "GridFunction":
@@ -171,19 +183,24 @@ class GridFunction:
 
     @classmethod
     def from_blocks(
-        cls, grid: ProductGrid, blocks: Iterable[tuple[int, np.ndarray]]
+        cls, grid: ProductGrid, blocks: Iterable[tuple[int, np.ndarray]], runs=None
     ) -> "GridFunction":
         """Factored function whose summands are the rows of each
         ``(coordinate, matrix)`` block, block by block and row by row.
 
         The cell-count check runs once per block, not once per row.
+        ``runs``, if given, is a callable that returns the one-row
+        :func:`_fold` runs of these summands, for :attr:`dense` to fold in
+        place of deriving them again; the caller answers for their folding
+        to the same bits, as :func:`haarsys.realize` does with the
+        registry's cached rank plans.
         """
         summands = []
         for coord, block in blocks:
             block = np.asarray(block)
             _check_cells(grid, coord, block.shape[1:], block.shape)
             summands.extend((coord, row) for row in block)
-        return cls(grid, summands=tuple(summands))
+        return cls(grid, summands=tuple(summands), runs=runs)
 
     @classmethod
     def constant(cls, grid: ProductGrid, value: float) -> "GridFunction":
@@ -209,10 +226,13 @@ class GridFunction:
         compacted into its :func:`_rank_plan` values and added by
         :func:`_fold`, whose note says why that is the same fold.  A run of
         Haar-type summands has rank at most its number of levels, not its
-        number of summands.
+        number of summands.  A function built with ``runs`` (see
+        :meth:`from_blocks`) folds those instead.
         """
         if self._dense is not None:
             return self._dense
+        if self._runs is not None:
+            return _fold(self.grid.shape, self._runs(), 1)[0]
         runs = []
         for coord, run in groupby(self._summands, key=itemgetter(0)):
             _, value = _rank_plan(np.array([vec for _, vec in run]))
@@ -270,10 +290,12 @@ def _rank_plan(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, value
 
 
-def _fold(shape: tuple[int, ...], runs, count: int, out=None) -> np.ndarray:
+def _fold(shape: tuple[int, ...], runs, count: int, out=None, start=None) -> np.ndarray:
     """Left fold from ``+0.0`` of ``count`` rows of terms on a grid of
     ``shape``, as an array of shape ``(count, *shape)``: ``out`` if given,
-    which must be C-ordered, else a new one.
+    which must be C-ordered, else a new one.  Given ``start``, an array
+    that broadcasts to that shape, the fold starts from its values instead
+    (they are not written): a fold of the earlier terms taken up here.
 
     ``runs`` yields ``(axis, terms)``: ``terms[r, j]`` is the ``j``-th rank
     of row ``r`` on grid axis ``axis``, one term per cell of that axis, as
@@ -291,18 +313,46 @@ def _fold(shape: tuple[int, ...], runs, count: int, out=None) -> np.ndarray:
     nothing and each cell ends at the fold of its nonzero terms alone.
     The result is in C order, so each row of it, raveled, is averaged by
     :func:`_row_norms` as ``np.mean`` averages that row on its own.
+
+    A one-row fold on a grid of more than :data:`_TILE_CELLS` cells whose
+    last axis is the one that reaches the full grid adds that axis's ranks
+    with long inner loops: the result is first filled from the
+    accumulator, and each rank's terms, tiled to a row of
+    :data:`_TILE_CELLS` cells (fewer where the cell counts do not divide
+    it), are added in place to the result viewed as rows of that length.
+    A broadcast add over the last axis runs an inner loop only as long as
+    that axis, 128 cells on the acceptance source.  The bits are the same:
+    each cell still gets one IEEE addition per rank, of the same two
+    floats, and a cell filled with its accumulator and then given the first
+    rank's term holds the sum the broadcast add writes.
     """
     if out is None:
         out = np.empty((count, *shape))
-    acc = np.zeros((count,) + (1,) * len(shape))
+    if start is None:
+        acc = np.zeros((count,) + (1,) * len(shape))
+    else:
+        acc = np.array(start, dtype=float, ndmin=len(shape) + 1)
     for axis, terms in runs:
+        cells = terms.shape[-1]
         view = [count] + [1] * len(shape)
-        view[axis + 1] = terms.shape[-1]
+        view[axis + 1] = cells
+        reps = 1
+        if count == 1 and axis == len(shape) - 1 and out.size > _TILE_CELLS:
+            reps = math.gcd(out.size // cells, max(1, _TILE_CELLS // cells))
+            tile = np.empty((reps, cells))
+            tiles = out.reshape(-1, tile.size)
         for rank in range(terms.shape[1]):
             term = terms[:, rank].reshape(view)
             if acc.shape[axis + 1] == 1:
                 spans = np.broadcast_shapes(acc.shape, term.shape) == out.shape
-                acc = np.add(acc, term, out=out if spans else None, order="C")
+                if not (spans and reps > 1):
+                    acc = np.add(acc, term, out=out if spans else None, order="C")
+                    continue
+                np.copyto(out, acc)
+                acc = out
+            if acc is out and reps > 1:
+                tile[...] = terms[0, rank]
+                np.add(tiles, tile.reshape(-1), out=tiles)
             else:
                 acc += term
     if acc is not out:
@@ -352,13 +402,41 @@ def _row_norms(
     powers = np.abs(values, out=None if rederive is None else values)
     np.power(powers, exponent.p, out=powers)
     means = np.mean(powers, axis=-1)
+    return _roots(means, exponent, lambda: values if rederive is None else rederive())
+
+
+def _roots(means: np.ndarray, exponent: Exponent, values: Callable[[], np.ndarray]) -> list[float]:
+    """``mean ** (1/p)`` of each row's mean of ``|v|^p``, the tail of
+    :func:`_row_norms`: ``values()`` gives the rows' values, and is called
+    only when a mean is non-finite, to tell a non-finite value
+    (``ValueError``) from an overflow (``inf``)."""
     bad = ~np.isfinite(means)
     if bad.any():
-        original = values if rederive is None else rederive()
-        if not np.all(np.isfinite(original[bad])):
+        if not np.all(np.isfinite(values()[bad])):
             raise ValueError("lp_norm of a function with non-finite values")
     root = 1.0 / exponent.p
     return [float(mean ** root) for mean in means]
+
+
+def _slab_mean(sums: np.ndarray, cells: int) -> np.ndarray:
+    """``np.mean`` of one C-ordered row of ``cells`` values, as a 1-element
+    array, from ``sums``: the ``np.add.reduce`` of each of its ``len(sums)``
+    equal consecutive slabs, in order.
+
+    The row's count, its slab count and slab size are powers of two, and
+    each slab holds at least :data:`_PAIRWISE_BLOCK` values.  numpy sums a
+    contiguous float64 run pairwise: a run of at most
+    :data:`_PAIRWISE_BLOCK` values in one unrolled block, a longer one as
+    the sum of its two halves (each rounded down to a multiple of 8, which
+    a power of two of at least 16 already is).  So every slab's sum is a
+    node of the row's summation tree, the row's sum adds neighbouring
+    nodes level by level up to the root, and the mean divides that sum by
+    ``cells``, as ``np.mean`` does; the bits are those of ``np.mean`` of the
+    whole row.
+    """
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums / cells
 
 
 def pairing(f: GridFunction, g: GridFunction):

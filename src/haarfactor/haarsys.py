@@ -53,6 +53,9 @@ from .grids import (
     GridFunction,
     ProductGrid,
     _fold,
+    _PAIRWISE_BLOCK,
+    _roots,
+    _slab_mean,
     _rank_plan,
     _row_norms,
     as_exponent,
@@ -76,6 +79,23 @@ __all__ = [
 # grid takes one row at a time (larger batches there were slower and cost
 # each worker 2 MB of peak memory per extra row).
 _BATCH_CELLS = 1 << 16
+
+# A row measured alone takes :func:`_compact_slab_sums`' route when every axis
+# has at most 1/_COMPACT_SHARE as many distinct term columns as cells.  On
+# the acceptance source, one core, with the same share on each axis, a row
+# took 0.28 ms at 1/16 (the factorize images), 1.0 ms at 1/2, 1.4 ms at 5/8
+# and 2.3 ms at 3/4, against 2.4-2.9 ms dense, but 4.9 ms at 7/8: the
+# break-even lies between 3/4 and 7/8.  A route that checked only the
+# largest axis took 4.8 ms on rows with half the columns there and none
+# repeated elsewhere, as its gathers along the other axes then copy the
+# grid entry by entry.
+_COMPACT_SHARE = 2
+
+# Slabs of a row that :func:`_dense_slab_sums` folds and raises per numpy
+# call: 100 input rows of the acceptance source took 143-197 ms on two cores
+# with 16 slabs (1 MiB of scratch per stripe), 172-206 ms with 8 and
+# 148-192 ms with all 32.
+_BLOCK_SLABS = 16
 
 # Models :meth:`BasisRegistry.of` keeps: each of the benchmark's workloads
 # reads 7 depth maps.
@@ -209,18 +229,38 @@ def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     """The function ``sum_t c_t h_t`` as a factored grid function.
 
     One summand per basis element (integer profile times one float), so all
-    downstream pairings are exact; see the module note.
+    downstream pairings are exact; see the module note.  Finite
+    coefficients are materialized from :meth:`BasisRegistry.rank_plans`,
+    as :func:`realized_lp_norms` folds them, rather than from plans derived
+    again from the summands: each cell gets the same nonzero terms in the
+    same order, plus zero terms that change nothing (see
+    :func:`grids._fold`).  A non-finite coefficient times a zero profile
+    entry is a NaN summand entry that the cached plans do not hold, so such
+    coefficients take the summands' own plans.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.array(coeffs, dtype=float)  # a copy: ``dense`` reads it later
     if coeffs.shape != (registry.dim,):
         raise ValueError(f"expected {registry.dim} coefficients, got {coeffs.shape}")
+    runs = None
+    if np.isfinite(coeffs).all():
+        runs = lambda: enumerate(_plan_terms(registry.rank_plans(), coeffs[None]))
     # row i of coeffs[rows, None] * profiles is c_i times the integer profile
     # of index i, the same floats as scaling each profile on its own
     return GridFunction.from_blocks(
         registry.grid,
         [(copy, coeffs[rows, None] * profiles)
          for copy, rows, profiles in registry.profile_blocks()],
+        runs,
     )
+
+
+def _plan_terms(plans, chunk: np.ndarray) -> list[np.ndarray]:
+    """The terms :func:`grids._fold` adds for the coefficient rows of
+    ``chunk``: one ``(rows, ranks, cells)`` array per rank plan.  Plan
+    ``k`` holds the ``k``-th block, which sits on grid axis ``k``: the
+    grid's coordinates are the registry's copies, sorted as the blocks
+    are."""
+    return [np.take(chunk[:, rows], index, axis=1) * value for rows, index, value in plans]
 
 
 def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
@@ -233,10 +273,16 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     :attr:`GridFunction.dense`, into a buffer of the pass's own; each row
     of the fold is then averaged over the whole row, as ``lp_norm``
     averages the materialized function, with ``|v|^p`` raised in that
-    buffer (:func:`grids._row_norms`).  The batches are measured on every
-    usable core, at most :data:`constants.MAX_STRIPES`, by :func:`_striped`,
-    each worker in its own buffer; the per-cell arithmetic is the same on
-    any number of workers, and so is every norm and every exception.
+    buffer (:func:`grids._row_norms`).  A grid of at least
+    :data:`_BATCH_CELLS` cells takes one row at a time, and where its
+    slabs along the first axis hold at least :data:`grids._PAIRWISE_BLOCK`
+    cells the row is never materialized: :func:`_slab_norms` raises it a
+    block of slabs at a time and averages the slabs' sums as ``np.mean``
+    does.  The
+    rows are measured on every usable core, at most
+    :data:`constants.MAX_STRIPES`, by :func:`_striped`, each worker in its
+    own buffer; the per-cell arithmetic is the same on any number of
+    workers, and so is every norm and every exception.
     """
     exponent = as_exponent(p)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -247,33 +293,149 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     plans = registry.rank_plans()
     shape, ncells = registry.grid.shape, registry.grid.ncells
     batch = max(1, _BATCH_CELLS // ncells)
-
-    def fold(start: int, buffer: np.ndarray) -> np.ndarray:
-        chunk = coeffs[start:start + batch]
-        # block k sits on grid axis k: the grid's coordinates are the
-        # registry's copies, sorted as the blocks are
-        runs = (
-            (axis, np.take(chunk[:, rows], index, axis=1) * value)
-            for axis, (rows, index, value) in enumerate(plans)
+    slab = ncells // shape[0]
+    if batch == 1 and len(shape) > 1 and slab >= _PAIRWISE_BLOCK:
+        return _striped(
+            lambda row, scratch: _slab_norms(
+                shape, _plan_terms(plans, coeffs[row:row + 1]), exponent, scratch
+            ),
+            range(len(coeffs)),
+            lambda: np.empty((min(_BLOCK_SLABS, shape[0]), slab)),
         )
-        values = buffer[:len(chunk)]
-        _fold(shape, runs, len(chunk), values.reshape(len(chunk), *shape))
-        return values
 
-    def measure(starts: Sequence[int], buffer: np.ndarray) -> list[float]:
-        norms: list[float] = []
-        for start in starts:
-            values = fold(start, buffer)
-            norms += _row_norms(
-                values, exponent, lambda: fold(start, np.empty_like(values))
-            )
-        return norms
+    def measure(start: int, buffer: np.ndarray) -> list[float]:
+        chunk = coeffs[start:start + batch]
+        terms = _plan_terms(plans, chunk)
+
+        def fold(values: np.ndarray) -> np.ndarray:
+            _fold(shape, enumerate(terms), len(chunk), values.reshape(len(chunk), *shape))
+            return values
+
+        values = fold(buffer[:len(chunk)])
+        return _row_norms(values, exponent, lambda: fold(np.empty_like(values)))
 
     return _striped(
         measure,
         range(0, len(coeffs), batch),
         lambda: np.empty((min(batch, len(coeffs)), ncells)),
     )
+
+
+def _slab_norms(
+    shape: tuple[int, ...], terms: list[np.ndarray], exponent, scratch: np.ndarray
+) -> list[float]:
+    """The norm of one row, whose ``terms[axis][0]`` are its ranks on grid
+    axis ``axis`` (as :func:`grids._fold` takes them), with no array of the
+    row's size.
+
+    The slabs of the row along the first axis are raised to ``|v|^p`` a
+    few at a time in ``scratch``, by :func:`_compact_slab_sums` or else
+    :func:`_dense_slab_sums`, each cell as the dense fold and ``lp_norm``
+    raise it; each slab is summed by ``np.add.reduce``, and
+    :func:`grids._slab_mean` averages the sums as ``np.mean`` averages the
+    whole row.  Only a non-finite mean folds the whole row again, to tell a
+    non-finite value from an overflow.
+    """
+    sums = _compact_slab_sums(shape, terms, exponent, scratch[0])
+    if sums is None:
+        sums = _dense_slab_sums(shape, terms, exponent, scratch)
+    return _roots(
+        _slab_mean(sums, math.prod(shape)),
+        exponent,
+        lambda: _fold(shape, enumerate(terms), 1).reshape(1, -1),
+    )
+
+
+def _dense_slab_sums(
+    shape: tuple[int, ...], terms: list[np.ndarray], exponent, scratch: np.ndarray
+) -> np.ndarray:
+    """The ``np.add.reduce`` of ``|v|^p`` over each slab of the row along
+    the first axis, folded and raised :data:`_BLOCK_SLABS` slabs at a time
+    in ``scratch``.
+
+    :func:`grids._fold` of every axis but the last gives the row's
+    accumulators before its last axis, and :func:`grids._fold` of the last
+    axis's terms, started from those of a block of slabs, fills that
+    block: each cell gets the additions of the whole row's fold, in their
+    order.
+    """
+    heads = _fold(shape[:-1], enumerate(terms[:-1]), 1)[..., None]
+    last = [(len(shape) - 1, terms[-1])]
+    sums = np.empty(shape[0])
+    for start in range(0, shape[0], len(scratch)):
+        cells = slice(start, start + len(scratch))
+        slabs = scratch[:len(sums[cells])]
+        block = (len(slabs), *shape[1:])
+        _fold(block, last, 1, slabs.reshape(1, *block), start=heads[:, cells])
+        np.abs(slabs, out=slabs)
+        np.power(slabs, exponent.p, out=slabs)
+        np.add.reduce(slabs, axis=1, out=sums[cells])
+    return sums
+
+
+def _compact_slab_sums(
+    shape: tuple[int, ...], terms: list[np.ndarray], exponent, slab: np.ndarray
+) -> np.ndarray | None:
+    """:func:`_dense_slab_sums` from the grid of the row's distinct term
+    columns, or None where that grid is not small enough.
+
+    A cell's value is the left fold of its axes' term columns, one after
+    another, so cells whose columns are equal on every axis hold equal
+    values.  Columns that differ only by the sign of a zero count as equal:
+    a zero term leaves every fold unchanged (see :func:`grids._fold`).  So
+    :func:`grids._fold` runs on the grid of distinct columns, ``|v|^p`` is
+    raised on that small table, an elementwise operation, and each
+    distinct slab is gathered from it in C order into ``slab`` and summed
+    once: slabs whose first-axis columns are equal hold the same powers in
+    the same order, so their sums are equal too.
+
+    The route is taken when every axis has at most 1/:data:`_COMPACT_SHARE`
+    as many distinct columns as cells.  The axes are checked largest first,
+    and the check stops at the first that fails, so a row with no repeated
+    columns there (every input row of a ``factorize`` pass) pays only that
+    one check.
+    """
+    distinct = [None] * len(shape)
+    for axis in sorted(range(len(shape)), key=shape.__getitem__, reverse=True):
+        columns, inverse = _distinct_columns(terms[axis][0])
+        if columns.shape[1] * _COMPACT_SHARE > shape[axis]:
+            return None
+        distinct[axis] = columns, inverse
+    table = _fold(
+        tuple(columns.shape[1] for columns, _ in distinct),
+        ((axis, columns[None]) for axis, (columns, _) in enumerate(distinct)),
+        1,
+    )[0]
+    powers = np.abs(table)
+    np.power(powers, exponent.p, out=powers)
+    fill = slab.reshape(shape[1:])
+    sums = np.empty(len(powers))
+    for j, part in enumerate(powers):
+        # the last axis is expanded first, so the gathered arrays stay small
+        # until the take along the slab's first axis writes the slab;
+        # mode="clip" writes there directly (mode="raise" would stage it)
+        for axis in reversed(range(1, len(shape))):
+            out = fill if axis == 1 else None
+            part = np.take(part, distinct[axis][1], axis=axis - 1, out=out, mode="clip")
+        sums[j] = np.add.reduce(slab)
+    return sums[distinct[0][1]]
+
+
+def _distinct_columns(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(columns, inverse)``: the distinct columns of a ``(ranks, cells)``
+    array under ``==``, in sorted order, and for each cell the position of
+    its column among them, so that ``columns[:, inverse] == terms``.
+
+    ``==`` reads ``-0.0`` as ``+0.0`` and keeps every column holding a NaN
+    apart from every other column."""
+    order = np.lexsort(terms[::-1])
+    ordered = terms[:, order]
+    starts = np.empty(terms.shape[1], dtype=bool)
+    starts[:1] = True
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    inverse = np.empty(terms.shape[1], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[:, starts], inverse
 
 
 def _usable_cores() -> int:
@@ -285,47 +447,49 @@ def _usable_cores() -> int:
 
 
 def _striped(
-    work: Callable[[Sequence, np.ndarray], list],
+    work: Callable[[object, np.ndarray], list],
     items: Sequence,
     scratch: Callable[[], np.ndarray],
 ) -> list:
-    """``work(stripe, buffer)`` on every contiguous stripe of ``items``, one
-    stripe per usable core but no more stripes than items, nor than
-    :data:`constants.MAX_STRIPES`; the lists the stripes return,
-    concatenated in order.
+    """``work(item, buffer)`` on every item, in stripes that interleave the
+    items, one stripe per usable core but no more stripes than items, nor
+    than :data:`constants.MAX_STRIPES`; the lists the calls return,
+    concatenated in item order.
 
-    The calling thread allocates each stripe's ``buffer`` by ``scratch()``
-    and runs the first stripe; one helper thread runs each other stripe, in
-    a copy of the caller's context, so the caller's ``np.errstate`` holds
-    there too.  Every helper is joined, also when a stripe raises, and the
-    exception of the first stripe that raised is raised here: as each
-    stripe takes its items in order and stops at its first failure, that is
-    the exception a loop over ``items`` would meet first.  A single stripe
-    starts no thread.
+    Stripe ``k`` of ``count`` takes items ``k, k + count, ...`` in order,
+    so that every stripe gets a fair share of each part of ``items`` (the
+    images and the inputs of a sampled ratio differ in cost).  The calling
+    thread allocates each stripe's ``buffer`` by ``scratch()`` and runs the
+    first stripe; one helper thread runs each other stripe, in a copy of
+    the caller's context, so the caller's ``np.errstate`` holds there too.
+    A stripe stops at its first failing item.  Every helper is joined, also
+    when a stripe raises, and the exception of the smallest failing item
+    index is raised here: each stripe's first failure is its smallest, so
+    that is the exception a loop over ``items`` would meet first.  A single
+    stripe starts no thread.
     """
-    count = min(_usable_cores(), MAX_STRIPES, len(items))
-    if count <= 1:
-        return work(items, scratch())
-    stripes = [
-        (items[len(items) * k // count:len(items) * (k + 1) // count], scratch())
-        for k in range(count)
-    ]
-    results: list = [None] * count
+    count = max(1, min(_usable_cores(), MAX_STRIPES, len(items)))
+    results: list = [None] * len(items)
     errors: dict[int, BaseException] = {}
 
-    def run(k: int) -> None:
-        try:
-            results[k] = work(*stripes[k])
-        except BaseException as exc:
-            errors[k] = exc
+    def run(k: int, buffer: np.ndarray) -> None:
+        for i in range(k, len(items), count):
+            try:
+                results[i] = work(items[i], buffer)
+            except BaseException as exc:
+                errors[i] = exc
+                return
 
+    buffers = [scratch() for _ in range(count)]
     helpers = []
     try:
         for k in range(1, count):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            helper = threading.Thread(
+                target=contextvars.copy_context().run, args=(run, k, buffers[k])
+            )
             helper.start()
             helpers.append(helper)
-        run(0)
+        run(0, buffers[0])
     finally:
         for helper in helpers:
             helper.join()

@@ -1,5 +1,6 @@
 """Factorization witnesses: identity through an operator or its complement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from haarfactor.constants import (
     dichotomy_constant,
     large_diagonal_constant,
 )
-from haarfactor import serialize
+from haarfactor import factorize as factorize_module, haarsys, serialize
 from haarfactor.cli import ExperimentConfig, run
 from haarfactor.errors import ReductionError
 from haarfactor.factorize import (
@@ -383,15 +384,73 @@ class TestSampledValuesPinned:
         assert sampled == apply_chain_oracle(witness, 100, seed)
 
     def test_factorize_seed0(self, tmp_path):
-        source = BasisRegistry({5: 4, 6: 5, 7: 6})
-        noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
-        np.fill_diagonal(noise, 0.0)
-        noise /= np.abs(noise).sum(axis=0).max()
-        op = tmp_path / "operator.json"
-        serialize.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
-        witness, sampled = _run_witness(tmp_path, dict(
-            command="factorize", p=4.0, delta=1.0, eps="0.25", seed=5, inputs=(str(op),),
-        ))
+        witness, sampled = _run_seed0_factorize(tmp_path)
         estimate = witness.metadata["projection_norm_estimate"]
         assert (estimate.hex(), sampled.hex()) == FACTORIZE_PIN
         assert sampled == apply_chain_oracle(witness, 100, 5)
+
+
+def _run_seed0_factorize(tmp_path):
+    """The benchmark's seed-0 `factorize` job: I + 0.05 N on the acceptance
+    source."""
+    source = HOSTS
+    noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
+    np.fill_diagonal(noise, 0.0)
+    noise /= np.abs(noise).sum(axis=0).max()
+    op = tmp_path / "operator.json"
+    serialize.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
+    return _run_witness(tmp_path, dict(
+        command="factorize", p=4.0, delta=1.0, eps="0.25", seed=5, inputs=(str(op),),
+    ))
+
+
+# sha256 of the space-joined float.hex of the norms of the seed-0 factorize
+# job's 200 projection-estimate rows (100 images F @ (PE @ g), then the 100
+# inputs g) on the acceptance source, by p, as the dense route computed them
+# before the compact route existed (numpy 2.4.6)
+FACTORIZE_ROW_NORMS = {
+    1.5: "488cc252e018ae6874c1741cdf7ae2b2eda8b6b3f98cf713103a53b5db1ea1c3",
+    2.0: "cdf4f09bae3eeaef1ae8d4e7bbd2fc764087fb3a10c64ea621d65cd28a7dbbd3",
+    3.0: "e25aeb30118a517ab2cd814b764ac92c94f127dd16d72dc0f6fa03ec4f99570f",
+    4.0: "ec3752903810cf517afef47174bfc5a4f9a6342e9f34e91e2b279f79cdb8db2b",
+}
+
+
+def test_factorize_seed0_row_norms_are_pinned(tmp_path, monkeypatch):
+    """Every norm of the seed-0 factorize rows keeps its bits, with the
+    zero coefficients as they are and turned to -0.0; the images take the
+    compact route and the inputs the dense one."""
+    calls = []
+
+    def recorded(registry, coeffs, p):
+        calls.append((registry, np.array(coeffs)))
+        return haarsys.realized_lp_norms(registry, coeffs, p)
+
+    monkeypatch.setattr(factorize_module, "realized_lp_norms", recorded)
+    _run_seed0_factorize(tmp_path)
+    registry, rows = calls[0]
+    assert registry.depths == HOSTS.depths and rows.shape == (200, HOSTS.dim)
+
+    compact = []
+    compact_slab_sums = haarsys._compact_slab_sums
+
+    def counted(shape, terms, exponent, slab):
+        sums = compact_slab_sums(shape, terms, exponent, slab)
+        compact.append(sums is not None)
+        return sums
+
+    monkeypatch.setattr(haarsys, "_compact_slab_sums", counted)
+    signed = np.where(rows == 0.0, -0.0, rows)
+    assert np.signbit(signed[signed == 0.0]).all()
+    for p, digest in FACTORIZE_ROW_NORMS.items():
+        for coeffs in (rows, signed):
+            compact.clear()
+            norms = haarsys.realized_lp_norms(registry, coeffs, p)
+            text = " ".join(float(x).hex() for x in norms)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert sorted(compact) == [False] * 100 + [True] * 100
+    # on one stripe the rows are measured in order
+    monkeypatch.setattr(haarsys, "_usable_cores", lambda: 1)
+    compact.clear()
+    haarsys.realized_lp_norms(registry, rows, 4.0)
+    assert compact == [True] * 100 + [False] * 100

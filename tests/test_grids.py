@@ -13,7 +13,9 @@ from haarfactor.grids import (
     Exponent,
     GridFunction,
     ProductGrid,
+    _PAIRWISE_BLOCK,
     _fold,
+    _slab_mean,
     conditional_expectation,
     lp_norm,
     pairing,
@@ -230,6 +232,55 @@ class TestFoldRows:
         for r in range(count):
             alone = _fold(shape, [(axis, terms[r:r + 1]) for axis, terms in runs], 1)
             assert rows[r].tobytes() == alone[0].tobytes()
+
+
+class TestFoldFrom:
+    """A fold started from an earlier fold's values continues it, bit for
+    bit, also on a block of first-axis cells and on grids large enough for
+    the tiled adds; the start is not written."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_start_continues_the_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(2 ** int(r) for r in (rng.integers(1, 5), rng.integers(0, 4), rng.integers(3, 9)))
+        runs = [
+            (axis, np.array([[random_summand(rng, shape[axis]).astype(float)
+                              for _ in range(int(rng.integers(1, 4)))]]))
+            for axis in range(len(shape))
+        ]
+        whole = _fold(shape, runs, 1)
+        heads = _fold(shape[:-1], runs[:-1], 1)[..., None]
+        before = heads.tobytes()
+        assert _fold(shape, runs[-1:], 1, start=heads).tobytes() == whole.tobytes()
+        first = int(rng.integers(shape[0]))
+        cells = slice(first, first + int(rng.integers(1, shape[0] - first + 1)))
+        block = (len(range(shape[0])[cells]), *shape[1:])
+        part = _fold(block, runs[-1:], 1, start=heads[:, cells])
+        assert part.tobytes() == whole[:, cells].tobytes()
+        assert heads.tobytes() == before
+        # a start that spans the last run's axis too
+        earlier = _fold(shape, runs[:-1], 1)
+        before = earlier.tobytes()
+        assert _fold(shape, runs[-1:], 1, start=earlier).tobytes() == whole.tobytes()
+        assert earlier.tobytes() == before
+
+
+class TestSlabMean:
+    """``_slab_mean`` of the slab sums is ``np.mean`` of the whole row, bit
+    for bit: the slabs are nodes of numpy's pairwise summation tree."""
+
+    @given(st.integers(7, 16), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_np_mean(self, log_cells, seed, data):
+        slabs = 2 ** data.draw(st.integers(0, log_cells - 7))
+        rng = np.random.default_rng(seed)
+        row = np.abs(rng.standard_normal(2**log_cells)) ** rng.uniform(0.5, 8)
+        row *= rng.choice([1e-300, 1.0, 1e300], row.size, p=[0.05, 0.9, 0.05])
+        assert row.size // slabs >= _PAIRWISE_BLOCK
+        sums = np.add.reduce(row.reshape(slabs, -1), axis=1)
+        want = np.mean(row[None], axis=-1)
+        assert _slab_mean(sums, row.size).tobytes() == want.tobytes()
 
 
 class TestLpNorm:

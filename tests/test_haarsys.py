@@ -1,6 +1,8 @@
 """Registry, block families, distributional-copy and Burkholder checks."""
 
+import contextlib
 import math
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -19,7 +21,7 @@ from haarfactor.dyadic import (
     intervals_at_level,
 )
 from haarfactor import haarsys
-from haarfactor.factorize import projection_matrix
+from haarfactor.factorize import embedding_matrix, projection_matrix
 from haarfactor.grids import GridFunction, ProductGrid, lp_norm, pairing
 from haarfactor.haarsys import (
     BasisRegistry,
@@ -353,8 +355,8 @@ class TestThreadedNorms:
 
 
 class TestThreadedErrors:
-    """Rows 0-1 go to the calling thread and rows 2-4 to the helper: one
-    row per batch on two workers."""
+    """Rows 0, 2 and 4 go to the calling thread and rows 1 and 3 to the
+    helper: one row per batch on two interleaved workers."""
 
     @pytest.fixture
     def registry(self, monkeypatch, helpers_started):
@@ -409,7 +411,7 @@ class TestThreadedErrors:
     ])
     def test_the_loops_first_error_wins(self, registry, first, second, error):
         rows = np.ones((5, registry.dim))
-        for row, kind in ((1, first), (3, second)):
+        for row, kind in ((2, first), (3, second)):
             if kind == "nan":
                 rows[row, 0] = np.nan
             else:
@@ -459,20 +461,22 @@ class TestStripeCap:
             return buffers[-1]
 
         items = range(10 * MAX_STRIPES + 3)
-        seen = {}  # first item of a stripe -> (its length, its buffer's id)
+        seen = {}  # buffer id -> the items worked in it, in order
 
-        def work(stripe, buffer):
-            seen[stripe[0]] = (len(stripe), id(buffer))
-            return list(stripe)
+        def work(item, buffer):
+            seen.setdefault(id(buffer), []).append(item)
+            return [item]
 
         assert haarsys._striped(work, items, scratch) == list(items)
         assert len(buffers) == MAX_STRIPES
         assert len(inline_helpers) == MAX_STRIPES - 1
-        # one buffer per stripe, and stripes of 10 or 11 items
-        assert {buffer for _, buffer in seen.values()} == {id(b) for b in buffers}
-        assert sorted(length for length, _ in seen.values()) == (
-            [10] * (MAX_STRIPES - 3) + [11] * 3
-        )
+        # one buffer per stripe, each stripe every MAX_STRIPES-th item in
+        # order: stripes of 10 or 11 items
+        assert set(seen) == {id(b) for b in buffers}
+        assert sorted(seen.values()) == [
+            list(items[k::MAX_STRIPES]) for k in range(MAX_STRIPES)
+        ]
+        assert sorted(map(len, seen.values())) == [10] * (MAX_STRIPES - 3) + [11] * 3
 
 
 def identity_family(registry):
@@ -880,3 +884,211 @@ class TestBurkholder:
         r = BasisRegistry.standard(2)
         with pytest.raises(ValueError):
             burkholder_check(r, np.zeros(4), np.ones(4), 4)
+
+
+# -- the compact route, the interleaved stripes, cached realization plans ----------
+
+
+COMPACT_SOURCE = BasisRegistry({3: 2, 4: 3, 5: 4})  # 8 x 16 x 32 cells
+COMPACT_TARGET = {1: 0, 2: 1, 3: 2}
+
+
+@contextlib.contextmanager
+def measured_alone(share, workers=1):
+    """Every row measured alone (one row per batch, as on a 2^18-cell grid),
+    under the compact route's rule with ``share`` (1 takes the route on
+    every row, 10**9 on none), folding 3 slabs per block (so a row of 8 or
+    16 slabs ends in a partial block); yields the list of rows the compact
+    route measured, one entry per row."""
+    taken = []
+    compact_slab_sums = haarsys._compact_slab_sums
+
+    def counted(*args):
+        sums = compact_slab_sums(*args)
+        if sums is not None:
+            taken.append(sums)
+        return sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(haarsys, "_BATCH_CELLS", 1)
+        mp.setattr(haarsys, "_COMPACT_SHARE", share)
+        mp.setattr(haarsys, "_BLOCK_SLABS", 3)
+        mp.setattr(haarsys, "_compact_slab_sums", counted)
+        mp.setattr(haarsys, "_usable_cores", lambda: workers)
+        yield taken
+
+
+def compact_hexes(registry, rows, p, workers=1):
+    """``float.hex`` of the norms on the compact route, which every row takes."""
+    with measured_alone(1, workers) as taken:
+        norms = realized_lp_norms(registry, rows, p)
+    assert len(taken) == len(rows)
+    return hexes(norms)
+
+
+class TestCompactRoute:
+    """The compact route against the dense route, by ``float.hex``: the
+    dense route is :func:`loop_norms`, one ``lp_norm(realize(c))`` per row."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.integers(1, 3))
+    def test_images_of_block_families(self, data, p, workers):
+        family = BlockFamily(carved_family(data, COMPACT_TARGET, COMPACT_SOURCE))
+        target = BasisRegistry(COMPACT_TARGET)
+        PE = projection_matrix(COMPACT_SOURCE, target, family)
+        F = embedding_matrix(COMPACT_SOURCE, family)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        inputs = np.random.default_rng(seed).standard_normal((4, COMPACT_SOURCE.dim))
+        images = np.array([F @ (PE @ g) for g in inputs])
+        want = hexes(loop_norms(COMPACT_SOURCE, images, p))
+        assert compact_hexes(COMPACT_SOURCE, images, p, workers) == want
+        # the rule alone: a route it takes or leaves gives the same bits
+        with measured_alone(10**9):
+            assert hexes(realized_lp_norms(COMPACT_SOURCE, images, p)) == want
+        with measured_alone(haarsys._COMPACT_SHARE):
+            assert hexes(realized_lp_norms(COMPACT_SOURCE, images, p)) == want
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("depths", [{3: 2, 4: 3, 5: 4}, {4: 3, 8: 7}])
+    def test_signed_zero_rows(self, depths, p):
+        r = BasisRegistry(depths)
+        rows = signed_zero_rows(r, 12, seed=len(depths))
+        want = hexes(loop_norms(r, rows, p))
+        assert compact_hexes(r, rows, p) == want
+        with measured_alone(10**9, workers=2):
+            assert hexes(realized_lp_norms(r, rows, p)) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.data())
+    def test_exactly_one_repeated_column(self, seed, p, data):
+        # a zero deepest-level coefficient gives its two cells one column
+        rows = np.random.default_rng(seed).standard_normal((1, COMPACT_SOURCE.dim))
+        copy = data.draw(st.sampled_from(sorted(COMPACT_SOURCE.depths)))
+        deepest = [i for i, t in enumerate(COMPACT_SOURCE.indices)
+                   if t.copy == copy and t.interval.level == COMPACT_SOURCE.depths[copy]]
+        rows[0, data.draw(st.sampled_from(deepest))] = data.draw(st.sampled_from([0.0, -0.0]))
+        terms = haarsys._plan_terms(COMPACT_SOURCE.rank_plans(), rows)
+        axis = sorted(COMPACT_SOURCE.depths).index(copy)
+        counts = [haarsys._distinct_columns(t[0])[0].shape[1] for t in terms]
+        cells = list(COMPACT_SOURCE.grid.shape)
+        cells[axis] -= 1
+        assert counts == cells
+        assert compact_hexes(COMPACT_SOURCE, rows, p) == hexes(loop_norms(COMPACT_SOURCE, rows, p))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.5, 2.0, 4.0]), st.data())
+    def test_non_finite_coefficient_raises(self, bad, seed, p, data):
+        rows = np.random.default_rng(seed).standard_normal((3, COMPACT_SOURCE.dim))
+        rows[data.draw(st.integers(0, 2)), data.draw(st.integers(0, COMPACT_SOURCE.dim - 1))] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                loop_norms(COMPACT_SOURCE, rows, p)
+            with measured_alone(1):
+                with pytest.raises(ValueError, match="non-finite"):
+                    realized_lp_norms(COMPACT_SOURCE, rows, p)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_is_infinite(self, workers):
+        rows = np.random.default_rng(4).standard_normal((3, COMPACT_SOURCE.dim))
+        rows[1] *= 1e100
+        with np.errstate(over="ignore"):
+            got = compact_hexes(COMPACT_SOURCE, rows, 4.0, workers)
+            assert got == hexes(loop_norms(COMPACT_SOURCE, rows, 4.0))
+        assert got[1] == "inf" and got[0] != "inf"
+
+    def test_rows_without_repeated_columns_stay_dense(self):
+        rows = np.random.default_rng(6).standard_normal((5, COMPACT_SOURCE.dim))
+        with measured_alone(haarsys._COMPACT_SHARE) as taken:
+            assert hexes(realized_lp_norms(COMPACT_SOURCE, rows, 4.0)) == hexes(
+                loop_norms(COMPACT_SOURCE, rows, 4.0))
+        assert taken == []
+
+
+class Failure(Exception):
+    pass
+
+
+class TestStripedOrder:
+    """``_striped`` returns the results in item order and raises the
+    exception of the smallest failing item, on 1, 2 and 3 stripes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 24), st.sets(st.integers(0, 23), max_size=4),
+           st.sampled_from([1, 2, 3]))
+    def test_item_order_and_first_failure(self, count, failing, stripes):
+        failing = {i for i in failing if i < count}
+        buffers = []
+
+        def scratch():
+            buffers.append(np.empty(1))
+            return buffers[-1]
+
+        def work(item, buffer):
+            if item in failing:
+                raise Failure(item)
+            return [item, -item]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(haarsys, "_usable_cores", lambda: stripes)
+            if failing:
+                with pytest.raises(Failure) as raised:
+                    haarsys._striped(work, range(count), scratch)
+                assert raised.value.args == (min(failing),)
+            else:
+                got = haarsys._striped(work, range(count), scratch)
+                assert got == [x for i in range(count) for x in (i, -i)]
+        assert len(buffers) == max(1, min(stripes, count))
+
+
+    def test_many_stripes_under_a_short_switch_interval(self):
+        # more stripes than cores, each writing its items' slots of the
+        # shared results while the interpreter switches threads often
+        items = range(2000)
+
+        def work(item, buffer):
+            buffer[0] = item
+            return [int(buffer[0])]
+
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(haarsys, "_usable_cores", lambda: MAX_STRIPES)
+                got = haarsys._striped(work, items, lambda: np.empty(1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(items)
+        assert threading.active_count() == threads
+
+
+class TestRealizedDense:
+    """``realize(...).dense`` folds the registry's cached rank plans; the
+    bytes are those of the summands' own fold."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(NORM_REGISTRIES)[:3]), st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "signed zeros", "non-finite"]))
+    def test_bytes_of_the_summand_fold(self, name, seed, kind):
+        r = BasisRegistry(NORM_REGISTRIES[name][0])
+        if kind == "gaussian":
+            rows = np.random.default_rng(seed).standard_normal((2, r.dim))
+        else:
+            rows = signed_zero_rows(r, 6, seed)
+        if kind == "non-finite":
+            rows[:, seed % r.dim] = (np.nan, np.inf, -np.inf, 1e308, 0.0, -0.0)
+        for c in rows:
+            with np.errstate(invalid="ignore", over="ignore"):
+                f = realize(r, c)
+                assert (f._runs is not None) == bool(np.isfinite(c).all())
+                summand_fold = GridFunction(r.grid, summands=f.summands).dense
+                assert f.dense.tobytes() == summand_fold.tobytes()
+
+    def test_later_writes_to_the_coefficients_change_nothing(self):
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        c = np.random.default_rng(8).standard_normal(r.dim)
+        f = realize(r, c)
+        before = GridFunction(r.grid, summands=f.summands).dense.tobytes()
+        c[:] = 7.0
+        assert f.dense.tobytes() == before

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from test_golden_bytes import CASES as GOLDEN
 
 from haarfactor import serialize as sz
@@ -573,6 +573,87 @@ class TestArrayRendering:
         assert str(raised.value) == (
             f"Out of range float values are not JSON compliant: {float(bad)!r}"
         )
+
+
+def render_without_memo(doc) -> str:
+    """The text of ``doc`` with every float array rendered afresh."""
+
+    class NoMemo(dict):
+        def get(self, key, default=None):
+            return default
+
+    out = []
+    sz._render(doc, out, "\n", NoMemo())
+    return "".join(out) + "\n"
+
+
+@pytest.fixture(params=["sampled", "colliding"])
+def digests(request, monkeypatch):
+    """The render memo's keys as they are, or one key for every array of a
+    shape (every hash 0), so that only the full comparison of bits tells
+    arrays apart."""
+    if request.param == "colliding":
+        monkeypatch.setattr(sz, "hash", lambda data: 0, raising=False)
+
+
+class TestOneRenderingPerArray:
+    """Equal float arrays in one document are rendered once and re-indented;
+    the bytes are those of rendering each afresh.  Arrays that differ in
+    shape or bits are told apart by a full comparison, also when their
+    digests collide."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(float_arrays(), st.data())
+    def test_equal_arrays_at_different_depths(self, array, data):
+        twin = array.copy()
+        listed = array.tolist()
+        payload = {"a": array, "deep": [1, {"b": twin, "c": [[array, listed]]}],
+                   "z": [listed, array]}
+        if array.ndim == 1 and data.draw(st.booleans()):
+            payload["floats"] = [float(x) for x in listed]
+        doc = {"schema": "s", "kind": "k", "metadata": {"m": array}, "payload": payload}
+        assert sz.dumps(doc) == render_without_memo(doc) == oracle(sz._json_types(doc))
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(float_arrays(), st.data())
+    def test_signed_zeros_are_rendered_apart(self, digests, array, data):
+        flipped = np.array(array)  # C-ordered
+        zeros = np.flatnonzero(flipped.reshape(-1) == 0.0)
+        if zeros.size:
+            at = data.draw(st.sampled_from(zeros.tolist()))
+            flipped.reshape(-1)[at] = -flipped.reshape(-1)[at]
+        plain = np.array(array)
+        doc = {"schema": "s", "kind": "k", "metadata": {},
+               "payload": {"a": plain, "b": flipped, "c": [plain, flipped]}}
+        assert (plain == flipped).all()
+        text = sz.dumps(doc)
+        assert text == render_without_memo(doc) == oracle(sz._json_types(doc))
+
+    @pytest.mark.parametrize("shapes", [((6,), (2, 3)), ((2, 3), (3, 2)), ((6,), (6, 1))])
+    def test_same_bytes_in_other_shapes_are_rendered_apart(self, digests, shapes):
+        values = np.array([0.5, -0.0, 3.0, 0.0, 1e-7, 2.5])
+        first, second = (values.reshape(shape) for shape in shapes)
+        doc = {"schema": "s", "kind": "k", "metadata": {},
+               "payload": {"a": first, "b": second, "c": [second, first]}}
+        text = sz.dumps(doc)
+        assert text == render_without_memo(doc) == oracle(sz._json_types(doc))
+
+    def test_the_witness_renders_its_source_once(self, seed0_witness, monkeypatch):
+        witness = sz.load(seed0_witness)
+        source = witness.source.entries
+        assert np.array_equal(witness.certificate.source.entries.view(np.uint64),
+                              source.view(np.uint64))
+        shapes = []
+        float_rows = sz._float_rows
+
+        def counted(array, out, newline):
+            shapes.append(array.shape)
+            float_rows(array, out, newline)
+
+        monkeypatch.setattr(sz, "_float_rows", counted)
+        assert sz.dumps(witness) == seed0_witness.read_text()
+        assert shapes.count(source.shape) == 1
 
 
 class TestParseOnce:
