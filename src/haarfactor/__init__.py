@@ -33,7 +33,6 @@ from .dyadic import (
 from .errors import ReductionError, ResourceLimitError
 from .factorize import (
     FactorizationWitness,
-    embedding_matrix,
     factor_large_diagonal,
     primary_dichotomy,
     projection_matrix,
@@ -129,7 +128,7 @@ __all__ = [
     "interaction_matrix", "reduce_to_diagonal", "reduce_to_scalar_finite",
     "verify_certificate",
     # factorize
-    "FactorizationWitness", "embedding_matrix", "factor_large_diagonal",
+    "FactorizationWitness", "factor_large_diagonal",
     "primary_dichotomy", "projection_matrix",
     # weightedlp
     "Block", "FixedScheduleAdversary", "GameTranscript", "GreedyMaxAdversary",

@@ -159,9 +159,11 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
-def _registry(config, fallback_copies=(5, 6, 7), fallback_depths=(4, 5, 6)) -> BasisRegistry:
-    copies = config.copies if config.copies is not None else fallback_copies
-    depths = config.depths if config.depths is not None else fallback_depths
+def _registry(config) -> BasisRegistry:
+    """The source model of ``--copies`` and ``--depths``, by default copies
+    5, 6 and 7 at depths 4, 5 and 6."""
+    copies = config.copies if config.copies is not None else (5, 6, 7)
+    depths = config.depths if config.depths is not None else (4, 5, 6)
     if len(copies) != len(depths):
         raise ValueError(
             f"--copies lists {len(copies)} copies but --depths lists "
@@ -170,15 +172,15 @@ def _registry(config, fallback_copies=(5, 6, 7), fallback_depths=(4, 5, 6)) -> B
     return BasisRegistry(dict(zip(copies, depths)))
 
 
-def _seeded_operator(registry: BasisRegistry, p: float, seed: int, scale: float = 0.05):
-    """Identity plus a scaled zero-diagonal perturbation of unit column sum."""
+def _seeded_operator(registry: BasisRegistry, p: float, seed: int):
+    """Identity plus 0.05 times a zero-diagonal perturbation of unit column sum."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((registry.dim, registry.dim))
     np.fill_diagonal(noise, 0.0)
     total = max_column_sum(noise)
     if total > 0:
         noise /= total
-    return OperatorMatrix(p, registry.indices, np.eye(registry.dim) + scale * noise)
+    return OperatorMatrix(p, registry.indices, np.eye(registry.dim) + 0.05 * noise)
 
 
 def _derive_reduction_plan(T) -> tuple[dict[int, int], dict[int, int]]:

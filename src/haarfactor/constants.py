@@ -30,13 +30,17 @@ It also names one resource bound, which no result depends on:
 
 * ``MAX_STRIPES`` (``8``): the most workers ``haarsys._striped`` runs,
   whatever the host's core count; each is one thread (the caller's among
-  them) with one scratch buffer of one batch, 2 MiB per row of the
-  2^18-cell acceptance grid.  At 8 a pass holds at most 7 helper threads
-  and 16 MiB of such buffers.  The stripes fold and raise ``|v|^p`` over
-  whole 2 MiB rows, work that streams memory, so beyond a handful of cores
-  more workers mostly add buffers, and a 200-row pass still gives each
-  of 8 stripes 25 rows.  Only 2 cores were measured (the pass went from
-  1.25 s to about 0.7 s), where the cap does not bind.
+  them) with one scratch buffer.  On the 2^18-cell acceptance grid a row
+  is never materialized: the buffer holds ``haarsys._BLOCK_SLABS`` = 16
+  slabs of 8,192 cells, 1 MiB, so at 8 a pass holds at most 7 helper
+  threads and 8 MiB of such buffers.  Elsewhere a buffer holds one batch
+  of at most ``haarsys._BATCH_CELLS`` cells (512 KiB), or one row where a
+  row is larger and its first-axis slabs hold fewer than
+  ``grids._PAIRWISE_BLOCK`` cells (or it has one axis only).  The
+  stripes fold and raise ``|v|^p``, work that streams memory, so beyond a
+  handful of cores more workers mostly add buffers, and a 200-row pass
+  still gives each of 8 stripes 25 rows.  Only 2 cores were measured (the
+  pass went from 1.25 s to about 0.7 s), where the cap does not bind.
 """
 
 from __future__ import annotations

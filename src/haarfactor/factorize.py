@@ -7,6 +7,13 @@ are one formula on a reduction certificate's block embedding ``j``, with
 ``lambda`` the scalar the compressed matrix sits near and ``R`` a diagonal
 correction (or the identity): ``A = (j^{-1} E T' j / lambda)^{-1} j^{-1} E
 / lambda`` and ``B = R j``.  ``_invert_through_blocks`` is that formula.
+``j`` (:meth:`haarsys.BlockFamily.coefficient_columns`), ``j^{-1} E``
+(:func:`projection_matrix`) and ``j^{-1} E T' j``
+(:func:`reduction.interaction_matrix`) all read one member layout of the
+blocks, :meth:`haarsys.BlockFamily.members`: where each block's members
+sit among the source indices, with their signs.  ``j`` is C-ordered and
+``j^{-1} E`` Fortran-ordered, and the BLAS products with them round by
+that memory layout, so each keeps it.
 
 The recorded residual is a column-norm bound on the realized defect
 ``A T' B - I``, so any sampled ratio ``||A T' B v - v||_p / ||v||_p`` stays
@@ -71,14 +78,8 @@ __all__ = [
     "FactorizationWitness",
     "factor_large_diagonal",
     "primary_dichotomy",
-    "embedding_matrix",
     "projection_matrix",
 ]
-
-
-def embedding_matrix(source: BasisRegistry, family: BlockFamily) -> np.ndarray:
-    """``j``: target coefficients to source coefficients (columns = blocks)."""
-    return family.coefficient_columns(source)
 
 
 def projection_matrix(
@@ -89,12 +90,17 @@ def projection_matrix(
     Row ``t`` computes ``<b_t, .> / ||b_t||_2^2`` against source
     coefficients.  The blocks are disjointly supported +-1 sums of Haar
     functions whose measures are dyadic, so ``(j^{-1} E) j`` is exactly the
-    identity in floating point, not merely up to rounding.
+    identity in floating point, not merely up to rounding.  Each member's
+    entry is ``(sign * |I_member|) / |I_t|``, read off the family's
+    :meth:`~haarsys.BlockFamily.members`.  The array is Fortran-ordered,
+    the layout every stored number was computed with: a BLAS product with
+    it rounds by its memory layout.
     """
-    F = family.coefficient_columns(source)
-    mu_s = source.measures()
-    mu_t = target.measures()
-    return (F.T * mu_s[None, :]) / mu_t[:, None]
+    PE = np.zeros((len(family.targets), source.dim), order="F")
+    mu_s, mu_t = source.measures(), target.measures()
+    for j, (rows, signs) in enumerate(family.members(source)):
+        PE[j, rows] = signs * mu_s[rows] / mu_t[j]
+    return PE
 
 
 DICHOTOMY_TARGET_COPY = 3
@@ -202,7 +208,7 @@ def _invert_through_blocks(cert: ReductionCertificate, M, scale, seed):
         cert.certified_bound / abs(scale),
     )
     PE = projection_matrix(source, target, cert.family)
-    F = embedding_matrix(source, cert.family)
+    F = cert.family.coefficient_columns(source)
     estimate = _sampled_max_ratio(
         source, lambda g: F @ (PE @ g), cert.exponent, 100, seed
     )

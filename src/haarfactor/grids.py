@@ -116,9 +116,9 @@ class ProductGrid:
             )
 
     @staticmethod
-    def from_mapping(resolutions: dict[int, int], cell_cap: int = DEFAULT_CELL_CAP) -> "ProductGrid":
+    def from_mapping(resolutions: dict[int, int]) -> "ProductGrid":
         coords = tuple(sorted(resolutions))
-        return ProductGrid(coords, tuple(resolutions[c] for c in coords), cell_cap)
+        return ProductGrid(coords, tuple(resolutions[c] for c in coords))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -49,7 +49,6 @@ import numpy as np
 from .constants import MAX_STRIPES
 from .dyadic import DyadicInterval, OmegaIndex, deepest_levels, enumerate_truncated
 from .grids import (
-    DEFAULT_CELL_CAP,
     GridFunction,
     ProductGrid,
     _fold,
@@ -113,7 +112,6 @@ class BasisRegistry:
     def __init__(
         self,
         depths: Mapping[int, int],
-        cell_cap: int = DEFAULT_CELL_CAP,
         resolutions: Mapping[int, int] | None = None,
     ):
         self.depths = dict(sorted(depths.items()))
@@ -129,31 +127,29 @@ class BasisRegistry:
                         f"copy {copy} needs resolution >= {res[copy]}, got {r}"
                     )
                 res[copy] = r
-        self.grid = ProductGrid.from_mapping(res, cell_cap)
+        self.grid = ProductGrid.from_mapping(res)
         self._measures: np.ndarray | None = None
         self._blocks: tuple[tuple[int, slice, np.ndarray], ...] | None = None
         self._profile_rows: tuple[np.ndarray, ...] = ()
         self._plans: tuple[tuple[slice, np.ndarray, np.ndarray], ...] | None = None
 
     @classmethod
-    def standard(cls, copies: int, cell_cap: int = DEFAULT_CELL_CAP) -> "BasisRegistry":
+    def standard(cls, copies: int) -> "BasisRegistry":
         """Copies ``1 .. copies`` at their maximal depths ``n - 1``."""
         if copies < 1:
             raise ValueError(f"need at least one copy, got {copies}")
-        return cls({n: n - 1 for n in range(1, copies + 1)}, cell_cap)
+        return cls({n: n - 1 for n in range(1, copies + 1)})
 
     @classmethod
-    def single_copy(cls, copy: int, depth: int | None = None,
-                    cell_cap: int = DEFAULT_CELL_CAP) -> "BasisRegistry":
-        if depth is None:
-            depth = copy - 1
-        return cls({copy: depth}, cell_cap)
+    def single_copy(cls, copy: int) -> "BasisRegistry":
+        """Copy ``copy`` alone, at its maximal depth ``copy - 1``."""
+        return cls({copy: copy - 1})
 
     @staticmethod
     def of(depths: Mapping[int, int]) -> "BasisRegistry":
-        """The model of ``depths``, at the default cell cap, shared by every
-        caller in the process, so that its cached profile blocks, rank plans
-        and measures are built once; treat it as read-only."""
+        """The model of ``depths``, shared by every caller in the process,
+        so that its cached profile blocks, rank plans and measures are built
+        once; treat it as read-only."""
         return _shared_model(tuple(sorted(depths.items())))
 
     @property
@@ -168,6 +164,15 @@ class BasisRegistry:
             measures.flags.writeable = False
             self._measures = measures
         return self._measures
+
+    def rows(self, host: int, intervals: Sequence[DyadicInterval]) -> np.ndarray:
+        """The positions in :attr:`indices` of the Haar functions
+        ``(host, K)``, one per interval in the order given: the package's
+        one map from block members to source indices.  Raises ``KeyError``
+        for a member the registry does not hold."""
+        return np.array(
+            [self.index_of[OmegaIndex(host, K)] for K in intervals], dtype=np.intp
+        )
 
     def resolution_of(self, copy: int) -> int:
         return self.grid.resolution_of(copy)
@@ -245,13 +250,14 @@ def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     if np.isfinite(coeffs).all():
         runs = lambda: enumerate(_plan_terms(registry.rank_plans(), coeffs[None]))
     # row i of coeffs[rows, None] * profiles is c_i times the integer profile
-    # of index i, the same floats as scaling each profile on its own
-    return GridFunction.from_blocks(
-        registry.grid,
-        [(copy, coeffs[rows, None] * profiles)
-         for copy, rows, profiles in registry.profile_blocks()],
-        runs,
-    )
+    # of index i, the same floats as scaling each profile on its own; a
+    # non-finite c_i times a zero entry is one of the NaNs the docstring
+    # means, formed quietly under any errstate so that lp_norm refuses it
+    # with ValueError, as realized_lp_norms does
+    with np.errstate(invalid="ignore"):
+        blocks = [(copy, coeffs[rows, None] * profiles)
+                  for copy, rows, profiles in registry.profile_blocks()]
+    return GridFunction.from_blocks(registry.grid, blocks, runs)
 
 
 def _plan_terms(plans, chunk: np.ndarray) -> list[np.ndarray]:
@@ -575,6 +581,12 @@ class BlockFamily:
 
     Block functions take values in ``{-1, 0, 1}``, since the distinct
     same-level intervals of a :class:`BlockAssignment` are disjoint.
+    :meth:`members` lays the blocks out on a source model: each block's
+    member positions (from :meth:`BasisRegistry.rows`) and signs.  Every
+    product with the blocks reads that layout: the embedding ``j``
+    (:meth:`coefficient_columns`), the projection ``j^{-1} E``
+    (:func:`factorize.projection_matrix`) and the compressed matrix
+    ``j^{-1} E T j`` (:func:`reduction.interaction_matrix`).
     Construction validates that all targets of one copy share one host copy
     and that distinct target copies use distinct hosts.  The finer
     structural requirement — child blocks living exactly on the set where
@@ -591,6 +603,7 @@ class BlockFamily:
         if not self.targets:
             raise ValueError("a block family needs at least one target")
         self._validate_hosts()
+        self._members: tuple[BasisRegistry, tuple] | None = None
 
     def _validate_hosts(self) -> None:
         hosts: dict[int, int] = {}
@@ -653,14 +666,26 @@ class BlockFamily:
         res = source.resolution_of(a.host_copy)
         return GridFunction.from_summands(source.grid, [(a.host_copy, a.profile(res))])
 
+    def members(self, source: BasisRegistry) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """One ``(positions, signs)`` pair per target, in target order: the
+        source indices of the block's members, in the order of its
+        intervals, and their signs as floats.  Built once for the last
+        ``source`` asked and cached; treat it as read-only.  ``KeyError``
+        for a member that ``source`` does not hold."""
+        if self._members is None or self._members[0] is not source:
+            self._members = source, tuple(
+                (source.rows(a.host_copy, a.intervals), np.array(a.signs, dtype=float))
+                for a in map(self.assignments.__getitem__, self.targets)
+            )
+        return self._members[1]
+
     def coefficient_columns(self, source: BasisRegistry) -> np.ndarray:
-        """Matrix whose column ``t`` holds the source-basis coefficients of
-        the block function of target ``t`` (signed 0/1 selection)."""
+        """``j``: the C-ordered matrix whose column ``t`` holds the
+        source-basis coefficients of the block function of target ``t``
+        (the member signs, zeros elsewhere)."""
         cols = np.zeros((source.dim, len(self.targets)))
-        for j, t in enumerate(self.targets):
-            a = self.assignments[t]
-            for K, s in zip(a.intervals, a.signs):
-                cols[source.index_of[OmegaIndex(a.host_copy, K)], j] = s
+        for j, (rows, signs) in enumerate(self.members(source)):
+            cols[rows, j] = signs
         return cols
 
 

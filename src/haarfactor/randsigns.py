@@ -184,7 +184,7 @@ class RandomBlockSpec:
 
     def interaction_matrix(self, T) -> np.ndarray:
         """``C[a, b] = <h_{K_a}, T h_{K_b}>`` through the coefficient Gram."""
-        rows = [self.registry.index_of[t] for t in self.omega_indices()]
+        rows = self.registry.rows(self.host_copy, self.intervals)
         meas = float(self.intervals[0].measure)
         return T.columns(rows)[rows] * meas
 

@@ -181,18 +181,19 @@ def interaction_matrix(source: BasisRegistry, family: BlockFamily, T) -> np.ndar
     compensated sum of exactly-representable products, so entries that
     vanish structurally (coefficient-disjoint blocks, diagonal sources)
     come out exactly ``0.0`` and diagonal sources give exactly diagonal
-    matrices.
+    matrices.  The sum for row ``s`` runs over the members of ``b_s`` only
+    (:meth:`BlockFamily.members`): every other product is an exact zero,
+    which the correctly rounded ``math.fsum`` would drop.  So an entry of
+    ``T j`` that overflowed (operators refuse non-finite entries) changes
+    only the rows of the blocks with a member at its position.
     """
     if T.basis != source.indices:
         raise ValueError("operator basis does not match the source registry")
-    F = family.coefficient_columns(source)
-    weighted = source.measures()[:, None] * T.apply(F)
-    dim = len(family.targets)
-    M = np.empty((dim, dim))
-    for a in range(dim):
-        col_a = F[:, a]
-        for b in range(dim):
-            M[a, b] = math.fsum(col_a * weighted[:, b])
+    weighted = source.measures()[:, None] * T.apply(family.coefficient_columns(source))
+    M = np.array([
+        [math.fsum(column) for column in (signs[:, None] * weighted[rows]).T.tolist()]
+        for rows, signs in family.members(source)
+    ])
     row_measures = np.array(
         [float(family.assignments[t].union_measure) for t in family.targets]
     )
@@ -481,19 +482,16 @@ def reduce_to_diagonal(
     # per earlier block r: its coefficient vector beta_r and T beta_r
     blocks: dict[OmegaIndex, tuple[np.ndarray, np.ndarray]] = {}
 
-    def rows_of(host, intervals):
-        return np.array([source.index_of[OmegaIndex(host, K)] for K in intervals])
-
     def block_of(r, a: BlockAssignment):
         if r not in blocks:
             beta = np.zeros(source.dim)
-            beta[rows_of(a.host_copy, a.intervals)] = a.signs
+            beta[source.rows(a.host_copy, a.intervals)] = a.signs
             blocks[r] = beta, T.apply(beta[:, None])[:, 0]
         return blocks[r]
 
     def constraints(i, t, spec, assignments):
         n = t.copy
-        rows = rows_of(spec.host_copy, spec.intervals)
+        rows = source.rows(spec.host_copy, spec.intervals)
         paper_zy = eps / 32.0 ** (5 * n + 2)
         forms = []
 

@@ -17,7 +17,6 @@ from haarfactor.cli import ExperimentConfig, run
 from haarfactor.errors import ReductionError
 from haarfactor.factorize import (
     FactorizationWitness,
-    embedding_matrix,
     factor_large_diagonal,
     primary_dichotomy,
     projection_matrix,
@@ -182,7 +181,7 @@ class TestLargeDiagonalSeeded:
         _, w = seeded_witness
         source = w.source_registry()
         target = w.target_registry()
-        F = embedding_matrix(source, w.certificate.family)
+        F = w.certificate.family.coefficient_columns(source)
         PE = projection_matrix(source, target, w.certificate.family)
         assert np.array_equal(PE @ F, np.eye(target.dim))
 
@@ -342,7 +341,7 @@ def projection_estimate_loop(witness, seed):
     cert = witness.certificate
     source = cert.source_registry()
     PE = projection_matrix(source, cert.target_registry(), cert.family)
-    F = embedding_matrix(source, cert.family)
+    F = cert.family.coefficient_columns(source)
     return sampled_ratio_loop(source, lambda g: F @ (PE @ g), cert.exponent, 100, seed)
 
 

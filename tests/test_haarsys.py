@@ -21,7 +21,7 @@ from haarfactor.dyadic import (
     intervals_at_level,
 )
 from haarfactor import haarsys
-from haarfactor.factorize import embedding_matrix, projection_matrix
+from haarfactor.factorize import projection_matrix
 from haarfactor.grids import GridFunction, ProductGrid, lp_norm, pairing
 from haarfactor.haarsys import (
     BasisRegistry,
@@ -33,7 +33,8 @@ from haarfactor.haarsys import (
     realize,
     realized_lp_norms,
 )
-from haarfactor.reduction import _members_within, _support_pieces
+from haarfactor.operators import DiagonalOperator, OperatorMatrix
+from haarfactor.reduction import _members_within, _support_pieces, interaction_matrix
 
 L = DyadicInterval
 
@@ -563,6 +564,30 @@ class TestBlockFamily:
         )
 
 
+def bad_union_family():
+    """Two blocks of one level-1 member each: union measure 1/2 against
+    target measure 1."""
+    return BlockFamily(
+        {
+            OmegaIndex(1, UNIT): BlockAssignment(4, (L(1, 1),), (1,)),
+            OmegaIndex(2, UNIT): BlockAssignment(5, (L(1, 1),), (1,)),
+        }
+    )
+
+
+def overlapping_family():
+    """Both children of copy 2 on the same block, so their blocks are not
+    orthogonal and the second is not under ``{b_parent = -1}``."""
+    return BlockFamily(
+        {
+            OmegaIndex(1, UNIT): BlockAssignment(4, (UNIT,), (1,)),
+            OmegaIndex(2, UNIT): BlockAssignment(5, (UNIT,), (1,)),
+            OmegaIndex(2, L(1, 1)): BlockAssignment(5, (L(1, 1),), (1,)),
+            OmegaIndex(2, L(1, 2)): BlockAssignment(5, (L(1, 1),), (1,)),
+        }
+    )
+
+
 class TestBlockProject:
     def test_roundtrip_through_blocks(self):
         source = BasisRegistry({4: 3})
@@ -579,12 +604,7 @@ class TestBlockProject:
 
     def test_orthogonality_precondition(self):
         source = BasisRegistry({4: 3, 5: 4})
-        overlapping = BlockFamily(
-            {
-                OmegaIndex(1, UNIT): BlockAssignment(4, (L(1, 1),), (1,)),
-                OmegaIndex(2, UNIT): BlockAssignment(5, (L(1, 1),), (1,)),
-            }
-        )
+        overlapping = bad_union_family()
         res = check_distributional_copy(overlapping, source)
         assert not res.ok and res.detail["condition"] == "union_measure"
         # block measure 1/2 against target measure 1 halves every coefficient
@@ -594,16 +614,7 @@ class TestBlockProject:
 
     def test_non_orthogonal_blocks_rejected(self):
         source = BasisRegistry({4: 3, 5: 4})
-        # both children of copy 2 sit on the same block, so their blocks
-        # are not orthogonal and the second is not under {b_parent = -1}
-        bad = BlockFamily(
-            {
-                OmegaIndex(1, UNIT): BlockAssignment(4, (UNIT,), (1,)),
-                OmegaIndex(2, UNIT): BlockAssignment(5, (UNIT,), (1,)),
-                OmegaIndex(2, L(1, 1)): BlockAssignment(5, (L(1, 1),), (1,)),
-                OmegaIndex(2, L(1, 2)): BlockAssignment(5, (L(1, 1),), (1,)),
-            }
-        )
+        bad = overlapping_family()
         res = check_distributional_copy(bad, source)
         assert not res.ok and res.detail["condition"] == "nesting"
         F = bad.coefficient_columns(source)
@@ -723,6 +734,141 @@ def mutated(data, assignments, source):
     out = dict(assignments)
     out[t] = BlockAssignment(a.host_copy, tuple(members), tuple(signs))
     return BlockFamily(out)
+
+
+def looped_columns(family, source):
+    """``j`` built member by member, one index lookup each, as it was built
+    before :meth:`BlockFamily.members`."""
+    cols = np.zeros((source.dim, len(family.targets)))
+    for j, t in enumerate(family.targets):
+        a = family.assignments[t]
+        for K, s in zip(a.intervals, a.signs):
+            cols[source.index_of[OmegaIndex(a.host_copy, K)], j] = s
+    return cols
+
+
+def dense_projection(family, source, target):
+    """``j^{-1} E`` from the dense ``j``: Fortran-ordered, as ``F.T`` is."""
+    F = looped_columns(family, source)
+    return (F.T * source.measures()[None, :]) / target.measures()[:, None]
+
+
+def dense_interaction(family, source, T):
+    """``j^{-1} E T j`` with every ``fsum`` over all ``source.dim`` terms."""
+    F = looped_columns(family, source)
+    weighted = source.measures()[:, None] * T.apply(F)
+    dim = len(family.targets)
+    M = np.empty((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            M[a, b] = math.fsum(F[:, a] * weighted[:, b])
+    measures = [float(family.assignments[t].union_measure) for t in family.targets]
+    return M / np.array(measures)[:, None]
+
+
+def layout_operator(source, diagonal, seed, zeroed, zero):
+    """A Gaussian operator on ``source``, dense or diagonal, whose columns
+    (or diagonal entries) at the source indices ``zeroed`` hold ``zero``,
+    so that every block with members only there has an all-zero image."""
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        diag = rng.standard_normal(source.dim)
+        diag[zeroed] = zero
+        return DiagonalOperator(3.0, source.indices, diag)
+    entries = rng.standard_normal((source.dim, source.dim))
+    entries[:, zeroed] = zero
+    return OperatorMatrix(3.0, source.indices, entries)
+
+
+def assert_layout_matches(family, source, target, T):
+    """The three products of the member layout against the dense route,
+    byte for byte, each in its memory order."""
+    F = family.coefficient_columns(source)
+    assert F.flags.c_contiguous and F.tobytes() == looped_columns(family, source).tobytes()
+    PE = projection_matrix(source, target, family)
+    want = dense_projection(family, source, target)
+    assert PE.flags.f_contiguous and want.flags.f_contiguous
+    assert PE.tobytes() == want.tobytes()
+    M = interaction_matrix(source, family, T)
+    assert M.tobytes() == dense_interaction(family, source, T).tobytes()
+
+
+LAYOUT_MODELS = [({2: 1}, {4: 3}), ({1: 0, 2: 1}, {3: 2, 5: 4}),
+                 ({1: 0, 2: 1, 3: 2}, {3: 2, 4: 3, 5: 4})]
+
+
+class TestMemberLayout:
+    """``coefficient_columns``, ``projection_matrix`` and
+    ``interaction_matrix`` read :meth:`BlockFamily.members`; the dense route
+    they replaced is the oracle, compared by ``tobytes()``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from(range(len(LAYOUT_MODELS))), st.booleans(),
+           st.sampled_from([0.0, -0.0]))
+    def test_random_families(self, data, model, diagonal, zero):
+        target_depths, source_depths = LAYOUT_MODELS[model]
+        source = BasisRegistry(source_depths)
+        family = mutated(data, carved_family(data, target_depths, source), source)
+        members = family.members(source)
+        blanked = data.draw(st.sets(st.integers(0, len(family.targets) - 1)))
+        zeroed = [i for b in blanked for i in members[b][0]]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        T = layout_operator(source, diagonal, seed, zeroed, zero)
+        assert_layout_matches(family, source, BasisRegistry(target_depths), T)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("make, target", [
+        (bad_union_family, {1: 0, 2: 0}), (overlapping_family, {1: 0, 2: 1}),
+    ])
+    def test_defective_families(self, make, target, diagonal):
+        source = BasisRegistry({4: 3, 5: 4})
+        family = make()
+        first = family.members(source)[0][0]
+        for zeroed, zero in (([], 0.0), (first, 0.0), (first, -0.0)):
+            T = layout_operator(source, diagonal, 11, zeroed, zero)
+            assert_layout_matches(family, source, BasisRegistry(target), T)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_block_columns(self, diagonal, zero):
+        # one member with sign -1 per block and an operator that vanishes
+        # there: each member-only sum adds signed zeros alone, the dense one
+        # adds +0.0 terms too, so the two agree only while fsum returns +0.0
+        # for every all-zero input
+        family = BlockFamily({
+            OmegaIndex(1, UNIT): BlockAssignment(4, (L(1, 1),), (-1,)),
+            OmegaIndex(2, UNIT): BlockAssignment(5, (L(2, 3),), (-1,)),
+        })
+        source = BasisRegistry({4: 3, 5: 4})
+        T = layout_operator(source, diagonal, 3, list(range(source.dim)), zero)
+        M = interaction_matrix(source, family, T)
+        assert not M.any()
+        assert_layout_matches(family, source, BasisRegistry({1: 0, 2: 0}), T)
+
+    def test_members_follow_the_blocks(self):
+        source = BasisRegistry({4: 3})
+        family = two_level_family()
+        members = family.members(source)
+        assert len(members) == len(family.targets)
+        for (rows, signs), t in zip(members, family.targets):
+            a = family.assignments[t]
+            assert rows.tolist() == [
+                source.indices.index(OmegaIndex(4, K)) for K in a.intervals
+            ]
+            assert signs.dtype == float and signs.tolist() == list(a.signs)
+
+    def test_the_cached_layout_follows_the_source(self):
+        # copy 3 comes first in the second source, so every position moves
+        family = two_level_family()
+        alone, behind = BasisRegistry({4: 3}), BasisRegistry({3: 2, 4: 3})
+        for source in (alone, behind, alone, behind):
+            assert family.members(source) is family.members(source)
+            want = looped_columns(family, source)
+            assert family.coefficient_columns(source).tobytes() == want.tobytes()
+
+    def test_a_member_outside_the_source_raises(self):
+        with pytest.raises(KeyError):
+            two_level_family().members(BasisRegistry({4: 1}))
 
 
 class TestDistributionCheck:
@@ -936,7 +1082,7 @@ class TestCompactRoute:
         family = BlockFamily(carved_family(data, COMPACT_TARGET, COMPACT_SOURCE))
         target = BasisRegistry(COMPACT_TARGET)
         PE = projection_matrix(COMPACT_SOURCE, target, family)
-        F = embedding_matrix(COMPACT_SOURCE, family)
+        F = family.coefficient_columns(COMPACT_SOURCE)
         seed = data.draw(st.integers(0, 2**32 - 1))
         inputs = np.random.default_rng(seed).standard_normal((4, COMPACT_SOURCE.dim))
         images = np.array([F @ (PE @ g) for g in inputs])
@@ -1092,3 +1238,17 @@ class TestRealizedDense:
         before = GridFunction(r.grid, summands=f.summands).dense.tobytes()
         c[:] = 7.0
         assert f.dense.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_coefficient_raises_value_error_on_both_routes(self, bad):
+        # the NaN summand entries of a non-finite coefficient are formed
+        # under no errstate, so lp_norm refuses them as the batch does
+        r = BasisRegistry({1: 0, 2: 1, 3: 2})
+        c = np.ones(r.dim)
+        c[3] = bad
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ValueError, match="non-finite") as loop:
+                lp_norm(realize(r, c), 3.0)
+            with pytest.raises(ValueError, match="non-finite") as batch:
+                realized_lp_norms(r, [c], 3.0)
+        assert str(loop.value) == str(batch.value)

@@ -10,7 +10,8 @@ from a module's top-level statements or from a paper object listed in
 attribute that ``src/`` assigns as ``self.<name>`` must be read as
 ``.<name>`` somewhere in ``src/``, ``tests/`` or ``bench/``, or be named in
 a record row of ``serialize.py`` (which reads it by name), so that no
-state is kept that nothing reads.
+state is kept that nothing reads.  No module-level function may be a second
+name for one call, passing its own parameters on unchanged.
 """
 
 import ast
@@ -228,6 +229,63 @@ def test_the_attribute_check_sees_write_only_state():
     assigned = set(_self_assigned(tree))
     assert assigned == {"items", "count", "spare"}
     assert assigned - _attributes_read(tree) - _record_attributes(tree) == {"spare"}
+
+
+def _pure_aliases(tree: ast.Module) -> dict[str, int]:
+    """Each module-level function whose body, after its docstring, is one
+    ``return`` of one call that takes the function's own parameters
+    unchanged (as arguments, or as the object whose method it calls), with
+    its line: a second name for that call."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)):
+            continue
+        call, args = body[0].value, node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        passed = [a.value if isinstance(a, ast.Starred) else a for a in call.args]
+        passed += [k.value for k in call.keywords]
+        receiver = getattr(call.func, "value", None)
+        if isinstance(receiver, ast.Name) and receiver.id in params:
+            passed.append(receiver)
+        if (all(isinstance(a, ast.Name) for a in passed)
+                and sorted(a.id for a in passed) == sorted(params)):
+            found[node.name] = node.lineno
+    return found
+
+
+def test_no_function_is_a_pure_alias():
+    aliases = {
+        path.name: found for path in MODULES if (found := _pure_aliases(_tree(path)))
+    }
+    assert not aliases, (
+        f"functions that only rename one call (module: name: line) {aliases}; "
+        "call the target instead"
+    )
+
+
+def test_the_alias_check_sees_every_second_name():
+    tree = ast.parse(
+        "def plain(x, y):\n    \"\"\"Doc.\"\"\"\n    return f(x, y)\n"       # 1
+        "def method(fam, src):\n    return fam.columns(src)\n"           # 4
+        "def spread(*args, key, **kw):\n    return g(*args, key=key, **kw)\n"  # 6
+        "def thunk():\n    return h()\n"                               # 8
+        "def bound(x):\n    return other.columns(x)\n"                  # 10
+        "def extra(x):\n    return f(x, 2)\n"
+        "def changed(x):\n    return f(x + 1)\n"
+        "def dropped(x, y):\n    return f(x)\n"
+        "def twice(x):\n    return f(x, x)\n"
+        "def two_steps(x):\n    y = f(x)\n    return g(y)\n"
+        "def attribute(x):\n    return f(x).T\n"
+        "class Box:\n    def size(self):\n        return len(self)\n"
+    )
+    assert _pure_aliases(tree) == {
+        "plain": 1, "method": 4, "spread": 6, "thunk": 8, "bound": 10,
+    }
 
 
 THREADED = {"threading", "concurrent", "multiprocessing"}
