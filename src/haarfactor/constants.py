@@ -30,13 +30,11 @@ It also names one resource bound, which no result depends on:
 
 * ``MAX_STRIPES`` (``8``): the most workers ``haarsys._striped`` runs,
   whatever the host's core count; each is one thread (the caller's among
-  them) with one scratch buffer.  On the 2^18-cell acceptance grid a row
-  is never materialized: the buffer holds ``haarsys._BLOCK_SLABS`` = 16
-  slabs of 8,192 cells, 1 MiB, so at 8 a pass holds at most 7 helper
-  threads and 8 MiB of such buffers.  Elsewhere a buffer holds one batch
-  of at most ``haarsys._BATCH_CELLS`` cells (512 KiB), or one row where a
-  row is larger and its first-axis slabs hold fewer than
-  ``grids._PAIRWISE_BLOCK`` cells (or it has one axis only).  The
+  them) with one scratch buffer.  A buffer holds one batch of at most
+  ``haarsys._BATCH_CELLS`` cells (512 KiB), or one row where a row is
+  larger: 2 MiB on the 2^18-cell acceptance grid, so at 8 a pass holds at
+  most 7 helper threads and 16 MiB of such buffers (a row that takes the
+  compact route writes only the buffer's first slab, 64 KiB there).  The
   stripes fold and raise ``|v|^p``, work that streams memory, so beyond a
   handful of cores more workers mostly add buffers, and a 200-row pass
   still gives each of 8 stripes 25 rows.  Only 2 cores were measured (the

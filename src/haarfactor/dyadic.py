@@ -244,8 +244,7 @@ def enumerate_truncated(
     size = truncation_size(depths)
     if size > max_indices:
         raise ResourceLimitError(
-            f"truncation has {size} indices, exceeding the cap {max_indices}; "
-            "raise max_indices explicitly if this is intended"
+            f"truncation has {size} indices, exceeding the cap {max_indices}"
         )
     out: list[OmegaIndex] = []
     for copy in sorted(depths):

@@ -17,8 +17,8 @@ Functions come in two layouts:
 Every dense cell value a factored function takes is a left fold of its
 summands, and :func:`_fold` is the one place that forms it: from
 :attr:`GridFunction.dense`, one row at a time, and from
-:func:`haarsys.realized_lp_norms`, many rows at once, or one row a block
-of slabs at a time, or on the grid of its distinct term columns.
+:func:`haarsys.realized_lp_norms`, a batch of rows at once, or one row on
+the grid of its distinct term columns.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class ProductGrid:
             raise ValueError(f"resolutions must be >= 0, got {self.resolutions}")
         if self.ncells > self.cell_cap:
             raise ResourceLimitError(
-                f"grid would have {self.ncells} cells, exceeding the cap "
-                f"{self.cell_cap}; pass a larger cell_cap if this is intended"
+                f"grid would have {self.ncells} cells, exceeding the cap {self.cell_cap}"
             )
 
     @staticmethod
@@ -151,15 +150,14 @@ class GridFunction:
     exact.
     """
 
-    __slots__ = ("grid", "_dense", "_summands", "_runs")
+    __slots__ = ("grid", "_dense", "_summands")
 
-    def __init__(self, grid: ProductGrid, dense=None, summands=None, runs=None):
+    def __init__(self, grid: ProductGrid, dense=None, summands=None):
         if (dense is None) == (summands is None):
             raise ValueError("exactly one of dense/summands must be given")
         self.grid = grid
         self._dense = dense
         self._summands = summands
-        self._runs = runs
 
     @classmethod
     def from_dense(cls, grid: ProductGrid, values: np.ndarray) -> "GridFunction":
@@ -183,24 +181,19 @@ class GridFunction:
 
     @classmethod
     def from_blocks(
-        cls, grid: ProductGrid, blocks: Iterable[tuple[int, np.ndarray]], runs=None
+        cls, grid: ProductGrid, blocks: Iterable[tuple[int, np.ndarray]]
     ) -> "GridFunction":
         """Factored function whose summands are the rows of each
         ``(coordinate, matrix)`` block, block by block and row by row.
 
         The cell-count check runs once per block, not once per row.
-        ``runs``, if given, is a callable that returns the one-row
-        :func:`_fold` runs of these summands, for :attr:`dense` to fold in
-        place of deriving them again; the caller answers for their folding
-        to the same bits, as :func:`haarsys.realize` does with the
-        registry's cached rank plans.
         """
         summands = []
         for coord, block in blocks:
             block = np.asarray(block)
             _check_cells(grid, coord, block.shape[1:], block.shape)
             summands.extend((coord, row) for row in block)
-        return cls(grid, summands=tuple(summands), runs=runs)
+        return cls(grid, summands=tuple(summands))
 
     @classmethod
     def constant(cls, grid: ProductGrid, value: float) -> "GridFunction":
@@ -226,13 +219,10 @@ class GridFunction:
         compacted into its :func:`_rank_plan` values and added by
         :func:`_fold`, whose note says why that is the same fold.  A run of
         Haar-type summands has rank at most its number of levels, not its
-        number of summands.  A function built with ``runs`` (see
-        :meth:`from_blocks`) folds those instead.
+        number of summands.
         """
         if self._dense is not None:
             return self._dense
-        if self._runs is not None:
-            return _fold(self.grid.shape, self._runs(), 1)[0]
         runs = []
         for coord, run in groupby(self._summands, key=itemgetter(0)):
             _, value = _rank_plan(np.array([vec for _, vec in run]))
@@ -290,12 +280,10 @@ def _rank_plan(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, value
 
 
-def _fold(shape: tuple[int, ...], runs, count: int, out=None, start=None) -> np.ndarray:
+def _fold(shape: tuple[int, ...], runs, count: int, out=None) -> np.ndarray:
     """Left fold from ``+0.0`` of ``count`` rows of terms on a grid of
     ``shape``, as an array of shape ``(count, *shape)``: ``out`` if given,
-    which must be C-ordered, else a new one.  Given ``start``, an array
-    that broadcasts to that shape, the fold starts from its values instead
-    (they are not written): a fold of the earlier terms taken up here.
+    which must be C-ordered, else a new one.
 
     ``runs`` yields ``(axis, terms)``: ``terms[r, j]`` is the ``j``-th rank
     of row ``r`` on grid axis ``axis``, one term per cell of that axis, as
@@ -328,10 +316,7 @@ def _fold(shape: tuple[int, ...], runs, count: int, out=None, start=None) -> np.
     """
     if out is None:
         out = np.empty((count, *shape))
-    if start is None:
-        acc = np.zeros((count,) + (1,) * len(shape))
-    else:
-        acc = np.array(start, dtype=float, ndmin=len(shape) + 1)
+    acc = np.zeros((count,) + (1,) * len(shape))
     for axis, terms in runs:
         cells = terms.shape[-1]
         view = [count] + [1] * len(shape)

@@ -20,7 +20,8 @@ arithmetic represents exactly — this is what makes ``project(realize(c))``
 reproduce ``c`` bit for bit, with no rational arithmetic in the hot path.
 Materializing a realized function (:attr:`GridFunction.dense`) and
 :func:`realized_lp_norms`, which measures many coefficient rows at once,
-differ only in how they gather each copy's terms: both add them by
+differ only in how they gather each copy's terms, from the function's
+summands or from :meth:`BasisRegistry.rank_plans`: both add them by
 :func:`grids._fold`, which says why the result is the summand fold bit for
 bit.  So the batched norms equal one ``lp_norm(realize(c))`` per row bit
 for bit; callers apply their matrices to one row at a time (a
@@ -89,12 +90,6 @@ _BATCH_CELLS = 1 << 16
 # repeated elsewhere, as its gathers along the other axes then copy the
 # grid entry by entry.
 _COMPACT_SHARE = 2
-
-# Slabs of a row that :func:`_dense_slab_sums` folds and raises per numpy
-# call: 100 input rows of the acceptance source took 143-197 ms on two cores
-# with 16 slabs (1 MiB of scratch per stripe), 172-206 ms with 8 and
-# 148-192 ms with all 32.
-_BLOCK_SLABS = 16
 
 # Models :meth:`BasisRegistry.of` keeps: each of the benchmark's workloads
 # reads 7 depth maps.
@@ -234,30 +229,24 @@ def realize(registry: BasisRegistry, coeffs) -> GridFunction:
     """The function ``sum_t c_t h_t`` as a factored grid function.
 
     One summand per basis element (integer profile times one float), so all
-    downstream pairings are exact; see the module note.  Finite
-    coefficients are materialized from :meth:`BasisRegistry.rank_plans`,
-    as :func:`realized_lp_norms` folds them, rather than from plans derived
-    again from the summands: each cell gets the same nonzero terms in the
-    same order, plus zero terms that change nothing (see
-    :func:`grids._fold`).  A non-finite coefficient times a zero profile
-    entry is a NaN summand entry that the cached plans do not hold, so such
-    coefficients take the summands' own plans.
+    downstream pairings are exact; see the module note.  Its
+    :attr:`GridFunction.dense` folds plans derived from these summands: for
+    finite coefficients each cell gets the nonzero terms that
+    :func:`realized_lp_norms` gathers by :meth:`BasisRegistry.rank_plans`,
+    in the same order, so the bits agree (see :func:`grids._fold`).
     """
-    coeffs = np.array(coeffs, dtype=float)  # a copy: ``dense`` reads it later
+    coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (registry.dim,):
         raise ValueError(f"expected {registry.dim} coefficients, got {coeffs.shape}")
-    runs = None
-    if np.isfinite(coeffs).all():
-        runs = lambda: enumerate(_plan_terms(registry.rank_plans(), coeffs[None]))
     # row i of coeffs[rows, None] * profiles is c_i times the integer profile
     # of index i, the same floats as scaling each profile on its own; a
-    # non-finite c_i times a zero entry is one of the NaNs the docstring
-    # means, formed quietly under any errstate so that lp_norm refuses it
-    # with ValueError, as realized_lp_norms does
+    # non-finite c_i times a zero entry is a NaN, formed quietly under any
+    # errstate so that lp_norm refuses it with ValueError, as
+    # realized_lp_norms does
     with np.errstate(invalid="ignore"):
         blocks = [(copy, coeffs[rows, None] * profiles)
                   for copy, rows, profiles in registry.profile_blocks()]
-    return GridFunction.from_blocks(registry.grid, blocks, runs)
+    return GridFunction.from_blocks(registry.grid, blocks)
 
 
 def _plan_terms(plans, chunk: np.ndarray) -> list[np.ndarray]:
@@ -280,11 +269,11 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     of the fold is then averaged over the whole row, as ``lp_norm``
     averages the materialized function, with ``|v|^p`` raised in that
     buffer (:func:`grids._row_norms`).  A grid of at least
-    :data:`_BATCH_CELLS` cells takes one row at a time, and where its
-    slabs along the first axis hold at least :data:`grids._PAIRWISE_BLOCK`
-    cells the row is never materialized: :func:`_slab_norms` raises it a
-    block of slabs at a time and averages the slabs' sums as ``np.mean``
-    does.  The
+    :data:`_BATCH_CELLS` cells takes one row at a time, and where it has
+    several axes and its slabs along the first axis hold at least
+    :data:`grids._PAIRWISE_BLOCK` cells, a row is first offered to
+    :func:`_compact_slab_sums`, with the start of the buffer as its slab;
+    a row that route refuses is folded whole, as a batch of one.  The
     rows are measured on every usable core, at most
     :data:`constants.MAX_STRIPES`, by :func:`_striped`, each worker in its
     own buffer; the per-cell arithmetic is the same on any number of
@@ -300,14 +289,7 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     shape, ncells = registry.grid.shape, registry.grid.ncells
     batch = max(1, _BATCH_CELLS // ncells)
     slab = ncells // shape[0]
-    if batch == 1 and len(shape) > 1 and slab >= _PAIRWISE_BLOCK:
-        return _striped(
-            lambda row, scratch: _slab_norms(
-                shape, _plan_terms(plans, coeffs[row:row + 1]), exponent, scratch
-            ),
-            range(len(coeffs)),
-            lambda: np.empty((min(_BLOCK_SLABS, shape[0]), slab)),
-        )
+    compact = batch == 1 and len(shape) > 1 and slab >= _PAIRWISE_BLOCK
 
     def measure(start: int, buffer: np.ndarray) -> list[float]:
         chunk = coeffs[start:start + batch]
@@ -317,6 +299,10 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
             _fold(shape, enumerate(terms), len(chunk), values.reshape(len(chunk), *shape))
             return values
 
+        if compact:
+            sums = _compact_slab_sums(shape, terms, exponent, buffer[0, :slab])
+            if sums is not None:
+                return _roots(_slab_mean(sums, ncells), exponent, lambda: fold(buffer))
         values = fold(buffer[:len(chunk)])
         return _row_norms(values, exponent, lambda: fold(np.empty_like(values)))
 
@@ -327,63 +313,15 @@ def realized_lp_norms(registry: BasisRegistry, coeffs, p) -> list[float]:
     )
 
 
-def _slab_norms(
-    shape: tuple[int, ...], terms: list[np.ndarray], exponent, scratch: np.ndarray
-) -> list[float]:
-    """The norm of one row, whose ``terms[axis][0]`` are its ranks on grid
-    axis ``axis`` (as :func:`grids._fold` takes them), with no array of the
-    row's size.
-
-    The slabs of the row along the first axis are raised to ``|v|^p`` a
-    few at a time in ``scratch``, by :func:`_compact_slab_sums` or else
-    :func:`_dense_slab_sums`, each cell as the dense fold and ``lp_norm``
-    raise it; each slab is summed by ``np.add.reduce``, and
-    :func:`grids._slab_mean` averages the sums as ``np.mean`` averages the
-    whole row.  Only a non-finite mean folds the whole row again, to tell a
-    non-finite value from an overflow.
-    """
-    sums = _compact_slab_sums(shape, terms, exponent, scratch[0])
-    if sums is None:
-        sums = _dense_slab_sums(shape, terms, exponent, scratch)
-    return _roots(
-        _slab_mean(sums, math.prod(shape)),
-        exponent,
-        lambda: _fold(shape, enumerate(terms), 1).reshape(1, -1),
-    )
-
-
-def _dense_slab_sums(
-    shape: tuple[int, ...], terms: list[np.ndarray], exponent, scratch: np.ndarray
-) -> np.ndarray:
-    """The ``np.add.reduce`` of ``|v|^p`` over each slab of the row along
-    the first axis, folded and raised :data:`_BLOCK_SLABS` slabs at a time
-    in ``scratch``.
-
-    :func:`grids._fold` of every axis but the last gives the row's
-    accumulators before its last axis, and :func:`grids._fold` of the last
-    axis's terms, started from those of a block of slabs, fills that
-    block: each cell gets the additions of the whole row's fold, in their
-    order.
-    """
-    heads = _fold(shape[:-1], enumerate(terms[:-1]), 1)[..., None]
-    last = [(len(shape) - 1, terms[-1])]
-    sums = np.empty(shape[0])
-    for start in range(0, shape[0], len(scratch)):
-        cells = slice(start, start + len(scratch))
-        slabs = scratch[:len(sums[cells])]
-        block = (len(slabs), *shape[1:])
-        _fold(block, last, 1, slabs.reshape(1, *block), start=heads[:, cells])
-        np.abs(slabs, out=slabs)
-        np.power(slabs, exponent.p, out=slabs)
-        np.add.reduce(slabs, axis=1, out=sums[cells])
-    return sums
-
-
 def _compact_slab_sums(
     shape: tuple[int, ...], terms: list[np.ndarray], exponent, slab: np.ndarray
 ) -> np.ndarray | None:
-    """:func:`_dense_slab_sums` from the grid of the row's distinct term
-    columns, or None where that grid is not small enough.
+    """The ``np.add.reduce`` of ``|v|^p`` over each slab along the first
+    axis of the row whose ``terms[axis][0]`` are its ranks on grid axis
+    ``axis`` (as :func:`grids._fold` takes them), from the grid of the
+    row's distinct term columns, or None where that grid is not small
+    enough.  :func:`grids._slab_mean` averages the sums as ``np.mean``
+    averages the whole row.
 
     A cell's value is the left fold of its axes' term columns, one after
     another, so cells whose columns are equal on every axis hold equal

@@ -148,6 +148,21 @@ class TestReduceDiagonalCommand:
         assert negative["type"] == "ResourceLimitError"
         assert "2^16 patterns exceed the search budget 2" in negative["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--copies", "5,6,7,8,9", "--depths", "4,5,6,7,8"],
+         "grid would have 34359738368 cells, exceeding the cap 4194304"),
+        (["--copies", "21", "--depths", "20"],
+         "truncation has 2097151 indices, exceeding the cap 1048576"),
+    ], ids=["grid", "truncation"])
+    def test_a_cap_is_a_verified_negative_naming_only_count_and_cap(
+        self, capsys, argv, message
+    ):
+        # no CLI option raises either cap, so the message advises none
+        code, out, _ = invoke(capsys, "reduce-diagonal", *argv)
+        assert code == NEGATIVE
+        negative = sz.loads(out)["verified_negative"]
+        assert negative == {"message": message, "type": "ResourceLimitError"}
+
 
 class TestReduceDiagonalPaperMode:
     """Paper mode takes its norm bound from the column sum of the input."""

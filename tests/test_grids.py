@@ -234,38 +234,6 @@ class TestFoldRows:
             assert rows[r].tobytes() == alone[0].tobytes()
 
 
-class TestFoldFrom:
-    """A fold started from an earlier fold's values continues it, bit for
-    bit, also on a block of first-axis cells and on grids large enough for
-    the tiled adds; the start is not written."""
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_start_continues_the_fold(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = tuple(2 ** int(r) for r in (rng.integers(1, 5), rng.integers(0, 4), rng.integers(3, 9)))
-        runs = [
-            (axis, np.array([[random_summand(rng, shape[axis]).astype(float)
-                              for _ in range(int(rng.integers(1, 4)))]]))
-            for axis in range(len(shape))
-        ]
-        whole = _fold(shape, runs, 1)
-        heads = _fold(shape[:-1], runs[:-1], 1)[..., None]
-        before = heads.tobytes()
-        assert _fold(shape, runs[-1:], 1, start=heads).tobytes() == whole.tobytes()
-        first = int(rng.integers(shape[0]))
-        cells = slice(first, first + int(rng.integers(1, shape[0] - first + 1)))
-        block = (len(range(shape[0])[cells]), *shape[1:])
-        part = _fold(block, runs[-1:], 1, start=heads[:, cells])
-        assert part.tobytes() == whole[:, cells].tobytes()
-        assert heads.tobytes() == before
-        # a start that spans the last run's axis too
-        earlier = _fold(shape, runs[:-1], 1)
-        before = earlier.tobytes()
-        assert _fold(shape, runs[-1:], 1, start=earlier).tobytes() == whole.tobytes()
-        assert earlier.tobytes() == before
-
-
 class TestSlabMean:
     """``_slab_mean`` of the slab sums is ``np.mean`` of the whole row, bit
     for bit: the slabs are nodes of numpy's pairwise summation tree."""

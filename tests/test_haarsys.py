@@ -22,7 +22,7 @@ from haarfactor.dyadic import (
 )
 from haarfactor import haarsys
 from haarfactor.factorize import projection_matrix
-from haarfactor.grids import GridFunction, ProductGrid, lp_norm, pairing
+from haarfactor.grids import GridFunction, ProductGrid, _fold, lp_norm, pairing
 from haarfactor.haarsys import (
     BasisRegistry,
     BlockAssignment,
@@ -1043,9 +1043,8 @@ COMPACT_TARGET = {1: 0, 2: 1, 3: 2}
 def measured_alone(share, workers=1):
     """Every row measured alone (one row per batch, as on a 2^18-cell grid),
     under the compact route's rule with ``share`` (1 takes the route on
-    every row, 10**9 on none), folding 3 slabs per block (so a row of 8 or
-    16 slabs ends in a partial block); yields the list of rows the compact
-    route measured, one entry per row."""
+    every row, 10**9 on none, so every row is folded whole); yields the
+    list of rows the compact route measured, one entry per row."""
     taken = []
     compact_slab_sums = haarsys._compact_slab_sums
 
@@ -1058,7 +1057,6 @@ def measured_alone(share, workers=1):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(haarsys, "_BATCH_CELLS", 1)
         mp.setattr(haarsys, "_COMPACT_SHARE", share)
-        mp.setattr(haarsys, "_BLOCK_SLABS", 3)
         mp.setattr(haarsys, "_compact_slab_sums", counted)
         mp.setattr(haarsys, "_usable_cores", lambda: workers)
         yield taken
@@ -1121,27 +1119,31 @@ class TestCompactRoute:
         assert counts == cells
         assert compact_hexes(COMPACT_SOURCE, rows, p) == hexes(loop_norms(COMPACT_SOURCE, rows, p))
 
+    @pytest.mark.parametrize("share", [1, 10**9])
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1),
-           st.sampled_from([1.5, 2.0, 4.0]), st.data())
-    def test_non_finite_coefficient_raises(self, bad, seed, p, data):
+           st.sampled_from([1.5, 2.0, 4.0]), st.integers(1, 2), st.data())
+    def test_non_finite_coefficient_raises(self, share, bad, seed, p, workers, data):
         rows = np.random.default_rng(seed).standard_normal((3, COMPACT_SOURCE.dim))
         rows[data.draw(st.integers(0, 2)), data.draw(st.integers(0, COMPACT_SOURCE.dim - 1))] = bad
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 loop_norms(COMPACT_SOURCE, rows, p)
-            with measured_alone(1):
+            with measured_alone(share, workers):
                 with pytest.raises(ValueError, match="non-finite"):
                     realized_lp_norms(COMPACT_SOURCE, rows, p)
 
+    @pytest.mark.parametrize("share", [1, 10**9])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_overflow_is_infinite(self, workers):
+    def test_overflow_is_infinite(self, share, workers):
         rows = np.random.default_rng(4).standard_normal((3, COMPACT_SOURCE.dim))
         rows[1] *= 1e100
         with np.errstate(over="ignore"):
-            got = compact_hexes(COMPACT_SOURCE, rows, 4.0, workers)
+            with measured_alone(share, workers) as taken:
+                got = hexes(realized_lp_norms(COMPACT_SOURCE, rows, 4.0))
             assert got == hexes(loop_norms(COMPACT_SOURCE, rows, 4.0))
         assert got[1] == "inf" and got[0] != "inf"
+        assert len(taken) == (len(rows) if share == 1 else 0)
 
     def test_rows_without_repeated_columns_stay_dense(self):
         rows = np.random.default_rng(6).standard_normal((5, COMPACT_SOURCE.dim))
@@ -1210,8 +1212,9 @@ class TestStripedOrder:
 
 
 class TestRealizedDense:
-    """``realize(...).dense`` folds the registry's cached rank plans; the
-    bytes are those of the summands' own fold."""
+    """``realize(...).dense`` is the summand-by-summand fold, bit for bit,
+    and for finite coefficients so is the fold of the registry's cached
+    rank plans that :func:`realized_lp_norms` measures."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(NORM_REGISTRIES)[:3]), st.integers(0, 2**32 - 1),
@@ -1227,9 +1230,16 @@ class TestRealizedDense:
         for c in rows:
             with np.errstate(invalid="ignore", over="ignore"):
                 f = realize(r, c)
-                assert (f._runs is not None) == bool(np.isfinite(c).all())
-                summand_fold = GridFunction(r.grid, summands=f.summands).dense
+                summand_fold = np.zeros(r.grid.shape)
+                for coord, vec in f.summands:
+                    view = [1] * len(r.grid.shape)
+                    view[r.grid.axis_of(coord)] = len(vec)
+                    summand_fold = summand_fold + vec.reshape(view)
                 assert f.dense.tobytes() == summand_fold.tobytes()
+                if np.isfinite(c).all():
+                    terms = haarsys._plan_terms(r.rank_plans(), c[None])
+                    plan_fold = _fold(r.grid.shape, enumerate(terms), 1)[0]
+                    assert plan_fold.tobytes() == summand_fold.tobytes()
 
     def test_later_writes_to_the_coefficients_change_nothing(self):
         r = BasisRegistry({1: 0, 2: 1, 3: 2})

@@ -10,8 +10,11 @@ from a module's top-level statements or from a paper object listed in
 attribute that ``src/`` assigns as ``self.<name>`` must be read as
 ``.<name>`` somewhere in ``src/``, ``tests/`` or ``bench/``, or be named in
 a record row of ``serialize.py`` (which reads it by name), so that no
-state is kept that nothing reads.  No module-level function may be a second
-name for one call, passing its own parameters on unchanged.
+state is kept that nothing reads.  Likewise a name that a module's
+top-level statements assign, other than ``__all__``, must be read as a name
+or as ``.<name>`` somewhere in ``src/`` (``__init__.py`` is exempt), so
+that no constant outlives the code that read it.  No module-level function
+may be a second name for one call, passing its own parameters on unchanged.
 """
 
 import ast
@@ -229,6 +232,58 @@ def test_the_attribute_check_sees_write_only_state():
     assigned = set(_self_assigned(tree))
     assert assigned == {"items", "count", "spare"}
     assert assigned - _attributes_read(tree) - _record_attributes(tree) == {"spare"}
+
+
+def _module_assigned(tree: ast.Module) -> dict[str, int]:
+    """Each name the module's top-level statements (definitions aside)
+    assign, other than ``__all__``, with its line."""
+    found = {}
+    for stmt in tree.body:
+        if isinstance(stmt, DEFINITIONS):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id != "__all__":
+                        found[sub.id] = node.lineno
+    return found
+
+
+def test_every_module_level_name_is_read():
+    trees = {path.name: _tree(path) for path in MODULES}
+    read = set().union(
+        *(_loaded_names(tree) | _attributes_read(tree) for tree in trees.values())
+    )
+    unread = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items() if module != "__init__.py"
+        for name, line in _module_assigned(tree).items()
+        if name not in read
+    ]
+    assert not unread, f"module-level names nothing in src/ reads: {unread}"
+
+
+def test_the_name_check_sees_an_unread_constant():
+    tree = ast.parse(
+        "import other\n"
+        "__all__ = ['LIMIT']\n"
+        "LIMIT = 4\n"
+        "_SPARE: int = 8\n"
+        "_SEEN, _UNSEEN = 1, 2\n"
+        "if LIMIT:\n    _NESTED = 3\n"
+        "def size():\n    local = _SEEN\n    return LIMIT + local + other._NESTED\n"
+        "class Box:\n    inner = 5\n"
+    )
+    assigned = _module_assigned(tree)
+    assert set(assigned) == {"LIMIT", "_SPARE", "_SEEN", "_UNSEEN", "_NESTED"}
+    read = _loaded_names(tree) | _attributes_read(tree)
+    assert {name for name in assigned if name not in read} == {"_SPARE", "_UNSEEN"}
 
 
 def _pure_aliases(tree: ast.Module) -> dict[str, int]:
