@@ -67,7 +67,6 @@ from .randsigns import (
     MomentReport,
     RandomBlockSpec,
     SignSearchFailure,
-    SignVector,
     condition_star,
     eval_statistic,
     exact_moments,
@@ -121,8 +120,8 @@ __all__ = [
     "diagonal_multiplier_bound", "dichotomy_constant",
     "large_diagonal_constant", "subspace_growth_constant",
     # randsigns
-    "MomentReport", "RandomBlockSpec", "SignSearchFailure", "SignVector",
-    "condition_star", "eval_statistic", "exact_moments", "sign_search",
+    "MomentReport", "RandomBlockSpec", "SignSearchFailure", "condition_star",
+    "eval_statistic", "exact_moments", "sign_search",
     # reduction
     "ReductionCertificate", "compose_certificates", "identity_certificate",
     "interaction_matrix", "reduce_to_diagonal", "reduce_to_scalar_finite",

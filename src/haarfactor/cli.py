@@ -152,6 +152,13 @@ def _emit(report: dict, stream=None) -> None:
     )
 
 
+def _eps(config) -> float:
+    """``--eps`` parsed one way for every command: as an exact decimal or
+    fraction string, then rounded once, so ``"1/3"`` is accepted and
+    ``"nan"`` or ``"inf"`` is refused with ``ValueError``."""
+    return float(Fraction(config.eps))
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
@@ -267,7 +274,7 @@ def _witness_body(witness: FactorizationWitness, seed: int) -> tuple[dict, dict]
 
 
 def cmd_constants(config):
-    results = constants_report(config.p, delta=config.delta, eps=float(config.eps))
+    results = constants_report(config.p, delta=config.delta, eps=_eps(config))
     return {"results": results, "checks": {}}, None
 
 
@@ -339,7 +346,7 @@ def cmd_reduce_diagonal(config):
         )[1]
     if config.budget:
         kwargs["pattern_budget"] = config.budget
-    eps = float(config.eps)
+    eps = _eps(config)
     cert = reduce_to_diagonal(T, target_depths, eps, **kwargs)
     body, _ = _certificate_body(cert, certified_below_eps=cert.certified_bound < eps)
     return body, cert
@@ -369,7 +376,7 @@ def cmd_reduce_scalar(config):
             center + 0.05 * rng.uniform(-1, 1, registry.dim),
         )
     steps = (config.depths or (2,))[0]
-    eps = float(config.eps)
+    eps = _eps(config)
     cert = reduce_to_scalar_finite(
         T, steps, eps, mode=config.mode, search=config.search,
         seed=config.seed,
@@ -408,7 +415,7 @@ def cmd_factorize(config):
         T = _seeded_operator(_registry(config), config.p, config.seed)
     target_depths, k_schedule = _derive_reduction_plan(T)
     witness = factor_large_diagonal(
-        T, config.delta, float(config.eps), seed=config.seed, search=config.search,
+        T, config.delta, _eps(config), seed=config.seed, search=config.search,
         target_depths=target_depths, k_schedule=k_schedule,
     )
     return _witness_body(witness, config.seed)[0], witness
@@ -431,7 +438,7 @@ def cmd_dichotomy(config):
             f"tops out at copy {top}"
         )
     witness = primary_dichotomy(
-        T, float(config.eps), seed=config.seed, search=config.search,
+        T, _eps(config), seed=config.seed, search=config.search,
         k_schedule={3: top - 3},
     )
     body, verdict = _witness_body(witness, config.seed)

@@ -17,10 +17,6 @@ rounding; none enters a certified bound or an artifact:
 * ``ROUNDOFF_TOL`` (``1e-12``): the CLI's ``means_vanish`` (an enumerated
   mean that is zero in exact arithmetic) and ``within_triangle_bound`` (a
   composite's certified bound, a minimum that includes the triangle route).
-* ``MIDDLE_OPERATOR_TOL`` (``1e-12``): ``compose_certificates`` chains two
-  stages only if the second stage's source diagonal is within it of the
-  first stage's target entries (the same numbers when the second stage
-  starts from the first stage's target operator).
 * ``NEUMANN_RESIDUAL_TOL`` (``1e-8``): ``neumann_invert`` refuses an
   inverse whose column-sum residual ``||op @ inverse - I||`` exceeds it; a
   solve within a certified contraction bound below one stays far inside
@@ -60,7 +56,6 @@ __all__ = [
 SAMPLED_SLACK = 1e-9
 CLOSED_FORM_TOL = 1e-10
 ROUNDOFF_TOL = 1e-12
-MIDDLE_OPERATOR_TOL = 1e-12
 NEUMANN_RESIDUAL_TOL = 1e-8
 MAX_STRIPES = 8
 

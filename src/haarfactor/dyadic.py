@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ResourceLimitError
 
 __all__ = [
+    "INDEX_CAP",
     "DyadicInterval",
     "OmegaIndex",
     "UNIT",
@@ -38,6 +39,9 @@ __all__ = [
     "parse_omega",
     "truncation_size",
 ]
+
+# Most indices a truncation may list; a module constant, read at call time.
+INDEX_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -224,14 +228,12 @@ def deepest_levels(indices) -> dict[int, int]:
     return depths
 
 
-def enumerate_truncated(
-    depths: Mapping[int, int], *, max_indices: int = 1 << 20
-) -> list[OmegaIndex]:
+def enumerate_truncated(depths: Mapping[int, int]) -> list[OmegaIndex]:
     """All indices of the truncated model, in the canonical order.
 
     ``depths`` maps copy number to its maximal Haar level; copy ``n`` must
     get a depth in ``0 .. n-1``.  The result has
-    ``sum_n (2^(depth_n + 1) - 1)`` entries.  Exceeding ``max_indices``
+    ``sum_n (2^(depth_n + 1) - 1)`` entries.  Exceeding ``INDEX_CAP``
     raises :class:`ResourceLimitError` rather than building a huge list.
     """
     for copy, depth in depths.items():
@@ -242,9 +244,9 @@ def enumerate_truncated(
                 f"copy {copy} requires a depth in 0..{copy - 1}, got {depth}"
             )
     size = truncation_size(depths)
-    if size > max_indices:
+    if size > INDEX_CAP:
         raise ResourceLimitError(
-            f"truncation has {size} indices, exceeding the cap {max_indices}"
+            f"truncation has {size} indices, exceeding the cap {INDEX_CAP}"
         )
     out: list[OmegaIndex] = []
     for copy in sorted(depths):

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ResourceLimitError
 
 __all__ = [
-    "DEFAULT_CELL_CAP",
+    "CELL_CAP",
     "Exponent",
     "GridFunction",
     "ProductGrid",
@@ -44,7 +44,8 @@ __all__ = [
     "pairing",
 ]
 
-DEFAULT_CELL_CAP = 1 << 22
+# Most product cells a grid may have; a module constant, read at construction.
+CELL_CAP = 1 << 22
 
 # Longest run numpy's pairwise summation adds in one unrolled block (its
 # PW_BLOCKSIZE); :func:`_slab_mean` needs slabs of at least this many cells.
@@ -93,12 +94,11 @@ class ProductGrid:
 
     ``coords`` are the coordinate labels (copy numbers), ``resolutions`` the
     per-coordinate dyadic depth: coordinate ``c`` has ``2^resolutions[c]``
-    cells.  Construction refuses more than ``cell_cap`` product cells.
+    cells.  Construction refuses more than ``CELL_CAP`` product cells.
     """
 
     coords: tuple[int, ...]
     resolutions: tuple[int, ...]
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self) -> None:
         if len(self.coords) != len(self.resolutions):
@@ -109,9 +109,9 @@ class ProductGrid:
             raise ValueError(f"coordinates must be sorted, got {self.coords}")
         if any(r < 0 for r in self.resolutions):
             raise ValueError(f"resolutions must be >= 0, got {self.resolutions}")
-        if self.ncells > self.cell_cap:
+        if self.ncells > CELL_CAP:
             raise ResourceLimitError(
-                f"grid would have {self.ncells} cells, exceeding the cap {self.cell_cap}"
+                f"grid would have {self.ncells} cells, exceeding the cap {CELL_CAP}"
             )
 
     @staticmethod

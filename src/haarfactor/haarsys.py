@@ -475,7 +475,15 @@ def project(registry: BasisRegistry, f: GridFunction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockAssignment:
-    """One signed block: same-level intervals on one host copy, one sign each."""
+    """One signed block ``sum_K theta_K h_K``: distinct same-level intervals
+    ``K`` on one host copy, one sign ``theta_K`` each.
+
+    This is the one signed-block type: a sign search returns one
+    (:func:`randsigns.sign_search`), a :class:`BlockFamily` stores one per
+    target, and the serialized family writes each.  Its source coefficients
+    are its signs at the member positions (:meth:`BlockFamily.members`), so
+    :func:`realize` gives its grid function.
+    """
 
     host_copy: int
     intervals: tuple[DyadicInterval, ...]
@@ -505,13 +513,6 @@ class BlockAssignment:
     @property
     def union_measure(self) -> Fraction:
         return Fraction(len(self.intervals), 2**self.level)
-
-    def profile(self, resolution: int) -> np.ndarray:
-        """Integer cell profile of the block function on its host coordinate."""
-        out = np.zeros(2**resolution, dtype=np.int8)
-        for K, s in zip(self.intervals, self.signs):
-            out += s * K.haar_values(resolution)
-        return out
 
 
 class BlockFamily:
@@ -594,15 +595,6 @@ class BlockFamily:
         violation = self._nesting_violation()
         if violation is not None:
             raise ValueError(violation[1])
-
-    def assignment(self, t: OmegaIndex) -> BlockAssignment:
-        return self.assignments[t]
-
-    def realized(self, source: BasisRegistry, t: OmegaIndex) -> GridFunction:
-        """The block function of target ``t`` on the source grid."""
-        a = self.assignments[t]
-        res = source.resolution_of(a.host_copy)
-        return GridFunction.from_summands(source.grid, [(a.host_copy, a.profile(res))])
 
     def members(self, source: BasisRegistry) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """One ``(positions, signs)`` pair per target, in target order: the
@@ -690,14 +682,14 @@ def check_distributional_copy(
         return DistributionCheckResult(False, "exact", len(targets), detail)
 
     for t in targets:
-        a = family.assignment(t)
+        a = family.assignments[t]
         if a.level > source.depths.get(a.host_copy, -1):
             return failed(
                 "source_index", t,
                 f"the source has no level-{a.level} Haar functions on copy {a.host_copy}",
             )
     for t in targets:
-        got, want = family.assignment(t).union_measure, t.interval.measure
+        got, want = family.assignments[t].union_measure, t.interval.measure
         if got != want:
             return failed(
                 "union_measure", t, f"block union measure {got} differs from {want}"

@@ -1,9 +1,13 @@
 """Random sign-block vectors and one moment engine for their statistics.
 
 For a set ``B`` of dyadic intervals at a common level ``N`` and a host copy
-``M``, a sign pattern ``theta in {-1,+1}^B`` defines the block vector
+``M`` (a `RandomBlockSpec`), a sign pattern ``theta in {-1,+1}^B`` defines
+the block vector
 
-    b(theta) = sum_K theta_K h_K  on copy M.
+    b(theta) = sum_K theta_K h_K  on copy M,
+
+which is the one signed-block type of the package,
+``haarsys.BlockAssignment(M, B, theta)``.
 
 Every random statistic the reductions control is a *sign form*: a
 coefficient vector ``c`` (the linear form ``theta . c``) or a square matrix
@@ -38,32 +42,31 @@ monte-carlo).  `exact_moments`, `eval_statistic` and
 `reduction.lambda_pm_moments` only build forms and bounds.
 
 `sign_search` looks for one pattern driving several forms below their
-tolerances.  Its verdicts come from one fixed-order evaluator
-(`_ordered_values`); faster evaluations only shortlist patterns for it, so
-the winner (smallest pattern index in exhaustive mode, earliest draw in
-sampled mode) does not depend on how rows are batched.
+tolerances, and returns its signed block.  Its verdicts come from one
+fixed-order evaluator (`_ordered_values`); faster evaluations only
+shortlist patterns for it, so the winner (smallest pattern index in
+exhaustive mode, earliest draw in sampled mode) does not depend on how
+rows are batched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicInterval, OmegaIndex
+from .dyadic import OmegaIndex
 from .errors import ResourceLimitError
 from .grids import GridFunction, as_exponent, pairing
-from .haarsys import BasisRegistry
+from .haarsys import BasisRegistry, BlockAssignment
 from .operators import OperatorMatrix, opnorm_upper_unconditional
 
 ENUMERATION_CAP = 20
 
 __all__ = [
     "ENUMERATION_CAP",
-    "SignVector",
     "RandomBlockSpec",
     "MomentReport",
     "SignSearchFailure",
@@ -77,84 +80,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """A total assignment of +-1 signs to a tuple of intervals."""
-
-    intervals: tuple[DyadicInterval, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.intervals) != len(self.signs):
-            raise ValueError("one sign per interval")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be -1 or +1")
-        if len(set(self.intervals)) != len(self.intervals):
-            raise ValueError("intervals must be distinct")
-
-    @classmethod
-    def from_index(cls, intervals, pattern_index: int) -> "SignVector":
-        """Pattern ``i``: bit ``j`` of ``i`` flips interval ``j`` (0 = all +1)."""
-        intervals = tuple(intervals)
-        signs = tuple(1 - 2 * ((pattern_index >> j) & 1) for j in range(len(intervals)))
-        return cls(intervals, signs)
-
-    def __getitem__(self, interval: DyadicInterval) -> int:
-        try:
-            return self.signs[self.intervals.index(interval)]
-        except ValueError:
-            raise KeyError(f"{interval} is not in this sign vector") from None
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.signs, dtype=np.int8)
-
-
 class RandomBlockSpec:
-    """A block population: intervals at one level, hosted on one copy.
+    """A block population: the unsigned block of same-level intervals on
+    one host copy of a registry.
 
-    The intervals must share a level ``N`` resolvable on the host copy of
-    the registry; any sign pattern then realizes a single integer-valued
-    block function, so pairings against it are exact.
+    A sign pattern ``theta`` makes it the signed block ``sum_K theta_K h_K``,
+    a :class:`BlockAssignment`.  ``all_plus`` is the block with every sign
+    +1; building it checks the intervals (at least one, distinct, at one
+    level ``N`` that the host can carry), and the spec checks that the
+    registry holds the host at depth ``N`` or more.  ``rows`` holds the
+    members' registry positions, in the spec's interval order, which is
+    sorted.
     """
 
     def __init__(self, registry: BasisRegistry, host_copy: int, intervals):
-        intervals = tuple(intervals)
-        if not intervals:
-            raise ValueError("need at least one interval")
-        level = intervals[0].level
-        if any(k.level != level for k in intervals):
-            raise ValueError("all intervals must sit at one common level")
-        if len(set(intervals)) != len(intervals):
-            raise ValueError("intervals must be distinct")
+        intervals = tuple(sorted(intervals, key=lambda k: k.sort_key()))
+        self.all_plus = BlockAssignment(host_copy, intervals, (1,) * len(intervals))
         if host_copy not in registry.depths:
             raise ValueError(f"copy {host_copy} is not in the registry")
-        if level > registry.depths[host_copy]:
+        if self.all_plus.level > registry.depths[host_copy]:
             raise ValueError(
-                f"level {level} exceeds the depth {registry.depths[host_copy]} "
-                f"of copy {host_copy}"
+                f"level {self.all_plus.level} exceeds the depth "
+                f"{registry.depths[host_copy]} of copy {host_copy}"
             )
         self.registry = registry
         self.host_copy = host_copy
-        self.intervals = tuple(sorted(intervals, key=lambda k: k.sort_key()))
-        self.level = level
+        self.intervals = intervals
+        self.rows = registry.rows(host_copy, intervals)
 
     @property
     def size(self) -> int:
         return len(self.intervals)
 
-    @property
-    def union_measure(self) -> Fraction:
-        return Fraction(len(self.intervals), 2**self.level)
-
-    def omega_indices(self) -> tuple[OmegaIndex, ...]:
-        return tuple(OmegaIndex(self.host_copy, k) for k in self.intervals)
-
-    def sign_array(self, theta: SignVector | Sequence[int]) -> np.ndarray:
-        """Signs aligned to this spec's interval order."""
-        if isinstance(theta, SignVector):
-            if theta.intervals == self.intervals:
-                return theta.as_array()
-            return np.array([theta[k] for k in self.intervals], dtype=np.int8)
+    def sign_array(self, theta: BlockAssignment | Sequence[int]) -> np.ndarray:
+        """Signs in this spec's interval order: one per interval, or those
+        of a block on the spec's members, looked up by interval."""
+        if isinstance(theta, BlockAssignment):
+            if theta.host_copy != self.host_copy or set(theta.intervals) != set(
+                self.intervals
+            ):
+                raise ValueError("the block is not on this spec's members")
+            lookup = dict(zip(theta.intervals, theta.signs))
+            theta = [lookup[k] for k in self.intervals]
         arr = np.asarray(theta)
         if arr.shape != (self.size,):
             raise ValueError("sign count must match the interval count")
@@ -162,31 +129,19 @@ class RandomBlockSpec:
             raise ValueError("signs must be -1 or +1")
         return arr.astype(np.int8)
 
-    def block(self, theta: SignVector | Sequence[int]) -> GridFunction:
-        """Realize ``sum_K theta_K h_K`` as one integer summand."""
-        signs = self.sign_array(theta)
-        res = self.registry.resolution_of(self.host_copy)
-        vals = np.zeros(2**res, dtype=np.int64)
-        for s, k in zip(signs, self.intervals):
-            vals += int(s) * k.haar_values(res).astype(np.int64)
-        return GridFunction.from_summands(
-            self.registry.grid, [(self.host_copy, vals)]
-        )
-
     def pairings(self, g: GridFunction) -> np.ndarray:
         """The vector ``(<g, h_K>)_K`` of pairings against the member Haars."""
         return np.array(
             [
-                float(pairing(g, self.registry.haar(t)))
-                for t in self.omega_indices()
+                float(pairing(g, self.registry.haar(OmegaIndex(self.host_copy, k))))
+                for k in self.intervals
             ]
         )
 
     def interaction_matrix(self, T) -> np.ndarray:
         """``C[a, b] = <h_{K_a}, T h_{K_b}>`` through the coefficient Gram."""
-        rows = self.registry.rows(self.host_copy, self.intervals)
         meas = float(self.intervals[0].measure)
-        return T.columns(rows)[rows] * meas
+        return T.columns(self.rows)[self.rows] * meas
 
 
 @dataclass(frozen=True)
@@ -285,7 +240,8 @@ def _index_signs(index: np.ndarray, n: int) -> np.ndarray:
 
 
 def sign_matrix(n: int) -> np.ndarray:
-    """All ``2^n`` sign rows; row ``i`` is ``SignVector.from_index(-, i)``."""
+    """All ``2^n`` sign rows; in row ``i``, bit ``j`` of ``i`` flips sign
+    ``j`` (row 0 is all +1)."""
     return _index_signs(np.arange(2**n, dtype=np.uint64), n)
 
 
@@ -384,8 +340,8 @@ def _statistic_form(kind: str, spec: RandomBlockSpec, data) -> np.ndarray:
 def _statistic_bound(kind, spec, data, exponent, t_norm_upper) -> float:
     """The lemma's norm bound on the variance of ``kind``."""
     e = as_exponent(exponent)
-    union = float(spec.union_measure)
-    two_N = 2.0 ** (-spec.level)
+    union = float(spec.all_plus.union_measure)
+    two_N = 2.0 ** (-spec.all_plus.level)
     if kind == "Y":
         return _norm_sq(data, e.q) * union ** (1.0 / e.p) * two_N ** (1.0 / e.p)
     if kind == "W":
@@ -402,7 +358,9 @@ def _statistic_bound(kind, spec, data, exponent, t_norm_upper) -> float:
 
 
 def eval_statistic(kind: str, spec: RandomBlockSpec, data, theta) -> float:
-    """``Y``, ``W`` or ``Z`` at one sign pattern ``theta``."""
+    """``Y``, ``W`` or ``Z`` at one sign pattern ``theta``: a signed block
+    (:class:`BlockAssignment`) on the spec's members, or one sign per
+    interval in the spec's order."""
     rows = spec.sign_array(theta)[None, :]
     return float(_target_values(_statistic_form(kind, spec, data), rows)[0])
 
@@ -464,15 +422,13 @@ def condition_star(
 
 @dataclass(frozen=True)
 class SignSearchFailure:
-    """No pattern met every target; carries the least-bad candidate."""
+    """No pattern met every target.  ``best`` is the signed block of the
+    least-bad pattern, and ``violations`` lists each target it misses as
+    ``(target, |value|, tol)``."""
 
-    best: SignVector
-    violations: tuple[tuple[int, float, float], ...]  # (target, |value|, tol)
+    best: BlockAssignment
+    violations: tuple[tuple[int, float, float], ...]
     evaluated: int
-
-    @property
-    def worst_ratio(self) -> float:
-        return max(abs(v) / t for _, v, t in self.violations) if self.violations else 0.0
 
 
 # Scanned chunks start at `_FIRST` sign patterns and double up to `_BLOCK`:
@@ -576,8 +532,12 @@ def sign_search(
     *,
     budget: int | None = None,
     seed: int = 0,
-) -> SignVector | SignSearchFailure:
+) -> BlockAssignment | SignSearchFailure:
     """Find one sign pattern with ``|value| < tol`` for every target.
+
+    A hit is the signed block ``BlockAssignment(spec.host_copy,
+    spec.intervals, signs)``; a miss is a `SignSearchFailure` whose ``best``
+    is such a block.
 
     Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
     coefficient vector (linear form ``theta . c``) or a square matrix ``C``
@@ -675,12 +635,12 @@ def sign_search(
 
     row, hit = _first_or_least_bad(chunks, forms, tols, rows_of)
     signs = rows_of(np.array([row]))[0]
-    theta = SignVector(spec.intervals, tuple(int(s) for s in signs))
+    block = BlockAssignment(spec.host_copy, spec.intervals, tuple(map(int, signs)))
     if hit:
-        return theta
+        return block
     violations = []
     for i, (arr, tol) in enumerate(zip(forms, tols)):
         val = float(_target_values(arr, signs[None, :])[0])
         if not abs(val) < tol:
             violations.append((i, abs(val), tol))
-    return SignSearchFailure(theta, tuple(violations), evaluated=evaluated)
+    return SignSearchFailure(block, tuple(violations), evaluated=evaluated)

@@ -57,7 +57,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .constants import (
-    MIDDLE_OPERATOR_TOL,
     burkholder_constant,
     complementation_constant,
     diagonal_multiplier_bound,
@@ -82,7 +81,6 @@ from .randsigns import (
     ENUMERATION_CAP,
     RandomBlockSpec,
     SignSearchFailure,
-    SignVector,
     drawn_signs,
     sign_search,
     summarize_form,
@@ -244,7 +242,8 @@ def _grow_blocks(
     signs leave for ``t`` (all of [0,1) for a root).  ``constraints(i, t,
     spec, assignments)`` lists the step's ``(form, tolerance, label)``
     triples, and the signs are searched (at ``seed + i``) to keep every
-    form within its tolerance; with no forms the signs are all +1.  A
+    form within its tolerance; the search's block is the target's
+    assignment, and with no forms it is the population's all-plus block.  A
     failed search raises :class:`ReductionError` naming the worst violation
     when ``paper`` is set; otherwise it keeps the least-bad pattern and
     records a relaxed step, each violation carrying its form's label.
@@ -261,19 +260,19 @@ def _grow_blocks(
         pieces = _support_pieces(t, assignments)
         spec = RandomBlockSpec(source, host, _members_within(pieces, level))
         forms = constraints(i, t, spec, assignments)
-        theta = SignVector.from_index(spec.intervals, 0)
+        block = spec.all_plus
         record = None
         if forms:
-            theta = sign_search(
+            block = sign_search(
                 spec,
                 [(rv, tol) for rv, tol, _ in forms],
                 mode=search,
                 budget=pattern_budget if search == "exhaustive" else None,
                 seed=seed + i,
             )
-        if isinstance(theta, SignSearchFailure):
+        if isinstance(block, SignSearchFailure):
             if paper:
-                _, value, tol = max(theta.violations, key=lambda v: v[1] / v[2])
+                _, value, tol = max(block.violations, key=lambda v: v[1] / v[2])
                 raise ReductionError(
                     f"sign search failed at target {t}: "
                     f"best |value| {value:.3e} vs tolerance {tol:.3e}",
@@ -285,18 +284,18 @@ def _grow_blocks(
                 "target": str(t),
                 "violations": [
                     {**forms[k][2], "value": v, "tolerance": tol}
-                    for k, v, tol in theta.violations
+                    for k, v, tol in block.violations
                 ],
-                "evaluated": theta.evaluated,
+                "evaluated": block.evaluated,
             }
             relaxed.append(record)
-            theta = theta.best
-        signs = theta.as_array().astype(float)
+            block = block.best
+        signs = np.array(block.signs, dtype=float)
         values = [
             abs(float(signs @ rv @ signs if rv.ndim == 2 else rv @ signs))
             for rv, _, _ in forms
         ]
-        assignments[t] = BlockAssignment(host, spec.intervals, theta.signs)
+        assignments[t] = block
         base = {
             "target": str(t),
             "block_level": level,
@@ -491,7 +490,7 @@ def reduce_to_diagonal(
 
     def constraints(i, t, spec, assignments):
         n = t.copy
-        rows = source.rows(spec.host_copy, spec.intervals)
+        rows = spec.rows
         paper_zy = eps / 32.0 ** (5 * n + 2)
         forms = []
 
@@ -967,10 +966,12 @@ def compose_certificates(
 ) -> ReductionCertificate:
     """Chain two reductions: source --c1--> middle --c2--> target.
 
-    ``c2``'s source must be (diagonally) equal to ``c1``'s target within
-    ``1e-12``.  The composite family realizes each final target by replacing
-    every interval of its middle-model block with the corresponding inner
-    block of ``c1`` — the two embeddings compose.  The guaranteed a-priori
+    ``c2``'s source must be diagonal, with exactly ``c1``'s target entries:
+    every caller passes the first stage's own target operator, and any
+    other middle operator, however close, is a different chain.  The
+    composite family realizes each final target by replacing every interval
+    of its middle-model block with the corresponding inner block of ``c1``
+    — the two embeddings compose.  The guaranteed a-priori
     bound is ``D * eps1 + eps2`` with ``D`` the orthogonal-complementation
     constant of the target's space (the model constant for this exponent);
     the exact residuals of the composite are recomputed directly,
@@ -994,12 +995,9 @@ def compose_certificates(
     mid_diag = np.asarray(c2.source.diagonal())
     if not c2.source.is_diagonal():
         raise ValueError("the middle operator of a composition must be diagonal")
-    gap = float(np.abs(mid_diag - np.asarray(c1.target_entries)).max())
-    if gap > MIDDLE_OPERATOR_TOL:
-        raise ValueError(
-            f"middle operators disagree by {gap:.3e} "
-            f"(tolerance {MIDDLE_OPERATOR_TOL:g})"
-        )
+    if not np.array_equal(mid_diag, c1.target_entries):
+        gap = float(np.abs(mid_diag - np.asarray(c1.target_entries)).max())
+        raise ValueError(f"middle operators disagree by {gap:.3e}")
     D = complementation_constant(p)
 
     composite: dict[OmegaIndex, BlockAssignment] = {}

@@ -17,7 +17,13 @@ from haarfactor import serialize as sz
 from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.factorize import factor_large_diagonal, primary_dichotomy
 from haarfactor.grids import as_exponent, conditional_expectation
-from haarfactor.haarsys import BasisRegistry, burkholder_check, project, realize
+from haarfactor.haarsys import (
+    BasisRegistry,
+    BlockAssignment,
+    burkholder_check,
+    project,
+    realize,
+)
 from haarfactor.operators import (
     DiagonalOperator,
     OperatorMatrix,
@@ -26,7 +32,6 @@ from haarfactor.operators import (
 from haarfactor.randsigns import (
     RandomBlockSpec,
     SignSearchFailure,
-    SignVector,
     exact_moments,
     sign_matrix,
     sign_search,
@@ -423,7 +428,7 @@ def test_09_basis_projection_and_search_invariants():
             assert isinstance(result, SignSearchFailure)
             outcomes.add("failure")
         else:
-            assert isinstance(result, SignVector)
+            assert isinstance(result, BlockAssignment)
             assert result.signs == tuple(int(s) for s in S[feasible])
             outcomes.add("hit")
     assert outcomes == {"hit", "failure"}

@@ -719,3 +719,46 @@ class TestNonFiniteValues:
         with pytest.raises(ValueError, match="not JSON compliant"):
             run(ExperimentConfig("reduce-scalar", copies=(5,), seed=0, out=str(path)))
         assert not path.exists()
+
+
+class TestEpsIsParsedOneWay:
+    """``--eps`` is a decimal or fraction string for every command."""
+
+    @pytest.mark.parametrize(
+        "command, source",
+        [("reduce-diagonal", "op"), ("factorize", "op"), ("dichotomy", "diag")],
+    )
+    def test_a_fraction_runs_as_its_rounded_decimal(self, arts, capsys, command, source):
+        runs = [
+            invoke(capsys, command, "--in", arts[source], "--eps", eps)
+            for eps in ("1/3", repr(1 / 3))
+        ]
+        (code, out, _), (decimal_code, decimal_out, _) = runs
+        assert code != ERROR and code == decimal_code
+        assert sz.loads(out)["results"] == sz.loads(decimal_out)["results"]
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants",),
+            ("reduce-diagonal", "--copies", "3", "--depths", "2"),
+            ("reduce-scalar", "--copies", "4"),
+            ("factorize", "--copies", "3", "--depths", "2"),
+            ("dichotomy", "--copies", "5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_non_finite_eps_is_an_error(self, capsys, argv, eps):
+        code, out, err = invoke(capsys, *argv, "--eps", eps)
+        assert code == ERROR and not out
+        assert sz.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_copies_and_depths_of_different_lengths_are_an_error(capsys):
+    code, out, err = invoke(
+        capsys, "reduce-diagonal", "--copies", "5,6,7", "--depths", "4,5"
+    )
+    assert code == ERROR and not out
+    message = sz.loads(err)["error"]["message"]
+    assert "3 copies" in message and "2 depths" in message

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from haarfactor import dyadic
 from haarfactor.dyadic import (
     UNIT,
     DyadicInterval,
@@ -172,9 +173,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_truncated({1: -1})
 
-    def test_size_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_truncated({20: 19}, max_indices=100)
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "INDEX_CAP", 100)  # read at call time
+        with pytest.raises(ResourceLimitError, match="cap 100"):
+            enumerate_truncated({20: 19})
 
     def test_levels(self):
         assert len(intervals_at_level(3)) == 8

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from haarfactor.dyadic import DyadicInterval, UNIT
 from haarfactor.errors import ResourceLimitError
+from haarfactor import grids
 from haarfactor.grids import (
     Exponent,
     GridFunction,
@@ -58,10 +59,11 @@ class TestProductGrid:
         assert g.cell_measure == Fraction(1, 8)
         assert g.shape == (2, 4)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             ProductGrid((1,), (23,))
-        ProductGrid((1,), (23,), cell_cap=1 << 23)  # explicit raise is fine
+        monkeypatch.setattr(grids, "CELL_CAP", 1 << 23)  # read at construction
+        ProductGrid((1,), (23,))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -513,6 +513,11 @@ class TestBlockFamily:
             BlockAssignment(4, (L(1, 1),), (2,))  # bad sign
         with pytest.raises(ValueError):
             BlockAssignment(1, (L(1, 1),), (1,))  # host too shallow
+        pair = tuple(intervals_at_level(1))
+        with pytest.raises(ValueError, match="one sign per interval"):
+            BlockAssignment(4, pair, (1,))
+        with pytest.raises(ValueError, match="signs must be"):
+            BlockAssignment(4, pair, (0, 1))
 
     def test_nesting_passes_for_carved_family(self):
         two_level_family().verify_nesting()
@@ -557,7 +562,8 @@ class TestBlockFamily:
     def test_realized_block_values(self):
         source = BasisRegistry({4: 3})
         fam = two_level_family()
-        b = fam.realized(source, OmegaIndex(2, UNIT))
+        root = fam.targets.index(OmegaIndex(2, UNIT))
+        b = realize(source, fam.coefficient_columns(source)[:, root])
         # theta = (+1, +1) on both level-1 Haars: alternating +-1 on quarters
         np.testing.assert_array_equal(
             b.dense, np.repeat([1, -1, 1, -1], 4)
@@ -655,8 +661,12 @@ def oracle_same_law(family, source):
         targets = family.targets
         members = []
         for t in targets:
-            a = family.assignment(t)
-            members.append((a.host_copy, a.profile(source.resolution_of(a.host_copy))))
+            a = family.assignments[t]
+            resolution = source.resolution_of(a.host_copy)
+            profile = np.zeros(2**resolution, dtype=np.int8)
+            for K, sign in zip(a.intervals, a.signs):
+                profile += sign * K.haar_values(resolution)
+            members.append((a.host_copy, profile))
     else:
         targets = tuple(sorted(family, key=lambda t: t.sort_key()))
         members = []

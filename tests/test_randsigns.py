@@ -13,14 +13,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.errors import ResourceLimitError
 from haarfactor.grids import pairing
-from haarfactor.haarsys import BasisRegistry, realize
+from haarfactor.haarsys import BasisRegistry, BlockAssignment, realize
 from haarfactor.operators import OperatorMatrix
 from haarfactor.randsigns import (
     ENUMERATION_CAP,
     MomentReport,
     RandomBlockSpec,
     SignSearchFailure,
-    SignVector,
     _margin,
     _ordered_values,
     _enumerated_values,
@@ -53,6 +52,14 @@ def shift_operator(reg):
     return OperatorMatrix(2.0, reg.indices, entries)
 
 
+def block_function(spec, signs):
+    """The signed block ``sum_K theta_K h_K`` of ``spec``, realized from its
+    source coefficients: the signs at the members' rows."""
+    coeffs = np.zeros(spec.registry.dim)
+    coeffs[spec.rows] = signs
+    return realize(spec.registry, coeffs)
+
+
 def enumerate_oracle(spec, kind, data):
     """Mean and variance over all patterns, each value computed on the grid.
 
@@ -61,7 +68,7 @@ def enumerate_oracle(spec, kind, data):
     pairings ``<h_K, T h_K>``.
     """
     reg = spec.registry
-    members = spec.omega_indices()
+    members = [OmegaIndex(spec.host_copy, k) for k in spec.intervals]
     rows = [reg.index_of[t] for t in members]
     if kind == "Z":
         diagonal = math.fsum(
@@ -70,7 +77,7 @@ def enumerate_oracle(spec, kind, data):
         )
     vals = []
     for signs in itertools.product((-1, 1), repeat=spec.size):
-        b = spec.block(signs)
+        b = block_function(spec, signs)
         if kind == "Z":
             beta = np.zeros(reg.dim)
             beta[rows] = signs
@@ -93,7 +100,7 @@ def oracle_sign_search(
     *,
     budget: int | None = None,
     seed: int = 0,
-) -> SignVector | SignSearchFailure:
+) -> BlockAssignment | SignSearchFailure:
     """Find one sign pattern with ``|value| < tol`` for every target.
 
     Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
@@ -147,11 +154,11 @@ def oracle_sign_search(
     hits = np.flatnonzero(ok)
     if len(hits):
         row = S[hits[0]]
-        return SignVector(spec.intervals, tuple(int(s) for s in row))
+        return BlockAssignment(spec.host_copy, spec.intervals, tuple(int(s) for s in row))
     best_row = S[int(np.argmin(worst))]
-    best = SignVector(spec.intervals, tuple(int(s) for s in best_row))
+    best = BlockAssignment(spec.host_copy, spec.intervals, tuple(int(s) for s in best_row))
     violations = []
-    arr = best.as_array()[None, :]
+    arr = best_row[None, :]
     for i, (rv, tol) in enumerate(targets):
         val = float(_target_values(rv, arr)[0])
         if not abs(val) < tol:
@@ -159,13 +166,7 @@ def oracle_sign_search(
     return SignSearchFailure(best, tuple(violations), evaluated=len(S))
 
 
-class TestSignVector:
-    def test_from_index_bit_convention(self):
-        ks = tuple(intervals_at_level(1))
-        assert SignVector.from_index(ks, 0).signs == (1, 1)
-        assert SignVector.from_index(ks, 1).signs == (-1, 1)
-        assert SignVector.from_index(ks, 2).signs == (1, -1)
-
+class TestSignMatrix:
     @pytest.mark.parametrize("n", range(13))
     def test_matrix_agrees_with_the_shift_expression(self, n):
         idx = np.arange(2**n, dtype=np.int64)
@@ -173,30 +174,14 @@ class TestSignVector:
         assert np.array_equal(sign_matrix(n), (1 - 2 * bits).astype(np.int8))
         assert sign_matrix(n).dtype == np.int8
 
-    def test_matrix_agrees_with_from_index(self):
-        ks = tuple(intervals_at_level(2))
-        S = sign_matrix(4)
-        for i in (0, 5, 9, 15):
-            assert tuple(S[i]) == SignVector.from_index(ks, i).signs
-
-    def test_lookup_and_validation(self):
-        ks = tuple(intervals_at_level(1))
-        v = SignVector(ks, (-1, 1))
-        assert v[L(1, 1)] == -1 and v[L(1, 2)] == 1
-        with pytest.raises(KeyError):
-            v[L(2, 1)]
-        with pytest.raises(ValueError):
-            SignVector(ks, (0, 1))
-        with pytest.raises(ValueError):
-            SignVector(ks, (1,))
-
 
 class TestSpec:
     def test_block_is_integer_and_mean_zero(self):
         reg, spec = level_one_spec()
-        b = spec.block([1, -1])
-        assert b.is_integer_valued()
-        assert pairing(b, b) == spec.union_measure
+        b = block_function(spec, [1, -1])
+        values = np.asarray(b.dense)
+        assert set(np.unique(values)) <= {-1.0, 0.0, 1.0} and values.mean() == 0.0
+        assert pairing(b, b) == spec.all_plus.union_measure
 
     def test_mixed_levels_rejected(self):
         reg, _ = level_one_spec()
@@ -210,8 +195,17 @@ class TestSpec:
 
     def test_sign_alignment_by_interval(self):
         _, spec = level_one_spec()
-        v = SignVector((L(1, 2), L(1, 1)), (1, -1))
+        v = BlockAssignment(2, (L(1, 2), L(1, 1)), (1, -1))
         np.testing.assert_array_equal(spec.sign_array(v), [-1, 1])
+        with pytest.raises(ValueError, match="not on this spec's members"):
+            spec.sign_array(BlockAssignment(3, spec.intervals, (1, -1)))
+
+    def test_all_plus_block_and_rows(self):
+        reg, spec = level_one_spec(depth=2)
+        assert spec.all_plus == BlockAssignment(3, spec.intervals, (1, 1))
+        assert [reg.indices[r] for r in spec.rows] == [
+            OmegaIndex(3, k) for k in spec.intervals
+        ]
 
 
 class TestEvaluations:
@@ -219,20 +213,20 @@ class TestEvaluations:
         reg, spec = level_one_spec()
         f = reg.haar(OmegaIndex(2, L(1, 1)))
         for signs in itertools.product((-1, 1), repeat=2):
-            theta = SignVector(spec.intervals, signs)
-            assert eval_statistic("Y", spec, f, theta) == theta[L(1, 1)] * 0.5
+            theta = BlockAssignment(2, spec.intervals, signs)
+            assert eval_statistic("Y", spec, f, theta) == signs[0] * 0.5
 
     def test_W_matches_Y_for_symmetric_pairing(self):
         reg, spec = level_one_spec()
         f = reg.haar(OmegaIndex(2, L(1, 2)))
-        theta = SignVector(spec.intervals, (-1, 1))
+        theta = BlockAssignment(2, spec.intervals, (-1, 1))
         assert eval_statistic("W", spec, f, theta) == eval_statistic("Y", spec, f, theta)
 
     def test_Z_two_term_cross_sum(self):
         reg, spec = level_one_spec()
         T = shift_operator(reg)
         for signs in itertools.product((-1, 1), repeat=2):
-            theta = SignVector(spec.intervals, signs)
+            theta = BlockAssignment(2, spec.intervals, signs)
             assert eval_statistic("Z", spec, T, theta) == signs[0] * signs[1] * 0.5
 
     def test_Z_vanishes_on_singleton(self):
@@ -422,13 +416,13 @@ class TestSignSearch:
         spec = RandomBlockSpec(reg, 2, [L(1, 1)])
         C = spec.interaction_matrix(shift_operator(reg))
         got = sign_search(spec, [(C, 0.1)])
-        assert isinstance(got, SignVector) and got.signs == (1,)
+        assert isinstance(got, BlockAssignment) and got.signs == (1,)
 
     def test_loose_target_returns_min_index(self):
         reg, spec = level_one_spec()
         C = spec.interaction_matrix(shift_operator(reg))
         got = sign_search(spec, [(C, 0.6)])
-        assert isinstance(got, SignVector)
+        assert isinstance(got, BlockAssignment)
         assert got.signs == (1, 1)  # pattern index 0 wins
 
     def test_tight_target_fails_with_report(self):
@@ -439,7 +433,7 @@ class TestSignSearch:
         assert got.evaluated == 4
         (idx, value, tol), = got.violations
         assert idx == 0 and value == 0.5 and tol == 0.4
-        assert got.worst_ratio == pytest.approx(1.25)
+        assert got.best == BlockAssignment(2, spec.intervals, (1, 1))  # first among ties
 
     def test_two_linear_targets(self):
         reg, spec = level_one_spec()
@@ -450,12 +444,12 @@ class TestSignSearch:
                 (np.array([0.2, 0.2]), 0.5),  # |0.4| < 0.5 at equal signs
             ],
         )
-        assert isinstance(got, SignVector) and got.signs == (1, 1)
+        assert isinstance(got, BlockAssignment) and got.signs == (1, 1)
         # equal signs now violate the second target, so index 1 wins
         got = sign_search(
             spec, [(np.array([0.3, 0.3]), 0.1), (np.array([0.2, 0.2]), 0.5)]
         )
-        assert isinstance(got, SignVector) and got.signs == (-1, 1)
+        assert isinstance(got, BlockAssignment) and got.signs == (-1, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exhaustive_completeness(self, seed):
@@ -468,9 +462,9 @@ class TestSignSearch:
         got = sign_search(spec, [(c, tol)])
         S = sign_matrix(len(pool)).astype(float)
         exists = bool(np.any(np.abs(S @ c) < tol))
-        assert isinstance(got, SignVector) == exists
+        assert isinstance(got, BlockAssignment) == exists
         if exists:
-            assert abs(np.dot(got.as_array(), c)) < tol
+            assert abs(np.dot(got.signs, c)) < tol
 
     def test_exhaustive_budget_guard(self):
         reg = BasisRegistry({4: 3})
@@ -500,7 +494,7 @@ class TestSignSearch:
         C = spec.interaction_matrix(shift_operator(reg))
         a = sign_search(spec, [(C, 0.6)], mode="sampled", seed=5, budget=32)
         b = sign_search(spec, [(C, 0.6)], mode="sampled", seed=5, budget=32)
-        assert isinstance(a, SignVector) and a == b
+        assert isinstance(a, BlockAssignment) and a == b
 
     def test_sampled_budget_from_chebyshev(self):
         # q = 0.02 / 1.0^2 < 1: the budget is 64 * ceil(1 / (1 - q)) draws
@@ -508,7 +502,7 @@ class TestSignSearch:
         got = sign_search(
             spec, [(np.array([0.1, 0.1]), 1.0)], mode="sampled", seed=1
         )
-        assert isinstance(got, SignVector)
+        assert isinstance(got, BlockAssignment)
 
     def test_sampled_budget_without_chebyshev_guarantee(self):
         # |theta_1| = 1 never drops below 0.5, and q = 1 / 0.5^2 = 4 >= 1,
@@ -640,7 +634,7 @@ class TestSplitSearch:
             ]
             got = sign_search(search_spec(n), targets, mode, budget=budget, seed=seed)
             if any(meets):
-                assert isinstance(got, SignVector)
+                assert isinstance(got, BlockAssignment)
                 assert got.signs == tuple(rows[meets.index(True)])
             else:
                 assert isinstance(got, SignSearchFailure)

@@ -18,7 +18,6 @@ from haarfactor.factorize import primary_dichotomy
 from haarfactor.grids import as_exponent, lp_norm, pairing
 from haarfactor.haarsys import BasisRegistry, BlockAssignment, BlockFamily, realize
 from haarfactor.operators import DiagonalOperator, OperatorMatrix
-from haarfactor.randsigns import RandomBlockSpec, SignVector
 from haarfactor.reduction import (
     ReductionCertificate,
     compose_certificates,
@@ -650,6 +649,27 @@ def test_a_multi_copy_diagonal_reaches_a_scalar_through_the_chain(seed, copy_4_c
     assert composite.certified_bound < 0.25
     assert abs(composite.scalar - 0.6) < 0.02
     assert verify_certificate(composite)["ok"]
+
+
+def test_a_tiny_different_middle_operator_is_refused():
+    """Scaled by ``2^-50``, the first stage's target differs from the zero
+    diagonal by about ``5e-16``, less than any fixed absolute tolerance.
+    Chaining the zero diagonal's scalar stage would certify 0.0 for a
+    composite whose own column sum is not zero, so the middle operators
+    must agree exactly."""
+    scale = 2.0**-50
+    source = BasisRegistry({4: 3, 5: 4, 6: 5})
+    rng = np.random.default_rng(11)
+    d = np.concatenate([0.6 + rng.uniform(-0.01, 0.01, 2**copy - 1) for copy in (4, 5, 6)])
+    T = DiagonalOperator(4.0, source.indices, d * scale)
+    c1 = reduce_to_diagonal(T, {3: 2}, 0.25 * scale)
+    middle = BasisRegistry.single_copy(3).indices
+    zero = DiagonalOperator(4.0, middle, np.zeros(len(middle)))
+    c2 = reduce_to_scalar_finite(zero, 2, 0.25 * scale)
+    with pytest.raises(ValueError, match="middle operators disagree by 5.340e-16"):
+        compose_certificates(c1, c2)
+    # the first stage's own target operator still chains
+    compose_certificates(c1, reduce_to_scalar_finite(c1.target_operator(), 2, 0.25 * scale))
 
 
 # -- identity, composition, verification ---------------------------------------

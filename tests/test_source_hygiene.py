@@ -4,9 +4,11 @@ write-only attribute.
 Every module of ``src/haarfactor`` is parsed with :mod:`ast`.  An import
 must be used by code in its module (a name listed in ``__all__`` counts as
 used; ``__init__.py`` re-exports and is exempt).  Every module-level
-function and class, public or private, must be reached from ``cli.main``,
-from a module's top-level statements or from a paper object listed in
-``PAPER_OBJECTS``, so that no surface is kept that nothing uses.  An
+function and class, public or private, and every method and property of
+such a class, must be reached from ``cli.main``, from a name that
+``bench/`` uses, from a module's top-level statements or from a paper
+object listed in ``PAPER_OBJECTS``, so that no surface is kept that nothing
+uses.  An
 attribute that ``src/`` assigns as ``self.<name>`` must be read as
 ``.<name>`` somewhere in ``src/``, ``tests/`` or ``bench/``, or be named in
 a record row of ``serialize.py`` (which reads it by name), so that no
@@ -71,8 +73,9 @@ def _loaded_names(tree: ast.Module) -> set[str]:
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# Public names that no command reaches, each kept because it realizes a
-# statement of the paper, or a classical fact, that the named test checks.
+# Public names that neither a command nor `bench/` reaches, each kept
+# because it realizes a statement of the paper, or a classical fact, that
+# the named test checks.
 PAPER_OBJECTS = {
     "lambda_pm_moments": "moments of the half-support averages lambda+- (acceptance test_02)",
     "conditional_expectation": "Haar functions are martingale differences (acceptance test_09)",
@@ -85,8 +88,37 @@ PAPER_OBJECTS = {
     ),
     "xpw_norms": "the X_{p,w} norm of each sampled ambient combination (acceptance test_08)",
     "star_property": "condition (*) on the weights of X_{p,w} (TestStarProperty)",
-    "condition_star": "the block level that makes the Chebyshev failures improbable (TestConditionStar)",
+    "condition_star": (
+        "the block level that makes the Chebyshev failures improbable "
+        "(TestConditionStar)"
+    ),
     "eval_statistic": "the block statistics Y, W and Z at one sign pattern (TestEvaluations)",
+    # methods and properties, as ``Class.member``
+    "DyadicInterval.left": "the exact endpoints of a dyadic interval (test_endpoints_are_exact)",
+    "DyadicInterval.right": "the exact endpoints of a dyadic interval (test_endpoints_are_exact)",
+    "DyadicInterval.children": "an interval splits into its two halves (test_children_partition)",
+    "DyadicInterval.contains": "an interval contains its halves (test_children_partition)",
+    "DyadicInterval.indicator_values": "1_I = h_I^2 on the grid (test_indicator_matches_square)",
+    "ProductGrid.cell_measure": (
+        "a product cell has measure 2^-(sum of resolutions) "
+        "(test_measure_is_exact)"
+    ),
+    "GridFunction.scaled": "grid functions form a vector space (test_add_and_scale)",
+    "BasisRegistry.standard": "the standard truncation of copies 1..n (TestRegistry)",
+    "OperatorMatrix.identity": (
+        "the identity factors through itself exactly "
+        "(test_identity_factors_exactly)"
+    ),
+    "OperatorMatrix.zero": (
+        "I - 0 is the large branch of the dichotomy "
+        "(test_zero_operator_factors_complement)"
+    ),
+    "WeightSequence.explicit": "X_{p,w} for given weights (test_explicit_weights_and_budgets)",
+    "XpwVector.norm": "the X_{p,w} norm of a vector (test_vector_sugar)",
+    "GameTranscript.block_vectors": (
+        "the game's blocks as vectors of X_{p,w} "
+        "(test_block_vectors_share_one_ambient)"
+    ),
 }
 
 
@@ -101,35 +133,77 @@ def _names_used(node: ast.AST) -> set[str]:
     return names
 
 
-def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, str]:
-    """Each module-level definition that nothing reaches, with its
-    ``module:line``.
+def _attributes_used(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
-    Reaching goes by name: a root, or a name or attribute used anywhere in a
-    module's top-level statements other than definitions and ``__all__``,
-    reaches every definition of that name in any module, and a reached
-    definition reaches every name its whole node uses.  This over-approximates
-    what runs, so a definition reported here is reached from no root."""
-    defined: dict[str, list[tuple[str, ast.stmt]]] = {}
-    frontier = set(roots)
+
+def _is_member(node: ast.stmt) -> bool:
+    """A method or property of a class, other than a special ``__name__``
+    method, which Python calls without naming it."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
+def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, str]:
+    """Each definition that nothing reaches, with its ``module:line``: a
+    module-level function or class by its name, and a method or property of
+    a module-level class as ``Class.member``.
+
+    Reaching goes by name.  A root, or a name or attribute used anywhere in
+    a module's top-level statements other than definitions and ``__all__``,
+    reaches every module-level definition of that name in any module; a
+    root or an attribute, ``x.name``, also reaches every member of that
+    name.  A reached function or member reaches what its whole node uses; a
+    reached class, what its decorators, bases and body use outside its
+    members.  This over-approximates what runs, so a definition reported
+    here is reached from no root."""
+    defined: dict[str, list[tuple[str, str, list[ast.AST]]]] = {}
+    members: dict[str, list[tuple[str, str, list[ast.AST]]]] = {}
+    names, attributes = set(roots), set(roots)
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, DEFINITIONS):
-                defined.setdefault(node.name, []).append((module, node))
-            elif not _is_all(node):
-                frontier |= _names_used(node)
-    reached = set()
+            if not isinstance(node, DEFINITIONS):
+                if not _is_all(node):
+                    names |= _names_used(node)
+                    attributes |= _attributes_used(node)
+                continue
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.decorator_list, *node.bases, *node.keywords]
+                for sub in node.body:
+                    if not _is_member(sub):
+                        parts.append(sub)
+                        continue
+                    where = (f"{node.name}.{sub.name}", f"{module}:{sub.lineno}", [sub])
+                    members.setdefault(sub.name, []).append(where)
+            where = (node.name, f"{module}:{node.lineno}", parts)
+            defined.setdefault(node.name, []).append(where)
+    reached: set[tuple[str, bool]] = set()
+    frontier = {(name, False) for name in names} | {(name, True) for name in attributes}
     while frontier:
-        name = frontier.pop()
-        if name in defined and name not in reached:
-            reached.add(name)
-            for _, node in defined[name]:
-                frontier |= _names_used(node)
+        key = frontier.pop()
+        name, is_member = key
+        table = members if is_member else defined
+        if key in reached or name not in table:
+            continue
+        reached.add(key)
+        for _, _, parts in table[name]:
+            for part in parts:
+                frontier |= {(used, False) for used in _names_used(part)}
+                frontier |= {(used, True) for used in _attributes_used(part)}
     return {
-        name: f"{module}:{node.lineno}"
-        for name, nodes in defined.items() if name not in reached
-        for module, node in nodes
+        qualified: where
+        for is_member, table in ((False, defined), (True, members))
+        for name, entries in table.items() if (name, is_member) not in reached
+        for qualified, where, _ in entries
     }
+
+
+# `bench/` calls the package too: every name and attribute its modules use.
+BENCH_NAMES = set().union(
+    *(_names_used(_tree(path)) for path in sorted((ROOT / "bench").glob("*.py")))
+)
 
 
 def _self_assigned(tree: ast.Module) -> dict[str, int]:
@@ -175,12 +249,33 @@ def test_every_import_is_used(path):
 
 def test_every_definition_is_reached():
     trees = {path.name: _tree(path) for path in MODULES if path.name != "__init__.py"}
-    dead = _unreached(trees, {"main", *PAPER_OBJECTS})
+    paper = {name.rsplit(".", 1)[-1] for name in PAPER_OBJECTS}
+    dead = _unreached(trees, {"main", *BENCH_NAMES, *paper})
     assert not dead, (
-        f"definitions that neither cli.main nor a paper object reaches: {dead}"
+        "definitions that neither cli.main, bench/ nor a paper object reaches: "
+        f"{dead}"
     )
     # the table lists only what the command line does not reach
     assert set(PAPER_OBJECTS) <= set(_unreached(trees, {"main"}))
+
+
+def test_the_reach_check_sees_dead_members():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self):\n        self.items = self._fill()\n\n"
+        "    def _fill(self):\n        return []\n\n"
+        "    @property\n    def size(self):\n        return len(self.items)\n\n"
+        "    def dead(self):\n        return self.size\n\n"
+        "    def named_only(self):\n        return 0\n\n"
+        "def main(named_only=None):\n    return Box()\n"
+    )
+    # __init__ runs with its class; a bare name reaches no member
+    assert _unreached({"toy.py": tree}, {"main"}) == {
+        "Box.size": "toy.py:9", "Box.dead": "toy.py:12", "Box.named_only": "toy.py:15",
+    }
+    assert _unreached({"toy.py": tree}, {"main", "dead"}) == {
+        "Box.named_only": "toy.py:15",
+    }
 
 
 def test_the_checks_see_a_dead_helper_and_an_unused_import():
