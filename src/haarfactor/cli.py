@@ -449,7 +449,7 @@ def cmd_dichotomy(config):
 
 def cmd_xpw_game(config):
     eps = Fraction(config.eps)
-    w = WeightSequence(Fraction(str(config.p)), decay=Fraction(config.decay))
+    w = WeightSequence.power(Fraction(str(config.p)), Fraction(config.decay))
     if config.adversary == "fixed":
         moves = config.moves or tuple(range(1, config.rounds + 1))
         adversary = FixedScheduleAdversary(moves)

@@ -33,8 +33,12 @@ It also names one resource bound, which no result depends on:
   compact route writes only the buffer's first slab, 64 KiB there).  The
   stripes fold and raise ``|v|^p``, work that streams memory, so beyond a
   handful of cores more workers mostly add buffers, and a 200-row pass
-  still gives each of 8 stripes 25 rows.  Only 2 cores were measured (the
-  pass went from 1.25 s to about 0.7 s), where the cap does not bind.
+  still gives each of 8 stripes 25 rows.  Only 2 cores were measured, where
+  the cap does not bind: in process, over 12 alternations on the
+  acceptance source at p = 4 (numpy 2.4, Python 3.11), the ``factorize``
+  command's ``factor_large_diagonal`` took a median 0.236 s on one stripe
+  and 0.182 s on two, and 100 dense rows of the 2^18-cell grid took
+  0.188 s against 0.126 s.
 """
 
 from __future__ import annotations

@@ -195,10 +195,6 @@ class GridFunction:
             summands.extend((coord, row) for row in block)
         return cls(grid, summands=tuple(summands))
 
-    @classmethod
-    def constant(cls, grid: ProductGrid, value: float) -> "GridFunction":
-        return cls.from_dense(grid, np.full(grid.shape, value))
-
     @property
     def is_factored(self) -> bool:
         return self._summands is not None

@@ -169,9 +169,6 @@ class BasisRegistry:
             [self.index_of[OmegaIndex(host, K)] for K in intervals], dtype=np.intp
         )
 
-    def resolution_of(self, copy: int) -> int:
-        return self.grid.resolution_of(copy)
-
     def profile_blocks(self) -> tuple[tuple[int, slice, np.ndarray], ...]:
         """Haar profiles of the registry's indices, one block per copy, built
         on first use and cached.
@@ -445,25 +442,15 @@ def _striped(
 def project(registry: BasisRegistry, f: GridFunction) -> np.ndarray:
     """Basis coefficients ``|I_t|^-1 <h_t, f>`` of the model projection.
 
-    For ``f`` in the span this inverts :func:`realize` exactly.  The result
-    realizes the natural norm-one-complemented projection of the ambient
-    space onto the model span.
+    Each coefficient is one :func:`~haarfactor.grids.pairing` of a Haar
+    function with ``f``, factored or dense.  For ``f`` in the span this
+    inverts :func:`realize` exactly.  The result realizes the natural
+    norm-one-complemented projection of the ambient space onto the model
+    span.  No command calls it; it is kept as a paper object.
     """
     if f.grid != registry.grid:
         raise ValueError("function lives on a different grid than the registry")
     out = np.empty(registry.dim)
-    if not f.is_factored:
-        dense = np.asarray(f.dense, dtype=float)
-        naxes = tuple(range(len(registry.grid.shape)))
-        marginals = {}
-        for coord in registry.grid.coords:
-            axis = registry.grid.axis_of(coord)
-            marginals[coord] = dense.mean(axis=tuple(a for a in naxes if a != axis))
-        for i, t in enumerate(registry.indices):
-            res = registry.resolution_of(t.copy)
-            inner = float(registry.haar_profile(t) @ marginals[t.copy]) / 2**res
-            out[i] = inner / float(t.interval.measure)
-        return out
     for i, t in enumerate(registry.indices):
         inner = pairing(registry.haar(t), f)
         out[i] = float(inner) / float(t.interval.measure)

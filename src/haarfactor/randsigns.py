@@ -372,7 +372,6 @@ def exact_moments(
     *,
     exponent=2.0,
     t_norm_upper: float | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> MomentReport:
     """Enumerate all sign patterns; report exact mean/variance and checks.
 
@@ -381,9 +380,9 @@ def exact_moments(
     of the enumeration.  ``bound_passed`` compares the enumerated variance
     against the norm bound with no tolerance.
     """
-    if spec.size > cap:
+    if spec.size > ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"2^{spec.size} patterns exceed the enumeration cap 2^{cap}"
+            f"2^{spec.size} patterns exceed the enumeration cap 2^{ENUMERATION_CAP}"
         )
     form = _statistic_form(kind, spec, data)
     bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)

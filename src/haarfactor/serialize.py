@@ -714,8 +714,10 @@ def undocument(doc: dict):
     return _KINDS[kind][2](doc["payload"], f"{kind} payload")
 
 
-def dumps(obj, *, metadata: dict | None = None) -> str:
-    """Canonical text of the object's document: byte-stable per object.
+def dumps(obj) -> str:
+    """Canonical text of a document, or of an object's document with empty
+    ``metadata``: byte-stable per object.  A document that carries metadata
+    is built by :func:`document`, the one place that takes it.
 
     The text is ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"`` byte for byte, written by :func:`_render`.
@@ -725,7 +727,7 @@ def dumps(obj, *, metadata: dict | None = None) -> str:
     :func:`_render`): a witness holds its source operator twice, once
     itself and once in its certificate.
     """
-    doc = obj if _is_document(obj) else _document(obj, metadata)
+    doc = obj if _is_document(obj) else _document(obj, None)
     out: list[str] = []
     _render(doc, out, "\n", {})
     out.append("\n")
@@ -926,8 +928,9 @@ def _is_document(obj) -> bool:
     return isinstance(obj, dict) and {"schema", "kind", "payload"} <= set(obj)
 
 
-def save(path, obj, *, metadata: dict | None = None) -> None:
-    Path(path).write_text(dumps(obj, metadata=metadata))
+def save(path, obj) -> None:
+    """Write :func:`dumps` of ``obj``, an object or a document, to ``path``."""
+    Path(path).write_text(dumps(obj))
 
 
 def load(path):

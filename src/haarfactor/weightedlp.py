@@ -52,20 +52,18 @@ family, built on first use; any other sequence or iterable of blocks is
 read once into a family of its own, and so checked, on each call.
 
 The ambient estimate, `impartial_equivalence` on the block vectors
-themselves, is kept as the oracle of the coefficient-space one.  Its
-samples are measured in batches, and each value is the one the per-sample
-loop (one draw, one ``X @ a`` and one `xpw_norm` per sample) gives, bit for
-bit.  It draws every coefficient vector at once, the same stream as one
-draw per sample, and forms the images a chunk of rows at a time: where each
-row of a family holds at most one nonzero, as the game's block vectors and
-the unit vectors do, an image entry is that one product, which is what the
-matrix product sums to exactly.  `xpw_norms` measures a chunk of rows at
-once; each row of a C-ordered array is reduced exactly as the
-one-dimensional reduce reduces it, and its root is taken as `xpw_norm`
-takes it.  Both norms raise ``|c|^p`` only where ``c != 0`` on large
-arrays that are at least a quarter zeros: ``0.0 ** p`` is ``+0.0``, and
-numpy's vectorized ``pow`` is slow on zeros, which fill three quarters of
-the greedy game's vectors.
+themselves, is kept as the oracle of the coefficient-space one, and no
+command runs it.  It draws every coefficient vector at once, the same
+stream as one draw per sample, forms one image ``X @ a`` per sample, which
+is the estimate's definition, and measures the images a chunk of rows at a
+time, so each value is the one the per-sample loop (one draw, one
+``X @ a`` and one `xpw_norm` per sample) gives, bit for bit.  `xpw_norms`
+measures a chunk of rows at once; each row of a C-ordered array is reduced
+exactly as the one-dimensional reduce reduces it, and its root is taken as
+`xpw_norm` takes it.  Both norms raise ``|c|^p`` only where ``c != 0`` on
+large arrays that are at least a quarter zeros: ``0.0 ** p`` is ``+0.0``,
+and numpy's vectorized ``pow`` is slow on zeros, which fill three quarters
+of the greedy game's vectors.
 """
 
 from __future__ import annotations
@@ -595,30 +593,20 @@ class FixedScheduleAdversary:
 
 
 class RandomAdversary:
-    """Plays seeded uniform moves within a window past the frontier."""
+    """Plays seeded uniform moves from 1 to ``frontier + 16``."""
 
-    def __init__(self, seed: int, reach: int = 16) -> None:
+    def __init__(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
-        self.reach = int(reach)
 
     def __call__(self, round_index: int, frontier: int) -> int:
-        return int(self.rng.integers(1, frontier + self.reach + 1))
-
-    def reset(self, seed: int) -> None:
-        self.rng = np.random.default_rng(seed)
+        return int(self.rng.integers(1, frontier + 17))
 
 
 class GreedyMaxAdversary:
     """Always demands far past the frontier (multiplicative pressure)."""
 
-    def __init__(self, factor: int = 2, offset: int = 1) -> None:
-        if factor < 1:
-            raise ValueError("factor must be at least 1")
-        self.factor = int(factor)
-        self.offset = int(offset)
-
     def __call__(self, round_index: int, frontier: int) -> int:
-        return self.factor * max(frontier, 1) + self.offset
+        return 2 * max(frontier, 1) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -1019,30 +1007,12 @@ def _sampled_norms(
     coefficients: np.ndarray,
     norm: Callable[[np.ndarray], Sequence[float]],
 ) -> np.ndarray:
-    """``norm`` of ``F @ a`` for each row ``a`` of ``coefficients``, with
-    the images formed a chunk of at most ``_CHUNK_CELLS`` cells at a time.
-
-    Where every row of ``F`` holds at most one nonzero (blocks of disjoint
-    supports, unit vectors), an image is ``np.take(a, cols) * vals``, the
-    floats ``F @ a`` gives: its sum is that one product plus ``±0`` terms,
-    exact in any order, with or without a fused multiply-add.  An empty row
-    may come out ``-0.0`` where the product gives ``+0.0``; no norm term
-    tells the two apart.  Any other family keeps one ``F @ a`` per sample,
-    because a matrix product may round differently.
-    """
-    size = F.shape[0]
-    single = bool(np.all(np.count_nonzero(F, axis=1) <= 1))
-    if single:
-        cols = np.argmax(F != 0, axis=1)
-        vals = F[np.arange(size), cols]
+    """``norm`` of ``F @ a`` for each row ``a`` of ``coefficients``: one
+    matrix product per sample, the estimate's definition, with the images
+    measured a chunk of at most ``_CHUNK_CELLS`` cells at a time."""
     out = np.empty(len(coefficients))
-    step = max(1, _CHUNK_CELLS // max(size, 1))
+    step = max(1, _CHUNK_CELLS // max(F.shape[0], 1))
     for start in range(0, len(coefficients), step):
         part = coefficients[start : start + step]
-        if single:
-            images = np.take(part, cols, axis=1)
-            images *= vals
-        else:
-            images = np.array([F @ a for a in part])
-        out[start : start + step] = norm(images)
+        out[start : start + step] = norm(np.array([F @ a for a in part]))
     return out

@@ -463,6 +463,13 @@ class TestCheckDistributionCommand:
         assert code == ERROR
         assert sz.loads(err)["status"] == ERROR
 
+    def test_operator_input_is_an_error(self, arts, capsys):
+        code, out, err = invoke(capsys, "check-distribution", "--in", arts["op"])
+        assert code == ERROR and not out
+        error = sz.loads(err)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].endswith("expected a reduction-certificate document")
+
     def test_no_input_is_an_error(self, capsys):
         code, out, err = invoke(capsys, "check-distribution")
         assert code == ERROR and not out
@@ -472,8 +479,8 @@ class TestCheckDistributionCommand:
 
 
 class TestMalformedWitness:
-    """A witness field of the wrong JSON type is an exit-1 error report
-    naming the field."""
+    """A witness field of the wrong JSON type or shape is an exit-1 error
+    report naming the field."""
 
     @pytest.fixture(scope="class")
     def witness_doc(self):
@@ -488,6 +495,8 @@ class TestMalformedWitness:
             ("norm_factors", lambda payload: list(payload["norm_factors"].values())),
             ("residual", lambda payload: [1.0]),
             ("left_factor", lambda payload: [*payload["left_factor"][:-1], [1.0]]),
+            ("left_factor", lambda payload: payload["left_factor"][:-1]),
+            ("right_factor", lambda payload: payload["right_factor"][:-1]),
             ("left_factor", lambda payload: [["x"]] * len(payload["left_factor"])),
             ("residual", lambda payload: "1e-3"),
             ("eps", lambda payload: True),
@@ -507,7 +516,8 @@ class TestMalformedWitness:
             }),
         ],
         ids=[
-            "map-as-list", "float-as-list", "ragged-rows", "non-numeric-entries",
+            "map-as-list", "float-as-list", "ragged-rows", "left-lost-a-row",
+            "right-lost-a-row", "non-numeric-entries",
             "float-as-string", "float-as-bool", "matrix-entry-as-string",
             "matrix-entry-as-bool", "float-list-entry-as-string",
             "float-list-entry-as-bool",
@@ -753,6 +763,22 @@ class TestEpsIsParsedOneWay:
         code, out, err = invoke(capsys, *argv, "--eps", eps)
         assert code == ERROR and not out
         assert sz.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_a_source_too_shallow_to_host_a_target_is_an_error(capsys):
+    code, out, err = invoke(capsys, "reduce-diagonal", "--copies", "1", "--depths", "0")
+    assert code == ERROR and not out
+    error = sz.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == "no feasible target/host assignment inside this source registry"
+
+
+def test_a_copies_list_that_is_not_integers_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce-diagonal", "--copies", "5,x"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "not a comma-separated int list: '5,x'" in err
 
 
 def test_copies_and_depths_of_different_lengths_are_an_error(capsys):

@@ -179,7 +179,7 @@ class TestLargeDiagonalSeeded:
 
     def test_block_embedding_has_exact_left_inverse(self, seeded_witness):
         _, w = seeded_witness
-        source = w.source_registry()
+        source = w.source.registry
         target = w.target_registry()
         F = w.certificate.family.coefficient_columns(source)
         PE = projection_matrix(source, target, w.certificate.family)
@@ -187,7 +187,7 @@ class TestLargeDiagonalSeeded:
 
     def test_witness_registries_match_certificate(self, seeded_witness):
         T, w = seeded_witness
-        assert w.source_registry().indices == T.basis
+        assert w.source.registry.indices == T.basis
         assert w.A.shape == (w.target_registry().dim, HOSTS.dim)
         assert w.B.shape == (HOSTS.dim, w.target_registry().dim)
 

@@ -56,7 +56,7 @@ class TestRegistry:
 
     def test_constant_function_not_in_registry(self):
         r = BasisRegistry.standard(2)
-        one = GridFunction.constant(r.grid, 1.0)
+        one = GridFunction.from_dense(r.grid, np.full(r.grid.shape, 1.0))
         np.testing.assert_array_equal(project(r, one), np.zeros(r.dim))
 
     def test_finer_resolution_allows_deep_pairings(self):
@@ -121,7 +121,7 @@ class TestRealizeProject:
         for i, t in enumerate(r.indices):
             shape = [1, 1, 1]
             shape[r.grid.axis_of(t.copy)] = -1
-            profile = t.interval.haar_values(r.resolution_of(t.copy))
+            profile = t.interval.haar_values(r.grid.resolution_of(t.copy))
             oracle = oracle + (c[i] * profile).reshape(shape)
         want = float(np.mean(np.abs(oracle) ** p) ** (1.0 / p))
         assert lp_norm(realize(r, c), p) == want
@@ -662,7 +662,7 @@ def oracle_same_law(family, source):
         members = []
         for t in targets:
             a = family.assignments[t]
-            resolution = source.resolution_of(a.host_copy)
+            resolution = source.grid.resolution_of(a.host_copy)
             profile = np.zeros(2**resolution, dtype=np.int8)
             for K, sign in zip(a.intervals, a.signs):
                 profile += sign * K.haar_values(resolution)

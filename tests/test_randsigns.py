@@ -306,8 +306,9 @@ class TestExactMoments:
         reg = BasisRegistry({6: 5})
         spec = RandomBlockSpec(reg, 6, intervals_at_level(5))
         f = reg.haar(OmegaIndex(6, L(1, 1)))
-        with pytest.raises(ResourceLimitError, match="enumeration cap"):
-            exact_moments("Y", spec, f, cap=20)
+        message = r"2\^32 patterns exceed the enumeration cap 2\^20"
+        with pytest.raises(ResourceLimitError, match=message):
+            exact_moments("Y", spec, f)
 
     def test_non_diagonal_Z_needs_norm_bound(self):
         reg, spec = level_one_spec()

@@ -17,6 +17,18 @@ top-level statements assign, other than ``__all__``, must be read as a name
 or as ``.<name>`` somewhere in ``src/`` (``__init__.py`` is exempt), so
 that no constant outlives the code that read it.  No module-level function
 may be a second name for one call, passing its own parameters on unchanged.
+A parameter with a default must be passed by some call in ``src/`` or
+``bench/``, unless its function is a paper object or ``TEST_SET_DEFAULTS``
+names the test that sets it, so that no setting is kept that only tests
+use.
+
+These checks match by name, not by binding, and that is their blind spot:
+any use of a name counts for every definition of it.  A member is reached,
+and a default passed, by a same-name attribute or call on an unrelated
+object: ``tracer.reset()`` in ``bench/`` reaches every ``reset`` method, a
+``witness.constant`` field every ``constant`` member, and ``np.power``
+every ``power`` member.  The line tracer ``tests/line_reach.py`` sees what
+runs; these checks see only what is named.
 """
 
 import ast
@@ -299,6 +311,145 @@ def test_the_reach_check_sees_dead_public_and_private_definitions():
     )
     assert _unreached({"toy.py": tree}, {"main"}) == {
         "dead_public": "toy.py:9", "_dead_private": "toy.py:12",
+    }
+
+
+# Parameters with a default that no call in `src/` or `bench/` passes, each
+# kept because the named test sets it.
+TEST_SET_DEFAULTS = {
+    "main(argv)": "the command line run in process (test_cli.py::invoke)",
+    "BasisRegistry.__init__(resolutions)": (
+        "a copy realized finer than its depth (test_finer_resolution_allows_deep_pairings)"
+    ),
+    "DiagonalAverageWitness.verify(tol)": (
+        "a block average holds within 1e-12 (acceptance test_03, test_04 and test_07)"
+    ),
+    "exact_moments(t_norm_upper)": (
+        "the Z variance against a given norm bound (test_Z_pinned_example)"
+    ),
+}
+
+
+def _call_sites(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    """Every call of a module by the name it calls: ``f`` for ``f(...)`` and
+    ``x.f(...)``, and ``C`` for ``cls(...)`` inside a classmethod of
+    ``C``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None and name != "cls":
+                calls.setdefault(name, []).append(node)
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "classmethod"
+                    for d in method.decorator_list
+                ):
+                    calls.setdefault(node.name, []).extend(
+                        sub for sub in ast.walk(method) if isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Name) and sub.func.id == "cls"
+                    )
+    return calls
+
+
+def _passed(call: ast.Call, positional: list[str], names: list[str]) -> set[str]:
+    """The parameters a call passes: by position, by keyword, or through a
+    ``*`` or ``**`` expansion, which may pass any of them."""
+    passed = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed.update(positional[i:])
+            break
+        passed.update(positional[i : i + 1])
+    for keyword in call.keywords:
+        passed.update(names if keyword.arg is None else [keyword.arg])
+    return passed
+
+
+def _unpassed_defaults(
+    trees: dict[str, ast.Module], calls: dict[str, list[ast.Call]]
+) -> dict[str, str]:
+    """Each parameter with a default that no call in ``calls`` passes, as
+    ``name(parameter)`` with its ``module:line``: a module-level function
+    by its name, a method of a module-level class as ``Class.member``.
+
+    Calls match by name: ``f(...)`` and ``x.f(...)`` call every function
+    and member ``f``, and ``C(...)`` calls ``C.__init__``.  A member's
+    positions start after ``self`` or ``cls``."""
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [
+                    (f"{node.name}.{sub.name}",
+                     node.name if sub.name == "__init__" else sub.name, sub,
+                     not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in sub.decorator_list))
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for qualified, called_as, function, bound in functions:
+                args = function.args
+                positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+                positional = positional[1:] if bound else positional
+                names = positional + [a.arg for a in args.kwonlyargs]
+                passed = set().union(
+                    *(_passed(call, positional, names)
+                      for call in calls.get(called_as, []))
+                )
+                for param in defaulted:
+                    if param not in passed:
+                        found[f"{qualified}({param})"] = f"{module}:{function.lineno}"
+    return found
+
+
+def test_every_default_is_passed():
+    trees = {path.name: _tree(path) for path in MODULES}
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]:
+        for name, sites in _call_sites(_tree(path)).items():
+            calls.setdefault(name, []).extend(sites)
+    unpassed = _unpassed_defaults(trees, calls)
+    settings = {
+        key: where for key, where in unpassed.items()
+        if key.split("(")[0] not in PAPER_OBJECTS and key not in TEST_SET_DEFAULTS
+    }
+    assert not settings, (
+        "parameters with a default that no call in src/ or bench/ passes "
+        f"(name(parameter): module:line) {settings}; fix the value instead"
+    )
+    # the table lists only what no call passes
+    assert set(TEST_SET_DEFAULTS) <= set(unpassed)
+
+
+def test_the_default_check_sees_every_unpassed_setting():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    return f(0, 1, d=4)\n\n"       # 1
+        "def spread(a=1, b=2, *, c=3):\n    pass\n\n"                  # 4
+        "def unused(x=0):\n    return spread(*args)\n\n"               # 7
+        "class Box:\n"                                                 # 10
+        "    def __init__(self, size=1, fill=0):\n        self.size = size\n\n"
+        "    @classmethod\n    def sized(cls, n):\n        return cls(n)\n\n"
+        "    def grow(self, step=1, limit=9):\n        return other.grow(2)\n\n"
+        "    @staticmethod\n    def make(kind='a', **extra):\n        return Box.make(kind)\n\n"
+        "    def keyed(self, *, key=None):\n        return keyed(**options)\n"
+    )
+    assert _unpassed_defaults({"toy.py": tree}, _call_sites(tree)) == {
+        "f(c)": "toy.py:1",
+        "spread(c)": "toy.py:4",
+        "unused(x)": "toy.py:7",
+        "Box.__init__(fill)": "toy.py:11",
+        "Box.grow(limit)": "toy.py:18",
     }
 
 
