@@ -95,7 +95,6 @@ class ExperimentConfig:
     delta: float = 1.0
     seed: int = 0
     mode: str = "adaptive"
-    search: str = "exhaustive"
     budget: int | None = None
     inputs: tuple[str, ...] = ()
     out: str | None = None
@@ -282,7 +281,9 @@ def cmd_verify_moments(config):
     depth = (config.depths or (2,))[0]
     copy = depth + 1
     registry = BasisRegistry({copy: depth})
-    count = config.budget or 6
+    count = 6 if config.budget is None else config.budget
+    if count < 0:
+        raise ValueError(f"--budget {count}: verify-moments draws no negative count")
     rng = np.random.default_rng(config.seed)
     summaries = []
     # canonical pinned case first: the level-1 pair population against its
@@ -335,7 +336,7 @@ def cmd_reduce_diagonal(config):
     else:
         T = _seeded_operator(_registry(config), config.p, config.seed)
     target_depths, k_schedule = _derive_reduction_plan(T)
-    kwargs = {"mode": config.mode, "search": config.search, "seed": config.seed}
+    kwargs = {"mode": config.mode, "seed": config.seed}
     if config.mode == "adaptive":
         kwargs["k_schedule"] = k_schedule
     else:
@@ -344,7 +345,7 @@ def cmd_reduce_diagonal(config):
         kwargs["t_norm_upper"] = column_sum_bound(
             T.registry, T.to_matrix().entries, T.exponent
         )[1]
-    if config.budget:
+    if config.budget is not None:
         kwargs["pattern_budget"] = config.budget
     eps = _eps(config)
     cert = reduce_to_diagonal(T, target_depths, eps, **kwargs)
@@ -378,9 +379,8 @@ def cmd_reduce_scalar(config):
     steps = (config.depths or (2,))[0]
     eps = _eps(config)
     cert = reduce_to_scalar_finite(
-        T, steps, eps, mode=config.mode, search=config.search,
-        seed=config.seed,
-        **({"pattern_budget": config.budget} if config.budget else {}),
+        T, steps, eps, mode=config.mode, seed=config.seed,
+        **({} if config.budget is None else {"pattern_budget": config.budget}),
     )
     body, verdict = _certificate_body(
         cert, certified_below_eps=cert.certified_bound < eps
@@ -415,7 +415,7 @@ def cmd_factorize(config):
         T = _seeded_operator(_registry(config), config.p, config.seed)
     target_depths, k_schedule = _derive_reduction_plan(T)
     witness = factor_large_diagonal(
-        T, config.delta, _eps(config), seed=config.seed, search=config.search,
+        T, config.delta, _eps(config), seed=config.seed,
         target_depths=target_depths, k_schedule=k_schedule,
     )
     return _witness_body(witness, config.seed)[0], witness
@@ -438,8 +438,7 @@ def cmd_dichotomy(config):
             f"tops out at copy {top}"
         )
     witness = primary_dichotomy(
-        T, _eps(config), seed=config.seed, search=config.search,
-        k_schedule={3: top - 3},
+        T, _eps(config), seed=config.seed, k_schedule={3: top - 3},
     )
     body, verdict = _witness_body(witness, config.seed)
     # the witness records its certificate's scalar witness, over the same source
@@ -459,7 +458,7 @@ def cmd_xpw_game(config):
         adversary = GreedyMaxAdversary()
     transcript = play_game(
         adversary, config.rounds, w, eps,
-        index_budget=config.budget or 100_000,
+        **({} if config.budget is None else {"index_budget": config.budget}),
     )
     verdict = transcript.verify()
     equivalence = transcript.equivalence(config.samples, config.seed)
@@ -532,10 +531,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="diagonal lower bound for factorize")
     common.add_argument("--seed", type=int, default=d["seed"])
     common.add_argument("--mode", choices=("paper", "adaptive"), default=d["mode"])
-    common.add_argument("--search", choices=("exhaustive", "sampled"),
-                        default=d["search"])
-    common.add_argument("--budget", type=int, default=d["budget"],
-                        help="pattern/sample/index budget, command dependent")
+    common.add_argument(
+        "--budget", type=int, default=d["budget"],
+        help="reduce-diagonal, reduce-scalar: sign patterns a block may "
+        "enumerate before its signs are fixed one by one (default 2^20, 2^16); "
+        "xpw-game: indices a round may scan (default 100000); both at least 1. "
+        "verify-moments: random block populations (default 6)",
+    )
     common.add_argument("--in", dest="inputs", action="append", default=None,
                         metavar="PATH", help="input artifact (repeatable)")
     common.add_argument("--out", default=d["out"], metavar="PATH",

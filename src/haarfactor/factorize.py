@@ -253,7 +253,6 @@ def factor_large_diagonal(
     seed: int = 0,
     target_depths: dict[int, int] | None = None,
     k_schedule: dict[int, int] | None = None,
-    search: str = "exhaustive",
 ) -> FactorizationWitness:
     """Factor the identity through an operator whose diagonal avoids zero.
 
@@ -300,7 +299,7 @@ def factor_large_diagonal(
             k_schedule = {n: 4 for n in target_depths}
         cert = reduce_to_diagonal(
             TS_op, target_depths, eps,
-            k_schedule=k_schedule, search=search, seed=seed,
+            k_schedule=k_schedule, seed=seed,
         )
         if cert.certified_bound >= 1.0:
             raise ReductionError(
@@ -337,7 +336,6 @@ def primary_dichotomy(
     *,
     seed: int = 0,
     k_schedule: dict[int, int] | None = None,
-    search: str = "exhaustive",
 ) -> FactorizationWitness:
     """Factor the identity through the operator or through its complement.
 
@@ -368,7 +366,7 @@ def primary_dichotomy(
         k_schedule = {DICHOTOMY_TARGET_COPY: 4}
     c1 = reduce_to_diagonal(
         T, {DICHOTOMY_TARGET_COPY: DICHOTOMY_TARGET_COPY - 1}, stage_eps,
-        k_schedule=k_schedule, search=search, seed=seed,
+        k_schedule=k_schedule, seed=seed,
     )
     mid = c1.target_operator()
     comp = None
@@ -376,9 +374,7 @@ def primary_dichotomy(
     best_gap = math.inf
     for steps in range(DICHOTOMY_SCALAR_STEPS, 0, -1):
         try:
-            c2 = reduce_to_scalar_finite(
-                mid, steps, stage_eps, search=search, seed=seed + 1
-            )
+            c2 = reduce_to_scalar_finite(mid, steps, stage_eps, seed=seed + 1)
         except ReductionError as exc:
             attempts.append({"scalar_steps": steps, "error": str(exc)})
             continue

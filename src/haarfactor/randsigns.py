@@ -1,4 +1,4 @@
-"""Random sign-block vectors and one moment engine for their statistics.
+"""Random sign-block vectors, one moment engine, and one sign search.
 
 For a set ``B`` of dyadic intervals at a common level ``N`` and a host copy
 ``M`` (a `RandomBlockSpec`), a sign pattern ``theta in {-1,+1}^B`` defines
@@ -33,20 +33,21 @@ block level, with U B the union of the intervals:
     Var(W) <= |x|_p^2  |U B|^{1/q} 2^{-N/q},
     Var(Z) <= 2 |T|^2  |U B|^{1/p + 1} 2^{-N/q}.
 
-One engine serves every statistic: form -> rows -> report.  A form is
-evaluated on a matrix of sign rows by one evaluator; the rows are all
-``2^n`` patterns, streamed in index-ordered chunks so that no ``2^n``-row
-sign matrix is built, or seeded uniform draws (`drawn_signs`);
-`summarize_form` turns the values into a `MomentReport` (exact or
-monte-carlo).  `exact_moments`, `eval_statistic` and
+One engine serves every statistic: form -> values -> report.  A form is
+evaluated on all ``2^n`` patterns, streamed in index-ordered chunks so that
+no ``2^n``-row sign matrix is built, and `summarize_form` turns the values
+into an exact `MomentReport`; past ``ENUMERATION_CAP`` signs it raises
+:class:`ResourceLimitError`.  `exact_moments`, `eval_statistic` and
 `reduction.lambda_pm_moments` only build forms and bounds.
 
 `sign_search` looks for one pattern driving several forms below their
-tolerances, and returns its signed block.  Its verdicts come from one
-fixed-order evaluator (`_ordered_values`); faster evaluations only
-shortlist patterns for it, so the winner (smallest pattern index in
-exhaustive mode, earliest draw in sampled mode) does not depend on how
-rows are batched.
+tolerances, and returns its signed block.  The block's size picks the
+route: a block whose ``2^n`` patterns fit the pattern budget is
+enumerated, and a larger one has its signs fixed one at a time by the
+method of conditional expectations, which turns the Chebyshev bound of the
+paper's existence proof into a deterministic choice.  Either way the
+verdict comes from one fixed-order evaluator (`_ordered_values`), so the
+signs do not depend on how rows are batched or on the BLAS kernels.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ __all__ = [
     "MomentReport",
     "SignSearchFailure",
     "closed_variance",
-    "drawn_signs",
     "summarize_form",
     "eval_statistic",
     "exact_moments",
     "condition_star",
+    "enumerates",
     "sign_search",
 ]
 
@@ -147,14 +148,12 @@ class RandomBlockSpec:
 @dataclass(frozen=True)
 class MomentReport:
     kind: str
-    mode: str  # "exact" | "monte-carlo"
     mean: float
     variance: float
     closed_form: float | None
     bound: float
     bound_passed: bool
-    count: int  # enumerated patterns, or drawn samples
-    standard_error: float | None = None
+    count: int  # enumerated patterns
 
 
 # -- the moment engine: form -> rows -> report ---------------------------------
@@ -245,12 +244,6 @@ def sign_matrix(n: int) -> np.ndarray:
     return _index_signs(np.arange(2**n, dtype=np.uint64), n)
 
 
-def drawn_signs(count: int, n: int, seed: int) -> np.ndarray:
-    """``count`` i.i.d. uniform sign rows of length ``n`` from ``seed``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, n))
-
-
 def _enumerated_values(rv: np.ndarray, n: int) -> np.ndarray:
     """The sign form on all ``2^n`` patterns, in index order.
 
@@ -268,50 +261,38 @@ def _enumerated_values(rv: np.ndarray, n: int) -> np.ndarray:
 def summarize_form(
     kind: str,
     rv: np.ndarray,
-    patterns: int | np.ndarray,
+    n: int,
     bound: float,
     *,
     offset: float | None = None,
 ) -> MomentReport:
-    """Moments of ``offset + form`` over sign patterns.
+    """Exact moments of ``offset + form`` over all ``2^n`` sign patterns.
 
-    An int ``patterns = n`` means all ``2^n`` patterns (`_enumerated_values`),
-    and the report is ``"exact"``: the population mean and variance
-    (``fsum``, divided by the count, so the chunk order does not matter).
-    An array ``patterns`` holds uniform draws, one per row, and the report
-    is ``"monte-carlo"``: the unbiased variance with its standard error,
-    from the spread of the squared deviations.  ``closed_form`` is
-    `closed_variance` of the form.
+    The values come from `_enumerated_values`; the mean and variance are
+    population moments (``fsum``, divided by the count, so the chunk order
+    does not matter).  ``closed_form`` is `closed_variance` of the form.
+    More than ``ENUMERATION_CAP`` signs raise :class:`ResourceLimitError`.
     """
-    exact = isinstance(patterns, int)
-    v = _enumerated_values(rv, patterns) if exact else _target_values(rv, patterns)
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"2^{n} patterns exceed the enumeration cap 2^{ENUMERATION_CAP}"
+        )
+    v = _enumerated_values(rv, n)
     if offset is not None:
         v = offset + v
     count = len(v)
-    if exact:
-        # fsum reads a memoryview as plain floats, several times faster
-        # than iterating numpy scalars
-        mode = "exact"
-        mean = math.fsum(memoryview(v)) / count
-        variance = math.fsum(memoryview((v - mean) ** 2)) / count
-        stderr = None
-    else:
-        if count < 2:
-            raise ValueError("need at least two samples")
-        mode = "monte-carlo"
-        mean = float(v.mean())
-        variance = float(v.var(ddof=1))
-        stderr = float(((v - mean) ** 2).std(ddof=1) / math.sqrt(count))
+    # fsum reads a memoryview as plain floats, several times faster than
+    # iterating numpy scalars
+    mean = math.fsum(memoryview(v)) / count
+    variance = math.fsum(memoryview((v - mean) ** 2)) / count
     return MomentReport(
         kind=kind,
-        mode=mode,
         mean=mean,
         variance=variance,
         closed_form=closed_variance(rv),
         bound=bound,
         bound_passed=variance <= bound,
         count=count,
-        standard_error=stderr,
     )
 
 
@@ -378,12 +359,9 @@ def exact_moments(
     The report's ``closed_form`` repeats the variance through its proof
     identity; callers comparing the two at 1e-10 get an independent check
     of the enumeration.  ``bound_passed`` compares the enumerated variance
-    against the norm bound with no tolerance.
+    against the norm bound with no tolerance.  More than
+    ``ENUMERATION_CAP`` members raise :class:`ResourceLimitError`.
     """
-    if spec.size > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"2^{spec.size} patterns exceed the enumeration cap 2^{ENUMERATION_CAP}"
-        )
     form = _statistic_form(kind, spec, data)
     bound = _statistic_bound(kind, spec, data, exponent, t_norm_upper)
     return summarize_form(kind, form, spec.size, bound)
@@ -421,9 +399,12 @@ def condition_star(
 
 @dataclass(frozen=True)
 class SignSearchFailure:
-    """No pattern met every target.  ``best`` is the signed block of the
-    least-bad pattern, and ``violations`` lists each target it misses as
-    ``(target, |value|, tol)``."""
+    """The search ended on a pattern that misses a target.  ``best`` is
+    that pattern's signed block, ``violations`` lists each target it
+    misses as ``(target, |value|, tol)``, and ``evaluated`` counts the
+    patterns the verdict covers: all ``2^n`` when the block was enumerated
+    (so no pattern meets every target), 1 when its signs were fixed one by
+    one."""
 
     best: BlockAssignment
     violations: tuple[tuple[int, float, float], ...]
@@ -491,18 +472,19 @@ def _verdicts(count, values, limits, tols) -> tuple[np.ndarray, np.ndarray]:
     return ok, worst
 
 
-def _first_or_least_bad(chunks, forms, tols, rows_of) -> tuple[int, bool]:
+def _first_or_least_bad(chunks, forms, tols, n) -> tuple[int, bool]:
     """Scan shortlisted chunks in order and confirm with `_ordered_values`.
 
-    Returns ``(row, True)`` for the first row meeting every tolerance, or
-    ``(row, False)`` for the row of least worst ratio (first among ties).
+    Returns ``(index, True)`` for the first pattern meeting every
+    tolerance, or ``(index, False)`` for the pattern of least worst ratio
+    (first among ties).
     """
     margins = [_margin(arr) for arr in forms]
     limits = [np.nextafter(tol + m, np.inf) for tol, m in zip(tols, margins)]
     window = 2.0 * max((m / tol for tol, m in zip(tols, margins)), default=0.0)
 
     def confirm(index):
-        rows = rows_of(index)
+        rows = _index_signs(index, n)
         values = [_ordered_values(arr, rows) for arr in forms]
         return _verdicts(len(rows), values, tols, tols)
 
@@ -524,32 +506,88 @@ def _first_or_least_bad(chunks, forms, tols, rows_of) -> tuple[int, bool]:
     return best, False
 
 
+def _conditioned_signs(forms, tols, n) -> np.ndarray:
+    """Signs fixed in index order by the method of conditional expectations.
+
+    With the signs before ``j`` fixed and the rest uniform, the potential
+    ``Phi = sum_t E[form_t^2] / tol_t^2`` has a closed form.  A linear form
+    with fixed part ``a`` has ``E = a^2 + sum_free c_r^2``.  A quadratic
+    form, ``sum_{i<k} theta_i theta_k s_ik`` with ``s = C + C^T`` off the
+    diagonal, has ``E = A^2 + sum_free L_r^2 + sum_{free r<r'} s_rr'^2``,
+    where ``A`` is its fixed part and ``L_r = sum_fixed theta_i s_ir`` the
+    coefficient of free sign ``r``.  Setting ``theta_j = +-1`` moves
+    ``Phi`` by ``+-2 X`` from its current value, with
+
+        X = sum_t (a c_j   or   A L_j + sum_{r>j} L_r s_jr) / tol_t^2,
+
+    so ``theta_j = +1`` when ``X <= 0`` (ties to +1) and -1 otherwise keeps
+    ``Phi`` from rising above its start ``q = sum_t closed_variance(form_t)
+    / tol_t^2``.  At the end every sign is fixed and ``Phi = sum_t
+    form_t^2 / tol_t^2 <= q``, so ``q < 1`` puts every form below its
+    tolerance, up to rounding.
+
+    ``X`` is the ``math.fsum`` of products formed elementwise, and ``a``,
+    ``A`` and ``L`` are updated elementwise: no BLAS result enters, so the
+    signs do not depend on the kernel set.
+    """
+    linear = [(arr, tol) for arr, tol in zip(forms, tols) if arr.ndim == 1]
+    quadratic = [(arr, tol) for arr, tol in zip(forms, tols) if arr.ndim == 2]
+    c = np.array([arr for arr, _ in linear]).reshape(-1, n)
+    wc = np.array([tol**-2.0 for _, tol in linear])
+    offs = [arr - np.diag(np.diag(arr)) for arr, _ in quadratic]
+    s = np.array([off + off.T for off in offs]).reshape(-1, n, n)
+    ws = np.array([tol**-2.0 for _, tol in quadratic])
+    a, A = np.zeros(len(linear)), np.zeros(len(quadratic))
+    L = np.zeros((len(quadratic), n))
+    theta = np.ones(n, dtype=np.int8)
+    for j in range(n):
+        x = math.fsum(
+            (a * c[:, j] * wc).tolist()
+            + (A * L[:, j] * ws).tolist()
+            + (L[:, j + 1:] * s[:, j, j + 1:] * ws[:, None]).ravel().tolist()
+        )
+        sign = 1 if x <= 0 else -1
+        theta[j] = sign
+        a += sign * c[:, j]
+        A += sign * L[:, j]
+        L += sign * s[:, j]
+    return theta
+
+
+def enumerates(n: int, budget: int) -> bool:
+    """Whether `sign_search` enumerates a block of ``n`` signs: its ``2^n``
+    patterns fit the pattern ``budget``.  A budget below 1 raises
+    ``ValueError``."""
+    if budget < 1:
+        raise ValueError(f"the pattern budget {budget} is below 1")
+    return 2**n <= budget
+
+
 def sign_search(
     spec: RandomBlockSpec,
     targets: Sequence[tuple[np.ndarray, float]],
-    mode: str = "exhaustive",
     *,
-    budget: int | None = None,
-    seed: int = 0,
+    budget: int = 2**ENUMERATION_CAP,
 ) -> BlockAssignment | SignSearchFailure:
     """Find one sign pattern with ``|value| < tol`` for every target.
 
     A hit is the signed block ``BlockAssignment(spec.host_copy,
     spec.intervals, signs)``; a miss is a `SignSearchFailure` whose ``best``
-    is such a block.
+    is such a block.  Targets are pairs ``(rv, tol)`` where ``rv`` is a sign
+    form: a coefficient vector (linear form ``theta . c``) or a square
+    matrix ``C`` (off-diagonal quadratic form).
 
-    Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
-    coefficient vector (linear form ``theta . c``) or a square matrix ``C``
-    (off-diagonal quadratic form).  Exhaustive mode returns the smallest
-    satisfying pattern index, so it is complete: a `SignSearchFailure`
-    means no pattern exists.  Sampled mode draws i.i.d. uniform patterns
-    from the seed and returns the first hit in draw order.  Its default
-    budget comes from the Chebyshev failure probability
-    ``q = sum closed_variance / tol^2`` of the targets: 64 times the
-    expected number of draws ``1 / (1 - q)`` when ``q < 1``, else 4096.
-    A failure carries the pattern of least worst ratio ``max |value| /
-    tol`` (smallest index, or earliest draw, among ties), with violations
-    recorded from `_target_values` at that pattern.
+    *Route.*  The block's size picks it (`enumerates`).  When its ``2^n``
+    patterns fit ``budget`` (``2^ENUMERATION_CAP`` unless the caller passes
+    one), every pattern is settled and the smallest satisfying pattern
+    index wins, so the search is complete: a failure means no pattern
+    exists, and carries the pattern of least worst ratio ``max |value| /
+    tol`` (smallest index among ties) with ``evaluated = 2^n``.  A larger
+    block has its signs fixed one at a time (`_conditioned_signs`): that
+    pattern meets every target whenever ``q = sum closed_variance / tol^2``
+    is below 1 by more than rounding, and otherwise it may be a failure,
+    with ``evaluated = 1``.  Violations are recorded from `_target_values`
+    at the returned pattern.
 
     *Decisions.*  Whether a pattern meets a tolerance, and its worst
     ratio, come from one evaluator, `_ordered_values`: it adds the form's
@@ -557,22 +595,22 @@ def sign_search(
     results change with how rows are batched, so they cannot decide a
     single row reproducibly; here they only shortlist.
 
-    *Filter.*  Exhaustive mode shortlists from the split sums of
-    `_split_chunks` (low and high halves, Horowitz-Sahni), sampled mode
-    from `_target_values` on chunks of draws.  Both sum the same exact
-    terms in other orders.  Any order of summing ``N`` exact terms of
-    absolute sum ``A`` errs by at most ``gamma_{N-1} A``, with ``gamma_k =
-    k u / (1 - k u)`` and ``u = 2^-53`` (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, §3.1, applied along the summation tree).  So
-    the shortlist and decision values differ by at most ``2 gamma_{N-1}
-    A``.  `_margin` takes ``m = 2 gamma_{2N} A``, with ``N = n`` and ``A =
-    sum |c_j|`` for a vector, ``N = n^2 + n`` and ``A = sum |C_jk| + sum
-    |C_jj|`` for a matrix (this covers `_target_values`, which adds the
-    diagonal and subtracts the trace); the extra terms in ``gamma_{2N}``
-    pay for the roundings in forming ``m``, the ratios and the window
-    below.  A pattern meeting ``tol`` therefore has every shortlist value
-    below ``tol + m`` (taken one ulp up), and the least-bad pattern has a
-    shortlist worst ratio within ``2 max(m / tol)`` of the smallest one.
+    *Filter.*  Enumeration shortlists from the split sums of
+    `_split_chunks` (low and high halves, Horowitz-Sahni), which sum the
+    same exact terms in other orders.  Any order of summing ``N`` exact
+    terms of absolute sum ``A`` errs by at most ``gamma_{N-1} A``, with
+    ``gamma_k = k u / (1 - k u)`` and ``u = 2^-53`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1, applied along the summation
+    tree).  So the shortlist and decision values differ by at most ``2
+    gamma_{N-1} A``.  `_margin` takes ``m = 2 gamma_{2N} A``, with ``N =
+    n`` and ``A = sum |c_j|`` for a vector, ``N = n^2 + n`` and ``A = sum
+    |C_jk| + sum |C_jj|`` for a matrix (this covers `_target_values`, which
+    adds the diagonal and subtracts the trace); the extra terms in
+    ``gamma_{2N}`` pay for the roundings in forming ``m``, the ratios and
+    the window below.  A pattern meeting ``tol`` therefore has every
+    shortlist value below ``tol + m`` (taken one ulp up), and the least-bad
+    pattern has a shortlist worst ratio within ``2 max(m / tol)`` of the
+    smallest one.
 
     *Confirm.*  Chunks are scanned in order.  A chunk's shortlisted
     patterns are confirmed with the decision evaluator and the first
@@ -583,57 +621,26 @@ def sign_search(
     *One sign class.*  A search form has no offset, so the decision
     evaluator gives ``|form(-theta)| = |form(theta)|`` exactly.  Pattern
     ``i`` and its mirror ``2^n - 1 - i`` share verdict and ratio, and the
-    smaller index has ``theta_{n-1} = +1``; exhaustive mode scans only
-    indices below ``2^(n-1)``.  Those settle all ``2^n`` patterns, which
-    is what ``evaluated`` reports.
-
-    Without an explicit ``budget`` neither mode covers more than
-    ``2^ENUMERATION_CAP`` patterns: a search that would need more raises
-    :class:`ResourceLimitError`.
+    smaller index has ``theta_{n-1} = +1``; enumeration scans only indices
+    below ``2^(n-1)``.  Those settle all ``2^n`` patterns, which is what
+    ``evaluated`` reports.
     """
     if any(tol <= 0 for _, tol in targets):
         raise ValueError("tolerances must be positive")
     n = spec.size
     forms = [_form(rv) for rv, _ in targets]
     tols = [tol for _, tol in targets]
-    if mode == "exhaustive":
-        if budget is None and n > ENUMERATION_CAP:
-            raise ResourceLimitError(
-                f"2^{n} patterns exceed the cap 2^{ENUMERATION_CAP}; "
-                "pass a budget or use sampled mode"
-            )
-        if budget is not None and 2**n > budget:
-            raise ResourceLimitError(
-                f"2^{n} patterns exceed the search budget {budget}; "
-                "use sampled mode"
-            )
+    if enumerates(n, budget):
+        row, hit = _first_or_least_bad(_split_chunks(forms, n), forms, tols, n)
+        signs = _index_signs(np.array([row]), n)[0]
         evaluated = 2**n
-        chunks = _split_chunks(forms, n)
-
-        def rows_of(index):
-            return _index_signs(index, n)
-
-    elif mode == "sampled":
-        if budget is None:
-            q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
-            budget = 64 * math.ceil(1.0 / (1.0 - q)) if q < 1.0 else 4096
-            if budget > 2**ENUMERATION_CAP:
-                raise ResourceLimitError(
-                    f"the Chebyshev budget of {budget} draws exceeds the cap "
-                    f"2^{ENUMERATION_CAP}; pass an explicit budget"
-                )
-        S = drawn_signs(budget, n, seed)
-        evaluated = len(S)
-        chunks = (
-            (np.arange(start, stop), [_target_values(arr, S[start:stop]) for arr in forms])
-            for start, stop in _spans(len(S), _FIRST, _BLOCK)
-        )
-        rows_of = S.__getitem__
     else:
-        raise ValueError(f"unknown mode {mode!r}; expected exhaustive or sampled")
-
-    row, hit = _first_or_least_bad(chunks, forms, tols, rows_of)
-    signs = rows_of(np.array([row]))[0]
+        signs = _conditioned_signs(forms, tols, n)
+        hit = all(
+            abs(_ordered_values(arr, signs[None, :])[0]) < tol
+            for arr, tol in zip(forms, tols)
+        )
+        evaluated = 1
     block = BlockAssignment(spec.host_copy, spec.intervals, tuple(map(int, signs)))
     if hit:
         return block

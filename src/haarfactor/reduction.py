@@ -78,10 +78,9 @@ from .operators import (
     diagonal_average,
 )
 from .randsigns import (
-    ENUMERATION_CAP,
     RandomBlockSpec,
     SignSearchFailure,
-    drawn_signs,
+    enumerates,
     sign_search,
     summarize_form,
 )
@@ -230,9 +229,7 @@ def _grow_blocks(
     place: Callable,
     constraints: Callable,
     *,
-    search: str,
     pattern_budget: int,
-    seed: int,
     paper: bool = False,
 ):
     """The block induction: one signed block per target, in target order.
@@ -241,35 +238,37 @@ def _grow_blocks(
     is every interval at that level inside the support that the parent's
     signs leave for ``t`` (all of [0,1) for a root).  ``constraints(i, t,
     spec, assignments)`` lists the step's ``(form, tolerance, label)``
-    triples, and the signs are searched (at ``seed + i``) to keep every
-    form within its tolerance; the search's block is the target's
-    assignment, and with no forms it is the population's all-plus block.  A
-    failed search raises :class:`ReductionError` naming the worst violation
-    when ``paper`` is set; otherwise it keeps the least-bad pattern and
-    records a relaxed step, each violation carrying its form's label.
+    triples, and `sign_search` chooses the signs under ``pattern_budget``
+    to keep every form within its tolerance; the search's block is the
+    target's assignment, and with no forms it is the population's all-plus
+    block.  A failed search raises :class:`ReductionError` naming the worst
+    violation when ``paper`` is set; otherwise it keeps the search's
+    pattern and records a relaxed step, each violation carrying its form's
+    label.  A budget below 1 is refused at the first block.
 
-    Returns ``(assignments, steps, relaxed)``, where ``steps[i]`` is target
-    ``i``'s base step record, its forms and their absolute values at the
-    chosen signs.
+    Returns ``(assignments, steps, relaxed, search)``, where ``steps[i]``
+    is target ``i``'s base step record, its forms and their absolute
+    values at the chosen signs, and ``search`` is ``"exhaustive"`` when
+    every search enumerated its block and ``"derandomized"`` otherwise.
     """
     assignments: dict[OmegaIndex, BlockAssignment] = {}
     steps = []
     relaxed = []
+    search = "exhaustive"
     for i, t in enumerate(targets):
         host, level = place(t)
         pieces = _support_pieces(t, assignments)
         spec = RandomBlockSpec(source, host, _members_within(pieces, level))
+        enumerated = enumerates(spec.size, pattern_budget)
         forms = constraints(i, t, spec, assignments)
         block = spec.all_plus
         record = None
         if forms:
             block = sign_search(
-                spec,
-                [(rv, tol) for rv, tol, _ in forms],
-                mode=search,
-                budget=pattern_budget if search == "exhaustive" else None,
-                seed=seed + i,
+                spec, [(rv, tol) for rv, tol, _ in forms], budget=pattern_budget
             )
+            if not enumerated:
+                search = "derandomized"
         if isinstance(block, SignSearchFailure):
             if paper:
                 _, value, tol = max(block.violations, key=lambda v: v[1] / v[2])
@@ -303,7 +302,7 @@ def _grow_blocks(
             "relaxed": record is not None,
         }
         steps.append((base, forms, values))
-    return assignments, steps, relaxed
+    return assignments, steps, relaxed, search
 
 
 def column_sum_bound(
@@ -418,7 +417,6 @@ def reduce_to_diagonal(
     *,
     mode: str = "adaptive",
     k_schedule: Mapping[int, int] | None = None,
-    search: str = "exhaustive",
     seed: int = 0,
     t_norm_upper: float | None = None,
     pattern_budget: int = DEFAULT_PATTERN_BUDGET,
@@ -439,9 +437,12 @@ def reduce_to_diagonal(
     relaxed step and continues; in paper mode it raises
     :class:`ReductionError` naming the step.
 
-    ``pattern_budget`` caps exhaustive sign searches only: one that needs
-    more patterns raises :class:`~haarfactor.errors.ResourceLimitError`.
-    Sampled searches record the budget in ``metadata`` without using it.
+    ``pattern_budget`` picks each sign search's route (`sign_search`): a
+    block whose ``2^n`` patterns fit it is enumerated, a larger one has
+    its signs fixed one at a time, and ``metadata["search"]`` says
+    ``"exhaustive"`` when every block was enumerated, ``"derandomized"``
+    otherwise.  A budget below 1 raises ``ValueError``.  No choice is
+    random: ``seed`` only enters the certificate as ``schedule["seed"]``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -522,10 +523,10 @@ def reduce_to_diagonal(
                 forms.append((w, tol, {"kind": "w", "against": str(r)}))
         return forms
 
-    assignments, grown, relaxed = _grow_blocks(
+    assignments, grown, relaxed, search = _grow_blocks(
         source, targets,
         lambda t: (hosts[t.copy], kmap[t.copy] + t.interval.level), constraints,
-        search=search, pattern_budget=pattern_budget, seed=seed, paper=paper,
+        pattern_budget=pattern_budget, paper=paper,
     )
     steps = []
     for base, forms, values in grown:
@@ -604,9 +605,6 @@ def lambda_pm_moments(
     *,
     exponent=2.0,
     t_norm_upper: float | None = None,
-    cap: int = ENUMERATION_CAP,
-    samples: int = 4096,
-    seed: int = 0,
 ):
     """Moments of the two half-support averages induced by a signed block.
 
@@ -620,12 +618,12 @@ def lambda_pm_moments(
 
     Returns a pair of :class:`~haarfactor.randsigns.MomentReport` for the
     ``+`` and ``-`` statistics (the form ``coeffs`` and the form
-    ``-coeffs``, both with the offset).  Up to ``cap`` members the reports
-    come from exhaustive enumeration; larger blocks fall back to seeded
-    sampling, with the unbiased variance and its standard error.
-    The recorded bound is ``2^-m / |union of the block| * (norm upper)^2``
-    with ``m`` the block level and the norm upper defaulting to the sound
-    diagonal multiplier bound of ``d_fine``.
+    ``-coeffs``, both with the offset), enumerated over every sign
+    pattern; more than ``ENUMERATION_CAP`` members raise
+    :class:`~haarfactor.errors.ResourceLimitError`.  The recorded bound is
+    ``2^-m / |union of the block| * (norm upper)^2`` with ``m`` the block
+    level and the norm upper defaulting to the sound diagonal multiplier
+    bound of ``d_fine``.
     """
     d_fine = np.asarray(d_fine, dtype=float)
     if d_fine.shape != (1 << fine_level,):
@@ -649,9 +647,8 @@ def lambda_pm_moments(
     r = len(block)
     union = float(r) / (1 << level)
     bound = 2.0 ** (-level) / union * t_norm_upper**2
-    patterns = r if r <= cap else drawn_signs(samples, r, seed)
     return tuple(
-        summarize_form(kind, form, patterns, bound, offset=offset)
+        summarize_form(kind, form, r, bound, offset=offset)
         for kind, form in (("lambda+", coeffs), ("lambda-", -coeffs))
     )
 
@@ -732,8 +729,6 @@ def _scalar_induction(
     levels: tuple[int, ...],
     eps: float,
     *,
-    search: str,
-    seed: int,
     pattern_budget: int,
 ):
     """Build the stabilized block family for one scalar reduction.
@@ -755,16 +750,16 @@ def _scalar_induction(
                 forms.append((coeffs, tol, {}))
         return forms
 
-    assignments, grown, relaxed = _grow_blocks(
+    assignments, grown, relaxed, search = _grow_blocks(
         source, target.indices,
         lambda t: (host_copy, levels[t.interval.level]), constraints,
-        search=search, pattern_budget=pattern_budget, seed=seed,
+        pattern_budget=pattern_budget,
     )
     steps = [
         {**base, "achieved": float(max(values, default=0.0)), "tolerance": tol}
         for base, _, values in grown
     ]
-    return assignments, steps, relaxed
+    return assignments, steps, relaxed, search
 
 
 def _chain_records(d_levels, levels, assignments, level_means):
@@ -820,7 +815,6 @@ def reduce_to_scalar_finite(
     eps: float,
     *,
     mode: str = "adaptive",
-    search: str = "exhaustive",
     seed: int = 0,
     t_norm_upper: float | None = None,
     pattern_budget: int = 1 << 16,
@@ -842,15 +836,16 @@ def reduce_to_scalar_finite(
     because the compressed matrix is exactly diagonal here, the multiplier
     bound ``(p*-1) max |lambda_t - lambda_0|``.
 
-    ``pattern_budget`` bounds the level selection in either search mode:
-    level ``lev`` selected for target depth ``j`` makes blocks of
-    ``2^(lev - j)`` members, and the gap ``lev - j`` is kept at most
-    ``log2(pattern_budget)`` (at least 1), so a block has up to
-    ``pattern_budget`` members, not ``log2(pattern_budget)``.  It also caps
-    exhaustive sign searches, which need ``2^members`` patterns, so a
-    selection that passes the bound can still raise `ResourceLimitError`
-    there (budget 16 admits 8-member blocks, which need 2^8 patterns).
-    Sampled searches record it in ``metadata`` without using it.
+    ``pattern_budget`` bounds the level selection: level ``lev`` selected
+    for target depth ``j`` makes blocks of ``2^(lev - j)`` members, and
+    the gap ``lev - j`` is kept at most ``log2(pattern_budget)`` (at least
+    1), so a block has up to ``pattern_budget`` members, not
+    ``log2(pattern_budget)``.  It also picks each sign search's route, as
+    in `reduce_to_diagonal`: a block of ``n`` members is enumerated when
+    ``2^n`` patterns fit the budget (budget 16 admits 8-member blocks,
+    whose signs are then fixed one at a time).  A budget below 1 raises
+    ``ValueError``.  ``seed`` only enters the certificate as
+    ``schedule["seed"]``.
     """
     if m < 1:
         raise ValueError("target depth count m must be at least 1")
@@ -858,6 +853,7 @@ def reduce_to_scalar_finite(
         raise ValueError("eps must be positive")
     if mode not in ("paper", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}; expected paper or adaptive")
+    enumerates(0, pattern_budget)  # refuses a budget below 1 before the selection reads it
     host_copy, diag, d_levels = _single_copy_diag(T)
     p = as_exponent(T.exponent)
     depth_count = len(d_levels)
@@ -897,9 +893,9 @@ def reduce_to_scalar_finite(
         min_level=min_level, feasible=feasible,
     )
     target = BasisRegistry.of({m: m - 1})
-    assignments, steps, relaxed = _scalar_induction(
+    assignments, steps, relaxed, search = _scalar_induction(
         T.registry, target, host_copy, d_levels, levels, eps,
-        search=search, seed=seed, pattern_budget=pattern_budget,
+        pattern_budget=pattern_budget,
     )
     witnesses = _block_witnesses(diag, assignments, target.indices)
     averages = [w.value for w in witnesses]

@@ -1,7 +1,7 @@
 """Self-describing JSON documents for every artifact the package emits.
 
 One format for operators, reduction certificates, factorization witnesses,
-game transcripts, moment reports and run reports:
+game transcripts and run reports:
 
     {"schema": "haarfactor/1", "kind": "...", "payload": {...},
      "metadata": {...}}
@@ -67,7 +67,6 @@ from .dyadic import (
 from .factorize import FactorizationWitness
 from .haarsys import BlockAssignment, BlockFamily
 from .operators import DiagonalAverageWitness, DiagonalOperator, OperatorMatrix
-from .randsigns import MomentReport
 from .reduction import ReductionCertificate
 from .weightedlp import Block, GameRound, GameTranscript, WeightSequence
 
@@ -174,7 +173,6 @@ def _spelled(parse):
 
 _NUMBER = _leaf((int, float), "a number", _finite, float)
 _INTEGER = _leaf((int,), "an integer", int)
-_BOOLEAN = _leaf((bool,), "a boolean", bool)
 _STRING = _leaf((str,), "a string", str)
 _FRACTION = _leaf((str,), "a fraction string", _spelled(Fraction), str)
 _INDEX = _leaf((str,), "an index string", _spelled(parse_omega), str)
@@ -574,22 +572,6 @@ _FACTORIZATION = _record(
     _check_witness,
 )
 
-_MOMENT = _record(
-    MomentReport,
-    (
-        ("kind", "kind", *_STRING),
-        ("mode", "mode", *_STRING),
-        ("mean", "mean", *_NUMBER),
-        ("variance", "variance", *_NUMBER),
-        ("closed_form", "closed_form", *_optional(_NUMBER)),
-        ("bound", "bound", *_NUMBER),
-        ("bound_passed", "bound_passed", *_BOOLEAN),
-        ("count", "count", *_INTEGER),
-        ("standard_error", "standard_error", *_optional(_NUMBER)),
-    ),
-)
-
-
 # -- game transcripts ----------------------------------------------------------
 
 _WEIGHTS = _tagged(
@@ -665,7 +647,6 @@ _KINDS = {
     "reduction-certificate": (ReductionCertificate, *_CERTIFICATE),
     "factorization-witness": (FactorizationWitness, *_FACTORIZATION),
     "game-transcript": (GameTranscript, *_TRANSCRIPT),
-    "moment-report": (MomentReport, *_MOMENT),
     "run-report": (dict, _encode_tree, _report_from),
 }
 

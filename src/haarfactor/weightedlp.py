@@ -827,7 +827,8 @@ def play_game(
     and a divergent budget series keeps supplying them), which is what makes
     the strategy total rather than existence-only.  Exhausting
     ``index_budget`` indices without filling the window is an explicit
-    per-round failure.
+    per-round failure, and an ``index_budget`` below 1 raises
+    ``ValueError``.
 
     Each comparison, ``S < t_k`` and the cap on ``S`` plus a term, is
     decided by a floating-point filter (Shewchuk, *Discrete Comput. Geom.*
@@ -850,6 +851,8 @@ def play_game(
     """
     if rounds < 1:
         raise ValueError("need at least one round")
+    if index_budget < 1:
+        raise ValueError(f"the index budget {index_budget} is below 1")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -119,7 +119,7 @@ def test_01_moment_identities_over_fifty_seeded_populations():
         else:
             data = realize(registry, rng.standard_normal(registry.dim))
             rep = exact_moments(kind, spec, data, exponent=2.0)
-        assert rep.mode == "exact"
+        assert rep.count == 2**size  # every pattern, exactly
         assert abs(rep.mean) <= 1e-12
         assert abs(rep.variance - rep.closed_form) <= 1e-10
         assert rep.bound_passed
@@ -150,7 +150,7 @@ def test_02_half_average_moments_for_every_block_of_small_levels():
                 union = len(block) / (1 << m)
                 upper = float(np.abs(d_fine).max())  # p = 2 multiplier bound
                 for rep in (plus, minus):
-                    assert rep.mode == "exact"
+                    assert rep.count == 2 ** len(block)  # every pattern, exactly
                     assert abs(rep.mean - stated) <= 1e-12
                     assert rep.bound == pytest.approx(
                         2.0**-m / union * upper**2, rel=1e-12

@@ -87,6 +87,22 @@ class TestConstantsCommand:
 
 
 class TestVerifyMomentsCommand:
+    @pytest.mark.parametrize("budget, reports", [("0", 1), ("2", 3)])
+    def test_budget_counts_the_drawn_populations(self, capsys, budget, reports):
+        code, out, _ = invoke(capsys, "verify-moments", "--budget", budget)
+        assert code == OK
+        body = sz.loads(out)
+        assert len(body["results"]["reports"]) == reports  # the canonical case first
+        assert set(body["results"]["reports"][0]) == {
+            "kind", "mean", "variance", "closed_form", "bound", "bound_passed",
+            "count", "ok", "canonical",
+        }
+
+    def test_a_negative_budget_is_an_error(self, capsys):
+        code, out, err = invoke(capsys, "verify-moments", "--budget", "-1")
+        assert code == ERROR and not out
+        assert "no negative count" in sz.loads(err)["error"]["message"]
+
     def test_canonical_entry_and_checks(self, capsys):
         code, out, _ = invoke(capsys, "verify-moments", "--seed", "1")
         assert code == OK
@@ -140,13 +156,49 @@ class TestReduceDiagonalCommand:
         assert code == OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_budget_below_the_search_is_a_verified_negative(self, capsys):
-        # the seeded source's first sign search has 16 signs
-        code, out, _ = invoke(capsys, "reduce-diagonal", "--budget", "2")
-        assert code == NEGATIVE
-        negative = sz.loads(out)["verified_negative"]
-        assert negative["type"] == "ResourceLimitError"
-        assert "2^16 patterns exceed the search budget 2" in negative["message"]
+    @pytest.mark.parametrize("budget, search", [
+        (65536, "exhaustive"), (65535, "derandomized"),
+    ])
+    def test_a_budget_below_the_search_fixes_signs_one_by_one(
+        self, capsys, tmp_path, budget, search
+    ):
+        # every sign search of the seeded source has 16 signs: a budget of
+        # 2^16 patterns enumerates them, one pattern less does not
+        path = tmp_path / "cert.json"
+        code, _, _ = invoke(
+            capsys, "reduce-diagonal", "--budget", str(budget), "--out", str(path)
+        )
+        assert code == OK
+        run_data = json.loads(path.read_text())["payload"]["run_data"]
+        assert {step["block_size"] for step in run_data["steps"]} == {16}
+        assert (run_data["search"], run_data["pattern_budget"]) == (search, budget)
+
+    def test_the_default_plan_past_the_cap_certifies(self, capsys, tmp_path):
+        # copies 6, 7, 8 host level-5 blocks: 32 signs, 2^32 patterns
+        path = tmp_path / "c.json"
+        code, _, _ = invoke(
+            capsys, "reduce-diagonal", "--copies", "6,7,8", "--depths", "5,6,7",
+            "--out", str(path),
+        )
+        assert code == OK
+        run_data = json.loads(path.read_text())["payload"]["run_data"]
+        assert run_data["search"] == "derandomized" and not run_data["relaxed_steps"]
+        code, out, _ = invoke(capsys, "check-distribution", "--in", str(path))
+        assert code == OK
+        assert sz.loads(out)["checks"]["certificate_ok"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce-diagonal", "--budget", "0"],
+        ["reduce-diagonal", "--copies", "3,4", "--depths", "2,3", "--budget", "-3"],
+        ["reduce-scalar", "--budget", "0"],
+        ["xpw-game", "--rounds", "2", "--eps", "0.1", "--budget", "0"],
+    ], ids=["diagonal-zero", "diagonal-negative", "scalar-zero", "game-zero"])
+    def test_a_budget_below_one_is_an_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == ERROR and not out
+        error = sz.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert f"budget {argv[-1]} is below 1" in error["message"]
 
     @pytest.mark.parametrize("argv, message", [
         (["--copies", "5,6,7,8,9", "--depths", "4,5,6,7,8"],
@@ -412,16 +464,13 @@ class TestCheckDistributionCommand:
         invoke(capsys, "reduce-diagonal", "--in", arts["op"], "--out", str(path))
         return path
 
-    def test_exact_and_sampled_modes(self, arts, capsys, tmp_path):
+    def test_the_law_is_checked_exactly(self, arts, capsys, tmp_path):
         cert = self.make_cert(arts, capsys, tmp_path)
-        for extra in ((), ("--search", "sampled")):
-            code, out, _ = invoke(
-                capsys, "check-distribution", "--in", str(cert), *extra
-            )
-            assert code == OK
-            body = sz.loads(out)
-            assert body["checks"]["certificate_ok"] is True
-            assert body["results"]["distribution_mode"] == "exact"
+        code, out, _ = invoke(capsys, "check-distribution", "--in", str(cert))
+        assert code == OK
+        body = sz.loads(out)
+        assert body["checks"]["certificate_ok"] is True
+        assert body["results"]["distribution_mode"] == "exact"
 
     def test_tampered_value_fails_verification(self, arts, capsys, tmp_path):
         cert = self.make_cert(arts, capsys, tmp_path)

@@ -2,14 +2,20 @@
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import haarfactor
 from haarfactor.dyadic import DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.errors import ResourceLimitError
 from haarfactor.grids import pairing
@@ -17,7 +23,6 @@ from haarfactor.haarsys import BasisRegistry, BlockAssignment, realize
 from haarfactor.operators import OperatorMatrix
 from haarfactor.randsigns import (
     ENUMERATION_CAP,
-    MomentReport,
     RandomBlockSpec,
     SignSearchFailure,
     _margin,
@@ -26,7 +31,7 @@ from haarfactor.randsigns import (
     _target_values,
     closed_variance,
     condition_star,
-    drawn_signs,
+    enumerates,
     eval_statistic,
     exact_moments,
     sign_matrix,
@@ -50,6 +55,22 @@ def shift_operator(reg):
     dst = reg.index_of[OmegaIndex(2, L(1, 1))]
     entries[dst, src] = 1.0
     return OperatorMatrix(2.0, reg.indices, entries)
+
+
+PARITY_REGISTRY = BasisRegistry({7: 6})
+
+
+def parity_spec(n):
+    return RandomBlockSpec(PARITY_REGISTRY, 7, intervals_at_level(6)[:n])
+
+
+def parity_form(n):
+    """Ones, with a leading 2 when ``n`` is even: every signed sum is odd,
+    so none is below 1."""
+    c = np.ones(n)
+    if n % 2 == 0:
+        c[0] = 2.0
+    return c
 
 
 def block_function(spec, signs):
@@ -90,61 +111,18 @@ def enumerate_oracle(spec, kind, data):
     return mean, var
 
 
-# The full scan that `sign_search` replaced, kept verbatim as its oracle: it
-# builds all 2^n sign rows (or all draws), evaluates every target on every
-# row with BLAS, and takes the first hit or the first least-bad row.
+# The full scan that `sign_search` replaced, kept as its oracle: it builds
+# all 2^n sign rows, evaluates every target on every row with BLAS, and
+# takes the first hit or the first least-bad row.
 def oracle_sign_search(
-    spec: RandomBlockSpec,
-    targets: Sequence[tuple[np.ndarray, float]],
-    mode: str = "exhaustive",
-    *,
-    budget: int | None = None,
-    seed: int = 0,
+    spec: RandomBlockSpec, targets: Sequence[tuple[np.ndarray, float]]
 ) -> BlockAssignment | SignSearchFailure:
-    """Find one sign pattern with ``|value| < tol`` for every target.
-
-    Targets are pairs ``(rv, tol)`` where ``rv`` is a sign form: a
-    coefficient vector (linear form ``theta . c``) or a square matrix ``C``
-    (off-diagonal quadratic form).  Exhaustive mode scans pattern indices in
-    order and returns the smallest satisfying index, so it is complete: a
-    `SignSearchFailure` means no pattern exists.  Sampled mode draws i.i.d.
-    uniform patterns from the seed and returns the first hit.  Its default
-    budget comes from the Chebyshev failure probability
-    ``q = sum closed_variance / tol^2`` of the targets: 64 times the
-    expected number of draws ``1 / (1 - q)`` when ``q < 1``, else 4096.
-
-    Without an explicit ``budget`` neither mode builds more than
-    ``2^ENUMERATION_CAP`` sign rows: a search that would need more raises
-    :class:`ResourceLimitError`.
-    """
+    """Scan pattern indices in order and return the smallest one with
+    ``|value| < tol`` for every target, or a `SignSearchFailure` carrying
+    the first pattern of least worst ratio."""
     if any(tol <= 0 for _, tol in targets):
         raise ValueError("tolerances must be positive")
-    n = spec.size
-    if mode == "exhaustive":
-        if budget is None and n > ENUMERATION_CAP:
-            raise ResourceLimitError(
-                f"2^{n} patterns exceed the cap 2^{ENUMERATION_CAP}; "
-                "pass a budget or use sampled mode"
-            )
-        if budget is not None and 2**n > budget:
-            raise ResourceLimitError(
-                f"2^{n} patterns exceed the search budget {budget}; "
-                "use sampled mode"
-            )
-        S = sign_matrix(n)
-    elif mode == "sampled":
-        if budget is None:
-            q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
-            budget = 64 * math.ceil(1.0 / (1.0 - q)) if q < 1.0 else 4096
-            if budget > 2**ENUMERATION_CAP:
-                raise ResourceLimitError(
-                    f"the Chebyshev budget of {budget} draws exceeds the cap "
-                    f"2^{ENUMERATION_CAP}; pass an explicit budget"
-                )
-        S = drawn_signs(budget, n, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected exhaustive or sampled")
-
+    S = sign_matrix(spec.size)
     ok = np.ones(len(S), dtype=bool)
     worst = np.zeros(len(S))
     for rv, tol in targets:
@@ -335,7 +313,7 @@ class TestStreamedEnumeration:
         mean = math.fsum(v) / len(v)
         variance = math.fsum((v - mean) ** 2) / len(v)
         rep = summarize_form("lambda+", form, n, 1.0, offset=offset)
-        assert (rep.mode, rep.count) == ("exact", 2**n)
+        assert rep.count == 2**n
         assert (rep.mean, rep.variance) == (mean, variance)
 
     def test_twenty_signs_stay_small(self):
@@ -361,26 +339,6 @@ class TestClosedVariance:
         C = np.array([[7.0, 1.0], [2.0, -3.0]])
         # sum_{K != L} C_KL C_LK + C_KL^2 = 2 * (1 * 2) + (1 + 4)
         assert closed_variance(C) == 9.0
-
-
-class TestMonteCarlo:
-    """Sampled moments: ``summarize_form`` over ``drawn_signs`` rows."""
-
-    def test_matches_exact_within_three_stderr(self):
-        reg, spec = level_one_spec(depth=2)
-        f = reg.haar(OmegaIndex(3, L(2, 1)))
-        exact = exact_moments("Y", spec, f)
-        rows = drawn_signs(4096, spec.size, 7)
-        mc = summarize_form("Y", spec.pairings(f), rows, exact.bound)
-        assert mc.mode == "monte-carlo" and mc.count == 4096
-        assert abs(mc.variance - exact.variance) <= 3 * mc.standard_error
-
-    def test_seeded_reproducibility(self):
-        reg, spec = level_one_spec()
-        C = spec.interaction_matrix(shift_operator(reg))
-        a = summarize_form("Z", C, drawn_signs(512, spec.size, 3), 1.0)
-        b = summarize_form("Z", C, drawn_signs(512, spec.size, 3), 1.0)
-        assert a == b
 
 
 class TestConditionStar:
@@ -467,53 +425,32 @@ class TestSignSearch:
         if exists:
             assert abs(np.dot(got.signs, c)) < tol
 
-    def test_exhaustive_budget_guard(self):
-        reg = BasisRegistry({4: 3})
-        spec = RandomBlockSpec(reg, 4, intervals_at_level(3))
-        with pytest.raises(ResourceLimitError, match="sampled"):
-            sign_search(spec, [(np.zeros(8), 1.0)], budget=64)
+    @pytest.mark.parametrize("n, budget", [(8, 256), (9, 512), (3, 8)])
+    def test_a_block_that_fills_the_budget_is_enumerated(self, n, budget):
+        # an odd signed sum never drops below 1: enumeration settles all
+        # 2^n patterns, and one sign more fixes the signs one at a time
+        c = parity_form(n)
+        got = sign_search(parity_spec(n), [(c, 1.0)], budget=budget)
+        assert isinstance(got, SignSearchFailure) and got.evaluated == 2**n
+        got = sign_search(parity_spec(n + 1), [(parity_form(n + 1), 1.0)], budget=budget)
+        assert isinstance(got, SignSearchFailure) and got.evaluated == 1
 
-    def test_exhaustive_without_budget_is_capped(self):
-        # 2^21 patterns exceed 2^ENUMERATION_CAP: refused before any row is built
-        reg = BasisRegistry({6: 5})
-        spec = RandomBlockSpec(reg, 6, intervals_at_level(5)[:21])
-        with pytest.raises(ResourceLimitError, match="cap 2\\^20"):
-            sign_search(spec, [])
+    def test_a_direct_call_enumerates_up_to_the_cap(self):
+        # 2^21 patterns exceed 2^ENUMERATION_CAP: the signs are fixed one at
+        # a time, with no row of the 2^21 built
+        n = ENUMERATION_CAP + 1
+        got = sign_search(parity_spec(n), [(parity_form(n), 1.0)])
+        assert isinstance(got, SignSearchFailure) and got.evaluated == 1
+        assert got.violations == ((0, 1.0, 1.0),)
+        assert sign_search(parity_spec(n), []) == parity_spec(n).all_plus
 
-    def test_sampled_chebyshev_budget_is_capped(self):
-        # q = (255^2 + 22^2 + 5^2) / 256^2 = 1 - 2^-15 exactly, so the
-        # Chebyshev budget is 64 * 2^15 = 2^21 draws, over the 2^20 cap
-        reg = BasisRegistry({3: 2})
-        spec = RandomBlockSpec(reg, 3, intervals_at_level(2)[:3])
-        with pytest.raises(ResourceLimitError, match="2097152 draws"):
-            sign_search(
-                spec, [(np.array([255.0, 22.0, 5.0]), 256.0)], mode="sampled"
-            )
-
-    def test_sampled_mode_finds_and_reproduces(self):
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_a_budget_below_one_is_refused(self, budget):
         reg, spec = level_one_spec()
-        C = spec.interaction_matrix(shift_operator(reg))
-        a = sign_search(spec, [(C, 0.6)], mode="sampled", seed=5, budget=32)
-        b = sign_search(spec, [(C, 0.6)], mode="sampled", seed=5, budget=32)
-        assert isinstance(a, BlockAssignment) and a == b
-
-    def test_sampled_budget_from_chebyshev(self):
-        # q = 0.02 / 1.0^2 < 1: the budget is 64 * ceil(1 / (1 - q)) draws
-        reg, spec = level_one_spec()
-        got = sign_search(
-            spec, [(np.array([0.1, 0.1]), 1.0)], mode="sampled", seed=1
-        )
-        assert isinstance(got, BlockAssignment)
-
-    def test_sampled_budget_without_chebyshev_guarantee(self):
-        # |theta_1| = 1 never drops below 0.5, and q = 1 / 0.5^2 = 4 >= 1,
-        # so the search spends the fixed budget of 4096 draws
-        reg, spec = level_one_spec()
-        got = sign_search(
-            spec, [(np.array([1.0, 0.0]), 0.5)], mode="sampled", seed=1
-        )
-        assert isinstance(got, SignSearchFailure)
-        assert got.evaluated == 4096
+        with pytest.raises(ValueError, match=f"pattern budget {budget} is below 1"):
+            sign_search(spec, [(np.ones(2), 1.0)], budget=budget)
+        with pytest.raises(ValueError, match="below 1"):
+            enumerates(1, budget)
 
     def test_bad_tolerance_rejected(self):
         reg, spec = level_one_spec()
@@ -528,10 +465,6 @@ SEARCH_REGISTRY = BasisRegistry({5: 4})
 
 def search_spec(n):
     return RandomBlockSpec(SEARCH_REGISTRY, 5, intervals_at_level(4)[:n])
-
-
-def scanned_rows(n, mode, seed, budget):
-    return sign_matrix(n) if mode == "exhaustive" else drawn_signs(budget, n, seed)
 
 
 @st.composite
@@ -595,35 +528,31 @@ class TestSplitSearch:
 
         @settings(max_examples=250, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-        @given(placed_targets(12), st.sampled_from(["exhaustive", "sampled"]),
-               st.integers(0, 2**16))
-        def agree(case, mode, seed):
+        @given(placed_targets(12))
+        def agree(case):
             n, targets, exact = case
             spec = search_spec(n)
-            budget = 512 if mode == "sampled" else None
-            want = oracle_sign_search(spec, targets, mode, budget=budget, seed=seed)
-            got = sign_search(spec, targets, mode, budget=budget, seed=seed)
+            want = oracle_sign_search(spec, targets)
+            got = sign_search(spec, targets)
             failed = isinstance(want, SignSearchFailure)
             if failed and not exact:
                 # rows tied in exact arithmetic may round either way in BLAS
-                assume(unique_least_bad(targets, scanned_rows(n, mode, seed, budget)))
+                assume(unique_least_bad(targets, sign_matrix(n)))
             assert got == want
-            seen.add((mode, failed))
+            seen.add(failed)
 
         agree()
-        assert seen == {(m, f) for m in ("exhaustive", "sampled") for f in (True, False)}
+        assert seen == {True, False}
 
     def test_decisions_follow_the_exact_values(self):
         seen = set()
 
         @settings(max_examples=60, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-        @given(placed_targets(7), st.sampled_from(["exhaustive", "sampled"]),
-               st.integers(0, 2**16))
-        def follow(case, mode, seed):
+        @given(placed_targets(7))
+        def follow(case):
             n, targets, _ = case
-            budget = 64 if mode == "sampled" else None
-            rows = scanned_rows(n, mode, seed, budget)
+            rows = sign_matrix(n)
             values = [exact_values(rv, rows) for rv, _ in targets]
             assume(all(
                 abs(abs(v) - Fraction(tol)) > Fraction(_margin(rv))
@@ -633,7 +562,7 @@ class TestSplitSearch:
                 all(abs(vs[i]) < Fraction(tol) for (_, tol), vs in zip(targets, values))
                 for i in range(len(rows))
             ]
-            got = sign_search(search_spec(n), targets, mode, budget=budget, seed=seed)
+            got = sign_search(search_spec(n), targets)
             if any(meets):
                 assert isinstance(got, BlockAssignment)
                 assert got.signs == tuple(rows[meets.index(True)])
@@ -650,11 +579,9 @@ class TestSplitSearch:
         follow()
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_no_targets_take_the_first_row(self, mode):
+    def test_no_targets_take_the_first_row(self):
         spec = search_spec(5)
-        got = sign_search(spec, [], mode, budget=64, seed=3)
-        assert got == oracle_sign_search(spec, [], mode, budget=64, seed=3)
+        assert sign_search(spec, []) == oracle_sign_search(spec, []) == spec.all_plus
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_decision_evaluator_is_mirror_symmetric(self, n):
@@ -692,3 +619,186 @@ class TestSplitSearch:
         assert got.evaluated == 2**ENUMERATION_CAP
         assert got.violations == ((0, 1.0, 1.0),)
         assert peak < 64 * 2**20
+
+
+# -- the conditioned route past the budget -------------------------------------
+
+
+def absolute_size(rv):
+    """The absolute sum of a form's terms: ``sum |c_j|``, or ``sum_{j != k}
+    |C_jk|``, which bounds every fixed part and coefficient the route keeps."""
+    arr = np.asarray(rv)
+    if arr.ndim == 1:
+        return math.fsum(np.abs(arr))
+    return math.fsum(np.abs(arr - np.diag(np.diag(arr))).ravel())
+
+
+def rounding_bound(n, targets):
+    """``rho = 64 gamma_{2n+4} sum_t (A_t / tol_t)^2`` with ``A_t`` the
+    `absolute_size` of form ``t``.
+
+    Each state entry (``a``, ``A``, ``L_r``) is a running sum of at most
+    ``2n`` terms of absolute sum at most ``A_t``, so it errs by at most
+    ``gamma_{2n}`` relative to that sum.  A decision ``X`` adds products of
+    such entries and coefficients, with two roundings each and one
+    ``fsum`` rounding, and over the ``n`` steps the absolute summands of
+    every ``X`` add up to at most ``3 sum_t (A_t / tol_t)^2``.  A decision
+    that rounds to the wrong sign raises ``Phi`` by at most ``4 |X -
+    X_computed|``, about ``12 gamma_{2n+4} sum_t (A_t / tol_t)^2`` in all;
+    ``64`` leaves room for the second-order terms.
+    """
+    ku = (2 * n + 4) * 2.0**-53
+    return 64 * ku / (1 - ku) * math.fsum((absolute_size(rv) / tol) ** 2 for rv, tol in targets)
+
+
+def exact_potential(targets, signs):
+    """``sum_t form_t(signs)^2 / tol_t^2`` in rational arithmetic."""
+    rows = np.array([signs])
+    return sum(
+        exact_values(rv, rows)[0] ** 2 / Fraction(tol) ** 2 for rv, tol in targets
+    )
+
+
+def exact_q(targets):
+    """``sum_t closed_variance(form_t) / tol_t^2`` in rational arithmetic."""
+    total = Fraction(0)
+    for rv, tol in targets:
+        arr = [[Fraction(x) for x in line] for line in np.atleast_2d(rv)]
+        if rv.ndim == 1:
+            var = sum(x * x for x in arr[0])
+        else:
+            n = len(arr)
+            var = sum((arr[j][k] + arr[k][j]) ** 2 for j in range(n) for k in range(j + 1, n))
+        total += var / Fraction(tol) ** 2
+    return total
+
+
+@st.composite
+def scaled_targets(draw, max_n):
+    """``(n, targets)``: one to three random linear or quadratic forms on
+    ``n`` signs, with tolerances that put ``q`` near a drawn value in
+    ``(0, 1)``, each form taking a drawn share of it."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 3))
+    q = draw(st.floats(0.01, 0.999))
+    shares = rng.dirichlet(np.ones(count))
+    targets = []
+    for share in shares:
+        shape = (n, n) if draw(st.booleans()) else (n,)
+        rv = rng.standard_normal(shape) * draw(st.sampled_from((1e-3, 1.0, 1e3)))
+        targets.append((rv, math.sqrt(closed_variance(rv) / (q * share))))
+    return n, targets
+
+
+class TestConditionedSigns:
+    """Past the budget, the signs are fixed one at a time and keep the
+    potential ``Phi = sum_t E[form_t^2 | fixed signs] / tol_t^2`` from
+    rising above ``q``."""
+
+    def test_the_potential_ends_at_most_q(self):
+        # n <= 10: the end potential in exact arithmetic is at most q plus
+        # the stated rounding bound
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(scaled_targets(10))
+        def ends_below(case):
+            n, targets = case
+            got = sign_search(search_spec(n), targets, budget=1)
+            block = getattr(got, "best", got)
+            end = exact_potential(targets, block.signs)
+            assert end <= exact_q(targets) + Fraction(rounding_bound(n, targets))
+
+        ends_below()
+
+    def test_hits_whenever_q_is_below_one_by_the_margin(self):
+        # hit when sqrt(q + rho) + max_t m_t / (2 tol_t) < 1: then every
+        # exact |form_t| is below tol_t sqrt(q + rho), and the decision
+        # evaluator is within m_t / 2 of it (`_margin`)
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(scaled_targets(16))
+        def hits(case):
+            n, targets = case
+            rho = rounding_bound(n, targets)
+            slack = max(_margin(rv) / (2 * tol) for rv, tol in targets)
+            q = math.fsum(closed_variance(rv) / tol**2 for rv, tol in targets)
+            assume(math.sqrt(q * (1 + 1e-9) + rho) + slack < 1)
+            got = sign_search(search_spec(n), targets, budget=1)
+            assert isinstance(got, BlockAssignment)
+            for rv, tol in targets:
+                assert abs(_ordered_values(rv, np.array([got.signs]))[0]) < tol
+
+        hits()
+
+    def test_ties_go_to_plus_one(self):
+        # theta_0 ties at X = 0; then X = a c_1 = 1 > 0 sets theta_1 = -1
+        _, spec = level_one_spec()
+        assert sign_search(spec, [(np.ones(2), 0.5)], budget=1).signs == (1, -1)
+        assert sign_search(spec, [], budget=1) == spec.all_plus
+
+    def test_a_miss_keeps_the_conditioned_pattern(self):
+        # q = 3 / 0.25 = 12 >= 1: the pattern of 3 ones balances to 1, above 0.5
+        spec = search_spec(3)
+        got = sign_search(spec, [(np.ones(3), 0.5)], budget=4)
+        assert isinstance(got, SignSearchFailure)
+        assert got.best.signs == (1, -1, 1)
+        assert got.violations == ((0, 1.0, 0.5),) and got.evaluated == 1
+
+    def test_sixty_four_signs_hit_below_q_one(self):
+        spec = parity_spec(64)
+        rng = np.random.default_rng(64)
+        forms = [rng.standard_normal((64, 64)), rng.standard_normal(64)]
+        targets = [(f, math.sqrt(2.5 * closed_variance(f))) for f in forms]  # q = 0.8
+        got = sign_search(spec, targets)
+        assert isinstance(got, BlockAssignment)
+
+
+def _dynamic_openblas() -> bool:
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+# Fixed past-cap forms (n = 24, 32, 64), one search each at q = 0.5 and q = 4;
+# leaves the digest of every verdict and pattern in DIGEST.
+PAST_CAP_SCRIPT = """
+import hashlib
+import numpy as np
+from haarfactor.dyadic import intervals_at_level
+from haarfactor.haarsys import BasisRegistry
+from haarfactor.randsigns import RandomBlockSpec, closed_variance, sign_search
+digest = hashlib.sha256()
+registry = BasisRegistry({7: 6})
+for n in (24, 32, 64):
+    rng = np.random.default_rng(n)
+    spec = RandomBlockSpec(registry, 7, intervals_at_level(6)[:n])
+    forms = [rng.standard_normal((n, n)), rng.standard_normal(n), rng.standard_normal(n)]
+    for q in (0.5, 4.0):
+        result = sign_search(spec, [(f, (3 * closed_variance(f) / q) ** 0.5) for f in forms])
+        block = getattr(result, "best", result)
+        digest.update(type(result).__name__.encode() + bytes(s % 256 for s in block.signs))
+DIGEST = digest.hexdigest()
+"""
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_conditioned_signs_do_not_depend_on_the_blas_kernels():
+    namespace = {}
+    exec(PAST_CAP_SCRIPT, namespace)
+    src = str(Path(haarfactor.__file__).resolve().parents[1])
+    for coretype in ("Prescott", "Sandybridge"):
+        env = {
+            **os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", PAST_CAP_SCRIPT + "print(DIGEST)"],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        assert out.stdout.strip() == namespace["DIGEST"], coretype

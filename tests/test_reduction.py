@@ -13,7 +13,7 @@ from test_golden_bytes import dichotomy_of_t
 from haarfactor import serialize
 from haarfactor.cli import ExperimentConfig, run
 from haarfactor.dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
-from haarfactor.errors import ReductionError
+from haarfactor.errors import ReductionError, ResourceLimitError
 from haarfactor.factorize import primary_dichotomy
 from haarfactor.grids import as_exponent, lp_norm, pairing
 from haarfactor.haarsys import BasisRegistry, BlockAssignment, BlockFamily, realize
@@ -135,7 +135,7 @@ class TestLambdaPmMoments:
         assert plus.closed_form == plus.variance
         assert minus.mean == plus.mean
         assert minus.variance == plus.variance
-        assert plus.mode == "exact"
+        assert plus.count == 2
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(9)
@@ -174,15 +174,13 @@ class TestLambdaPmMoments:
         # default norm upper is max|d| here (exponent 2), so the bound is 1
         assert plus.bound == 1.0
 
-    def test_sampled_mode_for_large_blocks(self):
+    def test_blocks_past_the_enumeration_cap_are_refused(self):
         rng = np.random.default_rng(1)
         block = tuple(intervals_at_level(5))
         d = rng.uniform(-1.0, 1.0, 1 << 7)
-        plus, _ = lambda_pm_moments(d, block, 7, cap=8, samples=2048, seed=3)
-        assert plus.mode == "monte-carlo"
-        assert plus.count == 2048
-        assert plus.standard_error is not None
-        assert abs(plus.variance - plus.closed_form) < 5 * plus.standard_error + 1e-12
+        message = r"2\^32 patterns exceed the enumeration cap 2\^20"
+        with pytest.raises(ResourceLimitError, match=message):
+            lambda_pm_moments(d, block, 7)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="level-2"):
@@ -329,15 +327,13 @@ class TestReduceToDiagonal:
             vals = [diag_map[OmegaIndex(a.host_copy, K)] for K in a.intervals]
             assert entry == math.fsum(vals) / len(vals)
 
-    @pytest.mark.parametrize("search", ["exhaustive", "sampled"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_diagonal_operator_and_its_matrix_reduce_alike(self, seed, search):
+    def test_diagonal_operator_and_its_matrix_reduce_alike(self, seed):
         source = BasisRegistry({4: 3, 5: 4})
         d = np.random.default_rng(seed).uniform(-1.0, 1.0, source.dim)
         certs = [
             reduce_to_diagonal(
-                S, {1: 0, 2: 1}, 0.5, k_schedule={1: 3, 2: 3},
-                search=search, seed=seed,
+                S, {1: 0, 2: 1}, 0.5, k_schedule={1: 3, 2: 3}, seed=seed
             )
             for S in (
                 DiagonalOperator(4.0, source.indices, d),
@@ -590,6 +586,20 @@ class TestReduceToScalarFinite:
         assert verify_certificate(cert)["ok"]
         with pytest.raises(ReductionError, match="no bin"):
             reduce_to_scalar_finite(T, 3, 0.3, pattern_budget=4)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_a_budget_below_one_is_refused(self, budget):
+        source = BasisRegistry({4: 3, 5: 4})
+        d = np.random.default_rng(0).uniform(-1.0, 1.0, source.dim)
+        T = DiagonalOperator(4.0, source.indices, d)
+        message = f"pattern budget {budget} is below 1"
+        with pytest.raises(ValueError, match=message):
+            reduce_to_diagonal(T, {1: 0, 2: 1}, 0.5, k_schedule={1: 3, 2: 3},
+                               pattern_budget=budget)
+        single = BasisRegistry.single_copy(6)
+        S = DiagonalOperator(4.0, single.indices, np.full(single.dim, 0.5))
+        with pytest.raises(ValueError, match=message):
+            reduce_to_scalar_finite(S, 2, 0.3, pattern_budget=budget)
 
 
 class TestReduceToScalarPaperMode:
@@ -884,7 +894,7 @@ class TestVerifyCertificate:
         assert report["distribution_error"]["target"] == str(child)
         assert not report["ok"]
 
-    @pytest.mark.parametrize("name", ["scalar_paper", "diagonal_sampled"])
+    @pytest.mark.parametrize("name", ["scalar_paper", "diagonal_derandomized"])
     def test_eps_below_the_bound_is_reported_after_a_load(self, name):
         cert = GOLDEN[name][0]()
         report = verify_certificate(cert)
@@ -943,8 +953,8 @@ class TestWitnessValues:
 # golden cases that are certificates or carry one
 CERTIFIED_CASES = (
     "identity", "composite", "diagonal_paper", "diagonal_relaxed",
-    "diagonal_sampled", "diagonal_of_diagonal", "scalar_paper",
-    "scalar_relaxed", "scalar_sampled", "factorization_exact",
+    "diagonal_derandomized", "diagonal_of_diagonal", "scalar_paper",
+    "scalar_relaxed", "factorization_exact",
     "factorization_compressed", "dichotomy_of_t", "dichotomy_of_complement",
 )
 

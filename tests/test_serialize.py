@@ -14,7 +14,6 @@ from haarfactor.cli import ExperimentConfig, run
 from haarfactor.factorize import factor_large_diagonal, primary_dichotomy
 from haarfactor.haarsys import BasisRegistry
 from haarfactor.operators import DiagonalOperator, OperatorMatrix, max_column_sum
-from haarfactor.randsigns import MomentReport
 from haarfactor.reduction import (
     compose_certificates,
     reduce_to_diagonal,
@@ -227,13 +226,17 @@ class TestTranscriptRoundTrip:
 
 
 class TestMomentAndReportDocuments:
-    def test_moment_report_round_trip(self):
-        rep = MomentReport(
-            kind="Y", mode="exact", mean=0.0, variance=0.25, closed_form=0.25,
-            bound=0.3535, bound_passed=True, count=4,
-        )
-        back = sz.loads(sz.dumps(rep))
-        assert back == rep
+    def test_moment_report_is_no_document_kind(self):
+        # verify-moments makes no artifact, so no moment-report kind is read
+        doc = {
+            "schema": sz.SCHEMA_VERSION, "kind": "moment-report", "metadata": {},
+            "payload": {
+                "kind": "Y", "mean": 0.0, "variance": 0.25, "closed_form": 0.25,
+                "bound": 0.3535, "bound_passed": True, "count": 4,
+            },
+        }
+        with pytest.raises(sz.SchemaError, match="unknown document kind 'moment-report'"):
+            sz.loads(json.dumps(doc))
 
     def test_run_report_trees_keep_exact_values(self):
         report = {
@@ -668,7 +671,7 @@ class TestParseOnce:
             with pytest.raises(sz.SchemaError, match="basis entry 2"):
                 sz.loads(text)
 
-    @pytest.mark.parametrize("name", ["composite", "diagonal_sampled", "game_explicit"])
+    @pytest.mark.parametrize("name", ["composite", "diagonal_derandomized", "game_explicit"])
     def test_two_loads_give_equal_objects(self, name):
         text = sz.dumps(GOLDEN[name][0]())
         first, second = sz.loads(text), sz.loads(text)
@@ -825,8 +828,7 @@ class TestLeavesReDumpToTheirOwnBytes:
 
 CERTIFICATES = [
     "identity", "composite", "diagonal_paper", "diagonal_relaxed",
-    "diagonal_sampled", "diagonal_of_diagonal", "scalar_paper", "scalar_relaxed",
-    "scalar_sampled",
+    "diagonal_derandomized", "diagonal_of_diagonal", "scalar_paper", "scalar_relaxed",
 ]
 WITNESSES = [
     "factorization_exact", "factorization_compressed", "dichotomy_of_t",
