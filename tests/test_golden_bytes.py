@@ -89,6 +89,20 @@ def scalar_relaxed():
     return reduce_to_scalar_finite(DiagonalOperator(2.0, source.indices, d), 3, 1.0)
 
 
+def scalar_derandomized():
+    # the means of levels 0, 4 and 6 share the bin [0, 0.5); the level-4
+    # blocks have 8 members, and 2^8 patterns are past the budget 16, so
+    # their signs are fixed one at a time
+    source = BasisRegistry.single_copy(7)
+    level = np.array([w.interval.level for w in source.indices])
+    d = np.where(np.isin(level, (0, 4, 6)), 0.25, 2.0 * level + 3)
+    d = d + np.random.default_rng(4).uniform(-0.2, 0.2, source.dim)
+    T = DiagonalOperator(2.0, source.indices, d)
+    return reduce_to_scalar_finite(
+        T, 3, 1.0, seed=4, t_norm_upper=16.0, pattern_budget=16
+    )
+
+
 def factorization_exact():
     registry = BasisRegistry({2: 1, 3: 2})
     d = np.random.default_rng(21).uniform(0.5, 2.0, registry.dim)
@@ -175,6 +189,10 @@ CASES = {
     "scalar_relaxed": (
         scalar_relaxed,
         "5342487eef087823b076f664088ca9ab11232d791a667c90445ece477bdb96a5",
+    ),
+    "scalar_derandomized": (
+        scalar_derandomized,
+        "325c3f69b642d0610e22e4d75cb65ba837a8ac0fbc9b1f608e75f41dd0ec3922",
     ),
     "factorization_exact": (
         factorization_exact,

@@ -954,7 +954,7 @@ class TestWitnessValues:
 CERTIFIED_CASES = (
     "identity", "composite", "diagonal_paper", "diagonal_relaxed",
     "diagonal_derandomized", "diagonal_of_diagonal", "scalar_paper",
-    "scalar_relaxed", "factorization_exact",
+    "scalar_relaxed", "scalar_derandomized", "factorization_exact",
     "factorization_compressed", "dichotomy_of_t", "dichotomy_of_complement",
 )
 

@@ -829,6 +829,7 @@ class TestLeavesReDumpToTheirOwnBytes:
 CERTIFICATES = [
     "identity", "composite", "diagonal_paper", "diagonal_relaxed",
     "diagonal_derandomized", "diagonal_of_diagonal", "scalar_paper", "scalar_relaxed",
+    "scalar_derandomized",
 ]
 WITNESSES = [
     "factorization_exact", "factorization_compressed", "dichotomy_of_t",
