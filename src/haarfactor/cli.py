@@ -214,11 +214,13 @@ def _derive_reduction_plan(T) -> tuple[dict[int, int], dict[int, int]]:
     )
 
 
-def _certificate_body(cert: ReductionCertificate, **checks) -> tuple[dict, dict]:
+def _certificate_body(cert: ReductionCertificate) -> tuple[dict, dict]:
     """The report body every certificate command shares, and the verdict.
 
-    The results summarize the certificate; the checks are ``checks`` plus
-    ``certificate_ok``, re-derived by :func:`verify_certificate`.
+    The results summarize the certificate; the one check is
+    ``certificate_ok``, re-derived by :func:`verify_certificate`.  A command
+    that reports more checks reads them from the returned verdict, which
+    decides each of them once.
     """
     verdict = verify_certificate(cert)
     results = {
@@ -231,7 +233,7 @@ def _certificate_body(cert: ReductionCertificate, **checks) -> tuple[dict, dict]
         "target_entries": list(cert.target_entries),
         "scalar": cert.scalar,
     }
-    checks["certificate_ok"] = bool(verdict["ok"])
+    checks = {"certificate_ok": bool(verdict["ok"])}
     return {"results": results, "checks": checks}, verdict
 
 
@@ -277,6 +279,17 @@ def cmd_constants(config):
     return {"results": results, "checks": {}}, None
 
 
+def _moment_verdict(rep) -> dict:
+    """The predicates of one moment report, each decided once: the command's
+    checks are their conjunctions over every report, and a drawn report's
+    ``ok`` is their conjunction over its own."""
+    return {
+        "means_vanish": abs(rep.mean) <= ROUNDOFF_TOL,
+        "closed_forms_match": abs(rep.variance - rep.closed_form) <= CLOSED_FORM_TOL,
+        "bounds_hold": rep.bound_passed,
+    }
+
+
 def cmd_verify_moments(config):
     depth = (config.depths or (2,))[0]
     copy = depth + 1
@@ -295,6 +308,7 @@ def cmd_verify_moments(config):
     )
     ok = canonical.mean == 0.0 and canonical.variance == 0.25 and canonical.bound_passed
     summaries.append({**asdict(canonical), "ok": ok, "canonical": True})
+    verdicts = [_moment_verdict(canonical)]
     for i in range(count):
         level = int(rng.integers(1, depth + 1))
         pool = intervals_at_level(level)
@@ -309,20 +323,9 @@ def cmd_verify_moments(config):
         else:
             data = realize(registry, rng.standard_normal(registry.dim))
         rep = exact_moments(kind, spec, data, exponent=config.p)
-        ok = (
-            abs(rep.mean) <= ROUNDOFF_TOL
-            and abs(rep.variance - rep.closed_form) <= CLOSED_FORM_TOL
-            and rep.bound_passed
-        )
-        summaries.append({**asdict(rep), "ok": ok})
-    checks = {
-        "means_vanish": all(abs(s["mean"]) <= ROUNDOFF_TOL for s in summaries),
-        "closed_forms_match": all(
-            abs(s["variance"] - s["closed_form"]) <= CLOSED_FORM_TOL
-            for s in summaries
-        ),
-        "bounds_hold": all(s["bound_passed"] for s in summaries),
-    }
+        verdicts.append(_moment_verdict(rep))
+        summaries.append({**asdict(rep), "ok": all(verdicts[-1].values())})
+    checks = {name: all(v[name] for v in verdicts) for name in verdicts[0]}
     return {
         "results": {"reports": summaries, "draws": count},
         "checks": checks,
@@ -347,9 +350,9 @@ def cmd_reduce_diagonal(config):
         )[1]
     if config.budget is not None:
         kwargs["pattern_budget"] = config.budget
-    eps = _eps(config)
-    cert = reduce_to_diagonal(T, target_depths, eps, **kwargs)
-    body, _ = _certificate_body(cert, certified_below_eps=cert.certified_bound < eps)
+    cert = reduce_to_diagonal(T, target_depths, _eps(config), **kwargs)
+    body, verdict = _certificate_body(cert)
+    body["checks"]["certified_below_eps"] = verdict["certified_below_eps"]
     return body, cert
 
 
@@ -377,14 +380,12 @@ def cmd_reduce_scalar(config):
             center + 0.05 * rng.uniform(-1, 1, registry.dim),
         )
     steps = (config.depths or (2,))[0]
-    eps = _eps(config)
     cert = reduce_to_scalar_finite(
-        T, steps, eps, mode=config.mode, seed=config.seed,
+        T, steps, _eps(config), mode=config.mode, seed=config.seed,
         **({} if config.budget is None else {"pattern_budget": config.budget}),
     )
-    body, verdict = _certificate_body(
-        cert, certified_below_eps=cert.certified_bound < eps
-    )
+    body, verdict = _certificate_body(cert)
+    body["checks"]["certified_below_eps"] = verdict["certified_below_eps"]
     body["checks"]["scalar_witness_ok"] = verdict["scalar_witness"]
     body["results"]["scalar_witness_positions"] = len(cert.scalar_witness.positions)
     return body, cert
@@ -396,13 +397,7 @@ def cmd_compose(config):
     first = load_certificate(config.inputs[0])
     second = load_certificate(config.inputs[1])
     composite = compose_certificates(first, second)
-    body, _ = _certificate_body(
-        composite,
-        within_triangle_bound=(
-            composite.certified_bound
-            <= composite.metadata["triangle_bound"] + ROUNDOFF_TOL
-        ),
-    )
+    body, _ = _certificate_body(composite)
     body["results"]["triangle_bound"] = composite.metadata.get("triangle_bound")
     body["results"]["stage_certified"] = composite.metadata.get("stage_certified")
     return body, composite

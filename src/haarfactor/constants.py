@@ -14,9 +14,10 @@ rounding; none enters a certified bound or an artifact:
   equivalence check no longer reads a sample: it is decided exactly.)
 * ``CLOSED_FORM_TOL`` (``1e-10``): the CLI's ``closed_forms_match``, an
   enumerated sign-pattern variance against its closed form.
-* ``ROUNDOFF_TOL`` (``1e-12``): the CLI's ``means_vanish`` (an enumerated
-  mean that is zero in exact arithmetic) and ``within_triangle_bound`` (a
-  composite's certified bound, a minimum that includes the triangle route).
+* ``ROUNDOFF_TOL`` (``1e-12``): the CLI's ``means_vanish``, an enumerated
+  mean that is zero in exact arithmetic.  (A composite's certified bound
+  needs no check against its triangle route: it is the smaller of the two
+  routes, and ``verify_certificate`` re-derives it exactly.)
 * ``NEUMANN_RESIDUAL_TOL`` (``1e-8``): ``neumann_invert`` refuses an
   inverse whose column-sum residual ``||op @ inverse - I||`` exceeds it; a
   solve within a certified contraction bound below one stays far inside

@@ -65,7 +65,6 @@ from .operators import (
 )
 from .reduction import (
     ReductionCertificate,
-    _COMPOSITE_SCALAR_DRIFT,
     column_sum_bound,
     compose_certificates,
     identity_certificate,
@@ -356,6 +355,12 @@ def primary_dichotomy(
     the composite bound misses ``eps/2``; a single-level reduction is always
     structurally available, so the fallback only exhausts when no attempt
     certifies the scalar.
+
+    The witness records the composite's scalar witness as it is.  Whether
+    that witness's value is the recorded scalar, within the composite's
+    rounding drift, is decided once, by :func:`reduction.verify_certificate`
+    (report key ``scalar_witness_value``): a drifted witness fails the
+    ``dichotomy`` command's ``certificate_ok`` check, a verified negative.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -395,10 +400,6 @@ def primary_dichotomy(
         )
     lam0 = comp.scalar
     witness = comp.scalar_witness
-    if witness is not None and abs(witness.value - lam0) > _COMPOSITE_SCALAR_DRIFT:
-        raise ArithmeticError(
-            "composite scalar witness drifted from the recorded scalar"
-        )
 
     M = interaction_matrix(comp.source_registry(), comp.family, T)
     if abs(lam0) >= 0.5:

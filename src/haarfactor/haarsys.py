@@ -99,30 +99,18 @@ _SHARED_MODELS = 64
 class BasisRegistry:
     """The truncated model: per-copy depths, coordinates, and Haar profiles.
 
-    By default each coordinate is resolved just finely enough for its own
-    Haar functions (``depth + 1``); pass ``resolutions`` to refine, e.g. to
-    pair the model against functions below the truncation depth.
+    Each coordinate is resolved just finely enough for its own Haar
+    functions: copy ``c`` at depth ``d`` has ``2^(d + 1)`` cells, the
+    resolution on which its deepest functions are constant per cell.
     """
 
-    def __init__(
-        self,
-        depths: Mapping[int, int],
-        resolutions: Mapping[int, int] | None = None,
-    ):
+    def __init__(self, depths: Mapping[int, int]):
         self.depths = dict(sorted(depths.items()))
         self.indices: tuple[OmegaIndex, ...] = tuple(enumerate_truncated(self.depths))
         self.index_of = {t: i for i, t in enumerate(self.indices)}
-        res = {copy: depth + 1 for copy, depth in self.depths.items()}
-        if resolutions is not None:
-            for copy, r in resolutions.items():
-                if copy not in res:
-                    raise ValueError(f"resolution given for unknown copy {copy}")
-                if r < res[copy]:
-                    raise ValueError(
-                        f"copy {copy} needs resolution >= {res[copy]}, got {r}"
-                    )
-                res[copy] = r
-        self.grid = ProductGrid.from_mapping(res)
+        self.grid = ProductGrid.from_mapping(
+            {copy: depth + 1 for copy, depth in self.depths.items()}
+        )
         self._measures: np.ndarray | None = None
         self._blocks: tuple[tuple[int, slice, np.ndarray], ...] | None = None
         self._profile_rows: tuple[np.ndarray, ...] = ()

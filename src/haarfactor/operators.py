@@ -131,13 +131,6 @@ class OperatorMatrix(_TruncatedOperator):
     def to_matrix(self) -> "OperatorMatrix":
         return self
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise ValueError("cannot compose operators over different bases")
-        return OperatorMatrix(self.exponent, self.basis, self.entries @ other.entries)
-
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries).copy()
 

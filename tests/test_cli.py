@@ -339,8 +339,10 @@ class TestComposeChain:
         )
         assert code == OK
         body = sz.loads(out)
-        assert body["checks"]["within_triangle_bound"] is True
-        assert body["checks"]["certificate_ok"] is True
+        # the certified bound is the smaller route, so it never exceeds the
+        # triangle route; the verifier re-derives it exactly
+        assert body["checks"] == {"certificate_ok": True}
+        assert body["results"]["certified_bound"] <= body["results"]["triangle_bound"]
         composite = sz.load(comp)
         assert composite.mode == "composite"
         assert verify_certificate(composite)["ok"]

@@ -59,17 +59,6 @@ class TestRegistry:
         one = GridFunction.from_dense(r.grid, np.full(r.grid.shape, 1.0))
         np.testing.assert_array_equal(project(r, one), np.zeros(r.dim))
 
-    def test_finer_resolution_allows_deep_pairings(self):
-        r = BasisRegistry({3: 0}, resolutions={3: 2})
-        deep = GridFunction.from_summands(r.grid, [(3, L(1, 1).haar_values(2))])
-        np.testing.assert_array_equal(project(r, deep), np.zeros(1))
-
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            BasisRegistry({3: 2}, resolutions={3: 2})
-        with pytest.raises(ValueError):
-            BasisRegistry({3: 2}, resolutions={4: 5})
-
     def test_one_shared_model_per_depth_map(self):
         depths = {3: 2, 1: 0, 2: 1}
         shared = BasisRegistry.of(depths)
@@ -556,6 +545,16 @@ class TestBlockFamily:
                     OmegaIndex(2, L(1, 1)): BlockAssignment(4, (L(2, 1),), (1,)),
                     OmegaIndex(2, L(1, 2)): BlockAssignment(5, (L(2, 2),), (1,)),
                     OmegaIndex(2, UNIT): BlockAssignment(4, (L(1, 1), L(1, 2)), (1, 1)),
+                }
+            )
+
+    def test_one_host_serves_one_target_copy(self):
+        # target copies 1 and 2 on one host would not be independent
+        with pytest.raises(ValueError, match="host copies must be distinct"):
+            BlockFamily(
+                {
+                    OmegaIndex(1, UNIT): BlockAssignment(4, (L(1, 1),), (1,)),
+                    OmegaIndex(2, UNIT): BlockAssignment(4, (L(1, 2),), (1,)),
                 }
             )
 

@@ -171,6 +171,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             RandomBlockSpec(reg, 2, intervals_at_level(2))
 
+    def test_host_outside_the_registry_rejected(self):
+        reg = BasisRegistry({2: 1})
+        with pytest.raises(ValueError, match="copy 3 is not in the registry"):
+            RandomBlockSpec(reg, 3, intervals_at_level(1))
+
     def test_sign_alignment_by_interval(self):
         _, spec = level_one_spec()
         v = BlockAssignment(2, (L(1, 2), L(1, 1)), (1, -1))

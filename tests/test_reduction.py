@@ -11,7 +11,12 @@ from test_golden_bytes import CASES as GOLDEN
 from test_golden_bytes import dichotomy_of_t
 
 from haarfactor import serialize
-from haarfactor.cli import ExperimentConfig, run
+from haarfactor.cli import (
+    ExperimentConfig,
+    _derive_reduction_plan,
+    _seeded_operator,
+    run,
+)
 from haarfactor.dyadic import UNIT, DyadicInterval, OmegaIndex, intervals_at_level
 from haarfactor.errors import ReductionError, ResourceLimitError
 from haarfactor.factorize import primary_dichotomy
@@ -682,6 +687,53 @@ def test_a_tiny_different_middle_operator_is_refused():
     compose_certificates(c1, reduce_to_scalar_finite(c1.target_operator(), 2, 0.25 * scale))
 
 
+def _relaxed_shape(cert):
+    """The relaxed steps without their numbers: which target relaxed, which
+    forms it missed, and how many patterns the verdict covers."""
+    return [
+        (r["target"], [(v["kind"], v["against"]) for v in r["violations"]], r["evaluated"])
+        for r in cert.metadata["relaxed_steps"]
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p, ulps", [(2.0, 0), (4.0, 0), (1.5, 32)])
+def test_scaling_the_operator_and_eps_scales_every_bound(p, ulps, seed):
+    """Metamorphic relation: ``T -> 2^k T`` with ``eps -> 2^k eps`` keeps
+    every sign, relaxed step and verdict, and scales every residual, the
+    column sum and the certified bound by ``2^k``.  At p = 2 and 4 every
+    power is exact, so they scale bit for bit; at p = 1.5 ``|2^k x|^1.5`` is
+    not ``2^(1.5 k) |x|^1.5`` in IEEE arithmetic (measured: at most 18 ulps
+    at k = +-50 and 1 ulp at k = 1)."""
+    T = _seeded_operator(BasisRegistry({4: 3, 5: 4, 6: 5}), p, seed)
+    target_depths, k_schedule = _derive_reduction_plan(T)
+
+    def reduced(scale):
+        S = OperatorMatrix(p, T.basis, scale * T.entries)
+        cert = reduce_to_diagonal(
+            S, target_depths, scale * 0.25, k_schedule=k_schedule, seed=seed
+        )
+        verdict = verify_certificate(cert)
+        return cert, {key: v for key, v in verdict.items() if isinstance(v, bool)}
+
+    base, base_verdict = reduced(1.0)
+    assert base_verdict["ok"]
+    for k in (-50, 1, 50):
+        scale = 2.0**k
+        cert, verdict = reduced(scale)
+        assert cert.family.assignments == base.family.assignments
+        assert _relaxed_shape(cert) == _relaxed_shape(base)
+        assert verdict == base_verdict
+        pairs = [
+            *zip(cert.residuals, base.residuals),
+            (cert.column_sum_bound, base.column_sum_bound),
+            (cert.certified_bound, base.certified_bound),
+        ]
+        for got, unscaled in pairs:
+            want = scale * unscaled
+            assert abs(got - want) <= ulps * math.ulp(want), (k, got, want)
+
+
 # -- identity, composition, verification ---------------------------------------
 
 
@@ -773,6 +825,29 @@ class TestComposeCertificates:
         c2_bad = reduce_to_scalar_finite(shifted, 2, 0.0625)
         with pytest.raises(ValueError, match="disagree"):
             compose_certificates(c1, c2_bad)
+
+    def test_different_exponents_rejected(self):
+        c1, _ = self.pipeline()
+        mid = DiagonalOperator(
+            2.0, BasisRegistry.single_copy(3).indices, c1.target_entries
+        )
+        c2 = reduce_to_scalar_finite(mid, 2, 0.0625)
+        with pytest.raises(ValueError, match="different exponents"):
+            compose_certificates(c1, c2)
+
+    def test_non_diagonal_middle_operator_rejected(self):
+        # the second stage's source has the first stage's target entries on
+        # its diagonal, so only its off-diagonal entries set it apart
+        c1, _ = self.pipeline()
+        middle = BasisRegistry.single_copy(3)
+        entries = np.diag(c1.target_entries) + 0.01 * np.eye(middle.dim, k=1)
+        c2 = reduce_to_diagonal(
+            OperatorMatrix(4.0, middle.indices, entries), {1: 0}, 1.0,
+            k_schedule={1: 2},
+        )
+        assert c2.source_depths == c1.target_depths
+        with pytest.raises(ValueError, match="middle operator .* must be diagonal"):
+            compose_certificates(c1, c2)
 
     def test_mismatched_depths_rejected(self):
         c1, c2 = self.pipeline()

@@ -20,7 +20,9 @@ may be a second name for one call, passing its own parameters on unchanged.
 A parameter with a default must be passed by some call in ``src/`` or
 ``bench/``, unless its function is a paper object or ``TEST_SET_DEFAULTS``
 names the test that sets it, so that no setting is kept that only tests
-use.
+use.  A ``**`` expansion of a dict display, or of a conditional expression
+of dict displays, passes only the keys written there; any other ``**``
+counts as passing every parameter.
 
 These checks match by name, not by binding, and that is their blind spot:
 any use of a name counts for every definition of it.  A member is reached,
@@ -318,14 +320,16 @@ def test_the_reach_check_sees_dead_public_and_private_definitions():
 # kept because the named test sets it.
 TEST_SET_DEFAULTS = {
     "main(argv)": "the command line run in process (test_cli.py::invoke)",
-    "BasisRegistry.__init__(resolutions)": (
-        "a copy realized finer than its depth (test_finer_resolution_allows_deep_pairings)"
-    ),
     "DiagonalAverageWitness.verify(tol)": (
         "a block average holds within 1e-12 (acceptance test_03, test_04 and test_07)"
     ),
     "exact_moments(t_norm_upper)": (
         "the Z variance against a given norm bound (test_Z_pinned_example)"
+    ),
+    "reduce_to_scalar_finite(t_norm_upper)": (
+        "the paper-mode level floor and a derandomized level selection from a "
+        "given norm bound (test_golden_bytes.py scalar_paper and "
+        "scalar_derandomized, test_reduction.py TestReduceToScalarPaperMode)"
     ),
 }
 
@@ -354,9 +358,23 @@ def _call_sites(tree: ast.Module) -> dict[str, list[ast.Call]]:
     return calls
 
 
+def _expanded(value: ast.expr, names: list[str]) -> set[str]:
+    """The parameters a ``**`` expansion of ``value`` may pass: the keys a
+    dict display writes, or those of either branch of a conditional
+    expression, and any of ``names`` for every other operand."""
+    if isinstance(value, ast.IfExp):
+        return _expanded(value.body, names) | _expanded(value.orelse, names)
+    if isinstance(value, ast.Dict) and all(
+        isinstance(key, ast.Constant) for key in value.keys
+    ):
+        return {key.value for key in value.keys}
+    return set(names)
+
+
 def _passed(call: ast.Call, positional: list[str], names: list[str]) -> set[str]:
     """The parameters a call passes: by position, by keyword, or through a
-    ``*`` or ``**`` expansion, which may pass any of them."""
+    ``*`` expansion, which may pass any of them, or a ``**`` expansion,
+    which passes what :func:`_expanded` finds."""
     passed = set()
     for i, arg in enumerate(call.args):
         if isinstance(arg, ast.Starred):
@@ -364,7 +382,9 @@ def _passed(call: ast.Call, positional: list[str], names: list[str]) -> set[str]
             break
         passed.update(positional[i : i + 1])
     for keyword in call.keywords:
-        passed.update(names if keyword.arg is None else [keyword.arg])
+        passed.update(
+            _expanded(keyword.value, names) if keyword.arg is None else [keyword.arg]
+        )
     return passed
 
 
@@ -442,7 +462,9 @@ def test_the_default_check_sees_every_unpassed_setting():
         "    @classmethod\n    def sized(cls, n):\n        return cls(n)\n\n"
         "    def grow(self, step=1, limit=9):\n        return other.grow(2)\n\n"
         "    @staticmethod\n    def make(kind='a', **extra):\n        return Box.make(kind)\n\n"
-        "    def keyed(self, *, key=None):\n        return keyed(**options)\n"
+        "    def keyed(self, *, key=None):\n        return keyed(**options)\n\n\n"
+        "def tuned(x, *, rate=1, depth=2, width=3):\n"                 # 29
+        "    return tuned(0, **({} if x else {'rate': 2}), **{'depth': 3})\n"
     )
     assert _unpassed_defaults({"toy.py": tree}, _call_sites(tree)) == {
         "f(c)": "toy.py:1",
@@ -450,6 +472,7 @@ def test_the_default_check_sees_every_unpassed_setting():
         "unused(x)": "toy.py:7",
         "Box.__init__(fill)": "toy.py:11",
         "Box.grow(limit)": "toy.py:18",
+        "tuned(width)": "toy.py:29",
     }
 
 
