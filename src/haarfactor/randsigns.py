@@ -46,8 +46,11 @@ route: a block whose ``2^n`` patterns fit the pattern budget is
 enumerated, and a larger one has its signs fixed one at a time by the
 method of conditional expectations, which turns the Chebyshev bound of the
 paper's existence proof into a deterministic choice.  Either way the
-verdict comes from one fixed-order evaluator (`_ordered_values`), so the
-signs do not depend on how rows are batched or on the BLAS kernels.
+verdict comes from one fixed-order evaluator (`_ordered_values`): it writes
+each pattern's exact terms into one row of a table and folds every row
+strictly left to right with ``np.add.accumulate``, which, with a final
+``+ 0.0``, has the bits of adding the terms one by one from ``+0.0``.  So
+the signs do not depend on how rows are batched or on the BLAS kernels.
 """
 
 from __future__ import annotations
@@ -180,25 +183,52 @@ def _target_values(rv: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", Sf, arr, Sf) - np.trace(arr)
 
 
+# `_ordered_values` folds at most this many terms at once: its rows are taken
+# in chunks that fit, so its memory is bounded for any row count.
+_TERM_CELLS = 2**14
+
+
 def _ordered_values(rv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The sign form on each row, its exact terms added left to right.
 
     The terms are ``theta_j c_j`` for a vector and ``theta_j theta_k C_jk``
-    (``j != k``, row-major) for a matrix; each is exact, and the sum runs
-    in this one order for every row, without BLAS, so a row's value does
-    not depend on the other rows.  Negating a row negates every term and
-    every rounded partial sum, so ``|value|`` is exactly mirror-symmetric.
+    (``j != k``, row-major) for a matrix; each is exact.  A chunk of rows
+    writes its terms into a ``(rows, terms)`` table of at most
+    `_TERM_CELLS` cells, and ``np.add.accumulate`` along each table row, a
+    strict left fold, leaves ``(t_0 + t_1) + t_2 ...`` in its last column:
+    one order for every row, without BLAS, so a row's value does not
+    depend on the other rows or the chunking.
+
+    The values are bit for bit those of adding the terms one by one from
+    ``+0.0``.  That sum's first partial sum ``+0.0 + t_0`` differs from
+    ``t_0`` only when ``t_0`` is ``-0.0``, and the two stay equal up to the
+    sign of zero only while every term is ``-0.0``.  A sum from ``+0.0`` is
+    never ``-0.0``, so the final ``+ 0.0`` changes only an all ``-0.0``
+    row, to ``+0.0``.  Negating a row negates every term and every rounded
+    partial sum, so ``|value|`` is exactly mirror-symmetric.
     """
     arr = _form(rv)
-    acc = np.zeros(len(rows))
     if arr.ndim == 1:
-        for j, c in enumerate(arr):
-            acc += rows[:, j] * c
+        coeffs, pairs = arr, None
     else:
-        for (j, k), c in np.ndenumerate(arr):
-            if j != k:
-                acc += rows[:, j] * rows[:, k] * c
-    return acc
+        pairs = np.nonzero(~np.eye(len(arr), dtype=bool))
+        coeffs = arr[pairs]
+    values = np.zeros(len(rows))
+    if not len(coeffs):
+        return values
+    step = max(1, _TERM_CELLS // len(coeffs))
+    table = np.empty((min(step, len(rows)), len(coeffs)))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        terms = table[:len(chunk)]
+        # copied in first, the signs are not staged as floats by the multiply
+        signs = chunk if pairs is None else chunk[:, pairs[0]] * chunk[:, pairs[1]]
+        np.copyto(terms, signs)
+        terms *= coeffs
+        np.add.accumulate(terms, axis=1, out=terms)
+        values[start:start + len(chunk)] = terms[:, -1]
+    values += 0.0
+    return values
 
 
 def _margin(rv: np.ndarray) -> float:
@@ -590,10 +620,13 @@ def sign_search(
     at the returned pattern.
 
     *Decisions.*  Whether a pattern meets a tolerance, and its worst
-    ratio, come from one evaluator, `_ordered_values`: it adds the form's
-    exact terms ``+-c_j`` or ``+-C_jk`` in one fixed order per row.  BLAS
-    results change with how rows are batched, so they cannot decide a
-    single row reproducibly; here they only shortlist.
+    ratio, come from one evaluator, `_ordered_values`: it writes the form's
+    exact terms ``+-c_j`` or ``+-C_jk`` into one table row per pattern and
+    folds each row strictly left to right (``np.add.accumulate``), then
+    adds ``+0.0``, which gives the bits of the term-by-term sum from
+    ``+0.0`` whatever the chunking.  BLAS results change with how rows are
+    batched, so they cannot decide a single row reproducibly; here they
+    only shortlist.
 
     *Filter.*  Enumeration shortlists from the split sums of
     `_split_chunks` (low and high halves, Horowitz-Sahni), which sum the

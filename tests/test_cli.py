@@ -1,10 +1,14 @@
 """Command-line runner: exit codes, report contents, artifact determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from haarfactor import serialize as sz
 from haarfactor import cli
@@ -839,3 +843,57 @@ def test_copies_and_depths_of_different_lengths_are_an_error(capsys):
     assert code == ERROR and not out
     message = sz.loads(err)["error"]["message"]
     assert "3 copies" in message and "2 depths" in message
+
+
+# -- a bounded sweep over small configs ----------------------------------------
+
+
+@st.composite
+def small_configs(draw):
+    """The argv of one small run: `reduce-diagonal`, `factorize` or
+    `dichotomy` on one to three copies numbered 2 to 7 at drawn depths (a
+    draw shrinks toward the deepest), ``p`` in {1.5, 2, 4, 12} and a
+    fractional ``--eps``.  These sources give sign searches of shapes the
+    benchmark workloads never run."""
+    command = draw(st.sampled_from(("reduce-diagonal", "factorize", "dichotomy")))
+    copies = sorted(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True)))
+    depths = [c - 1 - draw(st.integers(0, c - 1)) for c in copies]
+    p = draw(st.sampled_from((1.5, 2.0, 4.0, 12.0)))
+    eps = draw(st.fractions(Fraction(1, 16), Fraction(3, 2), max_denominator=16))
+    return [
+        command, "--p", str(p), "--eps", str(eps),
+        "--copies", ",".join(map(str, copies)), "--depths", ",".join(map(str, depths)),
+    ]
+
+
+def test_small_configs_end_mapped_and_their_artifacts_reverify(tmp_path):
+    """No exception escapes `main` but the types it maps; a run that writes
+    an artifact writes one that reloads to its own bytes and whose
+    certificate re-verifies with the verdict the run reported."""
+    out = tmp_path / "artifact.json"
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_configs())
+    def sweep(argv):
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        if code == ERROR:
+            seen.add("error")
+            return
+        report = sz.loads(stdout.getvalue())
+        if "verified_negative" in report:
+            seen.add("verified negative")
+            return
+        text = out.read_text()
+        artifact = sz.loads(text)
+        assert sz.dumps(artifact) == text
+        cert = artifact if isinstance(artifact, ReductionCertificate) else artifact.certificate
+        assert verify_certificate(cert)["ok"] == report["checks"]["certificate_ok"]
+        seen.add((argv[0], code))
+
+    sweep()
+    assert {"error", ("reduce-diagonal", OK), ("factorize", OK), ("dichotomy", OK)} <= seen

@@ -25,9 +25,11 @@ from haarfactor.randsigns import (
     ENUMERATION_CAP,
     RandomBlockSpec,
     SignSearchFailure,
+    _TERM_CELLS,
+    _enumerated_values,
+    _index_signs,
     _margin,
     _ordered_values,
-    _enumerated_values,
     _target_values,
     closed_variance,
     condition_star,
@@ -171,6 +173,19 @@ class TestSpec:
         with pytest.raises(ValueError):
             RandomBlockSpec(reg, 2, intervals_at_level(2))
 
+    def test_level_past_the_registry_depth_rejected(self):
+        # copy 3 carries level 2, but the registry holds it to depth 1
+        reg = BasisRegistry({3: 1})
+        with pytest.raises(ValueError, match="level 2 exceeds the depth 1 of copy 3"):
+            RandomBlockSpec(reg, 3, intervals_at_level(2))
+
+    def test_sign_rows_are_checked(self):
+        _, spec = level_one_spec()
+        with pytest.raises(ValueError, match="sign count must match the interval count"):
+            spec.sign_array([1])
+        with pytest.raises(ValueError, match="signs must be -1 or \\+1"):
+            spec.sign_array([1, 0])
+
     def test_host_outside_the_registry_rejected(self):
         reg = BasisRegistry({2: 1})
         with pytest.raises(ValueError, match="copy 3 is not in the registry"):
@@ -232,6 +247,12 @@ class TestEvaluations:
             eval_statistic("V", spec, f, [1, 1])
         with pytest.raises(TypeError):
             eval_statistic("Z", spec, f, [1, 1])
+
+    @pytest.mark.parametrize("kind", ["Y", "W"])
+    def test_pairings_need_a_grid_function(self, kind):
+        _, spec = level_one_spec()
+        with pytest.raises(TypeError, match=f"{kind} pairs the block against a GridFunction"):
+            eval_statistic(kind, spec, np.ones(2), [1, 1])
 
 
 class TestExactMoments:
@@ -462,6 +483,11 @@ class TestSignSearch:
         with pytest.raises(ValueError):
             sign_search(spec, [(np.ones(2), 0.0)])
 
+    def test_a_form_of_three_axes_is_rejected(self):
+        _, spec = level_one_spec()
+        with pytest.raises(ValueError, match="a coefficient vector or a square matrix"):
+            sign_search(spec, [(np.ones((2, 2, 2)), 1.0)])
+
 
 # -- the split search against the full scan ------------------------------------
 
@@ -624,6 +650,94 @@ class TestSplitSearch:
         assert got.evaluated == 2**ENUMERATION_CAP
         assert got.violations == ((0, 1.0, 1.0),)
         assert peak < 64 * 2**20
+
+
+# -- the decision evaluator against the term-by-term sum -----------------------
+
+
+# The loop that `_ordered_values` replaced, kept as its oracle: each exact
+# term added to a running sum that starts at +0.0, one term at a time.
+def term_by_term_values(rv, rows):
+    arr = np.asarray(rv, dtype=float)
+    acc = np.zeros(len(rows))
+    if arr.ndim == 1:
+        for j, c in enumerate(arr):
+            acc += rows[:, j] * c
+    else:
+        for (j, k), c in np.ndenumerate(arr):
+            if j != k:
+                acc += rows[:, j] * rows[:, k] * c
+    return acc
+
+
+# signed zeros, subnormals and magnitudes near 1e-300 and 1e300
+EDGE_COEFFICIENTS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, -(2.0**-1030), 1e-300, -3e-301,
+    1e300, -1e300, 7.5e299, -2.5e301,
+)
+
+
+@st.composite
+def folded_forms(draw):
+    """``(form, rows, count)``: a vector or square-matrix form on 1 to 12
+    signs, and ``count`` of 0, 1 or "chunks" (more than one table) sign
+    rows, the first of them all +1.  The coefficients mix edge values with
+    any finite floats, are signed zeros only, or are all ``-0.0``, which
+    makes every term of the all +1 row ``-0.0``."""
+    n = draw(st.integers(1, 12))
+    shape = (n, n) if draw(st.booleans()) else (n,)
+    elements = draw(st.sampled_from((
+        st.one_of(st.sampled_from(EDGE_COEFFICIENTS),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from((0.0, -0.0)),
+        st.just(-0.0),
+    )))
+    cells = n ** len(shape)
+    form = np.array(draw(st.lists(elements, min_size=cells, max_size=cells)), dtype=float)
+    terms = n if len(shape) == 1 else n * (n - 1)
+    count = draw(st.sampled_from((0, 1, "chunks")))
+    height = count if count != "chunks" else (
+        _TERM_CELLS // max(terms, 1) * draw(st.integers(1, 2)) + draw(st.integers(1, 40))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.choice(np.array([-1, 1], dtype=np.int8), (height, n))
+    rows[:1] = 1
+    return form.reshape(shape), rows, count
+
+
+class TestOrderedValues:
+    def test_fold_has_the_bits_of_the_term_by_term_sum(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+        @given(folded_forms())
+        def agree(case):
+            form, rows, count = case
+            with np.errstate(over="ignore", invalid="ignore"):  # huge terms may overflow
+                got = _ordered_values(form, rows)
+                want = term_by_term_values(form, rows)
+            assert got.tobytes() == want.tobytes()
+            seen.add(count)
+            if len(rows) and not np.any(form) and np.all(np.signbit(form)):
+                seen.add("negative zero terms")  # in the all +1 first row
+
+        agree()
+        assert seen == {0, 1, "chunks", "negative zero terms"}
+
+    def test_memory_is_the_output_and_two_tables(self):
+        # the size of the 20-sign parity search's confirm; the second table
+        # allows for numpy's staging of the broadcast multiply (8,192 cells)
+        rows = _index_signs(np.arange(2**16), ENUMERATION_CAP)
+        c = np.random.default_rng(0).standard_normal(ENUMERATION_CAP)
+        tracemalloc.start()
+        try:
+            values = _ordered_values(c, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (2**16,)
+        assert peak <= values.nbytes + 2 * 8 * _TERM_CELLS
 
 
 # -- the conditioned route past the budget -------------------------------------
