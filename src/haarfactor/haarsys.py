@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
@@ -108,6 +108,10 @@ class BasisRegistry:
         self.depths = dict(sorted(depths.items()))
         self.indices: tuple[OmegaIndex, ...] = tuple(enumerate_truncated(self.depths))
         self.index_of = {t: i for i, t in enumerate(self.indices)}
+        # each copy's first position in ``indices``: its intervals follow
+        # level by level, left to right
+        sizes = [2 ** (depth + 1) - 1 for depth in self.depths.values()]
+        self._offsets = dict(zip(self.depths, accumulate(sizes, initial=0)))
         self.grid = ProductGrid.from_mapping(
             {copy: depth + 1 for copy, depth in self.depths.items()}
         )
@@ -152,10 +156,19 @@ class BasisRegistry:
         """The positions in :attr:`indices` of the Haar functions
         ``(host, K)``, one per interval in the order given: the package's
         one map from block members to source indices.  Raises ``KeyError``
-        for a member the registry does not hold."""
-        return np.array(
-            [self.index_of[OmegaIndex(host, K)] for K in intervals], dtype=np.intp
-        )
+        for a member the registry does not hold.
+
+        Each position is worked out from the host's offset, without an
+        index object: ``K`` at level ``k`` and 1-based index ``i`` sits
+        ``2^k - 1 + i - 1`` places into its copy, which holds levels ``0``
+        to its depth.  It is the position :attr:`index_of` gives."""
+        offset, depth = self._offsets[host], self.depths[host]
+        rows = []
+        for K in intervals:
+            if K.level > depth:
+                raise KeyError(f"{host}/{K} is not in this registry")
+            rows.append(offset + (1 << K.level) + K.index - 2)
+        return np.array(rows, dtype=np.intp)
 
     def profile_blocks(self) -> tuple[tuple[int, slice, np.ndarray], ...]:
         """Haar profiles of the registry's indices, one block per copy, built

@@ -45,11 +45,17 @@ constants of its own.
 
 A family of blocks is decided once, too.  `block_span_project` runs on an
 immutable family (a tuple of blocks) that holds whether two of its blocks
-overlap, and the layout the projection reads: every position and every
-normalized coefficient in one array each, each block's slice of them, and
+overlap, and the layout the projection reads: every position, block
+coefficient and normalized coefficient in one array each, block after
+block, each block's start and functional scale, each entry's block, and
 the largest index.  `GameTranscript.blocks` returns its transcript's
 family, built on first use; any other sequence or iterable of blocks is
-read once into a family of its own, and so checked, on each call.
+read once into a family of its own, and so checked, on each call.  The
+projection pairs every block with ``x`` in one segmented sum,
+``np.add.reduceat``, and calls no BLAS routine: a block's pairing adds its
+own products alone, as ``p[0] + np.add.reduce(p[1:])``, so its bits do not
+depend on the kernel set, the other blocks or where the block starts in
+memory.  That order is not a left fold; no artifact reads a projection.
 
 The ambient estimate, `impartial_equivalence` on the block vectors
 themselves, is kept as the oracle of the coefficient-space one, and no
@@ -72,7 +78,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -501,31 +506,41 @@ class _BlockFamily(tuple):
 
     ``overlap`` is :func:`_first_overlap`'s verdict (None for disjoint
     supports).  ``positions`` holds every block's zero-based positions,
-    block after block; block ``k`` owns ``spans[k]`` of it and ``counts[k]``
-    entries, and ``normalized`` (built on first use) holds the normalized
-    coefficients in the same places.  ``top`` is the largest index (0 for
-    none).  The blocks are immutable, the arrays read-only and nothing is
-    reassigned after it is built, so nothing here goes stale.
+    block after block; block ``k`` owns the entries from ``starts[k]`` up
+    to the next block's start, and ``owners`` names each entry's block.
+    ``coeffs`` and ``normalized`` hold the block coefficients and the
+    normalized ones in the same places, and ``scales`` each block's
+    functional scale; these three are built on first use, since only a
+    projection reads them.  ``top`` is the largest index (0 for none).  The
+    blocks are immutable, the arrays read-only and nothing is reassigned
+    after it is built, so nothing here goes stale.
     """
 
     def __init__(self, blocks: Iterable[Block]) -> None:
         # tuple.__new__ has read ``blocks`` into self already
-        counts = [b.positions.size for b in self]
-        self.spans = tuple(
-            slice(stop - count, stop) for stop, count in zip(accumulate(counts), counts)
-        )
-        self.counts = _read_only(np.array(counts, dtype=np.intp))
-        self.positions = _read_only(
-            np.concatenate([b.positions for b in self]) if self else np.empty(0, np.intp)
-        )
+        counts = np.array([b.positions.size for b in self], dtype=np.intp)
+        self.starts = _read_only(np.cumsum(counts) - counts)
+        self.owners = _read_only(np.repeat(np.arange(len(self)), counts))
+        self.positions = _joined((b.positions for b in self), np.intp)
         self.top = max((b.top for b in self), default=0)
         self.overlap = _first_overlap(self)
 
     @cached_property
+    def coeffs(self) -> np.ndarray:
+        return _joined((b.coeffs for b in self), float)
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        return _read_only(np.array([b.functional_scale for b in self]))
+
+    @cached_property
     def normalized(self) -> np.ndarray:
-        return _read_only(
-            np.concatenate([b.normalized() for b in self]) if self else np.empty(0)
-        )
+        return _joined((b.normalized() for b in self), float)
+
+
+def _joined(arrays: Iterable[np.ndarray], dtype) -> np.ndarray:
+    """The arrays end to end as one read-only array of ``dtype``."""
+    return _read_only(np.concatenate([np.empty(0, dtype), *arrays]))
 
 
 def block_span_project(x: XpwVector, blocks: Iterable[Block]) -> XpwVector:
@@ -538,23 +553,39 @@ def block_span_project(x: XpwVector, blocks: Iterable[Block]) -> XpwVector:
     A family from `GameTranscript.blocks` was checked when it was built;
     any other sequence or iterable of blocks is read once into a family
     and checked on this call.  ``x`` is gathered at every position of the
-    family at once (with zeros past its end), each block pairs its slice of
-    that with its coefficients, and the weighted normalized blocks are
-    added into zeros in one scatter, within ``x``'s length.
+    family at once (with zeros past its end) and multiplied by every
+    block's coefficients in place; one ``np.add.reduceat`` over the
+    blocks' starts pairs every block, each pairing is scaled and spread
+    over its block's entries, and the weighted normalized blocks are added
+    into zeros in one scatter, within ``x``'s length.  The ``+=`` into
+    zeros makes a ``-0.0`` weight land as ``+0.0``.  No BLAS routine runs.
+
+    Each pairing sums its block's products alone, in the order numpy's
+    ``add.reduceat`` gives one segment ``p``: ``p[0] + np.add.reduce(p[1:])``.
+    On numpy 2.4.6 that held over segment lengths 1 to 4,000, and one call
+    over many segments gave the bits of one call per segment on a fresh
+    copy, so a pairing depends neither on the other blocks nor on where
+    its block starts in memory.  The order is not a left fold, and the
+    pairings may differ from BLAS ``ddot``'s in the last bits; no artifact
+    reads a projection.  A block has at least one index (`block_data` and
+    the transcript reader refuse an empty one), so the starts strictly
+    increase and ``reduceat``'s rule for equal starts never applies.
     """
     family = blocks if isinstance(blocks, _BlockFamily) else _BlockFamily(blocks)
     if family.overlap is not None:
         raise ValueError("blocks {} and {} overlap at index {}".format(*family.overlap))
     size = len(x.coeffs)
-    # zeros past x's end where part of the support lies past it
-    padded = x if family.top <= size else x.padded(family.top)
-    gathered = padded.coeffs[family.positions]
-    weights = [
-        b.functional_scale * float(np.dot(b.coeffs, gathered[span]))
-        for b, span in zip(family, family.spans)
-    ]
     out = np.zeros(max(size, family.top))
-    out[family.positions] += np.repeat(weights, family.counts) * family.normalized
+    if family:
+        # zeros past x's end where part of the support lies past it
+        padded = x if family.top <= size else x.padded(family.top)
+        products = padded.coeffs[family.positions]
+        products *= family.coeffs
+        weights = np.add.reduceat(products, family.starts)
+        weights *= family.scales
+        spread = weights[family.owners]
+        spread *= family.normalized
+        out[family.positions] += spread
     return XpwVector(out[:size], x.weights)
 
 

@@ -19,6 +19,7 @@ from haarfactor.dyadic import (
     UNIT,
     enumerate_truncated,
     intervals_at_level,
+    intervals_up_to_level,
 )
 from haarfactor import haarsys
 from haarfactor.factorize import projection_matrix
@@ -804,6 +805,34 @@ def assert_layout_matches(family, source, target, T):
 
 LAYOUT_MODELS = [({2: 1}, {4: 3}), ({1: 0, 2: 1}, {3: 2, 5: 4}),
                  ({1: 0, 2: 1, 3: 2}, {3: 2, 4: 3, 5: 4})]
+
+
+class TestRegistryRows:
+    """``rows`` works positions out from per-copy offsets; the registry's
+    own ``index_of`` map is the oracle."""
+
+    @pytest.mark.parametrize("name", NORM_REGISTRIES)
+    def test_every_member_has_its_index_of_position(self, name):
+        r = BasisRegistry(NORM_REGISTRIES[name][0])
+        for copy, depth in r.depths.items():
+            intervals = intervals_up_to_level(depth)
+            want = [r.index_of[OmegaIndex(copy, K)] for K in intervals]
+            assert r.rows(copy, intervals).tolist() == want
+            # any order, as a block lists its members
+            assert r.rows(copy, intervals[::-1]).tolist() == want[::-1]
+        assert r.rows(min(r.depths), []).dtype == np.intp
+
+    @pytest.mark.parametrize("name", NORM_REGISTRIES)
+    def test_a_non_member_raises_key_error(self, name):
+        r = BasisRegistry(NORM_REGISTRIES[name][0])
+        top = max(r.depths)
+        past = [c for c in range(1, top + 2) if c not in r.depths][0]
+        with pytest.raises(KeyError):  # a copy the registry does not hold
+            r.rows(past, [DyadicInterval(0, 1)])
+        for copy, depth in r.depths.items():
+            deeper = DyadicInterval(depth + 1, 1)  # one level past the copy's depth
+            with pytest.raises(KeyError, match=f"{copy}/{deeper}"):
+                r.rows(copy, [DyadicInterval(0, 1), deeper])
 
 
 class TestMemberLayout:

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from haarfactor.randsigns import (
     ENUMERATION_CAP,
     RandomBlockSpec,
     SignSearchFailure,
+    _TALL_ROWS,
     _TERM_CELLS,
     _enumerated_values,
     _index_signs,
@@ -488,6 +490,16 @@ class TestSignSearch:
         with pytest.raises(ValueError, match="a coefficient vector or a square matrix"):
             sign_search(spec, [(np.ones((2, 2, 2)), 1.0)])
 
+    @pytest.mark.parametrize("budget", [2**20, 1])  # enumerated and conditioned
+    @pytest.mark.parametrize("shape", [(3, 4), (4,)])
+    def test_a_form_of_another_size_is_rejected(self, shape, budget):
+        spec = search_spec(3)
+        fits = (np.ones(3), 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+            f"block of 3 signs has shape (3,) or (3, 3), not {shape}"
+        )):
+            sign_search(spec, [fits, (np.ones(shape), 1.0)], budget=budget)
+
 
 # -- the split search against the full scan ------------------------------------
 
@@ -680,10 +692,12 @@ EDGE_COEFFICIENTS = (
 @st.composite
 def folded_forms(draw):
     """``(form, rows, count)``: a vector or square-matrix form on 1 to 12
-    signs, and ``count`` of 0, 1 or "chunks" (more than one table) sign
-    rows, the first of them all +1.  The coefficients mix edge values with
-    any finite floats, are signed zeros only, or are all ``-0.0``, which
-    makes every term of the all +1 row ``-0.0``."""
+    signs, and ``count`` of 0, 1, "short" (one table below `_TALL_ROWS`
+    rows), "tall" (one table of `_TALL_ROWS` rows or more, where the terms
+    allow it) or "chunks" (more than one table) sign rows, the first of
+    them all +1.  The coefficients mix edge values with any finite floats,
+    are signed zeros only, or are all ``-0.0``, which makes every term of
+    the all +1 row ``-0.0``."""
     n = draw(st.integers(1, 12))
     shape = (n, n) if draw(st.booleans()) else (n,)
     elements = draw(st.sampled_from((
@@ -695,10 +709,14 @@ def folded_forms(draw):
     cells = n ** len(shape)
     form = np.array(draw(st.lists(elements, min_size=cells, max_size=cells)), dtype=float)
     terms = n if len(shape) == 1 else n * (n - 1)
-    count = draw(st.sampled_from((0, 1, "chunks")))
-    height = count if count != "chunks" else (
-        _TERM_CELLS // max(terms, 1) * draw(st.integers(1, 2)) + draw(st.integers(1, 40))
-    )
+    step = _TERM_CELLS // max(terms, 1)
+    counts = (0, 1, "short", "chunks") + (("tall",) if step >= _TALL_ROWS else ())
+    count = draw(st.sampled_from(counts))
+    height = {
+        "short": lambda: draw(st.integers(2, min(step, _TALL_ROWS - 1))),
+        "tall": lambda: draw(st.integers(_TALL_ROWS, step)),
+        "chunks": lambda: step * draw(st.integers(1, 2)) + draw(st.integers(1, 40)),
+    }.get(count, lambda: count)()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.choice(np.array([-1, 1], dtype=np.int8), (height, n))
     rows[:1] = 1
@@ -721,9 +739,15 @@ class TestOrderedValues:
             seen.add(count)
             if len(rows) and not np.any(form) and np.all(np.signbit(form)):
                 seen.add("negative zero terms")  # in the all +1 first row
+            n = rows.shape[1]
+            step = _TERM_CELLS // max(1, n if form.ndim == 1 else n * (n - 1))
+            heights = [min(step, len(rows) - start) for start in range(0, len(rows), step)]
+            if {h >= _TALL_ROWS for h in heights} == {True, False}:
+                seen.add("both routes in one call")
 
         agree()
-        assert seen == {0, 1, "chunks", "negative zero terms"}
+        assert seen == {0, 1, "short", "tall", "chunks", "negative zero terms",
+                        "both routes in one call"}
 
     def test_memory_is_the_output_and_two_tables(self):
         # the size of the 20-sign parity search's confirm; the second table

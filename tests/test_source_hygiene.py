@@ -22,7 +22,10 @@ A parameter with a default must be passed by some call in ``src/`` or
 names the test that sets it, so that no setting is kept that only tests
 use.  A ``**`` expansion of a dict display, or of a conditional expression
 of dict displays, passes only the keys written there; any other ``**``
-counts as passing every parameter.
+counts as passing every parameter.  Every matrix product in ``src/``
+(``@``, ``np.dot``, ``np.matmul``, ``np.einsum`` and their kin) is listed,
+counted per function, in ``BLAS_PRODUCTS`` with the ROADMAP item that owns
+its bits or why they matter to nothing recorded.
 
 These checks match by name, not by binding, and that is their blind spot:
 any use of a name counts for every definition of it.  A member is reached,
@@ -734,3 +737,85 @@ def test_the_cache_check_sees_every_spelling():
         "ok3 = ft.lru_cache(maxsize=SIZE * 2)(a)\n"
     )
     assert _unbounded_caches(tree) == [7, 9, 11, 13, 15, 17, 19, 21]
+
+
+# Every matrix product in ``src/`` (``@``, ``@=`` and numpy's product
+# functions), counted per enclosing function, with what owns its bits: the
+# ROADMAP item that moves it to a fixed order, or why its bits matter to no
+# artifact and no verdict.  A BLAS product's last bits depend on the kernel
+# set and on how its operands sit in memory.
+NUMPY_PRODUCTS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+BLAS_PRODUCTS = {
+    ("factorize", "FactorizationWitness.sample_max_ratio"): (
+        3, "item 25 deletes the sampled ratio"),
+    ("factorize", "_invert_through_blocks"): (
+        3, "item 19 Part B (the inverse times PE / scale); item 25 (the sampled "
+           "projection-norm estimate)"),
+    ("factorize", "_build_witness"): (2, "items 9 and 19 Part B (A T' B)"),
+    ("grids", "pairing"): (1, "an int64 product of integer profiles: exact"),
+    ("operators", "OperatorMatrix.apply"): (
+        1, "items 9 and 19 Part B (T j in interaction_matrix)"),
+    ("operators", "neumann_invert"): (1, "item 9 (the stored residual)"),
+    ("randsigns", "_target_values"): (2, "item 9 (recorded violation values)"),
+    ("randsigns", "_split_chunks"): (
+        6, "the sign search's shortlist only: _margin covers any rounding and "
+           "_ordered_values decides"),
+    ("reduction", "_grow_blocks"): (3, "item 9 (recorded violation values)"),
+    ("reduction", "reduce_to_diagonal.constraints"): (
+        1, "item 9 (the sign-form coefficients)"),
+    ("weightedlp", "_sampled_norms"): (
+        1, "impartial_equivalence, an oracle that no command runs and no "
+           "artifact reads"),
+}
+
+
+def _products(tree: ast.Module) -> dict[str, int]:
+    """The number of matrix products in each function of ``tree``, keyed
+    by its dotted scope (``Class.method``, ``outer.inner``), or
+    ``<module>`` outside any function."""
+    counts: dict[str, int] = {}
+
+    def walk(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, (ast.BinOp, ast.AugAssign))
+                and isinstance(child.op, ast.MatMult)
+            ) or (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
+                and child.func.attr in NUMPY_PRODUCTS
+            ):
+                key = scope or "<module>"
+                counts[key] = counts.get(key, 0) + 1
+            walk(child, scope)
+
+    walk(tree, "")
+    return counts
+
+
+def test_every_blas_product_has_an_owner():
+    found = {
+        (path.stem, scope): count
+        for path in MODULES for scope, count in _products(_tree(path)).items()
+    }
+    listed = {site: count for site, (count, _) in BLAS_PRODUCTS.items()}
+    assert found == listed, (
+        "a matrix product was added or removed: record it in BLAS_PRODUCTS with "
+        "the ROADMAP item that owns its bits, or why they do not matter"
+    )
+
+
+def test_the_product_walk_sees_every_spelling():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "X = A @ B\n"
+        "def f(a, b):\n    a @= b\n    return np.dot(a, b) + np.matmul(a, b @ a)\n"
+        "class K:\n    def g(self, a):\n"
+        "        def inner():\n            return np.einsum('i,i', a, a)\n"
+        "        return np.tensordot(a, a) + np.inner(a, a) + np.vdot(a, a)\n"
+        "def plain(a, b):\n    return a * b + np.sum(a) + other.dot(a)\n"
+    )
+    assert _products(tree) == {"<module>": 1, "f": 4, "K.g.inner": 1, "K.g": 3}

@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from haarfactor.weightedlp import (
     xpw_norm,
     xpw_norms,
 )
+from test_randsigns import _dynamic_openblas
 
 # ---------------------------------------------------------------- oracles
 # Written before the implementations they check; each recomputes the claim
@@ -731,7 +735,8 @@ class TestImpartialEquivalence:
 
 # ------------------------------------------------------ cached block geometry
 # The formulas below are the ones the norm, the projection and the block
-# constants used before each block computed its constants once; the cached
+# constants used before each block computed its constants once, with each
+# block's pairing summed in the projection's documented order; the cached
 # versions must give the same bits.
 
 
@@ -768,7 +773,9 @@ def uncached_project(x, blocks):
         _, _, scale, normalized = uncached_constants(b)
         pad = np.zeros(len(b.indices))
         pad[: inside.size] = x.coeffs[inside]
-        weight = scale * float(np.dot(b.coeffs, pad))
+        # one segment of reduceat on a fresh array: the projection's
+        # documented pairing order, not BLAS
+        weight = scale * float(np.add.reduceat(b.coeffs * pad, [0])[0])
         out[inside] += weight * normalized[: inside.size]
     return out
 
@@ -1088,7 +1095,9 @@ class TestDecidedFamily:
         assert isinstance(family, tuple)
         assert [b for b in family] == [r.block for r in t.rounds]
         assert family.top == t.ambient_size() == max(max(r.indices) for r in t.rounds)
-        for array in (family.positions, family.counts, family.normalized):
+        layout = (family.positions, family.starts, family.owners, family.coeffs,
+                  family.scales, family.normalized)
+        for array in layout:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -1113,6 +1122,61 @@ class TestDecidedFamily:
     def test_no_blocks_project_to_zero(self):
         x = XpwVector(np.array([1.0, -2.0]), self.W)
         assert block_span_project(x, []).coeffs.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_on_a_blocks_support_lands_as_positive_zero(self, zero):
+        # a -0.0 pairing gives a -0.0 weight, and the scatter adds it to +0.0
+        t = self.loaded("random")
+        family = t.blocks()
+        c = np.random.default_rng(4).standard_normal(t.ambient_size())
+        c[family[1].positions] = zero
+        projected = block_span_project(XpwVector(c, self.W), family).coeffs
+        support = projected[family[1].positions]
+        assert support.tobytes() == np.zeros(support.size).tobytes()
+        assert np.any(projected[family[0].positions] != 0.0)
+
+
+# Every acceptance game's family, projected on 200 seeded vectors, two of
+# them zero on the first block's support; leaves the sha256 of the
+# projections' bytes in DIGEST.
+PROJECTION_SCRIPT = """
+import hashlib
+from fractions import Fraction
+import numpy as np
+from haarfactor.weightedlp import (
+    FixedScheduleAdversary, GreedyMaxAdversary, RandomAdversary, WeightSequence,
+    XpwVector, block_span_project, play_game,
+)
+W = WeightSequence.power(4, Fraction(1, 4))
+digest = hashlib.sha256()
+for adversary in (FixedScheduleAdversary(list(range(1, 9))), RandomAdversary(5),
+                  GreedyMaxAdversary()):
+    t = play_game(adversary, 8, W, Fraction(1, 10))
+    family, rng = t.blocks(), np.random.default_rng(23)
+    for k in range(200):
+        c = rng.standard_normal(t.ambient_size())
+        if k < 2:
+            c[family[0].positions] = (-0.0, 0.0)[k]
+        digest.update(block_span_project(XpwVector(c, W), family).coeffs.tobytes())
+DIGEST = digest.hexdigest()
+"""
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_projections_do_not_depend_on_the_blas_kernels():
+    namespace = {}
+    exec(PROJECTION_SCRIPT, namespace)
+    src = str(Path(weightedlp.__file__).resolve().parents[1])
+    for coretype in ("Prescott", "Sandybridge"):
+        env = {
+            **os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", PROJECTION_SCRIPT + "print(DIGEST)"],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        assert out.stdout.strip() == namespace["DIGEST"], coretype
 
 
 # ------------------------------------------------------ exact game arithmetic
