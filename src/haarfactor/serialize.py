@@ -18,13 +18,17 @@ Rules that keep the artifacts trustworthy as records:
   them with ``ValueError`` before any byte is written, and loading rejects
   the ``NaN``/``Infinity``/``-Infinity`` tokens with :class:`SchemaError`;
 * floats render as shortest round-tripping decimals, so entries reload
-  to the exact same binary values.  Float vectors and matrices go to the
-  renderer as float64 arrays, row by row: an entry whose bits are all zero
-  is ``+0.0``, whose repr is always ``"0.0"``, so a row with many of them
-  starts as a list of ``"0.0"`` and only its other entries (``-0.0``
-  among them) go through ``float.__repr__``.  Each entry's text is still
-  its repr, so the bytes are those ``json.dumps`` writes for the same
-  lists; exact rationals render as ``"13/12"``
+  to the exact same binary values.  Each float's text is its
+  ``float.__repr__``, so the bytes are those ``json.dumps`` writes.  Float
+  vectors and matrices go to the renderer as float64 arrays, row by row,
+  on one of two routes.  An entry whose bits are all zero is ``+0.0``,
+  whose repr is always ``"0.0"``, so a row with many of them starts as a
+  list of ``"0.0"`` and only its other entries (``-0.0`` among them) go
+  through ``float.__repr__``.  Any other row is written by orjson, whose
+  shortest digits (Ryu; Adams, PLDI 2018) are repr's (Gay, 1990), and
+  whose text is repr's for every magnitude in ``[1e-4, 1e16)``; only the
+  entries outside it, where orjson spells the exponent otherwise, go
+  through ``float.__repr__``.  Exact rationals render as ``"13/12"``
   strings; basis lists reload to the exact same index tuples;
 * loading validates: the schema version, the exact field set of every
   object (unknown or missing fields are named), the JSON type of every
@@ -60,6 +64,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .dyadic import (
     compare_omega, deepest_levels, parse_interval, parse_omega, truncation_size,
@@ -110,11 +115,10 @@ def _typed(value, json_types, name, where):
 
 def _build(make, where, *args, **kwargs):
     """``make(*args, **kwargs)``; a ValueError or ArithmeticError it raises
-    becomes a SchemaError at ``where``, and a SchemaError passes through."""
+    becomes a SchemaError at ``where``.  No ``make`` raises a SchemaError
+    itself: every one is a parser or a constructor outside this module."""
     try:
         return make(*args, **kwargs)
-    except SchemaError:
-        raise
     except (ArithmeticError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -740,8 +744,17 @@ _MEMO_SAMPLES = 64
 
 # A float row of which at least one entry in this many is +0.0 starts as a
 # list of "0.0" and only its other entries go through `float.__repr__`; a
-# row with fewer zeros is joined whole, which is cheaper there.
+# row with fewer zeros is written by orjson.  The mostly-zero rows keep the
+# "0.0" route: a diagonal 127 x 127 matrix renders in 0.53-0.83 ms on it,
+# against 0.77-1.18 ms with orjson writing every row (2-core VM).
 _ZERO_ROW_SHARE = 4
+
+# The magnitudes, other than zero, that ``float.__repr__`` writes without
+# an exponent.  Inside them orjson writes the same text (no difference in
+# 3.0 M random bit patterns and 1.0 M values spread over the range, orjson
+# 3.8.3); outside them it spells the exponent otherwise (``1e16``,
+# ``0.00001`` and ``4.9e-6`` against ``1e+16``, ``1e-05`` and ``4.9e-06``).
+_POSITIONAL = (1e-4, 1e16)
 
 
 def _render(value, out: list[str], newline: str, memo: dict) -> None:
@@ -753,7 +766,11 @@ def _render(value, out: list[str], newline: str, memo: dict) -> None:
     break plus the indentation of the current depth.  A float64 array of
     one or two dimensions is written as the list its ``tolist()`` is, and
     so is a list of exact floats, by `_float_rows`, where nearly all of an
-    artifact's bytes are.
+    artifact's bytes are: it writes most entries through orjson and the
+    rest through ``float.__repr__``.  The tree itself is walked here, not
+    by orjson, which writes non-ASCII text as UTF-8 where ``json`` escapes
+    it, refuses integers past 64 bits, and spells a float's exponent
+    otherwise.
 
     ``memo`` holds one entry per float array rendered so far in the
     document, keyed by its shape and a hash of :data:`_MEMO_SAMPLES`
@@ -826,9 +843,10 @@ def _memo_float_rows(array: np.ndarray, out: list[str], newline: str, memo: dict
     Only C-ordered arrays are memoized, as only their bits can be viewed
     without a copy, and only those with fewer than one ``+0.0`` entry in
     :data:`_ZERO_ROW_SHARE`: a mostly-zero array renders about as fast as
-    its text is re-indented (a diagonal 127 x 127 matrix in 0.93 ms against
-    0.97 ms), while a dense one renders far slower (a 221 x 221 matrix in
-    83 ms against 5 ms).
+    its text is re-indented (a diagonal 127 x 127 matrix in 0.53-0.83 ms
+    against 0.65-0.99 ms), while a dense one renders slower (a 221 x 221
+    matrix in 7 ms, or 22.5 ms when a third of its entries lie below
+    1e-4, against 3.6-4.0 ms; 2-core VM).
     """
     bits = array.reshape(-1).view(np.uint64) if array.flags.c_contiguous else None
     if bits is None or (len(bits) - np.count_nonzero(bits)) * _ZERO_ROW_SHARE >= len(bits):
@@ -860,13 +878,15 @@ def _float_rows(array: np.ndarray, out: list[str], newline: str) -> None:
     of one or two dimensions, one row at a time.
 
     One ``isfinite`` pass refuses a NaN or an infinity, naming the first.
-    One pass over the bits finds the entries that are not ``+0.0``, the
-    only float whose bits are all zero (so ``-0.0`` is written ``-0.0``).
-    A row of which at least one entry in :data:`_ZERO_ROW_SHARE` is
-    ``+0.0`` is a list of ``"0.0"``, the repr of ``+0.0``, with the other
-    entries' reprs put in their places; any other row is the reprs of all
-    its entries.  Either way a row's text is one join, the one ``json``
-    makes of the same floats.
+    One boolean mask marks the entries written by ``float.__repr__``.  In
+    a row of which at least one entry in :data:`_ZERO_ROW_SHARE` is
+    ``+0.0`` (the only float whose bits are all zero), these are all the
+    other entries, ``-0.0`` among them, put into a list of ``"0.0"``, the
+    repr of ``+0.0``.  In any other row, they are the nonzero entries
+    outside :data:`_POSITIONAL`, put into the row's `_orjson_row` text.
+    Either way each entry's text is its repr, and a row's text is the one
+    ``json`` makes of the same floats.  The marked entries' positions and
+    values are listed once, in row order, and each row takes its own.
     """
     finite = np.isfinite(array)
     if not finite.all():
@@ -880,29 +900,50 @@ def _float_rows(array: np.ndarray, out: list[str], newline: str) -> None:
     inner = row_newline + "  "
     sep = "," + inner
     nonzero = rows.view(np.uint64) != 0
-    kept = np.count_nonzero(nonzero, axis=1)
-    sparse = (length - kept) * _ZERO_ROW_SHARE >= length
-    at, places = np.nonzero(nonzero & sparse[:, None])
-    entries = zip(places.tolist(), rows[at, places].tolist())
+    sparse = (length - np.count_nonzero(nonzero, axis=1)) * _ZERO_ROW_SHARE >= length
+    low, high = _POSITIONAL
+    by_repr = rows < low
+    by_repr &= rows > -low
+    by_repr |= rows >= high
+    by_repr |= rows <= -high
+    by_repr |= sparse[:, None]
+    by_repr &= nonzero
+    entries = zip(np.nonzero(by_repr)[1].tolist(), rows[by_repr].tolist())
+    counts = np.count_nonzero(by_repr, axis=1).tolist()
     if array.ndim == 2:
         out.append("[" + row_newline)
-    for i, (row_kept, row_sparse) in enumerate(zip(kept.tolist(), sparse.tolist())):
+    for i, (count, row_sparse) in enumerate(zip(counts, sparse.tolist())):
         if i:
             out.append("," + row_newline)
         if not length:
             out.append("[]")
             continue
-        if row_sparse:
-            texts = ["0.0"] * length
-            for _, (place, entry) in zip(range(row_kept), entries):
+        if row_sparse or count:
+            texts = ["0.0"] * length if row_sparse else _orjson_row(rows[i]).split(",")
+            for _, (place, entry) in zip(range(count), entries):
                 texts[place] = float.__repr__(entry)
+            text = sep.join(texts)
         else:
-            texts = map(float.__repr__, rows[i].tolist())
+            text = _orjson_row(rows[i]).replace(",", sep)
         out.append("[" + inner)
-        out.append(sep.join(texts))
+        out.append(text)
         out.append(row_newline + "]")
     if array.ndim == 2:
         out.append(newline + "]")
+
+
+def _orjson_row(row: np.ndarray) -> str:
+    """The entries of a float64 row as orjson writes them, joined by commas
+    without brackets: each one's repr if it lies inside :data:`_POSITIONAL`.
+    orjson reads only C-contiguous arrays, so a row of a transposed or
+    strided array is copied first.
+
+    The text is decoded from a view of orjson's bytes, not from a sliced
+    copy, and `_float_rows` appends it as a piece of its own: the
+    benchmark's seed-0 ``certify`` runs peaked about 2 MB higher (of 50 MB)
+    with both extra copies."""
+    text = orjson.dumps(np.ascontiguousarray(row), option=orjson.OPT_SERIALIZE_NUMPY)
+    return str(memoryview(text)[1:-1], "ascii")
 
 
 def _is_document(obj) -> bool:

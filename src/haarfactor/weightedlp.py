@@ -462,10 +462,8 @@ class Block:
         """Coefficients of the biorthogonal functional over ``indices``."""
         return self.functional_scale * self.coeffs
 
-    def vector(self, size: int | None = None) -> XpwVector:
+    def vector(self, size: int) -> XpwVector:
         """The normalized block as a dense vector of the given size."""
-        if size is None:
-            size = self.top
         if size < self.top:
             raise ValueError("size does not cover the block's support")
         out = np.zeros(size)

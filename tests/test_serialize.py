@@ -254,6 +254,16 @@ class TestMomentAndReportDocuments:
         with pytest.raises(ValueError):
             sz.dumps({"x": float("nan")})
 
+    def test_arrays_in_a_tree_reload_as_lists(self):
+        report = {"row": np.array([0.5, -0.0]), "rows": np.array([[1.0], [2.0]])}
+        back = sz.loads(sz.dumps(report))
+        assert back == {"row": [0.5, -0.0], "rows": [[1.0], [2.0]]}
+        assert str(back["row"][1]) == "-0.0"
+
+    def test_a_value_of_no_json_form_in_a_tree_is_named(self):
+        with pytest.raises(sz.SchemaError, match=r"payload\.x: cannot encode object values"):
+            sz.dumps({"x": object()})
+
     def test_unserializable_object_is_named(self):
         with pytest.raises(sz.SchemaError, match="no document form"):
             sz.document(object())
@@ -268,6 +278,34 @@ class TestSchemaRejection:
         b = doc["payload"]["basis"]
         b[0], b[1] = b[1], b[0]
         with pytest.raises(sz.SchemaError, match="out of order at position 1"):
+            sz.undocument(doc)
+
+    def test_a_document_or_payload_that_is_no_object(self):
+        with pytest.raises(sz.SchemaError, match="document must be an object, got list"):
+            sz.loads("[]")
+        doc = self.operator_doc()
+        doc["payload"] = [1.0]
+        with pytest.raises(sz.SchemaError, match="payload must be an object, got list"):
+            sz.undocument(doc)
+
+    def test_a_row_that_is_no_list(self):
+        doc = self.operator_doc()
+        doc["payload"]["entries"][2] = 1.0
+        with pytest.raises(sz.SchemaError, match=r"entries\[2\]: expected a row, got float"):
+            sz.undocument(doc)
+
+    @pytest.mark.parametrize("basis", [[], "3/1:0", None])
+    def test_an_empty_basis_or_none_at_all(self, basis):
+        doc = self.operator_doc()
+        doc["payload"]["basis"] = basis
+        with pytest.raises(sz.SchemaError, match="basis must be a non-empty list"):
+            sz.undocument(doc)
+
+    @pytest.mark.parametrize("field", ["block_averages", "witnesses"])
+    def test_certificate_lists_of_other_lengths(self, field):
+        doc = json.loads(sz.dumps(TestCertificateRoundTrip().diagonal_cert()))
+        doc["payload"][field].append(doc["payload"][field][0])
+        with pytest.raises(sz.SchemaError, match="lengths disagree"):
             sz.undocument(doc)
 
     def test_unknown_field_is_named(self):
@@ -334,16 +372,21 @@ class TestSchemaRejection:
             sz.undocument(doc)
 
 
-@pytest.fixture(scope="module")
-def seed0_witness(tmp_path_factory):
-    """The benchmark's `factorize` job: I + 0.05 N on the acceptance source."""
-    root = tmp_path_factory.mktemp("factorize")
+def factorize_source() -> OperatorMatrix:
+    """The benchmark's `factorize` input: I + 0.05 N on the acceptance source."""
     source = BasisRegistry({5: 4, 6: 5, 7: 6})
     noise = np.random.default_rng(5).standard_normal((source.dim, source.dim))
     np.fill_diagonal(noise, 0.0)
     noise /= max_column_sum(noise)
+    return OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise)
+
+
+@pytest.fixture(scope="module")
+def seed0_witness(tmp_path_factory):
+    """The benchmark's `factorize` job on `factorize_source`."""
+    root = tmp_path_factory.mktemp("factorize")
     op = root / "operator.json"
-    sz.save(op, OperatorMatrix(4.0, source.indices, np.eye(source.dim) + 0.05 * noise))
+    sz.save(op, factorize_source())
     out = root / "witness.json"
     run(ExperimentConfig(
         "factorize", p=4.0, delta=1.0, eps="0.25", seed=5,
@@ -447,11 +490,14 @@ def json_types_only(tree) -> bool:
     return type(tree) in (str, int, float, bool, type(None))
 
 
-# repr switches to an exponent below 1e-4 and from 1e16 on
+# repr switches to an exponent below 1e-4 and from 1e16 on, and orjson,
+# which spells the exponent otherwise, below 1e-5 and from 1e16 on: each
+# switch point with the float just below it, and 1.5e16, an exponent with a
+# fraction; 1e-7 and 1e21 are where ECMAScript's shortest form switches
 EDGE_FLOATS = [
     -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-    1e16, 9999999999999998.0, 1e-5, 1.0000000000000002e-5, 0.0001,
-    9.999999999999999e-05, 0.1, -2.5,
+    1e16, 9999999999999998.0, 1.5e16, 1e21, 1e-5, 1.0000000000000002e-5,
+    9.999999999999999e-06, 0.0001, 9.999999999999999e-05, 1e-7, 0.1, -2.5,
 ]
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     EDGE_FLOATS
@@ -563,6 +609,20 @@ class TestArrayRendering:
                     "payload": {"a": a, "rows": [a, 1, b], "b": b}}
 
         assert sz.dumps(doc(first, second)) == oracle(doc(first.tolist(), second.tolist()))
+
+    @pytest.mark.parametrize("view", ["contiguous", "transposed", "strided"])
+    def test_a_wide_seeded_matrix_matches_the_json_oracle(self, view):
+        # the benchmark's factorize source, I + 0.05 N: about a third of its
+        # entries lie below 1e-4
+        array = factorize_source().entries
+        if view == "transposed":
+            array = np.ascontiguousarray(array.T).T
+        elif view == "strided":
+            wide = np.full((442, 442), 7.5)
+            wide[::2, ::2] = array
+            array = wide[::2, ::2]
+        doc = {"schema": "s", "kind": "k", "metadata": {}, "payload": {"a": array}}
+        assert sz.dumps(doc) == oracle(sz._json_types(doc))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("shape, at", [((5,), (3,)), ((3, 4), (2, 1)), ((4, 3), (0, 0))])

@@ -618,29 +618,39 @@ def test_the_alias_check_sees_every_second_name():
 THREADED = {"threading", "concurrent", "multiprocessing"}
 
 
-def _threaded_imports(tree: ast.Module) -> set[str]:
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import in ``tree``."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             found.add(node.module.split(".")[0])
-    return found & THREADED
+    return found
 
 
 def test_one_module_starts_threads():
-    importers = [path.name for path in MODULES if _threaded_imports(_tree(path))]
+    importers = [path.name for path in MODULES if _absolute_imports(_tree(path)) & THREADED]
     assert importers == ["haarsys.py"], (
         "threads start only from haarsys._striped; reuse it instead of a second pool"
     )
 
 
-def test_the_thread_check_sees_every_spelling():
+def test_one_module_imports_orjson():
+    importers = [path.name for path in MODULES if "orjson" in _absolute_imports(_tree(path))]
+    assert importers == ["serialize.py"], (
+        "orjson writes float rows only in serialize._float_rows, where its text "
+        "is checked against repr's; render through serialize instead"
+    )
+
+
+def test_the_import_check_sees_every_spelling():
     tree = ast.parse(
         "import threading\nimport concurrent.futures as cf\n"
         "from multiprocessing import Pool\nimport os\nfrom . import grids\n"
+        "from orjson import dumps\n"
     )
-    assert _threaded_imports(tree) == THREADED
+    assert _absolute_imports(tree) == THREADED | {"os", "orjson"}
 
 
 CACHES = {"cache", "lru_cache"}

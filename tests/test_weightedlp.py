@@ -176,6 +176,14 @@ class TestWeightSequence:
         with pytest.raises(ValueError, match="not an integer"):
             w.budget(2)
 
+    def test_repr_names_the_family_without_its_values(self):
+        assert repr(WeightSequence.power(4, Fraction(1, 4))) == (
+            "WeightSequence(p=4, decay=1/4)"
+        )
+        assert repr(WeightSequence.explicit(4, [1] * 300)) == (
+            "WeightSequence(p=4, 300 explicit weights)"
+        )
+
     def test_power_family_has_no_length(self):
         w = WeightSequence.power(4, Fraction(1, 4))
         with pytest.raises(TypeError):
@@ -1315,6 +1323,9 @@ class TestExactBudgetSum:
             WeightSequence.power(4, Fraction(1, 3)).budget_sum([1, 2])
         with pytest.raises(ValueError, match="beyond the 2 explicit weights"):
             WeightSequence.explicit(4, [1, 2]).budget_sum([1, 3])
+        # p = 5 gives 2p/(p-2) = 10/3: no integer power of an explicit weight
+        with pytest.raises(ValueError, match="10/3 is not an integer"):
+            WeightSequence.explicit(5, [Fraction(1, 2)]).budget_pair(1)
 
 
 class TestFilteredScan:
@@ -1380,6 +1391,18 @@ class TestFilteredScan:
         assert t.verify()["ok"]
         assert serialize.dumps(t) == serialize.dumps(
             sequential_scan(FixedScheduleAdversary([1]), 1, w, eps)
+        )
+
+    def test_a_term_past_the_float_range_falls_back(self, fallbacks):
+        # index 2's budget term is 10^400, past the float range: its sum is
+        # infinite, so exact arithmetic skips it, with nothing chosen yet;
+        # sixteen terms 1/16 follow
+        w = WeightSequence.explicit(4, [1, 10**100] + [Fraction(1, 2)] * 16)
+        t = play_game(FixedScheduleAdversary([1]), 1, w, Fraction(1, 10))
+        assert fallbacks[0] == []
+        assert t.rounds[0].indices == tuple(range(3, 19))
+        assert serialize.dumps(t) == serialize.dumps(
+            sequential_scan(FixedScheduleAdversary([1]), 1, w, Fraction(1, 10))
         )
 
     def test_clear_decisions_stay_in_floats(self, fallbacks):
