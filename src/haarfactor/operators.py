@@ -222,7 +222,6 @@ class NeumannInverse:
 
     operator: OperatorMatrix
     norm_bound: float
-    eps_bound: float
     residual: float
 
 
@@ -248,7 +247,6 @@ def neumann_invert(op: OperatorMatrix, eps_bound: float) -> NeumannInverse:
     return NeumannInverse(
         operator=OperatorMatrix(op.exponent, op.basis, inverse),
         norm_bound=1.0 / (1.0 - eps_bound),
-        eps_bound=eps_bound,
         residual=residual,
     )
 

@@ -198,13 +198,19 @@ def interaction_matrix(source: BasisRegistry, family: BlockFamily, T) -> np.ndar
 
 
 def _members_within(pieces: Sequence[DyadicInterval], level: int):
-    """All level-``level`` intervals inside a disjoint union of intervals."""
+    """All level-``level`` intervals inside a disjoint union of intervals
+    no finer than ``level``.
+
+    Each caller's pieces are ``[0, 1)`` or the halves of the parent
+    block's members, one level finer than that block, and it asks for its
+    own block's level or a later selected level, never a coarser one: in
+    `reduce_to_diagonal` a block of copy ``n`` at target level ``l`` has
+    level ``k(n) + l`` and its parent's ``k(n) + l - 1``, and the scalar
+    induction's selected levels strictly increase (`pigeonhole_levels`
+    takes them in order).
+    """
     out = []
     for piece in pieces:
-        if level < piece.level:
-            raise ValueError(
-                f"cannot list level-{level} intervals inside a level-{piece.level} piece"
-            )
         span = 1 << (level - piece.level)
         base = (piece.index - 1) * span
         out.extend(DyadicInterval(level, base + i) for i in range(1, span + 1))
@@ -979,6 +985,11 @@ def compose_certificates(
     route from the composite family and the triangle route from these
     recorded stage bounds; the stage certificates themselves are not kept,
     so the stage bounds cannot be re-derived from the composite alone.
+
+    A scalar ``c2`` passes on its scalar, and the composite's scalar
+    witness is the composite witness of ``c2``'s root target, also when the
+    two disagree (an edited ``c2``): :func:`verify_certificate` then reports
+    ``scalar_witness_value`` false.
     """
     if c1.exponent != c2.exponent:
         raise ValueError("certificates use different exponents")
@@ -1026,9 +1037,7 @@ def compose_certificates(
         root_idx = c2.family.targets.index(
             min(c2.family.targets, key=lambda t: t.sort_key())
         )
-        scalar_witness = comp_witnesses[root_idx] if (
-            c2.target_entries[root_idx] == c2.scalar
-        ) else None
+        scalar_witness = comp_witnesses[root_idx]
 
     metadata = {
         "complementation_constant": D,

@@ -20,16 +20,15 @@ Rules that keep the artifacts trustworthy as records:
 * floats render as shortest round-tripping decimals, so entries reload
   to the exact same binary values.  Each float's text is its
   ``float.__repr__``, so the bytes are those ``json.dumps`` writes.  Float
-  vectors and matrices go to the renderer as float64 arrays, row by row,
-  on one of two routes.  An entry whose bits are all zero is ``+0.0``,
-  whose repr is always ``"0.0"``, so a row with many of them starts as a
-  list of ``"0.0"`` and only its other entries (``-0.0`` among them) go
-  through ``float.__repr__``.  Any other row is written by orjson, whose
-  shortest digits (Ryu; Adams, PLDI 2018) are repr's (Gay, 1990), and
-  whose text is repr's for every magnitude in ``[1e-4, 1e16)``; only the
-  entries outside it, where orjson spells the exponent otherwise, go
-  through ``float.__repr__``.  Exact rationals render as ``"13/12"``
-  strings; basis lists reload to the exact same index tuples;
+  vectors and matrices go to the renderer as float64 arrays and are
+  written in chunks of whole rows.  An entry whose bits are all zero is
+  ``+0.0``, whose repr is always ``"0.0"``; a chunk's other entries
+  (``-0.0`` among them) are written by one orjson call, whose shortest
+  digits (Ryu; Adams, PLDI 2018) are repr's (Gay, 1990), and whose text
+  is repr's for every magnitude in ``[1e-4, 1e16)``; only the entries
+  outside it, where orjson spells the exponent otherwise, go through
+  ``float.__repr__``.  Exact rationals render as ``"13/12"`` strings;
+  basis lists reload to the exact same index tuples;
 * loading validates: the schema version, the exact field set of every
   object (unknown or missing fields are named), the JSON type of every
   field, basis lists in the copy/level/position order, and shape agreement
@@ -742,12 +741,13 @@ _quote = json.encoder.encode_basestring_ascii
 # byte of a certify pass's 136 arrays cost about 4-15% of its dumps time.
 _MEMO_SAMPLES = 64
 
-# A float row of which at least one entry in this many is +0.0 starts as a
-# list of "0.0" and only its other entries go through `float.__repr__`; a
-# row with fewer zeros is written by orjson.  The mostly-zero rows keep the
-# "0.0" route: a diagonal 127 x 127 matrix renders in 0.53-0.83 ms on it,
-# against 0.77-1.18 ms with orjson writing every row (2-core VM).
-_ZERO_ROW_SHARE = 4
+# The most entries `_float_rows` writes with one orjson call, in whole
+# rows.  One seed-0 pass of the factorize and certify artifacts renders in
+# 28.7 and 54.2 ms at 2^10 cells, against 28.1 and 50.9 ms at 2^12 (best
+# of 15, 2-core VM); but a chunk's texts take about 0.3 MB at 2^12 cells,
+# and the benchmark's certify runs then peaked at 51.1-51.3 MB, against
+# 50.5 MB at 2^10.
+_ROW_CELLS = 1 << 10
 
 # The magnitudes, other than zero, that ``float.__repr__`` writes without
 # an exponent.  Inside them orjson writes the same text (no difference in
@@ -766,11 +766,12 @@ def _render(value, out: list[str], newline: str, memo: dict) -> None:
     break plus the indentation of the current depth.  A float64 array of
     one or two dimensions is written as the list its ``tolist()`` is, and
     so is a list of exact floats, by `_float_rows`, where nearly all of an
-    artifact's bytes are: it writes most entries through orjson and the
-    rest through ``float.__repr__``.  The tree itself is walked here, not
-    by orjson, which writes non-ASCII text as UTF-8 where ``json`` escapes
-    it, refuses integers past 64 bits, and spells a float's exponent
-    otherwise.
+    artifact's bytes are: it writes the entries of each chunk of rows,
+    but its ``+0.0`` ones, with one orjson call, and puts
+    ``float.__repr__`` back where orjson spells a float otherwise.  The
+    tree itself is walked here, not by orjson, which writes non-ASCII text
+    as UTF-8 where ``json`` escapes it, refuses integers past 64 bits, and
+    spells a float's exponent otherwise.
 
     ``memo`` holds one entry per float array rendered so far in the
     document, keyed by its shape and a hash of :data:`_MEMO_SAMPLES`
@@ -841,15 +842,15 @@ def _memo_float_rows(array: np.ndarray, out: list[str], newline: str, memo: dict
     re-indented; see :func:`_render`.
 
     Only C-ordered arrays are memoized, as only their bits can be viewed
-    without a copy, and only those with fewer than one ``+0.0`` entry in
-    :data:`_ZERO_ROW_SHARE`: a mostly-zero array renders about as fast as
-    its text is re-indented (a diagonal 127 x 127 matrix in 0.53-0.83 ms
-    against 0.65-0.99 ms), while a dense one renders slower (a 221 x 221
-    matrix in 7 ms, or 22.5 ms when a third of its entries lie below
-    1e-4, against 3.6-4.0 ms; 2-core VM).
+    without a copy, and only those with no ``+0.0`` entry, the entries
+    `_float_rows` leaves out of its orjson calls: a diagonal 127 x 127
+    matrix renders faster than its text is re-indented (0.47-0.52 against
+    0.67-0.75 ms), while a 221 x 221 matrix with no zero renders slower
+    (7.8-11 ms, or 23-27 ms when a third of its entries lie below 1e-4,
+    against 4.9-6.1 ms; 2-core VM, numpy 2.4.6, orjson 3.8.3).
     """
     bits = array.reshape(-1).view(np.uint64) if array.flags.c_contiguous else None
-    if bits is None or (len(bits) - np.count_nonzero(bits)) * _ZERO_ROW_SHARE >= len(bits):
+    if bits is None or not bits.all():
         _float_rows(array, out, newline)
         return
     key = (array.shape, hash(bits[::max(1, len(bits) // _MEMO_SAMPLES)].tobytes()))
@@ -875,18 +876,22 @@ def _out_of_range(value) -> ValueError:
 
 def _float_rows(array: np.ndarray, out: list[str], newline: str) -> None:
     """Append the canonical text of ``array.tolist()``, for a float64 array
-    of one or two dimensions, one row at a time.
+    of one or two dimensions, in chunks of whole rows.
 
     One ``isfinite`` pass refuses a NaN or an infinity, naming the first.
-    One boolean mask marks the entries written by ``float.__repr__``.  In
-    a row of which at least one entry in :data:`_ZERO_ROW_SHARE` is
-    ``+0.0`` (the only float whose bits are all zero), these are all the
-    other entries, ``-0.0`` among them, put into a list of ``"0.0"``, the
-    repr of ``+0.0``.  In any other row, they are the nonzero entries
-    outside :data:`_POSITIONAL`, put into the row's `_orjson_row` text.
-    Either way each entry's text is its repr, and a row's text is the one
-    ``json`` makes of the same floats.  The marked entries' positions and
-    values are listed once, in row order, and each row takes its own.
+    A chunk holds at most :data:`_ROW_CELLS` entries, and at least one row.
+    Its entries whose bits are not all zero (``-0.0`` among them) are
+    written by one orjson call, and those outside :data:`_POSITIONAL` get
+    their ``float.__repr__`` back; the others are ``+0.0``, whose repr is
+    ``"0.0"``.  So each entry's text is its repr, and each row's text is the
+    one ``json`` makes of the same floats.
+
+    Each row's text is a piece of ``out`` of its own, apart from its
+    brackets (joining them on cost the benchmark's ``certify`` runs about
+    2 MB of peak memory, of 50 MB), and a chunk's texts are freed before
+    the next chunk's are made (with two chunks' texts alive at once, at
+    2^12 cells a chunk, 4-second ``certify`` runs peaked at 50.5-51.2 MB,
+    against 49.8-50.5 MB).
     """
     finite = np.isfinite(array)
     if not finite.all():
@@ -899,51 +904,40 @@ def _float_rows(array: np.ndarray, out: list[str], newline: str) -> None:
     row_newline = newline + "  " if array.ndim == 2 else newline
     inner = row_newline + "  "
     sep = "," + inner
-    nonzero = rows.view(np.uint64) != 0
-    sparse = (length - np.count_nonzero(nonzero, axis=1)) * _ZERO_ROW_SHARE >= length
+    # one string object of each kind, however many rows
+    between, opening, closing = "," + row_newline, "[" + inner, row_newline + "]"
     low, high = _POSITIONAL
-    by_repr = rows < low
-    by_repr &= rows > -low
-    by_repr |= rows >= high
-    by_repr |= rows <= -high
-    by_repr |= sparse[:, None]
-    by_repr &= nonzero
-    entries = zip(np.nonzero(by_repr)[1].tolist(), rows[by_repr].tolist())
-    counts = np.count_nonzero(by_repr, axis=1).tolist()
     if array.ndim == 2:
         out.append("[" + row_newline)
-    for i, (count, row_sparse) in enumerate(zip(counts, sparse.tolist())):
-        if i:
-            out.append("," + row_newline)
-        if not length:
-            out.append("[]")
-            continue
-        if row_sparse or count:
-            texts = ["0.0"] * length if row_sparse else _orjson_row(rows[i]).split(",")
-            for _, (place, entry) in zip(range(count), entries):
-                texts[place] = float.__repr__(entry)
-            text = sep.join(texts)
-        else:
-            text = _orjson_row(rows[i]).replace(",", sep)
-        out.append("[" + inner)
-        out.append(text)
-        out.append(row_newline + "]")
+    step = max(1, _ROW_CELLS // max(1, length))
+    for top in range(0, len(rows), step):
+        chunk = rows[top:top + step]
+        nonzero = chunk.view(np.uint64) != 0
+        values = chunk[nonzero]
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        texts = text.split(",") if text else []
+        magnitudes = np.abs(values)
+        by_repr = magnitudes < low
+        by_repr |= magnitudes >= high
+        for place, entry in zip(np.flatnonzero(by_repr).tolist(), values[by_repr].tolist()):
+            texts[place] = float.__repr__(entry)
+        cells = texts
+        if len(values) < chunk.size:
+            cells = ["0.0"] * chunk.size
+            for place, entry in zip(np.flatnonzero(nonzero).tolist(), texts):
+                cells[place] = entry
+        for i in range(len(chunk)):
+            if top + i:
+                out.append(between)
+            if not length:
+                out.append("[]")
+                continue
+            out.append(opening)
+            out.append(sep.join(cells[i * length:(i + 1) * length]))
+            out.append(closing)
+        del text, texts, cells  # before the next chunk's are made
     if array.ndim == 2:
         out.append(newline + "]")
-
-
-def _orjson_row(row: np.ndarray) -> str:
-    """The entries of a float64 row as orjson writes them, joined by commas
-    without brackets: each one's repr if it lies inside :data:`_POSITIONAL`.
-    orjson reads only C-contiguous arrays, so a row of a transposed or
-    strided array is copied first.
-
-    The text is decoded from a view of orjson's bytes, not from a sliced
-    copy, and `_float_rows` appends it as a piece of its own: the
-    benchmark's seed-0 ``certify`` runs peaked about 2 MB higher (of 50 MB)
-    with both extra copies."""
-    text = orjson.dumps(np.ascontiguousarray(row), option=orjson.OPT_SERIALIZE_NUMPY)
-    return str(memoryview(text)[1:-1], "ascii")
 
 
 def _is_document(obj) -> bool:

@@ -351,6 +351,23 @@ class TestComposeChain:
         assert composite.mode == "composite"
         assert verify_certificate(composite)["ok"]
 
+    def test_an_edited_scalar_stage_fails_the_composite(self, arts, capsys, tmp_path):
+        # a scalar edited away from its root block's average: the composite
+        # carries the root's witness, which no longer matches its scalar
+        s1, s2, comp = (tmp_path / n for n in ("s1.json", "s2.json", "comp.json"))
+        invoke(capsys, "reduce-diagonal", "--in", arts["diag"], "--out", str(s1))
+        invoke(capsys, "reduce-scalar", "--in", str(s1), "--depths", "1", "--out", str(s2))
+        doc = json.loads(s2.read_text())
+        doc["payload"]["scalar"] += 0.01
+        s2.write_text(json.dumps(doc))
+        code, out, _ = invoke(
+            capsys, "compose", "--in", str(s1), "--in", str(s2), "--out", str(comp)
+        )
+        assert code == NEGATIVE
+        assert sz.loads(out)["checks"] == {"certificate_ok": False}
+        report = verify_certificate(sz.load(comp))
+        assert report["scalar_witness"] and not report["scalar_witness_value"]
+
     def test_single_input_is_an_error(self, arts, capsys, tmp_path):
         s1 = tmp_path / "s1.json"
         invoke(capsys, "reduce-diagonal", "--in", arts["diag"], "--out", str(s1))

@@ -131,6 +131,15 @@ class TestLargeDiagonalValidation:
         with pytest.raises(ValueError, match="0.4"):
             factor_large_diagonal(T, 0.5, 0.25)
 
+    def test_a_compression_outside_neumann_range_is_refused(self):
+        # off-diagonal mass 10^4 defeats every sign pattern: the relaxed
+        # compression certifies only a bound far above one
+        T = perturbed_identity(BasisRegistry({4: 3}), 4.0, 1e4, 1)
+        with pytest.raises(ReductionError, match="not within Neumann range") as err:
+            factor_large_diagonal(T, 1.0, 0.25, target_depths={1: 0}, k_schedule={1: 3})
+        assert err.value.step == "reduce_to_diagonal"
+        assert err.value.required == 1.0 <= err.value.achieved
+
 
 # -- large diagonal: seeded compression ------------------------------------------
 
@@ -233,6 +242,18 @@ class TestPrimaryDichotomyTrivial:
         for bad in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError, match="eps"):
                 primary_dichotomy(T, bad)
+
+    def test_no_scalar_attempt_within_half_eps_is_refused(self):
+        # dense noise of column mass 10^4 around 0.5 I: every scalar stage
+        # composes to a bound far above eps / 2
+        rng = np.random.default_rng(3)
+        N = rng.standard_normal((SINGLE.dim, SINGLE.dim))
+        N /= np.abs(N).sum(axis=0).max()
+        T = OperatorMatrix(4.0, SINGLE.indices, 0.5 * np.eye(SINGLE.dim) + 1e4 * N)
+        with pytest.raises(ReductionError, match="does not certify the scalar") as err:
+            primary_dichotomy(T, 0.25)
+        assert err.value.step == "compose"
+        assert err.value.required == 0.125 < err.value.achieved
 
 
 # -- dichotomy: seeded coverage ---------------------------------------------------

@@ -195,6 +195,10 @@ class TestLambdaPmMoments:
         with pytest.raises(ValueError, match="must exceed"):
             lambda_pm_moments([0.1] * 2, tuple(intervals_at_level(1)), 1)
 
+    def test_an_empty_block_is_refused(self):
+        with pytest.raises(ValueError, match="at least one block member"):
+            lambda_pm_moments([0.1] * 4, (), 2)
+
 
 # -- compressed-matrix entries -------------------------------------------------
 
@@ -288,6 +292,10 @@ class TestPigeonholeLevels:
     def test_out_of_range_mean_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             pigeonhole_levels([0.2, 1.4], 1, 0.2, 1.0)
+
+    def test_a_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            pigeonhole_levels([0.1, 0.1], 0, 0.2, 1.0)
 
 
 # -- reduction to a diagonal ---------------------------------------------------
@@ -441,6 +449,25 @@ class TestReduceToDiagonalPaperMode:
         assert err.value.step == "1/0:1"
         assert err.value.achieved > err.value.required
 
+    def test_a_w_form_takes_the_paper_tolerance(self):
+        # noise only from level-3 columns into level-4 rows of copy 5: the
+        # level-4 blocks of target copy 2 see their level-3 root block only
+        # through w forms, and no sign pattern meets the paper's tolerance
+        # eps / 32^(2n + m + 3 + n/q + m/p), here n = m = 2 and p = q = 2
+        source = BasisRegistry({5: 4})
+        levels = np.array([ix.interval.level for ix in source.indices])
+        entries = 0.5 * np.eye(source.dim)
+        entries[np.ix_(levels == 4, levels == 3)] = (
+            1e-6 * np.random.default_rng(5).standard_normal((16, 8))
+        )
+        T = OperatorMatrix(2.0, source.indices, entries)
+        eps = 2.0**18
+        with pytest.raises(ReductionError) as err:
+            reduce_to_diagonal(T, {2: 1}, eps, mode="paper", t_norm_upper=1.0)
+        assert err.value.step == "2/1:1"
+        assert err.value.required == eps / 32.0**11
+        assert err.value.achieved > err.value.required
+
     def test_adaptive_mode_relaxes_instead(self):
         source = BasisRegistry({4: 3})
         rng = np.random.default_rng(5)
@@ -558,6 +585,17 @@ class TestReduceToScalarFinite:
         with pytest.raises(ValueError, match="diagonal"):
             reduce_to_scalar_finite(off, 1, 0.5)
 
+    @pytest.mark.parametrize(
+        "eps, mode, message",
+        [(0.0, "adaptive", "eps must be positive"), (-0.5, "paper", "eps must be positive"),
+         (0.5, "fast", "unknown mode 'fast'")],
+    )
+    def test_rejects_bad_eps_and_mode(self, eps, mode, message):
+        source = BasisRegistry.single_copy(4)
+        T = DiagonalOperator(2.0, source.indices, [0.5] * source.dim)
+        with pytest.raises(ValueError, match=message):
+            reduce_to_scalar_finite(T, 1, eps, mode=mode, t_norm_upper=1.0)
+
     def test_oscillating_diagonal_is_certified_honestly(self):
         # +-1 striping at every level defeats every half-support
         # stabilization: each step is recorded as relaxed and the recomputed
@@ -642,6 +680,16 @@ class TestReduceToScalarPaperMode:
         assert need > 4
         with pytest.raises(ReductionError, match="needs more than"):
             reduce_to_scalar_finite(T, 3, 0.1, mode="paper", t_norm_upper=1.0)
+
+    def test_a_level_floor_past_the_source_raises(self):
+        # with 4 m gamma / eps below one, the depth hypothesis (2.81 < 3
+        # levels) can hold while the level floor (3) leaves no level
+        source = BasisRegistry.single_copy(3)
+        T = DiagonalOperator(2.0, source.indices, [0.5] * source.dim)
+        assert scalar_depth_hypothesis(1, 5.5, 1.0) < 3 <= scalar_level_floor(1, 5.5, 1.0)
+        with pytest.raises(ReductionError, match="level floor 3 exceeds available depth 2") as err:
+            reduce_to_scalar_finite(T, 1, 5.5, mode="paper", t_norm_upper=1.0)
+        assert err.value.required == 3
 
 
 @pytest.mark.parametrize(

@@ -573,9 +573,8 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 @st.composite
 def float_arrays(draw):
     """A float64 array of one of the shapes ``(0,)``, ``(n,)``, ``(m, 0)``,
-    ``(0, n)`` and ``(m, n)``, whose rows hold any share of ``+0.0``, on
-    either side of the renderer's quarter-zeros gate, as a contiguous array
-    or as a transposed or strided view."""
+    ``(0, n)`` and ``(m, n)``, whose rows hold any share of ``+0.0``, as a
+    contiguous array or as a transposed or strided view."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     shape = draw(st.sampled_from([(0,), (n,), (m, 0), (0, n), (m, n)]))
     rows = []
@@ -595,6 +594,47 @@ def float_arrays(draw):
         wide[tuple(slice(None, None, 2) for _ in shape)] = array
         array = wide[tuple(slice(None, None, 2) for _ in shape)]
     return array
+
+
+def _mixed(shape, seed=5):
+    """Seeded entries of many magnitudes, ``+0.0`` and ``-0.0`` among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 19, shape)
+    values.flat[::7] = 0.0
+    values.flat[3::11] = -0.0
+    return values
+
+
+def _zeros_then_dense():
+    """A first chunk of rows that are all ``+0.0`` and a second one with no
+    zero, of magnitudes on both sides of the positional range."""
+    width = 100
+    rows = sz._ROW_CELLS // width
+    array = np.zeros((2 * rows, width))
+    array[rows:] = np.random.default_rng(6).uniform(1.0, 2.0, (rows, width))
+    array[rows:, ::9] *= 1e-7
+    array[rows:, 4::13] *= 1.5e16
+    return array
+
+
+def _mostly_zero():
+    """``+0.0`` with ``-0.0``, ``1e-7``, ``1.5e16`` and ``0.5`` among it."""
+    array = np.zeros((20, 50))
+    array[0, 3], array[7, 0], array[7, 49], array[19, 20] = -0.0, 1e-7, 1.5e16, 0.5
+    return array
+
+
+# Arrays at and across the chunks `_float_rows` writes with one orjson call
+# each: a row wider than a chunk, a column over three chunks, a first chunk
+# of zeros before a dense one, rare entries among zeros, and empty shapes.
+CHUNK_CASES = {
+    "wide row": lambda: _mixed((1, sz._ROW_CELLS + 904)),
+    "long column": lambda: _mixed((2 * sz._ROW_CELLS + 3, 1)),
+    "zeros then dense": _zeros_then_dense,
+    "mostly zero": _mostly_zero,
+    "empty vector": lambda: np.zeros(0),
+    "empty rows": lambda: np.zeros((3, 0)),
+}
 
 
 class TestArrayRendering:
@@ -621,6 +661,15 @@ class TestArrayRendering:
             wide = np.full((442, 442), 7.5)
             wide[::2, ::2] = array
             array = wide[::2, ::2]
+        doc = {"schema": "s", "kind": "k", "metadata": {}, "payload": {"a": array}}
+        assert sz.dumps(doc) == oracle(sz._json_types(doc))
+
+    @pytest.mark.parametrize("view", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_chunk_boundaries_match_the_json_oracle(self, case, view):
+        array = CHUNK_CASES[case]()
+        if view == "transposed":
+            array = np.ascontiguousarray(array.T).T
         doc = {"schema": "s", "kind": "k", "metadata": {}, "payload": {"a": array}}
         assert sz.dumps(doc) == oracle(sz._json_types(doc))
 

@@ -12,10 +12,12 @@ uses.  An
 attribute that ``src/`` assigns as ``self.<name>`` must be read as
 ``.<name>`` somewhere in ``src/``, ``tests/`` or ``bench/``, or be named in
 a record row of ``serialize.py`` (which reads it by name), so that no
-state is kept that nothing reads.  Likewise a name that a module's
-top-level statements assign, other than ``__all__``, must be read as a name
-or as ``.<name>`` somewhere in ``src/`` (``__init__.py`` is exempt), so
-that no constant outlives the code that read it.  No module-level function
+state is kept that nothing reads; so must every annotated field of a
+``@dataclass`` in ``src/``, unless ``src/`` passes its class to
+``dataclasses.asdict``, which reads every field.  Likewise a name that a
+module's top-level statements assign, other than ``__all__``, must be read
+as a name or as ``.<name>`` somewhere in ``src/`` (``__init__.py`` is
+exempt), so that no constant outlives the code that read it.  No module-level function
 may be a second name for one call, passing its own parameters on unchanged.
 A parameter with a default must be passed by some call in ``src/`` or
 ``bench/``, unless its function is a paper object or ``TEST_SET_DEFAULTS``
@@ -479,14 +481,80 @@ def test_the_default_check_sees_every_unpassed_setting():
     }
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated ``@dataclass``, with or without
+    arguments, by its bare name or as ``dataclasses.dataclass``."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree: ast.Module) -> dict[tuple[str, str], int]:
+    """Each annotated field ``(class, name)`` of a ``@dataclass`` class in
+    the module, with its line."""
+    return {
+        (node.name, stmt.target.id): stmt.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def _asdict_classes(trees: dict[str, ast.Module]) -> dict[str, str | None]:
+    """The class of each value the modules pass to ``asdict``, keyed by the
+    call's ``module:line``: the argument must be a name that its function
+    assigns from a call of a function whose return annotation names a
+    class; ``None`` where it is not, so that the call cannot go unseen."""
+    returns = {
+        node.name: node.returns.id
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name)
+    }
+    found = {}
+    for module, tree in trees.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            made = {
+                target.id: node.value.func.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                for target in node.targets if isinstance(target, ast.Name)
+            }
+            for call in ast.walk(function):
+                if not isinstance(call, ast.Call) or "asdict" not in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
+                ):
+                    continue
+                arg = call.args[0] if call.args else None
+                name = arg.id if isinstance(arg, ast.Name) else None
+                found[f"{module}:{call.lineno}"] = returns.get(made.get(name))
+    return found
+
+
 def test_every_assigned_attribute_is_read():
+    """Every ``self.<name>`` store and every dataclass field is read, unless
+    ``asdict`` reads the whole object."""
+    trees = {path.name: _tree(path) for path in MODULES}
     read = set().union(*(_attributes_read(_tree(path)) for path in READERS))
-    read |= _record_attributes(_tree(SRC / "serialize.py"))
+    read |= _record_attributes(trees["serialize.py"])
+    whole = _asdict_classes(trees)
+    assert None not in whole.values(), f"asdict of a value of no known class: {whole}"
     unread = [
-        f"{path.name}:{line} self.{name}"
-        for path in MODULES
-        for name, line in _self_assigned(_tree(path)).items()
+        f"{module}:{line} self.{name}"
+        for module, tree in trees.items()
+        for name, line in _self_assigned(tree).items()
         if name not in read
+    ] + [
+        f"{module}:{line} {cls}.{name}"
+        for module, tree in trees.items()
+        for (cls, name), line in _dataclass_fields(tree).items()
+        if name not in read and cls not in whole.values()
     ]
     assert not unread, f"attributes nothing reads: {unread}"
 
@@ -504,6 +572,44 @@ def test_the_attribute_check_sees_write_only_state():
     assigned = set(_self_assigned(tree))
     assert assigned == {"items", "count", "spare"}
     assert assigned - _attributes_read(tree) - _record_attributes(tree) == {"spare"}
+
+
+def test_the_attribute_check_sees_unread_dataclass_fields():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import asdict, dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n"
+        "    value: float\n"
+        "    spare: float\n"
+        "    limit = 3\n\n"
+        "@dataclasses.dataclass\n"
+        "class Pair:\n"
+        "    first: int\n"
+        "    second: int = 0\n\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    mean: float\n\n"
+        "class Plain:\n"
+        "    hint: int\n\n"
+        "def measure() -> Report:\n"
+        "    return Report(0.0)\n\n"
+        "def main(pair):\n"
+        "    report = measure()\n"
+        "    return Result(pair.first, 1.0).value, asdict(report)\n"
+    )
+    fields = _dataclass_fields(tree)
+    assert set(fields) == {
+        ("Result", "value"), ("Result", "spare"), ("Pair", "first"),
+        ("Pair", "second"), ("Report", "mean"),
+    }
+    assert _asdict_classes({"toy.py": tree}) == {"toy.py:27": "Report"}
+    read = _attributes_read(tree)
+    assert {name for cls, name in fields if cls != "Report" and name not in read} == {
+        "spare", "second"
+    }
+    unknown = ast.parse("from dataclasses import asdict\n\ndef f(x):\n    return asdict(x)\n")
+    assert _asdict_classes({"toy.py": unknown}) == {"toy.py:4": None}
 
 
 def _module_assigned(tree: ast.Module) -> dict[str, int]:
